@@ -124,9 +124,8 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
     schema = database.schema
     eq_index = EqualityColumnIndex.for_constraints(schema, dcs)
     eq_index.build(database)
-    probes, _ = build_enumerators("probe", dcs, schema, eq_index)
-    batches, store = build_enumerators("batch", dcs, schema, eq_index)
-    store.build(database)
+    probes, _ = build_enumerators("probe", dcs, database, eq_index)
+    batches, store = build_enumerators("batch", dcs, database, eq_index)
     # Both maintained inputs track the same mutations, like a session does.
     database.subscribe(eq_index.apply)
     database.subscribe(store.apply)

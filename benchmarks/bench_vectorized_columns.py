@@ -126,15 +126,14 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
     eq_index.build(database)
 
     legs: dict[str, list] = {}
-    probes, _ = build_enumerators("probe", dcs, schema, eq_index)
+    probes, _ = build_enumerators("probe", dcs, database, eq_index)
     legs["probe"] = probes
     stores = []
     backends = ["list"] + (["numpy"] if HAS_NUMPY else [])
     for backend in backends:
         enumerators, store = build_enumerators(
-            "batch", dcs, schema, eq_index, vector_backend=backend
+            "batch", dcs, database, eq_index, vector_backend=backend
         )
-        store.build(database)
         stores.append(store)
         legs[backend] = enumerators
     # Every maintained input tracks the same mutations, like a session does.

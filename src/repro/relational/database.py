@@ -398,16 +398,16 @@ class Database:
         return self.subset(set(self._facts) - removed)
 
     def copy(self) -> "Database":
-        """An independent deep-enough copy (facts are immutable)."""
+        """An independent deep-enough copy (facts are immutable).
+
+        Active domains are copy-on-write: each column's counts are shared
+        with this database until either side first changes that column.
+        """
         result = Database(self.schema)
         result._facts = dict(self._facts)
         result._next_id = self._next_id
-        for (relation, attribute), domain in self._domains.items():
-            clone = ActiveDomain()
-            for value in domain:
-                for _ in range(domain.frequency(value)):
-                    clone.add(value)
-            result._domains[(relation, attribute)] = clone
+        for key, domain in self._domains.items():
+            result._domains[key] = domain.share()
         return result
 
     def is_subset_of(self, other: "Database") -> bool:

@@ -10,7 +10,6 @@ generators and the HoloClean substitute both sample from.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Iterable, Sequence
 
 #: Types a cell may carry.  ``None`` encodes SQL NULL; comparisons against
@@ -73,22 +72,47 @@ class ActiveDomain:
     """
 
     def __init__(self, values: Iterable[Value] = ()) -> None:
-        self._counts: Counter = Counter()
+        self._counts: dict[Value, int] = {}
+        #: Whether ``_counts`` may also back another domain (see :meth:`share`).
+        self._shared = False
         for value in values:
             self.add(value)
+
+    def share(self) -> "ActiveDomain":
+        """A copy that shares this domain's counts until either side changes.
+
+        Whichever side mutates first clones the counts (``dict.copy``
+        keeps insertion order), so a database copy costs nothing per column
+        it never writes, and both sides keep their iteration order.
+        """
+        clone = ActiveDomain()
+        clone._counts = self._counts
+        clone._shared = self._shared = True
+        return clone
+
+    def _unshare(self) -> None:
+        self._counts = self._counts.copy()
+        self._shared = False
 
     def add(self, value: Value) -> None:
         """Record one occurrence of *value* (NULLs are ignored)."""
         if not is_null(value):
-            self._counts[value] += 1
+            if self._shared:
+                self._unshare()
+            counts = self._counts
+            counts[value] = counts.get(value, 0) + 1
 
     def discard(self, value: Value) -> None:
         """Remove one occurrence of *value* if present."""
         if is_null(value):
             return
         count = self._counts.get(value, 0)
-        if count <= 1:
-            self._counts.pop(value, None)
+        if not count:
+            return
+        if self._shared:
+            self._unshare()
+        if count == 1:
+            del self._counts[value]
         else:
             self._counts[value] = count - 1
 

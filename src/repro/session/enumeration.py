@@ -33,6 +33,13 @@ randomized cold + delta-stream suite in ``tests/session/test_setbased.py``
 pins batch == probe, and the probe is itself pinned to from-scratch builds
 by the original session suites.
 
+:func:`cold_build` is the one cold-build path: a session's rebuild keeps
+the enumerators it returns to run deltas, and the one-shot detection in
+:mod:`repro.violations.minimal` runs it with ``engine="auto"`` over a
+throw-away column store.  :meth:`WitnessEnumerator.cold_chunks` yields
+the cold family piece by piece, for callers that stop at the first
+witness.
+
 Each enumerator carries an :class:`EnumerationStats` record (plans
 compiled, batches joined, candidate rows scanned, witnesses emitted),
 surfaced per DC through ``session.stats()``.
@@ -40,7 +47,7 @@ surfaced per DC through ``session.stats()``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..constraints.base import ComparisonOp
 from ..constraints.dc import DenialConstraint
@@ -758,6 +765,16 @@ class WitnessEnumerator:
     def cold(self, database: Database) -> Witnesses:
         raise NotImplementedError
 
+    def cold_chunks(self, database: Database) -> Iterator[Witnesses]:
+        """The cold family in pieces whose union is :meth:`cold`'s result.
+
+        Pieces are produced lazily, so a caller that only needs *some*
+        witness (a consistency check) stops at the first non-empty one.
+        Unlike :meth:`cold`, it leaves ``cold_runs`` and
+        ``witnesses_emitted`` alone.
+        """
+        raise NotImplementedError
+
     def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
         raise NotImplementedError
 
@@ -768,10 +785,12 @@ class ProbeEnumerator(WitnessEnumerator):
     def __init__(
         self,
         dc: DenialConstraint,
-        eq_index: EqualityColumnIndex,
+        eq_index: EqualityColumnIndex | None,
         stats: EnumerationStats | None = None,
     ) -> None:
         self.dc = dc
+        # Serves delta() only; one-shot callers, which never run a delta,
+        # pass None.
         self.eq_index = eq_index
         self.stats = stats if stats is not None else EnumerationStats("probe")
         self.stats.engine = "probe"
@@ -781,10 +800,14 @@ class ProbeEnumerator(WitnessEnumerator):
         stats = self.stats
         stats.cold_runs += 1
         found = {
-            frozenset(ids) for ids in _witness_id_sets(self.dc, database, False)
+            frozenset(ids) for ids in _witness_id_sets(self.dc, database)
         }
         stats.witnesses_emitted += len(found)
         return found
+
+    def cold_chunks(self, database: Database) -> Iterator[Witnesses]:
+        for ids in _witness_id_sets(self.dc, database):
+            yield {frozenset(ids)}
 
     def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
         stats = self.stats
@@ -811,11 +834,9 @@ class BatchEnumerator(WitnessEnumerator):
         self.stats.engine = "batch"
         self.stats.backend = store.backend
         register_batch_columns(dc, store)
-        #: Cold seed rows processed per plan run.  Witnesses partition by
-        #: the pinned seed row, so chunking only bounds the intermediate
-        #: candidate batches — the union is unchanged.  The vectorized
-        #: kernels amortize per-run overhead across the whole chunk, so
-        #: they want much larger batches than the python-loop kernels.
+        #: Cold seed rows processed per plan run.  The vectorized kernels
+        #: amortize per-run overhead across the whole chunk, so they want
+        #: much larger batches than the python-loop kernels.
         self.cold_chunk = 65536 if store.backend == "numpy" else self.COLD_CHUNK
         #: pin index → BatchPlan, compiled lazily on first enumeration so
         #: construction can finish registering every DC's columns before
@@ -839,17 +860,36 @@ class BatchEnumerator(WitnessEnumerator):
     #: Default cold chunk for the list-backed kernels.
     COLD_CHUNK = 8192
 
+    #: First seed chunk of :meth:`cold_chunks`; chunks then double up to
+    #: ``cold_chunk``, so an early exit pays for few seed rows when a
+    #: witness comes early and for few plan runs when none does.
+    FIRST_CHUNK = 64
+
     def cold(self, database: Database) -> Witnesses:
         stats = self.stats
         stats.cold_runs += 1
-        plan = self._compiled()[0]
-        seed = self.store.relation(plan.seed_relation).live_rows()
-        chunk = self.cold_chunk
         found: Witnesses = set()
-        for start in range(0, len(seed), chunk):
-            found |= plan.run(seed[start : start + chunk], stats)
+        for part in self._seed_chunks(self.cold_chunk):
+            found |= part
         stats.witnesses_emitted += len(found)
         return found
+
+    def cold_chunks(self, database: Database) -> Iterator[Witnesses]:
+        return self._seed_chunks(self.FIRST_CHUNK)
+
+    def _seed_chunks(self, first: int) -> Iterator[Witnesses]:
+        """Run the cold plan over the live seed rows, *first* rows at first.
+
+        Witnesses partition by the pinned seed row, so chunking only bounds
+        the intermediate candidate batches — the union is unchanged.
+        """
+        plan = self._compiled()[0]
+        seed = self.store.relation(plan.seed_relation).live_rows()
+        start, size = 0, min(first, self.cold_chunk)
+        while start < len(seed):
+            yield plan.run(seed[start : start + size], self.stats)
+            start += size
+            size = min(2 * size, self.cold_chunk)
 
     def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
         """One set-based pass per pinned tuple variable, seeded by relation.
@@ -900,8 +940,8 @@ class BatchEnumerator(WitnessEnumerator):
 def build_enumerators(
     engine: str,
     dcs: Sequence[DenialConstraint],
-    schema: Schema,
-    eq_index: EqualityColumnIndex,
+    database: Database,
+    eq_index: EqualityColumnIndex | None = None,
     stats: Sequence[EnumerationStats | None] | None = None,
     vector_backend: str | None = None,
 ) -> tuple[list[WitnessEnumerator], ColumnStore | None]:
@@ -910,14 +950,16 @@ def build_enumerators(
     *engine* is ``"probe"`` (force the reference path everywhere),
     ``"batch"`` (force batch; raises ``ValueError`` on a DC the batch
     backend cannot compile) or ``"auto"`` (batch where compilable, probe
-    fallback).  *stats* threads session-owned counter records through a
-    rebuild so they accumulate; ``None`` entries are freshly created.
-    *vector_backend* picks the column backend (``"numpy"``/``"list"``;
-    ``None`` = the process default, see ``columnar.VECTOR_BACKEND``).
+    fallback).  *eq_index* backs the probe's delta pass (``None`` when the
+    caller never runs one).  *stats* threads session-owned counter records
+    through a rebuild so they accumulate; ``None`` entries are freshly
+    created.  *vector_backend* picks the column backend (``"numpy"``/
+    ``"list"``; ``None`` = the process default, see
+    ``columnar.VECTOR_BACKEND``).
 
-    The returned store has every batch DC's columns registered but is
-    **not built** — the caller populates it from the database (cold build /
-    restore) and thereafter feeds it the change events.
+    The returned store has every batch DC's columns registered and is
+    built from *database*; a caller that keeps it feeds it the change
+    events from then on.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -939,6 +981,7 @@ def build_enumerators(
             )
         else:
             use_batch.append(False)
+    schema = database.schema
     store = make_column_store(schema, vector_backend) if any(use_batch) else None
     enumerators: list[WitnessEnumerator] = []
     for dc, batch, counter in zip(dcs, use_batch, counters):
@@ -946,4 +989,31 @@ def build_enumerators(
             enumerators.append(BatchEnumerator(dc, schema, store, counter))
         else:
             enumerators.append(ProbeEnumerator(dc, eq_index, counter))
+    if store is not None:
+        store.build(database)
     return enumerators, store
+
+
+def cold_build(
+    engine: str,
+    dcs: Sequence[DenialConstraint],
+    database: Database,
+    eq_index: EqualityColumnIndex | None = None,
+    stats: Sequence[EnumerationStats | None] | None = None,
+    vector_backend: str | None = None,
+) -> tuple[list[WitnessEnumerator], ColumnStore | None, list[Witnesses]]:
+    """One cold enumeration of every DC over a freshly built column store.
+
+    Returns :func:`build_enumerators`' result plus each DC's witness
+    family, in *dcs* order.  The one cold-build path: a session's rebuild
+    keeps the enumerators and store to run deltas later, while the
+    one-shot detection in :mod:`repro.violations.minimal` drops them.
+    """
+    enumerators, store = build_enumerators(
+        engine, dcs, database, eq_index, stats, vector_backend
+    )
+    return (
+        enumerators,
+        store,
+        [enumerator.cold(database) for enumerator in enumerators],
+    )

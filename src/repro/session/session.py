@@ -1,10 +1,12 @@
 """The measurement session: a live ``(Σ, D)`` pair with a patched index.
 
-``build_violation_index`` is the dominant step of every measure; a noise
-sweep or repair loop that perturbs a handful of tuples per step pays that
-full cost at every measurement point.  :class:`MeasurementSession` instead
-subscribes to the database's change feed, marks touched fact identifiers
-dirty, and on the next index request
+A one-shot ``measure.value(Σ, D)`` runs a full cold detection on every
+call; a noise sweep or repair loop that perturbs a handful of tuples per
+step pays that full cost at every measurement point.  The session runs the
+same cold build (:func:`~repro.session.enumeration.cold_build`) once and
+keeps its enumerators.  :class:`MeasurementSession` then subscribes to the
+database's change feed, marks touched fact identifiers dirty, and on the
+next index request
 
 1. retracts every stored witness that binds a dirty fact (via a reverse
    fact → witness map),
@@ -61,7 +63,7 @@ from ..violations.topology import (
     split_minimized,
 )
 from .columnar import ColumnStore
-from .enumeration import ENGINES, WitnessEnumerator, build_enumerators
+from .enumeration import ENGINES, WitnessEnumerator, build_enumerators, cold_build
 from .snapshot import (
     SNAPSHOT_VERSION,
     DatabaseFingerprint,
@@ -885,18 +887,18 @@ class MeasurementSession:
         return index
 
     def _attach_enumerators(self) -> None:
-        """(Re)create the per-DC enumeration backends and their column store.
+        """Recreate the per-DC enumeration backends for a restored state.
 
         The backends capture the current equality index (probe) or a fresh
         registered-and-built column store (batch), so this runs after the
-        equality index exists, in both ``_rebuild`` and ``_restore``.  The
-        session-owned stats records are threaded through so counters
-        accumulate across rebuilds.
+        equality index exists; ``_rebuild`` gets the same objects from
+        :func:`cold_build`.  The session-owned stats records are threaded
+        through so counters accumulate across rebuilds.
         """
         self._enumerators, self._columns = build_enumerators(
             self.engine,
             self.dcs,
-            self.database.schema,
+            self.database,
             self._eq_index,
             self._enum_stats,
             vector_backend=self.vector_backend,
@@ -904,8 +906,6 @@ class MeasurementSession:
         self._enum_stats = [
             enumerator.stats for enumerator in self._enumerators
         ]
-        if self._columns is not None:
-            self._columns.build(self.database)
 
     def stats(self) -> dict:
         """Per-DC enumeration counters (see :class:`EnumerationStats`)."""
@@ -935,7 +935,17 @@ class MeasurementSession:
         )
         self._eq_index.build(self.database)
         self._columns = None
-        self._attach_enumerators()
+        self._enumerators, self._columns, families = cold_build(
+            self.engine,
+            self.dcs,
+            self.database,
+            self._eq_index,
+            self._enum_stats,
+            vector_backend=self.vector_backend,
+        )
+        self._enum_stats = [
+            enumerator.stats for enumerator in self._enumerators
+        ]
         self._witnesses = [WitnessStore(dc) for dc in self.dcs]
         self._touching = {}
         self._dirty.clear()
@@ -944,8 +954,8 @@ class MeasurementSession:
         self._spec_base = None
         self._spec_base_generation = -1
         inserted: list[tuple[int, frozenset[int]]] = []
-        for dc_position, enumerator in enumerate(self._enumerators):
-            for witness in enumerator.cold(self.database):
+        for dc_position, family in enumerate(families):
+            for witness in family:
                 if self._add_witness(dc_position, witness):
                     inserted.append((dc_position, witness))
         self.topology.apply([], inserted)

@@ -6,9 +6,15 @@ are lowered to denial constraints; a witness of a DC is a tuple-variable
 assignment satisfying its body, and the family of witness fact-id sets,
 minimized under ⊆, is exactly ``MI_Σ(D)``.
 
-Binary DCs (the common case: FDs and all mined constraints) run through the
-SQL engine; wider DCs use a recursive join that exploits equality predicates
-with hash indices.
+The one-shot entry points (:func:`build_violation_index`,
+:func:`is_consistent`, :func:`find_first_violation`, :func:`violations_of`)
+run one cold build of the measurement session's own enumerators
+(:func:`repro.session.enumeration.cold_build` with ``engine="auto"``) over
+a throw-away column store: every DC whose equality-join graph connects its
+tuple variables runs as a compiled batch join plan, the rest keep the probe
+fallback — the SQL engine for binary DCs, a recursive hash join
+(:func:`_wide_witnesses`) for wider ones.  Their result is therefore the
+session's ``index()`` list for list.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..constraints.base import ComparisonOp, Constraint
+from ..constraints.base import Constraint
 from ..constraints.dc import DenialConstraint, Predicate
 from ..relational.database import Database
 from .sqlgen import conflict_rows
@@ -204,69 +210,81 @@ def lower_constraints(
 
 
 def build_violation_index(
-    constraints: Sequence[Constraint],
-    database: Database,
-    *,
-    force_nested_loop: bool = False,
+    constraints: Sequence[Constraint], database: Database
 ) -> ViolationIndex:
-    """Compute ``MI_Σ(D)`` and the per-constraint violation list."""
+    """Compute ``MI_Σ(D)`` and the per-constraint violation list.
+
+    ``per_constraint`` lists each lowered DC's witnesses sorted by fact
+    ids — the order of the session's witness stores — so the result equals
+    ``make_session(Σ, D).index()`` list for list.
+    """
+    # Lazy: repro.session imports this module.
+    from ..session.enumeration import cold_build
+
+    dcs = lower_constraints(constraints, database.schema)
     index = ViolationIndex()
     raw_sets: set[frozenset[int]] = set()
-    for dc in lower_constraints(constraints, database.schema):
-        for ids in _witness_id_sets(dc, database, force_nested_loop):
-            violation_set = frozenset(ids)
-            index.per_constraint.append(MinimalViolation(violation_set, dc))
-            raw_sets.add(violation_set)
+    for dc, family in zip(dcs, cold_build("auto", dcs, database)[2]):
+        index.per_constraint.extend(
+            MinimalViolation(witness, dc) for witness in _by_fact_ids(family)
+        )
+        raw_sets |= family
     index.mi_sets = _minimize(raw_sets)
     return index
 
 
 def is_consistent(constraints: Sequence[Constraint], database: Database) -> bool:
     """``D ⊨ Σ`` — with early exit on the first witness."""
-    for dc in lower_constraints(constraints, database.schema):
-        for _ in _witness_id_sets(dc, database, False, first_only=True):
-            return False
-    return True
+    return find_first_violation(constraints, database) is None
 
 
 def find_first_violation(
     constraints: Sequence[Constraint], database: Database
 ) -> MinimalViolation | None:
-    """The first witness found, or None when consistent (early exit)."""
-    for dc in lower_constraints(constraints, database.schema):
-        for ids in _witness_id_sets(dc, database, False, first_only=True):
-            return MinimalViolation(frozenset(ids), dc)
+    """The first witness found, or None when consistent (early exit).
+
+    DCs are tried in lowered order.  Each runs its cold plan chunk by
+    chunk and stops at the first chunk that yields a witness; the witness
+    with the smallest sorted fact ids of that chunk is returned.
+    """
+    from ..session.enumeration import build_enumerators
+
+    dcs = lower_constraints(constraints, database.schema)
+    enumerators, _ = build_enumerators("auto", dcs, database)
+    for dc, enumerator in zip(dcs, enumerators):
+        for chunk in enumerator.cold_chunks(database):
+            if chunk:
+                return MinimalViolation(min(chunk, key=sorted), dc)
     return None
 
 
-def violations_of(
-    dc: DenialConstraint,
-    database: Database,
-    *,
-    force_nested_loop: bool = False,
-) -> list[frozenset[int]]:
-    """Minimal violations of a single DC (not minimized across constraints)."""
-    return [
-        frozenset(ids)
-        for ids in _witness_id_sets(dc, database, force_nested_loop)
-    ]
+def violations_of(dc: DenialConstraint, database: Database) -> list[frozenset[int]]:
+    """Witnesses of a single DC (not minimized), sorted by fact ids."""
+    from ..session.enumeration import cold_build
+
+    return _by_fact_ids(cold_build("auto", [dc], database)[2][0])
+
+
+def _by_fact_ids(family: set[frozenset[int]]) -> list[frozenset[int]]:
+    """*family* sorted by sorted fact ids (the witness-store order)."""
+    keyed = sorted((tuple(sorted(witness)), witness) for witness in family)
+    return [witness for _, witness in keyed]
 
 
 # ----------------------------------------------------------------------
 # Witness enumeration
 # ----------------------------------------------------------------------
 def _witness_id_sets(
-    dc: DenialConstraint,
-    database: Database,
-    force_nested_loop: bool,
-    first_only: bool = False,
+    dc: DenialConstraint, database: Database
 ) -> Iterable[tuple[int, ...]]:
-    """Yield deduplicated, subset-minimal-per-witness id tuples."""
+    """Yield deduplicated witness id tuples: the probe fallback's cold scan.
+
+    Binary DCs run through the SQL engine's conflict query, wider ones
+    through :func:`_wide_witnesses`.
+    """
     seen: set[frozenset[int]] = set()
     if dc.width <= 2:
-        rows = conflict_rows(
-            dc, database, force_nested_loop=force_nested_loop
-        )
+        rows = conflict_rows(dc, database)
     else:
         rows = _wide_witnesses(dc, database)
     for row in rows:
@@ -275,8 +293,6 @@ def _witness_id_sets(
             continue
         seen.add(key)
         yield tuple(sorted(key))
-        if first_only:
-            return
 
 
 def _wide_witnesses(

@@ -100,6 +100,44 @@ class TestViews:
         clone = db.copy()
         assert clone.active_domain("R", "A").frequency(1) == 2
 
+    def test_copy_shares_domains_until_written(self, schema):
+        db = Database.from_rows(schema, "R", [(3, 1), (1, 2), (3, 3), (2, 4)])
+        clone = db.copy()
+        original_view = db.active_domain("R", "A")
+        clone_view = clone.active_domain("R", "A")
+        assert original_view._counts is clone_view._counts
+        assert (
+            db.active_domain("R", "B")._counts
+            is clone.active_domain("R", "B")._counts
+        )
+        clone.update(0, "A", 7)
+        db.delete(3)
+        # Each side sees only its own writes, through the same live views.
+        assert db.active_domain("R", "A") is original_view
+        assert clone.active_domain("R", "A") is clone_view
+        assert list(original_view) == [3, 1]
+        assert original_view.frequency(3) == 2
+        assert list(clone_view) == [3, 1, 2, 7]
+        assert clone_view.frequency(3) == 1
+        # A copy of a copy shares too, and unshares on its own first write.
+        again = clone.copy()
+        again.insert(Fact("R", (9, 9)))
+        assert 9 not in clone.active_domain("R", "A")
+        assert list(again.active_domain("R", "A")) == [3, 1, 2, 7, 9]
+
+    def test_copy_matches_rebuilt_domains(self, schema):
+        db = Database.from_rows(schema, "R", [(1, None), (2, "x"), (1, "x")])
+        clone = db.copy()
+        clone.update(1, "B", None)
+        rebuilt = Database.from_facts(schema, [fact for _, fact in clone.items()])
+        for attribute in ("A", "B"):
+            ours = clone.active_domain("R", attribute)
+            theirs = rebuilt.active_domain("R", attribute)
+            assert list(ours) == list(theirs)
+            assert [ours.frequency(v) for v in ours] == [
+                theirs.frequency(v) for v in theirs
+            ]
+
     def test_column(self, schema):
         db = Database.from_rows(schema, "R", [(1, 2), (3, 4)])
         assert db.column("R", "B") == [2, 4]

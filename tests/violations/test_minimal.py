@@ -14,6 +14,7 @@ from repro.violations import (
     violations_of,
 )
 from repro.violations.minimal import find_first_violation
+from repro.violations.sqlgen import conflict_rows
 
 
 @pytest.fixture
@@ -156,6 +157,8 @@ class TestHelpers:
         db = Database.from_rows(
             schema, "R", [(1, "x", 0), (1, "y", 0), (2, "x", 0), (2, "z", 0)]
         )
-        fast = build_violation_index([fd], db).mi_sets
-        slow = build_violation_index([fd], db, force_nested_loop=True).mi_sets
-        assert sorted(map(sorted, fast)) == sorted(map(sorted, slow))
+        for dc in lower_constraints([fd], schema):
+            fast = conflict_rows(dc, db)
+            slow = conflict_rows(dc, db, force_nested_loop=True)
+            assert sorted(map(sorted, fast)) == sorted(map(sorted, slow))
+            assert {frozenset(row) for row in fast} == set(violations_of(dc, db))

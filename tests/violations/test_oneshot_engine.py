@@ -1,0 +1,251 @@
+"""One-shot detection against a brute-force oracle and against the session.
+
+The one-shot entry points (``build_violation_index``, ``is_consistent``,
+``find_first_violation``) run a cold build of the session's enumerators:
+compiled batch plans where the DC is equality-joinable, the probe fallback
+elsewhere.  Comparing them with a session only shows that the two agree, so
+this suite also checks them against an oracle that shares no code with any
+enumerator: a nested loop over every tuple assignment, evaluated with
+``Predicate.evaluate``, and ⊆-minimization straight from the definition.
+Random databases have at most six facts over tiny domains mixing ints,
+strings, ``None`` and NaN, and every case runs on both column backends.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+import repro.session.columnar as columnar
+from repro.constraints import (
+    Atom,
+    EqualityGeneratingDependency,
+    FunctionalDependency,
+)
+from repro.constraints.base import ComparisonOp
+from repro.constraints.dc import DenialConstraint, Predicate, Term
+from repro.datasets import DATASET_ORDER, generate_sample
+from repro.noise import CONoise
+from repro.relational import Database, Fact, Schema
+from repro.session import batch_compilable, make_session
+from repro.violations import (
+    build_violation_index,
+    find_first_violation,
+    is_consistent,
+    lower_constraints,
+)
+
+_SCHEMA = Schema.from_dict({"R": ["A", "B", "C"], "S": ["A", "B"]})
+
+_NAN = float("nan")
+
+#: Cell values besides the small ints: strs, NULL and NaN.
+_ODD_VALUES = ("x", "y", None, _NAN)
+
+
+@pytest.fixture(params=["list", "numpy"])
+def backend(request, monkeypatch):
+    """Run the one-shot path on one process-default column backend."""
+    if request.param == "numpy":
+        pytest.importorskip("numpy")
+    monkeypatch.setattr(columnar, "VECTOR_BACKEND", request.param)
+    return request.param
+
+
+def _col(variable: str, attribute: str) -> Term:
+    return Term.col(variable, attribute)
+
+
+def _shapes() -> dict[str, object]:
+    """One constraint per shape the one-shot engine must cover."""
+    return {
+        "fd": FunctionalDependency("R", {"A"}, {"B"}),
+        "equality_join": DenialConstraint(
+            [("t", "R"), ("s", "S")],
+            [
+                Predicate(_col("t", "A"), ComparisonOp.EQ, _col("s", "A")),
+                Predicate(_col("t", "B"), ComparisonOp.LT, _col("s", "B")),
+            ],
+            name="equality_join",
+        ),
+        "inequality_only": DenialConstraint(
+            [("t", "R"), ("u", "R")],
+            [
+                Predicate(_col("t", "B"), ComparisonOp.LT, _col("u", "B")),
+                Predicate(_col("t", "C"), ComparisonOp.GE, _col("u", "C")),
+            ],
+            name="inequality_only",
+        ),
+        "width3_connected": DenialConstraint(
+            [("t", "R"), ("u", "R"), ("v", "S")],
+            [
+                Predicate(_col("t", "A"), ComparisonOp.EQ, _col("u", "A")),
+                Predicate(_col("u", "B"), ComparisonOp.EQ, _col("v", "A")),
+                Predicate(_col("t", "C"), ComparisonOp.NE, _col("v", "B")),
+            ],
+            name="width3_connected",
+        ),
+        "width3_lone": DenialConstraint(
+            [("t", "R"), ("u", "R"), ("v", "S")],
+            [
+                Predicate(_col("t", "A"), ComparisonOp.EQ, _col("u", "A")),
+                Predicate(_col("t", "B"), ComparisonOp.NE, _col("u", "B")),
+                Predicate(_col("v", "B"), ComparisonOp.LE, Term.const(1)),
+            ],
+            name="width3_lone",
+        ),
+        "unary": DenialConstraint(
+            [("t", "R")],
+            [
+                Predicate(_col("t", "B"), ComparisonOp.GT, _col("t", "C")),
+                Predicate(_col("t", "A"), ComparisonOp.NE, Term.const(2)),
+            ],
+            name="unary",
+        ),
+        "egd": EqualityGeneratingDependency(
+            [Atom("S", ("x", "y")), Atom("S", ("y", "z"))], "x", "z"
+        ),
+    }
+
+
+SHAPES = sorted(_shapes())
+
+
+def _random_database(rng: random.Random) -> Database:
+    database = Database(_SCHEMA)
+    for _ in range(rng.randint(1, 6)):
+        relation = rng.choice(("R", "S"))
+        arity = len(_SCHEMA.signature(relation).attributes)
+        database.insert(
+            Fact(relation, tuple(_random_value(rng) for _ in range(arity)))
+        )
+    return database
+
+
+def _random_value(rng: random.Random):
+    if rng.random() < 0.75:
+        return rng.randint(0, 2)
+    return rng.choice(_ODD_VALUES)
+
+
+# ----------------------------------------------------------------------
+# The oracle
+# ----------------------------------------------------------------------
+def _oracle_witnesses(dc: DenialConstraint, database: Database) -> set[frozenset[int]]:
+    """Every tuple assignment satisfying the body, as a fact-id set."""
+    variables = [variable for variable, _ in dc.variables]
+    candidates = [
+        [
+            identifier
+            for identifier, fact in database.items()
+            if fact.relation == relation
+        ]
+        for _, relation in dc.variables
+    ]
+    found = set()
+    for chosen in itertools.product(*candidates):
+        assignment = {
+            variable: database[identifier]
+            for variable, identifier in zip(variables, chosen)
+        }
+        if all(
+            predicate.evaluate(assignment, database.schema)
+            for predicate in dc.predicates
+        ):
+            found.add(frozenset(chosen))
+    return found
+
+
+def _oracle_minimal(family: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Members of *family* with no proper subset in *family*."""
+    return {group for group in family if not any(other < group for other in family)}
+
+
+def _check_against_oracle(constraints, database: Database) -> None:
+    dcs = lower_constraints(constraints, database.schema)
+    families = [_oracle_witnesses(dc, database) for dc in dcs]
+    expected_mi = _oracle_minimal(set().union(*families))
+
+    index = build_violation_index(constraints, database)
+    assert set(index.mi_sets) == expected_mi
+    assert len(index.mi_sets) == len(expected_mi)
+    assert [
+        (violation.constraint, violation.fact_ids)
+        for violation in index.per_constraint
+    ] == [
+        (dc, witness)
+        for dc, family in zip(dcs, families)
+        for witness in sorted(family, key=sorted)
+    ]
+
+    assert is_consistent(constraints, database) == (not expected_mi)
+    first = find_first_violation(constraints, database)
+    if not expected_mi:
+        assert first is None
+        return
+    assert first is not None
+    position = next(i for i, family in enumerate(families) if family)
+    assert first.constraint == dcs[position]
+    assert first.fact_ids in families[position]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_oneshot_matches_brute_force(shape, backend, case_rng):
+    constraint = _shapes()[shape]
+    for _ in range(100):
+        _check_against_oracle([constraint], _random_database(case_rng))
+
+
+def test_mixed_constraint_set_matches_brute_force(backend, case_rng):
+    constraints = list(_shapes().values())
+    for _ in range(60):
+        _check_against_oracle(constraints, _random_database(case_rng))
+
+
+def test_shapes_cover_both_enumerators():
+    compiled = {
+        shape: all(
+            batch_compilable(dc)
+            for dc in lower_constraints([_shapes()[shape]], _SCHEMA)
+        )
+        for shape in SHAPES
+    }
+    assert not compiled["inequality_only"]
+    assert all(ok for shape, ok in compiled.items() if shape != "inequality_only")
+
+
+def test_early_exit_stops_at_first_chunk(backend, monkeypatch):
+    """A witness in the first seed chunk never runs the later chunks."""
+    from repro.session.enumeration import BatchEnumerator
+
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    rows = [(1, "x", 0), (1, "y", 0)] + [(n, "x", 0) for n in range(2, 2000)]
+    database = Database.from_rows(schema, "R", rows)
+    fd = FunctionalDependency("R", {"A"}, {"B"})
+    chunks_run: list[int] = []
+    run = BatchEnumerator._seed_chunks
+
+    def counting(self, first):
+        for part in run(self, first):
+            chunks_run.append(len(part))
+            yield part
+
+    monkeypatch.setattr(BatchEnumerator, "_seed_chunks", counting)
+    assert not is_consistent([fd], database)
+    violation = find_first_violation([fd], database)
+    assert violation.fact_ids == frozenset({0, 1})
+    # One chunk per call: the early exit never reached the other 1936 seeds.
+    assert chunks_run == [1, 1]
+
+
+@pytest.mark.parametrize("dataset", DATASET_ORDER)
+def test_oneshot_index_equals_session_index(dataset):
+    database, constraints = generate_sample(dataset, 120, seed=48)
+    CONoise(constraints, seed=7).run(database, 6)
+    oneshot = build_violation_index(constraints, database)
+    with make_session(list(constraints), database) as session:
+        live = session.index()
+    assert oneshot.per_constraint == live.per_constraint
+    assert oneshot.mi_sets == live.mi_sets
