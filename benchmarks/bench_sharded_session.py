@@ -1,23 +1,24 @@
-"""Sharded vs unsharded measurement sessions on multi-relation sweeps.
+"""One-group vs ``"auto"`` relation partitions on multi-relation sweeps.
 
-The flat :class:`MeasurementSession` pays per measurement point for the
+A :class:`MeasurementSession` over one explicit group holding every
+relation keeps a single shard and pays per measurement point for the
 *whole* database: every lowered DC is probed with the delta, the one
-global topology is invalidated, and every conflict component's cached
-value is re-probed through its content key.  The
-:class:`ShardedMeasurementSession` partitions that state by relation, so a
-single-fact delta dirties exactly one shard: the other shards' topologies
-keep their generation and serve their memoized part streams, and the
-measurement point pays content-key probes only for the touched shard plus
-a cheap k-way float merge.
+topology is invalidated, and every conflict component's cached value is
+re-probed through its content key.  The default ``shards="auto"``
+partitions that state by relation, so a single-fact delta dirties exactly
+one shard: the other shards' topologies keep their generation and serve
+their memoized parts, and the measurement point pays content-key probes
+only for the touched shard plus a cheap k-way float merge.
 
 This bench replays an identical single-fact update stream on a 3-relation
 scattered workload whose constraints never cross relations (the regime
 sharding targets — a cross-relation DC merges its relations into one
 shard and bounds the benefit by construction), with **both** sessions
 attached to the same database, and times each side's flush + measure per
-step.  Every step asserts the sharded values are bit-identical to the
-unsharded ones; the ≥2× sweep acceptance bar applies at full scale only.
-Results land in ``BENCH_sharding.json``.
+step.  Every step asserts the ``"auto"`` values are bit-identical to the
+one-group ones; the ≥2× sweep acceptance bar applies at full scale only.
+Results land in ``BENCH_sharding.json`` (``unsharded_seconds`` is the
+one-group session).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 from repro.constraints import FunctionalDependency
 from repro.measures import make_measure
 from repro.relational import Database, Fact, Schema
-from repro.session import MeasurementSession, ShardedMeasurementSession
+from repro.session import MeasurementSession
 
 from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
 
@@ -85,8 +86,9 @@ def run_sweep() -> dict:
     stream = _delta_stream(database, rng, STEPS)
     flat_seconds = 0.0
     sharded_seconds = 0.0
-    with MeasurementSession(constraints, database) as flat:
-        with ShardedMeasurementSession(constraints, database) as sharded:
+    with MeasurementSession(constraints, database, [RELATIONS]) as flat:
+        with MeasurementSession(constraints, database) as sharded:
+            assert len(flat.shards) == 1
             assert sharded.relation_groups == [(r,) for r in RELATIONS]
             flat.measure_all(measures)  # warm both caches off the clock
             sharded.measure_all(measures)
@@ -110,7 +112,7 @@ def run_sweep() -> dict:
                     flat_values = flat.measure_all(measures)
                     flat_seconds += time.perf_counter() - start
                 assert sharded_values == flat_values, (
-                    f"step {step}: sharded diverged from unsharded: "
+                    f"step {step}: auto partition diverged from one group: "
                     f"{sharded_values} != {flat_values}"
                 )
                 if step % 10 == 0:
@@ -132,8 +134,8 @@ def test_bench_sharded_session(benchmark):
     body = (
         f"{row['steps']} single-fact deltas over {row['facts']} facts in "
         f"{row['relations']} relations ({row['components']} components), "
-        f"measures {', '.join(row['measures'])}: unsharded "
-        f"{row['unsharded_seconds']:.3f}s, sharded "
+        f"measures {', '.join(row['measures'])}: one group "
+        f"{row['unsharded_seconds']:.3f}s, auto "
         f"{row['sharded_seconds']:.3f}s (speedup ×{row['speedup']:.1f})"
     )
     assert row["speedup"] >= MIN_SWEEP_SPEEDUP, (
@@ -146,5 +148,5 @@ def test_bench_sharded_session(benchmark):
         )
     save_artifact(
         "sharded_session",
-        banner("Sharded vs unsharded session sweep (3 relations)", body),
+        banner("One-group vs auto partition sweep (3 relations)", body),
     )

@@ -27,7 +27,7 @@ import time
 from repro.constraints import FunctionalDependency
 from repro.measures import make_measure
 from repro.relational import Database, Fact, Schema
-from repro.session import ShardedMeasurementSession, database_fingerprint
+from repro.session import MeasurementSession, database_fingerprint
 
 from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
 
@@ -138,7 +138,7 @@ def _run_per_event(
     flush_samples: list[float] = []
     read_samples: list[float] = []
     busy = 0.0
-    with ShardedMeasurementSession([
+    with MeasurementSession([
         FunctionalDependency(relation, {"A"}, {"B"}) for relation in RELATIONS
     ], database) as session:
         session.index()
@@ -185,7 +185,7 @@ def _run_pipeline(
     read_samples: list[float] = []
     busy = 0.0
     checkpoint = 0
-    with ShardedMeasurementSession([
+    with MeasurementSession([
         FunctionalDependency(relation, {"A"}, {"B"}) for relation in RELATIONS
     ], database) as session:
         session.index()

@@ -68,12 +68,16 @@ def _legacy_assemble(session: MeasurementSession) -> ViolationIndex:
 
     Re-sorts every store with ``key=sorted``, re-minimizes the whole raw
     family, re-derives the component split from scratch — exactly what
-    ``MeasurementSession._assemble`` did before the topology layer, on
+    the session's index assembly did before the topology layer, on
     identical inputs.
     """
     index = ViolationIndex()
     raw: set[frozenset[int]] = set()
-    for store in session._witnesses:
+    stores = [
+        session.shards[number]._witnesses[local]
+        for number, local in session._routing
+    ]
+    for store in stores:
         for witness in sorted(store, key=sorted):
             index.per_constraint.append(MinimalViolation(witness, store.dc))
             raw.add(witness)

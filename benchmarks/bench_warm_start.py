@@ -37,7 +37,6 @@ from repro.noise import RNoise
 from repro.relational import Database, Fact, Schema
 from repro.session import (
     MeasurementSession,
-    ShardedMeasurementSession,
     dump_snapshot,
     load_snapshot_bytes,
 )
@@ -98,15 +97,15 @@ def _assert_identical(warm, cold) -> None:
     ]
 
 
-def _compare(name: str, factory) -> dict:
-    """Cold build vs snapshot restore for one session flavor."""
+def _compare(name: str) -> dict:
+    """Cold build vs snapshot restore for one workload."""
     database, constraints = (
         _tax_base() if name == "tax" else _sharded_base()
     )
     measures = [make_measure(measure) for measure in MEASURES]
 
     start = time.perf_counter()
-    cold = factory(constraints, database)
+    cold = MeasurementSession(constraints, database)
     cold_values = cold.measure_all(measures)
     cold_seconds = time.perf_counter() - start
 
@@ -114,7 +113,7 @@ def _compare(name: str, factory) -> dict:
 
     start = time.perf_counter()
     snap = load_snapshot_bytes(payload)
-    warm = factory(constraints, database, warm_start=snap)
+    warm = MeasurementSession(constraints, database, warm_start=snap)
     warm_values = warm.measure_all(measures)
     restore_seconds = time.perf_counter() - start
 
@@ -152,13 +151,8 @@ def _compare(name: str, factory) -> dict:
 
 def run_comparison() -> dict:
     return {
-        "tax": _compare("tax", MeasurementSession),
-        "sharded": _compare(
-            "sharded",
-            lambda constraints, database, **kwargs: ShardedMeasurementSession(
-                constraints, database, **kwargs
-            ),
-        ),
+        "tax": _compare("tax"),
+        "sharded": _compare("sharded"),
     }
 
 

@@ -24,7 +24,7 @@ BIT_CRITICAL_MODULES = frozenset(
         "repro.violations.conflict_graph",
         "repro.measures.base",
         "repro.session.session",
-        "repro.session.sharding",
+        "repro.session.shard",
         "repro.session.witnesses",
         "repro.session.enumeration",
         "repro.session.columnar",
@@ -91,8 +91,7 @@ OPTIONAL_DEPENDENCIES: dict[str, dict[str, frozenset[str]]] = {
 PREVIEW_ROOTS = (
     "repro.violations.topology:ComponentTopology.preview",
     "repro.session.session:MeasurementSession.speculate_batch",
-    "repro.session.session:MeasurementSession._preview_region",
-    "repro.session.sharding:ShardedMeasurementSession.speculate_batch",
+    "repro.session.shard:_Shard._preview_region",
 )
 
 #: Documented mutation barriers the traversal does not descend into — each
@@ -106,14 +105,13 @@ PREVIEW_ROOTS = (
 #:   and assembles under each candidate's savepoint.
 #: * ``savepoint`` — the rollback journal on the *database*; database
 #:   mutation under a savepoint is the speculation mechanism itself.
-#: * ``ingest`` — constructor for the streaming pipeline; never called on
-#:   the preview path but shares the ``MeasurementSession`` namespace.
+#:
+#: Every entry here and in ``PREVIEW_ROOTS`` must name a function in
+#: ``src/``; the rule reports stale ones.
 PREVIEW_STOP_EDGES = frozenset(
     {
         "repro.session.session:MeasurementSession._speculation_base",
-        "repro.session.sharding:ShardedMeasurementSession._speculation_base",
         "repro.session.session:MeasurementSession.savepoint",
-        "repro.session.sharding:ShardedMeasurementSession.savepoint",
         "repro.session.session:_merge_generic_batch",
         "repro.session.session:_generic_speculation",
         # Idempotent memo-fill read accessors: each fills a content-derived

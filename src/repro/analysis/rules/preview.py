@@ -26,6 +26,11 @@ Call resolution is syntactic and deliberately conservative-but-bounded:
   flush, the generic whole-database fallback) are not descended into;
   each carries its justification in the manifest.
 
+Every ``PREVIEW_ROOTS`` / ``PREVIEW_STOP_EDGES`` entry must name a
+function in ``src/``; a stale entry (a renamed root, a moved barrier) is
+reported against the manifest module, since it would otherwise quietly
+leave part of the preview unchecked.
+
 Method-call mutation (``store.add(...)``) is invisible to an
 assignment-based scan; the randomized preview-identity suites cover that
 side.  This rule makes the *structural* half — no reachable function may
@@ -111,6 +116,11 @@ class PreviewPurityRule(Rule):
                 resolve_cache[key] = cached
             return cached
 
+        # A manifest entry that names no function would silently shrink
+        # the checked call graph (a renamed root leaves nothing to check),
+        # so every stale entry is a finding of its own.
+        yield from self._stale_entries(project, functions)
+
         # BFS from the roots, skipping documented stop edges.
         reachable: dict[_FuncKey, _FuncKey | None] = {}
         queue: list[_FuncKey] = []
@@ -136,6 +146,25 @@ class PreviewPurityRule(Rule):
                 yield finding
 
     # ------------------------------------------------------------------
+    def _stale_entries(
+        self, project: Project, functions: dict[_FuncKey, _FunctionInfo]
+    ) -> Iterable[Finding]:
+        manifest = project.module(config.__name__)
+        if manifest is None:
+            return  # the manifest is not part of the tree (fixture projects)
+        for kind, refs in (
+            ("PREVIEW_ROOTS", self.roots),
+            ("PREVIEW_STOP_EDGES", self.stop_edges),
+        ):
+            for ref in sorted(refs):
+                if self._parse_ref(ref) not in functions:
+                    yield manifest.finding(
+                        self.name,
+                        manifest.tree,
+                        f"{kind} entry '{ref}' resolves to no function in "
+                        f"src/ (stale preview manifest entry)",
+                    )
+
     def _parse_ref(self, ref: str) -> _FuncKey:
         mod, _, rest = ref.partition(":")
         cls, dot, func = rest.partition(".")

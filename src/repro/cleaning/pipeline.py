@@ -14,7 +14,7 @@ from typing import Sequence
 from ..constraints.base import Constraint
 from ..measures.base import InconsistencyMeasure
 from ..relational.database import Database
-from ..session import make_session
+from ..session import MeasurementSession
 from ..solvers.anytime import status_of
 from .holoclean import CleaningReport, MiniHoloClean
 
@@ -47,7 +47,6 @@ def run_incremental_pipeline(
     *,
     permutation: Sequence[int] | None = None,
     seed: int | None = None,
-    shards: str | None = None,
     warm_start=None,
     time_budget: float | None = None,
 ) -> PipelineResult:
@@ -58,9 +57,8 @@ def run_incremental_pipeline(
     more and more of the rules — exactly the Figure 7 protocol.  The cleaner
     repairs cells in place; a :class:`~repro.session.MeasurementSession`
     over the working copy turns those repairs into index deltas, so each
-    measurement point only re-examines the repaired facts.  ``shards="auto"``
-    shards the session by relation for multi-relation pipelines
-    (bit-identical trajectories, per-shard deltas).  *warm_start* accepts a
+    measurement point only re-examines the repaired facts (per shard, for
+    multi-relation pipelines).  *warm_start* accepts a
     snapshot of the dirty base state: the pipeline measures over a working
     ``database.copy()``, which preserves identifiers and allocator state,
     so one snapshot warms every permutation of the same pipeline
@@ -79,12 +77,8 @@ def run_incremental_pipeline(
     )
     current = database.copy()
 
-    with make_session(
-        full_set,
-        current,
-        shards=shards,
-        warm_start=warm_start,
-        time_budget=time_budget,
+    with MeasurementSession(
+        full_set, current, warm_start=warm_start, time_budget=time_budget
     ) as session:
 
         def record() -> None:

@@ -14,7 +14,7 @@ from typing import Sequence
 from ..constraints.base import Constraint
 from ..measures.base import InconsistencyMeasure, normalize_series
 from ..relational.database import Database
-from ..session import make_session
+from ..session import MeasurementSession
 from ..solvers.anytime import status_of
 from ..violations.minimal import ViolationIndex, build_violation_index
 
@@ -56,7 +56,6 @@ def run_behavior_experiment(
     measure_every: int = 1,
     dataset_name: str = "",
     noise_name: str = "",
-    shards: str | None = None,
     warm_start=None,
     time_budget: float | None = None,
 ) -> BehaviorResult:
@@ -65,13 +64,11 @@ def run_behavior_experiment(
     Measurement points share a :class:`~repro.session.MeasurementSession`:
     the noise generator's in-place cell updates arrive as deltas, so each
     record patches the violation index instead of rebuilding it from the
-    whole database.  ``shards="auto"`` partitions the session by relation
-    (:class:`~repro.session.ShardedMeasurementSession`) so multi-relation
-    sweeps only re-examine the shard each step touched; results are
-    bit-identical either way.  *warm_start* accepts a
-    :meth:`~repro.session.MeasurementSession.snapshot` of the same base
-    ``(Σ, D)`` so a batch of sweeps skips the from-scratch build per run
-    (mismatches cold-build; series are bit-identical either way).
+    whole database; the session is sharded by relation, so multi-relation
+    sweeps only re-examine the shard each step touched.  *warm_start*
+    accepts a :meth:`~repro.session.MeasurementSession.snapshot` of the
+    same base ``(Σ, D)`` so a batch of sweeps skips the from-scratch build
+    per run (mismatches cold-build; series are bit-identical either way).
     *time_budget* (seconds) caps each measurement point's solver work: hard
     measures degrade to bounded estimates whose status lands in
     ``result.statuses`` instead of stalling the sweep.
@@ -81,19 +78,15 @@ def run_behavior_experiment(
         result.series[measure.name] = []
         result.statuses[measure.name] = []
 
-    with make_session(
-        constraints,
-        database,
-        shards=shards,
-        warm_start=warm_start,
-        time_budget=time_budget,
+    with MeasurementSession(
+        constraints, database, warm_start=warm_start, time_budget=time_budget
     ) as session:
 
         def record(iteration: int) -> None:
             # Batch evaluation through the session: component-wise measures
             # read the maintained topology with per-component value caching,
-            # so a measurement point only re-solves the components (and,
-            # sharded, the shards) the delta actually touched.
+            # so a measurement point only re-solves the components (and the
+            # shards) the delta actually touched.
             result.iterations.append(iteration)
             for name, value in session.measure_all(measures).items():
                 result.series[name].append(float(value))

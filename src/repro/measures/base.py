@@ -121,7 +121,7 @@ class ComponentwiseMeasure(InconsistencyMeasure):
 
         The shared finalization step of every localized evaluation path —
         the live session reading its topology, speculative previews, and
-        sharded sessions merging per-shard component streams.  *parts* must
+        multi-shard sessions merging per-shard component streams.  *parts* must
         be in global component order (ascending smallest member fact): that
         is the float combination order of the from-scratch path, so the
         result is bit-identical to :meth:`value` no matter how many shards

@@ -21,7 +21,7 @@ from typing import Sequence
 from ..constraints.base import Constraint
 from ..measures.base import InconsistencyMeasure
 from ..relational.database import Database
-from ..session import MeasurementSession, ShardedMeasurementSession, make_session
+from ..session import MeasurementSession
 from ..solvers.anytime import (
     OPTIMAL,
     as_budget,
@@ -80,7 +80,7 @@ def score_operations(
     system: RepairSystem | None = None,
     limit: int | None = None,
     index: ViolationIndex | None = None,
-    session: MeasurementSession | ShardedMeasurementSession | None = None,
+    session: MeasurementSession | None = None,
     time_budget: float | None = None,
 ) -> list[ScoredOperation]:
     """Score every applicable operation, best benefit first.
@@ -93,8 +93,7 @@ def score_operations(
     :meth:`~repro.session.MeasurementSession.speculate_batch`, which
     resolves the base component values once and charges each candidate only
     its affected region — one savepoint apply/rollback per candidate, no
-    database copy, no index rebuild, values identical to the copy path.
-    A :class:`~repro.session.ShardedMeasurementSession` works the same way
+    database copy, no index rebuild, values identical to the copy path
     (candidates preview only on the shards they touch).  The session must
     own *database*.  *index* (copy path only) lets callers reuse a
     precomputed violation index.  *time_budget* (seconds) caps the solver
@@ -181,7 +180,6 @@ def stepwise_resolve(
     database: Database,
     system: RepairSystem | None = None,
     max_steps: int = 100,
-    shards: str | None = None,
     warm_start=None,
     time_budget: float | None = None,
 ) -> ResolutionTrace:
@@ -189,10 +187,8 @@ def stepwise_resolve(
 
     Stops at consistency, at *max_steps*, or when no operation has positive
     benefit (which, for measures violating progression, can happen while
-    still inconsistent — the trace reports it).  ``shards="auto"`` runs
-    the rounds against a relation-sharded session (identical traces; each
-    candidate previews only on the shards it touches).  *warm_start*
-    accepts a snapshot of the dirty base: resolution runs over a working
+    still inconsistent — the trace reports it).  *warm_start* accepts a
+    snapshot of the dirty base: resolution runs over a working
     ``database.copy()`` (identifiers and allocator preserved), so one
     snapshot warms repeated trade-off runs — e.g. the same base resolved
     under several measures (mismatches cold-build; traces identical).
@@ -208,8 +204,8 @@ def stepwise_resolve(
     # consistency check), and the round's candidates are scored as one
     # speculative batch against it — each candidate costs its affected
     # region instead of a copy plus a rebuild.
-    with make_session(
-        list(constraints), working, shards=shards, warm_start=warm_start
+    with MeasurementSession(
+        list(constraints), working, warm_start=warm_start
     ) as session:
         for _ in range(max_steps):
             if session.is_consistent():

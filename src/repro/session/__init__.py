@@ -5,43 +5,38 @@ A :class:`MeasurementSession` owns a mutable ``(Σ, D)`` pair and keeps the
 inserts, deletes and updates instead of rebuilding it from scratch — the
 regime of every noise sweep and repair loop, where one step touches a
 handful of facts while ``MI_Σ(D)`` is dominated by unchanged witnesses.
-The minimized family and its conflict components are owned by a live
-:class:`~repro.violations.topology.ComponentTopology`, so a flush
-re-minimizes and re-splits only the delta's affected region.  Candidate
-repair operations are scored copy-free through
-:meth:`~repro.session.session.MeasurementSession.speculate` — apply under a
-savepoint, read the patched topology with per-component value caching,
-roll back by inverse events — and whole candidate sets share one base
-resolution through
-:meth:`~repro.session.session.MeasurementSession.speculate_batch`.
 
-Multi-relation workloads scale out through
-:class:`~repro.session.sharding.ShardedMeasurementSession`: the live state
-is partitioned by relation along the constraint/relation hypergraph's
-connected components, change events fan out only to the owning shard, and
-every read re-assembles the flat views bit-identically in a fixed shard
-order (:func:`~repro.session.sharding.make_session` picks between the two
-with one ``shards=`` knob).
+The live state is partitioned by relation along the constraint/relation
+hypergraph's connected components (:mod:`repro.session.sharding`; one
+shard for a single-relation workload).  Each shard owns a live
+:class:`~repro.violations.topology.ComponentTopology`, so a flush
+re-minimizes and re-splits only the delta's affected region, and a change
+event reaches only the shard indexing its relation.  The session is the
+one class that reads the shards: measures and budgets, copy-free
+speculation (:meth:`~repro.session.session.MeasurementSession.speculate`,
+and :meth:`~repro.session.session.MeasurementSession.speculate_batch` for
+whole candidate sets), streaming ingest and snapshots.  Every read is
+bit-identical whatever the partition; :func:`make_session` builds a
+session with an optional explicit ``shards=`` partition.
 
 Repeated sweeps over the same ``(Σ, D)`` warm-start instead of rebuilding:
 ``session.snapshot()`` captures the full derived state (witness stores,
-component topology, live cache entries) behind a database fingerprint, and
-``MeasurementSession(..., warm_start=snap)`` /
-``ShardedMeasurementSession(..., warm_start=snap)`` restore it in O(state)
-— falling back to the ordinary cold build on any mismatch, so a warm start
+component topologies, live cache entries) behind a database fingerprint,
+and ``MeasurementSession(..., warm_start=snap)`` restores it in O(state) —
+falling back to the ordinary cold build on any mismatch, so a warm start
 is never a wrong answer (:mod:`repro.session.snapshot`).
 
 Sustained update streams go through :class:`~repro.session.ingest.IngestPipeline`
-(``session.ingest()`` on either flavor): submissions are coalesced per
-fact identifier in a bounded buffer with caller-visible backpressure, and
-staleness-bounded reads drain only the shards over their watermark —
-one regional re-split per touched component per *flush* instead of per
-event, bit-identical to eager per-event application.
+(``session.ingest()``): submissions are coalesced per fact identifier in a
+bounded buffer with caller-visible backpressure, and staleness-bounded
+reads drain only the shards over their watermark — one regional re-split
+per touched component per *flush* instead of per event, bit-identical to
+eager per-event application.
 
 Witness enumeration itself is a pluggable per-DC strategy
 (:mod:`repro.session.enumeration`): the tuple-at-a-time probe reference or
 the set-based batch-join backend, selected with ``engine="probe" | "batch"
-| "auto"`` on any session constructor and :func:`make_session` —
+| "auto"`` on the session constructor and :func:`make_session` —
 bit-identical witness sets either way, with per-DC counters through
 ``session.stats()``.  The batch backend itself runs on one of two column
 backends (:mod:`repro.session.columnar`): numpy-vectorized kernels over
@@ -72,16 +67,12 @@ from .ingest import (
     IngestRead,
 )
 from .session import MeasurementSession
-from .sharding import (
-    ShardedMeasurementSession,
-    make_session,
-    relation_groups,
-)
+from .sharding import make_session, relation_groups
 from .snapshot import (
     SNAPSHOT_VERSION,
     DatabaseFingerprint,
     SessionSnapshot,
-    ShardedSessionSnapshot,
+    ShardSnapshot,
     SnapshotError,
     database_fingerprint,
     dump_snapshot,
@@ -112,8 +103,7 @@ __all__ = [
     "RelationColumns",
     "SNAPSHOT_VERSION",
     "SessionSnapshot",
-    "ShardedMeasurementSession",
-    "ShardedSessionSnapshot",
+    "ShardSnapshot",
     "SnapshotError",
     "VECTOR_BACKEND",
     "WitnessEnumerator",

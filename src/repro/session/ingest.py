@@ -4,11 +4,10 @@ Every session flush pays one regional re-minimize/re-split per touched
 conflict component — so a stream of single mutations applied one at a
 time pays that price per *event*, even when most events hit the same hot
 facts.  :class:`IngestPipeline` sits between a mutation producer and a
-session (flat :class:`~repro.session.session.MeasurementSession` or
-sharded :class:`~repro.session.sharding.ShardedMeasurementSession`) and
-buffers submissions **coalesced per fact identifier**, so one flush
-applies only the *net* change of each touched fact and pays one regional
-re-split per touched component instead of one per event:
+:class:`~repro.session.session.MeasurementSession` and buffers
+submissions **coalesced per fact identifier**, so one flush applies only
+the *net* change of each touched fact and pays one regional re-split per
+touched component instead of one per event:
 
 * ``insert → update* → delete`` of the same identifier nets out to
   nothing — no database event is ever emitted for it;
@@ -87,9 +86,8 @@ class IngestRead(NamedTuple):
 
     #: ``measure name → value`` for the requested measures.
     values: dict[str, float]
-    #: Topology generation the read was served at — an ``int`` for a flat
-    #: session, a per-shard ``tuple[int, ...]`` for a sharded one.
-    generation: int | tuple[int, ...]
+    #: Per-shard topology generations the read was served at.
+    generation: tuple[int, ...]
     #: Net pending events the read lags the stream by (≤ the requested
     #: ``max_staleness_events``).
     staleness: int
@@ -125,8 +123,7 @@ def _percentile(samples: Iterable[float], q: float) -> float | None:
 class IngestPipeline:
     """A bounded, coalescing buffer between a mutation stream and a session.
 
-    Construct directly or through ``session.ingest(...)`` on either
-    flavor.  One pipeline per session at a time: constructing a second
+    Construct directly or through ``session.ingest(...)``.  One pipeline per session at a time: constructing a second
     detaches the first from ``session.stats()``.
     """
 
@@ -137,18 +134,13 @@ class IngestPipeline:
         self.capacity = capacity
         self._database: Database = session.database
         self._schema = session.database.schema
-        shards = getattr(session, "shards", None)
-        if shards is not None:
-            # One drain group per shard, plus an overflow group for
-            # relations no constraint mentions (their events still have
-            # to reach the database, even though no shard indexes them).
-            numbers: dict[str, int] = session._shard_number
-            overflow = len(shards)
-            self._groups = overflow + 1
-            self._group_of = lambda relation: numbers.get(relation, overflow)
-        else:
-            self._groups = 1
-            self._group_of = lambda relation: 0
+        # One drain group per shard, plus an overflow group for relations
+        # no constraint mentions (their events still have to reach the
+        # database, even though no shard indexes them).
+        numbers: dict[str, int] = session._shard_number
+        overflow = len(session.shards)
+        self._groups = overflow + 1
+        self._group_of = lambda relation: numbers.get(relation, overflow)
         #: fact id → net pending change (the coalesced buffer).
         self._pending: dict[int, _Pending] = {}
         self._counts = [0] * self._groups
@@ -198,7 +190,7 @@ class IngestPipeline:
         return len(self._pending)
 
     def pending_per_shard(self) -> list[int]:
-        """Net pending events per drain group (one group when flat)."""
+        """Net pending events per drain group (per shard, then overflow)."""
         return list(self._counts)
 
     def submit(self, kind: str, *args) -> int | bool:
@@ -495,11 +487,8 @@ class IngestPipeline:
             flushed=forced,
         )
 
-    def _generation(self) -> int | tuple[int, ...]:
-        shards = getattr(self.session, "shards", None)
-        if shards is None:
-            return self.session.topology.generation
-        return tuple(shard.topology.generation for shard in shards)
+    def _generation(self) -> tuple[int, ...]:
+        return tuple(shard.topology.generation for shard in self.session.shards)
 
     # ------------------------------------------------------------------
     # Observability

@@ -2,24 +2,30 @@
 
 A one-shot ``measure.value(Σ, D)`` runs a full cold detection on every
 call; a noise sweep or repair loop that perturbs a handful of tuples per
-step pays that full cost at every measurement point.  The session runs the
-same cold build (:func:`~repro.session.enumeration.cold_build`) once and
-keeps its enumerators.  :class:`MeasurementSession` then subscribes to the
-database's change feed, marks touched fact identifiers dirty, and on the
-next index request
+step pays that full cost at every measurement point.  A
+:class:`MeasurementSession` runs the same cold build
+(:func:`~repro.session.enumeration.cold_build`) once and then maintains
+the result under the database's change feed.
+
+The live state is split by relation into shards
+(:mod:`repro.session.sharding`); each shard (:class:`~repro.session.shard._Shard`)
+marks touched facts dirty and, on the next read,
 
 1. retracts every stored witness that binds a dirty fact (via a reverse
    fact → witness map),
 2. re-enumerates, per lowered DC, only the witnesses touching the dirty
-   facts (hash-join probes restricted to the delta), and
+   facts, and
 3. folds the witness delta into a live
    :class:`~repro.violations.topology.ComponentTopology`, which locally
    re-minimizes and re-splits only the affected region — the minimized
    family and the conflict components are *maintained*, never rebuilt.
 
-The result is bit-for-bit the index ``build_violation_index`` would return,
-at a cost proportional to the delta's affected region rather than to the
-database; full-index assembly reduces to concatenating cached sorted views.
+The session itself owns everything that reads those shards: measures,
+budgets, speculation, ingest and snapshots.  Reads visit components in
+global smallest-member-fact order — the order of the from-scratch path —
+so every result is bit-identical to ``build_violation_index`` plus
+``measure.value``.  With one shard that order is the shard's own and no
+merge runs; with several, the per-shard streams are k-way merged.
 
 On top of the maintained topology the session offers **speculative
 evaluation**: :meth:`MeasurementSession.speculate` scores candidate repair
@@ -30,16 +36,18 @@ identity and serve their cached values), and rolling back by replaying
 inverse events — no database copy, no rebuild, bit-identical to the
 copy-and-rebuild result.  :meth:`MeasurementSession.speculate_batch` scores
 a whole candidate set in one round: the base component values are resolved
-once (shared cache probes) and every candidate pays only its own affected
-region plus O(1) identity lookups for the rest.
+once and every candidate pays only its own affected region, previewed
+read-only on the shards it touches, plus O(1) identity lookups for the
+rest.
 """
 
 from __future__ import annotations
 
+import heapq
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from ..constraints.base import Constraint
-from ..constraints.dc import DenialConstraint
 from ..measures.base import (
     ComponentValueCache,
     ComponentwiseMeasure,
@@ -50,37 +58,40 @@ from ..relational.database import ChangeEvent, Database, Fact, Savepoint
 from ..relational.values import Value
 from ..solvers.anytime import (
     OPTIMAL,
+    BoundedValue,
     as_budget,
     current_scope,
     registered_chain,
     solver_scope,
     status_of,
 )
+from ..testing import faults
 from ..violations.minimal import ViolationIndex, lower_constraints
-from ..violations.topology import (
-    ComponentTopology,
-    TopologyComponent,
-    split_minimized,
-)
-from .columnar import ColumnStore
-from .enumeration import ENGINES, WitnessEnumerator, build_enumerators, cold_build
+from ..violations.topology import split_minimized
+from .enumeration import ENGINES
+from .shard import _Shard, relation_groups
 from .snapshot import (
     SNAPSHOT_VERSION,
-    DatabaseFingerprint,
     SessionSnapshot,
     constraint_digest,
     database_fingerprint,
 )
-from .witnesses import EqualityColumnIndex, WitnessStore
+
+#: Fault-injection point: raised while forwarding a change event to the
+#: owning shard (see :mod:`repro.testing.faults`).
+FAULT_FANOUT = "shard.fanout"
+
+_MINIMUM = attrgetter("minimum")
+_FIRST = itemgetter(0)
 
 
 def _split_measures(measures: list) -> tuple[list, list]:
     """Partition a measure list into (component-wise, whole-database).
 
     Mixed requests must not drag the component-wise majority through the
-    generic whole-database path: the fast measures keep the localized /
-    merged-stream evaluation and only the non-decomposing stragglers
-    (``I_d``, ``I_R_upd``) pay full index assembly.
+    generic whole-database path: the fast measures keep the localized
+    evaluation and only the non-decomposing stragglers (``I_d``,
+    ``I_R_upd``) pay full index assembly.
     """
     fast = [m for m in measures if isinstance(m, ComponentwiseMeasure)]
     generic = [m for m in measures if not isinstance(m, ComponentwiseMeasure)]
@@ -101,10 +112,9 @@ def _entry_values(
     smallest member fact — base components resolve by identity through
     *base_parts* (``measure → {id(component): value}``), regional (freshly
     previewed) entries carry ``None`` and resolve through the
-    content-addressed *cache*.  This is the one float-combination loop
-    shared by single-session and sharded speculative scoring: the entry
-    order is the global component order, so the result is bit-identical to
-    commit-and-read no matter how the entries were collected.
+    content-addressed *cache*.  The entry order is the global component
+    order, so the result is bit-identical to commit-and-read no matter how
+    the entries were collected.
     """
     pseudo: ViolationIndex | None = None
     if any(needs_finalize_index(measure) for measure in measures):
@@ -137,8 +147,8 @@ def _generic_values(session, measures: list) -> dict[str, float]:
     """Non-decomposing measures read off the assembled (patched) index.
 
     Runs inside the caller's savepoint (or against the committed state):
-    the one whole-database read both sessions' mixed ``speculate`` paths
-    and :func:`_generic_speculation` share.
+    the one whole-database read the mixed ``speculate`` path and
+    :func:`_generic_speculation` share.
     """
     index = session.index()
     return {
@@ -154,8 +164,7 @@ def _generic_speculation(session, operations: list, measures: list) -> dict[str,
 
     The fallback for measures that do not localize (``I_d``, ``I_R_upd``):
     apply under a savepoint, assemble the patched index, read every value,
-    roll back.  Shared by the flat and the sharded session — *session*
-    only needs ``savepoint``/``index`` and the owned database/cache.
+    roll back.
     """
     with session.savepoint():
         for operation in operations:
@@ -169,8 +178,7 @@ def _merge_generic_batch(
     """Fold a mixed batch's whole-database stragglers into its results.
 
     One generic pass per candidate, merged back and re-keyed in the
-    caller's measure order — shared by the flat and the sharded
-    ``speculate_batch``.
+    caller's measure order.
     """
     for operations, values in zip(candidates, results):
         values.update(_generic_speculation(session, operations, generic))
@@ -184,7 +192,7 @@ def _purge_degraded_parts(base: "_SpeculationBase") -> None:
     """Drop base-part maps containing non-OPTIMAL (budget-degraded) values.
 
     The speculation base memoizes per-component values across scoring
-    rounds keyed on topology generation; values produced under a tight
+    rounds keyed on topology generations; values produced under a tight
     budget are bounds, not exact values, and must never be replayed into a
     later unbudgeted round.
     """
@@ -199,16 +207,18 @@ def _purge_degraded_parts(base: "_SpeculationBase") -> None:
 class _SpeculationBase:
     """Identity-pinned base snapshot for one batched scoring round.
 
-    Holds strong references to the base components (pinning their ``id()``s
-    against reuse) and, per measure, the base value of every component keyed
-    by component identity.  Candidates resolve unaffected components with an
-    O(1) integer lookup instead of re-hashing content keys.
+    ``entries`` holds, per shard, the ``(minimum, component, index)``
+    triples of its live components (pinning every base component's
+    ``id()``); ``parts`` maps each measure to its per-component base values
+    keyed by component identity; ``key`` records the per-shard
+    ``(topology, generation)`` pairs the snapshot was taken at.
     """
 
-    __slots__ = ("components", "parts")
+    __slots__ = ("key", "entries", "parts")
 
-    def __init__(self, components: list) -> None:
-        self.components = components
+    def __init__(self, key: tuple, entries: list[list]) -> None:
+        self.key = key
+        self.entries = entries
         self.parts: dict[object, dict[int, float]] = {}
 
 
@@ -221,28 +231,29 @@ class MeasurementSession:
     conveniences or directly through the database — noise generators and
     cleaners that mutate in place are tracked all the same.
 
-    The witness/topology core is reusable as a *shard*: pass a pre-lowered
-    *dcs* subset plus ``subscribe=False`` and a shared *component_cache*,
-    and the session maintains exactly those constraints over the change
-    events its owner routes to :meth:`_on_change` — this is how
-    :class:`~repro.session.sharding.ShardedMeasurementSession` partitions
-    the live state by relation without duplicating any maintenance logic.
+    *shards* is ``"auto"`` (partition by the constraint/relation
+    hypergraph's connected components — the finest sharding that keeps
+    every DC inside one shard) or an explicit iterable of relation groups,
+    validated against the same no-DC-crosses-a-shard invariant.  A change
+    event only ever reaches the one shard indexing its relation; results
+    are bit-identical whatever the partition.
     """
 
     def __init__(
         self,
         constraints: Sequence[Constraint],
         database: Database,
+        shards: str | Iterable[Iterable[str]] = "auto",
         *,
-        dcs: Sequence[DenialConstraint] | None = None,
-        subscribe: bool = True,
-        component_cache: ComponentValueCache | None = None,
         warm_start: SessionSnapshot | None = None,
-        warm_fingerprint: DatabaseFingerprint | None = None,
         engine: str = "auto",
         vector_backend: str | None = None,
         time_budget: float | None = None,
     ) -> None:
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown enumeration engine {engine!r}; expected one of {ENGINES}"
+            )
         self.constraints = list(constraints)
         self.database = database
         #: Default per-call solver budget in seconds (None = exact).  Each
@@ -251,15 +262,6 @@ class MeasurementSession:
         #: clock starts when the call does; an explicit ``budget=`` always
         #: wins.
         self.time_budget = time_budget
-        self.dcs: list[DenialConstraint] = (
-            list(dcs)
-            if dcs is not None
-            else lower_constraints(self.constraints, database.schema)
-        )
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown enumeration engine {engine!r}; expected one of {ENGINES}"
-            )
         #: Witness-enumeration backend: "probe" | "batch" | "auto" (see
         #: :mod:`repro.session.enumeration`).  Whatever the choice, the
         #: maintained state is bit-identical.
@@ -267,44 +269,94 @@ class MeasurementSession:
         #: Column backend for the batch engine: "numpy" | "list" | None
         #: (= the process default, see ``columnar.VECTOR_BACKEND``).
         self.vector_backend = vector_backend
-        # The equality-column index, witness stores (with the reverse
-        # fact → (dc, witness) map), the per-DC enumeration backends (plus
-        # their columnar store, when any DC runs batch) and the topology
-        # are all created by exactly one of _restore/_rebuild below.
-        self._eq_index: EqualityColumnIndex
-        self._enumerators: list[WitnessEnumerator]
-        self._columns: ColumnStore | None = None
-        self._enum_stats: list = [None] * len(self.dcs)
-        self._witnesses: list[WitnessStore]
-        self._touching: dict[int, set[tuple[int, frozenset[int]]]]
-        self.topology: ComponentTopology
-        self._dirty: set[int] = set()
-        self._cached: ViolationIndex | None = None
-        self.component_cache = (
-            component_cache if component_cache is not None else ComponentValueCache()
+        # Lower once; shards receive pre-lowered subsets.
+        self.dcs = lower_constraints(self.constraints, database.schema)
+        if isinstance(shards, str):
+            if shards != "auto":
+                raise ValueError(f"unknown shard spec {shards!r}")
+            groups = relation_groups(self.dcs, database.schema)
+        else:
+            groups = self._validated_groups(shards)
+        self.relation_groups: list[tuple[str, ...]] = groups
+        self.component_cache = ComponentValueCache()
+        #: Relation name → number of the shard indexing it.
+        self._shard_number: dict[str, int] = {
+            relation: number
+            for number, group in enumerate(groups)
+            for relation in group
+        }
+        shard_dcs: list[list] = [[] for _ in groups]
+        #: Global lowered-DC position → (shard number, local store position).
+        self._routing: list[tuple[int, int]] = []
+        for dc in self.dcs:
+            number = self._shard_number[dc.variables[0][1]]
+            self._routing.append((number, len(shard_dcs[number])))
+            shard_dcs[number].append(dc)
+        # Shard payloads only when the session-level identity (format
+        # version, lowered-DC digest, routing partition, fingerprint) still
+        # holds; each shard then re-verifies its own slice and cold-builds
+        # alone on mismatch — never a wrong answer, by composition.
+        payloads = self._warm_payloads(warm_start)
+        self.shards: list[_Shard] = [
+            _Shard(
+                dcs,
+                database,
+                self.component_cache,
+                warm_start=payloads[number] if payloads else None,
+                engine=engine,
+                vector_backend=vector_backend,
+            )
+            for number, dcs in enumerate(shard_dcs)
+        ]
+        #: Whether every shard restored from the warm-start snapshot (False
+        #: on fallback — a mismatched snapshot cold-builds, never
+        #: mis-restores).
+        self.warm_started = payloads is not None and all(
+            shard.warm_started for shard in self.shards
         )
-        # Eviction must never drop a component the live topology still
-        # reads every measurement point.
-        self.component_cache.add_pin_source(self._live_cache_keys)
-        # Memoized base snapshot for batched speculation, keyed on the
-        # topology generation: flushes that change no witness leave both
-        # the generation and this snapshot untouched.
+        # Shards whose fan-out raised mid-event: their maintained state may
+        # have missed the event, so they rebuild cold at the next flush
+        # instead of ever serving a stale answer.
+        self._degraded: set[int] = set()
+        self._cached: ViolationIndex | None = None
+        self._cached_key: tuple | None = None
+        # Per-shard memoized per-measure part lists, keyed on the shard's
+        # (topology, generation): a delta recomputes only the touched
+        # shard's parts.  Unused with one shard (see _shard_parts).
+        self._parts: list[dict] = [{} for _ in self.shards]
+        self._pseudo: ViolationIndex | None = None
+        self._pseudo_key: tuple | None = None
         self._spec_base: _SpeculationBase | None = None
-        self._spec_base_generation = -1
         # The attached streaming-ingest pipeline, if any (set by
         # IngestPipeline; surfaces its counters through stats()).
         self._ingest = None
         self._closed = False
-        self._subscribed = subscribe
-        if subscribe:
-            database.subscribe(self._on_change)
-        #: Whether construction restored a warm-start snapshot (False on
-        #: fallback — a mismatched snapshot cold-builds, never mis-restores).
-        self.warm_started = warm_start is not None and self._restore(
-            warm_start, warm_fingerprint
-        )
-        if not self.warm_started:
-            self._rebuild()
+        database.subscribe(self._on_change)
+
+    def _validated_groups(
+        self, shards: Iterable[Iterable[str]]
+    ) -> list[tuple[str, ...]]:
+        groups = [tuple(group) for group in shards]
+        seen: set[str] = set()
+        for group in groups:
+            for relation in group:
+                self.database.schema.signature(relation)  # raises if unknown
+                if relation in seen:
+                    raise ValueError(f"relation {relation!r} in two shards")
+                seen.add(relation)
+        owner = {
+            relation: number
+            for number, group in enumerate(groups)
+            for relation in group
+        }
+        for dc in self.dcs:
+            numbers = {owner.get(relation) for _, relation in dc.variables}
+            if None in numbers or len(numbers) != 1:
+                raise ValueError(
+                    f"constraint {dc.name!r} crosses the shard partition: "
+                    f"its relations are {sorted({r for _, r in dc.variables})}"
+                )
+        return groups
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -312,9 +364,9 @@ class MeasurementSession:
     def close(self) -> None:
         """Detach from the database's change feed (idempotent)."""
         if not self._closed:
-            if self._subscribed:
-                self.database.unsubscribe(self._on_change)
-            self.component_cache.remove_pin_source(self._live_cache_keys)
+            self.database.unsubscribe(self._on_change)
+            for shard in self.shards:
+                shard.close()
             self._closed = True
 
     def __enter__(self) -> "MeasurementSession":
@@ -344,44 +396,98 @@ class MeasurementSession:
         """Attach a coalescing streaming-ingest pipeline to this session.
 
         Returns an :class:`~repro.session.ingest.IngestPipeline` with a
-        bounded pending buffer of *capacity* net events — see that module
-        for the coalescing, backpressure and read-staleness contract.
+        bounded pending buffer of *capacity* net events, buffered per
+        owning shard — see that module for the coalescing, backpressure
+        and read-staleness contract.
         """
         from .ingest import IngestPipeline
 
         return IngestPipeline(self, capacity=capacity)
 
+    def savepoint(self) -> Savepoint:
+        """Open a rollback journal on the owned database.
+
+        ``with session.savepoint(): ...`` applies mutations through the
+        change feed as usual and, on exit, replays their inverses — the
+        session observes the undo as ordinary deltas and its index returns
+        to the pre-savepoint state bit-for-bit.
+        """
+        return self.database.savepoint()
+
     # ------------------------------------------------------------------
-    # The maintained index
+    # The maintained views
     # ------------------------------------------------------------------
     @property
     def pending_deltas(self) -> int:
-        """Dirty fact count awaiting the next :meth:`index` call."""
-        return len(self._dirty)
+        """Dirty fact count across shards awaiting the next flush."""
+        return sum(len(shard._dirty) for shard in self.shards)
 
     def index(self) -> ViolationIndex:
-        """The current ``ViolationIndex``, patched with any pending deltas."""
-        if self._dirty:
-            self._flush()
-        if self._cached is None:
-            self._cached = self._assemble()
+        """The current ``ViolationIndex``, patched with any pending deltas.
+
+        ``per_constraint`` concatenates the shards' cached sorted stores in
+        global lowered-DC order, ``mi_sets`` merges the shards' maintained
+        sorted pair views, and the component split is adopted from the
+        topologies in global component order — list-identical to
+        ``build_violation_index``.  Memoized on the per-shard topology
+        generations, so only a flush that changed some witness
+        re-assembles.
+        """
+        self._flush()
+        key = self._generation_key()
+        if self._cached is None or self._cached_key != key:
+            index = ViolationIndex()
+            per_constraint = index.per_constraint
+            for number, local in self._routing:
+                per_constraint.extend(
+                    self.shards[number]._witnesses[local].ordered()
+                )
+            if len(self.shards) == 1:
+                index.mi_sets = list(self.shards[0].topology.assemble_mi())
+            else:
+                index.mi_sets = [
+                    witness
+                    for _, witness in heapq.merge(
+                        *(
+                            shard.topology.assemble_mi_pairs()
+                            for shard in self.shards
+                        )
+                    )
+                ]
+            index.adopt_components(
+                self._in_component_order(
+                    [shard.topology.component_indexes() for shard in self.shards]
+                )
+            )
+            self._cached = index
+            self._cached_key = key
         return self._cached
 
     def is_consistent(self) -> bool:
-        if self._dirty:
-            self._flush()
-        return self.topology.is_consistent()
+        self._flush()
+        for shard in self.shards:
+            if not shard.topology.is_consistent():
+                return False
+        return True
 
     def problematic_facts(self):
-        """Live view of ``∪ MI_Σ(D)`` — no index assembly required."""
-        if self._dirty:
-            self._flush()
-        return self.topology.problematic()
+        """``∪ MI_Σ(D)`` — no index assembly required.
+
+        A one-shard session returns the topology's live read-only view;
+        several shards return the union as a fresh set.
+        """
+        self._flush()
+        if len(self.shards) == 1:
+            return self.shards[0].topology.problematic()
+        union: set[int] = set()
+        for shard in self.shards:
+            union.update(shard.topology.problematic())
+        return union
 
     def measure(self, measure, *, budget=None) -> float:
         """Evaluate one measure against the maintained state.
 
-        Component-wise measures read the topology directly — per-component
+        Component-wise measures read the topologies directly — per-component
         values through the session's
         :class:`~repro.measures.base.ComponentValueCache`, no full-index
         assembly at all; whole-database measures get the assembled index.
@@ -399,8 +505,7 @@ class MeasurementSession:
                 return measure.value(
                     self.constraints, self.database, self.index()
                 )
-        if self._dirty:
-            self._flush()
+        self._flush()
         if budget is None:
             return self._componentwise_value(measure)
         with solver_scope(budget, plan=self._solve_plan([measure])):
@@ -410,15 +515,14 @@ class MeasurementSession:
         """Evaluate a batch of measures sharing the maintained state.
 
         One *budget* covers the whole batch: the remaining time is sliced
-        across the hard component solves still ahead, so a single
-        pathological component cannot starve the other measures.
+        across the hard component solves still ahead (of every shard), so
+        a single pathological component cannot starve the other measures.
         """
         measures = list(measures)
         budget = self._call_budget(budget)
         if budget is None:
             return {measure.name: self.measure(measure) for measure in measures}
-        if self._dirty:
-            self._flush()
+        self._flush()
         with solver_scope(budget, plan=self._solve_plan(measures)):
             return {measure.name: self.measure(measure) for measure in measures}
 
@@ -446,12 +550,65 @@ class MeasurementSession:
         )
         if not hard:
             return None
-        return max(1, hard * len(self.topology._components))
+        components = sum(
+            len(shard.topology._components) for shard in self.shards
+        )
+        return max(1, hard * components)
 
     def refresh(self) -> ViolationIndex:
-        """Force a from-scratch rebuild (a cross-check tool, not a hot path)."""
-        self._rebuild()
+        """Force a from-scratch rebuild of every shard (a cross-check tool).
+
+        Every memo derived from the retired topologies is dropped with
+        them: the per-shard part lists and the pseudo index hold the old
+        component objects (and their values) alive, and the stale
+        assembly/pseudo keys would otherwise pin retired topology objects
+        for the session's lifetime.
+        """
+        for shard in self.shards:
+            shard._rebuild()
+        self._degraded.clear()
+        self._cached = None
+        self._cached_key = None
+        self._parts = [{} for _ in self.shards]
+        self._pseudo = None
+        self._pseudo_key = None
+        self._spec_base = None
         return self.index()
+
+    def stats(self) -> dict:
+        """Per-DC enumeration counters in global lowered-DC order.
+
+        ``vector_backend`` is the shards' common column backend; shards
+        that disagree are surfaced as ``"mixed:<backends>"`` rather than
+        collapsed, since "no columnar backend anywhere" and "heterogeneous
+        backends" are very different operational states.
+        """
+        backends = {
+            shard._columns.backend if shard._columns is not None else None
+            for shard in self.shards
+        }
+        if not backends or backends == {None}:
+            backend = None
+        elif len(backends) == 1:
+            backend = next(iter(backends))
+        else:
+            backend = "mixed:" + ",".join(
+                sorted("none" if name is None else name for name in backends)
+            )
+        stats = {
+            "engine": self.engine,
+            "vector_backend": backend,
+            "constraints": [
+                dict(
+                    self.shards[number]._enum_stats[local].as_dict(),
+                    constraint=self.shards[number].dcs[local].name,
+                )
+                for number, local in self._routing
+            ],
+        }
+        if self._ingest is not None:
+            stats["ingest"] = self._ingest.counters()
+        return stats
 
     # ------------------------------------------------------------------
     # Warm-start snapshots
@@ -459,132 +616,65 @@ class MeasurementSession:
     def snapshot(self) -> SessionSnapshot:
         """Capture the full derived state for a later warm start.
 
-        The snapshot embeds the database fingerprint and the lowered-DC
-        digest; ``MeasurementSession(..., warm_start=snap)`` restores it
-        only when both still match (falling back to a cold build
-        otherwise), so a warm-started session is bit-identical to a cold
-        one on every read — see :mod:`repro.session.snapshot`.  Snapshots
-        round-trip through :func:`~repro.session.snapshot.save_snapshot` /
+        The snapshot embeds the database fingerprint, the lowered-DC digest
+        and the relation partition; ``MeasurementSession(...,
+        warm_start=snap)`` restores it shard by shard only when all of
+        them still match (falling back to a cold build otherwise), so a
+        warm-started session is bit-identical to a cold one on every read —
+        see :mod:`repro.session.snapshot`.  Snapshots round-trip through
+        :func:`~repro.session.snapshot.save_snapshot` /
         :func:`~repro.session.snapshot.load_snapshot` (or plain pickle).
         """
-        if self._dirty:
-            self._flush()
-        return self._snapshot_payload(database_fingerprint(self.database))
-
-    def _snapshot_payload(
-        self, fingerprint: DatabaseFingerprint
-    ) -> SessionSnapshot:
-        """The snapshot body under a caller-provided fingerprint.
-
-        Sharded sessions fingerprint the shared database once and hand the
-        same object to every shard's payload (pickle memoizes it on disk).
-        """
+        self._flush()
         return SessionSnapshot(
             version=SNAPSHOT_VERSION,
-            fingerprint=fingerprint,
+            fingerprint=database_fingerprint(self.database),
             constraints=constraint_digest(self.dcs),
-            stores=[store.capture() for store in self._witnesses],
-            topology=self.topology.capture(),
-            cache=self.component_cache.export_warm(self._live_cache_keys()),
+            relation_groups=[tuple(group) for group in self.relation_groups],
+            shards=[shard._snapshot_payload() for shard in self.shards],
         )
 
-    def _restore(
-        self, snap, current: DatabaseFingerprint | None = None
-    ) -> bool:
-        """Adopt a snapshot's derived state; False on any mismatch.
+    def _warm_payloads(self, snap) -> list | None:
+        """The per-shard payloads of *snap*, or None to cold-build.
 
-        Verification is strict — snapshot version, lowered-DC digest,
-        schema, exact ``id → fact`` digest and allocator state — because a
-        restored state that *almost* matches would silently return wrong
-        answers.  On False the caller cold-builds instead.  *current* is a
-        caller-precomputed fingerprint of the owned database (the sharded
-        coordinator hashes once for all shards); None recomputes here.
-
-        A snapshot that deserialized but carries malformed fields (bit
-        rot, a hand-crafted file) must degrade the same way: structural
-        errors anywhere in the restore are caught and answered with False
-        — the caller's ``_rebuild`` reassigns every partially-touched
-        structure, so a half-restore leaves nothing behind.
+        Revalidates the routing partition: the payloads describe relation
+        slices, so a snapshot captured under a different partition (other
+        constraints, another explicit grouping) must not be threaded into
+        shards it was never split for.  The database is hashed only after
+        every cheap check has passed.
         """
+        if snap is None:
+            return None
         try:
             if not isinstance(snap, SessionSnapshot):
-                return False
-            if len(getattr(snap, "stores", ())) != len(self.dcs):
-                return False
-            if not snap.matches(self.dcs, self.database, current):
-                return False
-            eq_index = EqualityColumnIndex.for_constraints(
-                self.database.schema, self.dcs
-            )
-            eq_index.build(self.database)
-            self._witnesses = [
-                WitnessStore.restore(dc, keys)
-                for dc, keys in zip(self.dcs, snap.stores)
-            ]
-            self._touching = {}
-            for dc_position, store in enumerate(self._witnesses):
-                for witness in store:
-                    for identifier in witness:
-                        self._touching.setdefault(identifier, set()).add(
-                            (dc_position, witness)
-                        )
-            self.topology = ComponentTopology.restore(
-                self.dcs, self.database, snap.topology
-            )
-            self.component_cache.absorb_warm(snap.cache)
+                return None
+            if snap.verify(self.dcs, self.relation_groups, self.database) is None:
+                return None
+            return list(snap.shards)
         except Exception:
-            return False
-        self._eq_index = eq_index
-        self._columns = None
-        self._attach_enumerators()
-        self._dirty.clear()
-        self._cached = None
-        self._spec_base = None
-        self._spec_base_generation = -1
-        return True
-
-    def _live_cache_keys(self) -> list[tuple]:
-        """Content keys of the live components (the eviction pin set).
-
-        Only keys already computed are reported: a component without a
-        memoized key has never been cached under it, so there is nothing
-        to pin.
-        """
-        return [
-            component._cache_key
-            for component in self.topology._components
-            if component._cache_key is not None
-        ]
+            # Malformed fields in a deserialized-but-bogus snapshot must
+            # degrade to a cold build, exactly like any other mismatch.
+            return None
 
     # ------------------------------------------------------------------
     # Speculative evaluation (what-if deltas)
     # ------------------------------------------------------------------
-    def savepoint(self) -> Savepoint:
-        """Open a rollback journal on the owned database.
-
-        ``with session.savepoint(): ...`` applies mutations through the
-        change feed as usual and, on exit, replays their inverses — the
-        session observes the undo as ordinary deltas and its index returns
-        to the pre-savepoint state bit-for-bit.
-        """
-        return self.database.savepoint()
-
     def speculate(
         self, operations: Iterable, measures: Iterable, *, budget=None
     ) -> dict[str, float]:
         """Measure values *as if* *operations* had been applied — copy-free.
 
         Applies the operations in place under a savepoint, flushes the
-        delta-restricted witness patch through the topology, evaluates each
-        measure against the patched state, then rolls back.  The returned
-        values are bit-identical to copying the database, applying the
-        operations, and rebuilding from scratch.
+        delta-restricted witness patch through the touched shards,
+        evaluates each measure against the patched state, then rolls back.
+        The returned values are bit-identical to copying the database,
+        applying the operations, and rebuilding from scratch.
 
         When every requested measure is component-wise, evaluation is
         **component-localized ΔI**: the topology rebuilds only the affected
         region, every untouched component keeps its object identity, and
         its (possibly expensive) value is served from the per-component
-        cache in the exact ``components()`` float-summation order.
+        cache in the exact from-scratch float-summation order.
         Whole-database measures (``I_d``, ``I_R_upd``) read the fully
         assembled patched index instead; a mixed request splits, so the
         component-wise majority keeps the localized path.  Scoring many
@@ -602,14 +692,12 @@ class MeasurementSession:
         if not fast:
             with solver_scope(budget):
                 return _generic_speculation(self, operations, measures)
-        if self._dirty:
-            self._flush()
+        self._flush()
         with solver_scope(budget, plan=self._solve_plan(measures)):
             with self.savepoint():
                 for operation in operations:
                     operation.apply_in_place(self.database)
-                if self._dirty:
-                    self._flush()
+                self._flush()
                 values = {
                     measure.name: self._componentwise_value(measure)
                     for measure in fast
@@ -635,18 +723,17 @@ class MeasurementSession:
         per-candidate speculation (and therefore to copy-apply-rebuild).
 
         The batch owns the scoring round, so each candidate is **one region
-        pass**: its witness delta is enumerated against the patched
-        database, the affected region is re-minimized and re-split through
-        a read-only :meth:`~repro.violations.topology.ComponentTopology.preview`
-        — the live topology, the witness stores and every derived cache
-        stay untouched — and the base component values, resolved once per
-        batch (shared cache probes), fill in the rest by identity.  Only
-        one real flush runs, after the whole batch, to absorb the
-        apply/rollback event pairs (which restore the base bit-for-bit and
-        re-pin the memoized snapshot).  Sequential :meth:`speculate` pays a
-        commit + rollback re-split per candidate instead.  Mixed batches
-        split: the component-wise measures keep this fast path, and only
-        the whole-database stragglers pay a per-candidate generic pass.
+        pass** per shard it touches: its witness delta is enumerated
+        against the patched database, the affected region is re-minimized
+        and re-split through a read-only
+        :meth:`~repro.violations.topology.ComponentTopology.preview` — the
+        live topologies, the witness stores and every derived cache stay
+        untouched — and the base component values, resolved once per batch,
+        fill in the rest by identity.  The apply/rollback dirty marks the
+        batch itself produced are balanced by construction and dropped at
+        the end instead of flushed.  Mixed batches split: the component-wise
+        measures keep this fast path, and only the whole-database
+        stragglers pay a per-candidate generic pass.
         """
         candidates = [list(operations) for operations in candidates]
         measures = list(measures)
@@ -661,8 +748,10 @@ class MeasurementSession:
                     for operations in candidates
                 ]
         base = self._speculation_base()
-        batch_marks: set[int] = set()
-        outside: set[int] = set()
+        shards = self.shards
+        shard_number = self._shard_number
+        batch_marks: list[set[int]] = [set() for _ in shards]
+        outside: list[set[int]] = [set() for _ in shards]
         with solver_scope(budget, plan=self._solve_plan(measures)):
             try:
                 self._prime_base(base, fast)
@@ -672,14 +761,24 @@ class MeasurementSession:
                     # earlier candidate produced came from *outside* the
                     # batch (e.g. a concurrent ingest producer committing
                     # between candidates) — they must survive the batch.
-                    outside |= self._dirty - batch_marks
+                    for number, shard in enumerate(shards):
+                        if shard._dirty:
+                            outside[number] |= shard._dirty - batch_marks[number]
                     with self.savepoint() as savepoint:
                         for operation in operations:
                             operation.apply_in_place(self.database)
-                        touched = {
-                            event.identifier for event in savepoint.events
-                        }
-                        batch_marks |= touched
+                        # Routed like _on_change: an event never changes
+                        # its fact's relation.
+                        touched: dict[int, set[int]] = {}
+                        for event in savepoint.events:
+                            fact = event.new if event.new is not None else event.old
+                            number = shard_number.get(fact.relation)
+                            if number is not None:
+                                touched.setdefault(number, set()).add(
+                                    event.identifier
+                                )
+                        for number, identifiers in touched.items():
+                            batch_marks[number] |= identifiers
                         results.append(
                             self._preview_values(base, touched, fast)
                         )
@@ -689,15 +788,16 @@ class MeasurementSession:
                 # them — later unbudgeted batches must re-solve exactly.
                 _purge_degraded_parts(base)
         # The batch never committed anything: every candidate's events were
-        # rolled back (bit-identical database and equality index, by the
-        # savepoint contract) and neither the stores nor the topology were
-        # ever written.  The batch's own dirty marks are balanced
+        # rolled back (bit-identical database and equality indexes, by the
+        # savepoint contract) and neither the stores nor the topologies
+        # were ever written.  The batch's own dirty marks are balanced
         # apply/inverse pairs, so the flush they call for is a no-op by
-        # construction — drop them instead of re-enumerating every touched
-        # fact.  Marks recorded by mutations outside the balanced pairs
-        # stay dirty: they describe real committed deltas.
-        outside |= self._dirty - batch_marks
-        self._dirty &= outside
+        # construction — drop them.  Marks recorded by mutations outside
+        # the balanced pairs describe real committed deltas and stay dirty.
+        for number, shard in enumerate(shards):
+            if shard._dirty:
+                outside[number] |= shard._dirty - batch_marks[number]
+                shard._dirty &= outside[number]
         if generic:
             with solver_scope(budget):
                 results = _merge_generic_batch(
@@ -705,108 +805,101 @@ class MeasurementSession:
                 )
         return results
 
-    def _preview_values(
-        self, base: _SpeculationBase, touched: set[int], measures: list
-    ) -> dict[str, float]:
-        """Score one candidate from a read-only region preview.
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _on_change(self, event: ChangeEvent) -> None:
+        fact = event.new if event.new is not None else event.old
+        number = self._shard_number.get(fact.relation)
+        if number is None:
+            return
+        try:
+            faults.trip(FAULT_FANOUT)
+            self.shards[number]._on_change(event)
+        except BaseException:
+            # The shard may have missed (or half-applied) the event; its
+            # maintained state can no longer be trusted.  Mark it for a
+            # cold rebuild at the next flush and let the error surface to
+            # the mutator — a lost delta degrades to recomputation, never
+            # to a stale answer.
+            self._degraded.add(number)
+            raise
 
-        Runs inside the candidate's savepoint: the database (and the
-        equality-column index) is patched, but the witness stores and the
-        topology still describe the base.  The candidate's witness delta is
-        therefore exactly "retract what binds *touched*, re-enumerate
-        around it"; the topology previews the resulting region, and values
-        combine base parts (by identity) with freshly solved regional parts
-        in the merged component order — bit-identical to commit-and-read.
+    def _flush(self) -> None:
+        if self._degraded:
+            degraded, self._degraded = self._degraded, set()
+            for number in sorted(degraded):
+                self.shards[number]._rebuild()
+                # The memoized parts key on (topology, generation), so the
+                # fresh topology invalidates them; dropping the dict also
+                # unpins the retired topology's components.
+                self._parts[number] = {}
+        for shard in self.shards:
+            if shard._dirty:
+                shard._flush()
+
+    def _generation_key(self) -> tuple:
+        return tuple(
+            (shard.topology, shard.topology.generation)
+            for shard in self.shards
+        )
+
+    def _in_component_order(self, per_shard: list[list]) -> list:
+        """Per-shard lists, each parallel to its shard's ``components()``,
+        as one list in global component order (smallest member fact).
+
+        One shard's list is already in that order and is returned as is —
+        no merge.  Several are k-way merged on the component minimums,
+        which are unique (a fact lives in one component of one shard), so
+        the merge never compares the items themselves.
         """
-        minimized, region = self._preview_region(touched)
-        entries: list[tuple[int, TopologyComponent | None, ViolationIndex]] = [
-            (component.minimum, component, component.index)
-            for component in base.components
-            if component not in region
+        if len(per_shard) == 1:
+            return per_shard[0]
+        streams = [
+            zip(map(_MINIMUM, shard.topology.components()), items)
+            for shard, items in zip(self.shards, per_shard)
         ]
-        entries.extend(
-            (minimum, None, index)
-            for minimum, index in split_minimized(minimized)
-        )
-        entries.sort(key=lambda entry: entry[0])
-        return _entry_values(
-            entries,
-            base.parts,
-            measures,
-            self.component_cache,
-            self.constraints,
-            self.database,
-        )
+        return [item for _, item in heapq.merge(*streams)]
 
-    def _preview_region(
-        self, touched: set[int]
-    ) -> tuple[list[frozenset[int]], set[TopologyComponent]]:
-        """Read-only region preview of retracting/re-enumerating *touched*.
+    def _shard_parts(self, number: int, measure) -> list:
+        """One shard's per-component values of *measure*, in its
+        ``components()`` order.
 
-        The witness delta of the facts in *touched* against the (patched)
-        database — retract what binds them, re-enumerate around the live
-        ones — handed to :meth:`~repro.violations.topology.ComponentTopology.preview`.
-        No live structure is written; sharded sessions call this per shard
-        with the shard's slice of a candidate's touched facts.
+        With several shards the values are memoized on the shard's
+        ``(topology, generation)``: a delta that never reached this shard
+        serves them untouched, so a measurement point pays content-key
+        cache probes only for the shards the delta dirtied.  A one-shard
+        session has no untouched shard to serve — every delta reaches its
+        only shard — so it reads the cache directly, at the cost of a
+        plain walk over the components.
         """
-        database = self.database
-        gone: set[frozenset[int]] = set()
-        for fact in touched:
-            for _, witness in self._touching.get(fact, ()):
-                gone.add(witness)
-        live = {fact for fact in touched if fact in database}
-        fresh: set[frozenset[int]] = set()
-        if live:
-            for enumerator in self._enumerators:
-                fresh.update(enumerator.delta(database, live))
-        return self.topology.preview(gone, fresh)
-
-    def _speculation_base(self) -> _SpeculationBase:
-        """The memoized base snapshot for batched speculation.
-
-        Keyed on the topology *generation*, not on raw mutation events:
-        flushes that produce no witness delta (updates to facts bound by no
-        witness) leave the generation — and this snapshot — untouched.
-        """
-        if self._dirty:
-            self._flush()
+        topology = self.shards[number].topology
+        if len(self.shards) == 1:
+            return self._component_parts(topology, measure)
+        memo = self._parts[number]
+        entry = memo.get(measure)
         if (
-            self._spec_base is None
-            or self._spec_base_generation != self.topology.generation
+            entry is not None
+            and entry[0] is topology
+            and entry[1] == topology.generation
         ):
-            self._spec_base = _SpeculationBase(list(self.topology.components()))
-            self._spec_base_generation = self.topology.generation
-        return self._spec_base
+            return entry[2]
+        if len(memo) >= 64:
+            # Callers constructing fresh measure instances per call would
+            # otherwise grow the memo without bound (the content-addressed
+            # cache below self-bounds the expensive values either way).
+            memo.clear()
+        parts = self._component_parts(topology, measure)
+        if BoundedValue not in map(type, parts):
+            # Degraded (budget-bounded) parts are never memoized: the next
+            # read — possibly unbudgeted — must re-solve them exactly.
+            memo[measure] = (topology, topology.generation, parts)
+        return parts
 
-    def _prime_base(self, base: _SpeculationBase, measures: list) -> None:
-        """Resolve every base component's value once per measure."""
+    def _component_parts(self, topology, measure) -> list:
+        """Every component's value through the content-addressed cache."""
         cache = self.component_cache
-        topology = self.topology
-        for measure in measures:
-            if measure in base.parts:
-                continue
-            base.parts[measure] = {
-                id(component): cache.component_value(
-                    measure,
-                    self.constraints,
-                    self.database,
-                    component.index,
-                    key=topology.cache_key(component),
-                )
-                for component in base.components
-            }
-
-    def _componentwise_value(self, measure) -> float:
-        """One component-wise measure over the live topology.
-
-        Every component resolves through the content-addressed component
-        cache under its memoized key; parts combine in component order —
-        the exact float order of the from-scratch path.  (Identity-based
-        value sharing exists only inside a batch: :meth:`_preview_values`.)
-        """
-        cache = self.component_cache
-        topology = self.topology
-        parts = [
+        return [
             cache.component_value(
                 measure,
                 self.constraints,
@@ -816,146 +909,119 @@ class MeasurementSession:
             )
             for component in topology.components()
         ]
+
+    def _componentwise_value(self, measure) -> float:
+        """One component-wise measure over the live topologies.
+
+        Per-shard parts resolve through the shared content-addressed cache
+        and combine in global component order — the exact float order of
+        the from-scratch path.  One shard's parts already are in that
+        order.
+        """
+        if len(self.shards) == 1:
+            parts = self._shard_parts(0, measure)
+        else:
+            parts = self._in_component_order(
+                [
+                    self._shard_parts(number, measure)
+                    for number in range(len(self.shards))
+                ]
+            )
         if needs_finalize_index(measure):
-            return measure.value_from_parts(parts, topology.pseudo_index())
+            return measure.value_from_parts(parts, self._pseudo_index())
         return measure.value_from_parts(parts)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _on_change(self, event: ChangeEvent) -> None:
-        self._dirty.add(event.identifier)
-        self._eq_index.apply(event)
-        if self._columns is not None:
-            self._columns.apply(event)
+    def _pseudo_index(self) -> ViolationIndex:
+        """The component-major pseudo index, memoized per generation key.
 
-    def _flush(self) -> None:
-        """Fold the pending dirty set into the stores and the topology.
-
-        Witnesses binding a dirty fact are retracted, the delta is
-        re-enumerated, and the net ``(dc, witness)`` delta is handed to the
-        topology, which re-minimizes and re-splits only the affected
-        region.  A flush that produces no witness delta leaves the cached
-        assembled index and the topology generation untouched.
+        Content-identical to a from-scratch ``topology.pseudo_index()``
+        over all components (same global component order), rebuilt only
+        when some shard's topology actually changed.
         """
-        dirty, self._dirty = self._dirty, set()
-        retracted: list[tuple[int, frozenset[int]]] = []
-        inserted: list[tuple[int, frozenset[int]]] = []
-        for identifier in dirty:
-            for dc_position, witness in self._touching.pop(identifier, ()):
-                if self._witnesses[dc_position].discard(witness):
-                    retracted.append((dc_position, witness))
-                for other in witness:
-                    if other != identifier:
-                        entry = self._touching.get(other)
-                        if entry is not None:
-                            entry.discard((dc_position, witness))
-                            if not entry:
-                                del self._touching[other]
-        live = {i for i in dirty if i in self.database}
-        if live:
-            for dc_position, enumerator in enumerate(self._enumerators):
-                for witness in enumerator.delta(self.database, live):
-                    if self._add_witness(dc_position, witness):
-                        inserted.append((dc_position, witness))
-        if self.topology.apply(retracted, inserted):
-            self._cached = None
+        if len(self.shards) == 1:
+            return self.shards[0].topology.pseudo_index()
+        key = self._generation_key()
+        if self._pseudo is None or self._pseudo_key != key:
+            pseudo = ViolationIndex()
+            for component in self._in_component_order(
+                [shard.topology.components() for shard in self.shards]
+            ):
+                pseudo.mi_sets.extend(component.index.mi_sets)
+            self._pseudo = pseudo
+            self._pseudo_key = key
+        return self._pseudo
 
-    def _add_witness(self, dc_position: int, witness: frozenset[int]) -> bool:
-        if not self._witnesses[dc_position].add(witness):
-            return False
-        for identifier in witness:
-            self._touching.setdefault(identifier, set()).add(
-                (dc_position, witness)
+    def _speculation_base(self) -> _SpeculationBase:
+        """The memoized base snapshot for batched speculation.
+
+        Keyed on the per-shard topology generations, not on raw mutation
+        events: flushes that produce no witness delta, and a batch's
+        balanced apply/rollback pairs, leave every generation — and this
+        snapshot — untouched.
+        """
+        self._flush()
+        key = self._generation_key()
+        if self._spec_base is None or self._spec_base.key != key:
+            self._spec_base = _SpeculationBase(
+                key,
+                [
+                    [
+                        (component.minimum, component, component.index)
+                        for component in shard.topology.components()
+                    ]
+                    for shard in self.shards
+                ],
             )
-        return True
+        return self._spec_base
 
-    def _assemble(self) -> ViolationIndex:
-        """Materialize the full index from maintained views — no re-scan.
+    def _prime_base(self, base: _SpeculationBase, measures: list) -> None:
+        """Resolve every base component's value once per measure."""
+        for measure in measures:
+            if measure in base.parts:
+                continue
+            parts: dict[int, float] = {}
+            for number, entries in enumerate(base.entries):
+                for (_, component, _), value in zip(
+                    entries, self._shard_parts(number, measure)
+                ):
+                    parts[id(component)] = value
+            base.parts[measure] = parts
 
-        ``per_constraint`` concatenates the stores' cached sorted lists,
-        ``mi_sets`` copies the topology's maintained global family, and the
-        component split is adopted straight from the topology, so assembly
-        is list concatenation, not minimization.
+    def _preview_values(
+        self,
+        base: _SpeculationBase,
+        touched: dict[int, set[int]],
+        measures: list,
+    ) -> dict[str, float]:
+        """Score one candidate from read-only per-shard region previews.
+
+        Runs inside the candidate's savepoint: the database and every
+        touched shard's equality index are patched, the topologies still
+        describe the base.  Each touched shard previews its slice of the
+        delta; untouched shards contribute their base components whole,
+        and base components outside every region fill in by identity —
+        bit-identical to commit-and-read.
         """
-        index = ViolationIndex()
-        per_constraint = index.per_constraint
-        for store in self._witnesses:
-            per_constraint.extend(store.ordered())
-        index.mi_sets = list(self.topology.assemble_mi())
-        index.adopt_components(self.topology.component_indexes())
-        return index
-
-    def _attach_enumerators(self) -> None:
-        """Recreate the per-DC enumeration backends for a restored state.
-
-        The backends capture the current equality index (probe) or a fresh
-        registered-and-built column store (batch), so this runs after the
-        equality index exists; ``_rebuild`` gets the same objects from
-        :func:`cold_build`.  The session-owned stats records are threaded
-        through so counters accumulate across rebuilds.
-        """
-        self._enumerators, self._columns = build_enumerators(
-            self.engine,
-            self.dcs,
+        entries: list = []
+        for number, shard_entries in enumerate(base.entries):
+            identifiers = touched.get(number)
+            if identifiers is None:
+                entries.extend(shard_entries)
+                continue
+            minimized, region = self.shards[number]._preview_region(identifiers)
+            entries.extend(
+                [entry for entry in shard_entries if entry[1] not in region]
+            )
+            entries.extend(
+                (minimum, None, index)
+                for minimum, index in split_minimized(minimized)
+            )
+        entries.sort(key=_FIRST)
+        return _entry_values(
+            entries,
+            base.parts,
+            measures,
+            self.component_cache,
+            self.constraints,
             self.database,
-            self._eq_index,
-            self._enum_stats,
-            vector_backend=self.vector_backend,
         )
-        self._enum_stats = [
-            enumerator.stats for enumerator in self._enumerators
-        ]
-
-    def stats(self) -> dict:
-        """Per-DC enumeration counters (see :class:`EnumerationStats`)."""
-        stats = {
-            "engine": self.engine,
-            "vector_backend": (
-                self._columns.backend if self._columns is not None else None
-            ),
-            "constraints": [
-                dict(stats.as_dict(), constraint=dc.name)
-                for dc, stats in zip(self.dcs, self._enum_stats)
-            ],
-        }
-        if self._ingest is not None:
-            stats["ingest"] = self._ingest.counters()
-        return stats
-
-    def _rebuild(self) -> None:
-        # The equality index is rebuilt too: a refresh after *untracked*
-        # mutations (the session was closed or never subscribed while the
-        # database changed) must not leave stale hash buckets behind, or
-        # every later delta re-enumeration would probe wrong candidates.
-        # The enumeration backends (and the columnar snapshots the batch
-        # backend joins over) are recreated with it for the same reason.
-        self._eq_index = EqualityColumnIndex.for_constraints(
-            self.database.schema, self.dcs
-        )
-        self._eq_index.build(self.database)
-        self._columns = None
-        self._enumerators, self._columns, families = cold_build(
-            self.engine,
-            self.dcs,
-            self.database,
-            self._eq_index,
-            self._enum_stats,
-            vector_backend=self.vector_backend,
-        )
-        self._enum_stats = [
-            enumerator.stats for enumerator in self._enumerators
-        ]
-        self._witnesses = [WitnessStore(dc) for dc in self.dcs]
-        self._touching = {}
-        self._dirty.clear()
-        self._cached = None
-        self.topology = ComponentTopology(self.dcs, self.database)
-        self._spec_base = None
-        self._spec_base_generation = -1
-        inserted: list[tuple[int, frozenset[int]]] = []
-        for dc_position, family in enumerate(families):
-            for witness in family:
-                if self._add_witness(dc_position, witness):
-                    inserted.append((dc_position, witness))
-        self.topology.apply([], inserted)

@@ -1,921 +1,84 @@
-"""Sharded measurement sessions: per-relation shards, cross-shard routing.
+"""Relation sharding: how a session partitions its live state.
 
-A single :class:`~repro.session.session.MeasurementSession` maintains one
-flat ``(Σ, D)`` pair: every flush walks every lowered DC, every measure
-walks every conflict component, and every changed fact invalidates the one
-global topology.  Multi-relation traffic is embarrassingly partitionable,
-though — a denial constraint only ever binds facts of the relations its
-atoms mention, so the witness family, the minimized ``MI_Σ(D)`` and the
-conflict components all decompose along the connected components of the
+A denial constraint only ever binds facts of the relations its atoms
+mention, so the witness family, the minimized ``MI_Σ(D)`` and the conflict
+components all decompose along the connected components of the
 **constraint/relation hypergraph** (relations are nodes, each DC links the
-relations it mentions).
-
-:class:`ShardedMeasurementSession` exploits exactly that decomposition:
+relations it mentions).  The paper's measures decompose over conflict
+components, so a relation partition only groups them: every
+:class:`~repro.session.session.MeasurementSession` is sharded, and a
+single-relation workload is simply the one-shard case.
 
 * **Routing.**  Each constraint is lowered *once*; every lowered DC is
-  routed to the unique shard owning its relations.  Single-relation DCs
-  land on their relation's shard; a multi-relation DC merges the shards of
-  all its relations (hypergraph connected components), so no constraint
-  ever crosses a shard boundary.
-* **Fan-out.**  The coordinator is the only database subscriber.  A
+  routed to the unique shard owning its relations.  ``shards="auto"`` (the
+  default) uses the hypergraph's connected components
+  (:func:`relation_groups`) — the finest partition that keeps every DC
+  inside one shard; an explicit partition is validated against the same
+  invariant.
+* **Fan-out.**  The session is the only database subscriber.  A
   :class:`~repro.relational.database.ChangeEvent` is forwarded only to the
   shard indexing the touched fact's relation — the other shards' witness
   stores, hash indexes and topologies are never dirtied, never flushed and
-  never invalidated.
-* **Fixed-order assembly.**  Reads re-assemble the flat views from the
-  per-shard maintained ones: ``per_constraint`` concatenates the shards'
-  cached sorted witness stores in global lowered-DC order, ``mi_sets``
-  k-way merges the shards' maintained sorted pair views under the shared
-  ``mi_sort_key``, and component-wise measures merge the per-shard
-  component streams by smallest member fact — the exact global component
-  order of the unsharded session, so every float combines in the same
-  order and all results are **bit-identical** to
-  :class:`~repro.session.session.MeasurementSession` (the randomized
-  conformance suite in ``tests/session/test_sharding.py`` pins this).
+  never invalidated.  The fan-out is a fault-injection point
+  (:data:`FAULT_FANOUT`): a shard whose event raised rebuilds cold at the
+  next read.
+* **Fixed-order assembly.**  Reads visit components in global
+  smallest-member-fact order.  With one shard that is the shard's own
+  order and nothing is merged; with several, ``mi_sets`` and the per-shard
+  component streams are k-way merged under the same keys, so every float
+  combines in the same order and all results are **bit-identical**
+  whatever the partition (the randomized conformance suite in
+  ``tests/session/test_sharding.py`` pins one explicit group against
+  ``"auto"``).
 
-Each shard *is* a :class:`MeasurementSession` constructed over its DC
-subset with ``subscribe=False`` and the coordinator's shared
-:class:`~repro.measures.base.ComponentValueCache` — the maintenance,
-preview and speculation machinery is reused, not duplicated.  On top of
-the per-shard topology generations the coordinator memoizes per-shard
-``(minimum, component, value)`` part streams, so a measurement point after
-a delta recomputes only the touched shard's parts and pays a cheap k-way
-float merge for the rest — that locality is the sweep speedup
-(``benchmarks/bench_sharded_session.py``, ``BENCH_sharding.json``).
+With several shards, per-shard part lists are memoized on the shard's
+topology generation, so a measurement point after a delta recomputes only
+the touched shard's parts — that locality is the multi-relation sweep
+speedup (``benchmarks/bench_sharded_session.py``, ``BENCH_sharding.json``).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Sequence
 
 from ..constraints.base import Constraint
-from ..measures.base import (
-    ComponentValueCache,
-    ComponentwiseMeasure,
-    needs_finalize_index,
-)
-from ..relational.database import ChangeEvent, Database, Fact, Savepoint
-from ..relational.schema import Schema
-from ..relational.values import Value
-from ..solvers.anytime import (
-    OPTIMAL,
-    as_budget,
-    current_scope,
-    registered_chain,
-    solver_scope,
-    status_of,
-)
-from ..testing import faults
-from ..violations.minimal import (
-    ViolationIndex,
-    _connected_groups,
-    lower_constraints,
-)
-from ..violations.topology import TopologyComponent, split_minimized
-from .session import (
-    MeasurementSession,
-    _entry_values,
-    _generic_speculation,
-    _generic_values,
-    _merge_generic_batch,
-    _purge_degraded_parts,
-    _split_measures,
-)
-from .snapshot import (
-    SNAPSHOT_VERSION,
-    ShardedSessionSnapshot,
-    constraint_digest,
-    database_fingerprint,
-)
+from ..relational.database import Database
+from .session import FAULT_FANOUT, MeasurementSession
+from .shard import relation_groups
 
-_NO_REGION: frozenset[TopologyComponent] = frozenset()
+__all__ = ["FAULT_FANOUT", "make_session", "relation_groups"]
 
-#: Fault-injection point: raised while forwarding a change event to the
-#: owning shard (see :mod:`repro.testing.faults`).
-FAULT_FANOUT = "shard.fanout"
-
-
-def relation_groups(dcs: Sequence, schema: Schema) -> list[tuple[str, ...]]:
-    """Connected components of the constraint/relation hypergraph.
-
-    Relations are nodes; every DC links all relations its atoms mention.
-    Returns the groups as relation-name tuples (each in schema order),
-    ordered by the schema position of their first relation — the fixed
-    shard order every assembly uses.  Relations no DC mentions are left
-    out: they can never produce a witness, so no shard needs to index them
-    and their change events are dropped at the coordinator.
-
-    The connectivity is the same one the conflict components use, so it
-    runs on the same union-find: each DC becomes the set of its relations'
-    schema positions and :func:`_connected_groups` splits the family.
-    """
-    names = schema.relation_names()
-    position = {name: k for k, name in enumerate(names)}
-    family = [
-        frozenset(position[relation] for _, relation in dc.variables)
-        for dc in dcs
-    ]
-    return [
-        tuple(names[k] for k in sorted(members))
-        for members, _ in _connected_groups(family)
-    ]
-
-
-class _ShardedSpeculationBase:
-    """Identity-pinned cross-shard base snapshot for one scoring round.
-
-    ``entries`` is the globally merged ``(minimum, shard, component)``
-    stream (pinning every base component's ``id()``); ``parts`` maps each
-    measure to its per-component base values keyed by component identity;
-    ``key`` records the per-shard ``(topology, generation)`` pairs the
-    snapshot was taken at.
-    """
-
-    __slots__ = ("key", "entries", "parts")
-
-    def __init__(self, key: tuple, entries: list) -> None:
-        self.key = key
-        self.entries = entries
-        self.parts: dict[object, dict[int, float]] = {}
-
-
-class ShardedMeasurementSession:
-    """A :class:`MeasurementSession` partitioned by relation.
-
-    Drop-in for the unsharded session on multi-relation schemas: same
-    read/measure/speculate surface, bit-identical results, but the live
-    state is owned by per-relation shards and a change event only ever
-    reaches the one shard indexing its relation.
-
-    *shards* is ``"auto"`` (partition by the constraint/relation
-    hypergraph's connected components — the finest sharding that keeps
-    every DC inside one shard) or an explicit iterable of relation groups,
-    validated against the same no-DC-crosses-a-shard invariant.
-    """
-
-    def __init__(
-        self,
-        constraints: Sequence[Constraint],
-        database: Database,
-        shards: str | Iterable[Iterable[str]] = "auto",
-        *,
-        warm_start: ShardedSessionSnapshot | None = None,
-        engine: str = "auto",
-        vector_backend: str | None = None,
-        time_budget: float | None = None,
-    ) -> None:
-        self.constraints = list(constraints)
-        self.database = database
-        #: Default per-call solver budget in seconds (None = exact); an
-        #: explicit ``budget=`` on a call always wins.
-        self.time_budget = time_budget
-        #: Witness-enumeration backend, passed through to every shard.
-        self.engine = engine
-        #: Column backend for the batch engine, passed through to every
-        #: shard ("numpy" | "list" | None = the process default).
-        self.vector_backend = vector_backend
-        # Lower once; shards receive pre-lowered subsets.
-        self.dcs = lower_constraints(self.constraints, database.schema)
-        if isinstance(shards, str):
-            if shards != "auto":
-                raise ValueError(f"unknown shard spec {shards!r}")
-            groups = relation_groups(self.dcs, database.schema)
-        else:
-            groups = self._validated_groups(shards)
-        self.relation_groups: list[tuple[str, ...]] = groups
-        self.component_cache = ComponentValueCache()
-        owner = {
-            relation: number
-            for number, group in enumerate(groups)
-            for relation in group
-        }
-        shard_dcs: list[list] = [[] for _ in groups]
-        #: Global lowered-DC position → (shard number, local store position).
-        self._routing: list[tuple[int, int]] = []
-        for dc in self.dcs:
-            number = owner[next(iter({r for _, r in dc.variables}))]
-            self._routing.append((number, len(shard_dcs[number])))
-            shard_dcs[number].append(dc)
-        # Warm payloads only when the coordinator-level identity (format
-        # version, lowered-DC digest, routing partition, fingerprint) still
-        # holds; each shard then re-verifies its own slice and cold-builds
-        # alone on mismatch — never a wrong answer, by composition.  The
-        # shared database is fingerprinted once (after the cheap checks
-        # pass) and handed down, so a k-shard restore hashes it O(n)
-        # rather than O(k·n) times — and a rejected snapshot costs no
-        # hash at all.
-        warm_shards = warm_current = None
-        if warm_start is not None:
-            warm_shards, warm_current = self._warm_payloads(warm_start)
-        self.shards: list[MeasurementSession] = [
-            MeasurementSession(
-                self.constraints,
-                database,
-                dcs=dcs,
-                subscribe=False,
-                component_cache=self.component_cache,
-                warm_start=warm_shards[number] if warm_shards else None,
-                warm_fingerprint=warm_current,
-                engine=engine,
-                vector_backend=vector_backend,
-            )
-            for number, dcs in enumerate(shard_dcs)
-        ]
-        #: Whether every shard restored from the warm-start snapshot.
-        self.warm_started = warm_shards is not None and all(
-            shard.warm_started for shard in self.shards
-        )
-        self._shard_of_relation: dict[str, MeasurementSession] = {
-            relation: self.shards[number] for relation, number in owner.items()
-        }
-        self._shard_number: dict[str, int] = dict(owner)
-        # Shards whose fan-out raised mid-event: their maintained state may
-        # have missed the event, so they rebuild cold at the next flush
-        # instead of ever serving a stale answer.
-        self._degraded: set[int] = set()
-        self._cached: ViolationIndex | None = None
-        self._cached_key: tuple | None = None
-        # Per-shard memoized (minimum, component, value) part streams,
-        # keyed on the shard's (topology, generation): a delta recomputes
-        # only the touched shard's stream.
-        self._parts: list[dict] = [{} for _ in self.shards]
-        self._pseudo: ViolationIndex | None = None
-        self._pseudo_key: tuple | None = None
-        self._spec_base: _ShardedSpeculationBase | None = None
-        # The attached streaming-ingest pipeline, if any (set by
-        # IngestPipeline; surfaces its counters through stats()).
-        self._ingest = None
-        self._closed = False
-        database.subscribe(self._on_change)
-
-    def _warm_payloads(self, snap) -> tuple[list | None, object | None]:
-        """``(per-shard payloads, current fingerprint)``, or ``(None, None)``.
-
-        Revalidates the routing partition: the per-shard payloads describe
-        relation slices, so a snapshot captured under a different partition
-        (other constraints, another explicit grouping) must not be threaded
-        into shards it was never split for.  The database is hashed only
-        after every cheap check has passed; the computed fingerprint is
-        returned so the shards verify against it without rehashing.
-        """
-        try:
-            if not isinstance(snap, ShardedSessionSnapshot):
-                return None, None
-            current = snap.verify(
-                self.dcs, self.relation_groups, self.database
-            )
-            if current is None:
-                return None, None
-            payloads = list(snap.shards)
-        except Exception:
-            # Malformed fields in a deserialized-but-bogus snapshot must
-            # degrade to a cold build, exactly like any other mismatch.
-            return None, None
-        return payloads, current
-
-    def snapshot(self) -> ShardedSessionSnapshot:
-        """Capture every shard's derived state for a later warm start.
-
-        The shared database is fingerprinted once; each shard's payload
-        carries the same fingerprint object (pickle memoizes it on disk)
-        plus its own lowered-DC digest, stores, topology and live cache
-        entries.  ``ShardedMeasurementSession(..., warm_start=snap)``
-        restores shard by shard after revalidating the partition.
-        """
-        self._flush()
-        fingerprint = database_fingerprint(self.database)
-        return ShardedSessionSnapshot(
-            version=SNAPSHOT_VERSION,
-            fingerprint=fingerprint,
-            constraints=constraint_digest(self.dcs),
-            relation_groups=[tuple(group) for group in self.relation_groups],
-            shards=[
-                shard._snapshot_payload(fingerprint) for shard in self.shards
-            ],
-        )
-
-    def _validated_groups(
-        self, shards: Iterable[Iterable[str]]
-    ) -> list[tuple[str, ...]]:
-        groups = [tuple(group) for group in shards]
-        seen: set[str] = set()
-        for group in groups:
-            for relation in group:
-                self.database.schema.signature(relation)  # raises if unknown
-                if relation in seen:
-                    raise ValueError(f"relation {relation!r} in two shards")
-                seen.add(relation)
-        owner = {
-            relation: number
-            for number, group in enumerate(groups)
-            for relation in group
-        }
-        for dc in self.dcs:
-            numbers = {owner.get(relation) for _, relation in dc.variables}
-            if None in numbers or len(numbers) != 1:
-                raise ValueError(
-                    f"constraint {dc.name!r} crosses the shard partition: "
-                    f"its relations are {sorted({r for _, r in dc.variables})}"
-                )
-        return groups
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Detach from the database's change feed (idempotent)."""
-        if not self._closed:
-            self.database.unsubscribe(self._on_change)
-            for shard in self.shards:
-                shard.close()
-            self._closed = True
-
-    def __enter__(self) -> "ShardedMeasurementSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Mutation conveniences (the database notifies us back)
-    # ------------------------------------------------------------------
-    def insert(self, fact: Fact) -> int:
-        return self.database.insert(fact)
-
-    def delete(self, identifier: int) -> bool:
-        return self.database.delete(identifier)
-
-    def update(self, identifier: int, attribute: str, value: Value) -> bool:
-        return self.database.update(identifier, attribute, value)
-
-    def apply(self, operations: Iterable) -> None:
-        """Apply repair operations in place (delta-tracked)."""
-        for operation in operations:
-            operation.apply_in_place(self.database)
-
-    def ingest(self, *, capacity: int = 1024):
-        """Attach a coalescing streaming-ingest pipeline to this session.
-
-        Pending events are buffered per owning shard, so a staleness-
-        bounded read drains only the shards over their watermark — see
-        :class:`~repro.session.ingest.IngestPipeline`.
-        """
-        from .ingest import IngestPipeline
-
-        return IngestPipeline(self, capacity=capacity)
-
-    def savepoint(self) -> Savepoint:
-        """Open a rollback journal on the owned database."""
-        return self.database.savepoint()
-
-    # ------------------------------------------------------------------
-    # The maintained, assembled-on-read views
-    # ------------------------------------------------------------------
-    @property
-    def pending_deltas(self) -> int:
-        """Dirty fact count across shards awaiting the next flush."""
-        return sum(len(shard._dirty) for shard in self.shards)
-
-    def index(self) -> ViolationIndex:
-        """The flat ``ViolationIndex``, assembled from per-shard views.
-
-        ``per_constraint`` concatenates the shards' cached sorted stores in
-        global lowered-DC order, ``mi_sets`` k-way merges the shards'
-        maintained sorted pair views, and the component split is the merge
-        of the per-shard splits by smallest member fact — list-identical to
-        the unsharded session's index.  Memoized on the per-shard topology
-        generations, so only a flush that changed some witness re-assembles.
-        """
-        self._flush()
-        key = self._generation_key()
-        if self._cached is None or self._cached_key != key:
-            index = ViolationIndex()
-            per_constraint = index.per_constraint
-            for number, local in self._routing:
-                per_constraint.extend(
-                    self.shards[number]._witnesses[local].ordered()
-                )
-            index.mi_sets = [
-                witness
-                for _, witness in heapq.merge(
-                    *(
-                        shard.topology.assemble_mi_pairs()
-                        for shard in self.shards
-                    )
-                )
-            ]
-            index.adopt_components(
-                [entry[2] for entry in self._merged_component_indexes()]
-            )
-            self._cached = index
-            self._cached_key = key
-        return self._cached
-
-    def is_consistent(self) -> bool:
-        self._flush()
-        return all(shard.topology.is_consistent() for shard in self.shards)
-
-    def problematic_facts(self) -> set[int]:
-        """``∪ MI_Σ(D)`` across shards — no index assembly required."""
-        self._flush()
-        union: set[int] = set()
-        for shard in self.shards:
-            union.update(shard.topology.problematic())
-        return union
-
-    def measure(self, measure, *, budget=None) -> float:
-        """Evaluate one measure; component-wise ones merge shard streams.
-
-        *budget* bounds the hard per-component solves exactly as on the
-        flat session — see :meth:`MeasurementSession.measure`.
-        """
-        budget = self._call_budget(budget)
-        if not isinstance(measure, ComponentwiseMeasure):
-            with solver_scope(budget):
-                return measure.value(
-                    self.constraints, self.database, self.index()
-                )
-        self._flush()
-        if budget is None:
-            return self._componentwise_value(measure)
-        with solver_scope(budget, plan=self._solve_plan([measure])):
-            return self._componentwise_value(measure)
-
-    def measure_all(self, measures: Iterable, *, budget=None) -> dict[str, float]:
-        """Evaluate a batch of measures sharing the maintained state.
-
-        One *budget* covers the whole batch, sliced across the hard
-        component solves of every shard.
-        """
-        measures = list(measures)
-        budget = self._call_budget(budget)
-        if budget is None:
-            return {measure.name: self.measure(measure) for measure in measures}
-        self._flush()
-        with solver_scope(budget, plan=self._solve_plan(measures)):
-            return {measure.name: self.measure(measure) for measure in measures}
-
-    def _call_budget(self, budget):
-        """The effective budget for one call (explicit beats the default).
-
-        Defers to an already-active scope exactly like the flat session —
-        see :meth:`MeasurementSession._call_budget`.
-        """
-        if budget is None:
-            if current_scope() is not None:
-                return None
-            budget = self.time_budget
-        return as_budget(budget)
-
-    def _solve_plan(self, measures: Sequence) -> int | None:
-        """Estimated hard component solves ahead, across all shards."""
-        hard = sum(
-            1
-            for measure in measures
-            if isinstance(measure, ComponentwiseMeasure)
-            and registered_chain(measure.name) is not None
-        )
-        if not hard:
-            return None
-        components = sum(
-            len(shard.topology._components) for shard in self.shards
-        )
-        return max(1, hard * components)
-
-    def refresh(self) -> ViolationIndex:
-        """Force a from-scratch rebuild of every shard (a cross-check tool).
-
-        Every coordinator-level memo derived from the retired topologies is
-        dropped with them: the per-shard part streams and the pseudo index
-        hold the old component objects (and their values) alive, and the
-        stale assembly/pseudo keys would otherwise pin retired topology
-        objects for the session's lifetime.
-        """
-        for shard in self.shards:
-            shard._rebuild()
-        self._cached = None
-        self._cached_key = None
-        self._parts = [{} for _ in self.shards]
-        self._pseudo = None
-        self._pseudo_key = None
-        self._spec_base = None
-        return self.index()
-
-    # ------------------------------------------------------------------
-    # Speculative evaluation (what-if deltas)
-    # ------------------------------------------------------------------
-    def speculate(
-        self, operations: Iterable, measures: Iterable, *, budget=None
-    ) -> dict[str, float]:
-        """Measure values *as if* *operations* had been applied — copy-free.
-
-        The sharded mirror of :meth:`MeasurementSession.speculate`: the
-        operations apply under a savepoint, the change events fan out only
-        to the touched shards, and the component-wise values are read off
-        the merged patched streams before the rollback fans the inverses
-        back — bit-identical to copy-apply-rebuild.  A mixed measure list
-        splits: the component-wise majority keeps the merged-stream fast
-        path and only the whole-database stragglers (``I_d``, ``I_R_upd``)
-        read the fully assembled patched index.
-        """
-        measures = list(measures)
-        operations = list(operations)
-        budget = self._call_budget(budget)
-        fast, generic = _split_measures(measures)
-        if not fast:
-            with solver_scope(budget):
-                return _generic_speculation(self, operations, measures)
-        self._flush()
-        with solver_scope(budget, plan=self._solve_plan(measures)):
-            with self.savepoint():
-                for operation in operations:
-                    operation.apply_in_place(self.database)
-                self._flush()
-                values = {
-                    measure.name: self._componentwise_value(measure)
-                    for measure in fast
-                }
-                if generic:
-                    values.update(_generic_values(self, generic))
-                return {
-                    measure.name: values[measure.name] for measure in measures
-                }
-
-    def speculate_value(self, operations: Iterable, measure) -> float:
-        """One-measure :meth:`speculate` (the candidate-scoring hot path)."""
-        return self.speculate(operations, (measure,))[measure.name]
-
-    def speculate_batch(
-        self, candidates: Iterable[Iterable], measures: Iterable, *, budget=None
-    ) -> list[dict[str, float]]:
-        """Score a whole candidate set against the current base state.
-
-        Value-identical to per-candidate :meth:`speculate` (and to the
-        unsharded batch).  The base component stream is merged and resolved
-        once across shards; each candidate's touched facts are grouped by
-        owning relation and previewed **only on those shards** — every
-        other shard contributes its base components by identity, so a
-        candidate pays its affected regions plus O(1) lookups for the rest
-        of the whole multi-relation state.  The accumulated apply/rollback
-        dirty marks are balanced by construction and dropped at the end,
-        exactly like the unsharded batch.  Mixed batches split exactly like
-        the unsharded batch: component-wise measures keep the fast path,
-        whole-database ones pay a per-candidate generic pass.
-        """
-        candidates = [list(operations) for operations in candidates]
-        measures = list(measures)
-        budget = self._call_budget(budget)
-        if not candidates:
-            return []
-        fast, generic = _split_measures(measures)
-        if not fast:
-            with solver_scope(budget):
-                return [
-                    _generic_speculation(self, operations, measures)
-                    for operations in candidates
-                ]
-        base = self._speculation_base()
-        batch_marks: list[set[int]] = [set() for _ in self.shards]
-        outside: list[set[int]] = [set() for _ in self.shards]
-        with solver_scope(budget, plan=self._solve_plan(measures)):
-            try:
-                self._prime_base(base, fast)
-                results: list[dict[str, float]] = []
-                for operations in candidates:
-                    # Dirty marks present before this candidate that no
-                    # earlier candidate produced came from *outside* the
-                    # batch (e.g. a concurrent ingest producer committing
-                    # between candidates) — they must survive the batch.
-                    for number, shard in enumerate(self.shards):
-                        if shard._dirty:
-                            outside[number] |= (
-                                shard._dirty - batch_marks[number]
-                            )
-                    with self.savepoint() as savepoint:
-                        for operation in operations:
-                            operation.apply_in_place(self.database)
-                        touched: dict[MeasurementSession, set[int]] = {}
-                        for event in savepoint.events:
-                            for fact in (event.old, event.new):
-                                if fact is None:
-                                    continue
-                                number = self._shard_number.get(fact.relation)
-                                if number is not None:
-                                    batch_marks[number].add(event.identifier)
-                                    touched.setdefault(
-                                        self.shards[number], set()
-                                    ).add(event.identifier)
-                        results.append(
-                            self._preview_values(base, touched, fast)
-                        )
-            finally:
-                # The memoized cross-shard base outlives the scope; degraded
-                # (budget-bounded) parts must not leak into later unbudgeted
-                # rounds.
-                _purge_degraded_parts(base)
-        # The batch's own marks are balanced apply/inverse pairs whose
-        # flush would be a no-op — drop them.  Marks recorded by mutations
-        # outside the balanced pairs describe real committed deltas and
-        # must stay, or the next flush would serve a stale index.
-        for number, shard in enumerate(self.shards):
-            outside[number] |= shard._dirty - batch_marks[number]
-            shard._dirty &= outside[number]
-        if generic:
-            with solver_scope(budget):
-                results = _merge_generic_batch(
-                    self, candidates, results, generic, measures
-                )
-        return results
-
-    def stats(self) -> dict:
-        """Per-DC enumeration counters, merged in global lowered-DC order."""
-        per_shard = [shard.stats() for shard in self.shards]
-        shard_stats = [stats["constraints"] for stats in per_shard]
-        backends = {stats["vector_backend"] for stats in per_shard}
-        if not backends or backends == {None}:
-            merged_backend = None
-        elif len(backends) == 1:
-            merged_backend = next(iter(backends))
-        else:
-            # Disagreeing shards are surfaced, not collapsed to None —
-            # "no columnar backend anywhere" and "heterogeneous backends"
-            # are very different operational states.
-            merged_backend = "mixed:" + ",".join(
-                sorted("none" if backend is None else backend for backend in backends)
-            )
-        stats = {
-            "engine": self.engine,
-            "vector_backend": merged_backend,
-            "constraints": [
-                shard_stats[number][local] for number, local in self._routing
-            ],
-        }
-        if self._ingest is not None:
-            stats["ingest"] = self._ingest.counters()
-        return stats
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _on_change(self, event: ChangeEvent) -> None:
-        fact = event.new if event.new is not None else event.old
-        shard = self._shard_of_relation.get(fact.relation)
-        if shard is None:
-            return
-        try:
-            faults.trip(FAULT_FANOUT)
-            shard._on_change(event)
-        except BaseException:
-            # The shard may have missed (or half-applied) the event; its
-            # maintained state can no longer be trusted.  Mark it for a
-            # cold rebuild at the next flush and let the error surface to
-            # the mutator — a lost delta degrades to recomputation, never
-            # to a stale answer.
-            self._degraded.add(self._shard_number[fact.relation])
-            raise
-
-    def _flush(self) -> None:
-        if self._degraded:
-            degraded, self._degraded = self._degraded, set()
-            for number in sorted(degraded):
-                self.shards[number]._rebuild()
-                # The memoized part streams key on (topology, generation),
-                # so the fresh topology invalidates them; dropping the dict
-                # also unpins the retired topology's components.
-                self._parts[number] = {}
-        for shard in self.shards:
-            if shard._dirty:
-                shard._flush()
-
-    def _generation_key(self) -> tuple:
-        return tuple(
-            (shard.topology, shard.topology.generation)
-            for shard in self.shards
-        )
-
-    def _merged_components(self):
-        """All live components as ``(minimum, shard, component)``, merged.
-
-        Smallest-member-fact order across shards — the global component
-        order of the unsharded session.  Minimums are unique (a fact lives
-        in one component of one shard), so the merge never compares the
-        later tuple elements.  The per-shard streams are built eagerly: a
-        lazy nested generator would close over the loop variable and tag
-        every entry with the last shard.
-        """
-        streams = [
-            [
-                (component.minimum, shard, component)
-                for component in shard.topology.components()
-            ]
-            for shard in self.shards
-        ]
-        return heapq.merge(*streams)
-
-    def _merged_component_indexes(self):
-        """``(minimum, shard, filled index)`` triples in global order."""
-        streams = [
-            [
-                (component.minimum, shard, index)
-                for component, index in zip(
-                    shard.topology.components(),
-                    shard.topology.component_indexes(),
-                )
-            ]
-            for shard in self.shards
-        ]
-        return heapq.merge(*streams)
-
-    def _shard_parts(self, number: int, measure) -> list:
-        """One shard's ``(minimum, component, value)`` stream, memoized.
-
-        Keyed on the shard's ``(topology, generation)``: a delta that never
-        reached this shard serves the cached float stream untouched, so a
-        measurement point pays content-key cache probes only for the shards
-        the delta dirtied.
-        """
-        shard = self.shards[number]
-        topology = shard.topology
-        memo = self._parts[number]
-        entry = memo.get(measure)
-        if (
-            entry is not None
-            and entry[0] is topology
-            and entry[1] == topology.generation
-        ):
-            return entry[2]
-        if len(memo) >= 64:
-            # Callers constructing fresh measure instances per call would
-            # otherwise grow the memo without bound (the content-addressed
-            # cache below self-bounds the expensive values either way).
-            memo.clear()
-        cache = self.component_cache
-        stream = [
-            (
-                component.minimum,
-                component,
-                cache.component_value(
-                    measure,
-                    self.constraints,
-                    self.database,
-                    component.index,
-                    key=topology.cache_key(component),
-                ),
-            )
-            for component in topology.components()
-        ]
-        if all(status_of(value) == OPTIMAL for _, _, value in stream):
-            # Degraded (budget-bounded) parts are never memoized: the next
-            # read — possibly unbudgeted — must re-solve them exactly.
-            memo[measure] = (topology, topology.generation, stream)
-        return stream
-
-    def _componentwise_value(self, measure) -> float:
-        """One component-wise measure over the merged shard streams.
-
-        Per-shard part streams resolve through the shared content-addressed
-        cache (memoized per shard generation) and merge by smallest member
-        fact; the parts combine in the exact float order of the unsharded
-        ``components()`` walk.
-        """
-        merged = list(
-            heapq.merge(
-                *(
-                    self._shard_parts(number, measure)
-                    for number in range(len(self.shards))
-                )
-            )
-        )
-        parts = [value for _, _, value in merged]
-        if needs_finalize_index(measure):
-            return measure.value_from_parts(parts, self._pseudo_index())
-        return measure.value_from_parts(parts)
-
-    def _pseudo_index(self) -> ViolationIndex:
-        """The component-major pseudo index, memoized per generation key.
-
-        Content-identical to the flat session's ``topology.pseudo_index()``
-        (same global component order), rebuilt only when some shard's
-        topology actually changed.
-        """
-        key = self._generation_key()
-        if self._pseudo is None or self._pseudo_key != key:
-            pseudo = ViolationIndex()
-            for _, _, component in self._merged_components():
-                pseudo.mi_sets.extend(component.index.mi_sets)
-            self._pseudo = pseudo
-            self._pseudo_key = key
-        return self._pseudo
-
-    def _speculation_base(self) -> _ShardedSpeculationBase:
-        """The memoized cross-shard base snapshot for batched speculation.
-
-        Keyed on the per-shard topology generations: a batch's balanced
-        apply/rollback pairs restore every generation, so the next batch
-        re-pins the same snapshot.
-        """
-        self._flush()
-        key = self._generation_key()
-        if self._spec_base is None or self._spec_base.key != key:
-            self._spec_base = _ShardedSpeculationBase(
-                key, list(self._merged_components())
-            )
-        return self._spec_base
-
-    def _prime_base(
-        self, base: _ShardedSpeculationBase, measures: list
-    ) -> None:
-        """Resolve every base component's value once per measure."""
-        for measure in measures:
-            if measure in base.parts:
-                continue
-            parts: dict[int, float] = {}
-            for number in range(len(self.shards)):
-                for _, component, value in self._shard_parts(number, measure):
-                    parts[id(component)] = value
-            base.parts[measure] = parts
-
-    def _preview_values(
-        self,
-        base: _ShardedSpeculationBase,
-        touched: dict[MeasurementSession, set[int]],
-        measures: list,
-    ) -> dict[str, float]:
-        """Score one candidate from read-only per-shard region previews.
-
-        Runs inside the candidate's savepoint: the database and every
-        touched shard's equality index are patched, the topologies still
-        describe the base.  Each touched shard previews its slice of the
-        delta; base components outside every region fill in by identity.
-        """
-        regions: dict[MeasurementSession, set[TopologyComponent]] = {}
-        entries: list = []
-        for shard, identifiers in touched.items():
-            minimized, region = shard._preview_region(identifiers)
-            regions[shard] = region
-            entries.extend(
-                (minimum, None, index)
-                for minimum, index in split_minimized(minimized)
-            )
-        entries.extend(
-            (minimum, component, component.index)
-            for minimum, shard, component in base.entries
-            if component not in regions.get(shard, _NO_REGION)
-        )
-        entries.sort(key=lambda entry: entry[0])
-        return _entry_values(
-            entries,
-            base.parts,
-            measures,
-            self.component_cache,
-            self.constraints,
-            self.database,
-        )
+#: Former name of the sharded session, kept for external callers.
+ShardedMeasurementSession = MeasurementSession
 
 
 def make_session(
     constraints: Sequence[Constraint],
     database: Database,
-    shards: str | Iterable[Iterable[str]] | None = None,
+    shards: str | Iterable[Iterable[str]] = "auto",
     warm_start=None,
     engine: str = "auto",
     vector_backend: str | None = None,
     time_budget: float | None = None,
-):
-    """A measurement session, sharded when *shards* asks for it.
+) -> MeasurementSession:
+    """A :class:`MeasurementSession` over ``(Σ, D)``.
 
-    ``None`` builds the flat :class:`MeasurementSession`; ``"auto"`` (or an
-    explicit relation partition) builds a
-    :class:`ShardedMeasurementSession`.  The sweep drivers expose this knob
-    directly, so multi-relation workloads opt into sharding with one
-    argument and single-relation ones keep the flat session.
-
-    *warm_start* threads a snapshot into whichever session is built; a
-    snapshot of the other flavor (or any mismatch) falls back to the
-    ordinary cold build.  *engine* selects the witness-enumeration backend
-    (``"probe"`` | ``"batch"`` | ``"auto"``, see
-    :mod:`repro.session.enumeration`); results are bit-identical whatever
-    the choice.  *vector_backend* picks the batch engine's column backend
-    (``"numpy"`` | ``"list"`` | ``None`` = the process default).
-    *time_budget* (seconds) sets the session's default solver
-    budget: every ``measure``/``measure_all``/``speculate``/``speculate_batch``
+    *shards* is ``"auto"`` (the default) or an explicit relation
+    partition.  *warm_start* threads a snapshot into the session; any
+    mismatch falls back to the ordinary cold build.  *engine* selects the
+    witness-enumeration backend (``"probe"`` | ``"batch"`` | ``"auto"``,
+    see :mod:`repro.session.enumeration`); results are bit-identical
+    whatever the choice.  *vector_backend* picks the batch engine's column
+    backend (``"numpy"`` | ``"list"`` | ``None`` = the process default).
+    *time_budget* (seconds) sets the session's default solver budget:
+    every ``measure``/``measure_all``/``speculate``/``speculate_batch``
     call is budgeted unless it passes its own ``budget=``; ``None`` keeps
     every call exact.
     """
-    if shards is None:
-        return MeasurementSession(
-            constraints,
-            database,
-            warm_start=warm_start,
-            engine=engine,
-            vector_backend=vector_backend,
-            time_budget=time_budget,
-        )
-    return ShardedMeasurementSession(
+    return MeasurementSession(
         constraints,
         database,
-        shards=shards,
+        shards,
         warm_start=warm_start,
         engine=engine,
         vector_backend=vector_backend,

@@ -35,11 +35,11 @@ restoration rejects version drift even when the unpickle itself succeeds.
 mid-write leaves the target absent or bit-identical to its previous
 content — a half-written snapshot can never shadow a good one.
 
-Sharded snapshots (:class:`ShardedSessionSnapshot`) compose per shard: one
-shared fingerprint, the coordinator's relation partition (revalidated on
-restore — a different routing means the per-shard payloads describe the
-wrong slices), and one flat payload per shard.  A shard whose own payload
-fails verification rebuilds cold on its own; the rest still restore warm.
+Snapshots compose per shard: one fingerprint, the session's relation
+partition (revalidated on restore — a different routing means the shard
+payloads describe the wrong slices), and one :class:`ShardSnapshot` per
+shard.  A shard whose own payload fails verification rebuilds cold on its
+own; the rest still restore warm.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ FAULT_WRITE = "snapshot.write"
 
 #: Bump on any change to the snapshot payload layout or framing.  Loading
 #: rejects other versions outright — a stale format must fall back to a
-#: cold build, never be reinterpreted.  (2 added the payload digest.)
-SNAPSHOT_VERSION = 2
+#: cold build, never be reinterpreted.  (2 added the payload digest; 3
+#: made the sharded layout the only one — every session is sharded.)
+SNAPSHOT_VERSION = 3
 
 _MAGIC = b"REPRO-SNAPSHOT\n"
 
@@ -128,56 +129,28 @@ def constraint_digest(dcs: Sequence[DenialConstraint]) -> tuple:
 
 
 @dataclass
-class SessionSnapshot:
-    """The full derived state of one flat :class:`MeasurementSession`.
+class ShardSnapshot:
+    """The derived state of one shard, nested in a :class:`SessionSnapshot`.
 
-    ``stores`` holds, per lowered-DC position, the witness key tuples in
-    the store's maintained sorted order; ``topology`` is the
+    ``stores`` holds, per lowered-DC position of the shard, the witness key
+    tuples in the store's maintained sorted order; ``topology`` is the
     :meth:`~repro.violations.topology.ComponentTopology.capture` payload;
     ``cache`` carries ``(measure token, content key, value)`` triples for
     the components live at snapshot time (see
     :meth:`~repro.measures.base.ComponentValueCache.export_warm`).
+    ``constraints`` is the digest of the shard's own lowered DCs, so a
+    payload is never restored into a shard it was not captured from.
     """
 
-    version: int
-    fingerprint: DatabaseFingerprint
     constraints: tuple
     stores: list = field(default_factory=list)
     topology: dict = field(default_factory=dict)
     cache: list = field(default_factory=list)
 
-    def matches(
-        self,
-        dcs: Sequence[DenialConstraint],
-        database: Database,
-        current: DatabaseFingerprint | None = None,
-    ) -> bool:
-        """Whether restoring into ``(dcs, database)`` is bit-safe.
-
-        *current* lets a caller that just fingerprinted *database* skip the
-        O(n) recompute — the sharded coordinator hashes the shared database
-        once and verifies every shard payload against the same value.  The
-        cheap identity checks run first, so rejecting a drifted or foreign
-        snapshot costs O(constraints), not an O(n) hash.
-        """
-        if (
-            self.version != SNAPSHOT_VERSION
-            or self.constraints != constraint_digest(dcs)
-        ):
-            return False
-        if current is None:
-            if (
-                self.fingerprint.fact_count != len(database)
-                or self.fingerprint.next_id != database._next_id
-            ):
-                return False
-            current = database_fingerprint(database)
-        return self.fingerprint == current
-
 
 @dataclass
-class ShardedSessionSnapshot:
-    """Per-shard snapshots plus the partition they were routed under."""
+class SessionSnapshot:
+    """One session's shard payloads plus the partition they were routed under."""
 
     version: int
     fingerprint: DatabaseFingerprint
@@ -193,13 +166,12 @@ class ShardedSessionSnapshot:
     ) -> DatabaseFingerprint | None:
         """The database's current fingerprint when restoring is bit-safe.
 
-        Coordinator-level verification, the routing partition included:
-        the per-shard payloads only describe the right slices when the
-        restoring session routes constraints exactly as the captured one
-        did.  Cheap identity checks run first, so a rejected snapshot
-        costs no hashing; on success the computed fingerprint is returned
-        so the shards can re-verify their payloads against it without
-        rehashing (O(n), not O(k·n)).  Returns None on any mismatch.
+        Session-level verification, the routing partition included: the
+        shard payloads only describe the right slices when the restoring
+        session routes constraints exactly as the captured one did.  Cheap
+        identity checks run first, so rejecting a drifted or foreign
+        snapshot costs O(constraints), not an O(n) hash.  Returns None on
+        any mismatch.
         """
         if (
             self.version != SNAPSHOT_VERSION
@@ -235,7 +207,7 @@ _ALLOWED_CLASSES = {
     ("builtins", "set"),
     ("repro.session.snapshot", "DatabaseFingerprint"),
     ("repro.session.snapshot", "SessionSnapshot"),
-    ("repro.session.snapshot", "ShardedSessionSnapshot"),
+    ("repro.session.snapshot", "ShardSnapshot"),
     ("repro.relational.database", "Fact"),
 }
 

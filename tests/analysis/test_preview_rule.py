@@ -235,3 +235,56 @@ class TestRealTreeContract:
         )
         (finding,) = findings_of(PreviewPurityRule(), module)
         assert "_components" in finding.message
+
+
+class TestManifestEntries:
+    """Stale manifest entries are findings, not silently skipped roots."""
+
+    MANIFEST = make_module("repro.analysis.config", "PREVIEW_ROOTS = ()\n")
+    SESSION_MODULE = make_module(
+        SESSION,
+        """
+        class MeasurementSession:
+            def speculate_batch(self, deltas):
+                return self._speculation_base()
+
+            def _speculation_base(self):
+                self._cached = None
+        """,
+    )
+
+    def test_bogus_root_is_reported(self):
+        bogus = f"{SESSION}:MeasurementSession.no_such_preview"
+        roots = (f"{SESSION}:MeasurementSession.speculate_batch", bogus)
+        (finding,) = findings_of(
+            rule(roots=roots), self.MANIFEST, self.SESSION_MODULE
+        )
+        assert "PREVIEW_ROOTS" in finding.message
+        assert bogus in finding.message
+        assert finding.path == "repro/analysis/config.py"
+
+    def test_bogus_stop_edge_is_reported(self):
+        stale = "repro.session.gone:Session._speculation_base"
+        stop_edges = frozenset(
+            {f"{SESSION}:MeasurementSession._speculation_base", stale}
+        )
+        (finding,) = findings_of(
+            rule(stop_edges=stop_edges), self.MANIFEST, self.SESSION_MODULE
+        )
+        assert "PREVIEW_STOP_EDGES" in finding.message
+        assert stale in finding.message
+
+    def test_resolving_manifest_is_clean(self):
+        assert not findings_of(rule(), self.MANIFEST, self.SESSION_MODULE)
+
+    def test_shipped_manifest_resolves_in_the_real_tree(self, repo_root):
+        """Every shipped root and stop edge names a function in src/."""
+        from repro.analysis.engine import collect
+
+        project = collect([repo_root / "src"])
+        stale = [
+            finding
+            for finding in PreviewPurityRule().finish(project)
+            if "stale preview manifest entry" in finding.message
+        ]
+        assert not stale, [finding.message for finding in stale]

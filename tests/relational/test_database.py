@@ -248,16 +248,16 @@ class TestSavepointEdgeCases:
         mid-savepoint it goes stale and refresh() recovers.
         """
         from repro.constraints import FunctionalDependency
-        from repro.session import ShardedMeasurementSession
+        from repro.session import MeasurementSession
         from repro.violations import build_violation_index
 
         constraints = [FunctionalDependency("R", {"A"}, {"B"})]
         db = Database.from_rows(schema, "R", [(1, 1), (1, 2), (2, 5)])
         with db.savepoint():
             db.update(2, "A", 1)
-            attached = ShardedMeasurementSession(constraints, db)
+            attached = MeasurementSession(constraints, db)
             assert len(attached.index().mi_sets) == 3
-            detached = ShardedMeasurementSession(constraints, db)
+            detached = MeasurementSession(constraints, db)
             db.update(0, "B", 2)
             detached.close()
             db.insert(Fact("R", (1, 7)))

@@ -22,7 +22,6 @@ from repro.measures.mc import MaximalConsistentMeasure
 from repro.relational import Database, Fact, Schema
 from repro.session import (
     MeasurementSession,
-    ShardedMeasurementSession,
     load_snapshot,
     make_session,
     save_snapshot,
@@ -59,6 +58,14 @@ def _workload(n: int = 14):
         for column in ({"A"}, {"C"})
     ]
     return constraints, database
+
+
+#: Both read paths of the workload: one explicit group (a one-shard
+#: session — no merge) and ``"auto"`` (one shard per relation — k-way merge).
+SHARDINGS = [
+    pytest.param([("R", "S")], id="one-group"),
+    pytest.param("auto", id="auto"),
+]
 
 
 def _fresh_values(constraints, database, measures):
@@ -185,7 +192,7 @@ class TestShardFanoutDrill:
     def test_degraded_shard_rebuilds_cold(self):
         constraints, database = _workload()
         measures = make_measures(("I_MI", "I_P", "I_R"))
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             session.measure_all(measures)
             with faults.inject(FAULT_FANOUT):
                 with pytest.raises(FaultInjected):
@@ -203,11 +210,33 @@ class TestShardFanoutDrill:
     def test_repeated_fanout_faults_keep_recovering(self):
         constraints, database = _workload(8)
         measures = make_measures(("I_MI", "I_d"))
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             with faults.inject(FAULT_FANOUT, times=None):
                 for i in range(3):
                     with pytest.raises(FaultInjected):
                         database.insert(Fact("R", (0, 100 + i, 0)))
+            assert session.measure_all(measures) == _fresh_values(
+                constraints, database, measures
+            )
+
+    def test_single_relation_session_has_a_fanout_point(self):
+        """A one-relation session routes through the same fan-out: a
+        raising event degrades its only shard to a cold rebuild."""
+        schema = Schema.from_dict({"R": ["A", "B", "C"]})
+        database = Database.from_facts(
+            schema, [Fact("R", (i // 2, i, (i + 1) // 2)) for i in range(10)]
+        )
+        constraints = [
+            FunctionalDependency("R", column, {"B"})
+            for column in ({"A"}, {"C"})
+        ]
+        measures = make_measures(("I_MI", "I_P", "I_MC", "I_R"))
+        with MeasurementSession(constraints, database) as session:
+            assert len(session.shards) == 1
+            session.measure_all(measures)
+            with faults.inject(FAULT_FANOUT):
+                with pytest.raises(FaultInjected):
+                    database.update(0, "B", 99)
             assert session.measure_all(measures) == _fresh_values(
                 constraints, database, measures
             )
@@ -224,7 +253,7 @@ class TestEnumerationLimitExceptionSafety:
             MaximalConsistentMeasure(enumeration_limit=3),
         ]
 
-    @pytest.mark.parametrize("shards", [None, "auto"])
+    @pytest.mark.parametrize("shards", SHARDINGS)
     def test_measure_all_raise_is_exception_safe(self, shards):
         constraints, database = _workload()
         exact = make_measures(TABLE2_MEASURES)
@@ -240,7 +269,7 @@ class TestEnumerationLimitExceptionSafety:
                 constraints, database, exact
             )
 
-    @pytest.mark.parametrize("shards", [None, "auto"])
+    @pytest.mark.parametrize("shards", SHARDINGS)
     def test_speculate_batch_raise_is_exception_safe(self, shards):
         constraints, database = _workload()
         exact = make_measures(TABLE2_MEASURES)
@@ -266,7 +295,7 @@ class TestRandomizedDegradationDrill:
     """Seed-driven rates over every point while a session works; after the
     plan deactivates the session must be bit-identical to from-scratch."""
 
-    @pytest.mark.parametrize("shards", [None, "auto"])
+    @pytest.mark.parametrize("shards", SHARDINGS)
     def test_drill_lands_in_defined_state(self, shards, case_rng):
         rng = case_rng
         constraints, database = _workload(10)
@@ -334,7 +363,7 @@ class TestIngestFlushFault:
 
         constraints, database = _workload(8)
         measures = make_measures(("I_MI", "I_d"))
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             pipe = session.ingest()
             with faults.fault_plan(
                 case_rng.randrange(2**31), rates={FAULT_FLUSH: 0.4}

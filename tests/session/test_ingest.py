@@ -27,7 +27,6 @@ from repro.session import (
     IngestPipeline,
     IngestRead,
     MeasurementSession,
-    ShardedMeasurementSession,
     database_fingerprint,
     make_session,
 )
@@ -56,11 +55,25 @@ def _seeded(n: int = 12) -> Database:
     return database
 
 
+#: One explicit group for R and S: a one-shard session (no merge).
+ONE_GROUP = [("R", "S")]
+
+
 def _flavors():
+    """Both read paths: one explicit group and ``"auto"`` (k-way merge)."""
     return [
-        pytest.param(MeasurementSession, id="flat"),
-        pytest.param(ShardedMeasurementSession, id="sharded"),
+        pytest.param(ONE_GROUP, id="one-group"),
+        pytest.param("auto", id="auto"),
     ]
+
+
+def _generation(session: MeasurementSession) -> tuple[int, ...]:
+    return tuple(shard.topology.generation for shard in session.shards)
+
+
+def _r_shard(session: MeasurementSession):
+    """The shard indexing relation R."""
+    return session.shards[session._shard_number["R"]]
 
 
 def _mirror(reference: Database) -> tuple[Database, MeasurementSession]:
@@ -84,7 +97,7 @@ class TestCoalescing:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_insert_update_delete_nets_out(self, flavor):
         database = _seeded()
-        session = flavor(_constraints(), database)
+        session = MeasurementSession(_constraints(), database, flavor)
         pipe = session.ingest()
         before = database_fingerprint(database)
         identifier = pipe.submit("insert", Fact("R", ("a0", "zzz")))
@@ -116,9 +129,9 @@ class TestCoalescing:
         assert pipe.submit("update", 0, "B", "elsewhere") is True
         assert pipe.submit("update", 0, "B", original) is True
         assert pipe.pending == 0
-        generation = session.topology.generation
+        generation = _generation(session)
         pipe.flush()
-        assert session.topology.generation == generation
+        assert _generation(session) == generation
 
     def test_delete_then_reuse_same_relation(self):
         database = _seeded(4)
@@ -274,7 +287,7 @@ class TestStalenessReads:
         database = _seeded()
         session = MeasurementSession(_constraints(), database)
         pipe = session.ingest()
-        generation = session.topology.generation
+        generation = _generation(session)
         for k in range(5):
             pipe.submit("insert", Fact("R", (f"a{k}", "dup")))
         read = pipe.read(MEASURES, max_staleness_events=5)
@@ -305,7 +318,7 @@ class TestStalenessReads:
 
     def test_sharded_drains_only_backlogged_shards(self):
         database = _seeded()
-        session = ShardedMeasurementSession(_constraints(), database)
+        session = MeasurementSession(_constraints(), database)
         pipe = session.ingest()
         generations = [shard.topology.generation for shard in session.shards]
         for k in range(4):
@@ -323,12 +336,12 @@ class TestStalenessReads:
             shard.topology.generation for shard in session.shards
         )
 
-    def test_flat_generation_is_an_int_sharded_a_tuple(self):
-        database = _seeded()
-        flat = MeasurementSession(_constraints(), database).ingest()
-        assert isinstance(flat.read(()).generation, int)
-        database2 = _seeded()
-        sharded = ShardedMeasurementSession(_constraints(), database2).ingest()
+    def test_generation_is_a_per_shard_tuple(self):
+        one_group = MeasurementSession(_constraints(), _seeded(), ONE_GROUP)
+        generation = one_group.ingest().read(()).generation
+        assert generation == _generation(one_group)
+        assert len(generation) == 1
+        sharded = MeasurementSession(_constraints(), _seeded()).ingest()
         generation = sharded.read(()).generation
         assert isinstance(generation, tuple)
         assert len(generation) == 2
@@ -340,15 +353,14 @@ class TestFlushResidue:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_insert_delete_leaves_no_touching_or_bucket_residue(self, flavor):
         database = _seeded()
-        session = flavor(_constraints(), database)
+        session = MeasurementSession(_constraints(), database, flavor)
         session.index()
         pipe = session.ingest()
         identifier = pipe.submit("insert", Fact("R", ("a0", "hot")))
         assert pipe.submit("delete", identifier) is True
         pipe.flush()
         session.index()
-        shards = getattr(session, "shards", [session])
-        for shard in shards:
+        for shard in session.shards:
             assert identifier not in shard._touching
             for buckets in shard._eq_index._maps.values():
                 for bucket in buckets.values():
@@ -364,15 +376,16 @@ class TestFlushResidue:
         database = _seeded()
         session = MeasurementSession(_constraints(), database)
         session.index()
-        generation = session.topology.generation
+        generation = _generation(session)
         identifier = database.insert(Fact("R", ("a0", "hot")))
         database.delete(identifier)
         session.index()
-        assert identifier not in session._touching
-        for buckets in session._eq_index._maps.values():
+        shard = _r_shard(session)
+        assert identifier not in shard._touching
+        for buckets in shard._eq_index._maps.values():
             for bucket in buckets.values():
                 assert identifier not in bucket
-        assert session.topology.generation == generation
+        assert _generation(session) == generation
 
     def test_bound_fact_updated_then_deleted(self):
         database = _seeded(0)
@@ -381,14 +394,15 @@ class TestFlushResidue:
         a = database.insert(Fact("R", ("k", "v1")))
         b = database.insert(Fact("R", ("k", "v2")))  # conflicts with a
         session.index()
-        assert a in session._touching and b in session._touching
+        shard = _r_shard(session)
+        assert a in shard._touching and b in shard._touching
         assert pipe.submit("update", b, "B", "v3") is True
         assert pipe.submit("delete", b) is True
         pipe.flush()
         session.index()
-        assert b not in session._touching
-        assert a not in session._touching  # its only witness retracted
-        for buckets in session._eq_index._maps.values():
+        assert b not in shard._touching
+        assert a not in shard._touching  # its only witness retracted
+        for buckets in shard._eq_index._maps.values():
             for bucket in buckets.values():
                 assert b not in bucket
         with MeasurementSession(_constraints(), database) as fresh:
@@ -401,7 +415,7 @@ class TestGenerationStability:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_netted_batch_preserves_generation_and_spec_base(self, flavor):
         database = _seeded()
-        session = flavor(_constraints(), database)
+        session = MeasurementSession(_constraints(), database, flavor)
         base = session._speculation_base()
         pipe = session.ingest()
         original = database[0].values[1]
@@ -416,12 +430,12 @@ class TestGenerationStability:
         database = _seeded()
         session = MeasurementSession(_constraints(), database)
         base = session._speculation_base()
-        generation = session.topology.generation
+        generation = _generation(session)
         pipe = session.ingest()
         # T is mentioned by no constraint: real net events, empty delta.
         pipe.submit("insert", Fact("T", (123, 456)))
         assert pipe.flush() == 1
-        assert session.topology.generation == generation
+        assert _generation(session) == generation
         assert session._speculation_base() is base
 
 
@@ -429,7 +443,7 @@ class TestObservability:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_stats_surface_ingest_counters(self, flavor):
         database = _seeded()
-        session = flavor(_constraints(), database)
+        session = MeasurementSession(_constraints(), database, flavor)
         assert "ingest" not in session.stats()
         pipe = session.ingest(capacity=16)
         pipe.submit("update", 0, "B", "x")
@@ -496,7 +510,7 @@ class TestLockstepConformance:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_lockstep_parity(self, flavor, case_rng):
         database = _seeded()
-        session = flavor(_constraints(), database)
+        session = MeasurementSession(_constraints(), database, flavor)
         mirror_db, mirror_sess = _mirror(database)
         pipe = session.ingest(capacity=32)
         for step in range(160):
@@ -516,7 +530,7 @@ class TestLockstepConformance:
     @pytest.mark.parametrize("round_", range(4))
     def test_lockstep_parity_soak(self, flavor, round_, case_rng):
         database = _seeded(20)
-        session = flavor(_constraints(), database)
+        session = MeasurementSession(_constraints(), database, flavor)
         mirror_db, mirror_sess = _mirror(database)
         pipe = session.ingest(capacity=64)
         for step in range(600):
@@ -535,11 +549,11 @@ class TestLockstepConformance:
 class TestSpeculateBatchDirtyMarks:
     """Satellite regression: batch rollback marks vs outside mutations."""
 
-    def test_flat_out_of_band_marks_survive_batch(self):
+    def test_one_shard_out_of_band_marks_survive_batch(self):
         from repro.repairs.operations import UpdateOperation
 
         database = _seeded()
-        session = MeasurementSession(_constraints(), database)
+        session = MeasurementSession(_constraints(), database, ONE_GROUP)
         session.index()
         candidates = [
             [UpdateOperation(0, "B", "x")],
@@ -570,7 +584,7 @@ class TestSpeculateBatchDirtyMarks:
         from repro.repairs.operations import UpdateOperation
 
         database = _seeded()
-        session = ShardedMeasurementSession(_constraints(), database)
+        session = MeasurementSession(_constraints(), database)
         session.index()
         # Candidates touch only shard 0 (relation R); the out-of-band
         # commit lands on shard 1 (relation S), which the old wholesale

@@ -152,8 +152,16 @@ def _random_instance(rng: random.Random, size: int):
     return schema, relations, spread, database, dcs
 
 
+def _stores(session: MeasurementSession) -> list:
+    """The witness stores in global lowered-DC order, across shards."""
+    return [
+        session.shards[number]._witnesses[local]
+        for number, local in session._routing
+    ]
+
+
 def _witness_sets(session: MeasurementSession) -> list[set[frozenset[int]]]:
-    return [set(store) for store in session._witnesses]
+    return [set(store) for store in _stores(session)]
 
 
 def _assert_identical(
@@ -163,8 +171,8 @@ def _assert_identical(
     assert probe.index().mi_sets == other.index().mi_sets
     assert _witness_sets(probe) == _witness_sets(other)
     assert [
-        [v.fact_ids for v in store.ordered()] for store in probe._witnesses
-    ] == [[v.fact_ids for v in store.ordered()] for store in other._witnesses]
+        [v.fact_ids for v in store.ordered()] for store in _stores(probe)
+    ] == [[v.fact_ids for v in store.ordered()] for store in _stores(other)]
 
 
 def _mutate(rng: random.Random, database: Database, relations, spread) -> None:
@@ -185,15 +193,11 @@ class TestColdEquivalence:
     def test_cold_witnesses_identical(self, case, case_rng):
         rng = case_rng
         _, _, _, database, dcs = _random_instance(rng, rng.randint(20, 80))
-        probe = MeasurementSession(
-            [], database, dcs=dcs, subscribe=False, engine="probe"
-        )
+        probe = MeasurementSession(dcs, database, engine="probe")
         for engine in ("batch", "auto"):
             if engine == "batch" and not all(batch_compilable(dc) for dc in dcs):
                 continue
-            session = MeasurementSession(
-                [], database, dcs=dcs, subscribe=False, engine=engine
-            )
+            session = MeasurementSession(dcs, database, engine=engine)
             _assert_identical(probe, session)
 
     def test_auto_engine_selection(self, case_rng):
@@ -208,9 +212,7 @@ class TestColdEquivalence:
             [Predicate(Term.col("t", "B"), ComparisonOp.LT, Term.col("t2", "B"))],
             name="nojoin",
         )
-        session = MeasurementSession(
-            [], database, dcs=[joinable, crossing], subscribe=False
-        )
+        session = MeasurementSession([joinable, crossing], database)
         engines = [s["engine"] for s in session.stats()["constraints"]]
         assert engines == ["batch", "probe"]
 
@@ -223,14 +225,12 @@ class TestColdEquivalence:
             name="nojoin",
         )
         with pytest.raises(ValueError, match="not equality-joinable"):
-            MeasurementSession(
-                [], database, dcs=[crossing], subscribe=False, engine="batch"
-            )
+            MeasurementSession([crossing], database, engine="batch")
 
     def test_unknown_engine_rejected(self):
         database = Database(_schema(["R0"]))
         with pytest.raises(ValueError, match="unknown enumeration engine"):
-            MeasurementSession([], database, dcs=[], engine="vectorized")
+            MeasurementSession([], database, engine="vectorized")
 
     def test_stats_counters_track_work(self, case_rng):
         rng = case_rng
@@ -243,9 +243,7 @@ class TestColdEquivalence:
             ],
             name="fd",
         )
-        session = MeasurementSession(
-            [], database, dcs=[dc], engine="batch"
-        )
+        session = MeasurementSession([dc], database, engine="batch")
         stats = session.stats()["constraints"][0]
         assert stats["constraint"] == "fd"
         assert stats["engine"] == "batch"
@@ -270,8 +268,8 @@ class TestDeltaEquivalence:
         mirror = Database(database.schema)
         for _, fact in database.items():
             mirror.insert(Fact(fact.relation, fact.values))
-        probe = MeasurementSession([], database, dcs=dcs, engine="probe")
-        batch = MeasurementSession([], mirror, dcs=dcs, engine="auto")
+        probe = MeasurementSession(dcs, database, engine="probe")
+        batch = MeasurementSession(dcs, mirror, engine="auto")
         _assert_identical(probe, batch)
         for step in range(rng.randint(25, 60)):
             state = rng.getstate()
@@ -298,8 +296,8 @@ class TestDeltaEquivalence:
         mirror = Database(database.schema)
         for _, fact in database.items():
             mirror.insert(Fact(fact.relation, fact.values))
-        probe = MeasurementSession([], database, dcs=dcs, engine="probe")
-        batch = MeasurementSession([], mirror, dcs=dcs, engine="auto")
+        probe = MeasurementSession(dcs, database, engine="probe")
+        batch = MeasurementSession(dcs, mirror, engine="auto")
         measure = make_measure("I_MI")
         for _ in range(4):
             identifiers = database.ids()
@@ -347,8 +345,8 @@ class TestShardedAndWarmStart:
             FunctionalDependency("R1", {"A"}, {"C"}),
         ]
         session = make_session(constraints, database, shards="auto", engine="batch")
-        flat = MeasurementSession(constraints, database, subscribe=False, engine="probe")
-        assert session.index().mi_sets == flat.index().mi_sets
+        probe = MeasurementSession(constraints, database, engine="probe")
+        assert session.index().mi_sets == probe.index().mi_sets
         stats = session.stats()
         assert stats["engine"] == "batch"
         assert [s["engine"] for s in stats["constraints"]] == ["batch", "batch"]
@@ -357,7 +355,7 @@ class TestShardedAndWarmStart:
             dc.name for dc in session.dcs
         ]
         session.close()
-        flat.close()
+        probe.close()
 
     def test_warm_start_uses_batch_delta(self, case_rng):
         rng = case_rng
@@ -374,16 +372,12 @@ class TestShardedAndWarmStart:
             ],
             name="fd",
         )
-        with MeasurementSession([], database, dcs=[dc], engine="batch") as warm_src:
+        with MeasurementSession([dc], database, engine="batch") as warm_src:
             snap = warm_src.snapshot()
-        session = MeasurementSession(
-            [], database, dcs=[dc], engine="batch", warm_start=snap
-        )
+        session = MeasurementSession([dc], database, engine="batch", warm_start=snap)
         assert session.warm_started
         assert session.stats()["constraints"][0]["cold_runs"] == 0
-        reference = MeasurementSession(
-            [], database, dcs=[dc], subscribe=False, engine="probe"
-        )
+        reference = MeasurementSession([dc], database, engine="probe")
         _assert_identical(reference, session)
         for _ in range(10):
             _mutate(rng, database, relations, 5)

@@ -1,13 +1,15 @@
-"""Sharded == unsharded conformance, constraint routing, and fan-out.
+"""Partition conformance, constraint routing, and fan-out.
 
 The anchor invariant is differential: over randomized multi-relation
 schemas, DC sets (including cross-relation DCs that force merged shards)
-and interleaved insert/delete/update/speculate histories, a
-:class:`ShardedMeasurementSession` must return **bit-identical**
-``measure_all`` values, ``index()`` content and ``speculate_batch`` scores
-to the flat :class:`MeasurementSession` over the same database — the same
-randomized-history style black-box checking used for snapshot-isolation
-conformance, applied to the shard/unsharded equivalence contract.
+and interleaved insert/delete/update/speculate histories, a session
+partitioned ``"auto"`` (one shard per hypergraph component — the k-way
+merge read path) must return **bit-identical** ``measure_all`` values,
+``index()`` content and ``speculate_batch`` scores to a session over one
+explicit group holding every relation (one shard — the no-merge read
+path) on the same database — the same randomized-history style black-box
+checking used for snapshot-isolation conformance, applied to the
+partition-equivalence contract.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from repro.repairs.operations import (
     UpdateOperation,
     apply_sequence,
 )
-from repro.session import (
-    MeasurementSession,
-    ShardedMeasurementSession,
-    make_session,
-    relation_groups,
-)
+from repro.session import MeasurementSession, make_session, relation_groups
 from repro.violations import build_violation_index, lower_constraints
 
 
@@ -45,6 +42,13 @@ def _cross_dc(left: str, right: str) -> DenialConstraint:
             Predicate(Term.col("x", "B"), ComparisonOp.NE, Term.col("y", "B")),
         ],
         name=f"cross_{left}_{right}",
+    )
+
+
+def _one_group(database: Database, constraints) -> MeasurementSession:
+    """A one-shard session: every relation in one explicit group."""
+    return MeasurementSession(
+        constraints, database, [tuple(database.schema.relation_names())]
     )
 
 
@@ -113,8 +117,8 @@ def _random_candidates(
     return candidates
 
 
-def _assert_index_identical(flat: MeasurementSession, sharded) -> None:
-    fi, si = flat.index(), sharded.index()
+def _assert_index_identical(single: MeasurementSession, sharded) -> None:
+    fi, si = single.index(), sharded.index()
     assert fi.mi_sets == si.mi_sets
     assert [
         (violation.fact_ids, violation.constraint.name)
@@ -151,26 +155,26 @@ class TestRandomizedConformance:
             ],
         )
         measures = [make_measure(name) for name in TABLE2_MEASURES]
-        with MeasurementSession(constraints, database) as flat:
-            with ShardedMeasurementSession(constraints, database) as sharded:
+        with _one_group(database, constraints) as single:
+            with MeasurementSession(constraints, database) as sharded:
                 for step in range(60):
                     _random_mutation(rng, database, relations)
                     if step % 3 == 0:
-                        assert flat.measure_all(measures) == sharded.measure_all(
+                        assert single.measure_all(measures) == sharded.measure_all(
                             measures
                         ), step
-                        _assert_index_identical(flat, sharded)
+                        _assert_index_identical(single, sharded)
                         assert (
-                            set(flat.problematic_facts())
+                            set(single.problematic_facts())
                             == sharded.problematic_facts()
                         ), step
-                        assert flat.is_consistent() == sharded.is_consistent()
+                        assert single.is_consistent() == sharded.is_consistent()
                     if step % 10 == 0:
                         candidates = _random_candidates(
                             rng, database, relations, 4
                         )
                         batch = sharded.speculate_batch(candidates, measures)
-                        assert batch == flat.speculate_batch(
+                        assert batch == single.speculate_batch(
                             candidates, measures
                         ), step
                         # Spot-check one candidate against copy-apply-rebuild.
@@ -199,18 +203,18 @@ class TestRandomizedConformance:
             [_random_fact(rng, rng.choice(relations)) for _ in range(8)],
         )
         registry = [make_measure(name) for name in available_measures()]
-        with MeasurementSession(constraints, database) as flat:
-            with ShardedMeasurementSession(constraints, database) as sharded:
+        with _one_group(database, constraints) as single:
+            with MeasurementSession(constraints, database) as sharded:
                 for _ in range(3):
                     candidates = _random_candidates(rng, database, relations, 2)
                     assert sharded.speculate_batch(
                         candidates, registry
-                    ) == flat.speculate_batch(candidates, registry)
+                    ) == single.speculate_batch(candidates, registry)
                     assert [
                         sharded.speculate(operations, registry)
                         for operations in candidates
                     ] == [
-                        flat.speculate(operations, registry)
+                        single.speculate(operations, registry)
                         for operations in candidates
                     ]
                     # Keep the database small: the update-repair measure is
@@ -231,18 +235,18 @@ class TestRandomizedConformance:
             [_random_fact(rng, rng.choice(relations)) for _ in range(18)],
         )
         measures = [make_measure(name) for name in ("I_MI", "I_P", "I_MC")]
-        with MeasurementSession(constraints, database) as flat:
-            with ShardedMeasurementSession(constraints, database) as sharded:
+        with _one_group(database, constraints) as single:
+            with MeasurementSession(constraints, database) as sharded:
                 for step in range(12):
                     _random_mutation(rng, database, relations)
-                    assert flat.measure_all(measures) == sharded.measure_all(
+                    assert single.measure_all(measures) == sharded.measure_all(
                         measures
                     ), step
-                _assert_index_identical(flat, sharded)
+                _assert_index_identical(single, sharded)
                 candidates = _random_candidates(rng, database, relations, 3)
                 assert sharded.speculate_batch(
                     candidates, measures
-                ) == flat.speculate_batch(candidates, measures)
+                ) == single.speculate_batch(candidates, measures)
 
     def test_sharded_session_attached_mid_history(self, case_rng):
         """A sharded session built over a dirty mid-stream state conforms."""
@@ -253,13 +257,13 @@ class TestRandomizedConformance:
             schema,
             [_random_fact(rng, rng.choice(relations)) for _ in range(15)],
         )
-        with MeasurementSession(constraints, database) as flat:
+        with _one_group(database, constraints) as single:
             for _ in range(10):
                 _random_mutation(rng, database, relations)
-            with ShardedMeasurementSession(constraints, database) as sharded:
+            with MeasurementSession(constraints, database) as sharded:
                 for _ in range(10):
                     _random_mutation(rng, database, relations)
-                _assert_index_identical(flat, sharded)
+                _assert_index_identical(single, sharded)
 
 
 class TestRouting:
@@ -304,7 +308,7 @@ class TestRouting:
             FunctionalDependency("R3", {"A"}, {"B"}),
         ]
         database = Database(schema)
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             assert session.relation_groups == [("R0",), ("R1", "R3")]
             owned = {id(dc) for shard in session.shards for dc in shard.dcs}
             assert owned == {id(dc) for dc in session.dcs}
@@ -317,30 +321,40 @@ class TestRouting:
             _cross_dc("R1", "R2"),
         ]
         database = Database(schema)
-        session = ShardedMeasurementSession(
+        session = MeasurementSession(
             constraints, database, shards=[("R0",), ("R1", "R2")]
         )
         assert session.relation_groups == [("R0",), ("R1", "R2")]
         session.close()
         with pytest.raises(ValueError, match="crosses the shard partition"):
-            ShardedMeasurementSession(
+            MeasurementSession(
                 constraints, database, shards=[("R0", "R1"), ("R2",)]
             )
         with pytest.raises(ValueError, match="in two shards"):
-            ShardedMeasurementSession(
+            MeasurementSession(
                 constraints, database, shards=[("R0", "R1"), ("R1", "R2")]
             )
 
-    def test_make_session_dispatch(self):
+    def test_make_session_builds_the_one_session_class(self):
+        schema = self._schema()
+        constraints = [
+            FunctionalDependency("R0", {"A"}, {"B"}),
+            FunctionalDependency("R1", {"A"}, {"B"}),
+        ]
+        database = Database(schema)
+        with make_session(constraints, database) as session:
+            assert type(session) is MeasurementSession
+            assert session.relation_groups == [("R0",), ("R1",)]
+        grouped = make_session(constraints, database, shards=[("R0", "R1")])
+        assert len(grouped.shards) == 1
+        grouped.close()
+
+    def test_single_relation_is_one_shard(self):
         schema = self._schema()
         constraints = [FunctionalDependency("R0", {"A"}, {"B"})]
-        database = Database(schema)
-        flat = make_session(constraints, database)
-        assert type(flat) is MeasurementSession
-        flat.close()
-        sharded = make_session(constraints, database, shards="auto")
-        assert type(sharded) is ShardedMeasurementSession
-        sharded.close()
+        with MeasurementSession(constraints, Database(schema)) as session:
+            assert session.relation_groups == [("R0",)]
+            assert len(session.shards) == 1
 
 
 class TestFanOut:
@@ -362,15 +376,15 @@ class TestFanOut:
                 Fact("R2", (9, "z", 0)),
             ],
         )
-        return database, ShardedMeasurementSession(constraints, database)
+        return database, MeasurementSession(constraints, database)
 
     def test_events_reach_only_the_owning_shard(self):
         database, session = self._session()
         with session:
             session.index()
             database.update(0, "B", "y")  # an R0 fact
-            shard_r0 = session._shard_of_relation["R0"]
-            shard_r1 = session._shard_of_relation["R1"]
+            shard_r0 = session.shards[session._shard_number["R0"]]
+            shard_r1 = session.shards[session._shard_number["R1"]]
             assert shard_r0._dirty == {0}
             assert shard_r1._dirty == set()
             generation_r1 = shard_r1.topology.generation
@@ -406,7 +420,7 @@ class TestFanOut:
     def test_empty_constraint_set(self):
         schema = Schema.from_dict({"R0": ["A"]})
         database = Database.from_facts(schema, [Fact("R0", (1,))])
-        with ShardedMeasurementSession([], database) as session:
+        with MeasurementSession([], database) as session:
             assert session.shards == []
             assert session.is_consistent()
             assert session.index().mi_sets == []
@@ -424,7 +438,7 @@ class TestShardedAgainstScratch:
             schema,
             [_random_fact(rng, rng.choice(relations)) for _ in range(25)],
         )
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             for _ in range(15):
                 _random_mutation(rng, database, relations)
             full = build_violation_index(constraints, database)
@@ -447,7 +461,7 @@ class TestShardedAgainstScratch:
             schema,
             [_random_fact(rng, rng.choice(relations)) for _ in range(12)],
         )
-        session = ShardedMeasurementSession(constraints, database)
+        session = MeasurementSession(constraints, database)
         session.close()
         for _ in range(8):
             _random_mutation(rng, database, relations)
@@ -473,7 +487,7 @@ class TestRefreshInvalidation:
         measures = [
             make_measure(name) for name in ("I_MI", "I_P", "I_MC", "I'_MC")
         ]
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             for _ in range(6):
                 _random_mutation(rng, database, relations)
             session.measure_all(measures)  # populate every memoized stream
@@ -485,7 +499,7 @@ class TestRefreshInvalidation:
             assert all(not memo for memo in session._parts)
             assert session._pseudo is None and session._pseudo_key is None
             assert session._spec_base is None
-            with ShardedMeasurementSession(constraints, database) as fresh:
+            with MeasurementSession(constraints, database) as fresh:
                 assert session.measure_all(measures) == fresh.measure_all(
                     measures
                 )
@@ -524,8 +538,6 @@ class TestRefreshInvalidation:
 class TestMixedMeasureSpeculation:
     def test_mixed_list_keeps_component_fast_path(self, monkeypatch):
         """Only the whole-database stragglers go through the generic path."""
-        import repro.session.sharding as sharding_module
-
         schema = Schema.from_dict(
             {"T0": ["A", "B", "C"], "T1": ["A", "B", "C"]}
         )
@@ -552,12 +564,10 @@ class TestMixedMeasureSpeculation:
             generic_lists.append([measure.name for measure in measures])
             return original(session, measures)
 
-        # Every generic read funnels through _generic_values; the sharded
-        # speculate calls its own imported binding, the batch path goes
-        # through the session module's helpers.
+        # Every generic read funnels through the session module's
+        # _generic_values.
         monkeypatch.setattr(session_module, "_generic_values", spy)
-        monkeypatch.setattr(sharding_module, "_generic_values", spy)
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             values = session.speculate([DeleteOperation(0)], mixed)
             batch = session.speculate_batch(
                 [[DeleteOperation(0)], [DeleteOperation(2)]], mixed
@@ -575,7 +585,7 @@ class TestMixedMeasureSpeculation:
         assert batch[0] == reference
 
     def test_mixed_list_value_identity_randomized(self, case_rng):
-        """Sharded == flat == copy-apply-rebuild for mixed measure lists."""
+        """Auto == one group == copy-apply-rebuild for mixed measure lists."""
         rng = case_rng
         schema, constraints = _random_setup(rng)
         relations = schema.relation_names()
@@ -584,18 +594,18 @@ class TestMixedMeasureSpeculation:
             [_random_fact(rng, rng.choice(relations)) for _ in range(10)],
         )
         mixed = [make_measure(name) for name in ("I_MI", "I_d", "I_P", "I_MC")]
-        with MeasurementSession(constraints, database) as flat:
-            with ShardedMeasurementSession(constraints, database) as sharded:
+        with _one_group(database, constraints) as single:
+            with MeasurementSession(constraints, database) as sharded:
                 for _ in range(3):
                     candidates = _random_candidates(
                         rng, database, relations, 2
                     )
-                    flat_batch = flat.speculate_batch(candidates, mixed)
+                    single_batch = single.speculate_batch(candidates, mixed)
                     assert (
                         sharded.speculate_batch(candidates, mixed)
-                        == flat_batch
+                        == single_batch
                     )
-                    for operations, values in zip(candidates, flat_batch):
+                    for operations, values in zip(candidates, single_batch):
                         assert sharded.speculate(operations, mixed) == values
                         assert values == {
                             measure.name: measure.value(
@@ -620,11 +630,11 @@ class TestStatsBackendMerge:
             FunctionalDependency("R", {"A"}, {"B"}),
             FunctionalDependency("S", {"A"}, {"B"}),
         ]
-        return ShardedMeasurementSession(constraints, database, engine="batch")
+        return MeasurementSession(constraints, database, engine="batch")
 
     def test_agreeing_shards_report_the_backend(self):
         session = self._session()
-        backends = {shard.stats()["vector_backend"] for shard in session.shards}
+        backends = {shard._columns.backend for shard in session.shards}
         assert len(backends) == 1
         assert session.stats()["vector_backend"] == backends.pop()
 
@@ -633,14 +643,14 @@ class TestStatsBackendMerge:
             backend = "stub"
 
         session = self._session()
-        native = session.shards[1].stats()["vector_backend"]
+        native = session.shards[1]._columns.backend
         session.shards[0]._columns = _StubColumns()
         merged = session.stats()["vector_backend"]
         assert merged == "mixed:" + ",".join(sorted(["stub", native]))
 
     def test_shard_without_columns_reports_mixed_none(self):
         session = self._session()
-        native = session.shards[1].stats()["vector_backend"]
+        native = session.shards[1]._columns.backend
         session.shards[0]._columns = None
         merged = session.stats()["vector_backend"]
         assert merged == "mixed:" + ",".join(sorted(["none", native]))

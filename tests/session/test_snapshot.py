@@ -1,6 +1,6 @@
 """Warm-start snapshots: round-trip bit-identity and fallback semantics.
 
-The anchor invariant is differential, in the style of the sharded
+The anchor invariant is differential, in the style of the partition
 conformance suite: a session restored from a snapshot of state S must be
 **bit-identical** — ``index()`` content, ``measure_all`` floats,
 ``speculate_batch`` scores — to a session built from scratch over S, and a
@@ -10,20 +10,21 @@ to the cold build rather than restore anything (never a wrong answer).
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.constraints import FunctionalDependency
-from repro.measures import TABLE2_MEASURES, make_measure, make_measures
+from repro.measures import TABLE2_MEASURES, make_measures
 from repro.relational import Database, Fact, Schema
 from repro.session import (
+    SNAPSHOT_VERSION,
     MeasurementSession,
-    ShardedMeasurementSession,
-    ShardedSessionSnapshot,
+    SessionSnapshot,
     SnapshotError,
     dump_snapshot,
     load_snapshot,
     load_snapshot_bytes,
-    make_session,
     save_snapshot,
 )
 from repro.violations import build_violation_index
@@ -57,7 +58,7 @@ def _assert_sessions_identical(restored, control) -> None:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("case", [0, 1, 2])
-    def test_flat_round_trip_bit_identical(self, case, case_rng):
+    def test_one_group_round_trip_bit_identical(self, case, case_rng):
         rng = case_rng
         schema, constraints = _random_setup(rng)
         relations = schema.relation_names()
@@ -72,7 +73,8 @@ class TestRoundTrip:
             ],
         )
         measures = make_measures(TABLE2_MEASURES)
-        with MeasurementSession(constraints, database) as session:
+        one_group = [tuple(relations)]
+        with MeasurementSession(constraints, database, one_group) as session:
             for _ in range(10):
                 _random_mutation(rng, database, relations)
             session.measure_all(measures)
@@ -82,7 +84,7 @@ class TestRoundTrip:
             candidates = _random_candidates(rng, database, relations, 3)
             session.speculate_batch(candidates, measures)
         with MeasurementSession(
-            constraints, database, warm_start=snap
+            constraints, database, one_group, warm_start=snap
         ) as restored, MeasurementSession(constraints, database) as control:
             assert restored.warm_started
             _assert_sessions_identical(restored, control)
@@ -117,14 +119,16 @@ class TestRoundTrip:
             ],
         )
         measures = make_measures(TABLE2_MEASURES)
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             for _ in range(8):
                 _random_mutation(rng, database, relations)
             session.measure_all(measures)
             snap = _roundtrip(session.snapshot())
-        with ShardedMeasurementSession(
+        with MeasurementSession(
             constraints, database, warm_start=snap
-        ) as restored, MeasurementSession(constraints, database) as control:
+        ) as restored, MeasurementSession(
+            constraints, database, [tuple(relations)]
+        ) as control:
             assert restored.warm_started
             _assert_sessions_identical(restored, control)
             assert restored.measure_all(measures) == control.measure_all(
@@ -226,27 +230,25 @@ class TestFallback:
         bad_fingerprint = _roundtrip(good)
         bad_fingerprint.fingerprint = frozenset()
         bad_topology = _roundtrip(good)
-        bad_topology.topology = {}
+        bad_topology.shards[0].topology = {}
         bad_stores = _roundtrip(good)
-        bad_stores.stores = [object()]
-        for snap in (bad_fingerprint, bad_topology, bad_stores):
+        bad_stores.shards[0].stores = [object()]
+        bad_shards = _roundtrip(good)
+        bad_shards.shards = [object()]
+        bogus = SessionSnapshot(
+            version=SNAPSHOT_VERSION,
+            fingerprint=frozenset(),
+            constraints=(),
+            relation_groups=[],
+            shards=[],
+        )
+        for snap in (bad_fingerprint, bad_topology, bad_stores, bad_shards, bogus):
             with MeasurementSession(
                 constraints, database, warm_start=snap
             ) as restored:
                 assert not restored.warm_started
                 full = build_violation_index(constraints, database)
                 assert restored.index().mi_sets == full.mi_sets
-        sharded_bad = ShardedSessionSnapshot(
-            version=1,
-            fingerprint=frozenset(),
-            constraints=(),
-            relation_groups=[],
-            shards=[],
-        )
-        with ShardedMeasurementSession(
-            constraints, database, warm_start=sharded_bad
-        ) as restored:
-            assert not restored.warm_started
 
     def test_version_drift_falls_back(self, simple_schema):
         database, constraints = self._setup(simple_schema)
@@ -366,41 +368,53 @@ class TestFallback:
             FunctionalDependency(relation, {"A"}, {"B"})
             for relation in ("T0", "T1")
         ]
-        with ShardedMeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             assert session.relation_groups == [("T0",), ("T1",)]
             snap = _roundtrip(session.snapshot())
         # A coarser (still valid) explicit partition: the per-shard
         # payloads describe the wrong slices, so the restore must reject.
-        with ShardedMeasurementSession(
+        with MeasurementSession(
             constraints, database, shards=[("T0", "T1")], warm_start=snap
         ) as restored:
             assert not restored.warm_started
             full = build_violation_index(constraints, database)
             assert restored.index().mi_sets == full.mi_sets
 
-    def test_cross_flavor_snapshots_fall_back(self):
-        schema = Schema.from_dict(
-            {"T0": ["A", "B", "C"], "T1": ["A", "B", "C"]}
-        )
-        database = Database.from_facts(
-            schema,
-            [Fact("T0", (1, "x", 0)), Fact("T0", (1, "y", 0))],
-        )
-        constraints = [
-            FunctionalDependency(relation, {"A"}, {"B"})
-            for relation in ("T0", "T1")
+    def test_v2_snapshot_file_rejected_and_cold_builds(
+        self, tmp_path, simple_schema
+    ):
+        """Format 2 (flat or sharded layout) is refused outright: loading
+        raises SnapshotError, and the CLI cold-builds and rewrites the file
+        in the current format."""
+        import hashlib
+        import pickle
+
+        from repro.cli import run
+
+        database, constraints = self._setup(simple_schema)
+        with MeasurementSession(constraints, database) as session:
+            current = session.snapshot()
+        body = pickle.dumps((2, current))
+        path = tmp_path / "state.snap"
+        path.write_bytes(b"REPRO-SNAPSHOT\n" + hashlib.sha256(body).digest() + body)
+        with pytest.raises(SnapshotError, match="version 2"):
+            load_snapshot(path)
+
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("Name,Country\nParis,FR\nParis,DE\n", encoding="utf-8")
+        argv = [
+            str(csv_file),
+            "--relation",
+            "R",
+            "--fd",
+            "R: Name -> Country",
+            "--warm-start",
+            str(path),
         ]
-        with MeasurementSession(constraints, database) as flat:
-            flat_snap = _roundtrip(flat.snapshot())
-        with ShardedMeasurementSession(constraints, database) as sharded:
-            sharded_snap = _roundtrip(sharded.snapshot())
-        with make_session(
-            constraints, database, shards="auto", warm_start=flat_snap
-        ) as session:
-            assert not session.warm_started
-            assert session.measure(make_measure("I_MI")) == 1.0
-        with make_session(
-            constraints, database, warm_start=sharded_snap
-        ) as session:
-            assert not session.warm_started
-            assert session.measure(make_measure("I_MI")) == 1.0
+        out = io.StringIO()
+        assert run(argv, out=out) == 0
+        assert "warm start: cold build" in out.getvalue()
+        assert isinstance(load_snapshot(path), SessionSnapshot)
+        out = io.StringIO()
+        assert run(argv, out=out) == 0
+        assert "warm start: restored" in out.getvalue()

@@ -78,18 +78,24 @@ def _domain_snapshot(database: Database) -> dict:
     }
 
 
-def _eq_index_snapshot(session: MeasurementSession) -> dict:
-    return {
-        column: {value: set(ids) for value, ids in buckets.items()}
-        for column, buckets in session._eq_index._maps.items()
-    }
+def _eq_index_snapshot(session: MeasurementSession) -> list[dict]:
+    return [
+        {
+            column: {value: set(ids) for value, ids in buckets.items()}
+            for column, buckets in shard._eq_index._maps.items()
+        }
+        for shard in session.shards
+    ]
 
 
-def _witness_snapshot(session: MeasurementSession) -> tuple:
-    return (
-        [set(store) for store in session._witnesses],
-        {key: set(entries) for key, entries in session._touching.items()},
-    )
+def _witness_snapshot(session: MeasurementSession) -> list[tuple]:
+    return [
+        (
+            [set(store) for store in shard._witnesses],
+            {key: set(entries) for key, entries in shard._touching.items()},
+        )
+        for shard in session.shards
+    ]
 
 
 class TestSpeculateEqualsCopyRebuild:
@@ -184,11 +190,9 @@ class TestSavepointRollback:
             assert database._next_id == next_id_before
             assert _domain_snapshot(database) == domains_before
             assert _eq_index_snapshot(session) == eq_before
-            witnesses_after, touching_after = _witness_snapshot(session)
+            after = _witness_snapshot(session)
             fresh = session.refresh()
-            witnesses_fresh, touching_fresh = _witness_snapshot(session)
-            assert witnesses_after == witnesses_fresh
-            assert touching_after == touching_fresh
+            assert after == _witness_snapshot(session)
             assert index.mi_sets == fresh.mi_sets
 
     def test_release_keeps_changes(self, schema):
@@ -417,10 +421,10 @@ class TestComponentLocalizedDelta:
 
 
 class TestMixedMeasureSplit:
-    def test_flat_mixed_list_keeps_component_fast_path(
+    def test_one_shard_mixed_list_keeps_component_fast_path(
         self, schema, monkeypatch
     ):
-        """The flat session splits mixed lists too — only ``I_d`` and
+        """A one-shard session splits mixed lists too — only ``I_d`` and
         friends pay the generic whole-database pass."""
         import repro.session.session as session_module
 

@@ -59,10 +59,10 @@ def _mirror(database: Database) -> Database:
 
 def _parity_sessions(database: Database, dcs):
     """(probe, [batch-on-backend...]) sessions over mirrored databases."""
-    probe = MeasurementSession([], database, dcs=dcs, engine="probe")
+    probe = MeasurementSession(dcs, database, engine="probe")
     batches = [
         MeasurementSession(
-            [], _mirror(database), dcs=dcs, engine="auto", vector_backend=backend
+            dcs, _mirror(database), engine="auto", vector_backend=backend
         )
         for backend in BACKENDS
     ]
@@ -177,17 +177,14 @@ class TestThreeWayParity:
             engine="batch",
             vector_backend=backend,
         )
-        flat = MeasurementSession(
-            constraints, database, subscribe=False, engine="probe"
-        )
-        assert sharded.index().mi_sets == flat.index().mi_sets
+        probe = MeasurementSession(constraints, database, engine="probe")
+        assert sharded.index().mi_sets == probe.index().mi_sets
         assert sharded.stats()["vector_backend"] == backend
         for _ in range(15):
             _mutate(rng, database, relations, 6)
-        flat.refresh()
-        assert sharded.index().mi_sets == flat.index().mi_sets
+        assert sharded.index().mi_sets == probe.refresh().mi_sets
         sharded.close()
-        flat.close()
+        probe.close()
 
     @pytest.mark.parametrize("snap_backend", BACKENDS)
     def test_warm_start_across_backends(self, snap_backend, case_rng):
@@ -206,24 +203,21 @@ class TestThreeWayParity:
             name="fd",
         )
         with MeasurementSession(
-            [], database, dcs=[dc], engine="batch", vector_backend=snap_backend
+            [dc], database, engine="batch", vector_backend=snap_backend
         ) as source:
             snap = source.snapshot()
         for backend in BACKENDS:
             mirrored = _mirror(database)
             session = MeasurementSession(
-                [],
+                [dc],
                 mirrored,
-                dcs=[dc],
                 engine="batch",
                 vector_backend=backend,
                 warm_start=snap,
             )
             assert session.warm_started
             assert session.stats()["constraints"][0]["cold_runs"] == 0
-            reference = MeasurementSession(
-                [], mirrored, dcs=[dc], subscribe=False, engine="probe"
-            )
+            reference = MeasurementSession([dc], mirrored, engine="probe")
             _assert_identical(reference, session)
             for _ in range(10):
                 _mutate(rng, mirrored, relations, 5)
@@ -370,10 +364,10 @@ class TestDictionaryAndCompaction:
             name="fd",
         )
         session = MeasurementSession(
-            [], database, dcs=[dc], engine="batch", vector_backend="numpy"
+            [dc], database, engine="batch", vector_backend="numpy"
         )
         session.index()
-        store = session._columns
+        store = session.shards[0]._columns
         dictionary = store.column("R0", "A").dict_class
         before = dict(dictionary.codes)
         # Speculate updates that introduce brand-new join values, then
@@ -388,9 +382,7 @@ class TestDictionaryAndCompaction:
             assert after[value] == code
         assert all(1000 + k in after for k in range(4))
         # The rolled-back store still answers identically to a fresh probe.
-        reference = MeasurementSession(
-            [], database, dcs=[dc], subscribe=False, engine="probe"
-        )
+        reference = MeasurementSession([dc], database, engine="probe")
         _assert_identical(reference, session)
         session.close()
         reference.close()
@@ -418,11 +410,10 @@ class TestDictionaryAndCompaction:
             ],
             name="fd",
         )
-        probe = MeasurementSession([], database, dcs=[dc], engine="probe")
+        probe = MeasurementSession([dc], database, engine="probe")
         batch = MeasurementSession(
-            [],
+            [dc],
             _mirror(database),
-            dcs=[dc],
             engine="batch",
             vector_backend=backend,
         )
@@ -444,7 +435,7 @@ class TestDictionaryAndCompaction:
         # At least one compaction actually fired on the batch store: the
         # initial 60 slots can only shrink through _compact (rows are
         # tombstoned in place otherwise).
-        relation = batch._columns.relation("R0")
+        relation = batch.shards[0]._columns.relation("R0")
         slots = relation.n if backend == "numpy" else len(relation.ids)
         assert slots < 60
         probe.close()
@@ -507,11 +498,10 @@ class TestLoneVariableShapes:
         for _ in range(40):
             database.insert(_random_fact(rng, rng.choice(relations), 4))
         dc = self._lone_dc()
-        probe = MeasurementSession([], database, dcs=[dc], engine="probe")
+        probe = MeasurementSession([dc], database, engine="probe")
         batch = MeasurementSession(
-            [],
+            [dc],
             _mirror(database),
-            dcs=[dc],
             engine="batch",
             vector_backend=backend,
         )
@@ -585,10 +575,8 @@ class TestBackendSelection:
         )
         for backend in BACKENDS:
             session = MeasurementSession(
-                [],
+                [dc],
                 database,
-                dcs=[dc],
-                subscribe=False,
                 engine="batch",
                 vector_backend=backend,
             )
@@ -596,9 +584,7 @@ class TestBackendSelection:
             assert stats["vector_backend"] == backend
             assert stats["constraints"][0]["backend"] == backend
             session.close()
-        probe = MeasurementSession(
-            [], database, dcs=[dc], subscribe=False, engine="probe"
-        )
+        probe = MeasurementSession([dc], database, engine="probe")
         stats = probe.stats()
         assert stats["vector_backend"] is None
         assert stats["constraints"][0]["backend"] is None

@@ -46,17 +46,34 @@ from repro.solvers.anytime import (
 )
 
 
-def _path_workload(n: int = 16):
-    """A path-shaped conflict graph: one component, ~1.32^n maximal sets."""
-    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+def _path_workload(n: int = 16, relations=("R",)):
+    """A path-shaped conflict graph per relation: one component each,
+    ~1.32^n maximal sets."""
+    schema = Schema.from_dict({relation: ["A", "B", "C"] for relation in relations})
     database = Database.from_facts(
-        schema, [Fact("R", (i // 2, i, (i + 1) // 2)) for i in range(n)]
+        schema,
+        [
+            Fact(relation, (i // 2, i, (i + 1) // 2))
+            for relation in relations
+            for i in range(n)
+        ],
     )
     constraints = [
-        FunctionalDependency("R", {"A"}, {"B"}),
-        FunctionalDependency("R", {"C"}, {"B"}),
+        FunctionalDependency(relation, column, {"B"})
+        for relation in relations
+        for column in ({"A"}, {"C"})
     ]
     return constraints, database
+
+
+#: Both session read paths over a two-relation workload: one explicit
+#: group (one shard, no merge) and ``"auto"`` (one shard per relation,
+#: k-way merge).
+TWO_RELATIONS = ("R", "S")
+SHARDINGS = [
+    pytest.param([TWO_RELATIONS], id="one-group"),
+    pytest.param("auto", id="auto"),
+]
 
 
 class _FakeClock:
@@ -404,14 +421,41 @@ class TestSessionBudgets:
         assert status_of(value) == TIMEOUT
         assert value.lower <= exact <= value.upper
 
-    def test_sharded_budget_matches_flat_semantics(self):
-        constraints, database = _path_workload(16)
+    @pytest.mark.parametrize("shards", SHARDINGS)
+    def test_budget_semantics_on_both_read_paths(self, shards):
+        constraints, database = _path_workload(14, TWO_RELATIONS)
         mc = MaximalConsistentMeasure()
-        with make_session(constraints, database, shards="auto") as session:
+        with make_session(constraints, database, shards=shards) as session:
             value = session.measure(mc, budget=0.0)
+            # Degraded parts were never memoized: the unbudgeted re-read
+            # re-solves exactly.
             again = session.measure(mc)
-        with MeasurementSession(constraints, database) as flat:
-            exact = flat.measure(mc)
+            assert not any(
+                isinstance(part, BoundedValue)
+                for memo in session._parts
+                for entry in memo.values()
+                for part in entry[2]
+            )
+        with MeasurementSession(constraints, database) as fresh:
+            exact = fresh.measure(mc)
         assert status_of(value) == TIMEOUT
         assert value.lower <= exact <= value.upper
         assert again == exact
+        assert type(again) is float
+
+    @pytest.mark.parametrize("shards", SHARDINGS)
+    def test_budgeted_batch_never_leaks_degraded_parts(self, shards):
+        from repro.repairs.operations import DeleteOperation
+
+        constraints, database = _path_workload(14, TWO_RELATIONS)
+        mc = MaximalConsistentMeasure()
+        candidates = [[DeleteOperation(0)], [DeleteOperation(15)]]
+        with make_session(constraints, database, shards=shards) as session:
+            degraded = session.speculate_batch(candidates, [mc], budget=0.0)
+            exact = session.speculate_batch(candidates, [mc])
+        with MeasurementSession(constraints, database) as fresh:
+            assert exact == fresh.speculate_batch(candidates, [mc])
+        assert {status_of(values["I_MC"]) for values in degraded} == {TIMEOUT}
+        assert all(
+            type(values["I_MC"]) is float for values in exact
+        )
