@@ -29,7 +29,6 @@ from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
 from repro.session import build_enumerators
-from repro.session.witnesses import EqualityColumnIndex
 
 from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
 
@@ -121,18 +120,15 @@ def _timed(fn):
 def _run_case(workload: str, size: int, seed: int) -> dict:
     rng = random.Random(seed)
     database, dcs, (dirty_attr, dirty_value) = WORKLOADS[workload](size, rng)
-    schema = database.schema
-    eq_index = EqualityColumnIndex.for_constraints(schema, dcs)
-    eq_index.build(database)
-
     legs: dict[str, list] = {}
-    probes, _ = build_enumerators("probe", dcs, database, eq_index)
+    # Each workload DC joins on an equality, so the probe leg has an index.
+    probes, _, eq_index = build_enumerators("probe", dcs, database)
     legs["probe"] = probes
     stores = []
     backends = ["list"] + (["numpy"] if HAS_NUMPY else [])
     for backend in backends:
-        enumerators, store = build_enumerators(
-            "batch", dcs, database, eq_index, vector_backend=backend
+        enumerators, store, _ = build_enumerators(
+            "batch", dcs, database, vector_backend=backend
         )
         stores.append(store)
         legs[backend] = enumerators

@@ -22,7 +22,7 @@ from typing import Sequence
 from ..constraints.base import ComparisonOp, Constraint
 from ..constraints.dc import DenialConstraint, Predicate, Term
 from ..relational.database import Database
-from ..relational.values import Value
+from ..relational.values import Value, active_domain
 from ..violations.minimal import lower_constraints
 
 
@@ -133,7 +133,9 @@ class CONoise:
         )
         identifier = assignment[target.variable]
         fact = database[identifier]
-        domain = database.active_domain(fact.relation, target.attribute)
+        # A one-off read: counting the column here keeps the database from
+        # materializing (and maintaining ever after) a live domain index.
+        domain = active_domain(database.column(fact.relation, target.attribute))
 
         def satisfied(candidate: Value) -> bool:
             if target is left:

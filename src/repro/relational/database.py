@@ -151,14 +151,20 @@ class Fact:
 class Database:
     """A finite map ``ids(D) -> facts`` over a fixed schema.
 
-    Mutations (used by repair operations and noise generators) keep a running
-    per-column active-domain index so the noise models and the cleaner can
-    sample values without rescanning the data.
+    Facts sit in a list indexed by identifier (``None`` marks a free one):
+    identifiers are allocated minimal-free, so the list stays dense, and a
+    copy costs one pointer per identifier.  Mutations (used by repair
+    operations and noise generators) keep a running active-domain index for
+    every column whose domain has been read, so the noise models and the
+    cleaner can sample values without rescanning the data; columns nobody
+    samples cost nothing per mutation or copy.
     """
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
-        self._facts: dict[int, Fact] = {}
+        #: Fact per identifier, ``None`` where free; never ends in ``None``.
+        self._facts: list[Fact | None] = []
+        self._size = 0
         self._next_id = 0
         self._domains: dict[tuple[str, str], ActiveDomain] = {}
         self._listeners: list[ChangeListener] = []
@@ -221,42 +227,50 @@ class Database:
     # Core mapping protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._facts)
+        return self._size
 
     def __contains__(self, identifier: int) -> bool:
-        return identifier in self._facts
+        facts = self._facts
+        return 0 <= identifier < len(facts) and facts[identifier] is not None
 
     def __getitem__(self, identifier: int) -> Fact:
         """``D[i]`` — the fact mapped to identifier *i*."""
-        return self._facts[identifier]
+        facts = self._facts
+        if 0 <= identifier < len(facts):
+            fact = facts[identifier]
+            if fact is not None:
+                return fact
+        raise KeyError(identifier)
 
     def get(self, identifier: int) -> Fact | None:
         """The fact mapped to *identifier*, or ``None`` when absent.
 
-        One dict probe where ``in`` + ``[]`` would cost two — the delta
+        One lookup where ``in`` + ``[]`` would cost two — the delta
         enumeration paths group large dirty batches through this.
         """
-        return self._facts.get(identifier)
+        facts = self._facts
+        return facts[identifier] if 0 <= identifier < len(facts) else None
 
     def ids(self) -> list[int]:
         """``ids(D)`` in ascending order (deterministic iteration)."""
-        return sorted(self._facts)
+        return [i for i, fact in enumerate(self._facts) if fact is not None]
 
     def items(self) -> Iterator[tuple[int, Fact]]:
         """(identifier, fact) pairs in ascending identifier order."""
-        for identifier in self.ids():
-            yield identifier, self._facts[identifier]
+        for identifier, fact in enumerate(self._facts):
+            if fact is not None:
+                yield identifier, fact
 
     def facts(self) -> list[Fact]:
         """All facts in ascending identifier order."""
-        return [self._facts[identifier] for identifier in self.ids()]
+        return [fact for fact in self._facts if fact is not None]
 
     def relation_ids(self, relation: str) -> list[int]:
         """Identifiers of facts belonging to *relation*."""
         return [
             identifier
-            for identifier in self.ids()
-            if self._facts[identifier].relation == relation
+            for identifier, fact in enumerate(self._facts)
+            if fact is not None and fact.relation == relation
         ]
 
     # ------------------------------------------------------------------
@@ -275,7 +289,7 @@ class Database:
                 f"{signature.arity} of {fact.relation!r}"
             )
         identifier = self._allocate_id()
-        self._facts[identifier] = fact
+        self._put(identifier, fact)
         self._index_fact(fact, +1)
         self._notify("insert", identifier, None, fact)
         return identifier
@@ -286,9 +300,14 @@ class Database:
         Per the paper's convention, an inapplicable operation leaves the
         database intact (hence the boolean rather than an exception).
         """
-        fact = self._facts.pop(identifier, None)
+        fact = self.get(identifier)
         if fact is None:
             return False
+        facts = self._facts
+        facts[identifier] = None
+        while facts and facts[-1] is None:
+            facts.pop()
+        self._size -= 1
         self._index_fact(fact, -1)
         if identifier < self._next_id:
             self._next_id = min(self._next_id, identifier)
@@ -297,7 +316,7 @@ class Database:
 
     def update(self, identifier: int, attribute: str, value: Value) -> bool:
         """Set ``D[i].A = value``; return False when inapplicable."""
-        fact = self._facts.get(identifier)
+        fact = self.get(identifier)
         if fact is None:
             return False
         signature = self.schema.signature(fact.relation)
@@ -306,10 +325,12 @@ class Database:
         old_value = fact.get(signature, attribute)
         if old_value == value:
             return True
-        self._domain_for(fact.relation, attribute).discard(old_value)
         new_fact = fact.with_value(signature, attribute, value)
         self._facts[identifier] = new_fact
-        self._domain_for(fact.relation, attribute).add(value)
+        domain = self._domains.get((fact.relation, attribute))
+        if domain is not None:
+            domain.discard(old_value)
+            domain.add(value)
         self._notify("update", identifier, fact, new_fact)
         return True
 
@@ -322,7 +343,7 @@ class Database:
         permutation of an existing database into a shadow session.  Returns
         False when *identifier* is already taken.
         """
-        if identifier in self._facts:
+        if identifier in self:
             return False
         signature = self.schema.signature(fact.relation)
         if fact.arity != signature.arity:
@@ -330,7 +351,7 @@ class Database:
                 f"fact arity {fact.arity} does not match signature arity "
                 f"{signature.arity} of {fact.relation!r}"
             )
-        self._facts[identifier] = fact
+        self._put(identifier, fact)
         self._index_fact(fact, +1)
         self._notify("insert", identifier, None, fact)
         return True
@@ -342,7 +363,7 @@ class Database:
         update event, whose pre-image is a whole fact.  The relation must not
         change.  Returns False when *identifier* is absent.
         """
-        old = self._facts.get(identifier)
+        old = self.get(identifier)
         if old is None:
             return False
         if fact.relation != old.relation or fact.arity != old.arity:
@@ -365,13 +386,13 @@ class Database:
     def peek_next_id(self) -> int:
         """The identifier the next :meth:`insert` would allocate (no change)."""
         identifier = self._next_id
-        while identifier in self._facts:
+        while identifier in self:
             identifier += 1
         return identifier
 
     def get_cell(self, identifier: int, attribute: str) -> Value:
         """Value of ``D[i].A``."""
-        fact = self._facts[identifier]
+        fact = self[identifier]
         signature = self.schema.signature(fact.relation)
         return fact.get(signature, attribute)
 
@@ -381,21 +402,19 @@ class Database:
     def subset(self, identifiers: Iterable[int]) -> "Database":
         """The sub-database induced by *identifiers* (same ids, same facts)."""
         wanted = set(identifiers)
-        missing = wanted - set(self._facts)
+        missing = {identifier for identifier in wanted if identifier not in self}
         if missing:
             raise KeyError(f"identifiers not in database: {sorted(missing)}")
         result = Database(self.schema)
         for identifier in sorted(wanted):
-            fact = self._facts[identifier]
-            result._facts[identifier] = fact
-            result._index_fact(fact, +1)
+            result._put(identifier, self._facts[identifier])
         result._next_id = 0
         return result
 
     def without(self, identifiers: Iterable[int]) -> "Database":
         """The sub-database obtained by removing *identifiers*."""
         removed = set(identifiers)
-        return self.subset(set(self._facts) - removed)
+        return self.subset(set(self.ids()) - removed)
 
     def copy(self) -> "Database":
         """An independent deep-enough copy (facts are immutable).
@@ -404,7 +423,8 @@ class Database:
         with this database until either side first changes that column.
         """
         result = Database(self.schema)
-        result._facts = dict(self._facts)
+        result._facts = list(self._facts)
+        result._size = self._size
         result._next_id = self._next_id
         for key, domain in self._domains.items():
             result._domains[key] = domain.share()
@@ -412,15 +432,23 @@ class Database:
 
     def is_subset_of(self, other: "Database") -> bool:
         """``D ⊆ D'`` as defined in the paper (id-wise fact equality)."""
-        for identifier, fact in self._facts.items():
+        for identifier, fact in self.items():
             if identifier not in other or other[identifier] != fact:
                 return False
         return True
 
     def active_domain(self, relation: str, attribute: str) -> ActiveDomain:
-        """Active domain of one column (live view, kept up to date)."""
-        self.schema.signature(relation).index_of(attribute)
-        return self._domain_for(relation, attribute)
+        """Active domain of one column (live view, kept up to date).
+
+        Built from the column's values in identifier order on the first
+        request, then maintained under every mutation.
+        """
+        key = (relation, attribute)
+        domain = self._domains.get(key)
+        if domain is None:
+            domain = ActiveDomain(self.column(relation, attribute))
+            self._domains[key] = domain
+        return domain
 
     def column(self, relation: str, attribute: str) -> list[Value]:
         """All values of one column, in identifier order."""
@@ -438,30 +466,35 @@ class Database:
         return self._facts == other._facts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Database({len(self._facts)} facts over {self.schema.relation_names()})"
+        return f"Database({self._size} facts over {self.schema.relation_names()})"
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _allocate_id(self) -> int:
-        identifier = self._next_id
-        while identifier in self._facts:
-            identifier += 1
+        identifier = self.peek_next_id()
         self._next_id = identifier + 1
         return identifier
 
-    def _domain_for(self, relation: str, attribute: str) -> ActiveDomain:
-        key = (relation, attribute)
-        domain = self._domains.get(key)
-        if domain is None:
-            domain = ActiveDomain()
-            self._domains[key] = domain
-        return domain
+    def _put(self, identifier: int, fact: Fact) -> None:
+        """Store *fact* under the free *identifier*."""
+        if identifier < 0:
+            raise ValueError(f"negative identifier {identifier}")
+        facts = self._facts
+        if identifier >= len(facts):
+            facts.extend([None] * (identifier + 1 - len(facts)))
+        facts[identifier] = fact
+        self._size += 1
 
     def _index_fact(self, fact: Fact, sign: int) -> None:
+        """Account *fact* in the active domains read so far."""
+        if not self._domains:
+            return
         signature = self.schema.signature(fact.relation)
         for attribute, value in zip(signature.attributes, fact.values):
-            domain = self._domain_for(fact.relation, attribute)
+            domain = self._domains.get((fact.relation, attribute))
+            if domain is None:
+                continue
             if sign > 0:
                 domain.add(value)
             else:

@@ -34,11 +34,13 @@ per touched component per *flush* instead of per event, bit-identical to
 eager per-event application.
 
 Witness enumeration itself is a pluggable per-DC strategy
-(:mod:`repro.session.enumeration`): the tuple-at-a-time probe reference or
-the set-based batch-join backend, selected with ``engine="probe" | "batch"
-| "auto"`` on the session constructor and :func:`make_session` —
-bit-identical witness sets either way, with per-DC counters through
-``session.stats()``.  The batch backend itself runs on one of two column
+(:mod:`repro.session.enumeration`), compiled once per DC into one plan per
+tuple variable that serves both the cold build and every delta: the
+tuple-at-a-time probe reference (a fixed-order recursion over equality
+hash probes) or the set-based batch-join backend, selected with
+``engine="probe" | "batch" | "auto"`` on the session constructor and
+:func:`make_session` — bit-identical witness sets either way, with per-DC
+counters through ``session.stats()``.  The batch backend itself runs on one of two column
 backends (:mod:`repro.session.columnar`): numpy-vectorized kernels over
 dictionary-encoded columns when numpy is importable, or the pure-python
 list store otherwise — pick explicitly with ``vector_backend=`` or the
@@ -83,7 +85,6 @@ from .snapshot import (
 from .witnesses import (
     EqualityColumnIndex,
     WitnessStore,
-    delta_witnesses,
     equality_columns,
 )
 
@@ -111,7 +112,6 @@ __all__ = [
     "batch_compilable",
     "build_enumerators",
     "database_fingerprint",
-    "delta_witnesses",
     "dump_snapshot",
     "equality_columns",
     "load_snapshot",

@@ -268,9 +268,6 @@ class ColumnStore:
         """The grouped hash index of a registered key column."""
         return self._groups[(relation, attribute)]
 
-    def has_relation(self, relation: str) -> bool:
-        return relation in self._relations
-
     def live_count(self, relation: str) -> int:
         """Live cardinality of *relation* (0 when unregistered).
 

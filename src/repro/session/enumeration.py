@@ -1,27 +1,31 @@
-"""Witness-enumeration backends: per-tuple probe vs. set-based batch joins.
+"""Witness-enumeration backends: compiled probe plans vs. set-based batch joins.
 
 Every witness the session maintains — cold build and delta re-enumeration
-alike — used to be found by the tuple-at-a-time recursive probe in
-:mod:`repro.session.witnesses`.  This module makes the enumeration strategy
-pluggable per lowered DC:
+alike — is found by one of two per-DC strategies, each compiled **once**
+into one plan per tuple variable (the variable the plan is *pinned*
+on, i.e. seeded with):
 
-* :class:`ProbeEnumerator` wraps the existing probe paths unchanged (the
-  SQL-engine cold build for narrow DCs, the recursive hash-join probe for
-  deltas) — the reference implementation every other backend must match
-  bit-for-bit.
-* :class:`BatchEnumerator` compiles the DC **once** into vectorized batch
-  join plans and runs them over the session's maintained
+* :class:`ProbeEnumerator` — the tuple-at-a-time reference.  A
+  :class:`ProbePlan` fixes the binding order (next comes a variable an
+  equality reaches from the bound ones, else the first unbound one), the
+  hash probes into the :class:`~repro.session.witnesses.EqualityColumnIndex`
+  at each level, and the predicate checks that become fully bound there,
+  compiled to the ``_COMPARE`` kernels over positional fact values.  It
+  serves every DC, whatever its equality graph.
+* :class:`BatchEnumerator` compiles the DC into vectorized batch join
+  plans and runs them over the session's maintained
   :class:`~repro.session.columnar.ColumnStore`.  The plan's join order is
   chosen from the DC's equality graph by the SQL planner
   (:func:`~repro.sqlengine.planner.plan_query` with
   ``reorder_equalities=True`` over :func:`~repro.violations.sqlgen.conflict_query`);
   execution replaces per-tuple recursion with grouped hash joins over row
   batches and bound predicates applied as filters over candidate batches.
-  The same compiled plan family serves both entry points: the **cold** plan
-  is seeded with a full relation scan, and one **delta** plan per tuple
-  variable is seeded with the dirty-id batch pinned to that variable's
-  relation — a single set-based pass per pin instead of a recursion per
-  dirty fact.
+
+Both backends use their plan family the same way: the **cold** entry
+point runs the pin-0 plan over its relation (in seed chunks, see
+:meth:`WitnessEnumerator.cold_chunks`), and the **delta** entry point runs
+each pin's plan over the dirty ids of that pin's relation — one pass per
+pin instead of a recursion per dirty fact.
 
 Strategy selection (:func:`build_enumerators`) takes ``engine="probe" |
 "batch" | "auto"``: ``auto`` picks the batch backend exactly for the DCs
@@ -30,15 +34,13 @@ whose equality-join graph connects all tuple variables
 ``batch`` demands compilability and raises otherwise.  Whatever the
 backend, the returned witness sets are required to be identical — the
 randomized cold + delta-stream suite in ``tests/session/test_setbased.py``
-pins batch == probe, and the probe is itself pinned to from-scratch builds
-by the original session suites.
+pins batch == probe, and ``tests/violations/test_sqlgen_conformance.py``
+pins the probe to brute-force evaluation of the DC body.
 
 :func:`cold_build` is the one cold-build path: a session's rebuild keeps
-the enumerators it returns to run deltas, and the one-shot detection in
-:mod:`repro.violations.minimal` runs it with ``engine="auto"`` over a
-throw-away column store.  :meth:`WitnessEnumerator.cold_chunks` yields
-the cold family piece by piece, for callers that stop at the first
-witness.
+the enumerators and indexes it returns to run deltas, and the one-shot
+detection in :mod:`repro.violations.minimal` runs it with ``engine="auto"``
+and drops them.
 
 Each enumerator carries an :class:`EnumerationStats` record (plans
 compiled, batches joined, candidate rows scanned, witnesses emitted),
@@ -50,7 +52,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..constraints.base import ComparisonOp
-from ..constraints.dc import DenialConstraint
+from ..constraints.dc import DenialConstraint, Predicate, Term
 from ..relational.database import Database
 from ..relational.schema import Schema
 from ..relational.values import values_comparable
@@ -64,10 +66,9 @@ from ..sqlengine.ast import (
     SelectQuery,
 )
 from ..sqlengine.planner import JoinPlan, PlanNode, QueryPlan, ScanPlan, plan_query
-from ..violations.minimal import _witness_id_sets
 from ..violations.sqlgen import conflict_query, variable_aliases
 from .columnar import ColumnStore, make_column_store
-from .witnesses import EqualityColumnIndex, delta_witnesses
+from .witnesses import EqualityColumnIndex, equality_columns
 
 ENGINES = ("probe", "batch", "auto")
 
@@ -751,19 +752,235 @@ def _linearize(node: PlanNode) -> tuple[ScanPlan, list[JoinPlan]]:
 
 
 # ----------------------------------------------------------------------
+# Compiled probe plans
+# ----------------------------------------------------------------------
+class ProbePlan:
+    """One DC compiled for one pinned variable: a fixed-order recursion.
+
+    ``levels[k]`` binds the *k*-th variable of the binding order as
+    ``(relation, probes, checks)``; level 0 is the pinned variable, bound
+    to each seed fact in turn.  A level's candidates are the facts in all
+    of its hash probes ``(buckets, level, position, constant)`` — the
+    equality-index bucket of the value at ``position`` of the fact bound
+    at ``level``, or of ``constant`` when ``level`` is None — or its whole
+    relation when it has none.  Its checks ``(compare, position, level,
+    other_position, constant, new_left)`` compare a candidate's value at
+    ``position`` with that bound value or constant or, when ``level`` is
+    the check's own level, with the candidate's value at
+    ``other_position``.
+    """
+
+    __slots__ = ("seed_relation", "levels", "satisfiable")
+
+    def __init__(self, levels: tuple, satisfiable: bool) -> None:
+        self.seed_relation = levels[0][0]
+        self.levels = levels
+        #: False when a constant-only predicate fails: no witness at all.
+        self.satisfiable = satisfiable
+
+    def run(
+        self, database: Database, seed_ids: Sequence[int], stats: EnumerationStats
+    ) -> Witnesses:
+        found: Witnesses = set()
+        levels, last = self.levels, len(self.levels) - 1
+        lookup = database.__getitem__
+        pools: dict[str, list[tuple[int, tuple]]] = {}
+
+        def rows_of(ids: Iterable[int]) -> list[tuple[int, tuple]]:
+            return [(identifier, lookup(identifier).values) for identifier in ids]
+
+        def descend(level: int, bound_ids: tuple, bound_values: tuple, rows) -> None:
+            stats.rows_scanned += len(rows)
+            for compare, position, source, other_position, constant, new_left in (
+                levels[level][2]
+            ):
+                if source == level:
+                    rows = [
+                        row
+                        for row in rows
+                        if compare(row[1][position], row[1][other_position])
+                    ]
+                else:
+                    other = constant
+                    if source is not None:
+                        other = bound_values[source][other_position]
+                    if new_left:
+                        rows = [row for row in rows if compare(row[1][position], other)]
+                    else:
+                        rows = [row for row in rows if compare(other, row[1][position])]
+                if not rows:
+                    return
+            if level == last:
+                found.update(frozenset(bound_ids + (row[0],)) for row in rows)
+                return
+            relation, probes, _ = levels[level + 1]
+            if not probes and relation not in pools:
+                pools[relation] = rows_of(database.relation_ids(relation))
+            for identifier, values in rows:
+                values_now = bound_values + (values,)
+                descend(
+                    level + 1,
+                    bound_ids + (identifier,),
+                    values_now,
+                    rows_of(_probed(probes, values_now)) if probes else pools[relation],
+                )
+
+        if self.satisfiable:
+            descend(0, (), (), rows_of(seed_ids))
+        return found
+
+
+def _probed(probes: tuple, bound_values: tuple) -> Iterable[int]:
+    """The fact ids in every probed bucket (NULL and NaN equal nothing)."""
+    ids = None
+    for buckets, source, position, constant in probes:
+        value = constant if source is None else bound_values[source][position]
+        bucket = None if value is None or value != value else buckets.get(value)
+        if not bucket:
+            return ()
+        ids = bucket if ids is None else ids & bucket
+    return ids
+
+
+def _probe_sides(
+    predicate: Predicate, variable: str, bound: Sequence[str]
+) -> tuple[Term, Term] | None:
+    """``(own, other)`` when *predicate* can hash-probe *variable*'s facts.
+
+    That is an equality between *variable* and a constant or a variable in
+    *bound*; the equality index covers every equality column of a probe DC.
+    """
+    if predicate.op is ComparisonOp.EQ:
+        for own, other in (
+            (predicate.left, predicate.right),
+            (predicate.right, predicate.left),
+        ):
+            if own.variable == variable and (
+                other.is_constant or other.variable in bound
+            ):
+                return own, other
+    return None
+
+
+def compile_probe_plan(
+    dc: DenialConstraint,
+    schema: Schema,
+    pin: int,
+    eq_index: EqualityColumnIndex | None,
+) -> ProbePlan:
+    """*dc*'s :class:`ProbePlan` pinned on tuple variable number *pin*.
+
+    The binding order puts next a variable some equality reaches from the
+    bound variables (or a constant), else the first unbound one.
+    Each predicate lands at the level binding its last variable: as a
+    hash probe when it is such an equality, as a check otherwise.
+    """
+    variables = [variable for variable, _ in dc.variables]
+    order = [variables[pin]]
+    while len(order) < len(variables):
+        unbound = [variable for variable in variables if variable not in order]
+        reachable = (
+            variable
+            for variable in unbound
+            if any(_probe_sides(p, variable, order) for p in dc.predicates)
+        )
+        order.append(next(reachable, unbound[0]))
+    level_of = {variable: level for level, variable in enumerate(order)}
+
+    def position(term: Term) -> int:
+        relation = dc.relation_of(term.variable)
+        return schema.signature(relation).index_of(term.attribute)
+
+    def source(term: Term) -> tuple[int | None, int | None, object]:
+        if term.is_constant:
+            return None, None, term.constant
+        return level_of[term.variable], position(term), None
+
+    probes: list[list] = [[] for _ in order]
+    checks: list[list] = [[] for _ in order]
+    satisfiable = True
+    for predicate in dc.predicates:
+        compare = _COMPARE[predicate.op]
+        left, right = predicate.left, predicate.right
+        if left.is_constant and right.is_constant:
+            satisfiable = satisfiable and compare(left.constant, right.constant)
+            continue
+        level = max(level_of[variable] for variable in predicate.variables())
+        sides = level and _probe_sides(predicate, order[level], order[:level])
+        if sides:
+            own, other = sides
+            buckets = eq_index.buckets(dc.relation_of(own.variable), own.attribute)
+            probes[level].append((buckets, *source(other)))
+        elif not left.is_constant and level_of[left.variable] == level:
+            checks[level].append((compare, position(left), *source(right), True))
+        else:
+            checks[level].append((compare, position(right), *source(left), False))
+    levels = tuple(
+        (dc.relation_of(variable), tuple(probes[level]), tuple(checks[level]))
+        for level, variable in enumerate(order)
+    )
+    return ProbePlan(levels, satisfiable)
+
+
+# ----------------------------------------------------------------------
 # The strategy objects
 # ----------------------------------------------------------------------
+def _by_relation(database: Database, dirty_ids: Iterable[int]) -> dict[str, list[int]]:
+    """The live dirty identifiers grouped by relation, in one pass."""
+    grouped: dict[str, list[int]] = {}
+    lookup = database.get
+    for identifier in dirty_ids:
+        fact = lookup(identifier)
+        if fact is not None:
+            grouped.setdefault(fact.relation, []).append(identifier)
+    return grouped
+
+
 class WitnessEnumerator:
     """One DC's enumeration strategy: a cold scan and a delta pass.
 
     Both entry points return witness fact-id sets; every backend must
-    return exactly the sets the probe reference returns.
+    return exactly the sets the probe reference returns.  A backend
+    compiles one plan per tuple variable on first use (:meth:`_compile`)
+    and says how the cold plan is seeded (:meth:`_cold_seed`); the cold
+    entry points here share that seed loop.
     """
 
     stats: EnumerationStats
 
-    def cold(self, database: Database) -> Witnesses:
+    #: Cold seed rows processed per plan run.
+    COLD_CHUNK = 8192
+    cold_chunk = COLD_CHUNK
+
+    #: First seed chunk of :meth:`cold_chunks`; chunks then double up to
+    #: ``cold_chunk``, so an early exit pays for few seed rows when a
+    #: witness comes early and for few plan runs when none does.
+    FIRST_CHUNK = 64
+
+    _plans: list | None = None
+
+    def _compile(self) -> list:
+        """One plan per tuple variable, in variable order."""
         raise NotImplementedError
+
+    def _compiled(self) -> list:
+        if self._plans is None:
+            self._plans = self._compile()
+            self.stats.plans_compiled += len(self._plans)
+        return self._plans
+
+    def _cold_seed(self, database: Database) -> tuple[Callable, Sequence]:
+        """``(run, seed)``: the cold plan's runner and its full seed."""
+        raise NotImplementedError
+
+    def cold(self, database: Database) -> Witnesses:
+        stats = self.stats
+        stats.cold_runs += 1
+        found: Witnesses = set()
+        for part in self._seed_chunks(database, self.cold_chunk):
+            found |= part
+        stats.witnesses_emitted += len(found)
+        return found
 
     def cold_chunks(self, database: Database) -> Iterator[Witnesses]:
         """The cold family in pieces whose union is :meth:`cold`'s result.
@@ -773,46 +990,70 @@ class WitnessEnumerator:
         Unlike :meth:`cold`, it leaves ``cold_runs`` and
         ``witnesses_emitted`` alone.
         """
-        raise NotImplementedError
+        return self._seed_chunks(database, self.FIRST_CHUNK)
+
+    def _seed_chunks(self, database: Database, first: int) -> Iterator[Witnesses]:
+        """Run the cold plan over its seed, *first* rows at first.
+
+        Witnesses partition by the pinned seed row, so chunking only bounds
+        the intermediate work per run — the union is unchanged.
+        """
+        run, seed = self._cold_seed(database)
+        start, size = 0, min(first, self.cold_chunk)
+        while start < len(seed):
+            yield run(seed[start : start + size])
+            start += size
+            size = min(2 * size, self.cold_chunk)
 
     def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
         raise NotImplementedError
 
 
 class ProbeEnumerator(WitnessEnumerator):
-    """The tuple-at-a-time reference backend (pre-existing code paths)."""
+    """The tuple-at-a-time reference backend: one :class:`ProbePlan` per pin.
+
+    Serves any DC.  Its hash probes read the shared *eq_index* (``None``
+    when no equality predicate needs one), which its owner maintains.
+    """
 
     def __init__(
         self,
         dc: DenialConstraint,
+        schema: Schema,
         eq_index: EqualityColumnIndex | None,
         stats: EnumerationStats | None = None,
     ) -> None:
         self.dc = dc
-        # Serves delta() only; one-shot callers, which never run a delta,
-        # pass None.
+        self.schema = schema
         self.eq_index = eq_index
         self.stats = stats if stats is not None else EnumerationStats("probe")
         self.stats.engine = "probe"
         self.stats.backend = None
 
-    def cold(self, database: Database) -> Witnesses:
-        stats = self.stats
-        stats.cold_runs += 1
-        found = {
-            frozenset(ids) for ids in _witness_id_sets(self.dc, database)
-        }
-        stats.witnesses_emitted += len(found)
-        return found
+    def _compile(self) -> list[ProbePlan]:
+        return [
+            compile_probe_plan(self.dc, self.schema, pin, self.eq_index)
+            for pin in range(self.dc.width)
+        ]
 
-    def cold_chunks(self, database: Database) -> Iterator[Witnesses]:
-        for ids in _witness_id_sets(self.dc, database):
-            yield {frozenset(ids)}
+    def _cold_seed(self, database: Database) -> tuple[Callable, Sequence]:
+        plan = self._compiled()[0]
+        stats = self.stats
+        return (
+            lambda ids: plan.run(database, ids, stats),
+            database.relation_ids(plan.seed_relation),
+        )
 
     def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
+        """Each pin's plan over the dirty identifiers of its relation."""
         stats = self.stats
         stats.delta_runs += 1
-        found = delta_witnesses(self.dc, database, dirty_ids, self.eq_index)
+        by_relation = _by_relation(database, dirty_ids)
+        found: Witnesses = set()
+        for plan in self._compiled():
+            identifiers = by_relation.get(plan.seed_relation)
+            if identifiers:
+                found |= plan.run(database, identifiers, stats)
         stats.witnesses_emitted += len(found)
         return found
 
@@ -834,79 +1075,41 @@ class BatchEnumerator(WitnessEnumerator):
         self.stats.engine = "batch"
         self.stats.backend = store.backend
         register_batch_columns(dc, store)
-        #: Cold seed rows processed per plan run.  The vectorized kernels
-        #: amortize per-run overhead across the whole chunk, so they want
-        #: much larger batches than the python-loop kernels.
-        self.cold_chunk = 65536 if store.backend == "numpy" else self.COLD_CHUNK
-        #: pin index → BatchPlan, compiled lazily on first enumeration so
-        #: construction can finish registering every DC's columns before
-        #: the store is built.
-        self._plans: list[BatchPlan] | None = None
+        # The vectorized kernels amortize per-run overhead across the whole
+        # chunk, so they want much larger batches than the python-loop
+        # kernels.  Plans compile lazily on first enumeration, so
+        # construction can finish registering every DC's columns before the
+        # store is built.
+        if store.backend == "numpy":
+            self.cold_chunk = 65536
 
-    def _compiled(self) -> list[BatchPlan]:
-        if self._plans is None:
-            if self.store.backend == "numpy":
-                from .vectorized import VectorPlanCompiler
+    def _compile(self) -> list[BatchPlan]:
+        if self.store.backend == "numpy":
+            from .vectorized import VectorPlanCompiler
 
-                compiler = VectorPlanCompiler(self.dc, self.schema, self.store)
-            else:
-                compiler = _PlanCompiler(self.dc, self.schema, self.store)
-            self._plans = [
-                compiler.compile_pin(pin) for pin in range(self.dc.width)
-            ]
-            self.stats.plans_compiled += len(self._plans)
-        return self._plans
+            compiler = VectorPlanCompiler(self.dc, self.schema, self.store)
+        else:
+            compiler = _PlanCompiler(self.dc, self.schema, self.store)
+        return [compiler.compile_pin(pin) for pin in range(self.dc.width)]
 
-    #: Default cold chunk for the list-backed kernels.
-    COLD_CHUNK = 8192
-
-    #: First seed chunk of :meth:`cold_chunks`; chunks then double up to
-    #: ``cold_chunk``, so an early exit pays for few seed rows when a
-    #: witness comes early and for few plan runs when none does.
-    FIRST_CHUNK = 64
-
-    def cold(self, database: Database) -> Witnesses:
-        stats = self.stats
-        stats.cold_runs += 1
-        found: Witnesses = set()
-        for part in self._seed_chunks(self.cold_chunk):
-            found |= part
-        stats.witnesses_emitted += len(found)
-        return found
-
-    def cold_chunks(self, database: Database) -> Iterator[Witnesses]:
-        return self._seed_chunks(self.FIRST_CHUNK)
-
-    def _seed_chunks(self, first: int) -> Iterator[Witnesses]:
-        """Run the cold plan over the live seed rows, *first* rows at first.
-
-        Witnesses partition by the pinned seed row, so chunking only bounds
-        the intermediate candidate batches — the union is unchanged.
-        """
+    def _cold_seed(self, database: Database) -> tuple[Callable, Sequence]:
         plan = self._compiled()[0]
-        seed = self.store.relation(plan.seed_relation).live_rows()
-        start, size = 0, min(first, self.cold_chunk)
-        while start < len(seed):
-            yield plan.run(seed[start : start + size], self.stats)
-            start += size
-            size = min(2 * size, self.cold_chunk)
+        stats = self.stats
+        return (
+            lambda rows: plan.run(rows, stats),
+            self.store.relation(plan.seed_relation).live_rows(),
+        )
 
     def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
         """One set-based pass per pinned tuple variable, seeded by relation.
 
         The dirty identifiers are grouped by relation **once**; each plan
-        is seeded with its pin relation's group (identifiers outside the
-        database are skipped by the row lookup).
+        is seeded with its pin relation's group.
         """
         stats = self.stats
         stats.delta_runs += 1
         store = self.store
-        by_relation: dict[str, list[int]] = {}
-        lookup = database.get
-        for identifier in dirty_ids:
-            fact = lookup(identifier)
-            if fact is not None and store.has_relation(fact.relation):
-                by_relation.setdefault(fact.relation, []).append(identifier)
+        by_relation = _by_relation(database, dirty_ids)
         found: Witnesses = set()
         if not by_relation:
             return found
@@ -941,25 +1144,24 @@ def build_enumerators(
     engine: str,
     dcs: Sequence[DenialConstraint],
     database: Database,
-    eq_index: EqualityColumnIndex | None = None,
     stats: Sequence[EnumerationStats | None] | None = None,
     vector_backend: str | None = None,
-) -> tuple[list[WitnessEnumerator], ColumnStore | None]:
-    """Per-DC strategy objects plus the shared column store (if any).
+) -> tuple[list[WitnessEnumerator], ColumnStore | None, EqualityColumnIndex | None]:
+    """Per-DC strategy objects plus the indexes they read.
 
     *engine* is ``"probe"`` (force the reference path everywhere),
     ``"batch"`` (force batch; raises ``ValueError`` on a DC the batch
     backend cannot compile) or ``"auto"`` (batch where compilable, probe
-    fallback).  *eq_index* backs the probe's delta pass (``None`` when the
-    caller never runs one).  *stats* threads session-owned counter records
-    through a rebuild so they accumulate; ``None`` entries are freshly
-    created.  *vector_backend* picks the column backend (``"numpy"``/
-    ``"list"``; ``None`` = the process default, see
-    ``columnar.VECTOR_BACKEND``).
+    fallback).  *stats* threads session-owned counter records through a
+    rebuild so they accumulate; ``None`` entries are freshly created.
+    *vector_backend* picks the column backend (``"numpy"``/``"list"``;
+    ``None`` = the process default, see ``columnar.VECTOR_BACKEND``).
 
-    The returned store has every batch DC's columns registered and is
-    built from *database*; a caller that keeps it feeds it the change
-    events from then on.
+    Returns the enumerators in *dcs* order, the column store the batch DCs
+    join over and the equality index covering the equality columns of the
+    probe DCs — each built from *database*, or ``None`` when no DC needs
+    it.  A caller that keeps them feeds both the change events from then
+    on.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -983,37 +1185,48 @@ def build_enumerators(
             use_batch.append(False)
     schema = database.schema
     store = make_column_store(schema, vector_backend) if any(use_batch) else None
+    columns = equality_columns(
+        [dc for dc, batch in zip(dcs, use_batch) if not batch]
+    )
+    eq_index = EqualityColumnIndex(schema, columns) if columns else None
     enumerators: list[WitnessEnumerator] = []
     for dc, batch, counter in zip(dcs, use_batch, counters):
         if batch:
             enumerators.append(BatchEnumerator(dc, schema, store, counter))
         else:
-            enumerators.append(ProbeEnumerator(dc, eq_index, counter))
+            enumerators.append(ProbeEnumerator(dc, schema, eq_index, counter))
     if store is not None:
         store.build(database)
-    return enumerators, store
+    if eq_index is not None:
+        eq_index.build(database)
+    return enumerators, store, eq_index
 
 
 def cold_build(
     engine: str,
     dcs: Sequence[DenialConstraint],
     database: Database,
-    eq_index: EqualityColumnIndex | None = None,
     stats: Sequence[EnumerationStats | None] | None = None,
     vector_backend: str | None = None,
-) -> tuple[list[WitnessEnumerator], ColumnStore | None, list[Witnesses]]:
-    """One cold enumeration of every DC over a freshly built column store.
+) -> tuple[
+    list[WitnessEnumerator],
+    ColumnStore | None,
+    EqualityColumnIndex | None,
+    list[Witnesses],
+]:
+    """One cold enumeration of every DC over freshly built indexes.
 
     Returns :func:`build_enumerators`' result plus each DC's witness
     family, in *dcs* order.  The one cold-build path: a session's rebuild
-    keeps the enumerators and store to run deltas later, while the
+    keeps the enumerators and indexes to run deltas later, while the
     one-shot detection in :mod:`repro.violations.minimal` drops them.
     """
-    enumerators, store = build_enumerators(
-        engine, dcs, database, eq_index, stats, vector_backend
+    enumerators, store, eq_index = build_enumerators(
+        engine, dcs, database, stats, vector_backend
     )
     return (
         enumerators,
         store,
+        eq_index,
         [enumerator.cold(database) for enumerator in enumerators],
     )

@@ -8,9 +8,10 @@ API; the session owns all of that once, over any number of shards.
 
 A shard keeps
 
-* the equality-column index, the column store and the per-DC enumeration
-  backends, fed by :meth:`_Shard._on_change` with the change events the
-  session routes to it;
+* the per-DC enumeration backends and the indexes they read (the column
+  store of the batch DCs, the equality-column index of the probe DCs),
+  fed by :meth:`_Shard._on_change` with the change events the session
+  routes to it;
 * the per-DC witness stores and the reverse fact → ``(dc, witness)`` map
   (``_touching``);
 * a live :class:`~repro.violations.topology.ComponentTopology`.
@@ -92,13 +93,14 @@ class _Shard:
         #: Column backend for the batch engine ("numpy" | "list" | None =
         #: the process default, see ``columnar.VECTOR_BACKEND``).
         self.vector_backend = vector_backend
-        # The equality-column index, witness stores (with the reverse
-        # fact → (dc, witness) map), the per-DC enumeration backends (plus
-        # their columnar store, when any DC runs batch) and the topology
-        # are all created by exactly one of _restore/_rebuild below.
-        self._eq_index: EqualityColumnIndex
+        # The witness stores (with the reverse fact → (dc, witness) map),
+        # the per-DC enumeration backends (plus the column store when any
+        # DC runs batch, the equality index when a probe DC has an
+        # equality predicate) and the topology are all created by exactly
+        # one of _restore/_rebuild below.
         self._enumerators: list[WitnessEnumerator]
         self._columns: ColumnStore | None = None
+        self._eq_index: EqualityColumnIndex | None = None
         self._enum_stats: list = [None] * len(self.dcs)
         self._witnesses: list[WitnessStore]
         self._touching: dict[int, set[tuple[int, frozenset[int]]]]
@@ -123,9 +125,10 @@ class _Shard:
     # ------------------------------------------------------------------
     def _on_change(self, event: ChangeEvent) -> None:
         self._dirty.add(event.identifier)
-        self._eq_index.apply(event)
         if self._columns is not None:
             self._columns.apply(event)
+        if self._eq_index is not None:
+            self._eq_index.apply(event)
 
     def _flush(self) -> None:
         """Fold the pending dirty set into the stores and the topology.
@@ -168,22 +171,16 @@ class _Shard:
         return True
 
     def _rebuild(self) -> None:
-        # The equality index is rebuilt too: a refresh after *untracked*
-        # mutations (the session was closed while the database changed)
-        # must not leave stale hash buckets behind, or every later delta
-        # re-enumeration would probe wrong candidates.  The enumeration
-        # backends (and the columnar snapshots the batch backend joins
-        # over) are recreated with it for the same reason.
-        self._eq_index = EqualityColumnIndex.for_constraints(
-            self.database.schema, self.dcs
-        )
-        self._eq_index.build(self.database)
-        self._columns = None
-        self._enumerators, self._columns, families = cold_build(
+        # The enumeration backends and their indexes are recreated too: a
+        # refresh after *untracked* mutations (the session was closed while
+        # the database changed) must not leave stale hash buckets or
+        # columns behind, or every later delta re-enumeration would probe
+        # wrong candidates.
+        self._columns = self._eq_index = None
+        self._enumerators, self._columns, self._eq_index, families = cold_build(
             self.engine,
             self.dcs,
             self.database,
-            self._eq_index,
             self._enum_stats,
             vector_backend=self.vector_backend,
         )
@@ -232,10 +229,6 @@ class _Shard:
                 return False
             if len(snap.stores) != len(self.dcs):
                 return False
-            eq_index = EqualityColumnIndex.for_constraints(
-                self.database.schema, self.dcs
-            )
-            eq_index.build(self.database)
             self._witnesses = [
                 WitnessStore.restore(dc, keys)
                 for dc, keys in zip(self.dcs, snap.stores)
@@ -253,13 +246,11 @@ class _Shard:
             self.component_cache.absorb_warm(snap.cache)
         except Exception:
             return False
-        self._eq_index = eq_index
-        self._columns = None
-        self._enumerators, self._columns = build_enumerators(
+        self._columns = self._eq_index = None
+        self._enumerators, self._columns, self._eq_index = build_enumerators(
             self.engine,
             self.dcs,
             self.database,
-            self._eq_index,
             self._enum_stats,
             vector_backend=self.vector_backend,
         )
@@ -291,7 +282,7 @@ class _Shard:
         """Read-only region preview of retracting/re-enumerating *touched*.
 
         Runs inside a candidate's savepoint: the database and this shard's
-        equality index are patched, the stores and the topology still
+        enumeration indexes are patched, the stores and the topology still
         describe the base.  The witness delta of *touched* — retract what
         binds them, re-enumerate around the live ones — is handed to
         :meth:`~repro.violations.topology.ComponentTopology.preview`.  No

@@ -517,9 +517,6 @@ class VectorColumnStore:
     def ids(self, relation: str) -> np.ndarray:
         return self._relations[relation].ids
 
-    def has_relation(self, relation: str) -> bool:
-        return relation in self._relations
-
     def live_count(self, relation: str) -> int:
         table = self._relations.get(relation)
         return len(table) if table is not None else 0

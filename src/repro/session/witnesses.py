@@ -1,12 +1,10 @@
-"""Delta-restricted witness enumeration.
+"""Maintained witness state: per-DC witness stores and the probe's equality index.
 
-Re-enumerating the witnesses of a denial constraint after a small update
-only requires assignments that bind at least one *changed* fact: witnesses
-over unchanged facts are untouched by the delta.  This module pins each
-tuple variable of a DC to the changed fact identifiers in turn and completes
-the assignment with the same hash-join idea the full build uses — equality
-predicates against already-bound variables (or constants) are served from
-column hash indexes, everything else falls back to a filtered relation scan.
+:class:`WitnessStore` keeps one DC's live witness set in fact-id order.
+:class:`EqualityColumnIndex` maps the values of equality-predicate columns
+to fact identifiers; the compiled probe plans of
+:mod:`repro.session.enumeration` hash-probe it instead of scanning a
+relation, and the owning shard maintains it under the change feed.
 """
 
 from __future__ import annotations
@@ -15,13 +13,10 @@ import bisect
 from typing import Iterable, Sequence
 
 from ..constraints.base import ComparisonOp
-from ..constraints.dc import DenialConstraint, Predicate, Term
+from ..constraints.dc import DenialConstraint
 from ..relational.database import ChangeEvent, Database, Fact
 from ..relational.schema import Schema
 from ..violations.minimal import MinimalViolation
-
-_EMPTY: frozenset[int] = frozenset()
-
 
 class WitnessStore:
     """One DC's live witness set with a maintained sorted view.
@@ -114,7 +109,7 @@ def equality_columns(dcs: Sequence[DenialConstraint]) -> set[tuple[str, str]]:
     """The ``(relation, attribute)`` columns usable as hash-lookup keys.
 
     A column qualifies when it appears on either side of an equality
-    predicate of some DC — those are the probes `delta_witnesses` issues.
+    predicate of some DC — those are the columns a probe plan may probe.
     """
     columns: set[tuple[str, str]] = set()
     for dc in dcs:
@@ -130,9 +125,10 @@ def equality_columns(dcs: Sequence[DenialConstraint]) -> set[tuple[str, str]]:
 class EqualityColumnIndex:
     """Hash indexes ``value → fact ids`` for equality-join columns.
 
-    Built once per session and maintained under
-    :class:`~repro.relational.database.ChangeEvent` deltas, so every delta
-    re-enumeration probes current state without rescanning relations.
+    Built by :func:`~repro.session.enumeration.build_enumerators` for the
+    probe-served DCs' equality columns and maintained by its owner under
+    :class:`~repro.relational.database.ChangeEvent` deltas, so every probe
+    reads current state without rescanning relations.
     """
 
     def __init__(self, schema: Schema, columns: Iterable[tuple[str, str]]) -> None:
@@ -148,12 +144,6 @@ class EqualityColumnIndex:
                 (attribute, signature.index_of(attribute))
             )
 
-    @classmethod
-    def for_constraints(
-        cls, schema: Schema, dcs: Sequence[DenialConstraint]
-    ) -> "EqualityColumnIndex":
-        return cls(schema, equality_columns(dcs))
-
     def build(self, database: Database) -> None:
         for identifier, fact in database.items():
             self._account(identifier, fact, +1)
@@ -165,12 +155,9 @@ class EqualityColumnIndex:
         if event.new is not None:
             self._account(event.identifier, event.new, +1)
 
-    def covers(self, relation: str, attribute: str) -> bool:
-        return (relation, attribute) in self._maps
-
-    def ids_for(self, relation: str, attribute: str, value) -> frozenset[int]:
-        bucket = self._maps.get((relation, attribute), {}).get(value)
-        return frozenset(bucket) if bucket else _EMPTY
+    def buckets(self, relation: str, attribute: str) -> dict[object, set[int]]:
+        """The live ``value → fact ids`` map of one covered column."""
+        return self._maps[(relation, attribute)]
 
     def _account(self, identifier: int, fact: Fact, sign: int) -> None:
         for attribute, position in self._by_relation.get(fact.relation, ()):
@@ -184,169 +171,3 @@ class EqualityColumnIndex:
                     bucket.discard(identifier)
                     if not bucket:
                         del buckets[value]
-
-
-def delta_witnesses(
-    dc: DenialConstraint,
-    database: Database,
-    dirty_ids: Iterable[int],
-    eq_index: EqualityColumnIndex,
-) -> set[frozenset[int]]:
-    """All witness fact-id sets of *dc* that touch some fact in *dirty_ids*.
-
-    Every returned set binds at least one dirty identifier; witnesses over
-    unchanged facts are, by definition of a witness, unaffected by the delta
-    and need no re-enumeration.  Identifiers absent from *database* (deleted
-    facts) are skipped.
-
-    The dirty identifiers are grouped by relation in **one** pass — the
-    pin loop then walks each variable's own group, instead of rescanning
-    the full dirty set once per tuple variable (which also makes a
-    single-use iterator input safe).
-    """
-    schema = database.schema
-    by_relation: dict[str, list[tuple[int, Fact]]] = {}
-    for identifier in dirty_ids:
-        if identifier not in database:
-            continue
-        fact = database[identifier]
-        by_relation.setdefault(fact.relation, []).append((identifier, fact))
-    found: set[frozenset[int]] = set()
-    for pin_var, pin_rel in dc.variables:
-        for identifier, fact in by_relation.get(pin_rel, ()):
-            assignment = {pin_var: fact}
-            if not _bound_predicates_hold(dc, assignment, {pin_var}, pin_var, schema):
-                continue
-            _extend(
-                dc,
-                database,
-                eq_index,
-                assignment,
-                {pin_var: identifier},
-                found,
-            )
-    return found
-
-
-def _extend(
-    dc: DenialConstraint,
-    database: Database,
-    eq_index: EqualityColumnIndex,
-    assignment: dict[str, Fact],
-    chosen: dict[str, int],
-    found: set[frozenset[int]],
-) -> None:
-    if len(chosen) == len(dc.variables):
-        found.add(frozenset(chosen.values()))
-        return
-    variable = _next_variable(dc, assignment, eq_index)
-    relation = dc.relation_of(variable)
-    candidates = _candidate_ids(dc, database, eq_index, assignment, variable)
-    if candidates is None:
-        candidates = database.relation_ids(relation)
-    for identifier in candidates:
-        fact = database[identifier]
-        if fact.relation != relation:
-            continue
-        assignment[variable] = fact
-        chosen[variable] = identifier
-        if _bound_predicates_hold(
-            dc, assignment, set(assignment), variable, database.schema
-        ):
-            _extend(dc, database, eq_index, assignment, chosen, found)
-        del assignment[variable]
-        del chosen[variable]
-
-
-def _next_variable(
-    dc: DenialConstraint,
-    assignment: dict[str, Fact],
-    eq_index: EqualityColumnIndex,
-) -> str:
-    """Prefer an unbound variable reachable through an indexed equality."""
-    unbound = [variable for variable, _ in dc.variables if variable not in assignment]
-    for variable in unbound:
-        for predicate in dc.predicates:
-            if _probe_term(dc, predicate, assignment, variable, eq_index) is not None:
-                return variable
-    return unbound[0]
-
-
-def _candidate_ids(
-    dc: DenialConstraint,
-    database: Database,
-    eq_index: EqualityColumnIndex,
-    assignment: dict[str, Fact],
-    variable: str,
-) -> set[int] | None:
-    """Intersection of hash-index probes for *variable*, or None (full scan)."""
-    result: set[int] | None = None
-    for predicate in dc.predicates:
-        probe = _probe_term(dc, predicate, assignment, variable, eq_index)
-        if probe is None:
-            continue
-        attribute, value = probe
-        ids = eq_index.ids_for(dc.relation_of(variable), attribute, value)
-        result = set(ids) if result is None else result & ids
-        if not result:
-            return result
-    return result
-
-
-def _probe_term(
-    dc: DenialConstraint,
-    predicate: Predicate,
-    assignment: dict[str, Fact],
-    variable: str,
-    eq_index: EqualityColumnIndex,
-) -> tuple[str, object] | None:
-    """``(attribute, value)`` to hash-probe for *variable*, if usable.
-
-    Usable means: an equality predicate with exactly one side referencing
-    *variable* and the other side fully determined (constant or bound
-    variable), over an indexed column.
-    """
-    if predicate.op is not ComparisonOp.EQ:
-        return None
-    left, right = predicate.left, predicate.right
-    var_side: Term | None = None
-    other: Term | None = None
-    if not left.is_constant and left.variable == variable:
-        var_side, other = left, right
-    elif not right.is_constant and right.variable == variable:
-        var_side, other = right, left
-    if var_side is None or other is None:
-        return None
-    if not other.is_constant and other.variable == variable:
-        return None  # both sides reference the variable being bound
-    if not eq_index.covers(dc.relation_of(variable), var_side.attribute):
-        return None
-    if other.is_constant:
-        return var_side.attribute, other.constant
-    bound = assignment.get(other.variable)
-    if bound is None:
-        return None
-    value = bound.get(
-        eq_index.schema.signature(bound.relation), other.attribute
-    )
-    return var_side.attribute, value
-
-
-def _bound_predicates_hold(
-    dc: DenialConstraint,
-    assignment: dict[str, Fact],
-    bound: set[str],
-    just_bound: str,
-    schema: Schema,
-) -> bool:
-    """Check predicates that became fully bound when *just_bound* was set."""
-    for predicate in dc.predicates:
-        variables = predicate.variables()
-        if just_bound in variables and variables <= bound:
-            if not predicate.evaluate(assignment, schema):
-                return False
-        elif not variables and len(bound) == 1:
-            # Constant-only predicate: check once, at the first binding.
-            if not predicate.evaluate(assignment, schema):
-                return False
-    return True

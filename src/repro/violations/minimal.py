@@ -10,22 +10,25 @@ The one-shot entry points (:func:`build_violation_index`,
 :func:`is_consistent`, :func:`find_first_violation`, :func:`violations_of`)
 run one cold build of the measurement session's own enumerators
 (:func:`repro.session.enumeration.cold_build` with ``engine="auto"``) over
-a throw-away column store: every DC whose equality-join graph connects its
-tuple variables runs as a compiled batch join plan, the rest keep the probe
-fallback — the SQL engine for binary DCs, a recursive hash join
-(:func:`_wide_witnesses`) for wider ones.  Their result is therefore the
-session's ``index()`` list for list.
+throw-away indexes: every DC whose equality-join graph connects its tuple
+variables runs as a compiled batch join plan, the rest as a compiled probe
+plan.  Their result is therefore the session's ``index()`` list for list.
+This module keeps only the definitions, the one-shot entry points and the
+⊆-minimization (:func:`_minimize`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..constraints.base import Constraint
-from ..constraints.dc import DenialConstraint, Predicate
+from ..constraints.dc import DenialConstraint
 from ..relational.database import Database
-from .sqlgen import conflict_rows
+
+# Unused here: the perfbench layer tracer wraps ``minimal.conflict_rows``
+# to time the sqlengine layer, so the name stays importable.
+from .sqlgen import conflict_rows  # noqa: F401
 
 
 @dataclass
@@ -224,7 +227,7 @@ def build_violation_index(
     dcs = lower_constraints(constraints, database.schema)
     index = ViolationIndex()
     raw_sets: set[frozenset[int]] = set()
-    for dc, family in zip(dcs, cold_build("auto", dcs, database)[2]):
+    for dc, family in zip(dcs, cold_build("auto", dcs, database)[-1]):
         index.per_constraint.extend(
             MinimalViolation(witness, dc) for witness in _by_fact_ids(family)
         )
@@ -250,7 +253,7 @@ def find_first_violation(
     from ..session.enumeration import build_enumerators
 
     dcs = lower_constraints(constraints, database.schema)
-    enumerators, _ = build_enumerators("auto", dcs, database)
+    enumerators = build_enumerators("auto", dcs, database)[0]
     for dc, enumerator in zip(dcs, enumerators):
         for chunk in enumerator.cold_chunks(database):
             if chunk:
@@ -262,85 +265,13 @@ def violations_of(dc: DenialConstraint, database: Database) -> list[frozenset[in
     """Witnesses of a single DC (not minimized), sorted by fact ids."""
     from ..session.enumeration import cold_build
 
-    return _by_fact_ids(cold_build("auto", [dc], database)[2][0])
+    return _by_fact_ids(cold_build("auto", [dc], database)[-1][0])
 
 
 def _by_fact_ids(family: set[frozenset[int]]) -> list[frozenset[int]]:
     """*family* sorted by sorted fact ids (the witness-store order)."""
     keyed = sorted((tuple(sorted(witness)), witness) for witness in family)
     return [witness for _, witness in keyed]
-
-
-# ----------------------------------------------------------------------
-# Witness enumeration
-# ----------------------------------------------------------------------
-def _witness_id_sets(
-    dc: DenialConstraint, database: Database
-) -> Iterable[tuple[int, ...]]:
-    """Yield deduplicated witness id tuples: the probe fallback's cold scan.
-
-    Binary DCs run through the SQL engine's conflict query, wider ones
-    through :func:`_wide_witnesses`.
-    """
-    seen: set[frozenset[int]] = set()
-    if dc.width <= 2:
-        rows = conflict_rows(dc, database)
-    else:
-        rows = _wide_witnesses(dc, database)
-    for row in rows:
-        key = frozenset(row)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield tuple(sorted(key))
-
-
-def _wide_witnesses(
-    dc: DenialConstraint, database: Database
-) -> Iterable[tuple[int, ...]]:
-    """Recursive join for DCs with three or more tuple variables.
-
-    Binds variables left to right; equality predicates whose right side binds
-    the current variable are served from hash indices, remaining predicates
-    are checked as soon as both sides are bound.
-    """
-    schema = database.schema
-    variables = [variable for variable, _ in dc.variables]
-    relations = dict(dc.variables)
-    position = {variable: i for i, variable in enumerate(variables)}
-
-    def ready_at(predicate: Predicate) -> int:
-        return max(
-            (position[v] for v in predicate.variables()), default=0
-        )
-
-    checks_at: dict[int, list[Predicate]] = {i: [] for i in range(len(variables))}
-    for predicate in dc.predicates:
-        checks_at[ready_at(predicate)].append(predicate)
-
-    ids_by_relation = {
-        relation: database.relation_ids(relation)
-        for relation in set(relations.values())
-    }
-
-    def recurse(level: int, assignment: dict, chosen_ids: list[int]):
-        if level == len(variables):
-            yield tuple(chosen_ids)
-            return
-        variable = variables[level]
-        for identifier in ids_by_relation[relations[variable]]:
-            fact = database[identifier]
-            assignment[variable] = fact
-            if all(
-                predicate.evaluate(assignment, schema)
-                for predicate in checks_at[level]
-            ):
-                chosen_ids.append(identifier)
-                yield from recurse(level + 1, assignment, chosen_ids)
-                chosen_ids.pop()
-            del assignment[variable]
-
-    yield from recurse(0, {}, [])
 
 
 def _minimize(sets: set[frozenset[int]]) -> list[frozenset[int]]:

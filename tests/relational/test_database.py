@@ -100,8 +100,25 @@ class TestViews:
         clone = db.copy()
         assert clone.active_domain("R", "A").frequency(1) == 2
 
+    def test_domains_built_on_first_read(self, schema):
+        db = Database.from_rows(schema, "R", [(3, 1), (1, 2)])
+        db.update(0, "A", 5)
+        db.insert(Fact("R", (1, 7)))
+        # No column was read, so no mutation maintained a domain.
+        assert db._domains == {}
+        domain = db.active_domain("R", "A")
+        assert list(domain) == [5, 1]
+        assert domain.frequency(1) == 2
+        db.delete(1)
+        assert db.active_domain("R", "A") is domain
+        assert domain.frequency(1) == 1
+        assert set(db._domains) == {("R", "A")}
+
     def test_copy_shares_domains_until_written(self, schema):
         db = Database.from_rows(schema, "R", [(3, 1), (1, 2), (3, 3), (2, 4)])
+        # Domains read before the copy are shared with it.
+        db.active_domain("R", "A")
+        db.active_domain("R", "B")
         clone = db.copy()
         original_view = db.active_domain("R", "A")
         clone_view = clone.active_domain("R", "A")
@@ -148,6 +165,25 @@ class TestViews:
         assert db1 == db2
         db2.update(0, "A", 9)
         assert db1 != db2
+
+
+    def test_identifier_slots(self, schema):
+        db = Database.from_rows(schema, "R", [(1, 1), (2, 2), (3, 3)])
+        db.delete(2)
+        db.delete(0)
+        assert db.ids() == [1] and 0 not in db and 2 not in db and -1 not in db
+        assert db.get(7) is None and db.get(-1) is None
+        with pytest.raises(KeyError):
+            db[-1]
+        # Equality ignores which identifiers were ever used.
+        twin = Database.from_rows(schema, "R", [(9, 9), (2, 2)])
+        twin.delete(0)
+        assert db == twin
+        assert db.restore(5, Fact("R", (5, 5)))
+        assert db.ids() == [1, 5] and len(db) == 2
+        assert db.insert(Fact("R", (0, 0))) == 0
+        with pytest.raises(ValueError):
+            db.restore(-1, Fact("R", (0, 0)))
 
 
 class TestSavepointEdgeCases:
@@ -229,7 +265,7 @@ class TestSavepointEdgeCases:
     def test_interleaved_nesting_restores_identifiers(self, schema):
         """Deletes/inserts across nesting levels unwind newest-first."""
         db = Database.from_rows(schema, "R", [(1, 1), (2, 2), (3, 3)])
-        facts_before = dict(db._facts)
+        facts_before = dict(db.items())
         with db.savepoint():
             db.delete(0)
             with db.savepoint() as inner:
@@ -237,7 +273,7 @@ class TestSavepointEdgeCases:
                 db.delete(2)
                 inner.release()
             db.insert(Fact("R", (8, 8)))  # reuses identifier 2
-        assert db._facts == facts_before
+        assert dict(db.items()) == facts_before
         assert db.peek_next_id() == 3
 
     def test_sharded_session_attach_detach_mid_savepoint(self, schema):

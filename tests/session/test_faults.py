@@ -345,13 +345,13 @@ class TestIngestFlushFault:
             pipe.submit("insert", Fact("R", (0, 99, 0)))
             pipe.submit("update", 0, "B", 99)
             pending_before = pipe.pending
-            facts_before = dict(database._facts)
+            facts_before = dict(database.items())
             flushes_before = pipe.counters()["flushes"]
             with faults.inject(FAULT_FLUSH):
                 with pytest.raises(FaultInjected):
                     pipe.read(measures, max_staleness_events=0)
             assert pipe.pending == pending_before
-            assert dict(database._facts) == facts_before
+            assert dict(database.items()) == facts_before
             assert pipe.counters()["flushes"] == flushes_before
             # The retry drains bit-identically to never having faulted.
             read = pipe.read(measures, max_staleness_events=0)

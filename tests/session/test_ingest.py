@@ -9,7 +9,8 @@ coalescing rules (insert→update→delete nets out, last-writer-wins
 images, identifier reuse), the bounded-buffer backpressure contract, the
 read-staleness/watermark contract with generation-tagged reads, the
 flush-residue audit (a coalesced insert+delete leaves nothing behind in
-``_touching`` or the equality-index buckets) and generation stability (a
+``_touching``, the column store's key groups or the equality-index
+buckets) and generation stability (a
 net-empty flush advances nothing and keeps ``_spec_base``).
 """
 
@@ -20,6 +21,8 @@ import random
 import pytest
 
 from repro.constraints import FunctionalDependency
+from repro.constraints.base import ComparisonOp
+from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.measures import make_measures
 from repro.relational import Database, Fact, Schema
 from repro.session import (
@@ -30,6 +33,8 @@ from repro.session import (
     database_fingerprint,
     make_session,
 )
+
+from .test_speculation import shard_indexes
 
 MEASURES = make_measures(["I_MI", "I_P", "I_d"])
 
@@ -53,6 +58,32 @@ def _seeded(n: int = 12) -> Database:
         database.insert(Fact("R", (f"a{k % 4}", f"b{k % 3}")))
         database.insert(Fact("S", (k % 3, k % 2)))
     return database
+
+
+def _residue_constraints():
+    """The FDs plus a probe-served DC on R that joins on an equality.
+
+    The FDs compile to batch plans (their indexes are the column store's
+    key groups); the extra DC keeps the probe's equality index in play.
+    """
+    probe_join = DenialConstraint(
+        [("t", "R"), ("t2", "R"), ("t3", "R")],
+        [
+            Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("t2", "A")),
+            Predicate(Term.col("t3", "B"), ComparisonOp.LT, Term.col("t", "B")),
+        ],
+        name="probe_join",
+    )
+    return _constraints() + [probe_join]
+
+
+def _assert_unindexed(shard, identifier: int) -> None:
+    """*identifier* sits in no key group nor equality-index bucket."""
+    groups, buckets = shard_indexes(shard)
+    assert groups
+    for column in (*groups.values(), *buckets.values()):
+        for ids in column.values():
+            assert identifier not in ids
 
 
 #: One explicit group for R and S: a one-shard session (no merge).
@@ -353,7 +384,7 @@ class TestFlushResidue:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_insert_delete_leaves_no_touching_or_bucket_residue(self, flavor):
         database = _seeded()
-        session = MeasurementSession(_constraints(), database, flavor)
+        session = MeasurementSession(_residue_constraints(), database, flavor)
         session.index()
         pipe = session.ingest()
         identifier = pipe.submit("insert", Fact("R", ("a0", "hot")))
@@ -362,9 +393,7 @@ class TestFlushResidue:
         session.index()
         for shard in session.shards:
             assert identifier not in shard._touching
-            for buckets in shard._eq_index._maps.values():
-                for bucket in buckets.values():
-                    assert identifier not in bucket
+            _assert_unindexed(shard, identifier)
             for store in shard._witnesses:
                 for violation in store.ordered():
                     assert identifier not in violation.fact_ids
@@ -374,22 +403,21 @@ class TestFlushResidue:
         # eq-index/column updates eagerly but witness retraction waits
         # for the flush — the dirty id must fold away completely.
         database = _seeded()
-        session = MeasurementSession(_constraints(), database)
+        session = MeasurementSession(_residue_constraints(), database)
         session.index()
         generation = _generation(session)
         identifier = database.insert(Fact("R", ("a0", "hot")))
         database.delete(identifier)
         session.index()
         shard = _r_shard(session)
+        assert shard_indexes(shard)[1]  # the probe DC's equality index
         assert identifier not in shard._touching
-        for buckets in shard._eq_index._maps.values():
-            for bucket in buckets.values():
-                assert identifier not in bucket
+        _assert_unindexed(shard, identifier)
         assert _generation(session) == generation
 
     def test_bound_fact_updated_then_deleted(self):
         database = _seeded(0)
-        session = MeasurementSession(_constraints(), database)
+        session = MeasurementSession(_residue_constraints(), database)
         pipe = session.ingest()
         a = database.insert(Fact("R", ("k", "v1")))
         b = database.insert(Fact("R", ("k", "v2")))  # conflicts with a
@@ -402,10 +430,8 @@ class TestFlushResidue:
         session.index()
         assert b not in shard._touching
         assert a not in shard._touching  # its only witness retracted
-        for buckets in shard._eq_index._maps.values():
-            for bucket in buckets.values():
-                assert b not in bucket
-        with MeasurementSession(_constraints(), database) as fresh:
+        _assert_unindexed(shard, b)
+        with MeasurementSession(_residue_constraints(), database) as fresh:
             assert session.index().mi_sets == fresh.index().mi_sets
 
 

@@ -63,7 +63,21 @@ def _constraint_suites():
             name="wide3",
         ),
     ]
-    return {"binary": binary, "wide": wide}
+    # Not batch-compilable (t3 shares a predicate with t but no equality),
+    # so the probe serves it and its equality join reads the equality index.
+    probe_join = [
+        FunctionalDependency("R", {"A"}, {"B"}),
+        DenialConstraint(
+            [("t", "R"), ("t2", "R"), ("t3", "R")],
+            [
+                Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("t2", "A")),
+                Predicate(Term.col("t3", "B"), ComparisonOp.LT, Term.col("t", "B")),
+                Predicate(Term.col("t", "C"), ComparisonOp.NE, Term.col("t2", "C")),
+            ],
+            name="probe_join",
+        ),
+    ]
+    return {"binary": binary, "wide": wide, "probe_join": probe_join}
 
 
 @pytest.fixture

@@ -257,6 +257,37 @@ class TestColdEquivalence:
         session.close()
 
 
+    def test_probe_counters_track_work(self, case_rng):
+        """A probe-served DC counts its compiled plans and visited facts."""
+        rng = case_rng
+        _, relations, spread, database, _ = _random_instance(rng, 40)
+        dominance = DenialConstraint(
+            [("t", relations[0]), ("t2", relations[0])],
+            [
+                Predicate(Term.col("t", "A"), ComparisonOp.LT, Term.col("t2", "A")),
+                Predicate(Term.col("t", "B"), ComparisonOp.LT, Term.col("t2", "B")),
+            ],
+            name="dominance",
+        )
+        mirror = Database(database.schema)
+        for _, fact in database.items():
+            mirror.insert(Fact(fact.relation, fact.values))
+        extra = _random_fact(rng, relations[0], spread)
+        runs = []
+        for target in (database, mirror):
+            session = MeasurementSession([dominance], target)
+            target.insert(extra)
+            session.index()
+            runs.append(session.stats()["constraints"][0])
+            session.close()
+        stats = runs[0]
+        assert stats["engine"] == "probe"
+        assert stats["plans_compiled"] == dominance.width
+        assert stats["rows_scanned"] > 0
+        assert stats["delta_runs"] == 1
+        assert runs[0] == runs[1]
+
+
 class TestDeltaEquivalence:
     @pytest.mark.slow
     @pytest.mark.parametrize("case", range(6))

@@ -6,8 +6,9 @@ Two randomized invariants anchor the subsystem:
   registry, exactly the value of the copy-apply-rebuild path
   (``measure.value(Σ, ops(D.copy()))``);
 * rolling back a savepoint restores a bit-identical database (facts,
-  identifier allocator, active domains), equality-column index and witness
-  store — cross-checked against ``session.refresh()``.
+  identifier allocator, active domains), enumeration indexes (the column
+  store's key groups and the probe's equality index) and witness store —
+  cross-checked against ``session.refresh()``.
 """
 
 from __future__ import annotations
@@ -78,14 +79,55 @@ def _domain_snapshot(database: Database) -> dict:
     }
 
 
-def _eq_index_snapshot(session: MeasurementSession) -> list[dict]:
-    return [
-        {
-            column: {value: set(ids) for value, ids in buckets.items()}
-            for column, buckets in shard._eq_index._maps.items()
+def _index_snapshot(session: MeasurementSession) -> list[tuple[dict, dict]]:
+    """Per shard: the column store's key groups and the probe equality index.
+
+    Both map each indexed column to ``value → fact ids``; the numpy store
+    groups by dictionary code instead of value (codes are never recycled,
+    so they survive a rollback).  A dead row left behind in a list-store
+    group shows up as a ``None`` id.
+    """
+    return [shard_indexes(shard) for shard in session.shards]
+
+
+def shard_indexes(shard) -> tuple[dict, dict]:
+    """One shard's ``(key groups, equality-index buckets)``."""
+    return _key_groups(shard._columns), _equality_buckets(shard._eq_index)
+
+
+def _key_groups(store) -> dict:
+    if store is None:
+        return {}
+    if store.backend == "list":
+        return {
+            (relation, attribute): {
+                value: {store.ids(relation)[row] for row in rows}
+                for value, rows in buckets.items()
+            }
+            for (relation, attribute), buckets in store._groups.items()
         }
-        for shard in session.shards
-    ]
+    groups: dict = {}
+    for relation, table in store._relations.items():
+        live = table.live_rows().tolist()
+        for attribute, column in table.columns.items():
+            if column.group is None:
+                continue
+            by_code: dict[int, set[int]] = {}
+            for row in live:
+                code = int(column.codes[row])
+                if code >= 0:
+                    by_code.setdefault(code, set()).add(int(table.ids[row]))
+            groups[(relation, attribute)] = by_code
+    return groups
+
+
+def _equality_buckets(index) -> dict:
+    if index is None:
+        return {}
+    return {
+        column: {value: set(ids) for value, ids in buckets.items()}
+        for column, buckets in index._maps.items()
+    }
 
 
 def _witness_snapshot(session: MeasurementSession) -> list[tuple]:
@@ -165,7 +207,7 @@ class TestSpeculateEqualsCopyRebuild:
 
 
 class TestSavepointRollback:
-    @pytest.mark.parametrize("suite", ["binary", "wide"])
+    @pytest.mark.parametrize("suite", ["binary", "wide", "probe_join"])
     @pytest.mark.parametrize("case", [0, 1, 2])
     def test_rollback_restores_bit_identical_state(
         self, schema, suite, case, case_rng
@@ -177,19 +219,23 @@ class TestSavepointRollback:
         constraints = _constraint_suites()[suite]
         with MeasurementSession(constraints, database) as session:
             session.index()
-            facts_before = dict(database._facts)
+            facts_before = dict(database.items())
             next_id_before = database._next_id
             domains_before = _domain_snapshot(database)
-            eq_before = _eq_index_snapshot(session)
+            indexes_before = _index_snapshot(session)
+            # Each suite's shard carries exactly the indexes its DCs read.
+            (groups, buckets), = indexes_before
+            assert groups
+            assert bool(buckets) == (suite == "probe_join")
             with session.savepoint():
                 for _ in range(30):
                     _random_mutation(rng, database)
                 session.index()  # exercise mid-savepoint flushes too
             index = session.index()  # flush the rollback deltas
-            assert database._facts == facts_before
+            assert dict(database.items()) == facts_before
             assert database._next_id == next_id_before
             assert _domain_snapshot(database) == domains_before
-            assert _eq_index_snapshot(session) == eq_before
+            assert _index_snapshot(session) == indexes_before
             after = _witness_snapshot(session)
             fresh = session.refresh()
             assert after == _witness_snapshot(session)
@@ -220,12 +266,12 @@ class TestSavepointRollback:
         database = Database.from_rows(
             schema, "R", [(1, "x", 0), (2, "y", 0), (3, "z", 0)]
         )
-        facts_before = dict(database._facts)
+        facts_before = dict(database.items())
         with database.savepoint():
             database.delete(0)
             database.delete(2)
             database.insert(Fact("R", (9, "w", 9)))  # takes identifier 0
-        assert database._facts == facts_before
+        assert dict(database.items()) == facts_before
 
 
 class TestOperationInverse:
@@ -240,12 +286,12 @@ class TestOperationInverse:
             RestoreOperation(5, Fact("R", (5, "r", 5))),
         ]
         for operation in operations:
-            snapshot = dict(database._facts)
+            snapshot = dict(database.items())
             undo = operation.inverse(database)
             assert undo is not None, operation
             assert operation.apply_in_place(database)
             assert undo.apply_in_place(database)
-            assert database._facts == snapshot, operation
+            assert dict(database.items()) == snapshot, operation
 
     def test_inapplicable_operations_have_no_inverse(self, schema):
         database = Database.from_rows(schema, "R", [(1, "x", 0)])

@@ -218,26 +218,52 @@ def test_shapes_cover_both_enumerators():
 
 def test_early_exit_stops_at_first_chunk(backend, monkeypatch):
     """A witness in the first seed chunk never runs the later chunks."""
-    from repro.session.enumeration import BatchEnumerator
-
     schema = Schema.from_dict({"R": ["A", "B", "C"]})
     rows = [(1, "x", 0), (1, "y", 0)] + [(n, "x", 0) for n in range(2, 2000)]
     database = Database.from_rows(schema, "R", rows)
     fd = FunctionalDependency("R", {"A"}, {"B"})
-    chunks_run: list[int] = []
-    run = BatchEnumerator._seed_chunks
-
-    def counting(self, first):
-        for part in run(self, first):
-            chunks_run.append(len(part))
-            yield part
-
-    monkeypatch.setattr(BatchEnumerator, "_seed_chunks", counting)
+    chunks_run = _count_chunks(monkeypatch)
     assert not is_consistent([fd], database)
     violation = find_first_violation([fd], database)
     assert violation.fact_ids == frozenset({0, 1})
     # One chunk per call: the early exit never reached the other 1936 seeds.
     assert chunks_run == [1, 1]
+
+
+def test_early_exit_on_probe_served_dc(monkeypatch):
+    """The probe fallback runs its cold plan in the same seed chunks."""
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    rows = [(2, "x", 0), (1, "x", 1)] + [(n, "x", n) for n in range(2, 2000)]
+    database = Database.from_rows(schema, "R", rows)
+    dominance = DenialConstraint(
+        [("t", "R"), ("t2", "R")],
+        [
+            Predicate(Term.col("t", "A"), ComparisonOp.GT, Term.col("t2", "A")),
+            Predicate(Term.col("t", "C"), ComparisonOp.LT, Term.col("t2", "C")),
+        ],
+        name="dominance",
+    )
+    assert not batch_compilable(dominance)
+    chunks_run = _count_chunks(monkeypatch)
+    violation = find_first_violation([dominance], database)
+    assert violation.fact_ids == frozenset({0, 1})
+    assert len(chunks_run) == 1
+
+
+def _count_chunks(monkeypatch) -> list[int]:
+    """Record the witness count of every cold chunk any enumerator runs."""
+    from repro.session.enumeration import WitnessEnumerator
+
+    chunks_run: list[int] = []
+    run = WitnessEnumerator._seed_chunks
+
+    def counting(self, database, first):
+        for part in run(self, database, first):
+            chunks_run.append(len(part))
+            yield part
+
+    monkeypatch.setattr(WitnessEnumerator, "_seed_chunks", counting)
+    return chunks_run
 
 
 @pytest.mark.parametrize("dataset", DATASET_ORDER)
