@@ -1,18 +1,18 @@
-"""Vectorized numpy column kernels vs the list-backed batch path vs probe.
+"""Vectorized numpy column kernels vs the list-backed batch path.
 
 The batch enumeration engine runs on one of two column backends
 (:mod:`repro.session.columnar`): pure-python lists with dict group indexes,
 or numpy arrays with dictionary-encoded join keys and CSR bucket probes
 (:mod:`repro.session.vectorized`).  This bench sweeps the Tax- and
-Hospital-shaped workloads from 100k to 1M facts and times the two batch
-backends head-to-head on exactly the entry points that matter — cold
-enumeration and dirty-batch delta re-enumeration — with the per-tuple probe
-reference alongside as the semantic anchor.
+Hospital-shaped workloads from 100k to 1M facts and times the two backends
+head-to-head on exactly the entry points that matter — cold enumeration
+and dirty-batch delta re-enumeration.
 
-At **every** step the three witness families are asserted bit-identical
-(numpy == list == probe) before any timing is trusted; when numpy is not
-importable the sweep degrades to the fallback leg (list == probe) and skips
-the speedup bars.  The acceptance bars — numpy ≥5× cold and ≥3× delta over
+At **every** step the two witness families are asserted bit-identical
+(numpy == list) before any timing is trusted.  When numpy is not
+importable the sweep runs the list leg alone, checks its delta against a
+fresh list cold build restricted to the dirty facts, and skips the speedup
+bars.  The acceptance bars — numpy ≥5× cold and ≥3× delta over
 the *list-backed batch* path — are enforced at ≥500k facts and full scale
 only.  Results land in ``BENCH_vectorized.json``.
 """
@@ -121,19 +121,15 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
     rng = random.Random(seed)
     database, dcs, (dirty_attr, dirty_value) = WORKLOADS[workload](size, rng)
     legs: dict[str, list] = {}
-    # Each workload DC joins on an equality, so the probe leg has an index.
-    probes, _, eq_index = build_enumerators("probe", dcs, database)
-    legs["probe"] = probes
     stores = []
     backends = ["list"] + (["numpy"] if HAS_NUMPY else [])
     for backend in backends:
-        enumerators, store, _ = build_enumerators(
-            "batch", dcs, database, vector_backend=backend
+        enumerators, store = build_enumerators(
+            dcs, database, vector_backend=backend
         )
         stores.append(store)
         legs[backend] = enumerators
-    # Every maintained input tracks the same mutations, like a session does.
-    database.subscribe(eq_index.apply)
+    # Every maintained store tracks the same mutations, like a session does.
     for store in stores:
         database.subscribe(store.apply)
 
@@ -145,11 +141,11 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
                 enumerator.cold(database) for enumerator in enumerators
             ]
         )
-    for leg in backends:
-        assert cold[leg] == cold["probe"], (
-            f"{workload}@{size}: cold {leg} witnesses diverged from the probe"
+    if HAS_NUMPY:
+        assert cold["numpy"] == cold["list"], (
+            f"{workload}@{size}: cold numpy witnesses diverged from list"
         )
-    witnesses = sum(len(found) for found in cold["probe"])
+    witnesses = sum(len(found) for found in cold["list"])
 
     identifiers = database.ids()
     dirty = rng.sample(identifiers, min(DIRTY_BATCH, len(identifiers)))
@@ -169,12 +165,20 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
             )
             rounds.append(seconds)
         delta_seconds[leg] = min(rounds)
-    for leg in backends:
-        assert delta[leg] == delta["probe"], (
-            f"{workload}@{size}: delta {leg} witnesses diverged from the probe"
+    if HAS_NUMPY:
+        assert delta["numpy"] == delta["list"], (
+            f"{workload}@{size}: delta numpy witnesses diverged from list"
+        )
+    else:
+        fresh, _ = build_enumerators(dcs, database, vector_backend="list")
+        expected = [
+            {witness for witness in enumerator.cold(database) if witness & dirty_set}
+            for enumerator in fresh
+        ]
+        assert delta["list"] == expected, (
+            f"{workload}@{size}: list delta diverged from a fresh cold build"
         )
 
-    database.unsubscribe(eq_index.apply)
     for store in stores:
         database.unsubscribe(store.apply)
     row = {
@@ -182,7 +186,7 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
         "facts": size,
         "witnesses": witnesses,
         "dirty_batch": len(dirty),
-        "delta_witnesses": sum(len(found) for found in delta["probe"]),
+        "delta_witnesses": sum(len(found) for found in delta["list"]),
         "has_numpy": HAS_NUMPY,
         "cold_seconds": cold_seconds,
         "delta_seconds": delta_seconds,
@@ -193,9 +197,6 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
         )
         row["delta_speedup_vs_list"] = delta_seconds["list"] / max(
             delta_seconds["numpy"], 1e-12
-        )
-        row["cold_speedup_vs_probe"] = cold_seconds["probe"] / max(
-            cold_seconds["numpy"], 1e-12
         )
         row["numpy_stats"] = legs["numpy"][0].stats.as_dict()
     return row
@@ -220,8 +221,7 @@ def test_bench_vectorized_columns(benchmark):
                 f"{row['workload']:>8} n={row['facts']:>8} "
                 f"({row['witnesses']} witnesses): cold list "
                 f"{cold['list']:.3f}s vs numpy {cold['numpy']:.3f}s "
-                f"(×{row['cold_speedup_vs_list']:.1f}, probe ×"
-                f"{row['cold_speedup_vs_probe']:.1f}); "
+                f"(×{row['cold_speedup_vs_list']:.1f}); "
                 f"delta[{row['dirty_batch']}] list {delta['list']*1e3:.1f}ms "
                 f"vs numpy {delta['numpy']*1e3:.1f}ms "
                 f"(×{row['delta_speedup_vs_list']:.1f})"
@@ -238,8 +238,8 @@ def test_bench_vectorized_columns(benchmark):
         else:
             lines.append(
                 f"{row['workload']:>8} n={row['facts']:>8} fallback leg: "
-                f"cold list {cold['list']:.3f}s == probe witness-identical; "
-                f"delta list {delta['list']*1e3:.1f}ms"
+                f"cold list {cold['list']:.3f}s; delta list "
+                f"{delta['list']*1e3:.1f}ms == fresh cold build on the dirty facts"
             )
     if full_scale():  # smoke runs must not clobber the committed trajectory
         RESULTS_DIR.mkdir(exist_ok=True)

@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print the session's observability counters as JSON after "
-        "measuring (enumeration engine, vector backend, per-constraint "
-        "witness counters, streaming-ingest counters when a pipeline is "
+        "measuring (vector backend, per-constraint enumeration backend "
+        "and witness counters, streaming-ingest counters when a pipeline is "
         "attached)",
     )
     parser.add_argument(

@@ -33,18 +33,16 @@ reads drain only the shards over their watermark — one regional re-split
 per touched component per *flush* instead of per event, bit-identical to
 eager per-event application.
 
-Witness enumeration itself is a pluggable per-DC strategy
-(:mod:`repro.session.enumeration`), compiled once per DC into one plan per
-tuple variable that serves both the cold build and every delta: the
-tuple-at-a-time probe reference (a fixed-order recursion over equality
-hash probes) or the set-based batch-join backend, selected with
-``engine="probe" | "batch" | "auto"`` on the session constructor and
-:func:`make_session` — bit-identical witness sets either way, with per-DC
-counters through ``session.stats()``.  The batch backend itself runs on one of two column
+Witness enumeration itself (:mod:`repro.session.enumeration`) compiles
+each DC once into one batch join plan per tuple variable that serves both
+the cold build and every delta: grouped hash joins along the DC's equality
+graph and filtered cross steps between its disconnected parts, with per-DC
+counters through ``session.stats()``.  The plans run on one of two column
 backends (:mod:`repro.session.columnar`): numpy-vectorized kernels over
 dictionary-encoded columns when numpy is importable, or the pure-python
 list store otherwise — pick explicitly with ``vector_backend=`` or the
-``REPRO_VECTOR`` environment variable.
+``REPRO_VECTOR`` environment variable; witness sets are bit-identical
+either way.
 """
 
 from .columnar import (
@@ -54,12 +52,8 @@ from .columnar import (
     make_column_store,
 )
 from .enumeration import (
-    ENGINES,
-    BatchEnumerator,
     EnumerationStats,
-    ProbeEnumerator,
     WitnessEnumerator,
-    batch_compilable,
     build_enumerators,
 )
 from .ingest import (
@@ -82,25 +76,17 @@ from .snapshot import (
     load_snapshot_bytes,
     save_snapshot,
 )
-from .witnesses import (
-    EqualityColumnIndex,
-    WitnessStore,
-    equality_columns,
-)
+from .witnesses import WitnessStore
 
 __all__ = [
-    "BatchEnumerator",
     "ColumnStore",
     "DatabaseFingerprint",
-    "ENGINES",
     "EnumerationStats",
-    "EqualityColumnIndex",
     "FAULT_FLUSH",
     "IngestError",
     "IngestPipeline",
     "IngestRead",
     "MeasurementSession",
-    "ProbeEnumerator",
     "RelationColumns",
     "SNAPSHOT_VERSION",
     "SessionSnapshot",
@@ -109,11 +95,9 @@ __all__ = [
     "VECTOR_BACKEND",
     "WitnessEnumerator",
     "WitnessStore",
-    "batch_compilable",
     "build_enumerators",
     "database_fingerprint",
     "dump_snapshot",
-    "equality_columns",
     "load_snapshot",
     "make_column_store",
     "load_snapshot_bytes",

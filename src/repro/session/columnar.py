@@ -22,9 +22,9 @@ Two backends implement the same registration/maintenance surface:
 Use :func:`make_column_store` to construct whichever backend is active;
 :data:`VECTOR_BACKEND` names the process-wide default.
 
-The store is **maintained**, not rebuilt: the owning session feeds it the
-same :class:`~repro.relational.database.ChangeEvent` stream that drives the
-equality-column index, so every enumeration (cold or delta, committed or
+The store is **maintained**, not rebuilt: the owning shard feeds it the
+:class:`~repro.relational.database.ChangeEvent` stream of its relations,
+so every enumeration (cold or delta, committed or
 inside a speculation savepoint) sees current state at O(1) amortized cost
 per mutation.  Updates reuse the existing row slot in place; deleted rows
 are tombstoned (identifier slot set to ``None``) and recycled through a
@@ -51,8 +51,8 @@ def _joinable(value) -> bool:
 
     Keeping them out of the group buckets matters for NaN in particular:
     a dict would key a NaN *object* by identity, so the same object would
-    "equal" itself through a bucket while ``==`` (the probe reference's
-    verification, and IEEE semantics) says it does not.
+    "equal" itself through a bucket while ``==`` (the scalar kernels and
+    IEEE semantics) says it does not.
     """
     return value is not None and value == value
 

@@ -1,46 +1,39 @@
-"""Witness-enumeration backends: compiled probe plans vs. set-based batch joins.
+"""Witness enumeration: compiled batch join plans over a column store.
 
 Every witness the session maintains — cold build and delta re-enumeration
-alike — is found by one of two per-DC strategies, each compiled **once**
-into one plan per tuple variable (the variable the plan is *pinned*
-on, i.e. seeded with):
+alike — is found by one :class:`WitnessEnumerator` per DC.  It compiles the
+DC **once** into one :class:`BatchPlan` per tuple variable (the variable
+the plan is *pinned* on, i.e. seeded with) and runs it over the session's
+maintained :class:`~repro.session.columnar.ColumnStore`.  The plan's join
+order is chosen from the DC's equality graph by the SQL planner
+(:func:`~repro.sqlengine.planner.plan_query` with ``reorder_equalities=True``
+over :func:`~repro.violations.sqlgen.conflict_query`): every variable an
+equality reaches from the bound ones joins through a grouped hash join,
+and a variable none reaches — the next part of a disconnected equality
+graph, or any variable of an inequality-only DC — joins through a keyless
+**cross step**, a filtered cross product of the bound batch with the new
+side's pre-filtered live rows.  Bound predicates apply as filters over
+candidate batches, fused into the join wherever they are pairwise.
 
-* :class:`ProbeEnumerator` — the tuple-at-a-time reference.  A
-  :class:`ProbePlan` fixes the binding order (next comes a variable an
-  equality reaches from the bound ones, else the first unbound one), the
-  hash probes into the :class:`~repro.session.witnesses.EqualityColumnIndex`
-  at each level, and the predicate checks that become fully bound there,
-  compiled to the ``_COMPARE`` kernels over positional fact values.  It
-  serves every DC, whatever its equality graph.
-* :class:`BatchEnumerator` compiles the DC into vectorized batch join
-  plans and runs them over the session's maintained
-  :class:`~repro.session.columnar.ColumnStore`.  The plan's join order is
-  chosen from the DC's equality graph by the SQL planner
-  (:func:`~repro.sqlengine.planner.plan_query` with
-  ``reorder_equalities=True`` over :func:`~repro.violations.sqlgen.conflict_query`);
-  execution replaces per-tuple recursion with grouped hash joins over row
-  batches and bound predicates applied as filters over candidate batches.
+The plans run on one of two column backends: pure-python lists (this
+module) or numpy arrays (:mod:`repro.session.vectorized`).  The list cross
+step fuses its pairwise predicates per candidate, so no unfiltered pair is
+ever materialized; the numpy one expands the batch in blocks of at most
+``CROSS_PAIR_BUDGET`` pairs and filters each block before keeping its
+survivors.
 
-Both backends use their plan family the same way: the **cold** entry
-point runs the pin-0 plan over its relation (in seed chunks, see
-:meth:`WitnessEnumerator.cold_chunks`), and the **delta** entry point runs
-each pin's plan over the dirty ids of that pin's relation — one pass per
-pin instead of a recursion per dirty fact.
-
-Strategy selection (:func:`build_enumerators`) takes ``engine="probe" |
-"batch" | "auto"``: ``auto`` picks the batch backend exactly for the DCs
-whose equality-join graph connects all tuple variables
-(:func:`batch_compilable`) and falls back to the probe for the rest;
-``batch`` demands compilability and raises otherwise.  Whatever the
-backend, the returned witness sets are required to be identical — the
-randomized cold + delta-stream suite in ``tests/session/test_setbased.py``
-pins batch == probe, and ``tests/violations/test_sqlgen_conformance.py``
-pins the probe to brute-force evaluation of the DC body.
+The **cold** entry point runs the pin-0 plan over its relation (in seed
+chunks, see :meth:`WitnessEnumerator.cold_chunks`), and the **delta** entry
+point runs each pin's plan over the dirty ids of that pin's relation — one
+pass per pin instead of a recursion per dirty fact.  Both backends return
+identical witness sets: ``tests/violations/test_sqlgen_conformance.py``
+pins each to brute-force evaluation of the DC body, and the differential
+suites in ``tests/session`` pin the maintained families to fresh cold
+builds on the other backend.
 
 :func:`cold_build` is the one cold-build path: a session's rebuild keeps
-the enumerators and indexes it returns to run deltas, and the one-shot
-detection in :mod:`repro.violations.minimal` runs it with ``engine="auto"``
-and drops them.
+the enumerators and the column store it returns to run deltas, and the
+one-shot detection in :mod:`repro.violations.minimal` drops them.
 
 Each enumerator carries an :class:`EnumerationStats` record (plans
 compiled, batches joined, candidate rows scanned, witnesses emitted),
@@ -52,7 +45,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..constraints.base import ComparisonOp
-from ..constraints.dc import DenialConstraint, Predicate, Term
+from ..constraints.dc import DenialConstraint
 from ..relational.database import Database
 from ..relational.schema import Schema
 from ..relational.values import values_comparable
@@ -68,9 +61,6 @@ from ..sqlengine.ast import (
 from ..sqlengine.planner import JoinPlan, PlanNode, QueryPlan, ScanPlan, plan_query
 from ..violations.sqlgen import conflict_query, variable_aliases
 from .columnar import ColumnStore, make_column_store
-from .witnesses import EqualityColumnIndex, equality_columns
-
-ENGINES = ("probe", "batch", "auto")
 
 #: The executor's fact-identifier pseudo-column (see SqlEngine.ID_COLUMN).
 _ID = "ID"
@@ -132,7 +122,6 @@ class EnumerationStats:
     """Per-DC enumeration counters, accumulated for the session's lifetime."""
 
     __slots__ = (
-        "engine",
         "backend",
         "plans_compiled",
         "batches_joined",
@@ -142,11 +131,9 @@ class EnumerationStats:
         "delta_runs",
     )
 
-    def __init__(self, engine: str) -> None:
-        self.engine = engine
-        #: Column backend serving a batch engine ("list"/"numpy"); None for
-        #: the probe reference, which has no columnar working set.
-        self.backend: str | None = None
+    def __init__(self, backend: str) -> None:
+        #: Column backend the plans run on ("list" or "numpy").
+        self.backend = backend
         self.plans_compiled = 0
         self.batches_joined = 0
         self.rows_scanned = 0
@@ -156,7 +143,6 @@ class EnumerationStats:
 
     def as_dict(self) -> dict:
         return {
-            "engine": self.engine,
             "backend": self.backend,
             "plans_compiled": self.plans_compiled,
             "batches_joined": self.batches_joined,
@@ -165,60 +151,6 @@ class EnumerationStats:
             "cold_runs": self.cold_runs,
             "delta_runs": self.delta_runs,
         }
-
-
-def batch_compilable(dc: DenialConstraint) -> bool:
-    """Whether the batch backend can serve *dc*.
-
-    True when the equality-join graph (tuple variables as nodes, cross
-    variable equality predicates as edges) connects every variable — then a
-    left-deep plan exists in which **every** join step carries a hash key,
-    whatever variable seeds it (connectivity is start-independent), so both
-    the cold plan and every per-pin delta plan avoid cross products.  Unary
-    DCs are trivially compilable (a scan plus vectorized filters).
-
-    Additionally, a DC whose graph leaves **exactly one** tuple variable
-    disconnected is compilable when that variable is bound only by
-    constant/single-table predicates (no predicate mentions it together
-    with another variable): the plan's single keyless step degrades to a
-    masked pre-filtered seed crossed with the joined batch, which is the
-    witness semantics anyway — there is no key to exploit.
-    """
-    if dc.width <= 1:
-        return True
-    edges: dict[str, set[str]] = {variable: set() for variable, _ in dc.variables}
-    for predicate in dc.equality_join_predicates():
-        left, right = predicate.left.variable, predicate.right.variable
-        edges[left].add(right)
-        edges[right].add(left)
-    components: list[set[str]] = []
-    seen: set[str] = set()
-    for variable, _ in dc.variables:
-        if variable in seen:
-            continue
-        component = {variable}
-        frontier = [variable]
-        while frontier:
-            for neighbor in edges[frontier.pop()]:
-                if neighbor not in component:
-                    component.add(neighbor)
-                    frontier.append(neighbor)
-        seen |= component
-        components.append(component)
-    if len(components) == 1:
-        return True
-    if len(components) != 2:
-        return False
-    for component in components:
-        if len(component) != 1:
-            continue
-        lone = next(iter(component))
-        if all(
-            lone not in predicate.variables() or len(predicate.variables()) == 1
-            for predicate in dc.predicates
-        ):
-            return True
-    return False
 
 
 def register_batch_columns(dc: DenialConstraint, store: ColumnStore) -> None:
@@ -267,7 +199,11 @@ def register_batch_columns(dc: DenialConstraint, store: ColumnStore) -> None:
 # Compiled batch plans
 # ----------------------------------------------------------------------
 class BatchPlan:
-    """One DC compiled for one seed variable: scan → grouped joins → filters.
+    """One DC compiled for one seed variable: scan → joins → filters.
+
+    Each join step is a grouped hash join or, for a variable no equality
+    reaches, a cross step; either carries the filters its fused
+    predicates left over.
 
     ``run`` takes the seed row batch (full scan for the cold entry point,
     the pinned dirty rows for the delta entry point) and returns the
@@ -381,28 +317,25 @@ class _PlanCompiler:
         ]
         joins: list[tuple[Callable[[list], list], list[BatchFilter]]] = []
         for step in join_steps:
-            if not step.equi_keys:
-                # The lone pre-filtered variable (see batch_compilable):
-                # its single-alias conditions trim the crossed rows before
-                # expansion; only the step residual survives as filters.
-                join = self._compile_cross(step)
-                filters = [
-                    self._compile_filter(condition) for condition in step.residual
-                ]
-                joins.append((join, filters))
-                continue
-            conditions = list(step.right.filters) + list(step.residual)
+            # A keyless step's single-alias conditions pre-filter the rows
+            # it crosses, so only its residual is left to place.
+            conditions = list(step.residual)
+            if step.equi_keys:
+                conditions = list(step.right.filters) + conditions
             # Fuse pairwise predicates into the join: candidates failing
-            # them are filtered during group expansion and never
-            # materialized as tuples.  Whatever can't fuse stays a batch
-            # filter over the join's output.
+            # them are filtered during expansion and never materialized as
+            # tuples.  Whatever can't fuse stays a batch filter over the
+            # join's output.
             fused, unfused = [], []
             for condition in conditions:
                 pairwise = self._fusable(condition, step.right.table.alias)
                 (fused if pairwise is not None else unfused).append(
                     pairwise if pairwise is not None else condition
                 )
-            join = self._compile_join(step, fused)
+            if step.equi_keys:
+                join = self._compile_join(step, fused)
+            else:
+                join = self._compile_cross(step, fused)
             filters = [self._compile_filter(condition) for condition in unfused]
             joins.append((join, filters))
         final_filters = [
@@ -511,20 +444,7 @@ class _PlanCompiler:
                     rows = lookup(value)
                     if not rows:
                         continue
-                    keep = rows
-                    for compare, new_array, other_array, other, new_left in fused:
-                        if other_array is not None:
-                            other = other_array[candidate[other]]
-                        if new_left:
-                            keep = [
-                                row for row in keep if compare(new_array[row], other)
-                            ]
-                        else:
-                            keep = [
-                                row for row in keep if compare(other, new_array[row])
-                            ]
-                        if not keep:
-                            break
+                    keep = _trim(rows, candidate, fused)
                     if keep:
                         extend([candidate + (row,) for row in keep])
                 return out
@@ -550,28 +470,19 @@ class _PlanCompiler:
                         break
                 if not rows:
                     continue
-                keep = rows
-                for compare, new_array, other_array, other, new_left in fused:
-                    if other_array is not None:
-                        other = other_array[candidate[other]]
-                    if new_left:
-                        keep = [row for row in keep if compare(new_array[row], other)]
-                    else:
-                        keep = [row for row in keep if compare(other, new_array[row])]
-                    if not keep:
-                        break
+                keep = _trim(rows, candidate, fused)
                 if keep:
                     extend([candidate + (row,) for row in keep])
             return out
 
         return join_multi
 
-    def _compile_cross(self, step: JoinPlan) -> Callable[[list], list]:
-        """A keyless step: pre-filtered live rows crossed with the batch.
+    def _compile_cross(self, step: JoinPlan, fused: list) -> Callable[[list], list]:
+        """A keyless step: the new side's live rows crossed with the batch.
 
         The new side's rows are computed once per run (live scan + its
-        single-table predicates) and appended to every candidate — the
-        masked pre-filtered seed of the lone disconnected variable.
+        single-table predicates); *fused* predicates (see :meth:`_fusable`)
+        then trim them per candidate before any pair is appended.
         """
         table = self.store.relation(step.right.table.relation)
         row_predicates = tuple(
@@ -579,7 +490,9 @@ class _PlanCompiler:
             for condition in step.right.filters
         )
 
-        def join_cross(batch, table=table, predicates=row_predicates):
+        def join_cross(
+            batch, table=table, predicates=row_predicates, fused=tuple(fused)
+        ):
             ids = table.ids
             rows = [row for row in range(len(ids)) if ids[row] is not None]
             for predicate in predicates:
@@ -589,7 +502,9 @@ class _PlanCompiler:
             out: list[tuple[int, ...]] = []
             extend = out.extend
             for candidate in batch:
-                extend([candidate + (row,) for row in rows])
+                keep = _trim(rows, candidate, fused)
+                if keep:
+                    extend([candidate + (row,) for row in keep])
             return out
 
         return join_cross
@@ -741,6 +656,21 @@ class _PlanCompiler:
         raise TypeError(f"unexpected condition {condition!r}")
 
 
+def _trim(rows, candidate: tuple, fused: tuple):
+    """The new-side *rows* passing every *fused* predicate for *candidate*."""
+    keep = rows
+    for compare, new_array, other_array, other, new_left in fused:
+        if other_array is not None:
+            other = other_array[candidate[other]]
+        if new_left:
+            keep = [row for row in keep if compare(new_array[row], other)]
+        else:
+            keep = [row for row in keep if compare(other, new_array[row])]
+        if not keep:
+            break
+    return keep
+
+
 def _linearize(node: PlanNode) -> tuple[ScanPlan, list[JoinPlan]]:
     """A left-deep plan tree as (seed scan, join steps outward-in order)."""
     steps: list[JoinPlan] = []
@@ -749,177 +679,6 @@ def _linearize(node: PlanNode) -> tuple[ScanPlan, list[JoinPlan]]:
         node = node.left
     steps.reverse()
     return node, steps
-
-
-# ----------------------------------------------------------------------
-# Compiled probe plans
-# ----------------------------------------------------------------------
-class ProbePlan:
-    """One DC compiled for one pinned variable: a fixed-order recursion.
-
-    ``levels[k]`` binds the *k*-th variable of the binding order as
-    ``(relation, probes, checks)``; level 0 is the pinned variable, bound
-    to each seed fact in turn.  A level's candidates are the facts in all
-    of its hash probes ``(buckets, level, position, constant)`` — the
-    equality-index bucket of the value at ``position`` of the fact bound
-    at ``level``, or of ``constant`` when ``level`` is None — or its whole
-    relation when it has none.  Its checks ``(compare, position, level,
-    other_position, constant, new_left)`` compare a candidate's value at
-    ``position`` with that bound value or constant or, when ``level`` is
-    the check's own level, with the candidate's value at
-    ``other_position``.
-    """
-
-    __slots__ = ("seed_relation", "levels", "satisfiable")
-
-    def __init__(self, levels: tuple, satisfiable: bool) -> None:
-        self.seed_relation = levels[0][0]
-        self.levels = levels
-        #: False when a constant-only predicate fails: no witness at all.
-        self.satisfiable = satisfiable
-
-    def run(
-        self, database: Database, seed_ids: Sequence[int], stats: EnumerationStats
-    ) -> Witnesses:
-        found: Witnesses = set()
-        levels, last = self.levels, len(self.levels) - 1
-        lookup = database.__getitem__
-        pools: dict[str, list[tuple[int, tuple]]] = {}
-
-        def rows_of(ids: Iterable[int]) -> list[tuple[int, tuple]]:
-            return [(identifier, lookup(identifier).values) for identifier in ids]
-
-        def descend(level: int, bound_ids: tuple, bound_values: tuple, rows) -> None:
-            stats.rows_scanned += len(rows)
-            for compare, position, source, other_position, constant, new_left in (
-                levels[level][2]
-            ):
-                if source == level:
-                    rows = [
-                        row
-                        for row in rows
-                        if compare(row[1][position], row[1][other_position])
-                    ]
-                else:
-                    other = constant
-                    if source is not None:
-                        other = bound_values[source][other_position]
-                    if new_left:
-                        rows = [row for row in rows if compare(row[1][position], other)]
-                    else:
-                        rows = [row for row in rows if compare(other, row[1][position])]
-                if not rows:
-                    return
-            if level == last:
-                found.update(frozenset(bound_ids + (row[0],)) for row in rows)
-                return
-            relation, probes, _ = levels[level + 1]
-            if not probes and relation not in pools:
-                pools[relation] = rows_of(database.relation_ids(relation))
-            for identifier, values in rows:
-                values_now = bound_values + (values,)
-                descend(
-                    level + 1,
-                    bound_ids + (identifier,),
-                    values_now,
-                    rows_of(_probed(probes, values_now)) if probes else pools[relation],
-                )
-
-        if self.satisfiable:
-            descend(0, (), (), rows_of(seed_ids))
-        return found
-
-
-def _probed(probes: tuple, bound_values: tuple) -> Iterable[int]:
-    """The fact ids in every probed bucket (NULL and NaN equal nothing)."""
-    ids = None
-    for buckets, source, position, constant in probes:
-        value = constant if source is None else bound_values[source][position]
-        bucket = None if value is None or value != value else buckets.get(value)
-        if not bucket:
-            return ()
-        ids = bucket if ids is None else ids & bucket
-    return ids
-
-
-def _probe_sides(
-    predicate: Predicate, variable: str, bound: Sequence[str]
-) -> tuple[Term, Term] | None:
-    """``(own, other)`` when *predicate* can hash-probe *variable*'s facts.
-
-    That is an equality between *variable* and a constant or a variable in
-    *bound*; the equality index covers every equality column of a probe DC.
-    """
-    if predicate.op is ComparisonOp.EQ:
-        for own, other in (
-            (predicate.left, predicate.right),
-            (predicate.right, predicate.left),
-        ):
-            if own.variable == variable and (
-                other.is_constant or other.variable in bound
-            ):
-                return own, other
-    return None
-
-
-def compile_probe_plan(
-    dc: DenialConstraint,
-    schema: Schema,
-    pin: int,
-    eq_index: EqualityColumnIndex | None,
-) -> ProbePlan:
-    """*dc*'s :class:`ProbePlan` pinned on tuple variable number *pin*.
-
-    The binding order puts next a variable some equality reaches from the
-    bound variables (or a constant), else the first unbound one.
-    Each predicate lands at the level binding its last variable: as a
-    hash probe when it is such an equality, as a check otherwise.
-    """
-    variables = [variable for variable, _ in dc.variables]
-    order = [variables[pin]]
-    while len(order) < len(variables):
-        unbound = [variable for variable in variables if variable not in order]
-        reachable = (
-            variable
-            for variable in unbound
-            if any(_probe_sides(p, variable, order) for p in dc.predicates)
-        )
-        order.append(next(reachable, unbound[0]))
-    level_of = {variable: level for level, variable in enumerate(order)}
-
-    def position(term: Term) -> int:
-        relation = dc.relation_of(term.variable)
-        return schema.signature(relation).index_of(term.attribute)
-
-    def source(term: Term) -> tuple[int | None, int | None, object]:
-        if term.is_constant:
-            return None, None, term.constant
-        return level_of[term.variable], position(term), None
-
-    probes: list[list] = [[] for _ in order]
-    checks: list[list] = [[] for _ in order]
-    satisfiable = True
-    for predicate in dc.predicates:
-        compare = _COMPARE[predicate.op]
-        left, right = predicate.left, predicate.right
-        if left.is_constant and right.is_constant:
-            satisfiable = satisfiable and compare(left.constant, right.constant)
-            continue
-        level = max(level_of[variable] for variable in predicate.variables())
-        sides = level and _probe_sides(predicate, order[level], order[:level])
-        if sides:
-            own, other = sides
-            buckets = eq_index.buckets(dc.relation_of(own.variable), own.attribute)
-            probes[level].append((buckets, *source(other)))
-        elif not left.is_constant and level_of[left.variable] == level:
-            checks[level].append((compare, position(left), *source(right), True))
-        else:
-            checks[level].append((compare, position(right), *source(left), False))
-    levels = tuple(
-        (dc.relation_of(variable), tuple(probes[level]), tuple(checks[level]))
-        for level, variable in enumerate(order)
-    )
-    return ProbePlan(levels, satisfiable)
 
 
 # ----------------------------------------------------------------------
@@ -937,47 +696,59 @@ def _by_relation(database: Database, dirty_ids: Iterable[int]) -> dict[str, list
 
 
 class WitnessEnumerator:
-    """One DC's enumeration strategy: a cold scan and a delta pass.
+    """One DC's compiled batch plans over a column store: cold and delta.
 
-    Both entry points return witness fact-id sets; every backend must
-    return exactly the sets the probe reference returns.  A backend
-    compiles one plan per tuple variable on first use (:meth:`_compile`)
-    and says how the cold plan is seeded (:meth:`_cold_seed`); the cold
-    entry points here share that seed loop.
+    Both entry points return witness fact-id sets.  Construction registers
+    the columns the plans read on *store*; the plans (one per tuple
+    variable) compile on first use, so every DC sharing the store can
+    register before the store is built.
     """
-
-    stats: EnumerationStats
 
     #: Cold seed rows processed per plan run.
     COLD_CHUNK = 8192
-    cold_chunk = COLD_CHUNK
 
     #: First seed chunk of :meth:`cold_chunks`; chunks then double up to
     #: ``cold_chunk``, so an early exit pays for few seed rows when a
     #: witness comes early and for few plan runs when none does.
     FIRST_CHUNK = 64
 
-    _plans: list | None = None
+    def __init__(
+        self,
+        dc: DenialConstraint,
+        schema: Schema,
+        store: ColumnStore,
+        stats: EnumerationStats | None = None,
+    ) -> None:
+        self.dc = dc
+        self.schema = schema
+        self.store = store
+        self.stats = stats if stats is not None else EnumerationStats(store.backend)
+        self.stats.backend = store.backend
+        register_batch_columns(dc, store)
+        # The vectorized kernels amortize per-run overhead across the whole
+        # chunk, so they want much larger batches than the python-loop
+        # kernels.
+        self.cold_chunk = 65536 if store.backend == "numpy" else self.COLD_CHUNK
+        self._plans: list[BatchPlan] | None = None
 
-    def _compile(self) -> list:
+    def _compiled(self) -> list[BatchPlan]:
         """One plan per tuple variable, in variable order."""
-        raise NotImplementedError
-
-    def _compiled(self) -> list:
         if self._plans is None:
-            self._plans = self._compile()
+            if self.store.backend == "numpy":
+                from .vectorized import VectorPlanCompiler
+
+                compiler = VectorPlanCompiler(self.dc, self.schema, self.store)
+            else:
+                compiler = _PlanCompiler(self.dc, self.schema, self.store)
+            self._plans = [compiler.compile_pin(pin) for pin in range(self.dc.width)]
             self.stats.plans_compiled += len(self._plans)
         return self._plans
-
-    def _cold_seed(self, database: Database) -> tuple[Callable, Sequence]:
-        """``(run, seed)``: the cold plan's runner and its full seed."""
-        raise NotImplementedError
 
     def cold(self, database: Database) -> Witnesses:
         stats = self.stats
         stats.cold_runs += 1
         found: Witnesses = set()
-        for part in self._seed_chunks(database, self.cold_chunk):
+        for part in self._seed_chunks(self.cold_chunk):
             found |= part
         stats.witnesses_emitted += len(found)
         return found
@@ -990,121 +761,27 @@ class WitnessEnumerator:
         Unlike :meth:`cold`, it leaves ``cold_runs`` and
         ``witnesses_emitted`` alone.
         """
-        return self._seed_chunks(database, self.FIRST_CHUNK)
+        return self._seed_chunks(self.FIRST_CHUNK)
 
-    def _seed_chunks(self, database: Database, first: int) -> Iterator[Witnesses]:
-        """Run the cold plan over its seed, *first* rows at first.
+    def _seed_chunks(self, first: int) -> Iterator[Witnesses]:
+        """Run the cold plan over its relation's live rows, *first* at first.
 
         Witnesses partition by the pinned seed row, so chunking only bounds
         the intermediate work per run — the union is unchanged.
         """
-        run, seed = self._cold_seed(database)
+        plan = self._compiled()[0]
+        seed = self.store.relation(plan.seed_relation).live_rows()
         start, size = 0, min(first, self.cold_chunk)
         while start < len(seed):
-            yield run(seed[start : start + size])
+            yield plan.run(seed[start : start + size], self.stats)
             start += size
             size = min(2 * size, self.cold_chunk)
-
-    def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
-        raise NotImplementedError
-
-
-class ProbeEnumerator(WitnessEnumerator):
-    """The tuple-at-a-time reference backend: one :class:`ProbePlan` per pin.
-
-    Serves any DC.  Its hash probes read the shared *eq_index* (``None``
-    when no equality predicate needs one), which its owner maintains.
-    """
-
-    def __init__(
-        self,
-        dc: DenialConstraint,
-        schema: Schema,
-        eq_index: EqualityColumnIndex | None,
-        stats: EnumerationStats | None = None,
-    ) -> None:
-        self.dc = dc
-        self.schema = schema
-        self.eq_index = eq_index
-        self.stats = stats if stats is not None else EnumerationStats("probe")
-        self.stats.engine = "probe"
-        self.stats.backend = None
-
-    def _compile(self) -> list[ProbePlan]:
-        return [
-            compile_probe_plan(self.dc, self.schema, pin, self.eq_index)
-            for pin in range(self.dc.width)
-        ]
-
-    def _cold_seed(self, database: Database) -> tuple[Callable, Sequence]:
-        plan = self._compiled()[0]
-        stats = self.stats
-        return (
-            lambda ids: plan.run(database, ids, stats),
-            database.relation_ids(plan.seed_relation),
-        )
-
-    def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
-        """Each pin's plan over the dirty identifiers of its relation."""
-        stats = self.stats
-        stats.delta_runs += 1
-        by_relation = _by_relation(database, dirty_ids)
-        found: Witnesses = set()
-        for plan in self._compiled():
-            identifiers = by_relation.get(plan.seed_relation)
-            if identifiers:
-                found |= plan.run(database, identifiers, stats)
-        stats.witnesses_emitted += len(found)
-        return found
-
-
-class BatchEnumerator(WitnessEnumerator):
-    """The set-based backend: compiled batch join plans over the column store."""
-
-    def __init__(
-        self,
-        dc: DenialConstraint,
-        schema: Schema,
-        store: ColumnStore,
-        stats: EnumerationStats | None = None,
-    ) -> None:
-        self.dc = dc
-        self.schema = schema
-        self.store = store
-        self.stats = stats if stats is not None else EnumerationStats("batch")
-        self.stats.engine = "batch"
-        self.stats.backend = store.backend
-        register_batch_columns(dc, store)
-        # The vectorized kernels amortize per-run overhead across the whole
-        # chunk, so they want much larger batches than the python-loop
-        # kernels.  Plans compile lazily on first enumeration, so
-        # construction can finish registering every DC's columns before the
-        # store is built.
-        if store.backend == "numpy":
-            self.cold_chunk = 65536
-
-    def _compile(self) -> list[BatchPlan]:
-        if self.store.backend == "numpy":
-            from .vectorized import VectorPlanCompiler
-
-            compiler = VectorPlanCompiler(self.dc, self.schema, self.store)
-        else:
-            compiler = _PlanCompiler(self.dc, self.schema, self.store)
-        return [compiler.compile_pin(pin) for pin in range(self.dc.width)]
-
-    def _cold_seed(self, database: Database) -> tuple[Callable, Sequence]:
-        plan = self._compiled()[0]
-        stats = self.stats
-        return (
-            lambda rows: plan.run(rows, stats),
-            self.store.relation(plan.seed_relation).live_rows(),
-        )
 
     def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
         """One set-based pass per pinned tuple variable, seeded by relation.
 
         The dirty identifiers are grouped by relation **once**; each plan
-        is seeded with its pin relation's group.
+        is seeded with its pin relation's live dirty rows.
         """
         stats = self.stats
         stats.delta_runs += 1
@@ -1141,92 +818,49 @@ class BatchEnumerator(WitnessEnumerator):
 
 
 def build_enumerators(
-    engine: str,
     dcs: Sequence[DenialConstraint],
     database: Database,
     stats: Sequence[EnumerationStats | None] | None = None,
     vector_backend: str | None = None,
-) -> tuple[list[WitnessEnumerator], ColumnStore | None, EqualityColumnIndex | None]:
-    """Per-DC strategy objects plus the indexes they read.
+) -> tuple[list[WitnessEnumerator], ColumnStore]:
+    """Per-DC enumerators plus the column store they join over.
 
-    *engine* is ``"probe"`` (force the reference path everywhere),
-    ``"batch"`` (force batch; raises ``ValueError`` on a DC the batch
-    backend cannot compile) or ``"auto"`` (batch where compilable, probe
-    fallback).  *stats* threads session-owned counter records through a
-    rebuild so they accumulate; ``None`` entries are freshly created.
+    *stats* threads session-owned counter records through a rebuild so
+    they accumulate; ``None`` entries are freshly created.
     *vector_backend* picks the column backend (``"numpy"``/``"list"``;
     ``None`` = the process default, see ``columnar.VECTOR_BACKEND``).
 
-    Returns the enumerators in *dcs* order, the column store the batch DCs
-    join over and the equality index covering the equality columns of the
-    probe DCs — each built from *database*, or ``None`` when no DC needs
-    it.  A caller that keeps them feeds both the change events from then
-    on.
+    Returns the enumerators in *dcs* order and the store, built from
+    *database*.  A caller that keeps them feeds the store the change
+    events from then on.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown enumeration engine {engine!r}; expected one of {ENGINES}"
-        )
-    counters: list[EnumerationStats | None] = (
-        list(stats) if stats is not None else [None] * len(dcs)
-    )
-    use_batch: list[bool] = []
-    for dc in dcs:
-        if engine == "probe":
-            use_batch.append(False)
-        elif batch_compilable(dc):
-            use_batch.append(True)
-        elif engine == "batch":
-            raise ValueError(
-                f"constraint {dc.name!r} is not equality-joinable; the "
-                'batch engine cannot serve it (use engine="auto")'
-            )
-        else:
-            use_batch.append(False)
+    counters = list(stats) if stats is not None else [None] * len(dcs)
     schema = database.schema
-    store = make_column_store(schema, vector_backend) if any(use_batch) else None
-    columns = equality_columns(
-        [dc for dc, batch in zip(dcs, use_batch) if not batch]
-    )
-    eq_index = EqualityColumnIndex(schema, columns) if columns else None
-    enumerators: list[WitnessEnumerator] = []
-    for dc, batch, counter in zip(dcs, use_batch, counters):
-        if batch:
-            enumerators.append(BatchEnumerator(dc, schema, store, counter))
-        else:
-            enumerators.append(ProbeEnumerator(dc, schema, eq_index, counter))
-    if store is not None:
-        store.build(database)
-    if eq_index is not None:
-        eq_index.build(database)
-    return enumerators, store, eq_index
+    store = make_column_store(schema, vector_backend)
+    enumerators = [
+        WitnessEnumerator(dc, schema, store, counter)
+        for dc, counter in zip(dcs, counters)
+    ]
+    store.build(database)
+    return enumerators, store
 
 
 def cold_build(
-    engine: str,
     dcs: Sequence[DenialConstraint],
     database: Database,
     stats: Sequence[EnumerationStats | None] | None = None,
     vector_backend: str | None = None,
-) -> tuple[
-    list[WitnessEnumerator],
-    ColumnStore | None,
-    EqualityColumnIndex | None,
-    list[Witnesses],
-]:
-    """One cold enumeration of every DC over freshly built indexes.
+) -> tuple[list[WitnessEnumerator], ColumnStore, list[Witnesses]]:
+    """One cold enumeration of every DC over a freshly built column store.
 
     Returns :func:`build_enumerators`' result plus each DC's witness
     family, in *dcs* order.  The one cold-build path: a session's rebuild
-    keeps the enumerators and indexes to run deltas later, while the
+    keeps the enumerators and the store to run deltas later, while the
     one-shot detection in :mod:`repro.violations.minimal` drops them.
     """
-    enumerators, store, eq_index = build_enumerators(
-        engine, dcs, database, stats, vector_backend
-    )
+    enumerators, store = build_enumerators(dcs, database, stats, vector_backend)
     return (
         enumerators,
         store,
-        eq_index,
         [enumerator.cold(database) for enumerator in enumerators],
     )

@@ -68,7 +68,6 @@ from ..solvers.anytime import (
 from ..testing import faults
 from ..violations.minimal import ViolationIndex, lower_constraints
 from ..violations.topology import split_minimized
-from .enumeration import ENGINES
 from .shard import _Shard, relation_groups
 from .snapshot import (
     SNAPSHOT_VERSION,
@@ -246,14 +245,9 @@ class MeasurementSession:
         shards: str | Iterable[Iterable[str]] = "auto",
         *,
         warm_start: SessionSnapshot | None = None,
-        engine: str = "auto",
         vector_backend: str | None = None,
         time_budget: float | None = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown enumeration engine {engine!r}; expected one of {ENGINES}"
-            )
         self.constraints = list(constraints)
         self.database = database
         #: Default per-call solver budget in seconds (None = exact).  Each
@@ -262,12 +256,9 @@ class MeasurementSession:
         #: clock starts when the call does; an explicit ``budget=`` always
         #: wins.
         self.time_budget = time_budget
-        #: Witness-enumeration backend: "probe" | "batch" | "auto" (see
-        #: :mod:`repro.session.enumeration`).  Whatever the choice, the
-        #: maintained state is bit-identical.
-        self.engine = engine
-        #: Column backend for the batch engine: "numpy" | "list" | None
-        #: (= the process default, see ``columnar.VECTOR_BACKEND``).
+        #: Column backend of the witness enumerators: "numpy" | "list" |
+        #: None (= the process default, see ``columnar.VECTOR_BACKEND``).
+        #: Whatever the choice, the maintained state is bit-identical.
         self.vector_backend = vector_backend
         # Lower once; shards receive pre-lowered subsets.
         self.dcs = lower_constraints(self.constraints, database.schema)
@@ -303,7 +294,6 @@ class MeasurementSession:
                 database,
                 self.component_cache,
                 warm_start=payloads[number] if payloads else None,
-                engine=engine,
                 vector_backend=vector_backend,
             )
             for number, dcs in enumerate(shard_dcs)
@@ -578,26 +568,13 @@ class MeasurementSession:
     def stats(self) -> dict:
         """Per-DC enumeration counters in global lowered-DC order.
 
-        ``vector_backend`` is the shards' common column backend; shards
-        that disagree are surfaced as ``"mixed:<backends>"`` rather than
-        collapsed, since "no columnar backend anywhere" and "heterogeneous
-        backends" are very different operational states.
+        ``vector_backend`` is the column backend every shard's store runs
+        on (None for a session without constraints, which has no shard).
         """
-        backends = {
-            shard._columns.backend if shard._columns is not None else None
-            for shard in self.shards
-        }
-        if not backends or backends == {None}:
-            backend = None
-        elif len(backends) == 1:
-            backend = next(iter(backends))
-        else:
-            backend = "mixed:" + ",".join(
-                sorted("none" if name is None else name for name in backends)
-            )
         stats = {
-            "engine": self.engine,
-            "vector_backend": backend,
+            "vector_backend": (
+                self.shards[0]._columns.backend if self.shards else None
+            ),
             "constraints": [
                 dict(
                     self.shards[number]._enum_stats[local].as_dict(),

@@ -8,10 +8,9 @@ API; the session owns all of that once, over any number of shards.
 
 A shard keeps
 
-* the per-DC enumeration backends and the indexes they read (the column
-  store of the batch DCs, the equality-column index of the probe DCs),
-  fed by :meth:`_Shard._on_change` with the change events the session
-  routes to it;
+* the per-DC witness enumerators and the column store they read, fed
+  by :meth:`_Shard._on_change` with the change events the session routes
+  to it;
 * the per-DC witness stores and the reverse fact → ``(dc, witness)`` map
   (``_touching``);
 * a live :class:`~repro.violations.topology.ComponentTopology`.
@@ -37,7 +36,7 @@ from ..violations.topology import ComponentTopology, TopologyComponent
 from .columnar import ColumnStore
 from .enumeration import WitnessEnumerator, build_enumerators, cold_build
 from .snapshot import ShardSnapshot, constraint_digest
-from .witnesses import EqualityColumnIndex, WitnessStore
+from .witnesses import WitnessStore
 
 
 def relation_groups(dcs: Sequence, schema: Schema) -> list[tuple[str, ...]]:
@@ -82,25 +81,18 @@ class _Shard:
         component_cache: ComponentValueCache,
         *,
         warm_start: ShardSnapshot | None = None,
-        engine: str = "auto",
         vector_backend: str | None = None,
     ) -> None:
         self.dcs = list(dcs)
         self.database = database
-        #: Witness-enumeration backend: "probe" | "batch" | "auto" (see
-        #: :mod:`repro.session.enumeration`).
-        self.engine = engine
-        #: Column backend for the batch engine ("numpy" | "list" | None =
-        #: the process default, see ``columnar.VECTOR_BACKEND``).
+        #: Column backend of the enumerators ("numpy" | "list" | None = the
+        #: process default, see ``columnar.VECTOR_BACKEND``).
         self.vector_backend = vector_backend
         # The witness stores (with the reverse fact → (dc, witness) map),
-        # the per-DC enumeration backends (plus the column store when any
-        # DC runs batch, the equality index when a probe DC has an
-        # equality predicate) and the topology are all created by exactly
-        # one of _restore/_rebuild below.
+        # the per-DC enumerators with their column store and the topology
+        # are all created by exactly one of _restore/_rebuild below.
         self._enumerators: list[WitnessEnumerator]
-        self._columns: ColumnStore | None = None
-        self._eq_index: EqualityColumnIndex | None = None
+        self._columns: ColumnStore
         self._enum_stats: list = [None] * len(self.dcs)
         self._witnesses: list[WitnessStore]
         self._touching: dict[int, set[tuple[int, frozenset[int]]]]
@@ -125,10 +117,7 @@ class _Shard:
     # ------------------------------------------------------------------
     def _on_change(self, event: ChangeEvent) -> None:
         self._dirty.add(event.identifier)
-        if self._columns is not None:
-            self._columns.apply(event)
-        if self._eq_index is not None:
-            self._eq_index.apply(event)
+        self._columns.apply(event)
 
     def _flush(self) -> None:
         """Fold the pending dirty set into the stores and the topology.
@@ -171,14 +160,12 @@ class _Shard:
         return True
 
     def _rebuild(self) -> None:
-        # The enumeration backends and their indexes are recreated too: a
+        # The enumerators and their column store are recreated too: a
         # refresh after *untracked* mutations (the session was closed while
-        # the database changed) must not leave stale hash buckets or
-        # columns behind, or every later delta re-enumeration would probe
-        # wrong candidates.
-        self._columns = self._eq_index = None
-        self._enumerators, self._columns, self._eq_index, families = cold_build(
-            self.engine,
+        # the database changed) must not leave stale columns or key groups
+        # behind, or every later delta re-enumeration would join wrong
+        # candidates.
+        self._enumerators, self._columns, families = cold_build(
             self.dcs,
             self.database,
             self._enum_stats,
@@ -246,9 +233,7 @@ class _Shard:
             self.component_cache.absorb_warm(snap.cache)
         except Exception:
             return False
-        self._columns = self._eq_index = None
-        self._enumerators, self._columns, self._eq_index = build_enumerators(
-            self.engine,
+        self._enumerators, self._columns = build_enumerators(
             self.dcs,
             self.database,
             self._enum_stats,
@@ -282,7 +267,7 @@ class _Shard:
         """Read-only region preview of retracting/re-enumerating *touched*.
 
         Runs inside a candidate's savepoint: the database and this shard's
-        enumeration indexes are patched, the stores and the topology still
+        column store are patched, the stores and the topology still
         describe the base.  The witness delta of *touched* — retract what
         binds them, re-enumerate around the live ones — is handed to
         :meth:`~repro.violations.topology.ComponentTopology.preview`.  No

@@ -57,7 +57,6 @@ def make_session(
     database: Database,
     shards: str | Iterable[Iterable[str]] = "auto",
     warm_start=None,
-    engine: str = "auto",
     vector_backend: str | None = None,
     time_budget: float | None = None,
 ) -> MeasurementSession:
@@ -65,11 +64,10 @@ def make_session(
 
     *shards* is ``"auto"`` (the default) or an explicit relation
     partition.  *warm_start* threads a snapshot into the session; any
-    mismatch falls back to the ordinary cold build.  *engine* selects the
-    witness-enumeration backend (``"probe"`` | ``"batch"`` | ``"auto"``,
-    see :mod:`repro.session.enumeration`); results are bit-identical
-    whatever the choice.  *vector_backend* picks the batch engine's column
-    backend (``"numpy"`` | ``"list"`` | ``None`` = the process default).
+    mismatch falls back to the ordinary cold build.  *vector_backend*
+    picks the witness enumerators' column backend (``"numpy"`` | ``"list"``
+    | ``None`` = the process default, see :mod:`repro.session.enumeration`);
+    results are bit-identical whatever the choice.
     *time_budget* (seconds) sets the session's default solver budget:
     every ``measure``/``measure_all``/``speculate``/``speculate_batch``
     call is budgeted unless it passes its own ``budget=``; ``None`` keeps
@@ -80,7 +78,6 @@ def make_session(
         database,
         shards,
         warm_start=warm_start,
-        engine=engine,
         vector_backend=vector_backend,
         time_budget=time_budget,
     )

@@ -30,12 +30,13 @@ list-backed ``_PlanCompiler`` in :mod:`repro.session.enumeration`: same
 conflict-query rotation per pin variable, same planner join order (with the
 live-cardinality ``cost_of`` hook), but execution is mask combinators over
 parallel row arrays — seed scans as boolean masks, grouped hash joins as
-code-array bucket probes, fused pairwise predicates as EQ/NE code masks or
-typed-array comparisons — with **no per-candidate python loop**; witnesses
-decode only the surviving rows.  Python scalar kernels remain as a
-row-level fallback for the cases numpy semantics cannot mirror exactly
+code-array bucket probes, keyless cross steps as blocked repeat/tile
+expansions filtered block by block, fused pairwise predicates as EQ/NE code
+masks or typed-array comparisons — with **no per-candidate python loop**;
+witnesses decode only the surviving rows.  Python scalar kernels remain as
+a row-level fallback for the cases numpy semantics cannot mirror exactly
 (bools, mixed types, > 2**53 integers against floats), keeping results
-bit-identical to the probe reference.
+bit-identical to the list backend.
 """
 
 from __future__ import annotations
@@ -627,6 +628,11 @@ _FLIP = {
 
 _EQ_NE = (ComparisonOp.EQ, ComparisonOp.NE)
 
+#: Most (candidate, row) pairs a keyless cross step expands at once.  The
+#: step sizes its blocks from the new side's live row count, so a cross
+#: product's working set stays bounded whatever the relation sizes.
+CROSS_PAIR_BUDGET = 1 << 18
+
 
 def _huge_mismatch(col_a, col_b) -> bool:
     """True when int64 values could lose exactness against float64."""
@@ -658,7 +664,7 @@ def _fallback_const(col, rows, op, value) -> np.ndarray:
 
 
 def _mask_const(col, rows: np.ndarray, op: ComparisonOp, value) -> np.ndarray:
-    """Boolean mask of ``col[rows] OP value`` with probe-exact semantics."""
+    """Boolean mask of ``col[rows] OP value`` with the scalar kernels' semantics."""
     count = len(rows)
     if count == 0:
         return np.zeros(0, dtype=bool)
@@ -986,13 +992,15 @@ class VectorPlanCompiler:
             if step.equi_keys:
                 join = self._compile_join(step)
                 conditions = list(step.right.filters) + list(step.residual)
+                filters = [self._compile_filter(c) for c in conditions]
             else:
-                # Keyless step (the lone pre-filtered variable): its
-                # single-alias filters are consumed by the cross join's
-                # row pre-filter, so only the residual remains.
-                join = self._compile_cross(step)
-                conditions = list(step.residual)
-            filters = [self._compile_filter(condition) for condition in conditions]
+                # A keyless step filters each expanded block itself: its
+                # single-alias filters pre-filter the crossed rows and its
+                # residual masks every block before the survivors concat.
+                join = self._compile_cross(
+                    step, [self._compile_filter(c) for c in step.residual]
+                )
+                filters = []
             joins.append((join, filters))
         final_filters = [
             self._compile_filter(condition) for condition in plan.final_residual
@@ -1053,13 +1061,15 @@ class VectorPlanCompiler:
 
         return join
 
-    def _compile_cross(self, step: JoinPlan):
-        """The keyless step: masked pre-filtered seed × bound batch.
+    def _compile_cross(self, step: JoinPlan, filters: list):
+        """A keyless step: the filtered cross product of the batch and the
+        new side's live rows.
 
-        Only reachable for DCs whose equality graph leaves exactly one
-        variable disconnected and bound by single-table predicates alone
-        (see ``batch_compilable``), so the new side is pre-filtered to the
-        rows passing its scan conditions before the cross product.
+        The new side is pre-filtered by its scan conditions; the batch then
+        expands in blocks of at most :data:`CROSS_PAIR_BUDGET` pairs (at
+        least one candidate each), and the step's residual *filters* mask
+        every block before its survivors are kept — the unfiltered product
+        is never held at once.
         """
         new_alias = step.right.table.alias
         new_relation = self.store.relation(step.right.table.relation)
@@ -1077,14 +1087,24 @@ class VectorPlanCompiler:
                 if mask is True:
                     continue
                 rows = rows[mask]
-            count_batch = len(batch[0])
             count_rows = len(rows)
-            parent = np.repeat(
-                np.arange(count_batch, dtype=np.int64), count_rows
-            )
-            out = [existing[parent] for existing in batch]
-            out.append(np.tile(rows, count_batch))
-            return out
+            parts = []
+            if count_rows:
+                per_block = max(1, CROSS_PAIR_BUDGET // count_rows)
+                for start in range(0, len(batch[0]), per_block):
+                    block = [existing[start : start + per_block] for existing in batch]
+                    count = len(block[0])
+                    parent = np.repeat(np.arange(count, dtype=np.int64), count_rows)
+                    out = [existing[parent] for existing in block]
+                    out.append(np.tile(rows, count))
+                    out = VectorBatchPlan._apply(out, filters)
+                    if len(out[0]):
+                        parts.append(out)
+            if not parts:
+                return [existing[:0] for existing in batch] + [rows[:0]]
+            if len(parts) == 1:
+                return parts[0]
+            return [np.concatenate(column) for column in zip(*parts)]
 
         return join
 

@@ -1,22 +1,18 @@
-"""Maintained witness state: per-DC witness stores and the probe's equality index.
+"""Maintained witness state: one :class:`WitnessStore` per DC.
 
-:class:`WitnessStore` keeps one DC's live witness set in fact-id order.
-:class:`EqualityColumnIndex` maps the values of equality-predicate columns
-to fact identifiers; the compiled probe plans of
-:mod:`repro.session.enumeration` hash-probe it instead of scanning a
-relation, and the owning shard maintains it under the change feed.
+A store keeps one DC's live witness set in fact-id order; the owning shard
+adds and discards witnesses as :mod:`repro.session.enumeration` finds them
+and the change feed retracts them.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ..constraints.base import ComparisonOp
 from ..constraints.dc import DenialConstraint
-from ..relational.database import ChangeEvent, Database, Fact
-from ..relational.schema import Schema
 from ..violations.minimal import MinimalViolation
+
 
 class WitnessStore:
     """One DC's live witness set with a maintained sorted view.
@@ -103,71 +99,3 @@ class WitnessStore:
             store._pairs.append((key, violation))
         store._ordered = None
         return store
-
-
-def equality_columns(dcs: Sequence[DenialConstraint]) -> set[tuple[str, str]]:
-    """The ``(relation, attribute)`` columns usable as hash-lookup keys.
-
-    A column qualifies when it appears on either side of an equality
-    predicate of some DC — those are the columns a probe plan may probe.
-    """
-    columns: set[tuple[str, str]] = set()
-    for dc in dcs:
-        for predicate in dc.predicates:
-            if predicate.op is not ComparisonOp.EQ:
-                continue
-            for term in (predicate.left, predicate.right):
-                if not term.is_constant:
-                    columns.add((dc.relation_of(term.variable), term.attribute))
-    return columns
-
-
-class EqualityColumnIndex:
-    """Hash indexes ``value → fact ids`` for equality-join columns.
-
-    Built by :func:`~repro.session.enumeration.build_enumerators` for the
-    probe-served DCs' equality columns and maintained by its owner under
-    :class:`~repro.relational.database.ChangeEvent` deltas, so every probe
-    reads current state without rescanning relations.
-    """
-
-    def __init__(self, schema: Schema, columns: Iterable[tuple[str, str]]) -> None:
-        self.schema = schema
-        self._maps: dict[tuple[str, str], dict[object, set[int]]] = {
-            column: {} for column in columns
-        }
-        # Per relation: [(attribute, positional index)] of indexed columns.
-        self._by_relation: dict[str, list[tuple[str, int]]] = {}
-        for relation, attribute in self._maps:
-            signature = schema.signature(relation)
-            self._by_relation.setdefault(relation, []).append(
-                (attribute, signature.index_of(attribute))
-            )
-
-    def build(self, database: Database) -> None:
-        for identifier, fact in database.items():
-            self._account(identifier, fact, +1)
-
-    def apply(self, event: ChangeEvent) -> None:
-        """Maintain the indexes after one committed database mutation."""
-        if event.old is not None:
-            self._account(event.identifier, event.old, -1)
-        if event.new is not None:
-            self._account(event.identifier, event.new, +1)
-
-    def buckets(self, relation: str, attribute: str) -> dict[object, set[int]]:
-        """The live ``value → fact ids`` map of one covered column."""
-        return self._maps[(relation, attribute)]
-
-    def _account(self, identifier: int, fact: Fact, sign: int) -> None:
-        for attribute, position in self._by_relation.get(fact.relation, ()):
-            buckets = self._maps[(fact.relation, attribute)]
-            value = fact.values[position]
-            if sign > 0:
-                buckets.setdefault(value, set()).add(identifier)
-            else:
-                bucket = buckets.get(value)
-                if bucket is not None:
-                    bucket.discard(identifier)
-                    if not bucket:
-                        del buckets[value]

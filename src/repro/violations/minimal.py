@@ -9,10 +9,9 @@ minimized under ⊆, is exactly ``MI_Σ(D)``.
 The one-shot entry points (:func:`build_violation_index`,
 :func:`is_consistent`, :func:`find_first_violation`, :func:`violations_of`)
 run one cold build of the measurement session's own enumerators
-(:func:`repro.session.enumeration.cold_build` with ``engine="auto"``) over
-throw-away indexes: every DC whose equality-join graph connects its tuple
-variables runs as a compiled batch join plan, the rest as a compiled probe
-plan.  Their result is therefore the session's ``index()`` list for list.
+(:func:`repro.session.enumeration.cold_build`) over a throw-away column
+store: every DC runs as its compiled batch join plans.  Their result is
+therefore the session's ``index()`` list for list.
 This module keeps only the definitions, the one-shot entry points and the
 ⊆-minimization (:func:`_minimize`).
 """
@@ -227,7 +226,7 @@ def build_violation_index(
     dcs = lower_constraints(constraints, database.schema)
     index = ViolationIndex()
     raw_sets: set[frozenset[int]] = set()
-    for dc, family in zip(dcs, cold_build("auto", dcs, database)[-1]):
+    for dc, family in zip(dcs, cold_build(dcs, database)[-1]):
         index.per_constraint.extend(
             MinimalViolation(witness, dc) for witness in _by_fact_ids(family)
         )
@@ -253,7 +252,7 @@ def find_first_violation(
     from ..session.enumeration import build_enumerators
 
     dcs = lower_constraints(constraints, database.schema)
-    enumerators = build_enumerators("auto", dcs, database)[0]
+    enumerators = build_enumerators(dcs, database)[0]
     for dc, enumerator in zip(dcs, enumerators):
         for chunk in enumerator.cold_chunks(database):
             if chunk:
@@ -265,7 +264,7 @@ def violations_of(dc: DenialConstraint, database: Database) -> list[frozenset[in
     """Witnesses of a single DC (not minimized), sorted by fact ids."""
     from ..session.enumeration import cold_build
 
-    return _by_fact_ids(cold_build("auto", [dc], database)[-1][0])
+    return _by_fact_ids(cold_build([dc], database)[-1][0])
 
 
 def _by_fact_ids(family: set[frozenset[int]]) -> list[frozenset[int]]:

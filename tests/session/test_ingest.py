@@ -34,6 +34,7 @@ from repro.session import (
     make_session,
 )
 
+from .test_setbased import assert_matches_reference, fresh_reference
 from .test_speculation import shard_indexes
 
 MEASURES = make_measures(["I_MI", "I_P", "I_d"])
@@ -61,27 +62,28 @@ def _seeded(n: int = 12) -> Database:
 
 
 def _residue_constraints():
-    """The FDs plus a probe-served DC on R that joins on an equality.
+    """The FDs plus a DC on R joined by an equality and a cross step.
 
-    The FDs compile to batch plans (their indexes are the column store's
-    key groups); the extra DC keeps the probe's equality index in play.
+    Every DC reads the column store's key groups; the extra DC's plans also
+    cross R's live rows, so a residue left in the store would surface in
+    its witnesses.
     """
-    probe_join = DenialConstraint(
+    cross_join = DenialConstraint(
         [("t", "R"), ("t2", "R"), ("t3", "R")],
         [
             Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("t2", "A")),
             Predicate(Term.col("t3", "B"), ComparisonOp.LT, Term.col("t", "B")),
         ],
-        name="probe_join",
+        name="cross_join",
     )
-    return _constraints() + [probe_join]
+    return _constraints() + [cross_join]
 
 
 def _assert_unindexed(shard, identifier: int) -> None:
-    """*identifier* sits in no key group nor equality-index bucket."""
-    groups, buckets = shard_indexes(shard)
+    """*identifier* sits in no key group."""
+    groups = shard_indexes(shard)
     assert groups
-    for column in (*groups.values(), *buckets.values()):
+    for column in groups.values():
         for ids in column.values():
             assert identifier not in ids
 
@@ -397,11 +399,12 @@ class TestFlushResidue:
             for store in shard._witnesses:
                 for violation in store.ordered():
                     assert identifier not in violation.fact_ids
+        assert_matches_reference(session)
 
     def test_session_level_insert_then_delete_before_flush(self):
         # The raw-session flavor of the same hazard: _on_change applies
-        # eq-index/column updates eagerly but witness retraction waits
-        # for the flush — the dirty id must fold away completely.
+        # column updates eagerly but witness retraction waits for the
+        # flush — the dirty id must fold away completely.
         database = _seeded()
         session = MeasurementSession(_residue_constraints(), database)
         session.index()
@@ -410,10 +413,11 @@ class TestFlushResidue:
         database.delete(identifier)
         session.index()
         shard = _r_shard(session)
-        assert shard_indexes(shard)[1]  # the probe DC's equality index
+        assert ("R", "A") in shard_indexes(shard)  # the equality join's group
         assert identifier not in shard._touching
         _assert_unindexed(shard, identifier)
         assert _generation(session) == generation
+        assert_matches_reference(session)
 
     def test_bound_fact_updated_then_deleted(self):
         database = _seeded(0)
@@ -431,7 +435,7 @@ class TestFlushResidue:
         assert b not in shard._touching
         assert a not in shard._touching  # its only witness retracted
         _assert_unindexed(shard, b)
-        with MeasurementSession(_residue_constraints(), database) as fresh:
+        with fresh_reference(session) as fresh:
             assert session.index().mi_sets == fresh.index().mi_sets
 
 

@@ -63,9 +63,9 @@ def _constraint_suites():
             name="wide3",
         ),
     ]
-    # Not batch-compilable (t3 shares a predicate with t but no equality),
-    # so the probe serves it and its equality join reads the equality index.
-    probe_join = [
+    # t3 shares a predicate with t but no equality, so its plans join t3
+    # through a cross step next to the t = t2 hash join.
+    cross_join = [
         FunctionalDependency("R", {"A"}, {"B"}),
         DenialConstraint(
             [("t", "R"), ("t2", "R"), ("t3", "R")],
@@ -74,10 +74,10 @@ def _constraint_suites():
                 Predicate(Term.col("t3", "B"), ComparisonOp.LT, Term.col("t", "B")),
                 Predicate(Term.col("t", "C"), ComparisonOp.NE, Term.col("t2", "C")),
             ],
-            name="probe_join",
+            name="cross_join",
         ),
     ]
-    return {"binary": binary, "wide": wide, "probe_join": probe_join}
+    return {"binary": binary, "wide": wide, "cross_join": cross_join}
 
 
 @pytest.fixture

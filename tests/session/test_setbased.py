@@ -1,18 +1,20 @@
-"""Batch enumeration == probe enumeration, bit-for-bit.
+"""Maintained batch enumeration == a fresh cold build, bit-for-bit.
 
-The acceptance contract of the set-based backend
+The acceptance contract of the batch plans
 (:mod:`repro.session.enumeration`) is differential: over randomized DC
 sets (equality-joinable chains, constant predicates, NULL-heavy columns,
-unary DCs, and deliberately non-joinable DCs that force the ``auto``
-fallback) and randomized cold databases plus interleaved
-insert/delete/update histories, a session running ``engine="batch"`` /
-``"auto"`` must maintain **identical witness sets** — and therefore
-identical ``index()`` content and measure values — to the ``"probe"``
-reference over the same data.
+unary DCs, and DCs with no equality join at all, served by cross steps)
+and randomized cold databases plus interleaved insert/delete/update
+histories, a live session must maintain **identical witness sets** — and
+therefore identical ``index()`` content and measure values — to a fresh
+cold build on the other column backend over the same data, and to the
+brute-force oracle wherever the instance is small enough to enumerate.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import math
 import random
 
 import pytest
@@ -20,11 +22,14 @@ import pytest
 from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
-from repro.session import (
-    MeasurementSession,
-    batch_compilable,
-    make_session,
-)
+from repro.session import MeasurementSession, make_session
+
+from ..oracle import brute_force_witnesses
+
+HAS_NUMPY = importlib.util.find_spec("numpy") is not None
+
+#: Largest assignment space per DC the brute-force oracle enumerates.
+ORACLE_ASSIGNMENTS = 20_000
 
 _OPS = [
     ComparisonOp.EQ,
@@ -128,7 +133,7 @@ def _random_dc(
             ],
             name=f"dc{number}_lone",
         )
-    # non-equality-joinable (auto must fall back to the probe)
+    # no equality join: a cross step with a pairwise residual
     return DenialConstraint(
         [("t", relation), ("t2", relation)],
         [
@@ -165,14 +170,46 @@ def _witness_sets(session: MeasurementSession) -> list[set[frozenset[int]]]:
 
 
 def _assert_identical(
-    probe: MeasurementSession, other: MeasurementSession
+    reference: MeasurementSession, other: MeasurementSession
 ) -> None:
     # index() flushes pending deltas before the stores are compared.
-    assert probe.index().mi_sets == other.index().mi_sets
-    assert _witness_sets(probe) == _witness_sets(other)
+    assert reference.index().mi_sets == other.index().mi_sets
+    assert _witness_sets(reference) == _witness_sets(other)
     assert [
-        [v.fact_ids for v in store.ordered()] for store in _stores(probe)
+        [v.fact_ids for v in store.ordered()] for store in _stores(reference)
     ] == [[v.fact_ids for v in store.ordered()] for store in _stores(other)]
+
+
+def other_backend(session: MeasurementSession) -> str:
+    """The column backend a reference cold build of *session* runs on:
+    the one *session* does not, when numpy is importable."""
+    if not HAS_NUMPY:
+        return "list"
+    return "list" if session.stats()["vector_backend"] == "numpy" else "numpy"
+
+
+def fresh_reference(session: MeasurementSession) -> MeasurementSession:
+    """A fresh cold build of *session*'s constraints and database on the
+    other column backend (the caller closes it)."""
+    return MeasurementSession(
+        session.constraints,
+        session.database,
+        vector_backend=other_backend(session),
+    )
+
+
+def assert_matches_reference(session: MeasurementSession) -> None:
+    """*session*'s maintained state equals a fresh cold build on the other
+    backend, and each small DC's witnesses equal the oracle's."""
+    with fresh_reference(session) as reference:
+        _assert_identical(reference, session)
+    database = session.database
+    for dc, store in zip(session.dcs, _stores(session)):
+        space = math.prod(
+            len(database.relation_ids(relation)) for _, relation in dc.variables
+        )
+        if space <= ORACLE_ASSIGNMENTS:
+            assert set(store) == brute_force_witnesses(dc, database)
 
 
 def _mutate(rng: random.Random, database: Database, relations, spread) -> None:
@@ -193,44 +230,8 @@ class TestColdEquivalence:
     def test_cold_witnesses_identical(self, case, case_rng):
         rng = case_rng
         _, _, _, database, dcs = _random_instance(rng, rng.randint(20, 80))
-        probe = MeasurementSession(dcs, database, engine="probe")
-        for engine in ("batch", "auto"):
-            if engine == "batch" and not all(batch_compilable(dc) for dc in dcs):
-                continue
-            session = MeasurementSession(dcs, database, engine=engine)
-            _assert_identical(probe, session)
-
-    def test_auto_engine_selection(self, case_rng):
-        rng = case_rng
-        relations = ["R0"]
-        joinable = _random_dc(rng, relations, 0)
-        while not batch_compilable(joinable):
-            joinable = _random_dc(rng, relations, 0)
-        database = Database(_schema(relations))
-        crossing = DenialConstraint(
-            [("t", "R0"), ("t2", "R0")],
-            [Predicate(Term.col("t", "B"), ComparisonOp.LT, Term.col("t2", "B"))],
-            name="nojoin",
-        )
-        session = MeasurementSession([joinable, crossing], database)
-        engines = [s["engine"] for s in session.stats()["constraints"]]
-        assert engines == ["batch", "probe"]
-
-    def test_batch_engine_rejects_non_joinable(self):
-        schema = _schema(["R0"])
-        database = Database(schema)
-        crossing = DenialConstraint(
-            [("t", "R0"), ("t2", "R0")],
-            [Predicate(Term.col("t", "B"), ComparisonOp.LT, Term.col("t2", "B"))],
-            name="nojoin",
-        )
-        with pytest.raises(ValueError, match="not equality-joinable"):
-            MeasurementSession([crossing], database, engine="batch")
-
-    def test_unknown_engine_rejected(self):
-        database = Database(_schema(["R0"]))
-        with pytest.raises(ValueError, match="unknown enumeration engine"):
-            MeasurementSession([], database, engine="vectorized")
+        with MeasurementSession(dcs, database) as session:
+            assert_matches_reference(session)
 
     def test_stats_counters_track_work(self, case_rng):
         rng = case_rng
@@ -243,10 +244,10 @@ class TestColdEquivalence:
             ],
             name="fd",
         )
-        session = MeasurementSession([dc], database, engine="batch")
+        session = MeasurementSession([dc], database)
         stats = session.stats()["constraints"][0]
         assert stats["constraint"] == "fd"
-        assert stats["engine"] == "batch"
+        assert stats["backend"] == session.stats()["vector_backend"]
         assert stats["plans_compiled"] == dc.width
         assert stats["cold_runs"] == 1
         assert stats["batches_joined"] >= 1
@@ -256,9 +257,8 @@ class TestColdEquivalence:
         assert session.stats()["constraints"][0]["delta_runs"] == 1
         session.close()
 
-
-    def test_probe_counters_track_work(self, case_rng):
-        """A probe-served DC counts its compiled plans and visited facts."""
+    def test_cross_counters_track_work(self, case_rng):
+        """An inequality-only DC counts its plans and cross-joined rows."""
         rng = case_rng
         _, relations, spread, database, _ = _random_instance(rng, 40)
         dominance = DenialConstraint(
@@ -281,8 +281,8 @@ class TestColdEquivalence:
             runs.append(session.stats()["constraints"][0])
             session.close()
         stats = runs[0]
-        assert stats["engine"] == "probe"
         assert stats["plans_compiled"] == dominance.width
+        assert stats["batches_joined"] >= 1
         assert stats["rows_scanned"] > 0
         assert stats["delta_runs"] == 1
         assert runs[0] == runs[1]
@@ -296,22 +296,14 @@ class TestDeltaEquivalence:
         _, relations, spread, database, dcs = _random_instance(
             rng, rng.randint(15, 50)
         )
-        mirror = Database(database.schema)
-        for _, fact in database.items():
-            mirror.insert(Fact(fact.relation, fact.values))
-        probe = MeasurementSession(dcs, database, engine="probe")
-        batch = MeasurementSession(dcs, mirror, engine="auto")
-        _assert_identical(probe, batch)
+        session = MeasurementSession(dcs, database)
+        assert_matches_reference(session)
         for step in range(rng.randint(25, 60)):
-            state = rng.getstate()
             _mutate(rng, database, relations, spread)
-            rng.setstate(state)
-            _mutate(rng, mirror, relations, spread)
             if step % rng.randint(2, 5) == 0:
-                _assert_identical(probe, batch)
-        _assert_identical(probe, batch)
-        probe.close()
-        batch.close()
+                assert_matches_reference(session)
+        assert_matches_reference(session)
+        session.close()
 
     @pytest.mark.slow
     @pytest.mark.parametrize("case", range(3))
@@ -324,11 +316,7 @@ class TestDeltaEquivalence:
         _, relations, spread, database, dcs = _random_instance(
             rng, rng.randint(15, 40)
         )
-        mirror = Database(database.schema)
-        for _, fact in database.items():
-            mirror.insert(Fact(fact.relation, fact.values))
-        probe = MeasurementSession(dcs, database, engine="probe")
-        batch = MeasurementSession(dcs, mirror, engine="auto")
+        session = MeasurementSession(dcs, database)
         measure = make_measure("I_MI")
         for _ in range(4):
             identifiers = database.ids()
@@ -349,20 +337,16 @@ class TestDeltaEquivalence:
                             )
                         ]
                     )
-            assert probe.speculate_batch(candidates, [measure]) == (
-                batch.speculate_batch(candidates, [measure])
-            )
-            state = rng.getstate()
+            with fresh_reference(session) as reference:
+                expected = reference.speculate_batch(candidates, [measure])
+            assert session.speculate_batch(candidates, [measure]) == expected
             _mutate(rng, database, relations, spread)
-            rng.setstate(state)
-            _mutate(rng, mirror, relations, spread)
-        _assert_identical(probe, batch)
-        probe.close()
-        batch.close()
+        assert_matches_reference(session)
+        session.close()
 
 
 class TestShardedAndWarmStart:
-    def test_sharded_engine_passthrough_and_stats(self, case_rng):
+    def test_sharded_stats_in_global_order(self, case_rng):
         rng = case_rng
         relations = ["R0", "R1"]
         schema = _schema(relations)
@@ -375,18 +359,18 @@ class TestShardedAndWarmStart:
             FunctionalDependency("R0", {"A"}, {"B"}),
             FunctionalDependency("R1", {"A"}, {"C"}),
         ]
-        session = make_session(constraints, database, shards="auto", engine="batch")
-        probe = MeasurementSession(constraints, database, engine="probe")
-        assert session.index().mi_sets == probe.index().mi_sets
+        session = make_session(constraints, database, shards="auto")
+        assert len(session.shards) == 2
+        assert_matches_reference(session)
         stats = session.stats()
-        assert stats["engine"] == "batch"
-        assert [s["engine"] for s in stats["constraints"]] == ["batch", "batch"]
+        assert "engine" not in stats
+        backend = stats["vector_backend"]
+        assert [s["backend"] for s in stats["constraints"]] == [backend, backend]
         # Global lowered-DC order is preserved through the shard routing.
         assert [s["constraint"] for s in stats["constraints"]] == [
             dc.name for dc in session.dcs
         ]
         session.close()
-        probe.close()
 
     def test_warm_start_uses_batch_delta(self, case_rng):
         rng = case_rng
@@ -403,16 +387,14 @@ class TestShardedAndWarmStart:
             ],
             name="fd",
         )
-        with MeasurementSession([dc], database, engine="batch") as warm_src:
+        with MeasurementSession([dc], database) as warm_src:
             snap = warm_src.snapshot()
-        session = MeasurementSession([dc], database, engine="batch", warm_start=snap)
+        session = MeasurementSession([dc], database, warm_start=snap)
         assert session.warm_started
         assert session.stats()["constraints"][0]["cold_runs"] == 0
-        reference = MeasurementSession([dc], database, engine="probe")
-        _assert_identical(reference, session)
+        assert_matches_reference(session)
         for _ in range(10):
             _mutate(rng, database, relations, 5)
-        reference.refresh()
-        _assert_identical(reference, session)
+        assert_matches_reference(session)
         assert session.stats()["constraints"][0]["delta_runs"] >= 1
         session.close()

@@ -618,9 +618,10 @@ class TestMixedMeasureSpeculation:
 
 
 class TestStatsBackendMerge:
-    """Regression: disagreeing shard backends must surface, not vanish."""
+    """Every shard owns a column store on the session's one backend, so
+    the merged report is that backend."""
 
-    def _session(self):
+    def test_agreeing_shards_report_the_backend(self):
         schema = Schema.from_dict({"R": ["A", "B", "C"], "S": ["A", "B", "C"]})
         database = Database.from_facts(
             schema,
@@ -630,31 +631,8 @@ class TestStatsBackendMerge:
             FunctionalDependency("R", {"A"}, {"B"}),
             FunctionalDependency("S", {"A"}, {"B"}),
         ]
-        return MeasurementSession(constraints, database, engine="batch")
-
-    def test_agreeing_shards_report_the_backend(self):
-        session = self._session()
+        session = MeasurementSession(constraints, database)
+        assert len(session.shards) == 2
         backends = {shard._columns.backend for shard in session.shards}
         assert len(backends) == 1
         assert session.stats()["vector_backend"] == backends.pop()
-
-    def test_disagreeing_shards_report_mixed(self):
-        class _StubColumns:
-            backend = "stub"
-
-        session = self._session()
-        native = session.shards[1]._columns.backend
-        session.shards[0]._columns = _StubColumns()
-        merged = session.stats()["vector_backend"]
-        assert merged == "mixed:" + ",".join(sorted(["stub", native]))
-
-    def test_shard_without_columns_reports_mixed_none(self):
-        session = self._session()
-        native = session.shards[1]._columns.backend
-        session.shards[0]._columns = None
-        merged = session.stats()["vector_backend"]
-        assert merged == "mixed:" + ",".join(sorted(["none", native]))
-        # ...which is distinguishable from "no columnar backend anywhere".
-        for shard in session.shards:
-            shard._columns = None
-        assert session.stats()["vector_backend"] is None

@@ -7,8 +7,8 @@ Two randomized invariants anchor the subsystem:
   (``measure.value(Σ, ops(D.copy()))``);
 * rolling back a savepoint restores a bit-identical database (facts,
   identifier allocator, active domains), enumeration indexes (the column
-  store's key groups and the probe's equality index) and witness store —
-  cross-checked against ``session.refresh()``.
+  store's key groups) and witness store — cross-checked against
+  ``session.refresh()``.
 """
 
 from __future__ import annotations
@@ -79,25 +79,19 @@ def _domain_snapshot(database: Database) -> dict:
     }
 
 
-def _index_snapshot(session: MeasurementSession) -> list[tuple[dict, dict]]:
-    """Per shard: the column store's key groups and the probe equality index.
-
-    Both map each indexed column to ``value → fact ids``; the numpy store
-    groups by dictionary code instead of value (codes are never recycled,
-    so they survive a rollback).  A dead row left behind in a list-store
-    group shows up as a ``None`` id.
-    """
+def _index_snapshot(session: MeasurementSession) -> list[dict]:
+    """Per shard: the column store's key groups (see :func:`shard_indexes`)."""
     return [shard_indexes(shard) for shard in session.shards]
 
 
-def shard_indexes(shard) -> tuple[dict, dict]:
-    """One shard's ``(key groups, equality-index buckets)``."""
-    return _key_groups(shard._columns), _equality_buckets(shard._eq_index)
+def shard_indexes(shard) -> dict:
+    """One shard's key groups: each grouped column's ``value → fact ids``.
 
-
-def _key_groups(store) -> dict:
-    if store is None:
-        return {}
+    The numpy store groups by dictionary code instead of value (codes are
+    never recycled, so they survive a rollback).  A dead row left behind
+    in a list-store group shows up as a ``None`` id.
+    """
+    store = shard._columns
     if store.backend == "list":
         return {
             (relation, attribute): {
@@ -119,15 +113,6 @@ def _key_groups(store) -> dict:
                     by_code.setdefault(code, set()).add(int(table.ids[row]))
             groups[(relation, attribute)] = by_code
     return groups
-
-
-def _equality_buckets(index) -> dict:
-    if index is None:
-        return {}
-    return {
-        column: {value: set(ids) for value, ids in buckets.items()}
-        for column, buckets in index._maps.items()
-    }
 
 
 def _witness_snapshot(session: MeasurementSession) -> list[tuple]:
@@ -207,7 +192,7 @@ class TestSpeculateEqualsCopyRebuild:
 
 
 class TestSavepointRollback:
-    @pytest.mark.parametrize("suite", ["binary", "wide", "probe_join"])
+    @pytest.mark.parametrize("suite", ["binary", "wide", "cross_join"])
     @pytest.mark.parametrize("case", [0, 1, 2])
     def test_rollback_restores_bit_identical_state(
         self, schema, suite, case, case_rng
@@ -223,10 +208,8 @@ class TestSavepointRollback:
             next_id_before = database._next_id
             domains_before = _domain_snapshot(database)
             indexes_before = _index_snapshot(session)
-            # Each suite's shard carries exactly the indexes its DCs read.
-            (groups, buckets), = indexes_before
+            (groups,) = indexes_before
             assert groups
-            assert bool(buckets) == (suite == "probe_join")
             with session.savepoint():
                 for _ in range(30):
                     _random_mutation(rng, database)

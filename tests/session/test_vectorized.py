@@ -1,11 +1,11 @@
-"""numpy kernels == list kernels == probe, bit-for-bit.
+"""numpy kernels == list kernels, bit-for-bit.
 
 The vectorized column backend (:mod:`repro.session.vectorized`) is held to
-the same differential contract as the batch engine itself: over randomized
-DC sets and interleaved histories, sessions running the numpy-backed store
-must maintain witness sets identical to both the list-backed store and the
-probe reference — across cold builds, delta maintenance, speculation,
-sharding and warm starts.  On top of the 3-way sweeps, targeted suites pin
+the same differential contract as the list backend: over randomized DC
+sets and interleaved histories, sessions running either store must
+maintain witness sets identical to a fresh cold build on the other
+backend — across cold builds, delta maintenance, speculation, sharding and
+warm starts.  On top of the parity sweeps, targeted suites pin
 the hazards the dtype ladder and dictionary encoding introduce: None/NaN
 cells, bool columns, > 2**53 integers against floats, mixed str/int
 columns, dictionary-code stability across savepoint rollback, and
@@ -16,8 +16,6 @@ exercises the fallback path.
 
 from __future__ import annotations
 
-import importlib.util
-import math
 import sys
 
 import pytest
@@ -27,22 +25,21 @@ from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
 from repro.session import (
     MeasurementSession,
-    batch_compilable,
     make_column_store,
     make_session,
 )
 from repro.session.columnar import ColumnStore, _detect_backend
 
 from .test_setbased import (
-    _assert_identical,
+    HAS_NUMPY,
     _mutate,
     _random_fact,
     _random_instance,
     _random_value,
     _schema,
+    assert_matches_reference,
+    fresh_reference,
 )
-
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Column backends available in this process ("list" always is).
 BACKENDS = ["list"] + (["numpy"] if HAS_NUMPY else [])
@@ -57,41 +54,33 @@ def _mirror(database: Database) -> Database:
     return copy
 
 
-def _parity_sessions(database: Database, dcs):
-    """(probe, [batch-on-backend...]) sessions over mirrored databases."""
-    probe = MeasurementSession(dcs, database, engine="probe")
-    batches = [
-        MeasurementSession(
-            dcs, _mirror(database), engine="auto", vector_backend=backend
-        )
+def _sessions(database: Database, dcs) -> list[MeasurementSession]:
+    """One session per available backend, over mirrored databases."""
+    return [
+        MeasurementSession(dcs, _mirror(database), vector_backend=backend)
         for backend in BACKENDS
     ]
-    return probe, batches
 
 
 def _facts_parity(schema: Schema, rows: dict[str, list[tuple]], dcs) -> None:
-    """Assert 3-way witness parity over an explicit instance."""
+    """Assert cross-backend and oracle parity over an explicit instance."""
     database = Database(schema)
     for relation, tuples in rows.items():
         for values in tuples:
             database.insert(Fact(relation, values))
-    probe, batches = _parity_sessions(database, dcs)
-    for session in batches:
-        _assert_identical(probe, session)
+    for session in _sessions(database, dcs):
+        assert_matches_reference(session)
         session.close()
-    probe.close()
 
 
-class TestThreeWayParity:
+class TestBackendParity:
     @pytest.mark.parametrize("case", range(4))
     def test_cold(self, case, case_rng):
         rng = case_rng
         _, _, _, database, dcs = _random_instance(rng, rng.randint(20, 80))
-        probe, batches = _parity_sessions(database, dcs)
-        for session in batches:
-            _assert_identical(probe, session)
+        for session in _sessions(database, dcs):
+            assert_matches_reference(session)
             session.close()
-        probe.close()
 
     @pytest.mark.parametrize("case", range(3))
     def test_interleaved_histories(self, case, case_rng):
@@ -99,8 +88,8 @@ class TestThreeWayParity:
         _, relations, spread, database, dcs = _random_instance(
             rng, rng.randint(15, 40)
         )
-        probe, batches = _parity_sessions(database, dcs)
-        databases = [database] + [session.database for session in batches]
+        batches = _sessions(database, dcs)
+        databases = [session.database for session in batches]
         for step in range(rng.randint(20, 40)):
             state = rng.getstate()
             for mutated in databases:
@@ -108,11 +97,10 @@ class TestThreeWayParity:
                 _mutate(rng, mutated, relations, spread)
             if step % 5 == 0:
                 for session in batches:
-                    _assert_identical(probe, session)
+                    assert_matches_reference(session)
         for session in batches:
-            _assert_identical(probe, session)
+            assert_matches_reference(session)
             session.close()
-        probe.close()
 
     @pytest.mark.parametrize("case", range(2))
     def test_speculation(self, case, case_rng):
@@ -123,10 +111,10 @@ class TestThreeWayParity:
         _, relations, spread, database, dcs = _random_instance(
             rng, rng.randint(15, 40)
         )
-        probe, batches = _parity_sessions(database, dcs)
+        batches = _sessions(database, dcs)
         measure = make_measure("I_MI")
         for _ in range(3):
-            identifiers = database.ids()
+            identifiers = batches[0].database.ids()
             if not identifiers:
                 break
             candidates = []
@@ -144,17 +132,17 @@ class TestThreeWayParity:
                             )
                         ]
                     )
-            expected = probe.speculate_batch(candidates, [measure])
             for session in batches:
+                with fresh_reference(session) as reference:
+                    expected = reference.speculate_batch(candidates, [measure])
                 assert session.speculate_batch(candidates, [measure]) == expected
             state = rng.getstate()
-            for mutated in [database] + [s.database for s in batches]:
+            for mutated in [s.database for s in batches]:
                 rng.setstate(state)
                 _mutate(rng, mutated, relations, spread)
         for session in batches:
-            _assert_identical(probe, session)
+            assert_matches_reference(session)
             session.close()
-        probe.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sharded(self, backend, case_rng):
@@ -174,17 +162,14 @@ class TestThreeWayParity:
             constraints,
             database,
             shards="auto",
-            engine="batch",
             vector_backend=backend,
         )
-        probe = MeasurementSession(constraints, database, engine="probe")
-        assert sharded.index().mi_sets == probe.index().mi_sets
+        assert_matches_reference(sharded)
         assert sharded.stats()["vector_backend"] == backend
         for _ in range(15):
             _mutate(rng, database, relations, 6)
-        assert sharded.index().mi_sets == probe.refresh().mi_sets
+        assert_matches_reference(sharded)
         sharded.close()
-        probe.close()
 
     @pytest.mark.parametrize("snap_backend", BACKENDS)
     def test_warm_start_across_backends(self, snap_backend, case_rng):
@@ -203,7 +188,7 @@ class TestThreeWayParity:
             name="fd",
         )
         with MeasurementSession(
-            [dc], database, engine="batch", vector_backend=snap_backend
+            [dc], database, vector_backend=snap_backend
         ) as source:
             snap = source.snapshot()
         for backend in BACKENDS:
@@ -211,21 +196,17 @@ class TestThreeWayParity:
             session = MeasurementSession(
                 [dc],
                 mirrored,
-                engine="batch",
                 vector_backend=backend,
                 warm_start=snap,
             )
             assert session.warm_started
             assert session.stats()["constraints"][0]["cold_runs"] == 0
-            reference = MeasurementSession([dc], mirrored, engine="probe")
-            _assert_identical(reference, session)
+            assert_matches_reference(session)
             for _ in range(10):
                 _mutate(rng, mirrored, relations, 5)
-            reference.refresh()
-            _assert_identical(reference, session)
+            assert_matches_reference(session)
             assert session.stats()["constraints"][0]["delta_runs"] >= 1
             session.close()
-            reference.close()
 
 
 class TestDtypeEdgeCases:
@@ -247,11 +228,11 @@ class TestDtypeEdgeCases:
         "op", [ComparisonOp.EQ, ComparisonOp.NE, ComparisonOp.LT, ComparisonOp.GE]
     )
     def test_none_and_nan_cells(self, op):
-        # Each NaN cell is a fresh object: the probe reference's hash
-        # index keys buckets by dict equality, where an *identical* NaN
-        # object would compare equal to itself (the container identity
-        # shortcut) against ``==`` semantics — distinct objects keep both
-        # references on the IEEE behavior the kernels implement.
+        # Each NaN cell is a fresh object: a dict keyed by an *identical*
+        # NaN object would find it by the container identity shortcut
+        # against ``==`` semantics — the list store's key groups keep NaN
+        # out, and the shared-object case is pinned against the oracle in
+        # tests/violations/test_sqlgen_conformance.py.
         rows = [
             (1, None, 2),
             (1, float("nan"), float("nan")),
@@ -328,8 +309,8 @@ class TestDtypeEdgeCases:
         for k in range(30):
             database.insert(Fact("R", (k % 5, k % 7, k % 3)))
         dcs = self._dc_pair(ComparisonOp.LT)
-        probe, batches = _parity_sessions(database, dcs)
-        databases = [database] + [session.database for session in batches]
+        batches = _sessions(database, dcs)
+        databases = [session.database for session in batches]
         odd_values = [2.5, "x", float("nan"), 2**60, None, True]
         for step, value in enumerate(odd_values * 3):
             state = rng.getstate()
@@ -338,10 +319,9 @@ class TestDtypeEdgeCases:
                 identifier = rng.choice(mutated.ids())
                 mutated.update(identifier, rng.choice(["A", "B", "C"]), value)
             for session in batches:
-                _assert_identical(probe, session)
+                assert_matches_reference(session)
         for session in batches:
             session.close()
-        probe.close()
 
 
 class TestDictionaryAndCompaction:
@@ -363,9 +343,7 @@ class TestDictionaryAndCompaction:
             ],
             name="fd",
         )
-        session = MeasurementSession(
-            [dc], database, engine="batch", vector_backend="numpy"
-        )
+        session = MeasurementSession([dc], database, vector_backend="numpy")
         session.index()
         store = session.shards[0]._columns
         dictionary = store.column("R0", "A").dict_class
@@ -381,11 +359,9 @@ class TestDictionaryAndCompaction:
         for value, code in before.items():
             assert after[value] == code
         assert all(1000 + k in after for k in range(4))
-        # The rolled-back store still answers identically to a fresh probe.
-        reference = MeasurementSession([dc], database, engine="probe")
-        _assert_identical(reference, session)
+        # The rolled-back store still answers identically to a fresh build.
+        assert_matches_reference(session)
         session.close()
-        reference.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_compaction_preserves_parity(self, backend, case_rng, monkeypatch):
@@ -410,35 +386,24 @@ class TestDictionaryAndCompaction:
             ],
             name="fd",
         )
-        probe = MeasurementSession([dc], database, engine="probe")
-        batch = MeasurementSession(
-            [dc],
-            _mirror(database),
-            engine="batch",
-            vector_backend=backend,
-        )
-        databases = [database, batch.database]
+        batch = MeasurementSession([dc], database, vector_backend=backend)
         # Alternate delete waves (dropping live fraction below 1/2) with
         # insert/update waves, checking parity after every wave.
         for wave in range(6):
-            state = rng.getstate()
-            for mutated in databases:
-                rng.setstate(state)
-                identifiers = mutated.ids()
-                if wave % 2 == 0:
-                    for identifier in identifiers[: len(identifiers) * 2 // 3]:
-                        mutated.delete(identifier)
-                else:
-                    for _ in range(25):
-                        _mutate(rng, mutated, relations, 8)
-            _assert_identical(probe, batch)
+            identifiers = database.ids()
+            if wave % 2 == 0:
+                for identifier in identifiers[: len(identifiers) * 2 // 3]:
+                    database.delete(identifier)
+            else:
+                for _ in range(25):
+                    _mutate(rng, database, relations, 8)
+            assert_matches_reference(batch)
         # At least one compaction actually fired on the batch store: the
         # initial 60 slots can only shrink through _compact (rows are
         # tombstoned in place otherwise).
         relation = batch.shards[0]._columns.relation("R0")
         slots = relation.n if backend == "numpy" else len(relation.ids)
         assert slots < 60
-        probe.close()
         batch.close()
 
 
@@ -454,42 +419,6 @@ class TestLoneVariableShapes:
             name="lone",
         )
 
-    def test_compilable_classification(self):
-        assert batch_compilable(self._lone_dc())
-        # Width-2, both variables constant-bound only: still one lone
-        # disconnected variable — eligible.
-        both_const = DenialConstraint(
-            [("t", "R0"), ("s", "R1")],
-            [
-                Predicate(Term.col("t", "B"), ComparisonOp.GT, Term.const(2)),
-                Predicate(Term.col("s", "C"), ComparisonOp.EQ, Term.const(1)),
-            ],
-            name="both_const",
-        )
-        assert batch_compilable(both_const)
-        # A cross-variable inequality binds both components: not eligible.
-        crossing = DenialConstraint(
-            [("t", "R0"), ("t2", "R0")],
-            [
-                Predicate(Term.col("t", "B"), ComparisonOp.LT, Term.col("t2", "B")),
-                Predicate(Term.col("t", "C"), ComparisonOp.EQ, Term.const(1)),
-                Predicate(Term.col("t2", "C"), ComparisonOp.EQ, Term.const(2)),
-            ],
-            name="crossing",
-        )
-        assert not batch_compilable(crossing)
-        # Three components stay out of scope.
-        three = DenialConstraint(
-            [("t", "R0"), ("u", "R0"), ("v", "R1")],
-            [
-                Predicate(Term.col("t", "B"), ComparisonOp.EQ, Term.const(1)),
-                Predicate(Term.col("u", "B"), ComparisonOp.EQ, Term.const(2)),
-                Predicate(Term.col("v", "C"), ComparisonOp.EQ, Term.const(3)),
-            ],
-            name="three",
-        )
-        assert not batch_compilable(three)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_lone_parity_and_pin_on_lone_delta(self, backend, case_rng):
         rng = case_rng
@@ -498,15 +427,8 @@ class TestLoneVariableShapes:
         for _ in range(40):
             database.insert(_random_fact(rng, rng.choice(relations), 4))
         dc = self._lone_dc()
-        probe = MeasurementSession([dc], database, engine="probe")
-        batch = MeasurementSession(
-            [dc],
-            _mirror(database),
-            engine="batch",
-            vector_backend=backend,
-        )
-        assert batch.stats()["constraints"][0]["engine"] == "batch"
-        _assert_identical(probe, batch)
+        batch = MeasurementSession([dc], database, vector_backend=backend)
+        assert_matches_reference(batch)
         # Mutations confined to the lone variable's relation seed the
         # delta pass on the keyless pin.
         r1_ids = [
@@ -515,19 +437,15 @@ class TestLoneVariableShapes:
             if fact.relation == "R1"
         ]
         for k, identifier in enumerate(r1_ids[:6]):
-            for mutated in (database, batch.database):
-                if k % 2 == 0:
-                    mutated.update(identifier, "C", 1 if k % 4 == 0 else 3)
-                else:
-                    mutated.delete(identifier)
-            _assert_identical(probe, batch)
+            if k % 2 == 0:
+                database.update(identifier, "C", 1 if k % 4 == 0 else 3)
+            else:
+                database.delete(identifier)
+            assert_matches_reference(batch)
         for _ in range(4):
-            value = (2, 2, 1)
-            for mutated in (database, batch.database):
-                mutated.insert(Fact("R1", value))
-            _assert_identical(probe, batch)
+            database.insert(Fact("R1", (2, 2, 1)))
+            assert_matches_reference(batch)
         assert batch.stats()["constraints"][0]["delta_runs"] >= 1
-        probe.close()
         batch.close()
 
 
@@ -574,18 +492,8 @@ class TestBackendSelection:
             name="fd",
         )
         for backend in BACKENDS:
-            session = MeasurementSession(
-                [dc],
-                database,
-                engine="batch",
-                vector_backend=backend,
-            )
+            session = MeasurementSession([dc], database, vector_backend=backend)
             stats = session.stats()
             assert stats["vector_backend"] == backend
             assert stats["constraints"][0]["backend"] == backend
             session.close()
-        probe = MeasurementSession([dc], database, engine="probe")
-        stats = probe.stats()
-        assert stats["vector_backend"] is None
-        assert stats["constraints"][0]["backend"] is None
-        probe.close()

@@ -183,7 +183,7 @@ class TestStatsFlag:
         )
         assert code == 0
         assert "I_MI = 1.0" in text
-        assert '"engine"' in text
+        assert '"backend"' in text
         assert '"vector_backend"' in text
         # Without a warm-start path the session is stats-only: no
         # snapshot chatter, no state file expected.
@@ -205,5 +205,5 @@ class TestStatsFlag:
         )
         assert code == 0
         assert "warm start: cold build" in text
-        assert '"engine"' in text
+        assert '"backend"' in text
         assert snap.exists()

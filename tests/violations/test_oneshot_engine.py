@@ -2,18 +2,17 @@
 
 The one-shot entry points (``build_violation_index``, ``is_consistent``,
 ``find_first_violation``) run a cold build of the session's enumerators:
-compiled batch plans where the DC is equality-joinable, the probe fallback
-elsewhere.  Comparing them with a session only shows that the two agree, so
-this suite also checks them against an oracle that shares no code with any
-enumerator: a nested loop over every tuple assignment, evaluated with
-``Predicate.evaluate``, and ⊆-minimization straight from the definition.
+compiled batch plans, with hash joins along each DC's equality graph and
+cross steps between its disconnected parts.  Comparing them with a session
+only shows that the two agree, so this suite also checks them against the
+shared brute-force oracle (``tests/oracle.py``), which shares no code with
+any enumerator.
 Random databases have at most six facts over tiny domains mixing ints,
 strings, ``None`` and NaN, and every case runs on both column backends.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -29,13 +28,17 @@ from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.datasets import DATASET_ORDER, generate_sample
 from repro.noise import CONoise
 from repro.relational import Database, Fact, Schema
-from repro.session import batch_compilable, make_session
+from repro.session import make_session
+from repro.sqlengine.planner import JoinPlan, plan_query
 from repro.violations import (
     build_violation_index,
+    conflict_query,
     find_first_violation,
     is_consistent,
     lower_constraints,
 )
+
+from ..oracle import brute_force_witnesses, minimal_sets
 
 _SCHEMA = Schema.from_dict({"R": ["A", "B", "C"], "S": ["A", "B"]})
 
@@ -130,43 +133,10 @@ def _random_value(rng: random.Random):
     return rng.choice(_ODD_VALUES)
 
 
-# ----------------------------------------------------------------------
-# The oracle
-# ----------------------------------------------------------------------
-def _oracle_witnesses(dc: DenialConstraint, database: Database) -> set[frozenset[int]]:
-    """Every tuple assignment satisfying the body, as a fact-id set."""
-    variables = [variable for variable, _ in dc.variables]
-    candidates = [
-        [
-            identifier
-            for identifier, fact in database.items()
-            if fact.relation == relation
-        ]
-        for _, relation in dc.variables
-    ]
-    found = set()
-    for chosen in itertools.product(*candidates):
-        assignment = {
-            variable: database[identifier]
-            for variable, identifier in zip(variables, chosen)
-        }
-        if all(
-            predicate.evaluate(assignment, database.schema)
-            for predicate in dc.predicates
-        ):
-            found.add(frozenset(chosen))
-    return found
-
-
-def _oracle_minimal(family: set[frozenset[int]]) -> set[frozenset[int]]:
-    """Members of *family* with no proper subset in *family*."""
-    return {group for group in family if not any(other < group for other in family)}
-
-
 def _check_against_oracle(constraints, database: Database) -> None:
     dcs = lower_constraints(constraints, database.schema)
-    families = [_oracle_witnesses(dc, database) for dc in dcs]
-    expected_mi = _oracle_minimal(set().union(*families))
+    families = [brute_force_witnesses(dc, database) for dc in dcs]
+    expected_mi = minimal_sets(set().union(*families))
 
     index = build_violation_index(constraints, database)
     assert set(index.mi_sets) == expected_mi
@@ -204,16 +174,30 @@ def test_mixed_constraint_set_matches_brute_force(backend, case_rng):
         _check_against_oracle(constraints, _random_database(case_rng))
 
 
-def test_shapes_cover_both_enumerators():
-    compiled = {
-        shape: all(
-            batch_compilable(dc)
+def _keyless_steps(dc: DenialConstraint) -> int:
+    """Join steps without a hash key in *dc*'s pin-0 plan (cross steps)."""
+    node, count = plan_query(conflict_query(dc), reorder_equalities=True).root, 0
+    while isinstance(node, JoinPlan):
+        count += not node.equi_keys
+        node = node.left
+    return count
+
+
+def test_shapes_cover_keyed_and_cross_steps():
+    crosses = {
+        shape: sum(
+            _keyless_steps(dc)
             for dc in lower_constraints([_shapes()[shape]], _SCHEMA)
         )
         for shape in SHAPES
     }
-    assert not compiled["inequality_only"]
-    assert all(ok for shape, ok in compiled.items() if shape != "inequality_only")
+    assert crosses["inequality_only"] == 1
+    assert crosses["width3_lone"] == 1
+    assert all(
+        count == 0
+        for shape, count in crosses.items()
+        if shape not in ("inequality_only", "width3_lone")
+    )
 
 
 def test_early_exit_stops_at_first_chunk(backend, monkeypatch):
@@ -230,8 +214,8 @@ def test_early_exit_stops_at_first_chunk(backend, monkeypatch):
     assert chunks_run == [1, 1]
 
 
-def test_early_exit_on_probe_served_dc(monkeypatch):
-    """The probe fallback runs its cold plan in the same seed chunks."""
+def test_early_exit_on_inequality_only_dc(backend, monkeypatch):
+    """A DC joined only by a cross step stops at its first chunk too."""
     schema = Schema.from_dict({"R": ["A", "B", "C"]})
     rows = [(2, "x", 0), (1, "x", 1)] + [(n, "x", n) for n in range(2, 2000)]
     database = Database.from_rows(schema, "R", rows)
@@ -243,7 +227,7 @@ def test_early_exit_on_probe_served_dc(monkeypatch):
         ],
         name="dominance",
     )
-    assert not batch_compilable(dominance)
+    assert _keyless_steps(dominance) == 1
     chunks_run = _count_chunks(monkeypatch)
     violation = find_first_violation([dominance], database)
     assert violation.fact_ids == frozenset({0, 1})
@@ -257,8 +241,8 @@ def _count_chunks(monkeypatch) -> list[int]:
     chunks_run: list[int] = []
     run = WitnessEnumerator._seed_chunks
 
-    def counting(self, database, first):
-        for part in run(self, database, first):
+    def counting(self, first):
+        for part in run(self, first):
             chunks_run.append(len(part))
             yield part
 

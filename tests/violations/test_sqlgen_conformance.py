@@ -1,22 +1,23 @@
-"""SQL conflict rows and compiled probe plans == brute force, on random DCs.
+"""SQL conflict rows and compiled batch plans == brute force, on random DCs.
 
 The SQL conflict query (:func:`repro.violations.sqlgen.conflict_query`) and
-the session's probe enumerator (:class:`repro.session.ProbeEnumerator`)
+the session's witness enumerator (:class:`repro.session.WitnessEnumerator`)
 are two independent implementations of the same definition — "all
 assignments of facts to tuple variables satisfying every predicate".  This
 suite generates random DCs (equality joins, inequalities, constants,
-NULL-heavy columns, widths 1–3) over random databases and pins that the
-identifier tuples the SQL engine returns, the probe's cold family, the
-union of its cold chunks and its delta over a random dirty subset all
-collapse to exactly the witness fact-id sets a brute-force evaluation of
-the DC body (``Predicate.evaluate``) produces.  A mixed-value variant
-(ints, strs, floats with NaN, bools, NULL) checks the probe's compiled
-comparison kernels against ``ComparisonOp.evaluate``.
+NULL-heavy columns, widths 1–3, connected or not) over random databases and
+pins that the identifier tuples the SQL engine returns, and on both column
+backends the enumerator's cold family, the union of its cold chunks and its
+delta over a random dirty subset, all collapse to exactly the witness
+fact-id sets a brute-force evaluation of the DC body
+(``Predicate.evaluate``) produces.  A mixed-value variant (ints, strs,
+floats with NaN, bools, NULL) checks the compiled comparison kernels
+against ``ComparisonOp.evaluate``.
 """
 
 from __future__ import annotations
 
-import itertools
+import importlib.util
 import random
 
 import pytest
@@ -24,9 +25,14 @@ import pytest
 from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
-from repro.session import ProbeEnumerator, build_enumerators
+from repro.session import WitnessEnumerator, build_enumerators
 from repro.violations import conflict_query, conflict_rows
 from repro.violations.sqlgen import conflict_sql
+
+from ..oracle import brute_force_witnesses
+
+#: Column backends available in this process ("list" always is).
+BACKENDS = ["list"] + (["numpy"] if importlib.util.find_spec("numpy") else [])
 
 _OPS = [
     ComparisonOp.EQ,
@@ -87,35 +93,12 @@ def _random_instance(
     return database, dc
 
 
-def _brute_force_witnesses(
-    database: Database, dc: DenialConstraint
-) -> set[frozenset[int]]:
-    """Every satisfying assignment, by exhaustive enumeration."""
-    schema = database.schema
-    pools = [
-        [
-            (identifier, database[identifier])
-            for identifier in database.relation_ids(relation)
-        ]
-        for _, relation in dc.variables
-    ]
-    names = [variable for variable, _ in dc.variables]
-    found: set[frozenset[int]] = set()
-    for combo in itertools.product(*pools):
-        assignment = {
-            name: fact for name, (_, fact) in zip(names, combo)
-        }
-        if all(p.evaluate(assignment, schema) for p in dc.predicates):
-            found.add(frozenset(identifier for identifier, _ in combo))
-    return found
-
-
 class TestConflictRowsConformance:
     @pytest.mark.parametrize("case", range(25))
     def test_rows_match_brute_force(self, case, case_rng):
         rng = case_rng
         database, dc = _random_instance(rng)
-        expected = _brute_force_witnesses(database, dc)
+        expected = brute_force_witnesses(dc, database)
         rows = conflict_rows(dc, database)
         assert {frozenset(row) for row in rows} == expected
         # Nested-loop execution of the same query agrees row-for-row.
@@ -147,8 +130,10 @@ class TestConflictRowsConformance:
         assert conflict_rows(dc, database) == []
 
 
-def _probe(dc: DenialConstraint, database: Database) -> ProbeEnumerator:
-    (enumerator,), _, _ = build_enumerators("probe", [dc], database)
+def _enumerator(
+    dc: DenialConstraint, database: Database, backend: str
+) -> WitnessEnumerator:
+    (enumerator,), _ = build_enumerators([dc], database, vector_backend=backend)
     return enumerator
 
 
@@ -158,22 +143,25 @@ _VALUE_DOMAINS = {
 }
 
 
-class TestProbeConformance:
-    """The compiled probe plans against the brute-force definition."""
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBatchConformance:
+    """The compiled batch plans against the brute-force definition."""
 
     @pytest.mark.parametrize("values", sorted(_VALUE_DOMAINS))
     @pytest.mark.parametrize("case", range(30))
-    def test_cold_matches_brute_force(self, values, case, case_rng):
+    def test_cold_matches_brute_force(self, backend, values, case, case_rng):
         database, dc = _random_instance(case_rng, *_VALUE_DOMAINS[values])
-        expected = _brute_force_witnesses(database, dc)
-        assert _probe(dc, database).cold(database) == expected
+        expected = brute_force_witnesses(dc, database)
+        assert _enumerator(dc, database, backend).cold(database) == expected
 
     @pytest.mark.parametrize("values", sorted(_VALUE_DOMAINS))
     @pytest.mark.parametrize("case", range(30))
-    def test_cold_chunks_union_matches_brute_force(self, values, case, case_rng):
+    def test_cold_chunks_union_matches_brute_force(
+        self, backend, values, case, case_rng
+    ):
         database, dc = _random_instance(case_rng, *_VALUE_DOMAINS[values])
-        expected = _brute_force_witnesses(database, dc)
-        enumerator = _probe(dc, database)
+        expected = brute_force_witnesses(dc, database)
+        enumerator = _enumerator(dc, database, backend)
         # One seed fact first, then chunks of two: most instances split.
         enumerator.FIRST_CHUNK, enumerator.cold_chunk = 1, 2
         union: set[frozenset[int]] = set()
@@ -184,7 +172,7 @@ class TestProbeConformance:
     @pytest.mark.parametrize("values", sorted(_VALUE_DOMAINS))
     @pytest.mark.parametrize("case", range(30))
     def test_delta_matches_brute_force_touching_dirty(
-        self, values, case, case_rng
+        self, backend, values, case, case_rng
     ):
         rng = case_rng
         database, dc = _random_instance(rng, *_VALUE_DOMAINS[values])
@@ -192,17 +180,35 @@ class TestProbeConformance:
         dirty = set(rng.sample(identifiers, rng.randint(1, len(identifiers))))
         expected = {
             witness
-            for witness in _brute_force_witnesses(database, dc)
+            for witness in brute_force_witnesses(dc, database)
             if witness & dirty
         }
         # An identifier outside the database (a deleted fact) is skipped.
-        found = _probe(dc, database).delta(database, dirty | {10_000})
+        found = _enumerator(dc, database, backend).delta(
+            database, dirty | {10_000}
+        )
         assert found == expected
 
+    @pytest.mark.parametrize("case", range(10))
+    def test_cross_blocks_split_mid_batch(
+        self, backend, case, case_rng, monkeypatch
+    ):
+        """A pair budget of three splits every numpy cross step into
+        blocks of a candidate or so; the survivors still union exactly."""
+        if backend == "numpy":
+            import repro.session.vectorized as vectorized
 
-    def test_shared_nan_object_joins_nothing(self):
-        """One NaN object in two facts shares an index bucket by identity,
-        yet NaN equals nothing — not even itself."""
+            monkeypatch.setattr(vectorized, "CROSS_PAIR_BUDGET", 3)
+        database, dc = _random_instance(case_rng, *_VALUE_DOMAINS["mixed"])
+        expected = brute_force_witnesses(dc, database)
+        enumerator = _enumerator(dc, database, backend)
+        assert enumerator.cold(database) == expected
+        everything = set(database.ids())
+        assert enumerator.delta(database, everything) == expected
+
+    def test_shared_nan_object_joins_nothing(self, backend):
+        """One NaN object in two facts would share a dict bucket by
+        identity, yet NaN equals nothing — not even itself."""
         schema = Schema.from_dict({"R": list(_ATTRIBUTES)})
         database = Database(schema)
         database.insert(Fact("R", (_NAN, 1)))
@@ -212,7 +218,7 @@ class TestProbeConformance:
             [Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("t2", "A"))],
             name="nan_join",
         )
-        assert _brute_force_witnesses(database, dc) == set()
-        enumerator = _probe(dc, database)
+        assert brute_force_witnesses(dc, database) == set()
+        enumerator = _enumerator(dc, database, backend)
         assert enumerator.cold(database) == set()
         assert enumerator.delta(database, {0, 1}) == set()
