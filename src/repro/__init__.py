@@ -5,7 +5,7 @@ Databases* (Livshits, Kochirgan, Tsur, Ilyas, Kimelfeld, Roy — SIGMOD 2021):
 the measures I_d, I_MI, I_P, I_MC, I'_MC, I_R and I_lin_R, the rationality
 properties and their counterexamples, the complexity results (Theorem 1
 dichotomy, MaxCut reduction), and the full experimental harness — on top of
-from-scratch relational, SQL, and LP/ILP substrates.
+from-scratch relational, SQL, covering-LP and hitting-set substrates.
 
 Quickstart::
 

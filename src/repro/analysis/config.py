@@ -61,13 +61,8 @@ CLOCK_MODULES = frozenset(
 OPTIONAL_DEPENDENCIES: dict[str, dict[str, frozenset[str]]] = {
     "numpy": {
         "eager": frozenset({"repro.session.vectorized"}),
-        "lazy": frozenset(
-            {
-                "repro.session.columnar",  # backend availability probe
-                "repro.solvers.simplex",  # dense tableau kernels
-                "repro.solvers.ilp",  # branch-and-bound over LP relaxations
-            }
-        ),
+        # backend availability probe
+        "lazy": frozenset({"repro.session.columnar"}),
     },
     "ortools": {
         "eager": frozenset(),

@@ -13,7 +13,7 @@ The rule enforces the manifest in :mod:`repro.analysis.config`:
   its designated home modules (``repro.session.vectorized`` for numpy) —
   modules which are themselves only ever imported lazily;
 * it may be imported **lazily** (inside a function) only in the designated
-  lazy importers (the availability probe, the dense solvers);
+  lazy importers (the column backend's availability probe);
 * a module that eagerly imports a gated module becomes gated itself — the
   taint propagates over the eager-import graph, so an innocent-looking
   ``from .vectorized import X`` at module top is flagged exactly like a

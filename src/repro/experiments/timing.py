@@ -2,7 +2,8 @@
 
 Times each measure end to end — *including* violation detection, since the
 paper's key observation is that the SQL step dominates at scale while the
-LP/ILP solvers dominate at high error rates on small data.
+repair solvers (exact hitting set, covering LP) dominate at high error
+rates on small data.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def time_measures(
     paper's I_MC / Voter timeouts.
     """
     from ..solvers.cliques import EnumerationBudgetExceeded
-    from ..solvers.ilp import BudgetExceeded
+    from ..solvers.vertex_cover import BudgetExceeded
 
     row = TimingRow(dataset=dataset_name)
     for measure in measures:

@@ -25,11 +25,12 @@ class LinearRelaxationMeasure(ComponentwiseMeasure):
     """``I_lin_R(Σ, D)`` — optimal value of the relaxed repair LP.
 
     Exact solvers: the half-integral max-flow construction when every MI set
-    is a pair (FDs, binary DCs), the simplex otherwise.  The half-integral
-    path is what makes the measure fast in practice; the generic LP keeps it
-    polynomial for wide DCs.  The covering LP is separable over connected
-    components, so each component picks its own solver — one wide DC no
-    longer forces the whole database through the simplex.
+    is a pair (FDs, binary DCs), the exact covering LP
+    (:func:`~repro.solvers.simplex.covering_lp`) otherwise.  The
+    half-integral path is what makes the measure fast in practice; the
+    covering LP keeps it polynomial for wide DCs.  The LP is separable over
+    connected components, so each component picks its own solver — one wide
+    DC no longer forces the whole database through the covering LP.
     """
 
     name = "I_lin_R"

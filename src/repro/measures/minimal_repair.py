@@ -22,8 +22,11 @@ from ..repairs.minimum_repair import (
 )
 from ..repairs.update_repair import minimum_update_repair
 from ..solvers import anytime
-from ..solvers.ilp import BudgetExceeded
-from ..solvers.vertex_cover import greedy_hitting_set, minimum_hitting_set
+from ..solvers.vertex_cover import (
+    BudgetExceeded,
+    greedy_hitting_set,
+    minimum_hitting_set,
+)
 from ..testing import faults
 from ..violations.minimal import ViolationIndex
 from .base import ComponentwiseMeasure, InconsistencyMeasure
@@ -36,7 +39,7 @@ class MinimumRepairMeasure(ComponentwiseMeasure):
     optimal hitting set of ``MI_Σ(D)``, i.e. the ILP of Figure 2.  Satisfies
     all four rationality properties but is NP-hard in general (Theorem 1),
     which the exact solver's node budget surfaces as
-    :class:`~repro.solvers.ilp.BudgetExceeded` on adversarial inputs.
+    :class:`~repro.solvers.vertex_cover.BudgetExceeded` on adversarial inputs.
     Hitting sets are additive over connected components, so the solver only
     ever branches inside one component.
     """

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from ..constraints.base import Constraint
 from ..relational.database import Database
 from ..solvers.halfintegral import vertex_cover_lp
-from ..solvers.simplex import LpProblem, Sense, solve_lp
+from ..solvers.simplex import covering_lp
 from ..solvers.vertex_cover import greedy_hitting_set, minimum_hitting_set
 from ..violations.minimal import ViolationIndex, build_violation_index
 from .costs import CostFunction, deletion_costs, subset_cost
@@ -102,7 +102,7 @@ def repair_lp_relaxation(
     """The LP relaxation of the repair ILP — the value of ``I_lin_R``.
 
     Uses the exact half-integral (max-flow) path when every MI set has at
-    most two facts, and the generic simplex otherwise.  Returns the optimal
+    most two facts, and the exact covering LP otherwise.  Returns the optimal
     objective and the per-fact fractional assignment.
     """
     if index is None:
@@ -150,21 +150,10 @@ def component_lp_relaxation(
             vertex: float(fraction) for vertex, fraction in assignment.items()
         }
 
-    # Hypergraph component: generic covering LP through the simplex solver.
-    involved = sorted(component.problematic)
-    position = {identifier: i for i, identifier in enumerate(involved)}
-    problem = LpProblem(
-        num_vars=len(involved),
-        objective={position[i]: weights[i] for i in involved},
-    )
-    for group in component.mi_sets:
-        problem.add_row({position[i]: 1.0 for i in group}, Sense.GE, 1.0)
-    solution = solve_lp(problem)
-    if not solution.is_optimal:  # pragma: no cover - covering LPs are feasible
-        raise RuntimeError(f"covering LP not optimal: {solution.status}")
-    return float(solution.objective), {
-        identifier: float(solution.values[index_])
-        for identifier, index_ in position.items()
+    # Hypergraph component: the exact covering LP (solved via its dual).
+    value, assignment = covering_lp(component.mi_sets, weights)
+    return value, {
+        identifier: float(fraction) for identifier, fraction in assignment.items()
     }
 
 

@@ -1,4 +1,4 @@
-"""LP/ILP/graph solvers — the from-scratch Gurobi substitute."""
+"""Covering-LP, hitting-set and graph solvers — the from-scratch Gurobi substitute."""
 
 from .cliques import (
     EnumerationBudgetExceeded,
@@ -8,30 +8,22 @@ from .cliques import (
     maximal_sets_avoiding,
 )
 from .halfintegral import nemhauser_trotter_kernel, vertex_cover_lp
-from .ilp import BudgetExceeded, IlpSolution, solve_binary_ilp
 from .maxflow import INFINITY, FlowNetwork
-from .simplex import LpProblem, LpRow, LpSolution, LpStatus, Sense, solve_lp
-from .vertex_cover import greedy_hitting_set, minimum_hitting_set
+from .simplex import covering_lp
+from .vertex_cover import BudgetExceeded, greedy_hitting_set, minimum_hitting_set
 
 __all__ = [
     "BudgetExceeded",
     "EnumerationBudgetExceeded",
     "FlowNetwork",
     "INFINITY",
-    "IlpSolution",
-    "LpProblem",
-    "LpRow",
-    "LpSolution",
-    "LpStatus",
-    "Sense",
     "count_maximal_independent_sets",
+    "covering_lp",
     "greedy_hitting_set",
     "maximal_cliques",
     "maximal_independent_sets",
     "maximal_sets_avoiding",
     "minimum_hitting_set",
     "nemhauser_trotter_kernel",
-    "solve_binary_ilp",
-    "solve_lp",
     "vertex_cover_lp",
 ]

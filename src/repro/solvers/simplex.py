@@ -1,270 +1,118 @@
-"""A two-phase primal simplex solver for small/medium dense LPs.
+"""Exact covering LP through its packing dual — the ``I_lin_R`` hypergraph path.
 
-This is the library's substitute for the Gurobi LP solver used in the paper.
-It solves::
+The LP relaxation of minimum repair (Figure 2 of the paper) is the covering
+LP::
 
-    minimize    c @ x
-    subject to  A_i @ x  (<= | >= | =)  b_i     for each row i
-                x >= 0                           (optionally x <= ub)
+    minimize    Σ_e w_e · x_e
+    subject to  Σ_{e ∈ S} x_e ≥ 1      for every set S (MI subset)
+                x ≥ 0
 
-via the standard tableau method with Bland's anti-cycling rule.  The
-measure-specific LPs (Figure 2 of the paper) are *covering* LPs whose upper
-bounds are never binding, so callers usually omit them; explicit upper bounds
-are supported by adding rows.
+Its dual is the packing LP::
 
-For the 2-ary-conflict case (FDs and all pairwise DCs) the specialized
-half-integral solver in :mod:`repro.solvers.halfintegral` is much faster and
-exact; the generic simplex here handles hypergraph conflicts (DCs with three
-or more atoms) and arbitrary ad-hoc LPs in tests.
+    maximize    Σ_S y_S
+    subject to  Σ_{S ∋ e} y_S ≤ w_e    for every element e
+                y ≥ 0
+
+whose slack basis (``y = 0``) is feasible because ``w ≥ 0``, and which is
+bounded because every set is non-empty.  So a single simplex phase solves
+it: no artificial variables, no infeasible or unbounded outcome.  The
+tableau rows are sparse dicts over :class:`fractions.Fraction`, pivots
+follow Bland's rule (so degenerate and duplicate sets cannot cycle), and
+the primal optimum ``x_e`` is read off as the final reduced cost of
+``e``'s slack column.  Everything is exact; the value is rounded to float
+once, at the end.
+
+For the 2-ary-conflict case (FDs and all pairwise DCs) the max-flow path in
+:mod:`repro.solvers.halfintegral` is much faster; this solver handles the
+hypergraph conflicts of DCs with three or more tuple variables.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from fractions import Fraction
+from typing import Hashable, Iterable, Mapping
 
-if TYPE_CHECKING:
-    import numpy as np
+Element = Hashable
 
 
-class LpStatus(enum.Enum):
-    """Outcome of an LP solve."""
+def covering_lp(
+    sets: Iterable[Iterable[Element]],
+    weights: Mapping[Element, float] | None = None,
+) -> tuple[float, dict[Element, Fraction]]:
+    """Exact optimum of the weighted covering LP over *sets*; returns (value, x).
 
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
-class Sense(enum.Enum):
-    """Row sense."""
-
-    LE = "<="
-    GE = ">="
-    EQ = "="
-
-
-@dataclass(frozen=True)
-class LpRow:
-    """One linear constraint: ``coefficients @ x  sense  rhs``."""
-
-    coefficients: Mapping[int, float]
-    sense: Sense
-    rhs: float
-
-
-@dataclass
-class LpProblem:
-    """A linear program over variables indexed ``0..num_vars-1``."""
-
-    num_vars: int
-    objective: Mapping[int, float]
-    rows: list[LpRow] = field(default_factory=list)
-    upper_bounds: Mapping[int, float] | None = None
-
-    def add_row(
-        self, coefficients: Mapping[int, float], sense: Sense, rhs: float
-    ) -> None:
-        """Append one constraint row."""
-        self.rows.append(LpRow(dict(coefficients), sense, rhs))
-
-
-@dataclass
-class LpSolution:
-    """Result of an LP solve."""
-
-    status: LpStatus
-    objective: float | None
-    values: np.ndarray | None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is LpStatus.OPTIMAL
-
-
-_EPS = 1e-9
-
-
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve *problem* with the two-phase simplex method."""
-    import numpy as np  # lazy: keeps the numpy-free leg importable
-
-    rows = list(problem.rows)
-    if problem.upper_bounds:
-        for var, bound in sorted(problem.upper_bounds.items()):
-            rows.append(LpRow({var: 1.0}, Sense.LE, bound))
-
-    num_vars = problem.num_vars
-    num_rows = len(rows)
-    if num_rows == 0:
-        # Minimizing c@x over x >= 0: optimum 0 unless some c_j < 0.
-        c = _dense_objective(problem)
-        if (c < -_EPS).any():
-            return LpSolution(LpStatus.UNBOUNDED, None, None)
-        return LpSolution(LpStatus.OPTIMAL, 0.0, np.zeros(num_vars))
-
-    # Build standard form: A x' = b with slacks/surplus, b >= 0.
-    slack_count = sum(1 for row in rows if row.sense is not Sense.EQ)
-    total = num_vars + slack_count
-    A = np.zeros((num_rows, total))
-    b = np.zeros(num_rows)
-    slack_index = num_vars
-    for i, row in enumerate(rows):
-        for var, coefficient in row.coefficients.items():
-            if not 0 <= var < num_vars:
-                raise IndexError(f"variable index {var} out of range")
-            A[i, var] = coefficient
-        b[i] = row.rhs
-        if row.sense is Sense.LE:
-            A[i, slack_index] = 1.0
-            slack_index += 1
-        elif row.sense is Sense.GE:
-            A[i, slack_index] = -1.0
-            slack_index += 1
-    # Normalize to b >= 0 so phase-1 artificials form a feasible basis.
-    for i in range(num_rows):
-        if b[i] < 0:
-            A[i, :] *= -1.0
-            b[i] *= -1.0
-
-    c = np.zeros(total)
-    dense_c = _dense_objective(problem)
-    c[:num_vars] = dense_c
-
-    basis, tableau = _phase_one(A, b)
-    if basis is None:
-        return LpSolution(LpStatus.INFEASIBLE, None, None)
-    status, values = _phase_two(tableau, basis, c, total)
-    if status is LpStatus.UNBOUNDED:
-        return LpSolution(LpStatus.UNBOUNDED, None, None)
-    solution = values[:num_vars]
-    objective = float(dense_c @ solution)
-    return LpSolution(LpStatus.OPTIMAL, objective, solution)
-
-
-def _dense_objective(problem: LpProblem) -> np.ndarray:
-    import numpy as np  # lazy: keeps the numpy-free leg importable
-
-    c = np.zeros(problem.num_vars)
-    for var, coefficient in problem.objective.items():
-        c[var] = coefficient
-    return c
-
-
-def _phase_one(A: np.ndarray, b: np.ndarray):
-    """Find a basic feasible solution using artificial variables.
-
-    Returns ``(basis, tableau)`` where *tableau* is ``[A | b]`` restricted to
-    the original columns, or ``(None, None)`` when infeasible.
+    Elements default to weight 1.  A negative weight or an empty set raises
+    ``ValueError``; an empty family yields ``(0.0, {})``.  The assignment
+    maps every element of the family to its exact optimal fraction.
     """
-    import numpy as np  # lazy: keeps the numpy-free leg importable
+    family = [frozenset(group) for group in sets]
+    if any(not group for group in family):
+        raise ValueError("an empty set makes the covering LP infeasible")
+    if weights:
+        for element, weight in weights.items():
+            if weight < 0:
+                raise ValueError(f"negative weight for {element!r}")
+    if not family:
+        return 0.0, {}
+    elements = sorted(set().union(*family), key=repr)
+    weight_of = weights or {}
 
-    num_rows, total = A.shape
-    wide = np.hstack([A, np.eye(num_rows), b.reshape(-1, 1)])
-    basis = list(range(total, total + num_rows))
-    # Phase-1 objective: minimize sum of artificials.
-    cost = np.zeros(total + num_rows + 1)
-    cost[total: total + num_rows] = 1.0
-    # Reduced costs: subtract artificial rows from the cost row.
-    z = cost[:-1].copy()
-    z_value = 0.0
-    for i in range(num_rows):
-        z[: total + num_rows] -= wide[i, :-1]
-        z_value -= wide[i, -1]
-    status = _simplex_iterate(wide, basis, z, allowed=total + num_rows)
-    if status is LpStatus.UNBOUNDED:  # pragma: no cover - cannot happen
-        return None, None
-    infeasibility = -_current_z_value(wide, basis, cost)
-    if infeasibility > 1e-7:
-        return None, None
-    # Drive any artificial still in the basis out (degenerate rows).
-    for i in range(num_rows):
-        if basis[i] >= total:
-            pivot_col = None
-            for j in range(total):
-                if abs(wide[i, j]) > _EPS:
-                    pivot_col = j
-                    break
-            if pivot_col is None:
-                # Redundant row; leave the artificial at value zero.
-                continue
-            _pivot(wide, basis, i, pivot_col)
-    tableau = np.hstack([wide[:, :total], wide[:, -1:]])
-    return basis, tableau
+    # Columns 0..m-1 are the dual variables y_S, columns m..m+n-1 the
+    # slacks of the element rows; row i starts with its own slack basic.
+    m = len(family)
+    basis = [m + i for i in range(len(elements))]
+    rows: list[dict[int, Fraction]] = [{slack: Fraction(1)} for slack in basis]
+    row_of = {element: i for i, element in enumerate(elements)}
+    for column, group in enumerate(family):
+        for element in group:
+            rows[row_of[element]][column] = Fraction(1)
+    rhs = [Fraction(weight_of.get(element, 1)) for element in elements]
+    # Reduced costs of ``minimize -Σ y_S``; absent columns are zero.
+    reduced: dict[int, Fraction] = {column: Fraction(-1) for column in range(m)}
 
-
-def _current_z_value(wide: np.ndarray, basis: list[int], cost: np.ndarray) -> float:
-    value = 0.0
-    for i, var in enumerate(basis):
-        value -= cost[var] * wide[i, -1]
-    return value
-
-
-def _phase_two(tableau: np.ndarray, basis: list[int], c: np.ndarray, total: int):
-    """Optimize the real objective from a feasible basis."""
-    import numpy as np  # lazy: keeps the numpy-free leg importable
-
-    z = c.copy().astype(float)
-    for i, var in enumerate(basis):
-        if var < total and abs(c[var]) > 0:
-            z -= c[var] * tableau[i, :-1]
-    status = _simplex_iterate(tableau, basis, z, allowed=total)
-    if status is LpStatus.UNBOUNDED:
-        return LpStatus.UNBOUNDED, None
-    values = np.zeros(total)
-    for i, var in enumerate(basis):
-        if var < total:
-            values[var] = tableau[i, -1]
-    return LpStatus.OPTIMAL, values
-
-
-def _simplex_iterate(
-    tableau: np.ndarray, basis: list[int], z: np.ndarray, allowed: int
-) -> LpStatus:
-    """Run simplex pivots in place until optimal or unbounded.
-
-    *z* is the reduced-cost row over columns ``0..allowed-1``.  Bland's rule
-    (smallest eligible index) guarantees termination.
-    """
-    num_rows = tableau.shape[0]
     while True:
-        entering = -1
-        for j in range(allowed):
-            if z[j] < -1e-9:
-                entering = j
-                break
-        if entering < 0:
-            return LpStatus.OPTIMAL
-        # Ratio test (Bland: smallest basis index breaks ties).
-        best_ratio = None
+        entering = min(
+            (column for column, cost in reduced.items() if cost < 0), default=None
+        )
+        if entering is None:
+            break
         leaving = -1
-        for i in range(num_rows):
-            coefficient = tableau[i, entering]
-            if coefficient > _EPS:
-                ratio = tableau[i, -1] / coefficient
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - _EPS
-                    or (abs(ratio - best_ratio) <= _EPS and basis[i] < basis[leaving])
+        best = None
+        for i, row in enumerate(rows):
+            coefficient = row.get(entering)
+            if coefficient is not None and coefficient > 0:
+                ratio = rhs[i] / coefficient
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
                 ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            return LpStatus.UNBOUNDED
-        _pivot_with_z(tableau, basis, z, leaving, entering)
+                    best, leaving = ratio, i
+        pivot = rows[leaving]
+        scale = pivot[entering]
+        if scale != 1:
+            pivot = rows[leaving] = {
+                column: value / scale for column, value in pivot.items()
+            }
+            rhs[leaving] /= scale
+        for i, row in enumerate(rows):
+            factor = row.get(entering)
+            if factor is not None and i != leaving:
+                _subtract(row, factor, pivot)
+                rhs[i] -= factor * rhs[leaving]
+        _subtract(reduced, reduced[entering], pivot)
+        basis[leaving] = entering
+
+    value = sum((rhs[i] for i, column in enumerate(basis) if column < m), Fraction(0))
+    x = {element: reduced.get(m + i, Fraction(0)) for i, element in enumerate(elements)}
+    return float(value), x
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row, :] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > _EPS:
-            tableau[i, :] -= tableau[i, col] * tableau[row, :]
-    basis[row] = col
-
-
-def _pivot_with_z(
-    tableau: np.ndarray, basis: list[int], z: np.ndarray, row: int, col: int
+def _subtract(
+    row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]
 ) -> None:
-    _pivot(tableau, basis, row, col)
-    if abs(z[col]) > _EPS:
-        z -= z[col] * tableau[row, :-1]
+    """``row -= factor · pivot`` in place, dropping entries that reach zero."""
+    for column, value in pivot.items():
+        updated = row.get(column, 0) - factor * value
+        if updated:
+            row[column] = updated
+        else:
+            del row[column]

@@ -9,12 +9,13 @@ every minimal inconsistent subset:
   per connected component;
 * otherwise it is a **hitting set** over a bounded-width hypergraph — solved
   by depth-first branching on the elements of an uncovered set, with the
-  greedy cover as incumbent and an LP bound for pruning.
+  greedy cover as incumbent and branches pruned once their weight reaches
+  the incumbent's.
 
 Both paths are exact.  A node budget guards against adversarial instances
 (the problem is NP-hard — Theorem 1); exceeding it raises
-:class:`~repro.solvers.ilp.BudgetExceeded`.  An optional *deadline* (any
-object with a ``check()`` raising on expiry — in practice
+:class:`BudgetExceeded`.  An optional *deadline* (any object with a
+``check()`` raising on expiry — in practice
 :class:`repro.solvers.anytime.Deadline`) is polled at every branch node so
 the anytime runtime can interrupt a solve wall-clock-fairly; the greedy
 incumbent found before the interrupt remains a valid upper bound.
@@ -25,9 +26,12 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .halfintegral import nemhauser_trotter_kernel, vertex_cover_lp
-from .ilp import BudgetExceeded
 
 Element = Hashable
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when the exact branching exhausts its node budget."""
 
 
 def minimum_hitting_set(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+from repro.analysis.config import OPTIONAL_DEPENDENCIES
 from repro.analysis.rules import ImportHygieneRule
 
 from .util import findings_of, make_module, surviving
@@ -164,11 +167,27 @@ class TestRealManifest:
             "repro.session.columnar",
             "def _detect():\n    import numpy\n    return numpy\n",
         )
+        assert not findings_of(default, vec, probe)
+
+    def test_solvers_may_not_import_numpy(self):
+        # The covering LP is pure python; numpy has no lazy home in solvers.
         simplex = make_module(
             "repro.solvers.simplex",
-            "def solve_lp(p):\n    import numpy as np\n    return np\n",
+            "def covering_lp(sets):\n    import numpy as np\n    return np\n",
         )
-        assert not findings_of(default, vec, probe, simplex)
+        (finding,) = findings_of(ImportHygieneRule(), simplex)
+        assert "numpy" in finding.message
+
+    def test_every_designated_module_exists(self, repo_root: Path):
+        # A stale entry would silently re-permit the dependency wherever a
+        # module of that name reappears.
+        for dependency, placements in OPTIONAL_DEPENDENCIES.items():
+            for placement, modules in placements.items():
+                for name in modules:
+                    relative = Path("src", *name.split("."))
+                    assert (repo_root / relative.with_suffix(".py")).is_file() or (
+                        repo_root / relative / "__init__.py"
+                    ).is_file(), f"{dependency} {placement}: no module {name}"
 
     def test_scipy_never_allowed_in_src(self):
         default = ImportHygieneRule()

@@ -110,15 +110,15 @@ class TestLpRelaxation:
         assert ilp_value <= integrality_gap_bound(index) * lp_value + 1e-9
 
     def test_hypergraph_lp(self):
-        # A 3-wide DC goes through the generic simplex path.
+        # A 3-wide DC goes through the exact covering-LP path.
         from repro.properties.counterexamples import at_most_k_dc
 
         schema = Schema.from_dict({"R": ["Id"]})
         db = Database.from_rows(schema, "R", [(1,), (2,), (3,)])
         dc = at_most_k_dc(2)  # at most 2 facts: one MI set of width 3
         value, x = repair_lp_relaxation([dc], db)
-        assert value == pytest.approx(1.0)
-        assert sum(x.values()) == pytest.approx(1.0)
+        assert value == 1.0
+        assert sum(x.values()) == 1.0
 
     def test_singleton_forces_one(self, schema):
         dc = parse_dc("not(t.A > 10)", "R")

@@ -22,7 +22,7 @@ from repro.relational import Database, Fact, Schema
 from repro.repairs.costs import deletion_costs, subset_cost
 from repro.session import MeasurementSession
 from repro.solvers.cliques import maximal_sets_avoiding
-from repro.solvers.simplex import LpProblem, Sense, solve_lp
+from repro.solvers.simplex import covering_lp
 from repro.solvers.vertex_cover import minimum_hitting_set
 from repro.violations import build_violation_index
 
@@ -196,17 +196,8 @@ def _reference_value(name: str, constraints, database, index) -> float:
         value, _ = minimum_hitting_set(list(index.mi_sets), weights)
         return float(value)
     if name == "I_lin_R":
-        if index.is_consistent():
-            return 0.0
-        involved = sorted(index.problematic)
-        position = {i: k for k, i in enumerate(involved)}
-        problem = LpProblem(
-            num_vars=len(involved),
-            objective={position[i]: weights[i] for i in involved},
-        )
-        for group in index.mi_sets:
-            problem.add_row({position[i]: 1.0 for i in group}, Sense.GE, 1.0)
-        return float(solve_lp(problem).objective)
+        value, _ = covering_lp(index.mi_sets, weights)
+        return value
     raise KeyError(name)
 
 

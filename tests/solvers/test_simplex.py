@@ -1,136 +1,116 @@
-"""Unit tests for the two-phase simplex solver, cross-checked with scipy."""
+"""Unit tests for the exact covering LP, cross-checked with the max-flow path
+and (when scipy is installed) with HiGHS."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-np = pytest.importorskip("numpy")
-linprog = pytest.importorskip("scipy.optimize").linprog
+from repro.solvers.halfintegral import vertex_cover_lp
+from repro.solvers.simplex import covering_lp
 
-from repro.solvers.simplex import LpProblem, LpStatus, Sense, solve_lp
+
+def assert_optimal_certificate(sets, weights, value, x):
+    """``x`` is feasible and ``Σ w·x`` equals *value* exactly."""
+    assert all(fraction >= 0 for fraction in x.values())
+    for group in sets:
+        assert sum(x[element] for element in group) >= 1
+    weight_of = weights or {}
+    exact = sum(Fraction(weight_of.get(element, 1)) * x[element] for element in x)
+    assert isinstance(exact, Fraction)
+    assert float(exact) == value
+
+
+def random_family(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    weights = {element: rng.uniform(0.5, 3.0) for element in range(n)}
+    sets = [
+        frozenset(rng.sample(range(n), rng.randint(1, min(4, n))))
+        for _ in range(rng.randint(1, 14))
+    ]
+    return sets, weights
 
 
 class TestBasics:
-    def test_trivial_covering(self):
-        p = LpProblem(num_vars=2, objective={0: 1.0, 1: 1.0})
-        p.add_row({0: 1, 1: 1}, Sense.GE, 1)
-        s = solve_lp(p)
-        assert s.is_optimal
-        assert s.objective == pytest.approx(1.0)
+    def test_single_pair(self):
+        value, x = covering_lp([{0, 1}])
+        assert value == 1.0
+        assert sum(x.values()) == 1
 
     def test_triangle_half_integral(self):
-        p = LpProblem(num_vars=3, objective={0: 1.0, 1: 1.0, 2: 1.0})
-        for a, b in [(0, 1), (1, 2), (0, 2)]:
-            p.add_row({a: 1, b: 1}, Sense.GE, 1)
-        assert solve_lp(p).objective == pytest.approx(1.5)
+        value, x = covering_lp([{0, 1}, {1, 2}, {0, 2}])
+        assert value == 1.5
+        assert x == {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1, 2)}
 
-    def test_no_rows_zero_optimum(self):
-        p = LpProblem(num_vars=3, objective={0: 1.0, 1: 2.0})
-        s = solve_lp(p)
-        assert s.objective == 0.0
+    def test_three_uniform_cycle_takes_thirds(self):
+        # Every element lies in three of the four triples: x = 1/3 each.
+        sets = [{0, 1, 2}, {1, 2, 3}, {2, 3, 0}, {3, 0, 1}]
+        value, x = covering_lp(sets)
+        assert value == float(Fraction(4, 3))
+        assert_optimal_certificate(sets, None, value, x)
 
-    def test_no_rows_negative_cost_unbounded(self):
-        p = LpProblem(num_vars=1, objective={0: -1.0})
-        assert solve_lp(p).status is LpStatus.UNBOUNDED
+    def test_weighted_picks_cheaper_element(self):
+        value, x = covering_lp([{"a", "b"}], {"a": 5.0, "b": 2.0})
+        assert value == 2.0
+        assert x == {"a": 0, "b": 1}
 
-    def test_unbounded_with_rows(self):
-        p = LpProblem(num_vars=2, objective={0: -1.0})
-        p.add_row({1: 1}, Sense.LE, 5)
-        assert solve_lp(p).status is LpStatus.UNBOUNDED
+    def test_default_weight_is_one(self):
+        value, _ = covering_lp([{"a"}, {"b"}], {"a": 3.0})
+        assert value == 4.0
 
-    def test_infeasible(self):
-        p = LpProblem(num_vars=1, objective={0: 1.0})
-        p.add_row({0: 1}, Sense.LE, 1)
-        p.add_row({0: 1}, Sense.GE, 2)
-        assert solve_lp(p).status is LpStatus.INFEASIBLE
+    def test_assignment_covers_every_element(self):
+        sets = [{0, 1, 2}, {2, 3}]
+        _, x = covering_lp(sets)
+        assert set(x) == {0, 1, 2, 3}
+        assert all(isinstance(fraction, Fraction) for fraction in x.values())
 
-    def test_equality_constraint(self):
-        p = LpProblem(num_vars=2, objective={0: 1.0, 1: 3.0})
-        p.add_row({0: 1, 1: 1}, Sense.EQ, 4)
-        s = solve_lp(p)
-        assert s.objective == pytest.approx(4.0)
-        assert s.values[0] == pytest.approx(4.0)
-
-    def test_upper_bounds(self):
-        p = LpProblem(
-            num_vars=2,
-            objective={0: 1.0, 1: 2.0},
-            upper_bounds={0: 0.5, 1: 1.0},
-        )
-        p.add_row({0: 1, 1: 1}, Sense.GE, 1)
-        s = solve_lp(p)
-        assert s.objective == pytest.approx(0.5 + 2 * 0.5)
-
-    def test_negative_rhs_normalized(self):
-        # x >= 0 with -x <= -2  <=>  x >= 2.
-        p = LpProblem(num_vars=1, objective={0: 1.0})
-        p.add_row({0: -1}, Sense.LE, -2)
-        assert solve_lp(p).objective == pytest.approx(2.0)
-
-    def test_variable_out_of_range_rejected(self):
-        p = LpProblem(num_vars=1, objective={0: 1.0})
-        p.add_row({5: 1}, Sense.GE, 1)
-        with pytest.raises(IndexError):
-            solve_lp(p)
+    def test_accepts_any_iterables(self):
+        assert covering_lp(iter([(0, 1), [1, 2]]))[0] == 1.0
 
 
-class TestAgainstScipy:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_covering_lps(self, seed):
+class TestAgainstMaxFlow:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_graphs_equal_exactly(self, seed):
         rng = random.Random(seed)
-        n = rng.randint(2, 10)
-        m = rng.randint(1, 14)
-        costs = [rng.uniform(0.5, 3.0) for _ in range(n)]
-        problem = LpProblem(
-            num_vars=n, objective={i: costs[i] for i in range(n)}
-        )
-        a_ub, b_ub = [], []
-        for _ in range(m):
-            support = rng.sample(range(n), rng.randint(1, min(4, n)))
-            problem.add_row({v: 1.0 for v in support}, Sense.GE, 1.0)
-            row = [0.0] * n
-            for v in support:
-                row[v] = -1.0
-            a_ub.append(row)
-            b_ub.append(-1.0)
-        mine = solve_lp(problem)
-        reference = linprog(
-            costs, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n, method="highs"
-        )
-        assert mine.is_optimal
-        assert mine.objective == pytest.approx(reference.fun, abs=1e-7)
-
-    @pytest.mark.parametrize("seed", range(8, 14))
-    def test_random_mixed_lps(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(2, 6)
-        costs = [rng.uniform(0.1, 2.0) for _ in range(n)]
-        problem = LpProblem(
-            num_vars=n,
-            objective={i: costs[i] for i in range(n)},
-            upper_bounds={i: 5.0 for i in range(n)},
-        )
-        a_ub, b_ub = [], []
-        for _ in range(rng.randint(1, 6)):
-            coeffs = {
-                v: rng.choice([1.0, 2.0, 0.5]) for v in rng.sample(range(n), 2)
+        n = rng.randint(3, 25)
+        edges = sorted(
+            {
+                tuple(sorted(rng.sample(range(n), 2)))
+                for _ in range(rng.randint(1, 3 * n))
             }
-            problem.add_row(coeffs, Sense.GE, rng.uniform(0.5, 3.0))
-            row = [0.0] * n
-            for v, c in coeffs.items():
-                row[v] = -c
-            a_ub.append(row)
-            b_ub.append(-problem.rows[-1].rhs)
-        mine = solve_lp(problem)
-        reference = linprog(
-            costs, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 5.0)] * n, method="highs"
         )
-        assert mine.is_optimal == reference.success
-        if mine.is_optimal:
-            assert mine.objective == pytest.approx(reference.fun, abs=1e-7)
-            # The solution must actually be feasible.
-            for row in problem.rows:
-                total = sum(
-                    c * mine.values[v] for v, c in row.coefficients.items()
-                )
-                assert total >= row.rhs - 1e-7
+        vertices = sorted({v for edge in edges for v in edge})
+        weights = {v: float(rng.randint(1, 9)) for v in vertices}
+        flow_value, _ = vertex_cover_lp(vertices, edges, weights)
+        value, x = covering_lp(edges, weights)
+        assert value == flow_value
+        assert_optimal_certificate(edges, weights, value, x)
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_weighted_hypergraphs(self, seed):
+        sets, weights = random_family(seed)
+        value, x = covering_lp(sets, weights)
+        assert_optimal_certificate(sets, weights, value, x)
+
+
+def test_random_covering_lps_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for seed in range(300):
+        sets, weights = random_family(seed)
+        value, _ = covering_lp(sets, weights)
+        elements = sorted(weights)
+        reference = linprog(
+            [weights[element] for element in elements],
+            A_ub=[
+                [-1.0 if element in group else 0.0 for element in elements]
+                for group in sets
+            ],
+            b_ub=[-1.0] * len(sets),
+            bounds=[(0, None)] * len(elements),
+            method="highs",
+        )
+        assert reference.success, seed
+        assert value == pytest.approx(reference.fun, abs=1e-7), seed

@@ -1,69 +1,80 @@
-"""Edge-case and robustness tests for the simplex solver."""
+"""Edge-case and robustness tests for the exact covering LP."""
+
+from fractions import Fraction
 
 import pytest
 
-np = pytest.importorskip("numpy")
+from repro.solvers.simplex import covering_lp
 
-from repro.solvers.simplex import LpProblem, LpStatus, Sense, solve_lp
+
+class TestInputChecks:
+    def test_empty_family(self):
+        assert covering_lp([]) == (0.0, {})
+
+    def test_empty_family_with_weights(self):
+        assert covering_lp([], {"a": 2.0}) == (0.0, {})
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty set"):
+            covering_lp([{0, 1}, set()])
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="negative weight"):
+            covering_lp([{0, 1}], {0: 1.0, 1: -0.5})
 
 
 class TestDegenerateCases:
-    def test_degenerate_vertex_terminates(self):
-        # Multiple constraints intersecting at the same vertex (degeneracy);
-        # Bland's rule must still terminate.
-        p = LpProblem(num_vars=2, objective={0: 1.0, 1: 1.0})
-        p.add_row({0: 1, 1: 1}, Sense.GE, 1)
-        p.add_row({0: 2, 1: 2}, Sense.GE, 2)
-        p.add_row({0: 1}, Sense.GE, 0)
-        s = solve_lp(p)
-        assert s.objective == pytest.approx(1.0)
+    def test_zero_weight_element_absorbs_everything(self):
+        # The slack basis is degenerate at the start (w_0 = 0).
+        value, x = covering_lp([{0, 1}, {0, 2}, {0, 3}], {0: 0.0})
+        assert value == 0.0
+        assert x[0] == 1
+        assert x[1] == x[2] == x[3] == 0
 
-    def test_redundant_equality_rows(self):
-        p = LpProblem(num_vars=2, objective={0: 1.0, 1: 1.0})
-        p.add_row({0: 1, 1: 1}, Sense.EQ, 2)
-        p.add_row({0: 2, 1: 2}, Sense.EQ, 4)  # redundant duplicate
-        s = solve_lp(p)
-        assert s.is_optimal
-        assert s.objective == pytest.approx(2.0)
+    def test_all_zero_weights(self):
+        value, x = covering_lp([{0, 1}, {1, 2}], {0: 0, 1: 0, 2: 0})
+        assert value == 0.0
+        assert all(sum(x[e] for e in group) >= 1 for group in ({0, 1}, {1, 2}))
 
-    def test_zero_rhs_equality(self):
-        p = LpProblem(num_vars=2, objective={0: 1.0, 1: 1.0})
-        p.add_row({0: 1, 1: -1}, Sense.EQ, 0)
-        p.add_row({0: 1, 1: 1}, Sense.GE, 2)
-        s = solve_lp(p)
-        assert s.objective == pytest.approx(2.0)
-        assert s.values[0] == pytest.approx(s.values[1])
+    def test_singleton_sets_force_their_element(self):
+        value, x = covering_lp([{0}, {1}, {0, 1, 2}], {0: 2.0, 1: 3.0, 2: 1.0})
+        assert value == 5.0
+        assert x[0] == x[1] == 1
+        assert x[2] == 0
 
-    def test_conflicting_equalities_infeasible(self):
-        p = LpProblem(num_vars=1, objective={0: 1.0})
-        p.add_row({0: 1}, Sense.EQ, 1)
-        p.add_row({0: 1}, Sense.EQ, 2)
-        assert solve_lp(p).status is LpStatus.INFEASIBLE
+    def test_duplicate_sets_terminate(self):
+        # Identical columns tie in every ratio test; Bland's rule must not cycle.
+        sets = [{0, 1, 2}] * 6 + [{1, 2, 3}] * 4
+        value, x = covering_lp(sets)
+        assert value == 1.0
+        assert all(sum(x[e] for e in group) >= 1 for group in sets)
 
-    def test_variable_absent_from_objective(self):
-        # Objective mentions only x0; x1 is free to satisfy constraints.
-        p = LpProblem(num_vars=2, objective={0: 1.0})
-        p.add_row({1: 1}, Sense.GE, 3)
-        s = solve_lp(p)
-        assert s.objective == pytest.approx(0.0)
-        assert s.values[1] >= 3 - 1e-9
+    def test_nested_and_degenerate_sets_terminate(self):
+        sets = [{0, 1}, {0, 1, 2}, {0, 1, 2, 3}, {1}, {1, 2}, {2, 3}, {3}]
+        value, x = covering_lp(sets)
+        assert value == 2.0
+        assert x[1] == x[3] == 1
 
-    def test_fractional_coefficients(self):
-        p = LpProblem(num_vars=2, objective={0: 0.3, 1: 0.7})
-        p.add_row({0: 0.5, 1: 0.25}, Sense.GE, 1)
-        s = solve_lp(p)
-        assert s.is_optimal
-        assert s.objective == pytest.approx(0.6)
+    def test_many_singletons_of_one_element(self):
+        value, x = covering_lp([{0}] * 19)
+        assert value == 1.0
+        assert x == {0: 1}
 
-    def test_large_coefficient_spread(self):
-        p = LpProblem(num_vars=2, objective={0: 1e-3, 1: 1e3})
-        p.add_row({0: 1, 1: 1}, Sense.GE, 1)
-        s = solve_lp(p)
-        assert s.objective == pytest.approx(1e-3)
+    def test_large_weight_spread(self):
+        value, x = covering_lp([{0, 1}], {0: 1e-3, 1: 1e3})
+        assert value == 1e-3
+        assert x == {0: 1, 1: 0}
 
-    def test_many_rows_single_var(self):
-        p = LpProblem(num_vars=1, objective={0: 1.0})
-        for rhs in range(1, 20):
-            p.add_row({0: 1}, Sense.GE, rhs)
-        s = solve_lp(p)
-        assert s.objective == pytest.approx(19.0)
+    def test_weight_spread_exact_against_fractions(self):
+        weights = {0: 1e-3, 1: 1e3, 2: 0.1, 3: 7.0}
+        sets = [{0, 1}, {1, 2}, {2, 3}, {0, 3}, {0, 1, 2}]
+        value, x = covering_lp(sets, weights)
+        exact = sum(Fraction(weights[e]) * x[e] for e in x)
+        assert value == float(exact)
+        assert value == pytest.approx(0.101)
+
+    def test_mixed_element_types(self):
+        # Elements are ordered by repr, so mutually unorderable types mix.
+        value, x = covering_lp([{"b", 1}, {1, ("t", 2)}, {"b", ("t", 2)}])
+        assert value == 1.5
+        assert set(x.values()) == {Fraction(1, 2)}

@@ -5,9 +5,9 @@ interpreters without numpy/scipy/ortools installed, so importing every
 non-extra module must succeed with those distributions absent.  The static
 half of this contract is the ``import-hygiene`` lint rule; this test is
 the runtime half: a subprocess installs a meta-path blocker that raises on
-any optional-dependency import, then imports the whole package —
-including the solvers that use numpy *lazily* — and exercises a
-numpy-free end-to-end measurement.
+any optional-dependency import, then imports the whole package and
+exercises numpy-free end-to-end measurements, including ``I_lin_R`` on a
+DC of width 3 (the exact covering-LP path).
 """
 
 from __future__ import annotations
@@ -45,10 +45,7 @@ for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         continue
     __import__(info.name)
 
-# The lazily-gated solvers must import (not solve) without numpy.
-from repro.solvers import ilp, simplex  # noqa: F401
-
-# And a real measurement must run end to end on the list backend.
+# Real measurements must run end to end on the list backend.
 from repro import (
     Database,
     FunctionalDependency,
@@ -63,6 +60,14 @@ fd = FunctionalDependency("R", ["zip"], ["city"])
 with MeasurementSession([fd], db) as session:
     value = session.measure(make_measure("I_MI"))
 assert value == 3.0, value
+
+# A width-3 DC (at most two facts) puts its one MI set of three facts on
+# the covering-LP path of I_lin_R, which must solve without numpy.
+from repro.properties.counterexamples import at_most_k_dc
+
+ids = Database.from_rows(Schema.from_dict({"R": ["Id"]}), "R", [(1,), (2,), (3,)])
+value = make_measure("I_lin_R").value([at_most_k_dc(2)], ids)
+assert value == 1.0, value
 print("OK")
 """
 

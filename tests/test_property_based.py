@@ -9,8 +9,8 @@ databases and constraint sets:
 * ``I_R`` monotonicity under constraint strengthening (superset of FDs);
 * deletion of any fact never increases ``I_MI`` / ``I_P`` / ``I_R`` for
   anti-monotonic constraints;
-* the half-integral vertex-cover LP equals the generic simplex on the same
-  instance;
+* the half-integral vertex-cover LP equals the exact covering LP on the
+  same weighted instance;
 * minimal inconsistent subsets really are minimal and inconsistent.
 """
 
@@ -27,7 +27,7 @@ from repro.measures import make_measure
 from repro.relational import Database, Schema
 from repro.repairs import minimum_subset_repair, repair_lp_relaxation
 from repro.solvers.halfintegral import vertex_cover_lp
-from repro.solvers.simplex import LpProblem, Sense, solve_lp
+from repro.solvers.simplex import covering_lp
 from repro.solvers.vertex_cover import greedy_hitting_set, minimum_hitting_set
 from repro.violations import build_violation_index, is_consistent
 
@@ -137,23 +137,19 @@ def test_mi_sets_are_minimal_and_inconsistent(rows, fds):
         ).filter(lambda e: e[0] != e[1]),
         min_size=1,
         max_size=14,
-    )
+    ),
+    weights=st.lists(st.integers(min_value=0, max_value=9), min_size=8, max_size=8),
 )
-def test_halfintegral_matches_simplex(edges):
+def test_halfintegral_matches_simplex(edges, weights):
     normalized = sorted({(min(u, v), max(u, v)) for u, v in edges})
     vertices = sorted({v for edge in normalized for v in edge})
-    value, x = vertex_cover_lp(vertices, normalized)
+    weight_of = {v: float(weights[v]) for v in vertices}
+    value, x = vertex_cover_lp(vertices, normalized, weight_of)
     assert all(
         frac in (Fraction(0), Fraction(1, 2), Fraction(1)) for frac in x.values()
     )
-    position = {v: i for i, v in enumerate(vertices)}
-    problem = LpProblem(
-        num_vars=len(vertices), objective={i: 1.0 for i in range(len(vertices))}
-    )
-    for u, v in normalized:
-        problem.add_row({position[u]: 1.0, position[v]: 1.0}, Sense.GE, 1.0)
-    reference = solve_lp(problem)
-    assert value == pytest.approx(reference.objective, abs=1e-7)
+    reference, _ = covering_lp(normalized, weight_of)
+    assert value == reference
 
 
 @common
