@@ -2,25 +2,27 @@
 
 Every witness the session maintains — cold build and delta re-enumeration
 alike — is found by one :class:`WitnessEnumerator` per DC.  It compiles the
-DC **once** into one :class:`BatchPlan` per tuple variable (the variable
-the plan is *pinned* on, i.e. seeded with) and runs it over the session's
-maintained :class:`~repro.session.columnar.ColumnStore`.  The plan's join
-order is chosen from the DC's equality graph by the SQL planner
-(:func:`~repro.sqlengine.planner.plan_query` with ``reorder_equalities=True``
-over :func:`~repro.violations.sqlgen.conflict_query`): every variable an
-equality reaches from the bound ones joins through a grouped hash join,
-and a variable none reaches — the next part of a disconnected equality
-graph, or any variable of an inequality-only DC — joins through a keyless
-**cross step**, a filtered cross product of the bound batch with the new
-side's pre-filtered live rows.  Bound predicates apply as filters over
-candidate batches, fused into the join wherever they are pairwise.
+DC **once** into one batch plan per tuple variable (the variable the plan
+is *pinned* on, i.e. seeded with) and runs it over the session's
+maintained :class:`~repro.session.columnar.ColumnStore`.
 
-The plans run on one of two column backends: pure-python lists (this
-module) or numpy arrays (:mod:`repro.session.vectorized`).  The list cross
-step fuses its pairwise predicates per candidate, so no unfiltered pair is
-ever materialized; the numpy one expands the batch in blocks of at most
-``CROSS_PAIR_BUDGET`` pairs and filters each block before keeping its
-survivors.
+Planning happens here, once per pin, straight from the DC's predicates
+(:func:`plan_pin`): the join order follows the DC's equality graph, so
+every variable an equality reaches from the bound ones joins through a
+grouped hash join, and a variable none reaches — the next part of a
+disconnected equality graph, or any variable of an inequality-only DC —
+joins through a keyless **cross step**, a filtered cross product of the
+bound batch with the new side's pre-filtered live rows.  The remaining
+predicates apply as filters over candidate batches at the first step that
+binds all their variables.
+
+Each column backend compiles that one :class:`PinPlan` into its own
+kernels: pure-python lists (this module) or numpy arrays
+(:mod:`repro.session.vectorized`).  The list kernels fuse pairwise
+predicates into the hash join and the cross step per candidate, so no
+unfiltered pair is ever materialized; the numpy cross step expands the
+batch in blocks of at most ``CROSS_PAIR_BUDGET`` pairs and filters each
+block before keeping its survivors.
 
 The **cold** entry point runs the pin-0 plan over its relation (in seed
 chunks, see :meth:`WitnessEnumerator.cold_chunks`), and the **delta** entry
@@ -42,32 +44,16 @@ surfaced per DC through ``session.stats()``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ..constraints.base import ComparisonOp
-from ..constraints.dc import DenialConstraint
+from ..constraints.dc import DenialConstraint, Predicate, Term
 from ..relational.database import Database
-from ..relational.schema import Schema
 from ..relational.values import values_comparable
-from ..sqlengine.ast import (
-    And,
-    ColumnRef,
-    Comparison,
-    Condition,
-    Literal,
-    Or,
-    SelectQuery,
-)
-from ..sqlengine.planner import JoinPlan, PlanNode, QueryPlan, ScanPlan, plan_query
-from ..violations.sqlgen import conflict_query, variable_aliases
 from .columnar import ColumnStore, make_column_store
-
-#: The executor's fact-identifier pseudo-column (see SqlEngine.ID_COLUMN).
-_ID = "ID"
 
 BatchFilter = Callable[[list], list]
 Witnesses = set[frozenset[int]]
-
 
 # ----------------------------------------------------------------------
 # Scalar comparison kernels — exact mirrors of ComparisonOp.evaluate
@@ -196,7 +182,106 @@ def register_batch_columns(dc: DenialConstraint, store: ColumnStore) -> None:
 
 
 # ----------------------------------------------------------------------
-# Compiled batch plans
+# Pin plans: one DC's join order and predicate placement per seed
+# ----------------------------------------------------------------------
+class PlanStep(NamedTuple):
+    """Bind one more tuple variable to the candidate batch.
+
+    ``keys`` are the equality joins linking *variable* to the variables
+    already bound, as ``(bound term, new term)`` pairs; a step without keys
+    is a cross step.  ``pre_filters`` are the predicates over *variable*
+    alone; ``residual`` the predicates whose last unbound variable is
+    *variable*.
+    """
+
+    variable: str
+    keys: tuple[tuple[Term, Term], ...]
+    pre_filters: tuple[Predicate, ...]
+    residual: tuple[Predicate, ...]
+
+
+class PinPlan(NamedTuple):
+    """One DC's linear plan seeded on one tuple variable."""
+
+    seed: str
+    seed_filters: tuple[Predicate, ...]
+    steps: tuple[PlanStep, ...]
+    #: Predicates no step completes (the constant-only ones of a
+    #: one-variable DC).
+    final: tuple[Predicate, ...]
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        """The tuple variables in slot order: the seed, then each step's."""
+        return (self.seed,) + tuple(step.variable for step in self.steps)
+
+
+def _term_variables(predicate: Predicate) -> list[str]:
+    return [
+        term.variable
+        for term in (predicate.left, predicate.right)
+        if not term.is_constant
+    ]
+
+
+def plan_pin(
+    dc: DenialConstraint, pin: int, live_count: Callable[[str], int]
+) -> PinPlan:
+    """The linear plan of *dc* seeded on its tuple variable number *pin*.
+
+    **Order.**  After the seed, each step binds a variable some equality
+    join links to the bound ones; when several qualify, the one whose
+    relation has the fewest live rows (*live_count*), ties broken by the
+    variable order rotated to start at the seed.  When none qualifies (the
+    next part of a disconnected equality graph) the same rule picks among
+    all unbound variables, and that step is a cross step.
+
+    **Placement.**  A predicate over one variable filters that variable —
+    the seed filters, or the pre-filters of the step binding it.  An
+    equality join is a hash key of the step binding its second variable.
+    Every other predicate is the residual of the first step after which
+    all its variables are bound: a constant-only one lands on the first
+    step, or in the final filter of a one-variable DC.
+    """
+    names = [variable for variable, _ in dc.variables]
+    single: dict[str, list[Predicate]] = {name: [] for name in names}
+    joins: list[Predicate] = []
+    pending: list[Predicate] = []
+    linked: dict[str, set[str]] = {name: set() for name in names}
+    for predicate in dc.predicates:
+        used = _term_variables(predicate)
+        if len(set(used)) == 1:
+            single[used[0]].append(predicate)
+        elif predicate.is_equality_join():
+            joins.append(predicate)
+            linked[predicate.left.variable].add(predicate.right.variable)
+            linked[predicate.right.variable].add(predicate.left.variable)
+        else:
+            pending.append(predicate)
+    seed, *remaining = names[pin:] + names[:pin]
+    bound = {seed}
+    steps: list[PlanStep] = []
+    while remaining:
+        pool = [name for name in remaining if linked[name] & bound] or remaining
+        # min keeps the first of equal costs: rotated variable order.
+        variable = min(pool, key=lambda name: live_count(dc.relation_of(name)))
+        remaining.remove(variable)
+        keys = tuple(
+            (join.left, join.right)
+            if join.right.variable == variable
+            else (join.right, join.left)
+            for join in joins
+            if {join.left.variable, join.right.variable} - bound == {variable}
+        )
+        bound.add(variable)
+        residual = tuple(p for p in pending if bound.issuperset(_term_variables(p)))
+        pending = [p for p in pending if not bound.issuperset(_term_variables(p))]
+        steps.append(PlanStep(variable, keys, tuple(single[variable]), residual))
+    return PinPlan(seed, tuple(single[seed]), tuple(steps), tuple(pending))
+
+
+# ----------------------------------------------------------------------
+# List-backend batch plans
 # ----------------------------------------------------------------------
 class BatchPlan:
     """One DC compiled for one seed variable: scan → joins → filters.
@@ -211,7 +296,6 @@ class BatchPlan:
     """
 
     __slots__ = (
-        "pin_variable",
         "seed_relation",
         "seed_filters",
         "joins",
@@ -222,14 +306,12 @@ class BatchPlan:
 
     def __init__(
         self,
-        pin_variable: str,
         seed_relation: str,
         seed_filters: list[BatchFilter],
         joins: list[tuple[Callable[[list], list], list[BatchFilter]]],
         final_filters: list[BatchFilter],
         id_arrays: list[list],
     ) -> None:
-        self.pin_variable = pin_variable
         self.seed_relation = seed_relation
         self.seed_filters = seed_filters
         self.joins = joins
@@ -271,169 +353,96 @@ class BatchPlan:
         }
 
 
-class _PlanCompiler:
-    """Compiles one DC's conflict query into :class:`BatchPlan` objects."""
+def _compile_list_plan(
+    dc: DenialConstraint, plan: PinPlan, store: ColumnStore
+) -> BatchPlan:
+    """*plan* as list kernels over *store*.
 
-    def __init__(
-        self, dc: DenialConstraint, schema: Schema, store: ColumnStore
-    ) -> None:
-        self.dc = dc
-        self.schema = schema
-        self.store = store
-        self.query = conflict_query(dc)
-        alias_of = variable_aliases(dc)
-        self.variable_of = {alias: variable for variable, alias in alias_of.items()}
-        self.relation_of = {
-            alias_of[variable]: relation for variable, relation in dc.variables
-        }
+    A hash step fuses its pairwise pre-filters and residual predicates
+    into the join (see :func:`_fusable`); a cross step pre-filters the new
+    side's rows by its pre-filters and fuses its pairwise residual.  What
+    cannot fuse stays a batch filter over the step's output.
+    """
+    slot_of = {variable: slot for slot, variable in enumerate(plan.order)}
 
-    def compile_pin(self, pin_index: int) -> BatchPlan:
-        """The plan seeded on tuple variable number *pin_index*."""
-        tables = self.query.tables
-        rotated = SelectQuery(
-            select=self.query.select,
-            distinct=self.query.distinct,
-            tables=tables[pin_index:] + tables[:pin_index],
-            where=self.query.where,
-            select_star=self.query.select_star,
-        )
-        store = self.store
-        plan = plan_query(
-            rotated,
-            reorder_equalities=True,
-            cost_of=lambda table: float(store.live_count(table.relation)),
-        )
-        return self._compile(plan)
+    def column(term: Term) -> list:
+        return store.column(dc.relation_of(term.variable), term.attribute)
 
-    # -- plan-tree compilation ------------------------------------------
-    def _compile(self, plan: QueryPlan) -> BatchPlan:
-        seed_scan, join_steps = _linearize(plan.root)
-        slot_of: dict[str, int] = {seed_scan.table.alias: 0}
-        for step in join_steps:
-            slot_of[step.right.table.alias] = len(slot_of)
-        self._slot_of = slot_of
-        seed_filters = [
-            self._compile_filter(condition) for condition in seed_scan.filters
-        ]
-        joins: list[tuple[Callable[[list], list], list[BatchFilter]]] = []
-        for step in join_steps:
-            # A keyless step's single-alias conditions pre-filter the rows
-            # it crosses, so only its residual is left to place.
-            conditions = list(step.residual)
-            if step.equi_keys:
-                conditions = list(step.right.filters) + conditions
-            # Fuse pairwise predicates into the join: candidates failing
-            # them are filtered during expansion and never materialized as
-            # tuples.  Whatever can't fuse stays a batch filter over the
-            # join's output.
-            fused, unfused = [], []
-            for condition in conditions:
-                pairwise = self._fusable(condition, step.right.table.alias)
-                (fused if pairwise is not None else unfused).append(
-                    pairwise if pairwise is not None else condition
-                )
-            if step.equi_keys:
-                join = self._compile_join(step, fused)
+    def operand(term: Term) -> tuple[list | None, object]:
+        """``(column array, slot)`` for a column term, ``(None, value)`` else."""
+        if term.is_constant:
+            return None, term.constant
+        return column(term), slot_of[term.variable]
+
+    joins: list[tuple[Callable[[list], list], list[BatchFilter]]] = []
+    for step in plan.steps:
+        conditions = step.residual
+        if step.keys:
+            conditions = step.pre_filters + conditions
+        fused, unfused = [], []
+        for predicate in conditions:
+            spec = _fusable(predicate, step.variable, column, operand)
+            if spec is None:
+                unfused.append(predicate)
             else:
-                join = self._compile_cross(step, fused)
-            filters = [self._compile_filter(condition) for condition in unfused]
-            joins.append((join, filters))
-        final_filters = [
-            self._compile_filter(condition) for condition in plan.final_residual
-        ]
-        # Slot order == join order; witnesses project each slot's fact id.
-        aliases_in_order = sorted(slot_of, key=slot_of.__getitem__)
-        id_arrays = [
-            self.store.ids(self.relation_of[alias]) for alias in aliases_in_order
-        ]
-        return BatchPlan(
-            pin_variable=self.variable_of[seed_scan.table.alias],
-            seed_relation=seed_scan.table.relation,
-            seed_filters=seed_filters,
-            joins=joins,
-            final_filters=final_filters,
-            id_arrays=id_arrays,
-        )
-
-    def _fusable(self, condition: Condition, new_alias: str):
-        """Spec for a predicate fusable into the join expanding *new_alias*.
-
-        Fusable means a Comparison with exactly one operand on the new
-        alias and the other a bound slot's column or a constant — then the
-        check runs per expanded row, before any candidate tuple exists.
-        Returns ``(compare, new_array, other_array, other, new_on_left)``
-        (``other_array is None`` ⇒ ``other`` is the constant), or None.
-        """
-        if not isinstance(condition, Comparison):
-            return None
-
-        def classify(operand):
-            if isinstance(operand, Literal):
-                return ("const", None, operand.value)
-            if operand.table == new_alias:
-                relation = self.relation_of[new_alias]
-                array = (
-                    self.store.ids(relation)
-                    if operand.column == _ID
-                    else self.store.column(relation, operand.column)
+                fused.append(spec)
+        relation = dc.relation_of(step.variable)
+        if step.keys:
+            keys = [
+                (
+                    column(bound),
+                    slot_of[bound.variable],
+                    store.group(relation, new.attribute),
                 )
-                return ("new", array, None)
-            array, slot = self._operand(operand)
-            return ("slot", array, slot)
+                for bound, new in step.keys
+            ]
+            join = _hash_join(keys, tuple(fused))
+        else:
+            predicates = tuple(
+                _row_predicate(predicate, column) for predicate in step.pre_filters
+            )
+            join = _cross_join(store.relation(relation), predicates, tuple(fused))
+        joins.append((join, [_batch_filter(p, operand) for p in unfused]))
+    return BatchPlan(
+        seed_relation=dc.relation_of(plan.seed),
+        seed_filters=[_batch_filter(p, operand) for p in plan.seed_filters],
+        joins=joins,
+        final_filters=[_batch_filter(p, operand) for p in plan.final],
+        id_arrays=[store.ids(dc.relation_of(variable)) for variable in plan.order],
+    )
 
-        left = classify(condition.left)
-        right = classify(condition.right)
-        if (left[0] == "new") == (right[0] == "new"):
-            return None
-        new_side, other_side = (left, right) if left[0] == "new" else (right, left)
-        return (
-            _COMPARE[condition.op],
-            new_side[1],
-            other_side[1],
-            other_side[2],
-            left[0] == "new",
-        )
 
-    def _compile_join(self, step: JoinPlan, fused: list) -> Callable[[list], list]:
-        """A grouped hash join: probe the new slot's key groups per batch row.
+def _fusable(predicate: Predicate, new_variable: str, column, operand):
+    """Spec for a predicate fusable into the step binding *new_variable*.
 
-        *fused* predicates (see :meth:`_fusable`) trim each probed group
-        before the surviving rows are appended as candidate tuples.
-        """
-        new_alias = step.right.table.alias
-        new_relation = step.right.table.relation
-        keys = []
-        for left_ref, right_ref in step.equi_keys:
-            build_ref, probe_ref = left_ref, right_ref
-            if build_ref.table == new_alias:
-                build_ref, probe_ref = probe_ref, build_ref
-            array, slot = self._operand(build_ref)
-            group = self.store.group(new_relation, probe_ref.column)
-            keys.append((array, slot, group))
-        fused = tuple(fused)
-        if len(keys) == 1:
-            array, slot, group = keys[0]
+    Fusable means exactly one term on the new variable and the other a
+    bound slot's column or a constant — then the check runs per expanded
+    row, before any candidate tuple exists.  Returns ``(compare,
+    new_array, other_array, other, new_on_left)`` (``other_array is None``
+    ⇒ ``other`` is the constant), or None.
+    """
+    left, right = predicate.left, predicate.right
+    left_new = left.variable == new_variable
+    if left_new == (right.variable == new_variable):
+        return None
+    new_term, other_term = (left, right) if left_new else (right, left)
+    other_array, other = operand(other_term)
+    return (_COMPARE[predicate.op], column(new_term), other_array, other, left_new)
 
-            if not fused:
 
-                def join_single(batch, array=array, slot=slot, group=group):
-                    out: list[tuple[int, ...]] = []
-                    extend = out.extend
-                    lookup = group.get
-                    for candidate in batch:
-                        value = array[candidate[slot]]
-                        if value is None:
-                            continue  # NULL never joins
-                        rows = lookup(value)
-                        if rows:
-                            extend([candidate + (row,) for row in rows])
-                    return out
+def _hash_join(keys: list, fused: tuple) -> Callable[[list], list]:
+    """A grouped hash join: probe the new slot's key groups per batch row.
 
-                return join_single
+    *keys* are ``(bound array, bound slot, new-side group)`` triples;
+    *fused* predicates (see :func:`_fusable`) trim each probed group
+    before the surviving rows are appended as candidate tuples.
+    """
+    if len(keys) == 1:
+        array, slot, group = keys[0]
 
-            def join_single_fused(
-                batch, array=array, slot=slot, group=group, fused=fused
-            ):
+        if not fused:
+
+            def join_single(batch, array=array, slot=slot, group=group):
                 out: list[tuple[int, ...]] = []
                 extend = out.extend
                 lookup = group.get
@@ -442,32 +451,23 @@ class _PlanCompiler:
                     if value is None:
                         continue  # NULL never joins
                     rows = lookup(value)
-                    if not rows:
-                        continue
-                    keep = _trim(rows, candidate, fused)
-                    if keep:
-                        extend([candidate + (row,) for row in keep])
+                    if rows:
+                        extend([candidate + (row,) for row in rows])
                 return out
 
-            return join_single_fused
+            return join_single
 
-        def join_multi(batch, keys=tuple(keys), fused=fused):
+        def join_single_fused(
+            batch, array=array, slot=slot, group=group, fused=fused
+        ):
             out: list[tuple[int, ...]] = []
             extend = out.extend
+            lookup = group.get
             for candidate in batch:
-                rows = None
-                for array, slot, group in keys:
-                    value = array[candidate[slot]]
-                    if value is None:
-                        rows = None
-                        break
-                    bucket = group.get(value)
-                    if not bucket:
-                        rows = None
-                        break
-                    rows = bucket if rows is None else rows & bucket
-                    if not rows:
-                        break
+                value = array[candidate[slot]]
+                if value is None:
+                    continue  # NULL never joins
+                rows = lookup(value)
                 if not rows:
                     continue
                 keep = _trim(rows, candidate, fused)
@@ -475,185 +475,147 @@ class _PlanCompiler:
                     extend([candidate + (row,) for row in keep])
             return out
 
-        return join_multi
+        return join_single_fused
 
-    def _compile_cross(self, step: JoinPlan, fused: list) -> Callable[[list], list]:
-        """A keyless step: the new side's live rows crossed with the batch.
-
-        The new side's rows are computed once per run (live scan + its
-        single-table predicates); *fused* predicates (see :meth:`_fusable`)
-        then trim them per candidate before any pair is appended.
-        """
-        table = self.store.relation(step.right.table.relation)
-        row_predicates = tuple(
-            self._compile_row_predicate(condition, step.right.table.alias)
-            for condition in step.right.filters
-        )
-
-        def join_cross(
-            batch, table=table, predicates=row_predicates, fused=tuple(fused)
-        ):
-            ids = table.ids
-            rows = [row for row in range(len(ids)) if ids[row] is not None]
-            for predicate in predicates:
-                rows = [row for row in rows if predicate(row)]
+    def join_multi(batch, keys=tuple(keys), fused=fused):
+        out: list[tuple[int, ...]] = []
+        extend = out.extend
+        for candidate in batch:
+            rows = None
+            for array, slot, group in keys:
+                value = array[candidate[slot]]
+                if value is None:
+                    rows = None
+                    break
+                bucket = group.get(value)
+                if not bucket:
+                    rows = None
+                    break
+                rows = bucket if rows is None else rows & bucket
                 if not rows:
-                    return []
-            out: list[tuple[int, ...]] = []
-            extend = out.extend
-            for candidate in batch:
-                keep = _trim(rows, candidate, fused)
-                if keep:
-                    extend([candidate + (row,) for row in keep])
-            return out
+                    break
+            if not rows:
+                continue
+            keep = _trim(rows, candidate, fused)
+            if keep:
+                extend([candidate + (row,) for row in keep])
+        return out
 
-        return join_cross
+    return join_multi
 
-    def _compile_row_predicate(
-        self, condition: Condition, alias: str
-    ) -> Callable[[int], bool]:
-        """A single-relation row predicate (operands on *alias* or consts)."""
-        assert isinstance(condition, Comparison)
-        compare = _COMPARE[condition.op]
-        relation = self.relation_of[alias]
 
-        def resolve(operand):
-            if isinstance(operand, Literal):
-                return None, operand.value
-            array = (
-                self.store.ids(relation)
-                if operand.column == _ID
-                else self.store.column(relation, operand.column)
-            )
-            return array, None
+def _cross_join(table, predicates: tuple, fused: tuple) -> Callable[[list], list]:
+    """A keyless step: the new side's live rows crossed with the batch.
 
-        left_array, left_value = resolve(condition.left)
-        right_array, right_value = resolve(condition.right)
-        if left_array is None and right_array is None:
-            keep = compare(left_value, right_value)
-            return lambda row, keep=keep: keep
-        if right_array is None:
-            return lambda row, compare=compare, array=left_array, value=right_value: (
-                compare(array[row], value)
-            )
-        if left_array is None:
-            return lambda row, compare=compare, value=left_value, array=right_array: (
-                compare(value, array[row])
-            )
-        return lambda row, compare=compare, a=left_array, b=right_array: (
-            compare(a[row], b[row])
+    The new side's rows are computed once per run (live scan + its
+    single-variable *predicates*); *fused* predicates (see
+    :func:`_fusable`) then trim them per candidate before any pair is
+    appended.
+    """
+
+    def join_cross(batch, table=table, predicates=predicates, fused=fused):
+        ids = table.ids
+        rows = [row for row in range(len(ids)) if ids[row] is not None]
+        for predicate in predicates:
+            rows = [row for row in rows if predicate(row)]
+            if not rows:
+                return []
+        out: list[tuple[int, ...]] = []
+        extend = out.extend
+        for candidate in batch:
+            keep = _trim(rows, candidate, fused)
+            if keep:
+                extend([candidate + (row,) for row in keep])
+        return out
+
+    return join_cross
+
+
+def _row_predicate(predicate: Predicate, column) -> Callable[[int], bool]:
+    """A one-variable predicate as a test on that relation's row numbers."""
+    compare = _COMPARE[predicate.op]
+    left, right = predicate.left, predicate.right
+    if right.is_constant:
+        return lambda row, compare=compare, array=column(left), value=right.constant: (
+            compare(array[row], value)
         )
+    if left.is_constant:
+        return lambda row, compare=compare, value=left.constant, array=column(right): (
+            compare(value, array[row])
+        )
+    return lambda row, compare=compare, a=column(left), b=column(right): (
+        compare(a[row], b[row])
+    )
 
-    def _operand(self, operand) -> tuple[list | None, object]:
-        """``(column array, slot)`` for a ColumnRef, ``(None, value)`` else."""
-        if isinstance(operand, Literal):
-            return None, operand.value
-        assert isinstance(operand, ColumnRef)
-        slot = self._slot_of[operand.table]
-        relation = self.relation_of[operand.table]
-        if operand.column == _ID:
-            return self.store.ids(relation), slot
-        return self.store.column(relation, operand.column), slot
 
-    def _compile_filter(self, condition: Condition) -> BatchFilter:
-        """A vectorized predicate over candidate batches.
+def _batch_filter(predicate: Predicate, operand) -> BatchFilter:
+    """A predicate as one list comprehension over candidate batches."""
+    compare = _COMPARE[predicate.op]
+    left_array, left = operand(predicate.left)
+    right_array, right = operand(predicate.right)
+    if left_array is None and right_array is None:
+        keep = compare(left, right)
+        return (lambda batch: batch) if keep else (lambda batch: [])
+    if left_array is None:
 
-        Comparisons specialize into one list comprehension with the operand
-        arrays captured; And/Or (absent from DC-sourced queries but legal
-        plan residue) fall back to a per-candidate scalar evaluator.
-        """
-        if isinstance(condition, Comparison):
-            compare = _COMPARE[condition.op]
-            left_array, left = self._operand(condition.left)
-            right_array, right = self._operand(condition.right)
-            if left_array is None and right_array is None:
-                keep = compare(left, right)
-                return (lambda batch: batch) if keep else (lambda batch: [])
-            if left_array is None:
+        def filter_const_col(
+            batch, compare=compare, value=left, array=right_array, slot=right
+        ):
+            return [c for c in batch if compare(value, array[c[slot]])]
 
-                def filter_const_col(
-                    batch, compare=compare, value=left, array=right_array, slot=right
-                ):
-                    return [c for c in batch if compare(value, array[c[slot]])]
+        return filter_const_col
+    if right_array is None:
 
-                return filter_const_col
-            if right_array is None:
+        def filter_col_const(
+            batch, compare=compare, array=left_array, slot=left, value=right
+        ):
+            return [c for c in batch if compare(array[c[slot]], value)]
 
-                def filter_col_const(
-                    batch, compare=compare, array=left_array, slot=left, value=right
-                ):
-                    return [c for c in batch if compare(array[c[slot]], value)]
+        return filter_col_const
 
-                return filter_col_const
+    # EQ/NE dominate DC bodies (joins and FD consequents); their NULL rule
+    # inlines into the comprehension, dropping the per-candidate kernel
+    # call.
+    if predicate.op is ComparisonOp.EQ:
 
-            # EQ/NE dominate DC bodies (joins and FD consequents); their
-            # NULL rule inlines into the comprehension, dropping the
-            # per-candidate kernel call.
-            if condition.op is ComparisonOp.EQ:
+        def filter_eq_col_col(batch, a=left_array, i=left, b=right_array, j=right):
+            return [
+                c
+                for c in batch
+                if (l := a[c[i]]) is not None
+                and (r := b[c[j]]) is not None
+                and l == r
+            ]
 
-                def filter_eq_col_col(
-                    batch, a=left_array, i=left, b=right_array, j=right
-                ):
-                    return [
-                        c
-                        for c in batch
-                        if (l := a[c[i]]) is not None
-                        and (r := b[c[j]]) is not None
-                        and l == r
-                    ]
+        return filter_eq_col_col
+    if predicate.op is ComparisonOp.NE:
 
-                return filter_eq_col_col
-            if condition.op is ComparisonOp.NE:
+        def filter_ne_col_col(batch, a=left_array, i=left, b=right_array, j=right):
+            return [
+                c
+                for c in batch
+                if (l := a[c[i]]) is not None
+                and (r := b[c[j]]) is not None
+                and l != r
+            ]
 
-                def filter_ne_col_col(
-                    batch, a=left_array, i=left, b=right_array, j=right
-                ):
-                    return [
-                        c
-                        for c in batch
-                        if (l := a[c[i]]) is not None
-                        and (r := b[c[j]]) is not None
-                        and l != r
-                    ]
+        return filter_ne_col_col
 
-                return filter_ne_col_col
+    def filter_col_col(
+        batch,
+        compare=compare,
+        left_array=left_array,
+        left_slot=left,
+        right_array=right_array,
+        right_slot=right,
+    ):
+        return [
+            c
+            for c in batch
+            if compare(left_array[c[left_slot]], right_array[c[right_slot]])
+        ]
 
-            def filter_col_col(
-                batch,
-                compare=compare,
-                left_array=left_array,
-                left_slot=left,
-                right_array=right_array,
-                right_slot=right,
-            ):
-                return [
-                    c
-                    for c in batch
-                    if compare(left_array[c[left_slot]], right_array[c[right_slot]])
-                ]
-
-            return filter_col_col
-        scalar = self._compile_scalar(condition)
-        return lambda batch: [c for c in batch if scalar(c)]
-
-    def _compile_scalar(self, condition: Condition) -> Callable[[tuple], bool]:
-        if isinstance(condition, Comparison):
-            compare = _COMPARE[condition.op]
-            left_array, left = self._operand(condition.left)
-            right_array, right = self._operand(condition.right)
-
-            def scalar(candidate):
-                lhs = left if left_array is None else left_array[candidate[left]]
-                rhs = right if right_array is None else right_array[candidate[right]]
-                return compare(lhs, rhs)
-
-            return scalar
-        children = [self._compile_scalar(child) for child in condition.conditions]
-        if isinstance(condition, And):
-            return lambda candidate: all(child(candidate) for child in children)
-        if isinstance(condition, Or):
-            return lambda candidate: any(child(candidate) for child in children)
-        raise TypeError(f"unexpected condition {condition!r}")
+    return filter_col_col
 
 
 def _trim(rows, candidate: tuple, fused: tuple):
@@ -669,17 +631,6 @@ def _trim(rows, candidate: tuple, fused: tuple):
         if not keep:
             break
     return keep
-
-
-def _linearize(node: PlanNode) -> tuple[ScanPlan, list[JoinPlan]]:
-    """A left-deep plan tree as (seed scan, join steps outward-in order)."""
-    steps: list[JoinPlan] = []
-    while isinstance(node, JoinPlan):
-        steps.append(node)
-        node = node.left
-    steps.reverse()
-    return node, steps
-
 
 # ----------------------------------------------------------------------
 # The strategy objects
@@ -715,12 +666,10 @@ class WitnessEnumerator:
     def __init__(
         self,
         dc: DenialConstraint,
-        schema: Schema,
         store: ColumnStore,
         stats: EnumerationStats | None = None,
     ) -> None:
         self.dc = dc
-        self.schema = schema
         self.store = store
         self.stats = stats if stats is not None else EnumerationStats(store.backend)
         self.stats.backend = store.backend
@@ -734,13 +683,14 @@ class WitnessEnumerator:
     def _compiled(self) -> list[BatchPlan]:
         """One plan per tuple variable, in variable order."""
         if self._plans is None:
+            compile_plan = _compile_list_plan
             if self.store.backend == "numpy":
-                from .vectorized import VectorPlanCompiler
-
-                compiler = VectorPlanCompiler(self.dc, self.schema, self.store)
-            else:
-                compiler = _PlanCompiler(self.dc, self.schema, self.store)
-            self._plans = [compiler.compile_pin(pin) for pin in range(self.dc.width)]
+                from .vectorized import compile_vector_plan as compile_plan
+            dc, store = self.dc, self.store
+            self._plans = [
+                compile_plan(dc, plan_pin(dc, pin, store.live_count), store)
+                for pin in range(dc.width)
+            ]
             self.stats.plans_compiled += len(self._plans)
         return self._plans
 
@@ -835,10 +785,9 @@ def build_enumerators(
     events from then on.
     """
     counters = list(stats) if stats is not None else [None] * len(dcs)
-    schema = database.schema
-    store = make_column_store(schema, vector_backend)
+    store = make_column_store(database.schema, vector_backend)
     enumerators = [
-        WitnessEnumerator(dc, schema, store, counter)
+        WitnessEnumerator(dc, store, counter)
         for dc, counter in zip(dcs, counters)
     ]
     store.build(database)

@@ -25,41 +25,29 @@ overlay probed via sorted-array ``searchsorted``; the CSR is rebuilt only
 when the overlay outgrows a fraction of the relation, keeping delta
 re-enumeration free of O(n) rebuilds.
 
-The vectorized plan compiler (:class:`VectorPlanCompiler`) mirrors the
-list-backed ``_PlanCompiler`` in :mod:`repro.session.enumeration`: same
-conflict-query rotation per pin variable, same planner join order (with the
-live-cardinality ``cost_of`` hook), but execution is mask combinators over
-parallel row arrays — seed scans as boolean masks, grouped hash joins as
-code-array bucket probes, keyless cross steps as blocked repeat/tile
-expansions filtered block by block, fused pairwise predicates as EQ/NE code
-masks or typed-array comparisons — with **no per-candidate python loop**;
-witnesses decode only the surviving rows.  Python scalar kernels remain as
-a row-level fallback for the cases numpy semantics cannot mirror exactly
-(bools, mixed types, > 2**53 integers against floats), keeping results
-bit-identical to the list backend.
+The vectorized plans (:func:`compile_vector_plan`) take the same
+:class:`~repro.session.enumeration.PinPlan` the list backend compiles — one
+join order and predicate placement per pin, planned from the DC — but
+execute it as mask combinators over parallel row arrays: seed scans as
+boolean masks, grouped hash joins as code-array bucket probes, keyless
+cross steps as blocked repeat/tile expansions filtered block by block,
+predicates as EQ/NE code masks or typed-array comparisons — with **no
+per-candidate python loop**; witnesses decode only the surviving rows.
+Python scalar kernels remain as a row-level fallback for the cases numpy
+semantics cannot mirror exactly (bools, mixed types, > 2**53 integers
+against floats), keeping results bit-identical to the list backend.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..constraints.base import ComparisonOp
-from ..constraints.dc import DenialConstraint
+from ..constraints.dc import DenialConstraint, Predicate, Term
 from ..relational.database import ChangeEvent, Database, Fact
 from ..relational.schema import Schema
-from ..sqlengine.ast import (
-    And,
-    ColumnRef,
-    Comparison,
-    Condition,
-    Literal,
-    Or,
-    SelectQuery,
-)
-from ..sqlengine.planner import JoinPlan, QueryPlan, plan_query
-from ..violations.sqlgen import conflict_query, variable_aliases
 
 #: Exact-in-float64 integer bound: |int| above this cannot ride float math.
 _EXACT_FLOAT_INT = 2**53
@@ -299,32 +287,6 @@ class VectorColumn:
         return [float(v) if ok else None for v, ok in zip(data, valid)]
 
 
-class _IdColumn:
-    """The ID pseudo-column as a read-only numeric VectorColumn view."""
-
-    __slots__ = ("_relation",)
-
-    kind = "i8"
-    huge = False
-    dict_class = None
-    codes = None
-    group = None
-
-    def __init__(self, relation: "VectorRelation") -> None:
-        self._relation = relation
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._relation.ids
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self._relation.live
-
-    def values_at(self, rows: np.ndarray) -> list:
-        return [int(v) for v in self._relation.ids[rows]]
-
-
 def _grow(array: np.ndarray, capacity: int, fill=None) -> np.ndarray:
     if array.dtype == object:
         grown = np.empty(capacity, dtype=object)
@@ -339,7 +301,7 @@ def _grow(array: np.ndarray, capacity: int, fill=None) -> np.ndarray:
 class VectorRelation:
     """One relation's numpy image: ids + live bitmap + typed columns."""
 
-    __slots__ = ("relation", "attributes", "n", "cap", "ids", "live", "row_of", "free", "columns", "_id_column")
+    __slots__ = ("relation", "attributes", "n", "cap", "ids", "live", "row_of", "free", "columns")
 
     def __init__(self, relation: str, attributes: Sequence[str]) -> None:
         self.relation = relation
@@ -353,15 +315,9 @@ class VectorRelation:
         self.columns: dict[str, VectorColumn] = {
             attribute: VectorColumn() for attribute in attributes
         }
-        self._id_column: _IdColumn | None = None
 
     def __len__(self) -> int:
         return len(self.row_of)
-
-    def id_column(self) -> _IdColumn:
-        if self._id_column is None:
-            self._id_column = _IdColumn(self)
-        return self._id_column
 
     def live_rows(self) -> np.ndarray:
         return np.nonzero(self.live[: self.n])[0]
@@ -604,8 +560,8 @@ class VectorColumnStore:
 
 # Imported late on purpose: enumeration.py never imports this module at its
 # top level (the batch enumerator dispatches here lazily), so this is safe
-# and keeps the scalar kernels/_linearize definitions in one place.
-from .enumeration import _COMPARE, _ID, EnumerationStats, Witnesses, _linearize  # noqa: E402
+# and keeps the scalar kernels and the plan types in one place.
+from .enumeration import _COMPARE, EnumerationStats, PinPlan, Witnesses  # noqa: E402
 
 _NP_OP = {
     ComparisonOp.EQ: np.equal,
@@ -818,7 +774,6 @@ class VectorBatchPlan:
     """
 
     __slots__ = (
-        "pin_variable",
         "seed_relation",
         "seed_filters",
         "joins",
@@ -829,14 +784,12 @@ class VectorBatchPlan:
 
     def __init__(
         self,
-        pin_variable: str,
         seed_relation: str,
         seed_filters: list,
         joins: list,
         final_filters: list,
         slot_relations: list[VectorRelation],
     ) -> None:
-        self.pin_variable = pin_variable
         self.seed_relation = seed_relation
         self.seed_filters = seed_filters
         self.joins = joins
@@ -939,269 +892,159 @@ def delta_union(
     return found
 
 
-class VectorPlanCompiler:
-    """Compiles one DC's conflict query into :class:`VectorBatchPlan` objects.
 
-    Mirrors the list backend's ``_PlanCompiler`` step for step (same query
-    rotation, same planner call modulo the live-cardinality cost hook), but
-    emits mask kernels instead of list comprehensions.
+def compile_vector_plan(
+    dc: DenialConstraint, plan: PinPlan, store: VectorColumnStore
+) -> VectorBatchPlan:
+    """*plan* as mask kernels over *store*.
+
+    A hash step probes its first key's CSR buckets and applies the other
+    keys, then its pre-filters and residual, as masks over the expanded
+    batch.  A cross step pre-filters the new side's rows by its
+    pre-filters and masks every expanded block by its residual.
+    """
+    slot_of = {variable: slot for slot, variable in enumerate(plan.order)}
+
+    def column(term: Term) -> VectorColumn:
+        return store.column(dc.relation_of(term.variable), term.attribute)
+
+    def operand(term: Term):
+        """``(column object, slot, const)`` for a term."""
+        if term.is_constant:
+            return None, None, term.constant
+        return column(term), slot_of[term.variable], None
+
+    def row_operand(term: Term):
+        """``operand`` for a pre-filter over the new side's raw rows."""
+        col, _, const = operand(term)
+        return col, 0, const
+
+    joins = []
+    for step in plan.steps:
+        relation = store.relation(dc.relation_of(step.variable))
+        if step.keys:
+            keys = [
+                (column(bound), slot_of[bound.variable], column(new))
+                for bound, new in step.keys
+            ]
+            join = _hash_join(relation, keys)
+            filters = [
+                _batch_mask(p, operand) for p in step.pre_filters + step.residual
+            ]
+        else:
+            join = _cross_join(
+                relation,
+                [_batch_mask(p, row_operand) for p in step.pre_filters],
+                [_batch_mask(p, operand) for p in step.residual],
+            )
+            filters = []
+        joins.append((join, filters))
+    return VectorBatchPlan(
+        seed_relation=dc.relation_of(plan.seed),
+        seed_filters=[_batch_mask(p, operand) for p in plan.seed_filters],
+        joins=joins,
+        final_filters=[_batch_mask(p, operand) for p in plan.final],
+        slot_relations=[
+            store.relation(dc.relation_of(variable)) for variable in plan.order
+        ],
+    )
+
+
+def _hash_join(relation: VectorRelation, keys: list):
+    """A grouped hash join: CSR bucket probe on the first key, extra keys
+    applied as code-equality masks over the expanded batch.
+
+    *keys* are ``(bound column, bound slot, new-side column)`` triples.
+    """
+    first_build, first_slot, first_probe = keys[0]
+    extra = tuple(keys[1:])
+
+    def join(
+        batch,
+        relation=relation,
+        build=first_build,
+        slot=first_slot,
+        probe=first_probe,
+        extra=extra,
+    ):
+        build_codes = build.codes[batch[slot]]
+        group = probe.group
+        group.ensure(relation, probe)
+        parent, new_rows = _probe_group(group, relation, probe, build_codes)
+        out = [rows[parent] for rows in batch]
+        out.append(new_rows)
+        for extra_build, extra_slot, extra_probe in extra:
+            if not len(out[0]):
+                break
+            mask = _mask_pair(
+                extra_build, out[extra_slot], extra_probe, out[-1],
+                ComparisonOp.EQ,
+            )
+            out = [rows[mask] for rows in out]
+        return out
+
+    return join
+
+
+def _cross_join(relation: VectorRelation, predicates: list, filters: list):
+    """A keyless step: the filtered cross product of the batch and the
+    new side's live rows.
+
+    The new side is pre-filtered by *predicates* (masks over a one-slot
+    batch of its rows); the batch then expands in blocks of at most
+    :data:`CROSS_PAIR_BUDGET` pairs (at least one candidate each), and the
+    step's residual *filters* mask every block before its survivors are
+    kept — the unfiltered product is never held at once.
     """
 
-    def __init__(
-        self, dc: DenialConstraint, schema: Schema, store: VectorColumnStore
-    ) -> None:
-        self.dc = dc
-        self.schema = schema
-        self.store = store
-        self.query = conflict_query(dc)
-        alias_of = variable_aliases(dc)
-        self.variable_of = {alias: variable for variable, alias in alias_of.items()}
-        self.relation_of = {
-            alias_of[variable]: relation for variable, relation in dc.variables
-        }
+    def join(batch, relation=relation, predicates=tuple(predicates)):
+        rows = relation.live_rows()
+        for predicate in predicates:
+            if not len(rows):
+                break
+            mask = predicate((rows,))
+            if mask is True:
+                continue
+            rows = rows[mask]
+        count_rows = len(rows)
+        parts = []
+        if count_rows:
+            per_block = max(1, CROSS_PAIR_BUDGET // count_rows)
+            for start in range(0, len(batch[0]), per_block):
+                block = [existing[start : start + per_block] for existing in batch]
+                count = len(block[0])
+                parent = np.repeat(np.arange(count, dtype=np.int64), count_rows)
+                out = [existing[parent] for existing in block]
+                out.append(np.tile(rows, count))
+                out = VectorBatchPlan._apply(out, filters)
+                if len(out[0]):
+                    parts.append(out)
+        if not parts:
+            return [existing[:0] for existing in batch] + [rows[:0]]
+        if len(parts) == 1:
+            return parts[0]
+        return [np.concatenate(column) for column in zip(*parts)]
 
-    def compile_pin(self, pin_index: int) -> VectorBatchPlan:
-        tables = self.query.tables
-        rotated = SelectQuery(
-            select=self.query.select,
-            distinct=self.query.distinct,
-            tables=tables[pin_index:] + tables[:pin_index],
-            where=self.query.where,
-            select_star=self.query.select_star,
+    return join
+
+
+def _batch_mask(predicate: Predicate, operand):
+    """A predicate as a mask over candidate batches (True = all pass)."""
+    op = predicate.op
+    left_col, left_slot, left_val = operand(predicate.left)
+    right_col, right_slot, right_val = operand(predicate.right)
+    if left_col is None and right_col is None:
+        if _COMPARE[op](left_val, right_val):
+            return lambda batch: True
+        return lambda batch: np.zeros(len(batch[0]), dtype=bool)
+    if right_col is None:
+        return lambda batch, c=left_col, s=left_slot, o=op, v=right_val: (
+            _mask_const(c, batch[s], o, v)
         )
-        store = self.store
-        plan = plan_query(
-            rotated,
-            reorder_equalities=True,
-            cost_of=lambda table: float(store.live_count(table.relation)),
+    if left_col is None:
+        return lambda batch, c=right_col, s=right_slot, o=_FLIP[op], v=left_val: (
+            _mask_const(c, batch[s], o, v)
         )
-        return self._compile(plan)
-
-    # -- plan-tree compilation ------------------------------------------
-    def _compile(self, plan: QueryPlan) -> VectorBatchPlan:
-        seed_scan, join_steps = _linearize(plan.root)
-        slot_of: dict[str, int] = {seed_scan.table.alias: 0}
-        for step in join_steps:
-            slot_of[step.right.table.alias] = len(slot_of)
-        self._slot_of = slot_of
-        seed_filters = [
-            self._compile_filter(condition) for condition in seed_scan.filters
-        ]
-        joins = []
-        for step in join_steps:
-            if step.equi_keys:
-                join = self._compile_join(step)
-                conditions = list(step.right.filters) + list(step.residual)
-                filters = [self._compile_filter(c) for c in conditions]
-            else:
-                # A keyless step filters each expanded block itself: its
-                # single-alias filters pre-filter the crossed rows and its
-                # residual masks every block before the survivors concat.
-                join = self._compile_cross(
-                    step, [self._compile_filter(c) for c in step.residual]
-                )
-                filters = []
-            joins.append((join, filters))
-        final_filters = [
-            self._compile_filter(condition) for condition in plan.final_residual
-        ]
-        aliases_in_order = sorted(slot_of, key=slot_of.__getitem__)
-        slot_relations = [
-            self.store.relation(self.relation_of[alias])
-            for alias in aliases_in_order
-        ]
-        return VectorBatchPlan(
-            pin_variable=self.variable_of[seed_scan.table.alias],
-            seed_relation=seed_scan.table.relation,
-            seed_filters=seed_filters,
-            joins=joins,
-            final_filters=final_filters,
-            slot_relations=slot_relations,
-        )
-
-    def _compile_join(self, step: JoinPlan):
-        """A grouped hash join: CSR bucket probe on the first key, extra
-        keys applied as code-equality masks over the expanded batch."""
-        new_alias = step.right.table.alias
-        new_relation = self.store.relation(step.right.table.relation)
-        keys = []
-        for left_ref, right_ref in step.equi_keys:
-            build_ref, probe_ref = left_ref, right_ref
-            if build_ref.table == new_alias:
-                build_ref, probe_ref = probe_ref, build_ref
-            build_col, build_slot, _ = self._operand(build_ref)
-            probe_col = new_relation.columns[probe_ref.column]
-            keys.append((build_col, build_slot, probe_col))
-        first_build, first_slot, first_probe = keys[0]
-        extra = tuple(keys[1:])
-
-        def join(
-            batch,
-            relation=new_relation,
-            build=first_build,
-            slot=first_slot,
-            probe=first_probe,
-            extra=extra,
-        ):
-            build_codes = build.codes[batch[slot]]
-            group = probe.group
-            group.ensure(relation, probe)
-            parent, new_rows = _probe_group(group, relation, probe, build_codes)
-            out = [rows[parent] for rows in batch]
-            out.append(new_rows)
-            for extra_build, extra_slot, extra_probe in extra:
-                if not len(out[0]):
-                    break
-                mask = _mask_pair(
-                    extra_build, out[extra_slot], extra_probe, out[-1],
-                    ComparisonOp.EQ,
-                )
-                out = [rows[mask] for rows in out]
-            return out
-
-        return join
-
-    def _compile_cross(self, step: JoinPlan, filters: list):
-        """A keyless step: the filtered cross product of the batch and the
-        new side's live rows.
-
-        The new side is pre-filtered by its scan conditions; the batch then
-        expands in blocks of at most :data:`CROSS_PAIR_BUDGET` pairs (at
-        least one candidate each), and the step's residual *filters* mask
-        every block before its survivors are kept — the unfiltered product
-        is never held at once.
-        """
-        new_alias = step.right.table.alias
-        new_relation = self.store.relation(step.right.table.relation)
-        row_predicates = tuple(
-            self._compile_row_predicate(condition, new_alias)
-            for condition in step.right.filters
-        )
-
-        def join(batch, relation=new_relation, predicates=row_predicates):
-            rows = relation.live_rows()
-            for predicate in predicates:
-                if not len(rows):
-                    break
-                mask = predicate(rows)
-                if mask is True:
-                    continue
-                rows = rows[mask]
-            count_rows = len(rows)
-            parts = []
-            if count_rows:
-                per_block = max(1, CROSS_PAIR_BUDGET // count_rows)
-                for start in range(0, len(batch[0]), per_block):
-                    block = [existing[start : start + per_block] for existing in batch]
-                    count = len(block[0])
-                    parent = np.repeat(np.arange(count, dtype=np.int64), count_rows)
-                    out = [existing[parent] for existing in block]
-                    out.append(np.tile(rows, count))
-                    out = VectorBatchPlan._apply(out, filters)
-                    if len(out[0]):
-                        parts.append(out)
-            if not parts:
-                return [existing[:0] for existing in batch] + [rows[:0]]
-            if len(parts) == 1:
-                return parts[0]
-            return [np.concatenate(column) for column in zip(*parts)]
-
-        return join
-
-    def _compile_row_predicate(self, condition: Condition, alias: str):
-        """A mask over raw row arrays of one relation (cross pre-filter)."""
-        assert isinstance(condition, Comparison)
-        op = condition.op
-        relation = self.store.relation(self.relation_of[alias])
-
-        def column_of(operand):
-            if isinstance(operand, Literal):
-                return None, operand.value
-            column = (
-                relation.id_column()
-                if operand.column == _ID
-                else relation.columns[operand.column]
-            )
-            return column, None
-
-        left_col, left_val = column_of(condition.left)
-        right_col, right_val = column_of(condition.right)
-        if left_col is None and right_col is None:
-            keep = _COMPARE[op](left_val, right_val)
-            if keep:
-                return lambda rows: True
-            return lambda rows: np.zeros(len(rows), dtype=bool)
-        if right_col is None:
-            return lambda rows, c=left_col, o=op, v=right_val: _mask_const(
-                c, rows, o, v
-            )
-        if left_col is None:
-            return lambda rows, c=right_col, o=_FLIP[op], v=left_val: _mask_const(
-                c, rows, o, v
-            )
-        return lambda rows, a=left_col, b=right_col, o=op: _mask_pair(
-            a, rows, b, rows, o
-        )
-
-    def _operand(self, operand):
-        """``(column object, slot, const)`` for a ColumnRef / Literal."""
-        if isinstance(operand, Literal):
-            return None, None, operand.value
-        assert isinstance(operand, ColumnRef)
-        slot = self._slot_of[operand.table]
-        relation = self.store.relation(self.relation_of[operand.table])
-        column = (
-            relation.id_column()
-            if operand.column == _ID
-            else relation.columns[operand.column]
-        )
-        return column, slot, None
-
-    def _compile_filter(self, condition: Condition):
-        """A mask combinator over candidate batches (True = all pass)."""
-        if isinstance(condition, Comparison):
-            op = condition.op
-            left_col, left_slot, left_val = self._operand(condition.left)
-            right_col, right_slot, right_val = self._operand(condition.right)
-            if left_col is None and right_col is None:
-                keep = _COMPARE[op](left_val, right_val)
-                if keep:
-                    return lambda batch: True
-                return lambda batch: np.zeros(len(batch[0]), dtype=bool)
-            if right_col is None:
-                return lambda batch, c=left_col, s=left_slot, o=op, v=right_val: (
-                    _mask_const(c, batch[s], o, v)
-                )
-            if left_col is None:
-                return lambda batch, c=right_col, s=right_slot, o=_FLIP[op], v=left_val: (
-                    _mask_const(c, batch[s], o, v)
-                )
-            return lambda batch, a=left_col, i=left_slot, b=right_col, j=right_slot, o=op: (
-                _mask_pair(a, batch[i], b, batch[j], o)
-            )
-        children = [self._compile_filter(child) for child in condition.conditions]
-        if isinstance(condition, And):
-
-            def mask_and(batch):
-                mask = True
-                for child in children:
-                    child_mask = child(batch)
-                    if child_mask is True:
-                        continue
-                    mask = child_mask if mask is True else (mask & child_mask)
-                return mask
-
-            return mask_and
-        if isinstance(condition, Or):
-
-            def mask_or(batch):
-                mask = None
-                for child in children:
-                    child_mask = child(batch)
-                    if child_mask is True:
-                        return True
-                    mask = child_mask if mask is None else (mask | child_mask)
-                return np.zeros(len(batch[0]), dtype=bool) if mask is None else mask
-
-            return mask_or
-        raise TypeError(f"unexpected condition {condition!r}")
+    return lambda batch, a=left_col, i=left_slot, b=right_col, j=right_slot, o=op: (
+        _mask_pair(a, batch[i], b, batch[j], o)
+    )

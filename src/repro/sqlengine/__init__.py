@@ -1,30 +1,27 @@
-"""Mini SQL engine: lexer, parser, planner, executor.
+"""Mini SQL engine: query trees, planner, executor.
 
 The paper materializes conflicting tuple pairs with SQL self-joins on a
-commercial RDBMS; this subpackage is the from-scratch substitute.
+commercial RDBMS; this subpackage is the from-scratch substitute.  Queries
+are built as trees (:func:`repro.violations.sqlgen.conflict_query` builds
+one per DC; :func:`~repro.violations.sqlgen.conflict_sql` prints its SQL
+text), planned left-deep with hash joins on the equality predicates and
+run over a :class:`~repro.relational.Database`.  There is no SQL text
+parser.
 """
 
-from .ast import ColumnRef, Comparison, CountStar, Literal, SelectQuery, TableRef
+from .ast import And, ColumnRef, Comparison, Literal, SelectQuery, TableRef
 from .executor import SqlEngine
-from .lexer import tokenize
-from .parser import parse_query
-from .planner import equality_join_order, explain, plan_query
-from .tokens import SqlSyntaxError, Token, TokenType
+from .planner import SqlSyntaxError, explain, plan_query
 
 __all__ = [
+    "And",
     "ColumnRef",
     "Comparison",
-    "CountStar",
     "Literal",
     "SelectQuery",
     "SqlEngine",
     "SqlSyntaxError",
     "TableRef",
-    "Token",
-    "TokenType",
-    "equality_join_order",
     "explain",
-    "parse_query",
     "plan_query",
-    "tokenize",
 ]

@@ -1,10 +1,9 @@
-"""Abstract syntax tree for the mini SQL dialect.
+"""Abstract syntax tree for the mini SQL engine's queries.
 
-The dialect covers exactly what the paper's measure implementations need:
-``SELECT [DISTINCT] cols FROM R AS R1, R AS R2 WHERE conj-of-comparisons``,
-plus ``COUNT(*)`` and bare single-table scans.  ``OR`` is supported in the
-WHERE clause because FDs with multi-attribute right-hand sides produce
-disjunctive difference conditions.
+The nodes cover exactly what the paper's conflict queries need:
+``SELECT [DISTINCT] cols FROM R AS R1, R AS R2 WHERE conj-of-comparisons``.
+Queries are built as trees (see
+:func:`repro.violations.sqlgen.conflict_query`); there is no text parser.
 """
 
 from __future__ import annotations
@@ -61,14 +60,7 @@ class And:
     conditions: tuple["Condition", ...]
 
 
-@dataclass(frozen=True)
-class Or:
-    """Disjunction of conditions."""
-
-    conditions: tuple["Condition", ...]
-
-
-Condition = Union[Comparison, And, Or]
+Condition = Union[Comparison, And]
 
 
 @dataclass(frozen=True)
@@ -80,34 +72,21 @@ class TableRef:
 
 
 @dataclass(frozen=True)
-class CountStar:
-    """``COUNT(*)`` in a SELECT list."""
-
-
-SelectItem = Union[ColumnRef, CountStar]
-
-
-@dataclass(frozen=True)
 class SelectQuery:
     """A full query."""
 
-    select: tuple[SelectItem, ...]
+    select: tuple[ColumnRef, ...]
     distinct: bool
     tables: tuple[TableRef, ...]
     where: Condition | None
-    select_star: bool = False
-
-    def is_aggregate(self) -> bool:
-        """True when the SELECT list is a single COUNT(*)."""
-        return len(self.select) == 1 and isinstance(self.select[0], CountStar)
 
 
-def conjuncts(condition: Condition | None) -> list[Condition]:
-    """Flatten a condition into top-level conjuncts."""
+def conjuncts(condition: Condition | None) -> list[Comparison]:
+    """Flatten a condition into its comparisons."""
     if condition is None:
         return []
     if isinstance(condition, And):
-        result: list[Condition] = []
+        result: list[Comparison] = []
         for child in condition.conditions:
             result.extend(conjuncts(child))
         return result

@@ -2,7 +2,9 @@
 
 Tables expose the relation's attributes plus a pseudo-column ``ID`` carrying
 the fact identifier — exactly what the paper's conflict-materialization query
-``SELECT DISTINCT R1.ID, R2.ID FROM R AS R1, R AS R2 WHERE ...`` selects.
+``SELECT DISTINCT R1.ID, R2.ID FROM R AS R1, R AS R2 WHERE ...`` selects.  A
+relation with an attribute of its own named ``ID`` makes ``alias.ID``
+ambiguous, and such a query is rejected.
 
 Rows flow through the operators as dicts ``alias -> (id, fact)``; column
 lookups go through precompiled accessor closures, so the inner join loops do
@@ -15,18 +17,15 @@ from typing import Callable, Iterable, Iterator
 
 from ..constraints.base import ComparisonOp
 from ..relational.database import Database, Fact
-from .ast import (
-    And,
-    ColumnRef,
-    Comparison,
-    Condition,
-    Literal,
-    Or,
-    SelectQuery,
+from .ast import ColumnRef, Comparison, Literal, SelectQuery, conjuncts
+from .planner import (
+    JoinPlan,
+    PlanNode,
+    QueryPlan,
+    ScanPlan,
+    SqlSyntaxError,
+    plan_query,
 )
-from .parser import parse_query
-from .planner import JoinPlan, PlanNode, QueryPlan, ScanPlan, plan_query
-from .tokens import SqlSyntaxError
 
 Row = dict[str, tuple[int, Fact]]
 Accessor = Callable[[Row], object]
@@ -44,27 +43,23 @@ class SqlEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def execute(self, sql: str) -> list[tuple]:
-        """Run *sql* and return result rows as tuples."""
-        query = parse_query(sql)
-        return self.execute_query(query)
-
     def execute_query(self, query: SelectQuery) -> list[tuple]:
-        """Run an already-parsed query."""
+        """Run *query* and return result rows as tuples."""
         plan = plan_query(query, force_nested_loop=self.force_nested_loop)
         return self.execute_plan(plan)
 
     def execute_plan(self, plan: QueryPlan) -> list[tuple]:
         """Run a physical plan."""
+        query = plan.query
+        self._check_id_columns(query)
         rows = self._run_node(plan.root)
         if plan.final_residual:
             predicate = self._compile_condition_list(plan.final_residual)
             rows = (row for row in rows if predicate(row))
-        query = plan.query
-        if query.is_aggregate():
-            return [(sum(1 for _ in rows),)]
-        projector = self._compile_projection(query)
-        projected: Iterable[tuple] = (projector(row) for row in rows)
+        accessors = [self._compile_operand(item) for item in query.select]
+        projected: Iterable[tuple] = (
+            tuple(accessor(row) for accessor in accessors) for row in rows
+        )
         if query.distinct:
             seen: set[tuple] = set()
             unique: list[tuple] = []
@@ -74,6 +69,26 @@ class SqlEngine:
                     unique.append(item)
             return unique
         return list(projected)
+
+    def _check_id_columns(self, query: SelectQuery) -> None:
+        """Reject ``alias.ID`` where the alias's relation has an ``ID`` attribute."""
+        schema = self.database.schema
+        relation_of = {table.alias: table.relation for table in query.tables}
+        operands = list(query.select)
+        for comparison in conjuncts(query.where):
+            operands += (comparison.left, comparison.right)
+        for operand in operands:
+            if not isinstance(operand, ColumnRef) or operand.column != self.ID_COLUMN:
+                continue
+            relation = relation_of.get(operand.table)
+            if relation not in schema:
+                continue
+            if self.ID_COLUMN in schema.signature(relation).attributes:
+                raise SqlSyntaxError(
+                    f"ambiguous column {operand}: relation {relation!r} has an "
+                    f"attribute named {self.ID_COLUMN!r}, which shadows the "
+                    "fact-identifier pseudo-column"
+                )
 
     # ------------------------------------------------------------------
     # Plan interpretation
@@ -125,7 +140,7 @@ class SqlEngine:
                     yield combined
 
     def _run_nested_loop_join(self, node: JoinPlan) -> Iterator[Row]:
-        conditions: list[Condition] = list(node.residual)
+        conditions: list[Comparison] = list(node.residual)
         for left_ref, right_ref in node.equi_keys:
             conditions.append(Comparison(left_ref, ComparisonOp.EQ, right_ref))
         predicate = self._compile_condition_list(conditions) if conditions else None
@@ -171,36 +186,8 @@ class SqlEngine:
         op = comparison.op
         return lambda row: op.evaluate(left(row), right(row))
 
-    def _compile_condition(self, condition: Condition) -> Callable[[Row], bool]:
-        if isinstance(condition, Comparison):
-            return self._compile_comparison(condition)
-        if isinstance(condition, And):
-            children = [self._compile_condition(c) for c in condition.conditions]
-            return lambda row: all(child(row) for child in children)
-        if isinstance(condition, Or):
-            children = [self._compile_condition(c) for c in condition.conditions]
-            return lambda row: any(child(row) for child in children)
-        raise TypeError(f"unexpected condition {condition!r}")
-
     def _compile_condition_list(
-        self, conditions: list[Condition]
+        self, conditions: list[Comparison]
     ) -> Callable[[Row], bool]:
-        compiled = [self._compile_condition(c) for c in conditions]
+        compiled = [self._compile_comparison(c) for c in conditions]
         return lambda row: all(child(row) for child in compiled)
-
-    def _compile_projection(self, query: SelectQuery) -> Callable[[Row], tuple]:
-        if query.select_star:
-            aliases = [table.alias for table in query.tables]
-            schema = self.database.schema
-
-            def star(row: Row) -> tuple:
-                values: list = []
-                for alias in aliases:
-                    identifier, fact = row[alias]
-                    values.append(identifier)
-                    values.extend(fact.values)
-                return tuple(values)
-
-            return star
-        accessors = [self._compile_operand(item) for item in query.select]
-        return lambda row: tuple(accessor(row) for accessor in accessors)

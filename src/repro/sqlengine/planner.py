@@ -4,41 +4,26 @@ The planner classifies WHERE conjuncts into:
 
 * single-alias predicates — pushed below the join into scans;
 * cross-alias equality predicates — used as hash-join keys;
-* everything else (inequalities across aliases, disjunctions) — residual
-  filters applied on joined rows.
+* everything else (inequalities across aliases, constant-only
+  comparisons) — residual filters applied on joined rows.
 
 Joins are built left-deep in FROM-clause order.  A join step with at least
 one usable equality key becomes a hash join; otherwise a nested-loop join.
 This mirrors what any real engine does for the paper's conflict queries: the
 equality predicates of a DC drive the join, the inequalities filter.
-
-``plan_query(..., reorder_equalities=True)`` instead chooses the left-deep
-order from the **equality graph** (aliases are nodes, cross-alias equality
-predicates are edges): starting from the first FROM table, the next table is
-always one reachable through an equality edge from the already-joined set,
-so every join step that *can* be a hash join *is* one.  Aliases the graph
-never reaches are appended last (they degrade to nested loops).  The
-set-based witness enumeration backend compiles its batch join plans under
-this order, seeded on whichever tuple variable a delta pins first.
+(The session's witness enumerator plans its own join order straight from
+the DC, see :func:`repro.session.enumeration.plan_pin`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
-from .ast import (
-    And,
-    ColumnRef,
-    Comparison,
-    Condition,
-    Literal,
-    Or,
-    SelectQuery,
-    TableRef,
-    conjuncts,
-)
-from .tokens import SqlSyntaxError
+from .ast import ColumnRef, Comparison, SelectQuery, TableRef, conjuncts
+
+
+class SqlSyntaxError(ValueError):
+    """Raised on a malformed query: unknown names, ambiguous columns."""
 
 
 @dataclass
@@ -57,7 +42,7 @@ class JoinPlan:
     right: ScanPlan
     #: pairs of (left ColumnRef, right ColumnRef) usable as hash keys
     equi_keys: list[tuple[ColumnRef, ColumnRef]] = field(default_factory=list)
-    residual: list[Condition] = field(default_factory=list)
+    residual: list[Comparison] = field(default_factory=list)
     use_hash: bool = True
 
 
@@ -66,86 +51,31 @@ PlanNode = ScanPlan | JoinPlan
 
 @dataclass
 class QueryPlan:
-    """Physical plan: a join tree plus projection/distinct/aggregate info."""
+    """Physical plan: a join tree plus projection/distinct info."""
 
     root: PlanNode
     query: SelectQuery
-    final_residual: list[Condition] = field(default_factory=list)
+    final_residual: list[Comparison] = field(default_factory=list)
 
 
-def equality_join_order(
-    aliases: Sequence[str],
-    cross_equi: Sequence[Comparison],
-    *,
-    cost_of: Callable[[str], float] | None = None,
-) -> list[str]:
-    """A left-deep join order that follows the equality graph.
-
-    Starting from ``aliases[0]`` (the seed stays fixed — callers pin it),
-    repeatedly appends an alias connected to the placed set by some
-    cross-alias equality predicate, preferring FROM-clause order among the
-    reachable ones; aliases the graph never reaches come last, in FROM
-    order.  Every placed-while-reachable step is guaranteed at least one
-    usable hash key under the planner's left-deep key fitting.
-
-    *cost_of* maps an alias to an estimated scan cost (typically the live
-    cardinality of its relation).  When given, ties among reachable aliases
-    are broken by ascending cost — cheap builds join first — with FROM-clause
-    order as the stable tie-break.  Reachability still dominates: a costly
-    reachable alias always beats a cheap unreachable one.
-    """
-    edges: dict[str, set[str]] = {alias: set() for alias in aliases}
-    for comparison in cross_equi:
-        left, right = comparison.left, comparison.right
-        assert isinstance(left, ColumnRef) and isinstance(right, ColumnRef)
-        edges[left.table].add(right.table)
-        edges[right.table].add(left.table)
-    order = [aliases[0]]
-    placed = {aliases[0]}
-    remaining = [alias for alias in aliases[1:]]
-    while remaining:
-        reachable = [alias for alias in remaining if edges[alias] & placed]
-        pool = reachable or remaining
-        if cost_of is None:
-            pick = pool[0]
-        else:
-            pick = min(pool, key=lambda alias: (cost_of(alias), pool.index(alias)))
-        order.append(pick)
-        placed.add(pick)
-        remaining.remove(pick)
-    return order
-
-
-def plan_query(
-    query: SelectQuery,
-    *,
-    force_nested_loop: bool = False,
-    reorder_equalities: bool = False,
-    cost_of: Callable[[TableRef], float] | None = None,
-) -> QueryPlan:
+def plan_query(query: SelectQuery, *, force_nested_loop: bool = False) -> QueryPlan:
     """Build a physical plan for *query*.
 
     *force_nested_loop* disables hash joins (used by the join-strategy
-    ablation bench).  *reorder_equalities* picks the left-deep join order
-    from the equality graph via :func:`equality_join_order` instead of the
-    FROM-clause order (the first table always stays the seed).  *cost_of*
-    estimates the scan cost of a ``TableRef`` — the set-based enumeration
-    backend passes live column-store cardinalities so the equality order
-    joins small relations first; it only applies with *reorder_equalities*.
+    ablation bench).
     """
     aliases = [table.alias for table in query.tables]
     alias_set = set(aliases)
     single: dict[str, list[Comparison]] = {alias: [] for alias in aliases}
     cross_equi: list[Comparison] = []
-    residual: list[Condition] = []
+    residual: list[Comparison] = []
 
     for conjunct in conjuncts(query.where):
         used = _aliases_used(conjunct, alias_set)
-        if isinstance(conjunct, Comparison) and len(used) == 1:
+        if len(used) == 1:
             single[next(iter(used))].append(conjunct)
         elif (
-            isinstance(conjunct, Comparison)
-            and len(used) == 2
+            len(used) == 2
             and conjunct.op.value == "="
             and isinstance(conjunct.left, ColumnRef)
             and isinstance(conjunct.right, ColumnRef)
@@ -154,12 +84,6 @@ def plan_query(
         else:
             residual.append(conjunct)
 
-    if reorder_equalities and len(aliases) > 1:
-        alias_cost: Callable[[str], float] | None = None
-        if cost_of is not None:
-            table_of = {table.alias: table for table in query.tables}
-            alias_cost = lambda alias: cost_of(table_of[alias])
-        aliases = equality_join_order(aliases, cross_equi, cost_of=alias_cost)
     scans = {
         table.alias: ScanPlan(table=table, filters=single[table.alias])
         for table in query.tables
@@ -183,8 +107,8 @@ def plan_query(
             remaining.append(comparison)
         pending_equi = remaining
 
-        step_residual: list[Condition] = []
-        still_pending: list[Condition] = []
+        step_residual: list[Comparison] = []
+        still_pending: list[Comparison] = []
         now_available = joined | {alias}
         for condition in pending_residual:
             if _aliases_used(condition, alias_set) <= now_available:
@@ -202,38 +126,24 @@ def plan_query(
         )
         joined = now_available
 
-    if pending_equi:
-        # Equality predicates that did not fit the left-deep order degrade to
-        # residual filters on the final join.
-        final_extra: list[Condition] = list(pending_equi)
-    else:
-        final_extra = []
-    final_residual = final_extra + pending_residual
-    return QueryPlan(root=root, query=query, final_residual=final_residual)
+    # Every equality key lands on the step joining its later alias, so
+    # only constant-only comparisons of a one-table query are left over.
+    return QueryPlan(root=root, query=query, final_residual=pending_residual)
 
 
-def _aliases_used(condition: Condition, known: set[str]) -> set[str]:
-    if isinstance(condition, Comparison):
-        used = set()
-        for operand in (condition.left, condition.right):
-            if isinstance(operand, ColumnRef):
-                if operand.table is None:
-                    raise SqlSyntaxError(
-                        f"unqualified column {operand.column!r} in a "
-                        "multi-table query; qualify it with a table alias"
-                    )
-                if operand.table not in known:
-                    raise SqlSyntaxError(
-                        f"unknown table alias {operand.table!r}"
-                    )
-                used.add(operand.table)
-        return used
-    if isinstance(condition, (And, Or)):
-        used = set()
-        for child in condition.conditions:
-            used |= _aliases_used(child, known)
-        return used
-    raise TypeError(f"unexpected condition node {type(condition).__name__}")
+def _aliases_used(comparison: Comparison, known: set[str]) -> set[str]:
+    used = set()
+    for operand in (comparison.left, comparison.right):
+        if isinstance(operand, ColumnRef):
+            if operand.table is None:
+                raise SqlSyntaxError(
+                    f"unqualified column {operand.column!r} in a "
+                    "multi-table query; qualify it with a table alias"
+                )
+            if operand.table not in known:
+                raise SqlSyntaxError(f"unknown table alias {operand.table!r}")
+            used.add(operand.table)
+    return used
 
 
 def explain(plan: QueryPlan) -> str:

@@ -7,12 +7,12 @@ pairs with a self-join query such as::
     FROM R AS R1, R AS R2
     WHERE R1.St = R2.St AND R1.Salary > R2.Salary AND R1.Tax < R2.Tax
 
-This module renders that query from a :class:`DenialConstraint` and runs it
-through the in-package SQL engine.  :func:`conflict_query` builds the parsed
-:class:`~repro.sqlengine.ast.SelectQuery` directly — no text round trip, so
-constants that have no SQL literal rendering still execute — and is also the
-entry point the set-based enumeration backend compiles its batch join plans
-from (:mod:`repro.session.enumeration`).
+This module builds that query from a :class:`DenialConstraint` and runs it
+through the in-package SQL engine.  :func:`conflict_query` builds the
+:class:`~repro.sqlengine.ast.SelectQuery` tree directly, so constants that
+have no SQL literal rendering still execute; :func:`conflict_sql` prints the
+same query as SQL text.  Witness enumeration does not go through SQL: the
+session plans each DC itself (:mod:`repro.session.enumeration`).
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ def variable_aliases(dc: DenialConstraint) -> dict[str, str]:
 
 
 def conflict_query(dc: DenialConstraint) -> SelectQuery:
-    """The conflict query for *dc* as a parsed :class:`SelectQuery` AST.
+    """The conflict query for *dc* as a :class:`SelectQuery` tree.
 
-    Equivalent to ``parse_query(conflict_sql(dc))`` but built structurally:
-    each tuple variable becomes an aliased table, each predicate a
-    comparison, and the SELECT list projects every alias's ``ID``
-    pseudo-column.
+    The tree :func:`conflict_sql` prints: each tuple variable becomes an
+    aliased table, each predicate a comparison, and the SELECT list
+    projects every alias's ``ID`` pseudo-column.
     """
     alias_of = variable_aliases(dc)
     select = tuple(
@@ -100,7 +99,12 @@ def conflict_rows(
     *,
     force_nested_loop: bool = False,
 ) -> list[tuple[int, ...]]:
-    """Identifier tuples (one per tuple variable) of all witnesses of *dc*."""
+    """Identifier tuples (one per tuple variable) of all witnesses of *dc*.
+
+    Raises :class:`~repro.sqlengine.SqlSyntaxError` when a relation of *dc*
+    has an attribute named ``ID``: the query's ``alias.ID`` would be
+    ambiguous with the fact-identifier pseudo-column.
+    """
     engine = SqlEngine(database, force_nested_loop=force_nested_loop)
     return engine.execute_query(conflict_query(dc))
 

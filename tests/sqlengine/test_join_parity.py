@@ -3,10 +3,8 @@
 The planner promises that join strategy is a pure performance choice: for
 any query, ``force_nested_loop=True`` and the default hash-join plan must
 return the same row multiset.  This suite generates random multi-table
-equi-join queries (with NULL-heavy columns, cross-alias inequalities and
-constant filters) over random databases and pins that parity — including
-under ``reorder_equalities=True``, which must only permute the join order,
-never the result.
+equi-join query trees (with NULL-heavy columns, cross-alias inequalities
+and constant filters) over random databases and pins that parity.
 """
 
 from __future__ import annotations
@@ -16,7 +14,9 @@ import random
 import pytest
 
 from repro.relational import Database, Fact, Schema
-from repro.sqlengine import SqlEngine, parse_query, plan_query
+from repro.sqlengine import SelectQuery, SqlEngine
+
+from .builders import cmp, query
 
 _ATTRIBUTES = ["A", "B", "C"]
 
@@ -35,41 +35,43 @@ def _random_database(rng: random.Random) -> Database:
     return database
 
 
-def _random_query(rng: random.Random, database: Database) -> str:
+def _random_query(rng: random.Random, database: Database) -> SelectQuery:
     relations = database.schema.relation_names()
     width = rng.randint(1, 3)
     aliases = [f"T{k}" for k in range(width)]
-    tables = ", ".join(
-        f"{rng.choice(relations)} AS {alias}" for alias in aliases
-    )
-    predicates: list[str] = []
+    tables = [f"{rng.choice(relations)} AS {alias}" for alias in aliases]
+    predicates = []
     # Equality joins chaining the aliases (sometimes sparse, leaving
     # genuine cross products for the nested-loop fallback).
     for position in range(1, width):
         if rng.random() < 0.8:
             left = rng.choice(aliases[:position])
             predicates.append(
-                f"{left}.{rng.choice(_ATTRIBUTES)} = "
-                f"T{position}.{rng.choice(_ATTRIBUTES)}"
+                cmp(
+                    f"{left}.{rng.choice(_ATTRIBUTES)}",
+                    "=",
+                    f"T{position}.{rng.choice(_ATTRIBUTES)}",
+                )
             )
     for _ in range(rng.randint(0, 2)):
         alias = rng.choice(aliases)
         if rng.random() < 0.5:
             predicates.append(
-                f"{alias}.{rng.choice(_ATTRIBUTES)} "
-                f"{rng.choice(['<', '<=', '>', '>=', '<>'])} "
-                f"{rng.choice(aliases)}.{rng.choice(_ATTRIBUTES)}"
+                cmp(
+                    f"{alias}.{rng.choice(_ATTRIBUTES)}",
+                    rng.choice(["<", "<=", ">", ">=", "<>"]),
+                    f"{rng.choice(aliases)}.{rng.choice(_ATTRIBUTES)}",
+                )
             )
         else:
             predicates.append(
-                f"{alias}.{rng.choice(_ATTRIBUTES)} "
-                f"{rng.choice(['=', '<', '>'])} {rng.randint(0, 5)}"
+                cmp(
+                    f"{alias}.{rng.choice(_ATTRIBUTES)}",
+                    rng.choice(["=", "<", ">"]),
+                    rng.randint(0, 5),
+                )
             )
-    select = ", ".join(f"{alias}.ID" for alias in aliases)
-    sql = f"SELECT {select} FROM {tables}"
-    if predicates:
-        sql += " WHERE " + " AND ".join(predicates)
-    return sql
+    return query([f"{alias}.ID" for alias in aliases], tables, *predicates)
 
 
 class TestJoinParity:
@@ -77,24 +79,10 @@ class TestJoinParity:
     def test_hash_equals_nested_loop(self, case, case_rng):
         rng = case_rng
         database = _random_database(rng)
-        query = parse_query(_random_query(rng, database))
-        hash_rows = SqlEngine(database).execute_query(query)
-        nested_rows = SqlEngine(
-            database, force_nested_loop=True
-        ).execute_query(query)
+        tree = _random_query(rng, database)
+        hash_rows = SqlEngine(database).execute_query(tree)
+        nested_rows = SqlEngine(database, force_nested_loop=True).execute_query(tree)
         assert sorted(hash_rows) == sorted(nested_rows)
-
-    @pytest.mark.parametrize("case", range(12))
-    def test_reordered_plan_same_rows(self, case, case_rng):
-        """Equality-graph join order only permutes work, never results."""
-        rng = case_rng
-        database = _random_database(rng)
-        query = parse_query(_random_query(rng, database))
-        baseline = SqlEngine(database).execute_query(query)
-        reordered = SqlEngine(database).execute_plan(
-            plan_query(query, reorder_equalities=True)
-        )
-        assert sorted(baseline) == sorted(reordered)
 
     def test_null_keys_never_join(self):
         schema = Schema.from_dict({"R": ["A"]})
@@ -102,11 +90,9 @@ class TestJoinParity:
         database.insert(Fact("R", (None,)))
         database.insert(Fact("R", (None,)))
         database.insert(Fact("R", (1,)))
-        query = parse_query(
-            "SELECT T0.ID, T1.ID FROM R AS T0, R AS T1 WHERE T0.A = T1.A"
+        tree = query(
+            ["T0.ID", "T1.ID"], ["R AS T0", "R AS T1"], cmp("T0.A", "=", "T1.A")
         )
         for force in (False, True):
-            rows = SqlEngine(
-                database, force_nested_loop=force
-            ).execute_query(query)
+            rows = SqlEngine(database, force_nested_loop=force).execute_query(tree)
             assert rows == [(2, 2)]

@@ -2,24 +2,23 @@
 
 import pytest
 
-from repro.sqlengine.parser import parse_query
-from repro.sqlengine.planner import JoinPlan, ScanPlan, explain, plan_query
-from repro.sqlengine.tokens import SqlSyntaxError
+from repro.sqlengine import SqlSyntaxError, explain, plan_query
+from repro.sqlengine.planner import JoinPlan, ScanPlan
 
+from .builders import cmp, query
 
-def plan(sql, **kwargs):
-    return plan_query(parse_query(sql), **kwargs)
+PAIR = ["R AS R1", "R AS R2"]
 
 
 class TestPlanShapes:
     def test_single_table_scan(self):
-        p = plan("SELECT * FROM R AS R1 WHERE R1.A = 1")
+        p = plan_query(query(["R1.ID"], ["R AS R1"], cmp("R1.A", "=", 1)))
         assert isinstance(p.root, ScanPlan)
         assert len(p.root.filters) == 1
 
     def test_equality_becomes_hash_join(self):
-        p = plan(
-            "SELECT * FROM R AS R1, R AS R2 WHERE R1.A = R2.A AND R1.B < R2.B"
+        p = plan_query(
+            query(["R1.ID"], PAIR, cmp("R1.A", "=", "R2.A"), cmp("R1.B", "<", "R2.B"))
         )
         assert isinstance(p.root, JoinPlan)
         assert p.root.use_hash
@@ -27,13 +26,13 @@ class TestPlanShapes:
         assert len(p.root.residual) == 1
 
     def test_no_equality_means_nested_loop(self):
-        p = plan("SELECT * FROM R AS R1, R AS R2 WHERE R1.A < R2.A")
+        p = plan_query(query(["R1.ID"], PAIR, cmp("R1.A", "<", "R2.A")))
         assert isinstance(p.root, JoinPlan)
         assert not p.root.use_hash
 
     def test_force_nested_loop(self):
-        p = plan(
-            "SELECT * FROM R AS R1, R AS R2 WHERE R1.A = R2.A",
+        p = plan_query(
+            query(["R1.ID"], PAIR, cmp("R1.A", "=", "R2.A")),
             force_nested_loop=True,
         )
         assert not p.root.use_hash
@@ -41,86 +40,48 @@ class TestPlanShapes:
         assert p.root.equi_keys
 
     def test_single_alias_predicates_pushed_down(self):
-        p = plan("SELECT * FROM R AS R1, R AS R2 WHERE R1.A = 1 AND R1.A = R2.A")
+        p = plan_query(
+            query(["R1.ID"], PAIR, cmp("R1.A", "=", 1), cmp("R1.A", "=", "R2.A"))
+        )
         scans = [p.root.left, p.root.right]
         pushed = [s for s in scans if isinstance(s, ScanPlan) and s.filters]
         assert len(pushed) == 1
 
     def test_three_way_join_left_deep(self):
-        p = plan(
-            "SELECT * FROM R AS A, R AS B, R AS C "
-            "WHERE A.X = B.X AND B.Y = C.Y"
+        p = plan_query(
+            query(
+                ["A.ID"],
+                ["R AS A", "R AS B", "R AS C"],
+                cmp("A.X", "=", "B.X"),
+                cmp("B.Y", "=", "C.Y"),
+            )
         )
         assert isinstance(p.root, JoinPlan)
         assert isinstance(p.root.left, JoinPlan)
         assert p.root.use_hash and p.root.left.use_hash
 
-    def test_or_condition_is_residual(self):
-        p = plan(
-            "SELECT * FROM R AS R1, R AS R2 "
-            "WHERE R1.A = R2.A AND (R1.B = 1 OR R2.B = 2)"
-        )
+    def test_constant_only_condition_is_residual(self):
+        p = plan_query(query(["R1.ID"], PAIR, cmp("R1.A", "=", "R2.A"), cmp(1, "<", 2)))
         assert len(p.root.residual) == 1
+        assert not p.final_residual
 
 
 class TestErrors:
     def test_unqualified_column_in_join_rejected(self):
         with pytest.raises(SqlSyntaxError, match="unqualified"):
-            plan("SELECT * FROM R AS R1, R AS R2 WHERE A = R2.A")
+            plan_query(query(["R1.ID"], PAIR, cmp("A", "=", "R2.A")))
 
     def test_unknown_alias_rejected(self):
         with pytest.raises(SqlSyntaxError, match="unknown table alias"):
-            plan("SELECT * FROM R AS R1 WHERE R9.A = 1")
+            plan_query(query(["R1.ID"], ["R AS R1"], cmp("R9.A", "=", 1)))
 
 
 class TestExplain:
     def test_explain_mentions_join_kind(self):
-        p = plan("SELECT * FROM R AS R1, R AS R2 WHERE R1.A = R2.A")
-        text = explain(p)
+        text = explain(plan_query(query(["R1.ID"], PAIR, cmp("R1.A", "=", "R2.A"))))
         assert "HashJoin" in text
         assert "Scan R AS R1" in text
 
     def test_explain_nested_loop(self):
-        p = plan("SELECT * FROM R AS R1, R AS R2 WHERE R1.A < R2.A")
+        p = plan_query(query(["R1.ID"], PAIR, cmp("R1.A", "<", "R2.A")))
         assert "NestedLoopJoin" in explain(p)
-
-
-class TestEqualityReorder:
-    def _aliases_in_order(self, node):
-        if isinstance(node, ScanPlan):
-            return [node.table.alias]
-        return self._aliases_in_order(node.left) + [node.right.table.alias]
-
-    def test_from_order_cross_product_avoided(self):
-        # FROM order T0, T1, T2 but the equality edges are T0–T2 and T2–T1:
-        # the plain plan pays a cross product on the T0 ⋈ T1 step, the
-        # reordered plan follows the equality graph.
-        sql = (
-            "SELECT T0.ID FROM R AS T0, R AS T1, R AS T2 "
-            "WHERE T0.A = T2.A AND T2.B = T1.B"
-        )
-        plain = plan(sql)
-        assert not plain.root.left.use_hash  # T0 ⋈ T1 has no key
-        reordered = plan(sql, reorder_equalities=True)
-        assert self._aliases_in_order(reordered.root) == ["T0", "T2", "T1"]
-        node = reordered.root
-        while isinstance(node, JoinPlan):
-            assert node.use_hash and node.equi_keys
-            node = node.left
-
-    def test_seed_alias_stays_first(self):
-        sql = (
-            "SELECT T0.ID FROM R AS T1, R AS T0, R AS T2 "
-            "WHERE T0.A = T1.A AND T1.B = T2.B"
-        )
-        reordered = plan(sql, reorder_equalities=True)
-        assert self._aliases_in_order(reordered.root)[0] == "T1"
-
-    def test_unreachable_aliases_come_last(self):
-        sql = (
-            "SELECT T0.ID FROM R AS T0, R AS T1, R AS T2 "
-            "WHERE T0.A = T2.A"
-        )
-        reordered = plan(sql, reorder_equalities=True)
-        assert self._aliases_in_order(reordered.root) == ["T0", "T2", "T1"]
-        assert not reordered.root.use_hash  # T1 joins with no key

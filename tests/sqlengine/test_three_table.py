@@ -5,6 +5,10 @@ import pytest
 from repro.relational import Database, Fact, Schema
 from repro.sqlengine import SqlEngine
 
+from .builders import cmp, lit, query
+
+CHAIN = (cmp("R.B", "=", "S.B"), cmp("S.C", "=", "T.C"))
+
 
 @pytest.fixture
 def db():
@@ -23,41 +27,38 @@ def db():
 
 class TestThreeWayJoins:
     def test_chain_join(self, db):
-        rows = SqlEngine(db).execute(
-            "SELECT R.A, T.D FROM R, S, T "
-            "WHERE R.B = S.B AND S.C = T.C"
+        rows = SqlEngine(db).execute_query(
+            query(["R.A", "T.D"], ["R", "S", "T"], *CHAIN)
         )
         assert sorted(rows) == [(1, "x"), (1, "y")]
 
     def test_chain_join_nested_loop_agrees(self, db):
-        sql = (
-            "SELECT R.A, T.D FROM R, S, T WHERE R.B = S.B AND S.C = T.C"
-        )
-        fast = SqlEngine(db).execute(sql)
-        slow = SqlEngine(db, force_nested_loop=True).execute(sql)
+        chain = query(["R.A", "T.D"], ["R", "S", "T"], *CHAIN)
+        fast = SqlEngine(db).execute_query(chain)
+        slow = SqlEngine(db, force_nested_loop=True).execute_query(chain)
         assert sorted(fast) == sorted(slow)
 
     def test_triple_cross_product_count(self, db):
-        rows = SqlEngine(db).execute("SELECT COUNT(*) FROM R, S, T")
-        assert rows == [(2 * 3 * 2,)]
+        rows = SqlEngine(db).execute_query(
+            query(["R.ID", "S.ID", "T.ID"], ["R", "S", "T"])
+        )
+        assert len(rows) == 2 * 3 * 2
 
     def test_filter_on_last_table(self, db):
-        rows = SqlEngine(db).execute(
-            "SELECT R.A FROM R, S, T "
-            "WHERE R.B = S.B AND S.C = T.C AND T.D = 'y'"
+        rows = SqlEngine(db).execute_query(
+            query(["R.A"], ["R", "S", "T"], *CHAIN, cmp("T.D", "=", lit("y")))
         )
         assert rows == [(1,)]
 
     def test_distinct_across_three(self, db):
-        rows = SqlEngine(db).execute(
-            "SELECT DISTINCT R.A FROM R, S, T WHERE R.B = S.B AND S.C = T.C"
+        rows = SqlEngine(db).execute_query(
+            query(["R.A"], ["R", "S", "T"], *CHAIN, distinct=True)
         )
         assert rows == [(1,)]
 
     def test_ids_exposed_for_all_aliases(self, db):
-        rows = SqlEngine(db).execute(
-            "SELECT R.ID, S.ID, T.ID FROM R, S, T "
-            "WHERE R.B = S.B AND S.C = T.C"
+        rows = SqlEngine(db).execute_query(
+            query(["R.ID", "S.ID", "T.ID"], ["R", "S", "T"], *CHAIN)
         )
         assert all(len(row) == 3 for row in rows)
         assert len(rows) == 2

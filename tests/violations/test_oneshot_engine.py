@@ -29,10 +29,9 @@ from repro.datasets import DATASET_ORDER, generate_sample
 from repro.noise import CONoise
 from repro.relational import Database, Fact, Schema
 from repro.session import make_session
-from repro.sqlengine.planner import JoinPlan, plan_query
+from repro.session.enumeration import plan_pin
 from repro.violations import (
     build_violation_index,
-    conflict_query,
     find_first_violation,
     is_consistent,
     lower_constraints,
@@ -176,11 +175,8 @@ def test_mixed_constraint_set_matches_brute_force(backend, case_rng):
 
 def _keyless_steps(dc: DenialConstraint) -> int:
     """Join steps without a hash key in *dc*'s pin-0 plan (cross steps)."""
-    node, count = plan_query(conflict_query(dc), reorder_equalities=True).root, 0
-    while isinstance(node, JoinPlan):
-        count += not node.equi_keys
-        node = node.left
-    return count
+    plan = plan_pin(dc, 0, live_count=lambda relation: 0)
+    return sum(not step.keys for step in plan.steps)
 
 
 def test_shapes_cover_keyed_and_cross_steps():

@@ -26,6 +26,7 @@ from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
 from repro.session import WitnessEnumerator, build_enumerators
+from repro.sqlengine.ast import conjuncts
 from repro.violations import conflict_query, conflict_rows
 from repro.violations.sqlgen import conflict_sql
 
@@ -108,12 +109,26 @@ class TestConflictRowsConformance:
 
     @pytest.mark.parametrize("case", range(10))
     def test_query_ast_matches_rendered_sql(self, case, case_rng):
-        """conflict_query is the parse of conflict_sql whenever both exist."""
-        from repro.sqlengine import parse_query
-
+        """conflict_sql prints conflict_query's tree node for node."""
         rng = case_rng
         _, dc = _random_instance(rng)
-        assert conflict_query(dc) == parse_query(conflict_sql(dc))
+        tree = conflict_query(dc)
+        comparisons = conjuncts(tree.where)
+        assert tree.distinct
+        assert len(tree.tables) == len(tree.select) == dc.width
+        assert len(comparisons) == len(dc.predicates)
+        assert [c.op for c in comparisons] == [p.op for p in dc.predicates]
+        sql = "SELECT DISTINCT " + ", ".join(str(ref) for ref in tree.select)
+        sql += " FROM " + ", ".join(
+            f"{table.relation} AS {table.alias}" for table in tree.tables
+        )
+        if comparisons:
+            sql += " WHERE " + " AND ".join(
+                f"{c.left} {'<>' if c.op is ComparisonOp.NE else c.op.value} "
+                f"{c.right}"
+                for c in comparisons
+            )
+        assert conflict_sql(dc) == sql
 
     def test_unrenderable_constant_still_executes(self):
         """AST construction sidesteps SQL text for constants with no literal."""
