@@ -1,7 +1,7 @@
 """Figure 6a — scalability in |D| on the Tax dataset.
 
-The paper observes a quadratic trend dominated by the conflict-detection
-SQL.  This bench sweeps growing Tax samples and asserts the growth exponent
+The paper observes a quadratic trend dominated by conflict detection (here,
+witness enumeration).  This bench sweeps growing Tax samples and asserts the growth exponent
 of the shared violation-detection work is super-linear.
 """
 

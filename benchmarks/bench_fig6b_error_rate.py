@@ -1,6 +1,6 @@
 """Figure 6b — running time vs error rate on the Voter dataset.
 
-On small samples the SQL step is cheap and the LP/ILP solvers dominate; the
+On small samples witness enumeration is cheap and the LP/ILP solvers dominate; the
 paper's observation is that I_R's time grows with the error rate much faster
 than I_d/I_MI/I_P.  The bench reproduces the sweep and asserts the relative
 claim: the I_R slowdown (last/first measurement) is at least as large as the

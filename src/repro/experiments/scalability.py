@@ -1,7 +1,8 @@
 """Scalability experiment (Figure 6a): measure runtime vs database size.
 
 The paper samples the Tax dataset at 100K..1M tuples and observes a
-quadratic trend dominated by the conflict-materialization SQL.  The harness
+quadratic trend dominated by conflict detection (its SQL conflict queries;
+here, witness enumeration).  The harness
 reproduces the sweep at configurable sizes and fits the growth exponent so
 the bench can assert "quadratic-ish" without depending on absolute times.
 """

@@ -1,9 +1,9 @@
 """Running-time experiments (Table 3, Figure 6b, Appendix Figure 11).
 
 Times each measure end to end — *including* violation detection, since the
-paper's key observation is that the SQL step dominates at scale while the
-repair solvers (exact hitting set, covering LP) dominate at high error
-rates on small data.
+paper's key observation is that conflict detection (here, witness
+enumeration) dominates at scale while the repair solvers (exact hitting
+set, covering LP) dominate at high error rates on small data.
 """
 
 from __future__ import annotations

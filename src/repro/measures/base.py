@@ -5,7 +5,8 @@ zero on consistent databases and invariant under logical equivalence of Σ
 (Section 3).  Concrete measures subclass :class:`InconsistencyMeasure`; all
 of them accept an optional precomputed :class:`ViolationIndex` so a batch of
 measures over the same ``(Σ, D)`` shares the (dominant) violation-detection
-work, mirroring how the paper's implementation shares the SQL step.
+work — witness enumeration — as the paper's implementation shares its
+conflict-detection queries.
 
 Measures whose value decomposes over the connected components of the
 conflict (hyper)graph subclass :class:`ComponentwiseMeasure` instead: the

@@ -28,7 +28,7 @@ The **cold** entry point runs the pin-0 plan over its relation (in seed
 chunks, see :meth:`WitnessEnumerator.cold_chunks`), and the **delta** entry
 point runs each pin's plan over the dirty ids of that pin's relation — one
 pass per pin instead of a recursion per dirty fact.  Both backends return
-identical witness sets: ``tests/violations/test_sqlgen_conformance.py``
+identical witness sets: ``tests/violations/test_enumeration_conformance.py``
 pins each to brute-force evaluation of the DC body, and the differential
 suites in ``tests/session`` pin the maintained families to fresh cold
 builds on the other backend.

@@ -17,7 +17,6 @@ from .minimal import (
     lower_constraints,
     violations_of,
 )
-from .sqlgen import conflict_query, conflict_rows, conflict_sql
 from .topology import ComponentTopology, TopologyComponent, mi_sort_key
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "build_violation_index",
     "conflict_graph_from_index",
     "conflict_hypergraph_from_index",
-    "conflict_query",
-    "conflict_rows",
-    "conflict_sql",
     "connected_components",
     "find_first_violation",
     "is_consistent",

@@ -24,10 +24,7 @@ from typing import Sequence
 from ..constraints.base import Constraint
 from ..constraints.dc import DenialConstraint
 from ..relational.database import Database
-
-# Unused here: the perfbench layer tracer wraps ``minimal.conflict_rows``
-# to time the sqlengine layer, so the name stays importable.
-from .sqlgen import conflict_rows  # noqa: F401
+from ..relational.schema import Schema
 
 
 @dataclass
@@ -188,12 +185,14 @@ class ViolationIndex:
 
 
 def lower_constraints(
-    constraints: Sequence[Constraint], schema=None
+    constraints: Sequence[Constraint], schema: Schema
 ) -> list[DenialConstraint]:
-    """Lower a mixed constraint set to denial constraints.
+    """Lower a mixed constraint set to denial constraints over *schema*.
 
-    *schema*, when given, lets EGDs resolve positional variables to the
-    actual attribute names of their relations.
+    EGDs resolve positional variables to the actual attribute names of
+    their relations.  Every lowered DC is checked against *schema* here,
+    before any caller partitions or plans it: a relation or attribute the
+    schema lacks raises :class:`~repro.relational.schema.SchemaError`.
     """
     from ..constraints.egd import EqualityGeneratingDependency
     from ..constraints.fd import FunctionalDependency
@@ -203,11 +202,18 @@ def lower_constraints(
         if isinstance(constraint, FunctionalDependency):
             lowered.extend(constraint.to_dcs())
         else:
-            if schema is not None and isinstance(
-                constraint, EqualityGeneratingDependency
-            ):
+            if isinstance(constraint, EqualityGeneratingDependency):
                 constraint.bind_schema(schema)
             lowered.append(constraint.to_dc())
+    for dc in lowered:
+        signatures = {
+            variable: schema.signature(relation)
+            for variable, relation in dc.variables
+        }
+        for predicate in dc.predicates:
+            for term in (predicate.left, predicate.right):
+                if not term.is_constant:
+                    signatures[term.variable].index_of(term.attribute)
     return lowered
 
 
@@ -264,7 +270,14 @@ def violations_of(dc: DenialConstraint, database: Database) -> list[frozenset[in
     """Witnesses of a single DC (not minimized), sorted by fact ids."""
     from ..session.enumeration import cold_build
 
-    return _by_fact_ids(cold_build([dc], database)[-1][0])
+    dcs = lower_constraints([dc], database.schema)
+    return _by_fact_ids(cold_build(dcs, database)[-1][0])
+
+
+# Unused here: the perfbench layer tracer wraps ``minimal.conflict_rows``
+# as its ``sqlengine.conflict_rows_s`` layer, so the name stays importable
+# (nothing calls it, and that layer reads 0).
+conflict_rows = violations_of
 
 
 def _by_fact_ids(family: set[frozenset[int]]) -> list[frozenset[int]]:

@@ -10,7 +10,7 @@ import pytest
 from repro.constraints import ComparisonOp, DenialConstraint, Predicate, Term
 from repro.measures import make_measure
 from repro.relational import Database, Schema
-from repro.violations import build_violation_index
+from repro.violations import build_violation_index, violations_of
 
 
 @pytest.fixture
@@ -68,8 +68,17 @@ class TestConditionalFd:
         assert make_measure("I_R").value([cfd], db) == 1.0
         assert make_measure("I_lin_R").value([cfd], db) == 1.0
 
-    def test_constant_condition_in_sql(self, schema):
-        from repro.violations import conflict_sql
-
-        sql = conflict_sql(conditional_fd(schema))
-        assert "= 'US'" in sql
+    def test_constant_condition_keeps_other_countries_out(self, schema):
+        db = Database.from_rows(
+            schema,
+            "Cust",
+            [
+                ("US", 212, "NYC"),
+                ("UK", 212, "London"),
+                ("US", 212, "Albany"),
+                ("UK", 212, "Leeds"),
+            ],
+        )
+        # Only the two US facts conflict; the UK pair and every US/UK pair
+        # share the area code too, but fail Country = 'US'.
+        assert violations_of(conditional_fd(schema), db) == [frozenset({0, 2})]

@@ -11,16 +11,13 @@ included.
 
 from __future__ import annotations
 
-import ast
 import importlib.util
-import pathlib
 
 import pytest
 
 import repro
 import repro.session.columnar as columnar
 import repro.session.enumeration as enumeration
-from repro.analysis.astutil import imported_module_names
 from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.measures import make_measure
@@ -29,8 +26,7 @@ from repro.session import build_enumerators, make_session
 from repro.session.enumeration import plan_pin
 from repro.violations import build_violation_index
 
-from ..oracle import brute_force_witnesses, minimal_sets
-from ..violations.test_sqlgen_conformance import _random_instance
+from ..oracle import brute_force_witnesses, minimal_sets, random_instance
 
 BACKENDS = ["list"] + (["numpy"] if importlib.util.find_spec("numpy") else [])
 
@@ -164,7 +160,7 @@ def test_any_join_order_yields_the_same_witnesses(
     backend, case, case_rng, monkeypatch
 ):
     """Live counts only permute the join order, never the witness family."""
-    database, dc = _random_instance(case_rng)
+    database, dc = random_instance(case_rng)
     costs = {relation: case_rng.randint(0, 3) for relation in database.schema.relation_names()}
     planned = enumeration.plan_pin
     monkeypatch.setattr(
@@ -212,18 +208,3 @@ def test_attribute_named_id_is_a_real_column(backend, monkeypatch):
         )
         assert session.measure(make_measure("I_MI")) == 3.0
 
-
-def test_session_modules_do_not_import_sql():
-    """Witness enumeration plans from the DC; it never round-trips via SQL."""
-    package = pathlib.Path(enumeration.__file__).parent
-    offenders = []
-    for path in sorted(package.glob("*.py")):
-        module = f"repro.session.{path.stem}"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                offenders += [
-                    (module, target)
-                    for target in imported_module_names(node, module)
-                    if target.startswith(("repro.sqlengine", "repro.violations.sqlgen"))
-                ]
-    assert offenders == []

@@ -232,7 +232,7 @@ class TestDtypeEdgeCases:
         # NaN object would find it by the container identity shortcut
         # against ``==`` semantics — the list store's key groups keep NaN
         # out, and the shared-object case is pinned against the oracle in
-        # tests/violations/test_sqlgen_conformance.py.
+        # tests/violations/test_enumeration_conformance.py.
         rows = [
             (1, None, 2),
             (1, float("nan"), float("nan")),

@@ -14,7 +14,6 @@ from repro.violations import (
     violations_of,
 )
 from repro.violations.minimal import find_first_violation
-from repro.violations.sqlgen import conflict_rows
 
 
 @pytest.fixture
@@ -151,14 +150,3 @@ class TestHelpers:
         dc = parse_dc("not(t.A > t.C)", "R")
         lowered = lower_constraints([fd, dc], schema)
         assert len(lowered) == 3
-
-    def test_nested_loop_agrees_with_hash(self, schema):
-        fd = FunctionalDependency("R", {"A"}, {"B"})
-        db = Database.from_rows(
-            schema, "R", [(1, "x", 0), (1, "y", 0), (2, "x", 0), (2, "z", 0)]
-        )
-        for dc in lower_constraints([fd], schema):
-            fast = conflict_rows(dc, db)
-            slow = conflict_rows(dc, db, force_nested_loop=True)
-            assert sorted(map(sorted, fast)) == sorted(map(sorted, slow))
-            assert {frozenset(row) for row in fast} == set(violations_of(dc, db))

@@ -26,8 +26,9 @@ from repro.constraints import (
 from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.datasets import DATASET_ORDER, generate_sample
+from repro.measures import make_measure
 from repro.noise import CONoise
-from repro.relational import Database, Fact, Schema
+from repro.relational import Database, Fact, Schema, SchemaError
 from repro.session import make_session
 from repro.session.enumeration import plan_pin
 from repro.violations import (
@@ -35,6 +36,7 @@ from repro.violations import (
     find_first_violation,
     is_consistent,
     lower_constraints,
+    violations_of,
 )
 
 from ..oracle import brute_force_witnesses, minimal_sets
@@ -255,3 +257,58 @@ def test_oneshot_index_equals_session_index(dataset):
         live = session.index()
     assert oneshot.per_constraint == live.per_constraint
     assert oneshot.mi_sets == live.mi_sets
+
+
+#: DCs the schema does not support, with the SchemaError each must raise.
+_MALFORMED = {
+    "unknown_relation": (
+        DenialConstraint(
+            [("t", "Nope")],
+            [Predicate(_col("t", "A"), ComparisonOp.EQ, Term.const(1))],
+        ),
+        "unknown relation 'Nope'",
+    ),
+    "missing_attribute_in_equality": (
+        DenialConstraint(
+            [("t", "R"), ("u", "R")],
+            [Predicate(_col("t", "Bogus"), ComparisonOp.EQ, _col("u", "A"))],
+        ),
+        "relation 'R' has no attribute 'Bogus'",
+    ),
+    "missing_attribute_in_inequality": (
+        DenialConstraint(
+            [("t", "R"), ("u", "R")],
+            [
+                Predicate(_col("t", "A"), ComparisonOp.EQ, _col("u", "A")),
+                Predicate(_col("t", "Bogus"), ComparisonOp.LT, _col("u", "B")),
+            ],
+        ),
+        "relation 'R' has no attribute 'Bogus'",
+    ),
+    "missing_attribute_against_constant": (
+        DenialConstraint(
+            [("t", "R")],
+            [Predicate(_col("t", "Bogus"), ComparisonOp.GT, Term.const(0))],
+        ),
+        "relation 'R' has no attribute 'Bogus'",
+    ),
+}
+
+_ENTRY_POINTS = {
+    "violations_of": violations_of,
+    "measure_value": lambda dc, database: make_measure("I_MI").value([dc], database),
+    "make_session": lambda dc, database: make_session([dc], database),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("malformed", sorted(_MALFORMED))
+def test_malformed_dc_raises_schema_error(backend, malformed, entry):
+    """A DC naming a relation or attribute the schema lacks is rejected
+    before planning, on either backend, one-shot or through a session."""
+    database = Database(_SCHEMA)
+    for row in [(1, 2, 3), (1, 3, 3)]:
+        database.insert(Fact("R", row))
+    dc, message = _MALFORMED[malformed]
+    with pytest.raises(SchemaError, match=message):
+        _ENTRY_POINTS[entry](dc, database)
