@@ -5,11 +5,13 @@ The batch enumeration engine runs on one of two column backends
 or numpy arrays with dictionary-encoded join keys and CSR bucket probes
 (:mod:`repro.session.vectorized`).  This bench sweeps the Tax- and
 Hospital-shaped workloads from 100k to 1M facts and times the two backends
-head-to-head on exactly the entry points that matter — cold enumeration
-and dirty-batch delta re-enumeration.
+head-to-head on exactly the entry points that matter — the store's cold
+load, cold enumeration and dirty-batch delta re-enumeration.
 
-At **every** step the two witness families are asserted bit-identical
-(numpy == list) before any timing is trusted.  When numpy is not
+Before any timing, each backend's one-pass cold load is asserted equal,
+field for field, to a store fed one insert event per fact (at the sweep's
+smallest size).  At **every** step the two witness families are asserted
+bit-identical (numpy == list) before any timing is trusted.  When numpy is not
 importable the sweep runs the list leg alone, checks its delta against a
 fresh list cold build restricted to the dirty facts, and skips the speedup
 bars.  The acceptance bars — numpy ≥5× cold and ≥3× delta over
@@ -28,6 +30,7 @@ import time
 from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
+from repro.relational.database import ChangeEvent
 from repro.session import build_enumerators
 
 from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
@@ -117,15 +120,78 @@ def _timed(fn):
             gc.enable()
 
 
+BACKENDS = ["list"] + (["numpy"] if HAS_NUMPY else [])
+
+
+def _store_state(store):
+    """A column store's every field as plain python (NaN-free workloads).
+
+    Grouped indexes are built first on the numpy backend, so their CSR
+    buckets compare too.
+    """
+    if store.backend == "list":
+        return (
+            {
+                name: (table.ids, table.columns, table.row_of, table.free)
+                for name, table in store._relations.items()
+            },
+            store._groups,
+        )
+    state = {}
+    for name, relation in store._relations.items():
+        columns = {}
+        for attribute, column in relation.columns.items():
+            group = column.group
+            if group is not None:
+                group.ensure(relation, column)
+                group = (group.starts.tolist(), group.rows.tolist())
+            columns[attribute] = (
+                column.kind,
+                column.huge,
+                column.valid.tolist(),
+                column.data.tolist(),
+                None if column.codes is None else column.codes.tolist(),
+                None if column.dict_class is None else column.dict_class.codes,
+                group,
+            )
+        state[name] = (
+            relation.n,
+            relation.cap,
+            relation.ids.tolist(),
+            relation.live.tolist(),
+            relation.row_of,
+            relation.free,
+            columns,
+        )
+    return state
+
+
+def _check_cold_load(workload: str, size: int, seed: int) -> None:
+    """Bulk-built store == one insert event per fact, on every backend."""
+    database, dcs, _ = WORKLOADS[workload](size, random.Random(seed))
+    for backend in BACKENDS:
+        _, bulk = build_enumerators(dcs, database, vector_backend=backend)
+        _, evented = build_enumerators(
+            dcs, Database(database.schema), vector_backend=backend
+        )
+        for identifier, fact in database.items():
+            evented.apply(ChangeEvent("insert", identifier, None, fact))
+        assert _store_state(bulk) == _store_state(evented), (
+            f"{workload}@{size}: {backend} cold load diverged from per-event loading"
+        )
+
+
 def _run_case(workload: str, size: int, seed: int) -> dict:
     rng = random.Random(seed)
     database, dcs, (dirty_attr, dirty_value) = WORKLOADS[workload](size, rng)
     legs: dict[str, list] = {}
     stores = []
-    backends = ["list"] + (["numpy"] if HAS_NUMPY else [])
-    for backend in backends:
-        enumerators, store = build_enumerators(
-            dcs, database, vector_backend=backend
+    build_seconds: dict[str, float] = {}
+    for backend in BACKENDS:
+        (enumerators, store), build_seconds[backend] = _timed(
+            lambda backend=backend: build_enumerators(
+                dcs, database, vector_backend=backend
+            )
         )
         stores.append(store)
         legs[backend] = enumerators
@@ -188,6 +254,7 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
         "dirty_batch": len(dirty),
         "delta_witnesses": sum(len(found) for found in delta["list"]),
         "has_numpy": HAS_NUMPY,
+        "build_seconds": build_seconds,
         "cold_seconds": cold_seconds,
         "delta_seconds": delta_seconds,
     }
@@ -203,6 +270,8 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
 
 
 def run_sweep() -> list[dict]:
+    for workload in WORKLOADS:
+        _check_cold_load(workload, scaled(SIZES[0]), seed=SIZES[0] + 13)
     rows = []
     for workload in WORKLOADS:
         for base in SIZES:
@@ -214,12 +283,14 @@ def test_bench_vectorized_columns(benchmark):
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     lines = []
     for row in rows:
+        build = row["build_seconds"]
         cold = row["cold_seconds"]
         delta = row["delta_seconds"]
         if row["has_numpy"]:
             lines.append(
                 f"{row['workload']:>8} n={row['facts']:>8} "
-                f"({row['witnesses']} witnesses): cold list "
+                f"({row['witnesses']} witnesses): load list "
+                f"{build['list']:.3f}s vs numpy {build['numpy']:.3f}s; cold list "
                 f"{cold['list']:.3f}s vs numpy {cold['numpy']:.3f}s "
                 f"(×{row['cold_speedup_vs_list']:.1f}); "
                 f"delta[{row['dirty_batch']}] list {delta['list']*1e3:.1f}ms "
@@ -238,6 +309,7 @@ def test_bench_vectorized_columns(benchmark):
         else:
             lines.append(
                 f"{row['workload']:>8} n={row['facts']:>8} fallback leg: "
+                f"load list {build['list']:.3f}s; "
                 f"cold list {cold['list']:.3f}s; delta list "
                 f"{delta['list']*1e3:.1f}ms == fresh cold build on the dirty facts"
             )

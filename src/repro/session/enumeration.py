@@ -20,9 +20,9 @@ Each column backend compiles that one :class:`PinPlan` into its own
 kernels: pure-python lists (this module) or numpy arrays
 (:mod:`repro.session.vectorized`).  The list kernels fuse pairwise
 predicates into the hash join and the cross step per candidate, so no
-unfiltered pair is ever materialized; the numpy cross step expands the
-batch in blocks of at most ``CROSS_PAIR_BUDGET`` pairs and filters each
-block before keeping its survivors.
+unfiltered pair is ever materialized; the numpy hash and cross steps
+expand the batch in blocks of at most ``CROSS_PAIR_BUDGET`` pairs and
+filter each block before keeping its survivors.
 
 The **cold** entry point runs the pin-0 plan over its relation (in seed
 chunks, see :meth:`WitnessEnumerator.cold_chunks`), and the **delta** entry

@@ -17,6 +17,14 @@ relation as contiguous numpy arrays:
   code (``-1`` = NULL, ``-2`` = float NaN).  Equal values get equal codes
   across every column of the class, so EQ/NE evaluate on codes alone.
 
+The cold :meth:`VectorColumnStore.build` loads by column in one pass: one
+``grow`` per relation, each column's final kind from :func:`_climb` over
+its values, then one array write for its data and validity and one
+dictionary pass for its codes (a join class spanning several columns
+takes its first-seen codes in fact order, as per-event loading assigns
+them).  :meth:`VectorColumnStore.apply` then maintains the store per
+event through :meth:`VectorColumn.set`, on the same ladder.
+
 Grouped join indexes are **CSR buckets over codes**: ``starts[c]:starts[c+1]``
 slices a row array sorted by code, so a probe is O(1) arithmetic plus a
 validity gather (rows are re-checked against the live bitmap and current
@@ -29,8 +37,9 @@ The vectorized plans (:func:`compile_vector_plan`) take the same
 :class:`~repro.session.enumeration.PinPlan` the list backend compiles — one
 join order and predicate placement per pin, planned from the DC — but
 execute it as mask combinators over parallel row arrays: seed scans as
-boolean masks, grouped hash joins as code-array bucket probes, keyless
-cross steps as blocked repeat/tile expansions filtered block by block,
+boolean masks, grouped hash joins as code-array bucket probes and keyless
+cross steps as repeat/tile expansions, both expanded in blocks of at most
+``CROSS_PAIR_BUDGET`` pairs and filtered block by block,
 predicates as EQ/NE code masks or typed-array comparisons — with **no
 per-candidate python loop**; witnesses decode only the surviving rows.
 Python scalar kernels remain as a row-level fallback for the cases numpy
@@ -40,6 +49,9 @@ against floats), keeping results bit-identical to the list backend.
 
 from __future__ import annotations
 
+import heapq
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +60,7 @@ from ..constraints.base import ComparisonOp
 from ..constraints.dc import DenialConstraint, Predicate, Term
 from ..relational.database import ChangeEvent, Database, Fact
 from ..relational.schema import Schema
+from .columnar import gather_rows
 
 #: Exact-in-float64 integer bound: |int| above this cannot ride float math.
 _EXACT_FLOAT_INT = 2**53
@@ -57,9 +70,45 @@ _NULL_CODE = -1
 _NAN_CODE = -2
 _UNSEEN_CODE = -3
 
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
 
 def _is_nan(value) -> bool:
     return isinstance(value, float) and value != value
+
+
+def _climb(kind: str, huge: bool, values: Iterable) -> tuple[str, bool]:
+    """A column's ``(kind, huge)`` once *values* are stored in it, in order.
+
+    The kind only climbs ``i8 → f8 → obj`` until each value stores
+    losslessly: bools, non-numbers and ints outside int64 need ``obj``; a
+    float needs ``f8``, or ``obj`` once the column holds a
+    ``|int| > 2**53``; such an int sets ``huge`` on an ``i8`` column and
+    needs ``obj`` on an ``f8`` one.  The result depends on the order:
+    ``[2**60, 1.5]`` ends ``obj`` with ``huge`` set, ``[1.5, 2**60]``
+    ends ``obj`` without.
+    """
+    if kind == "obj":
+        return kind, huge
+    for value in values:
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            return "obj", huge
+        if isinstance(value, int):
+            if -_EXACT_FLOAT_INT <= value <= _EXACT_FLOAT_INT:
+                continue
+            if kind == "f8" or not -_INT64_MAX <= value < _INT64_MAX:
+                return "obj", huge
+            huge = True
+        elif isinstance(value, float):
+            if kind == "i8":
+                if huge:
+                    return "obj", huge
+                kind = "f8"
+        else:
+            return "obj", huge
+    return kind, huge
 
 
 class ColumnDictionary:
@@ -89,6 +138,16 @@ class ColumnDictionary:
             self.codes[value] = code
             self.next_code = code + 1
         return code
+
+    def encode_all(self, values: Sequence) -> list[int]:
+        """:meth:`encode` over *values* in order.
+
+        Each distinct value is encoded once, in first-seen order (so the
+        codes are those per-value calls would assign), and the cells then
+        map through that one lookup table.
+        """
+        codes = {value: self.encode(value) for value in dict.fromkeys(values)}
+        return list(map(codes.__getitem__, values))
 
     def probe(self, value) -> int:
         """Code for *value* without assigning (queries, not storage)."""
@@ -216,8 +275,9 @@ class VectorColumn:
         rows always re-enter the overlay because a CSR rebuild while they
         were dead dropped their coverage.
         """
-        self._fit(value)
-        kind = self.kind
+        kind, self.huge = _climb(self.kind, self.huge, (value,))
+        if kind != self.kind:
+            self._promote(kind)
         if value is None:
             self.valid[row] = False
             if kind == "obj":
@@ -227,12 +287,6 @@ class VectorColumn:
         else:
             self.valid[row] = True
             self.data[row] = value
-            if (
-                kind == "i8"
-                and not self.huge
-                and (value > _EXACT_FLOAT_INT or value < -_EXACT_FLOAT_INT)
-            ):
-                self.huge = True
         if self.dict_class is not None:
             code = self.dict_class.encode(value)
             if fresh or self.codes[row] != code:
@@ -240,26 +294,27 @@ class VectorColumn:
                 if self.group is not None:
                     self.group.add(code, row)
 
-    def _fit(self, value) -> None:
-        """Promote the kind until *value* stores losslessly."""
-        kind = self.kind
-        if value is None or kind == "obj":
-            return
-        if isinstance(value, bool):
-            self._promote("obj")
-        elif isinstance(value, int):
-            if -_INT64_MAX <= value < _INT64_MAX:
-                if kind == "f8" and (
-                    value > _EXACT_FLOAT_INT or value < -_EXACT_FLOAT_INT
-                ):
-                    self._promote("obj")
-            else:
-                self._promote("obj")
-        elif isinstance(value, float):
-            if kind == "i8":
-                self._promote("obj" if self.huge else "f8")
+    def load(self, values: Sequence) -> None:
+        """Fill rows ``0..len(values)-1`` of this empty, grown column at once.
+
+        The final ``(kind, huge)`` is :func:`_climb` over the values in row
+        order, exactly as one :meth:`set` per row would leave it; data and
+        validity are then written in one step each.  Codes are the store's
+        job: a join class spanning several columns encodes its cells in
+        fact order, not column by column.
+        """
+        kind, huge = _climb("i8", False, values)
+        count = len(values)
+        if kind == "obj":
+            self.data = np.empty(len(self.data), dtype=object)
+            self.data[:count] = values
         else:
-            self._promote("obj")
+            if kind == "f8":
+                self.data = np.zeros(len(self.data), dtype=np.float64)
+            self.data[:count] = [0 if value is None else value for value in values]
+        self.valid[:count] = [value is not None for value in values]
+        self.kind = kind
+        self.huge = huge
 
     def _promote(self, kind: str) -> None:
         old, valid = self.data, self.valid
@@ -439,9 +494,46 @@ class VectorColumnStore:
     # Build + maintenance
     # ------------------------------------------------------------------
     def build(self, database: Database) -> None:
-        for identifier, fact in database.items():
-            if fact.relation in self._relations:
-                self._add(identifier, fact)
+        """Load the registered relations from *database* (cold start).
+
+        One pass gathers each relation's ids and value columns in fact-id
+        order; one ``grow`` sizes the relation as per-fact appends would;
+        each column loads whole (:meth:`VectorColumn.load`) and each join
+        class encodes in one dictionary pass, with the first-seen codes a
+        per-fact load would assign.  CSR groups stay stale until the first
+        probe builds them.
+        """
+        classes: dict[ColumnDictionary, list] = {}
+        for name, (ids, rows) in gather_rows(database, self._relations).items():
+            relation = self._relations[name]
+            count = len(ids)
+            if count:
+                relation.grow(count)
+            relation.n = count
+            relation.ids[:count] = ids
+            relation.live[:count] = True
+            relation.row_of.update(zip(ids, range(count)))
+            for attribute, position in self._positions_for(relation):
+                column = relation.columns[attribute]
+                values = list(map(itemgetter(position), rows))
+                column.load(values)
+                if column.dict_class is not None:
+                    classes.setdefault(column.dict_class, []).append(
+                        (ids, position, column, values)
+                    )
+        for dictionary, members in classes.items():
+            if len(members) > 1:
+                # Fix the class's first-seen order across its columns:
+                # (fact id, attribute position), as per-fact loading goes.
+                cells = heapq.merge(
+                    *(
+                        zip(ids, repeat(position), values)
+                        for ids, position, _, values in members
+                    )
+                )
+                dictionary.encode_all([value for _, _, value in cells])
+            for _, _, column, values in members:
+                column.codes[: len(values)] = dictionary.encode_all(values)
 
     def apply(self, event: ChangeEvent) -> None:
         old, new = event.old, event.new
@@ -554,9 +646,7 @@ class VectorColumnStore:
                 column.group.invalidate()
         relation.n = count
         relation.free.clear()
-        relation.row_of.clear()
-        for row in range(count):
-            relation.row_of[int(relation.ids[row])] = row
+        relation.row_of = dict(zip(relation.ids[:count].tolist(), range(count)))
 
 # Imported late on purpose: enumeration.py never imports this module at its
 # top level (the batch enumerator dispatches here lazily), so this is safe
@@ -584,9 +674,10 @@ _FLIP = {
 
 _EQ_NE = (ComparisonOp.EQ, ComparisonOp.NE)
 
-#: Most (candidate, row) pairs a keyless cross step expands at once.  The
-#: step sizes its blocks from the new side's live row count, so a cross
-#: product's working set stays bounded whatever the relation sizes.
+#: Most (candidate, row) pairs a join step expands at once.  A cross step
+#: sizes its blocks from the new side's live row count, a hash step from
+#: its candidates' bucket sizes, so a step's working set stays bounded
+#: whatever the relation sizes or key skew.
 CROSS_PAIR_BUDGET = 1 << 18
 
 
@@ -690,66 +781,65 @@ def _mask_pair(
     )
 
 
-def _probe_group(
-    group: CodeGroup, relation: VectorRelation, column: VectorColumn, bc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a grouped hash probe: build codes → (parent index, new rows).
+def _bucket_spans(
+    group: CodeGroup, bc: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each probe code's ``(rows, starts, counts)`` bucket span: in the CSR,
+    then (when it holds anything) in the sorted overlay.
 
-    CSR segments cover rows coded before the last rebuild; the sorted
-    overlay covers everything since.  Both halves validate against the live
-    bitmap and the current codes, so stale entries drop out; overlap between
-    the halves (a revived slot) is removed by the final key de-duplication.
+    CSR segments cover rows coded before the last rebuild; the overlay
+    covers everything since.
     """
-    count = len(bc)
-    empty = np.zeros(0, dtype=np.int64)
-    if count == 0:
-        return empty, empty
-    live = relation.live
-    codes = column.codes
-    parent_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
     starts = group.starts
     in_csr = (bc >= 0) & (bc < group.K)
     if in_csr.any():
         clipped = np.where(in_csr, bc, 0)
         lo = starts[clipped]
         cnt = np.where(in_csr, starts[clipped + 1] - lo, 0)
-        total = int(cnt.sum())
-        if total:
-            parent = np.repeat(np.arange(count, dtype=np.int64), cnt)
-            offsets = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(cnt, dtype=np.int64))
-            )
-            idx = np.arange(total, dtype=np.int64) + np.repeat(
-                lo - offsets[:-1], cnt
-            )
-            rows = group.rows[idx]
-            keep = live[rows] & (codes[rows] == bc[parent])
-            parent_parts.append(parent[keep])
-            row_parts.append(rows[keep])
-    overlay_used = False
+    else:
+        lo = cnt = np.zeros(len(bc), dtype=np.int64)
+    spans = [(group.rows, lo, cnt)]
     if group.ov_codes:
         ov_codes, ov_rows = group.sorted_overlay()
         probe = np.maximum(bc, 0)
         left = np.searchsorted(ov_codes, probe, side="left")
         right = np.searchsorted(ov_codes, probe, side="right")
-        cnt = np.where(bc >= 0, right - left, 0)
+        spans.append((ov_rows, left, np.where(bc >= 0, right - left, 0)))
+    return spans
+
+
+def _probe_group(
+    relation: VectorRelation, column: VectorColumn, bc: np.ndarray, spans: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand a grouped hash probe: build codes → (parent index, new rows).
+
+    *spans* are :func:`_bucket_spans` of *bc*.  Both halves validate
+    against the live bitmap and the current codes, so stale entries drop
+    out; overlap between the halves (a revived slot) is removed by the
+    final key de-duplication.
+    """
+    live = relation.live
+    codes = column.codes
+    parent_parts: list[np.ndarray] = []
+    row_parts: list[np.ndarray] = []
+    overlay_used = False
+    for half, (source, lo, cnt) in enumerate(spans):
         total = int(cnt.sum())
-        if total:
+        if not total:
+            continue
+        if half:
             overlay_used = True
-            parent = np.repeat(np.arange(count, dtype=np.int64), cnt)
-            offsets = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(cnt, dtype=np.int64))
-            )
-            idx = np.arange(total, dtype=np.int64) + np.repeat(
-                left - offsets[:-1], cnt
-            )
-            rows = ov_rows[idx]
-            keep = live[rows] & (codes[rows] == bc[parent])
-            parent_parts.append(parent[keep])
-            row_parts.append(rows[keep])
+        parent = np.repeat(np.arange(len(bc), dtype=np.int64), cnt)
+        offsets = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(cnt, dtype=np.int64))
+        )
+        idx = np.arange(total, dtype=np.int64) + np.repeat(lo - offsets[:-1], cnt)
+        rows = source[idx]
+        keep = live[rows] & (codes[rows] == bc[parent])
+        parent_parts.append(parent[keep])
+        row_parts.append(rows[keep])
     if not parent_parts:
-        return empty, empty
+        return _NO_ROWS, _NO_ROWS
     parent = np.concatenate(parent_parts)
     rows = np.concatenate(row_parts)
     if overlay_used and len(parent):
@@ -760,6 +850,34 @@ def _probe_group(
         parent = key >> 32
         rows = key & 0xFFFFFFFF
     return parent, rows
+
+
+def _blocks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` ranges of candidates with *sizes*
+    pairs each: every range expands to at most :data:`CROSS_PAIR_BUDGET`
+    pairs, or holds one candidate that alone exceeds it.
+    """
+    count = len(sizes)
+    ends = np.cumsum(sizes)
+    if not count or ends[-1] <= CROSS_PAIR_BUDGET:
+        return [(0, count)]
+    blocks = []
+    start = 0
+    while start < count:
+        limit = (ends[start - 1] if start else 0) + CROSS_PAIR_BUDGET
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
+def _joined(parts: list[list[np.ndarray]], batch: list[np.ndarray]) -> list[np.ndarray]:
+    """One batch from a blocked step's surviving blocks."""
+    if not parts:
+        return [existing[:0] for existing in batch] + [_NO_ROWS]
+    if len(parts) == 1:
+        return parts[0]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 # ----------------------------------------------------------------------
 # Compiled vectorized plans
@@ -823,13 +941,10 @@ class VectorBatchPlan:
         batch = self._apply(batch, self.seed_filters)
         if not len(batch[0]):
             return None
-        for join, filters in self.joins:
+        for join in self.joins:
             batch = join(batch)
             stats.batches_joined += 1
             stats.rows_scanned += len(batch[0])
-            if not len(batch[0]):
-                return None
-            batch = self._apply(batch, filters)
             if not len(batch[0]):
                 return None
         batch = self._apply(batch, self.final_filters)
@@ -899,8 +1014,8 @@ def compile_vector_plan(
     """*plan* as mask kernels over *store*.
 
     A hash step probes its first key's CSR buckets and applies the other
-    keys, then its pre-filters and residual, as masks over the expanded
-    batch.  A cross step pre-filters the new side's rows by its
+    keys (as equalities), then its pre-filters and residual, as masks over
+    the expanded batch.  A cross step pre-filters the new side's rows by its
     pre-filters and masks every expanded block by its residual.
     """
     slot_of = {variable: slot for slot, variable in enumerate(plan.order)}
@@ -923,22 +1038,26 @@ def compile_vector_plan(
     for step in plan.steps:
         relation = store.relation(dc.relation_of(step.variable))
         if step.keys:
-            keys = [
-                (column(bound), slot_of[bound.variable], column(new))
-                for bound, new in step.keys
-            ]
-            join = _hash_join(relation, keys)
-            filters = [
-                _batch_mask(p, operand) for p in step.pre_filters + step.residual
-            ]
-        else:
-            join = _cross_join(
-                relation,
-                [_batch_mask(p, row_operand) for p in step.pre_filters],
-                [_batch_mask(p, operand) for p in step.residual],
+            (bound, new), *extra = step.keys
+            checks = tuple(Predicate(b, ComparisonOp.EQ, n) for b, n in extra)
+            filters = checks + step.pre_filters + step.residual
+            joins.append(
+                _hash_join(
+                    relation,
+                    column(bound),
+                    slot_of[bound.variable],
+                    column(new),
+                    [_batch_mask(p, operand) for p in filters],
+                )
             )
-            filters = []
-        joins.append((join, filters))
+        else:
+            joins.append(
+                _cross_join(
+                    relation,
+                    [_batch_mask(p, row_operand) for p in step.pre_filters],
+                    [_batch_mask(p, operand) for p in step.residual],
+                )
+            )
     return VectorBatchPlan(
         seed_relation=dc.relation_of(plan.seed),
         seed_filters=[_batch_mask(p, operand) for p in plan.seed_filters],
@@ -950,38 +1069,48 @@ def compile_vector_plan(
     )
 
 
-def _hash_join(relation: VectorRelation, keys: list):
-    """A grouped hash join: CSR bucket probe on the first key, extra keys
-    applied as code-equality masks over the expanded batch.
+def _hash_join(
+    relation: VectorRelation,
+    build: VectorColumn,
+    slot: int,
+    probe: VectorColumn,
+    filters: list,
+):
+    """A grouped hash join: the *build* column's codes at *slot* probe the
+    CSR buckets of the new side's *probe* column; *filters* then mask the
+    expanded batch.
 
-    *keys* are ``(bound column, bound slot, new-side column)`` triples.
+    The batch expands in blocks of at most :data:`CROSS_PAIR_BUDGET`
+    pairs (at least one candidate each), each masked before its survivors
+    are kept, so a skewed key never holds its unfiltered pairs at once.
     """
-    first_build, first_slot, first_probe = keys[0]
-    extra = tuple(keys[1:])
 
     def join(
         batch,
         relation=relation,
-        build=first_build,
-        slot=first_slot,
-        probe=first_probe,
-        extra=extra,
+        build=build,
+        slot=slot,
+        probe=probe,
+        filters=tuple(filters),
     ):
         build_codes = build.codes[batch[slot]]
         group = probe.group
         group.ensure(relation, probe)
-        parent, new_rows = _probe_group(group, relation, probe, build_codes)
-        out = [rows[parent] for rows in batch]
-        out.append(new_rows)
-        for extra_build, extra_slot, extra_probe in extra:
-            if not len(out[0]):
-                break
-            mask = _mask_pair(
-                extra_build, out[extra_slot], extra_probe, out[-1],
-                ComparisonOp.EQ,
+        spans = _bucket_spans(group, build_codes)
+        parts = []
+        for start, stop in _blocks(sum(cnt for _, _, cnt in spans)):
+            parent, new_rows = _probe_group(
+                relation,
+                probe,
+                build_codes[start:stop],
+                [(rows, lo[start:stop], cnt[start:stop]) for rows, lo, cnt in spans],
             )
-            out = [rows[mask] for rows in out]
-        return out
+            out = [rows[start:stop][parent] for rows in batch]
+            out.append(new_rows)
+            out = VectorBatchPlan._apply(out, filters)
+            if len(out[0]):
+                parts.append(out)
+        return _joined(parts, batch)
 
     return join
 
@@ -1019,11 +1148,7 @@ def _cross_join(relation: VectorRelation, predicates: list, filters: list):
                 out = VectorBatchPlan._apply(out, filters)
                 if len(out[0]):
                     parts.append(out)
-        if not parts:
-            return [existing[:0] for existing in batch] + [rows[:0]]
-        if len(parts) == 1:
-            return parts[0]
-        return [np.concatenate(column) for column in zip(*parts)]
+        return _joined(parts, batch)
 
     return join
 

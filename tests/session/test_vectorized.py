@@ -22,6 +22,7 @@ import pytest
 
 from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
+from repro.datasets import DATASET_ORDER
 from repro.relational import Database, Fact, Schema
 from repro.session import (
     MeasurementSession,
@@ -209,98 +210,105 @@ class TestBackendParity:
             session.close()
 
 
+def _dc_pair(op_bc):
+    """``t.A = s.A ∧ t.B op s.C`` over ``R`` (EQ/NE code B and C as one class)."""
+    return [
+        DenialConstraint(
+            [("t", "R"), ("s", "R")],
+            [
+                Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("s", "A")),
+                Predicate(Term.col("t", "B"), op_bc, Term.col("s", "C")),
+            ],
+            name="pair",
+        )
+    ]
+
+
+CONSTANT_DCS = [
+    DenialConstraint(
+        [("t", "R")],
+        [
+            Predicate(Term.col("t", "B"), ComparisonOp.NE, Term.const("x")),
+            Predicate(Term.col("t", "C"), ComparisonOp.GT, Term.const(1)),
+        ],
+        name="consts",
+    )
+]
+
+# Each NaN cell is a fresh object: a dict keyed by an *identical* NaN
+# object would find it by the container identity shortcut against ``==``
+# semantics — the list store's key groups keep NaN out, and the
+# shared-object case is pinned against the oracle in
+# tests/violations/test_enumeration_conformance.py.
+NONE_NAN_ROWS = [
+    (1, None, 2),
+    (1, float("nan"), float("nan")),
+    (1, 2, None),
+    (2, float("nan"), 2.0),
+    (2, 2.0, float("nan")),
+    (2, None, None),
+    (1, 3, 2),
+]
+
+MIXED_STR_INT_ROWS = [
+    (1, "x", 2),
+    (1, 2, "x"),
+    (1, "x", "x"),
+    (2, 2, 2),
+    (2, "y", 2.0),
+    (2, None, "y"),
+]
+
+#: bools, > 2**63 ints and 2**53-adjacent int/float near-misses.
+#: ``2**53`` and ``float(2**53)`` must compare equal while ``2**53 + 1``
+#: and ``float(2**53 + 1)`` must not — the rounded float equals ``2**53``,
+#: which only exact (non-f8) comparison preserves.
+BOOL_BIGINT_ROWS = [
+    (1, True, 1),
+    (1, False, True),
+    (1, 1, True),
+    (2, 2**53 + 1, float(2**53 + 1)),
+    (2, float(2**53), 2**53),
+    (2, 2**64, 2**64 + 1),
+    (3, -(2**63) - 1, 7),
+    (3, 2**53 + 1, 2**53 + 1),
+]
+
+PROMOTED_CONSTANT_ROWS = [
+    (1, "x", 2),
+    (1, 2, 2.5),
+    (1, None, None),
+    (2, float("nan"), 3),
+    (2, True, 2**60),
+]
+
+#: Values a column that starts ``i8`` only meets later, through updates.
+LATE_VALUES = [2.5, "x", float("nan"), 2**60, None, True]
+
+
 class TestDtypeEdgeCases:
     """Explicit instances that walk the i8 → f8 → obj ladder."""
-
-    def _dc_pair(self, op_bc):
-        return [
-            DenialConstraint(
-                [("t", "R"), ("s", "R")],
-                [
-                    Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("s", "A")),
-                    Predicate(Term.col("t", "B"), op_bc, Term.col("s", "C")),
-                ],
-                name="pair",
-            )
-        ]
 
     @pytest.mark.parametrize(
         "op", [ComparisonOp.EQ, ComparisonOp.NE, ComparisonOp.LT, ComparisonOp.GE]
     )
     def test_none_and_nan_cells(self, op):
-        # Each NaN cell is a fresh object: a dict keyed by an *identical*
-        # NaN object would find it by the container identity shortcut
-        # against ``==`` semantics — the list store's key groups keep NaN
-        # out, and the shared-object case is pinned against the oracle in
-        # tests/violations/test_enumeration_conformance.py.
-        rows = [
-            (1, None, 2),
-            (1, float("nan"), float("nan")),
-            (1, 2, None),
-            (2, float("nan"), 2.0),
-            (2, 2.0, float("nan")),
-            (2, None, None),
-            (1, 3, 2),
-        ]
-        _facts_parity(_schema(["R"]), {"R": rows}, self._dc_pair(op))
+        _facts_parity(_schema(["R"]), {"R": NONE_NAN_ROWS}, _dc_pair(op))
 
     @pytest.mark.parametrize(
         "op", [ComparisonOp.EQ, ComparisonOp.NE, ComparisonOp.LT, ComparisonOp.GE]
     )
     def test_mixed_str_int_columns(self, op):
-        rows = [
-            (1, "x", 2),
-            (1, 2, "x"),
-            (1, "x", "x"),
-            (2, 2, 2),
-            (2, "y", 2.0),
-            (2, None, "y"),
-        ]
-        _facts_parity(_schema(["R"]), {"R": rows}, self._dc_pair(op))
+        _facts_parity(_schema(["R"]), {"R": MIXED_STR_INT_ROWS}, _dc_pair(op))
 
     @pytest.mark.parametrize(
         "op", [ComparisonOp.EQ, ComparisonOp.NE, ComparisonOp.LT, ComparisonOp.GE]
     )
     def test_bool_and_bigint_cells(self, op):
-        """bools, > 2**63 ints and 2**53-adjacent int/float near-misses.
-
-        ``2**53`` and ``float(2**53)`` must compare equal while
-        ``2**53 + 1`` and ``float(2**53 + 1)`` must not — the rounded
-        float equals ``2**53``, which only exact (non-f8) comparison
-        preserves.
-        """
-        big = 2**53
-        rows = [
-            (1, True, 1),
-            (1, False, True),
-            (1, 1, True),
-            (2, big + 1, float(big + 1)),
-            (2, float(big), big),
-            (2, 2**64, 2**64 + 1),
-            (3, -(2**63) - 1, 7),
-            (3, big + 1, big + 1),
-        ]
-        _facts_parity(_schema(["R"]), {"R": rows}, self._dc_pair(op))
+        _facts_parity(_schema(["R"]), {"R": BOOL_BIGINT_ROWS}, _dc_pair(op))
 
     def test_constant_predicates_on_promoted_columns(self):
-        dcs = [
-            DenialConstraint(
-                [("t", "R")],
-                [
-                    Predicate(Term.col("t", "B"), ComparisonOp.NE, Term.const("x")),
-                    Predicate(Term.col("t", "C"), ComparisonOp.GT, Term.const(1)),
-                ],
-                name="consts",
-            )
-        ]
-        rows = [
-            (1, "x", 2),
-            (1, 2, 2.5),
-            (1, None, None),
-            (2, float("nan"), 3),
-            (2, True, 2**60),
-        ]
-        _facts_parity(_schema(["R"]), {"R": rows}, dcs)
+        _facts_parity(_schema(["R"]), {"R": PROMOTED_CONSTANT_ROWS}, CONSTANT_DCS)
 
     def test_late_promotion_under_updates(self, case_rng):
         """A column that starts i8 and only later sees floats/strings."""
@@ -308,11 +316,10 @@ class TestDtypeEdgeCases:
         database = Database(_schema(["R"]))
         for k in range(30):
             database.insert(Fact("R", (k % 5, k % 7, k % 3)))
-        dcs = self._dc_pair(ComparisonOp.LT)
+        dcs = _dc_pair(ComparisonOp.LT)
         batches = _sessions(database, dcs)
         databases = [session.database for session in batches]
-        odd_values = [2.5, "x", float("nan"), 2**60, None, True]
-        for step, value in enumerate(odd_values * 3):
+        for step, value in enumerate(LATE_VALUES * 3):
             state = rng.getstate()
             for mutated in databases:
                 rng.setstate(state)
@@ -322,6 +329,272 @@ class TestDtypeEdgeCases:
                 assert_matches_reference(session)
         for session in batches:
             session.close()
+
+
+# ----------------------------------------------------------------------
+# Bulk load == event load
+# ----------------------------------------------------------------------
+_NAN = object()
+
+
+def _cell(value):
+    """An object-column cell, with every NaN mapped to one marker."""
+    return _NAN if isinstance(value, float) and value != value else value
+
+
+def _vector_state(store) -> dict:
+    """Every field of a numpy store as plain python, groups rebuilt first.
+
+    ``i8``/``f8`` data compare bit for bit; ``obj`` data compare by ``==``,
+    because ints that went through ``f8`` before an ``obj`` promotion are
+    stored as floats.
+    """
+    state = {}
+    for name, relation in store._relations.items():
+        columns = {}
+        for attribute, column in relation.columns.items():
+            group = column.group
+            if group is not None:
+                group.ensure(relation, column)
+                group = (
+                    group.K,
+                    group.starts.tolist(),
+                    group.rows.tolist(),
+                    list(group.ov_codes),
+                    list(group.ov_rows),
+                )
+            dictionary = column.dict_class
+            columns[attribute] = (
+                column.kind,
+                column.huge,
+                column.valid.tolist(),
+                [_cell(value) for value in column.data]
+                if column.kind == "obj"
+                else column.data.tobytes(),
+                None if column.codes is None else column.codes.tolist(),
+                None
+                if dictionary is None
+                else (dict(dictionary.codes), dictionary.next_code),
+                group,
+            )
+        state[name] = (
+            relation.attributes,
+            relation.n,
+            relation.cap,
+            relation.ids.tolist(),
+            relation.live.tolist(),
+            dict(relation.row_of),
+            list(relation.free),
+            columns,
+        )
+    return state
+
+
+def _list_state(store) -> tuple:
+    """Every field of a list store (NaN cells are shared fact objects)."""
+    tables = {
+        name: (
+            table.attributes,
+            list(table.ids),
+            {attribute: list(column) for attribute, column in table.columns.items()},
+            dict(table.row_of),
+            list(table.free),
+        )
+        for name, table in store._relations.items()
+    }
+    groups = {
+        key: {value: set(rows) for value, rows in buckets.items()}
+        for key, buckets in store._groups.items()
+    }
+    return tables, groups
+
+
+def _store_state(store):
+    return _vector_state(store) if store.backend == "numpy" else _list_state(store)
+
+
+def _rows_case(rows: dict[str, list[tuple]], dcs):
+    def build():
+        database = Database(_schema(sorted(rows)))
+        # Interleave the relations, so a class spanning two of them sees
+        # its cells in alternating fact order.
+        for position in range(max(map(len, rows.values()))):
+            for relation in sorted(rows):
+                if position < len(rows[relation]):
+                    database.insert(Fact(relation, rows[relation][position]))
+        return database, dcs
+
+    return build
+
+
+def _dataset_case(dataset: str):
+    def build():
+        from repro.datasets import generate_sample
+        from repro.noise import CONoise
+        from repro.violations.minimal import lower_constraints
+
+        database, constraints = generate_sample(dataset, 250, seed=48)
+        CONoise(constraints, seed=7).run(database, len(database) // 50)
+        return database, lower_constraints(constraints, database.schema)
+
+    return build
+
+
+def _cross_class_dcs():
+    """Equalities putting ``R0.A``, ``R0.B`` and ``R1.B`` in one join class."""
+    return [
+        DenialConstraint(
+            [("t", "R0"), ("u", "R1")],
+            [
+                Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("u", "B")),
+                Predicate(Term.col("t", "C"), ComparisonOp.LT, Term.col("u", "C")),
+            ],
+            name="cross",
+        ),
+        DenialConstraint(
+            [("t", "R0"), ("s", "R0")],
+            [
+                Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("s", "B")),
+                Predicate(Term.col("t", "C"), ComparisonOp.NE, Term.col("s", "C")),
+            ],
+            name="within",
+        ),
+    ]
+
+
+BULK_CASES = {
+    **{f"dataset-{name}": _dataset_case(name) for name in DATASET_ORDER},
+    **{
+        f"{label}-{op.name}": _rows_case({"R": rows}, _dc_pair(op))
+        for label, rows in (
+            ("none-nan", NONE_NAN_ROWS),
+            ("mixed-str-int", MIXED_STR_INT_ROWS),
+            ("bool-bigint", BOOL_BIGINT_ROWS),
+        )
+        for op in (ComparisonOp.EQ, ComparisonOp.LT)
+    },
+    "promoted-constants": _rows_case({"R": PROMOTED_CONSTANT_ROWS}, CONSTANT_DCS),
+    # 64 facts fill the first allocation exactly: one more slot would double.
+    "late-promotion": _rows_case(
+        {"R": [(k % 5, k % 7, k % 3) for k in range(64)]}, _dc_pair(ComparisonOp.LT)
+    ),
+    "huge-then-float": _rows_case(
+        {"R": [(1, 2**60, 1), (1, 1.5, 2), (2, 3, 2**60)]}, _dc_pair(ComparisonOp.LT)
+    ),
+    "float-then-huge": _rows_case(
+        {"R": [(1, 1.5, 1), (1, 2**60, 2), (2, 3, 2**60)]}, _dc_pair(ComparisonOp.LT)
+    ),
+    "beyond-int64": _rows_case(
+        {"R": [(1, 5, 2**64), (1, -(2**64), 3), (2, 2**63, 2**63 - 1)]},
+        _dc_pair(ComparisonOp.EQ),
+    ),
+    "bools": _rows_case(
+        {"R": [(1, True, False), (1, False, 1), (2, 1, True), (True, 0, 0)]},
+        _dc_pair(ComparisonOp.EQ),
+    ),
+    "null-only": _rows_case(
+        {"R": [(1, None, None), (1, None, None), (2, None, None)]},
+        _dc_pair(ComparisonOp.NE),
+    ),
+    "join-classes": _rows_case(
+        {
+            # Each column meets the class's values in a different order
+            # than the facts do, so column-by-column codes would differ.
+            "R0": [((5 * k) % 11, (3 * k + 7) % 11, k % 3) for k in range(12)],
+            "R1": [(k, (7 * k + 4) % 13, (k * 7) % 4) for k in range(12)],
+        },
+        _cross_class_dcs(),
+    ),
+}
+
+
+def _event_built(dcs, database, backend):
+    """An empty store fed one insert event per fact, in fact-id order."""
+    from repro.relational.database import ChangeEvent
+    from repro.session import build_enumerators
+
+    enumerators, store = build_enumerators(
+        dcs, Database(database.schema), vector_backend=backend
+    )
+    for identifier, fact in database.items():
+        store.apply(ChangeEvent("insert", identifier, None, fact))
+    return enumerators, store
+
+
+def _random_delta(rng, database) -> int:
+    """One random insert, delete or update; returns the touched fact id."""
+    identifiers = database.ids()
+    roll = rng.random()
+    if roll < 0.45:
+        identifier = rng.choice(identifiers)
+        fact = database[identifier]
+        attribute = rng.choice(database.schema.signature(fact.relation).attributes)
+        if rng.random() < 0.7:
+            donor = database[rng.choice(identifiers)]
+            value = donor.values[rng.randrange(len(donor.values))]
+        else:
+            value = rng.choice(LATE_VALUES)
+        database.update(identifier, attribute, value)
+        return identifier
+    if roll < 0.75 and len(identifiers) > 2:
+        identifier = rng.choice(identifiers)
+        database.delete(identifier)
+        return identifier
+    source = database[rng.choice(identifiers)]
+    return database.insert(Fact(source.relation, source.values))
+
+
+class TestBulkLoad:
+    """``build`` (one columnar load) == one ``apply(insert)`` per fact."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", sorted(BULK_CASES))
+    def test_bulk_equals_event_built(self, case, backend, case_rng, monkeypatch):
+        from repro.session import build_enumerators
+
+        # Small compaction floors let the delete-heavy stream compact both
+        # stores mid-stream, at the same events.
+        monkeypatch.setattr(ColumnStore, "COMPACT_MIN_SLOTS", 8)
+        if HAS_NUMPY:
+            from repro.session.vectorized import VectorColumnStore
+
+            monkeypatch.setattr(VectorColumnStore, "COMPACT_MIN_SLOTS", 8)
+        rng = case_rng
+        database, dcs = BULK_CASES[case]()
+        bulk_enumerators, bulk = build_enumerators(
+            dcs, database, vector_backend=backend
+        )
+        event_enumerators, evented = _event_built(dcs, database, backend)
+        assert _store_state(bulk) == _store_state(evented)
+        database.subscribe(bulk.apply)
+        database.subscribe(evented.apply)
+        dirty: set[int] = set()
+        for step in range(1, 61):
+            dirty.add(_random_delta(rng, database))
+            if step % 15:
+                continue
+            assert _store_state(bulk) == _store_state(evented)
+            for left, right in zip(bulk_enumerators, event_enumerators):
+                assert left.cold(database) == right.cold(database)
+                assert left.delta(database, dirty) == right.delta(database, dirty)
+            dirty.clear()
+
+    @needs_numpy
+    @pytest.mark.parametrize(
+        "values, huge", [((2**60, 1.5), True), ((1.5, 2**60), False)]
+    )
+    def test_ladder_order(self, values, huge):
+        """The kind ladder is order-dependent, and the bulk load keeps it."""
+        from repro.session import build_enumerators
+
+        database = Database(_schema(["R"]))
+        for value in values:
+            database.insert(Fact("R", (1, value, 0)))
+        _, store = build_enumerators(
+            _dc_pair(ComparisonOp.LT), database, vector_backend="numpy"
+        )
+        column = store.column("R", "B")
+        assert (column.kind, column.huge) == ("obj", huge)
 
 
 class TestDictionaryAndCompaction:

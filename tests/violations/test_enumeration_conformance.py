@@ -34,8 +34,14 @@ from ..oracle import (
     random_instance,
 )
 
+#: The numpy backend with a 64-pair expansion budget: most random
+#: instances then run their hash and cross steps in several blocks.
+NUMPY_BLOCKED = "numpy-64"
+
 #: Column backends available in this process ("list" always is).
-BACKENDS = ["list"] + (["numpy"] if importlib.util.find_spec("numpy") else [])
+BACKENDS = ["list"] + (
+    ["numpy", NUMPY_BLOCKED] if importlib.util.find_spec("numpy") else []
+)
 
 _NAN = float("nan")
 
@@ -273,13 +279,22 @@ def _instance(values, case, rng: random.Random):
 def _enumerator(
     dc: DenialConstraint, database: Database, backend: str
 ) -> WitnessEnumerator:
-    (enumerator,), _ = build_enumerators([dc], database, vector_backend=backend)
+    (enumerator,), _ = build_enumerators(
+        [dc], database, vector_backend="numpy" if backend == NUMPY_BLOCKED else backend
+    )
     return enumerator
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBatchConformance:
     """The compiled batch plans against the brute-force definition."""
+
+    @pytest.fixture(autouse=True)
+    def _pair_budget(self, backend, monkeypatch):
+        if backend == NUMPY_BLOCKED:
+            import repro.session.vectorized as vectorized
+
+            monkeypatch.setattr(vectorized, "CROSS_PAIR_BUDGET", 64)
 
     @pytest.mark.parametrize("values, case", _INSTANCES)
     def test_cold_matches_brute_force(self, backend, values, case, case_rng):
@@ -314,18 +329,18 @@ class TestBatchConformance:
         )
         assert found == expected
 
-    @pytest.mark.parametrize("case", range(10))
-    def test_cross_blocks_split_mid_batch(
-        self, backend, case, case_rng, monkeypatch
+    @pytest.mark.parametrize("values, case", _INSTANCES)
+    def test_blocks_split_mid_batch(
+        self, backend, values, case, case_rng, monkeypatch
     ):
-        """A pair budget of three splits every numpy cross step into
-        blocks of a candidate or so; the survivors still union exactly."""
-        if backend == "numpy":
+        """A pair budget of three splits every numpy hash and cross step
+        into blocks of a candidate or so; the survivors still union
+        exactly."""
+        if backend != "list":
             import repro.session.vectorized as vectorized
 
             monkeypatch.setattr(vectorized, "CROSS_PAIR_BUDGET", 3)
-        database, dc = random_instance(case_rng, *_VALUE_DOMAINS["mixed"])
-        expected = brute_force_witnesses(dc, database)
+        database, dc, expected = _instance(values, case, case_rng)
         enumerator = _enumerator(dc, database, backend)
         assert enumerator.cold(database) == expected
         everything = set(database.ids())
