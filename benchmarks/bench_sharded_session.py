@@ -1,22 +1,26 @@
-"""One-group vs ``"auto"`` relation partitions on multi-relation sweeps.
+"""One-group vs derived relation partitions on multi-relation sweeps.
 
-A :class:`MeasurementSession` over one explicit group holding every
-relation keeps a single shard and pays per measurement point for the
-*whole* database: every lowered DC is probed with the delta, the one
-topology is invalidated, and every conflict component's cached value is
-re-probed through its content key.  The default ``shards="auto"``
-partitions that state by relation, so a single-fact delta dirties exactly
-one shard: the other shards' topologies keep their generation and serve
-their memoized parts, and the measurement point pays content-key probes
-only for the touched shard plus a cheap k-way float merge.
+A :class:`MeasurementSession` with every relation in one group keeps a
+single shard and pays per measurement point for the *whole* database:
+every lowered DC is probed with the delta, the one topology is
+invalidated, and every conflict component's cached value is re-probed
+through its content key.  No session is built that way on its own: the
+flat leg comes from the :func:`repro.testing.layout.one_group` test seam.
+The partition a session derives (the constraint/relation hypergraph's
+connected components) splits that state by relation, so a single-fact
+delta dirties exactly one shard: the other shards' topologies keep their
+generation and serve their memoized parts, and the measurement point pays
+content-key probes only for the touched shard plus a cheap k-way float
+merge.
 
 This bench replays an identical single-fact update stream on a 3-relation
 scattered workload whose constraints never cross relations (the regime
 sharding targets — a cross-relation DC merges its relations into one
 shard and bounds the benefit by construction), with **both** sessions
 attached to the same database, and times each side's flush + measure per
-step.  Every step asserts the ``"auto"`` values are bit-identical to the
-one-group ones; the ≥2× sweep acceptance bar applies at full scale only.
+step.  Every step asserts the derived partition's values are
+bit-identical to the one-group ones; the ≥2× sweep acceptance bar applies
+at full scale only.
 Results land in ``BENCH_sharding.json`` (``unsharded_seconds`` is the
 one-group session).
 """
@@ -31,6 +35,7 @@ from repro.constraints import FunctionalDependency
 from repro.measures import make_measure
 from repro.relational import Database, Fact, Schema
 from repro.session import MeasurementSession
+from repro.testing.layout import one_group
 
 from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
 
@@ -86,37 +91,38 @@ def run_sweep() -> dict:
     stream = _delta_stream(database, rng, STEPS)
     flat_seconds = 0.0
     sharded_seconds = 0.0
-    with MeasurementSession(constraints, database, [RELATIONS]) as flat:
-        with MeasurementSession(constraints, database) as sharded:
-            assert len(flat.shards) == 1
-            assert sharded.relation_groups == [(r,) for r in RELATIONS]
-            flat.measure_all(measures)  # warm both caches off the clock
-            sharded.measure_all(measures)
-            components = len(flat.index().components())
-            for step, (identifier, value) in enumerate(stream):
-                database.update(identifier, "B", value)
-                # Alternate which side is timed first, so neither benefits
-                # from the other warming shared interpreter state.
-                if step % 2 == 0:
-                    start = time.perf_counter()
-                    flat_values = flat.measure_all(measures)
-                    flat_seconds += time.perf_counter() - start
-                    start = time.perf_counter()
-                    sharded_values = sharded.measure_all(measures)
-                    sharded_seconds += time.perf_counter() - start
-                else:
-                    start = time.perf_counter()
-                    sharded_values = sharded.measure_all(measures)
-                    sharded_seconds += time.perf_counter() - start
-                    start = time.perf_counter()
-                    flat_values = flat.measure_all(measures)
-                    flat_seconds += time.perf_counter() - start
-                assert sharded_values == flat_values, (
-                    f"step {step}: auto partition diverged from one group: "
-                    f"{sharded_values} != {flat_values}"
-                )
-                if step % 10 == 0:
-                    assert flat.index().mi_sets == sharded.index().mi_sets, step
+    with one_group():
+        flat = MeasurementSession(constraints, database)
+    with flat, MeasurementSession(constraints, database) as sharded:
+        assert len(flat.shards) == 1
+        assert sharded.relation_groups == [(r,) for r in RELATIONS]
+        flat.measure_all(measures)  # warm both caches off the clock
+        sharded.measure_all(measures)
+        components = len(flat.index().components())
+        for step, (identifier, value) in enumerate(stream):
+            database.update(identifier, "B", value)
+            # Alternate which side is timed first, so neither benefits
+            # from the other warming shared interpreter state.
+            if step % 2 == 0:
+                start = time.perf_counter()
+                flat_values = flat.measure_all(measures)
+                flat_seconds += time.perf_counter() - start
+                start = time.perf_counter()
+                sharded_values = sharded.measure_all(measures)
+                sharded_seconds += time.perf_counter() - start
+            else:
+                start = time.perf_counter()
+                sharded_values = sharded.measure_all(measures)
+                sharded_seconds += time.perf_counter() - start
+                start = time.perf_counter()
+                flat_values = flat.measure_all(measures)
+                flat_seconds += time.perf_counter() - start
+            assert sharded_values == flat_values, (
+                f"step {step}: auto partition diverged from one group: "
+                f"{sharded_values} != {flat_values}"
+            )
+            if step % 10 == 0:
+                assert flat.index().mi_sets == sharded.index().mi_sets, step
     return {
         "relations": len(RELATIONS),
         "facts": len(database),

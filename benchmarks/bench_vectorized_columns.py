@@ -32,6 +32,7 @@ from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
 from repro.relational.database import ChangeEvent
 from repro.session import build_enumerators
+from repro.testing.layout import column_backend
 
 from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
 
@@ -170,10 +171,9 @@ def _check_cold_load(workload: str, size: int, seed: int) -> None:
     """Bulk-built store == one insert event per fact, on every backend."""
     database, dcs, _ = WORKLOADS[workload](size, random.Random(seed))
     for backend in BACKENDS:
-        _, bulk = build_enumerators(dcs, database, vector_backend=backend)
-        _, evented = build_enumerators(
-            dcs, Database(database.schema), vector_backend=backend
-        )
+        with column_backend(backend):
+            _, bulk = build_enumerators(dcs, database)
+            _, evented = build_enumerators(dcs, Database(database.schema))
         for identifier, fact in database.items():
             evented.apply(ChangeEvent("insert", identifier, None, fact))
         assert _store_state(bulk) == _store_state(evented), (
@@ -188,11 +188,10 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
     stores = []
     build_seconds: dict[str, float] = {}
     for backend in BACKENDS:
-        (enumerators, store), build_seconds[backend] = _timed(
-            lambda backend=backend: build_enumerators(
-                dcs, database, vector_backend=backend
+        with column_backend(backend):
+            (enumerators, store), build_seconds[backend] = _timed(
+                lambda: build_enumerators(dcs, database)
             )
-        )
         stores.append(store)
         legs[backend] = enumerators
     # Every maintained store tracks the same mutations, like a session does.
@@ -236,7 +235,8 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
             f"{workload}@{size}: delta numpy witnesses diverged from list"
         )
     else:
-        fresh, _ = build_enumerators(dcs, database, vector_backend="list")
+        with column_backend("list"):
+            fresh, _ = build_enumerators(dcs, database)
         expected = [
             {witness for witness in enumerator.cold(database) if witness & dirty_set}
             for enumerator in fresh

@@ -31,8 +31,8 @@ setup(
         "timeout": ["pytest-timeout"],
         # Vectorized column kernels for the batch enumeration engine
         # (repro/session/vectorized.py).  Witness families are bit-identical
-        # with and without it; absent numpy the session runs the pure-python
-        # list backend.  REPRO_VECTOR=auto|numpy|list overrides detection.
+        # with and without it; the backend is detected, not chosen: absent
+        # numpy the session runs the pure-python list backend.
         "vector": ["numpy>=1.24"],
     },
 )

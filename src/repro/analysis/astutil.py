@@ -190,15 +190,3 @@ def is_set_expression(node: ast.expr) -> bool:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return node.func.id in {"set", "frozenset"}
     return False
-
-
-def contains_call_to(node: ast.expr, name: str) -> bool:
-    """Whether the expression contains a call to bare ``name(...)``."""
-    for inner in ast.walk(node):
-        if (
-            isinstance(inner, ast.Call)
-            and isinstance(inner.func, ast.Name)
-            and inner.func.id == name
-        ):
-            return True
-    return False

@@ -56,8 +56,8 @@ CLOCK_MODULES = frozenset(
 #: dependency's designated home and are themselves only ever imported
 #: lazily); ``lazy`` modules may import it inside a function.  Everything
 #: else in ``src/`` must not touch the dependency at all — the pure-python
-#: fallback legs (``REPRO_VECTOR=list``, no ``repro[cpsat]``) import every
-#: non-extra module on a bare interpreter.
+#: fallback legs (the list column backend, no ``repro[cpsat]``) import
+#: every non-extra module on a bare interpreter.
 OPTIONAL_DEPENDENCIES: dict[str, dict[str, frozenset[str]]] = {
     "numpy": {
         "eager": frozenset({"repro.session.vectorized"}),

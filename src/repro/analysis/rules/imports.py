@@ -1,8 +1,8 @@
 """Optional-dependency import hygiene.
 
 The core package is dependency-free on purpose (see ``setup.py``): numpy
-and ortools only *sharpen* results, and the pure-python legs — the
-``REPRO_VECTOR=list`` column backend, the no-``[cpsat]`` solver chain —
+and ortools only *sharpen* results, and the pure-python legs — the list
+column backend numpy-free installs run, the no-``[cpsat]`` solver chain —
 must import every non-extra module on a bare interpreter without the
 dependency installed.  That dies the moment someone writes an eager
 ``import numpy`` at module top, and nothing in the type system stops them.

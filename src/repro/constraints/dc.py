@@ -176,10 +176,6 @@ class DenialConstraint(Constraint):
         """Cross-variable equality predicates (hash-joinable)."""
         return [p for p in self.predicates if p.is_equality_join()]
 
-    def single_variable(self) -> bool:
-        """True for unary DCs (``t`` only)."""
-        return len(self.variables) == 1
-
     def relations_used(self) -> set[str]:
         """Relation symbols this DC touches."""
         return {relation for _, relation in self.variables}

@@ -9,7 +9,7 @@ lookup tables, numeric order constraints through construction.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..relational.database import Database
 from ..relational.schema import Schema
@@ -57,18 +57,3 @@ def build_single_relation(
     """Assemble a one-relation database."""
     schema = Schema.from_dict({relation: list(attributes)})
     return Database.from_rows(schema, relation, rows)
-
-
-def assert_consistent_sample(
-    generate: Callable[[int, int], Database],
-    constraints_factory: Callable[[], list],
-    sample_size: int = 200,
-    seed: int = 7,
-) -> None:
-    """Development guard: a generated sample must satisfy its constraints."""
-    from ..violations.minimal import is_consistent
-
-    database = generate(sample_size, seed)
-    constraints = constraints_factory()
-    if not is_consistent(constraints, database):
-        raise AssertionError("generator produced an inconsistent database")

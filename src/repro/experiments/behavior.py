@@ -40,11 +40,6 @@ class BehaviorResult:
         """Each measure scaled to [0, 1] by its own maximum (paper figures)."""
         return {name: normalize_series(values) for name, values in self.series.items()}
 
-    def is_monotone_nondecreasing(self, name: str, slack: float = 0.0) -> bool:
-        """Whether a series only moves up (used by behaviour assertions)."""
-        values = self.series[name]
-        return all(b >= a - slack for a, b in zip(values, values[1:]))
-
 
 def run_behavior_experiment(
     database: Database,

@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterable, Sequence
 
-from .database import Database, Fact
+from .database import Database
 from .schema import Schema
 from .values import coerce_value, render_value
 
@@ -69,8 +68,3 @@ def write_csv(database: Database, relation: str, handle: io.TextIOBase) -> None:
     for identifier in database.relation_ids(relation):
         fact = database[identifier]
         writer.writerow([render_value(value) for value in fact.values])
-
-
-def rows_to_facts(relation: str, rows: Iterable[Sequence]) -> list[Fact]:
-    """Convenience: wrap raw rows as :class:`Fact` objects."""
-    return [Fact(relation, tuple(row)) for row in rows]

@@ -70,11 +70,6 @@ class Savepoint:
         return self._active
 
     @property
-    def journal_length(self) -> int:
-        """Number of committed events recorded so far."""
-        return len(self._events)
-
-    @property
     def events(self) -> tuple[ChangeEvent, ...]:
         """The journaled events, oldest first (read-only view)."""
         return tuple(self._events)

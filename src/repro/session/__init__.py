@@ -15,9 +15,9 @@ event reaches only the shard indexing its relation.  The session is the
 one class that reads the shards: measures and budgets, copy-free
 speculation (:meth:`~repro.session.session.MeasurementSession.speculate`,
 and :meth:`~repro.session.session.MeasurementSession.speculate_batch` for
-whole candidate sets), streaming ingest and snapshots.  Every read is
-bit-identical whatever the partition; :func:`make_session` builds a
-session with an optional explicit ``shards=`` partition.
+whole candidate sets), streaming ingest and snapshots.  The partition is
+derived from ``(Σ, schema)``, never passed in, and every read is
+bit-identical whatever it is.
 
 Repeated sweeps over the same ``(Σ, D)`` warm-start instead of rebuilding:
 ``session.snapshot()`` captures the full derived state (witness stores,
@@ -40,9 +40,9 @@ graph and filtered cross steps between its disconnected parts, with per-DC
 counters through ``session.stats()``.  The plans run on one of two column
 backends (:mod:`repro.session.columnar`): numpy-vectorized kernels over
 dictionary-encoded columns when numpy is importable, or the pure-python
-list store otherwise — pick explicitly with ``vector_backend=`` or the
-``REPRO_VECTOR`` environment variable; witness sets are bit-identical
-either way.
+list store otherwise.  The process picks the backend itself
+(:data:`VECTOR_BACKEND`, reported by ``session.stats()``); witness sets
+are bit-identical either way.
 """
 
 from .columnar import (

@@ -15,12 +15,13 @@ Two backends implement the same registration/maintenance surface:
 * :class:`~repro.session.vectorized.VectorColumnStore` — numpy-backed
   contiguous columns with **dictionary-encoded join keys** (value → dense
   int code per shared join-class), tombstone bitmaps and amortized
-  geometric growth.  Selected per process at import when numpy is present
-  (the ``repro[vector]`` extra); override with ``REPRO_VECTOR=list`` /
-  ``numpy`` / ``auto``.
+  geometric growth.  Selected per process at import exactly when numpy
+  imports (the ``repro[vector]`` extra).
 
-Use :func:`make_column_store` to construct whichever backend is active;
-:data:`VECTOR_BACKEND` names the process-wide default.
+The backend is derived, not chosen: witness sets are bit-identical on
+both, so the only observable difference is speed.
+:data:`VECTOR_BACKEND` names the process's backend and
+:func:`make_column_store` constructs a store on it.
 
 The cold :meth:`~ColumnStore.build` **loads by column** in one pass:
 :func:`gather_rows` sweeps the database once for each registered
@@ -43,7 +44,6 @@ slots outnumber the configured fraction of a large relation.
 
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -86,27 +86,10 @@ def gather_rows(
 
 
 def _detect_backend() -> str:
-    """Resolve the process-wide column backend from env + availability.
-
-    ``REPRO_VECTOR`` ∈ {``auto`` (default), ``numpy``, ``list``}.  ``auto``
-    selects numpy exactly when it imports; ``numpy`` insists (raising if the
-    extra is absent); ``list`` forces the pure-python fallback.
-    """
-    choice = os.environ.get("REPRO_VECTOR", "auto").strip().lower()
-    if choice not in {"auto", "numpy", "list"}:
-        raise ValueError(
-            f"REPRO_VECTOR={choice!r}: expected 'auto', 'numpy' or 'list'"
-        )
-    if choice == "list":
-        return "list"
+    """``"numpy"`` when numpy imports, else the pure-python ``"list"``."""
     try:
         import numpy  # noqa: F401
     except ImportError:
-        if choice == "numpy":
-            raise RuntimeError(
-                "REPRO_VECTOR=numpy but numpy is not importable; "
-                "install the repro[vector] extra"
-            ) from None
         return "list"
     return "numpy"
 
@@ -115,22 +98,18 @@ def _detect_backend() -> str:
 VECTOR_BACKEND: str = _detect_backend()
 
 
-def make_column_store(schema: Schema, backend: str | None = None):
-    """Construct a column store for *schema* on the requested *backend*.
+def make_column_store(schema: Schema):
+    """Construct a column store for *schema* on :data:`VECTOR_BACKEND`.
 
-    *backend* is ``"numpy"``, ``"list"`` or ``None`` (= the process default
-    :data:`VECTOR_BACKEND`).  Both backends expose the same registration and
-    maintenance surface; the batch plan compilers dispatch on
-    ``store.backend``.
+    The constant is read at each call.  Both backends expose the same
+    registration and maintenance surface; the batch plan compilers
+    dispatch on ``store.backend``.
     """
-    chosen = VECTOR_BACKEND if backend is None else backend
-    if chosen == "list":
-        return ColumnStore(schema)
-    if chosen == "numpy":
+    if VECTOR_BACKEND == "numpy":
         from .vectorized import VectorColumnStore
 
         return VectorColumnStore(schema)
-    raise ValueError(f"unknown column backend {chosen!r}")
+    return ColumnStore(schema)
 
 
 class RelationColumns:

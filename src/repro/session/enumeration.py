@@ -18,7 +18,9 @@ binds all their variables.
 
 Each column backend compiles that one :class:`PinPlan` into its own
 kernels: pure-python lists (this module) or numpy arrays
-(:mod:`repro.session.vectorized`).  The list kernels fuse pairwise
+(:mod:`repro.session.vectorized`).  Which one runs is not an option: the
+store is built on the process's backend (``columnar.VECTOR_BACKEND``,
+numpy whenever it imports).  The list kernels fuse pairwise
 predicates into the hash join and the cross step per candidate, so no
 unfiltered pair is ever materialized; the numpy hash and cross steps
 expand the batch in blocks of at most ``CROSS_PAIR_BUDGET`` pairs and
@@ -771,21 +773,19 @@ def build_enumerators(
     dcs: Sequence[DenialConstraint],
     database: Database,
     stats: Sequence[EnumerationStats | None] | None = None,
-    vector_backend: str | None = None,
 ) -> tuple[list[WitnessEnumerator], ColumnStore]:
     """Per-DC enumerators plus the column store they join over.
 
     *stats* threads session-owned counter records through a rebuild so
-    they accumulate; ``None`` entries are freshly created.
-    *vector_backend* picks the column backend (``"numpy"``/``"list"``;
-    ``None`` = the process default, see ``columnar.VECTOR_BACKEND``).
+    they accumulate; ``None`` entries are freshly created.  The store
+    runs on the process's column backend (``columnar.VECTOR_BACKEND``).
 
     Returns the enumerators in *dcs* order and the store, built from
     *database*.  A caller that keeps them feeds the store the change
     events from then on.
     """
     counters = list(stats) if stats is not None else [None] * len(dcs)
-    store = make_column_store(database.schema, vector_backend)
+    store = make_column_store(database.schema)
     enumerators = [
         WitnessEnumerator(dc, store, counter)
         for dc, counter in zip(dcs, counters)
@@ -798,7 +798,6 @@ def cold_build(
     dcs: Sequence[DenialConstraint],
     database: Database,
     stats: Sequence[EnumerationStats | None] | None = None,
-    vector_backend: str | None = None,
 ) -> tuple[list[WitnessEnumerator], ColumnStore, list[Witnesses]]:
     """One cold enumeration of every DC over a freshly built column store.
 
@@ -807,7 +806,7 @@ def cold_build(
     keeps the enumerators and the store to run deltas later, while the
     one-shot detection in :mod:`repro.violations.minimal` drops them.
     """
-    enumerators, store = build_enumerators(dcs, database, stats, vector_backend)
+    enumerators, store = build_enumerators(dcs, database, stats)
     return (
         enumerators,
         store,

@@ -230,22 +230,21 @@ class MeasurementSession:
     conveniences or directly through the database — noise generators and
     cleaners that mutate in place are tracked all the same.
 
-    *shards* is ``"auto"`` (partition by the constraint/relation
-    hypergraph's connected components — the finest sharding that keeps
-    every DC inside one shard) or an explicit iterable of relation groups,
-    validated against the same no-DC-crosses-a-shard invariant.  A change
-    event only ever reaches the one shard indexing its relation; results
-    are bit-identical whatever the partition.
+    The live state is partitioned by the constraint/relation hypergraph's
+    connected components (:func:`~repro.session.shard.relation_groups` —
+    the finest sharding that keeps every DC inside one shard), and each
+    shard's column store runs on the process's column backend.  Neither
+    is an option: a change event only ever reaches the one shard indexing
+    its relation, and results are bit-identical whatever the partition or
+    the backend.
     """
 
     def __init__(
         self,
         constraints: Sequence[Constraint],
         database: Database,
-        shards: str | Iterable[Iterable[str]] = "auto",
         *,
         warm_start: SessionSnapshot | None = None,
-        vector_backend: str | None = None,
         time_budget: float | None = None,
     ) -> None:
         self.constraints = list(constraints)
@@ -256,18 +255,9 @@ class MeasurementSession:
         #: clock starts when the call does; an explicit ``budget=`` always
         #: wins.
         self.time_budget = time_budget
-        #: Column backend of the witness enumerators: "numpy" | "list" |
-        #: None (= the process default, see ``columnar.VECTOR_BACKEND``).
-        #: Whatever the choice, the maintained state is bit-identical.
-        self.vector_backend = vector_backend
         # Lower once; shards receive pre-lowered subsets.
         self.dcs = lower_constraints(self.constraints, database.schema)
-        if isinstance(shards, str):
-            if shards != "auto":
-                raise ValueError(f"unknown shard spec {shards!r}")
-            groups = relation_groups(self.dcs, database.schema)
-        else:
-            groups = self._validated_groups(shards)
+        groups = relation_groups(self.dcs, database.schema)
         self.relation_groups: list[tuple[str, ...]] = groups
         self.component_cache = ComponentValueCache()
         #: Relation name → number of the shard indexing it.
@@ -294,7 +284,6 @@ class MeasurementSession:
                 database,
                 self.component_cache,
                 warm_start=payloads[number] if payloads else None,
-                vector_backend=vector_backend,
             )
             for number, dcs in enumerate(shard_dcs)
         ]
@@ -322,31 +311,6 @@ class MeasurementSession:
         self._ingest = None
         self._closed = False
         database.subscribe(self._on_change)
-
-    def _validated_groups(
-        self, shards: Iterable[Iterable[str]]
-    ) -> list[tuple[str, ...]]:
-        groups = [tuple(group) for group in shards]
-        seen: set[str] = set()
-        for group in groups:
-            for relation in group:
-                self.database.schema.signature(relation)  # raises if unknown
-                if relation in seen:
-                    raise ValueError(f"relation {relation!r} in two shards")
-                seen.add(relation)
-        owner = {
-            relation: number
-            for number, group in enumerate(groups)
-            for relation in group
-        }
-        for dc in self.dcs:
-            numbers = {owner.get(relation) for _, relation in dc.variables}
-            if None in numbers or len(numbers) != 1:
-                raise ValueError(
-                    f"constraint {dc.name!r} crosses the shard partition: "
-                    f"its relations are {sorted({r for _, r in dc.variables})}"
-                )
-        return groups
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -615,10 +579,10 @@ class MeasurementSession:
         """The per-shard payloads of *snap*, or None to cold-build.
 
         Revalidates the routing partition: the payloads describe relation
-        slices, so a snapshot captured under a different partition (other
-        constraints, another explicit grouping) must not be threaded into
-        shards it was never split for.  The database is hashed only after
-        every cheap check has passed.
+        slices, so a snapshot whose recorded partition differs from this
+        session's must not be threaded into shards it was never split
+        for.  The database is hashed only after every cheap check has
+        passed.
         """
         if snap is None:
             return None

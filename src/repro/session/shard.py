@@ -1,16 +1,19 @@
 """One shard of a measurement session: the maintained witness state.
 
 A :class:`~repro.session.session.MeasurementSession` partitions its live
-state by relation (:func:`relation_groups`) and owns one :class:`_Shard`
-per group.  A shard is the maintenance and preview state machine of its
-DC subset and nothing else — no measure, speculation, budget or snapshot
-API; the session owns all of that once, over any number of shards.
+state by relation (:func:`relation_groups`, derived from the DCs and the
+schema, never passed in) and owns one :class:`_Shard` per group.  A shard
+is the maintenance and preview state machine of its DC subset and nothing
+else — no measure, speculation, budget or snapshot API; the session owns
+all of that once, over any number of shards.
 
 A shard keeps
 
 * the per-DC witness enumerators and the column store they read, fed
   by :meth:`_Shard._on_change` with the change events the session routes
-  to it;
+  to it.  Every (re)build — construction, warm-start restore, ``refresh``
+  and fault recovery — makes the store on the process's column backend
+  (``columnar.VECTOR_BACKEND``);
 * the per-DC witness stores and the reverse fact → ``(dc, witness)`` map
   (``_touching``);
 * a live :class:`~repro.violations.topology.ComponentTopology`.
@@ -81,13 +84,9 @@ class _Shard:
         component_cache: ComponentValueCache,
         *,
         warm_start: ShardSnapshot | None = None,
-        vector_backend: str | None = None,
     ) -> None:
         self.dcs = list(dcs)
         self.database = database
-        #: Column backend of the enumerators ("numpy" | "list" | None = the
-        #: process default, see ``columnar.VECTOR_BACKEND``).
-        self.vector_backend = vector_backend
         # The witness stores (with the reverse fact → (dc, witness) map),
         # the per-DC enumerators with their column store and the topology
         # are all created by exactly one of _restore/_rebuild below.
@@ -166,10 +165,7 @@ class _Shard:
         # behind, or every later delta re-enumeration would join wrong
         # candidates.
         self._enumerators, self._columns, families = cold_build(
-            self.dcs,
-            self.database,
-            self._enum_stats,
-            vector_backend=self.vector_backend,
+            self.dcs, self.database, self._enum_stats
         )
         self._enum_stats = [
             enumerator.stats for enumerator in self._enumerators
@@ -234,10 +230,7 @@ class _Shard:
         except Exception:
             return False
         self._enumerators, self._columns = build_enumerators(
-            self.dcs,
-            self.database,
-            self._enum_stats,
-            vector_backend=self.vector_backend,
+            self.dcs, self.database, self._enum_stats
         )
         self._enum_stats = [
             enumerator.stats for enumerator in self._enumerators

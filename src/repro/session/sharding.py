@@ -10,11 +10,10 @@ components, so a relation partition only groups them: every
 single-relation workload is simply the one-shard case.
 
 * **Routing.**  Each constraint is lowered *once*; every lowered DC is
-  routed to the unique shard owning its relations.  ``shards="auto"`` (the
-  default) uses the hypergraph's connected components
+  routed to the unique shard owning its relations.  The partition is
+  derived, not chosen: it is always the hypergraph's connected components
   (:func:`relation_groups`) — the finest partition that keeps every DC
-  inside one shard; an explicit partition is validated against the same
-  invariant.
+  inside one shard.
 * **Fan-out.**  The session is the only database subscriber.  A
   :class:`~repro.relational.database.ChangeEvent` is forwarded only to the
   shard indexing the touched fact's relation — the other shards' witness
@@ -28,8 +27,8 @@ single-relation workload is simply the one-shard case.
   component streams are k-way merged under the same keys, so every float
   combines in the same order and all results are **bit-identical**
   whatever the partition (the randomized conformance suite in
-  ``tests/session/test_sharding.py`` pins one explicit group against
-  ``"auto"``).
+  ``tests/session/test_sharding.py`` pins sessions built under
+  :func:`repro.testing.layout.one_group` against the derived partition).
 
 With several shards, per-shard part lists are memoized on the shard's
 topology generation, so a measurement point after a delta recomputes only
@@ -39,7 +38,7 @@ speedup (``benchmarks/bench_sharded_session.py``, ``BENCH_sharding.json``).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..constraints.base import Constraint
 from ..relational.database import Database
@@ -55,29 +54,25 @@ ShardedMeasurementSession = MeasurementSession
 def make_session(
     constraints: Sequence[Constraint],
     database: Database,
-    shards: str | Iterable[Iterable[str]] = "auto",
+    shards: str = "auto",
     warm_start=None,
-    vector_backend: str | None = None,
     time_budget: float | None = None,
 ) -> MeasurementSession:
     """A :class:`MeasurementSession` over ``(Σ, D)``.
 
-    *shards* is ``"auto"`` (the default) or an explicit relation
-    partition.  *warm_start* threads a snapshot into the session; any
-    mismatch falls back to the ordinary cold build.  *vector_backend*
-    picks the witness enumerators' column backend (``"numpy"`` | ``"list"``
-    | ``None`` = the process default, see :mod:`repro.session.enumeration`);
-    results are bit-identical whatever the choice.
-    *time_budget* (seconds) sets the session's default solver budget:
-    every ``measure``/``measure_all``/``speculate``/``speculate_batch``
-    call is budgeted unless it passes its own ``budget=``; ``None`` keeps
-    every call exact.
+    *shards* accepts only ``"auto"``, the derived partition every session
+    uses; it remains for callers that still spell it out.  *warm_start*
+    threads a snapshot into the session; any mismatch falls back to the
+    ordinary cold build.  *time_budget* (seconds) sets the session's
+    default solver budget: every
+    ``measure``/``measure_all``/``speculate``/``speculate_batch`` call is
+    budgeted unless it passes its own ``budget=``; ``None`` keeps every
+    call exact.
     """
+    if shards != "auto":
+        raise ValueError(
+            f"shards={shards!r}: the partition is derived, only 'auto' is accepted"
+        )
     return MeasurementSession(
-        constraints,
-        database,
-        shards,
-        warm_start=warm_start,
-        vector_backend=vector_backend,
-        time_budget=time_budget,
+        constraints, database, warm_start=warm_start, time_budget=time_budget
     )

@@ -13,6 +13,7 @@ never correctness.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.solvers.anytime import (
 from repro.solvers.cliques import EnumerationBudgetExceeded
 from repro.testing import faults
 from repro.testing.faults import FaultInjected
+from repro.testing.layout import one_group
 
 
 def _workload(n: int = 14):
@@ -60,11 +62,12 @@ def _workload(n: int = 14):
     return constraints, database
 
 
-#: Both read paths of the workload: one explicit group (a one-shard
-#: session — no merge) and ``"auto"`` (one shard per relation — k-way merge).
-SHARDINGS = [
-    pytest.param([("R", "S")], id="one-group"),
-    pytest.param("auto", id="auto"),
+#: Both read paths of the workload: R and S in one group (a one-shard
+#: session — no merge) and the derived partition (one shard per relation —
+#: k-way merge).
+PARTITIONS = [
+    pytest.param(one_group, id="one-group"),
+    pytest.param(nullcontext, id="auto"),
 ]
 
 
@@ -253,11 +256,13 @@ class TestEnumerationLimitExceptionSafety:
             MaximalConsistentMeasure(enumeration_limit=3),
         ]
 
-    @pytest.mark.parametrize("shards", SHARDINGS)
-    def test_measure_all_raise_is_exception_safe(self, shards):
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    def test_measure_all_raise_is_exception_safe(self, partition):
         constraints, database = _workload()
         exact = make_measures(TABLE2_MEASURES)
-        with make_session(constraints, database, shards=shards) as session:
+        with partition():
+            session = make_session(constraints, database)
+        with session:
             with pytest.raises(EnumerationBudgetExceeded):
                 session.measure_all(self._measures())
             assert session.measure_all(exact) == _fresh_values(
@@ -269,8 +274,8 @@ class TestEnumerationLimitExceptionSafety:
                 constraints, database, exact
             )
 
-    @pytest.mark.parametrize("shards", SHARDINGS)
-    def test_speculate_batch_raise_is_exception_safe(self, shards):
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    def test_speculate_batch_raise_is_exception_safe(self, partition):
         constraints, database = _workload()
         exact = make_measures(TABLE2_MEASURES)
         from repro.repairs.operations import DeleteOperation
@@ -279,7 +284,9 @@ class TestEnumerationLimitExceptionSafety:
             identifier for identifier, _ in database.items()
         )[:3]
         candidates = [[DeleteOperation(i)] for i in identifiers]
-        with make_session(constraints, database, shards=shards) as session:
+        with partition():
+            session = make_session(constraints, database)
+        with session:
             with pytest.raises(EnumerationBudgetExceeded):
                 session.speculate_batch(candidates, self._measures())
             fresh_scores = None
@@ -295,12 +302,14 @@ class TestRandomizedDegradationDrill:
     """Seed-driven rates over every point while a session works; after the
     plan deactivates the session must be bit-identical to from-scratch."""
 
-    @pytest.mark.parametrize("shards", SHARDINGS)
-    def test_drill_lands_in_defined_state(self, shards, case_rng):
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    def test_drill_lands_in_defined_state(self, partition, case_rng):
         rng = case_rng
         constraints, database = _workload(10)
         measures = make_measures(("I_MI", "I_MC", "I_R"))
-        with make_session(constraints, database, shards=shards) as session:
+        with partition():
+            session = make_session(constraints, database)
+        with session:
             with faults.fault_plan(
                 rng.randint(0, 2**31),
                 rates={

@@ -17,6 +17,7 @@ net-empty flush advances nothing and keeps ``_spec_base``).
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.session import (
     database_fingerprint,
     make_session,
 )
+from repro.testing.layout import one_group
 
 from .test_setbased import assert_matches_reference, fresh_reference
 from .test_speculation import shard_indexes
@@ -88,15 +90,12 @@ def _assert_unindexed(shard, identifier: int) -> None:
             assert identifier not in ids
 
 
-#: One explicit group for R and S: a one-shard session (no merge).
-ONE_GROUP = [("R", "S")]
-
-
 def _flavors():
-    """Both read paths: one explicit group and ``"auto"`` (k-way merge)."""
+    """Both read paths: R and S in one group (one shard, no merge) and the
+    derived partition (one shard each, k-way merge)."""
     return [
-        pytest.param(ONE_GROUP, id="one-group"),
-        pytest.param("auto", id="auto"),
+        pytest.param(one_group, id="one-group"),
+        pytest.param(nullcontext, id="auto"),
     ]
 
 
@@ -130,7 +129,8 @@ class TestCoalescing:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_insert_update_delete_nets_out(self, flavor):
         database = _seeded()
-        session = MeasurementSession(_constraints(), database, flavor)
+        with flavor():
+            session = MeasurementSession(_constraints(), database)
         pipe = session.ingest()
         before = database_fingerprint(database)
         identifier = pipe.submit("insert", Fact("R", ("a0", "zzz")))
@@ -370,9 +370,10 @@ class TestStalenessReads:
         )
 
     def test_generation_is_a_per_shard_tuple(self):
-        one_group = MeasurementSession(_constraints(), _seeded(), ONE_GROUP)
-        generation = one_group.ingest().read(()).generation
-        assert generation == _generation(one_group)
+        with one_group():
+            grouped = MeasurementSession(_constraints(), _seeded())
+        generation = grouped.ingest().read(()).generation
+        assert generation == _generation(grouped)
         assert len(generation) == 1
         sharded = MeasurementSession(_constraints(), _seeded()).ingest()
         generation = sharded.read(()).generation
@@ -386,7 +387,8 @@ class TestFlushResidue:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_insert_delete_leaves_no_touching_or_bucket_residue(self, flavor):
         database = _seeded()
-        session = MeasurementSession(_residue_constraints(), database, flavor)
+        with flavor():
+            session = MeasurementSession(_residue_constraints(), database)
         session.index()
         pipe = session.ingest()
         identifier = pipe.submit("insert", Fact("R", ("a0", "hot")))
@@ -436,7 +438,8 @@ class TestFlushResidue:
         assert a not in shard._touching  # its only witness retracted
         _assert_unindexed(shard, b)
         with fresh_reference(session) as fresh:
-            assert session.index().mi_sets == fresh.index().mi_sets
+            expected = fresh.index().mi_sets
+        assert session.index().mi_sets == expected
 
 
 class TestGenerationStability:
@@ -445,7 +448,8 @@ class TestGenerationStability:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_netted_batch_preserves_generation_and_spec_base(self, flavor):
         database = _seeded()
-        session = MeasurementSession(_constraints(), database, flavor)
+        with flavor():
+            session = MeasurementSession(_constraints(), database)
         base = session._speculation_base()
         pipe = session.ingest()
         original = database[0].values[1]
@@ -473,7 +477,8 @@ class TestObservability:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_stats_surface_ingest_counters(self, flavor):
         database = _seeded()
-        session = MeasurementSession(_constraints(), database, flavor)
+        with flavor():
+            session = MeasurementSession(_constraints(), database)
         assert "ingest" not in session.stats()
         pipe = session.ingest(capacity=16)
         pipe.submit("update", 0, "B", "x")
@@ -540,7 +545,8 @@ class TestLockstepConformance:
     @pytest.mark.parametrize("flavor", _flavors())
     def test_lockstep_parity(self, flavor, case_rng):
         database = _seeded()
-        session = MeasurementSession(_constraints(), database, flavor)
+        with flavor():
+            session = MeasurementSession(_constraints(), database)
         mirror_db, mirror_sess = _mirror(database)
         pipe = session.ingest(capacity=32)
         for step in range(160):
@@ -560,7 +566,8 @@ class TestLockstepConformance:
     @pytest.mark.parametrize("round_", range(4))
     def test_lockstep_parity_soak(self, flavor, round_, case_rng):
         database = _seeded(20)
-        session = MeasurementSession(_constraints(), database, flavor)
+        with flavor():
+            session = MeasurementSession(_constraints(), database)
         mirror_db, mirror_sess = _mirror(database)
         pipe = session.ingest(capacity=64)
         for step in range(600):
@@ -583,7 +590,8 @@ class TestSpeculateBatchDirtyMarks:
         from repro.repairs.operations import UpdateOperation
 
         database = _seeded()
-        session = MeasurementSession(_constraints(), database, ONE_GROUP)
+        with one_group():
+            session = MeasurementSession(_constraints(), database)
         session.index()
         candidates = [
             [UpdateOperation(0, "B", "x")],

@@ -16,7 +16,6 @@ import importlib.util
 import pytest
 
 import repro
-import repro.session.columnar as columnar
 import repro.session.enumeration as enumeration
 from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
@@ -24,6 +23,7 @@ from repro.measures import make_measure
 from repro.relational import Database, Fact, Schema
 from repro.session import build_enumerators, make_session
 from repro.session.enumeration import plan_pin
+from repro.testing.layout import column_backend
 from repro.violations import build_violation_index
 
 from ..oracle import brute_force_witnesses, minimal_sets, random_instance
@@ -168,7 +168,8 @@ def test_any_join_order_yields_the_same_witnesses(
         "plan_pin",
         lambda dc, pin, live_count: planned(dc, pin, costs.__getitem__),
     )
-    (enumerator,), _ = build_enumerators([dc], database, vector_backend=backend)
+    with column_backend(backend):
+        (enumerator,), _ = build_enumerators([dc], database)
     assert enumerator.cold(database) == brute_force_witnesses(dc, database)
     identifiers = [identifier for identifier, _ in database.items()]
     expected = {
@@ -191,20 +192,22 @@ def _id_attribute_instance():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_attribute_named_id_is_a_real_column(backend, monkeypatch):
+def test_attribute_named_id_is_a_real_column(backend):
     """``t[ID]`` reads the attribute, not the fact identifier."""
-    monkeypatch.setattr(columnar, "VECTOR_BACKEND", backend)
     database, dc = _id_attribute_instance()
     expected = brute_force_witnesses(dc, database)
     assert expected == {frozenset({0, 1})}
-    assert repro.measure("I_MI", [dc], database) == 1.0
-    assert set(build_violation_index([dc], database).mi_sets) == minimal_sets(expected)
-    with make_session([dc], database, vector_backend=backend) as session:
-        assert session.measure(make_measure("I_MI")) == 1.0
-        session.insert(Fact("R", (7, "z")))
-        session.insert(Fact("R", (8, "z")))
-        assert set(session.index().mi_sets) == minimal_sets(
-            brute_force_witnesses(dc, database)
+    with column_backend(backend):
+        assert repro.measure("I_MI", [dc], database) == 1.0
+        assert set(build_violation_index([dc], database).mi_sets) == minimal_sets(
+            expected
         )
-        assert session.measure(make_measure("I_MI")) == 3.0
+        with make_session([dc], database) as session:
+            assert session.measure(make_measure("I_MI")) == 1.0
+            session.insert(Fact("R", (7, "z")))
+            session.insert(Fact("R", (8, "z")))
+            assert set(session.index().mi_sets) == minimal_sets(
+                brute_force_witnesses(dc, database)
+            )
+            assert session.measure(make_measure("I_MI")) == 3.0
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import importlib.util
 import math
 import random
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
 from repro.session import MeasurementSession, make_session
+from repro.testing.layout import column_backend
 
 from ..oracle import brute_force_witnesses
 
@@ -188,19 +191,21 @@ def other_backend(session: MeasurementSession) -> str:
     return "list" if session.stats()["vector_backend"] == "numpy" else "numpy"
 
 
-def fresh_reference(session: MeasurementSession) -> MeasurementSession:
+@contextmanager
+def fresh_reference(session: MeasurementSession) -> Iterator[MeasurementSession]:
     """A fresh cold build of *session*'s constraints and database on the
-    other column backend (the caller closes it)."""
-    return MeasurementSession(
-        session.constraints,
-        session.database,
-        vector_backend=other_backend(session),
-    )
+    other column backend, open for the block."""
+    with column_backend(other_backend(session)):
+        with MeasurementSession(session.constraints, session.database) as fresh:
+            yield fresh
 
 
 def assert_matches_reference(session: MeasurementSession) -> None:
     """*session*'s maintained state equals a fresh cold build on the other
     backend, and each small DC's witnesses equal the oracle's."""
+    # Flush (or recover) on the session's own backend before the block
+    # that builds the reference on the other one.
+    session.index()
     with fresh_reference(session) as reference:
         _assert_identical(reference, session)
     database = session.database
@@ -359,7 +364,7 @@ class TestShardedAndWarmStart:
             FunctionalDependency("R0", {"A"}, {"B"}),
             FunctionalDependency("R1", {"A"}, {"C"}),
         ]
-        session = make_session(constraints, database, shards="auto")
+        session = make_session(constraints, database)
         assert len(session.shards) == 2
         assert_matches_reference(session)
         stats = session.stats()

@@ -5,9 +5,10 @@ schemas, DC sets (including cross-relation DCs that force merged shards)
 and interleaved insert/delete/update/speculate histories, a session
 partitioned ``"auto"`` (one shard per hypergraph component — the k-way
 merge read path) must return **bit-identical** ``measure_all`` values,
-``index()`` content and ``speculate_batch`` scores to a session over one
-explicit group holding every relation (one shard — the no-merge read
-path) on the same database — the same randomized-history style black-box
+``index()`` content and ``speculate_batch`` scores to a session built
+under :func:`repro.testing.layout.one_group`, which holds every
+constrained relation in one group (one shard — the no-merge read path),
+on the same database — the same randomized-history style black-box
 checking used for snapshot-isolation conformance, applied to the
 partition-equivalence contract.
 """
@@ -30,6 +31,7 @@ from repro.repairs.operations import (
     apply_sequence,
 )
 from repro.session import MeasurementSession, make_session, relation_groups
+from repro.testing.layout import one_group
 from repro.violations import build_violation_index, lower_constraints
 
 
@@ -46,10 +48,9 @@ def _cross_dc(left: str, right: str) -> DenialConstraint:
 
 
 def _one_group(database: Database, constraints) -> MeasurementSession:
-    """A one-shard session: every relation in one explicit group."""
-    return MeasurementSession(
-        constraints, database, [tuple(database.schema.relation_names())]
-    )
+    """A one-shard session: every constrained relation in one group."""
+    with one_group():
+        return MeasurementSession(constraints, database)
 
 
 def _random_setup(rng: random.Random) -> tuple[Schema, list]:
@@ -314,27 +315,6 @@ class TestRouting:
             assert owned == {id(dc) for dc in session.dcs}
             assert len(owned) == len(session.dcs)
 
-    def test_explicit_partition_validated(self):
-        schema = self._schema()
-        constraints = [
-            FunctionalDependency("R0", {"A"}, {"B"}),
-            _cross_dc("R1", "R2"),
-        ]
-        database = Database(schema)
-        session = MeasurementSession(
-            constraints, database, shards=[("R0",), ("R1", "R2")]
-        )
-        assert session.relation_groups == [("R0",), ("R1", "R2")]
-        session.close()
-        with pytest.raises(ValueError, match="crosses the shard partition"):
-            MeasurementSession(
-                constraints, database, shards=[("R0", "R1"), ("R2",)]
-            )
-        with pytest.raises(ValueError, match="in two shards"):
-            MeasurementSession(
-                constraints, database, shards=[("R0", "R1"), ("R1", "R2")]
-            )
-
     def test_make_session_builds_the_one_session_class(self):
         schema = self._schema()
         constraints = [
@@ -345,9 +325,11 @@ class TestRouting:
         with make_session(constraints, database) as session:
             assert type(session) is MeasurementSession
             assert session.relation_groups == [("R0",), ("R1",)]
-        grouped = make_session(constraints, database, shards=[("R0", "R1")])
-        assert len(grouped.shards) == 1
-        grouped.close()
+        with pytest.raises(ValueError, match="only 'auto'"):
+            make_session(constraints, database, shards=[("R0", "R1")])
+        with one_group(), make_session(constraints, database) as grouped:
+            assert grouped.relation_groups == [("R0", "R1")]
+            assert len(grouped.shards) == 1
 
     def test_single_relation_is_one_shard(self):
         schema = self._schema()

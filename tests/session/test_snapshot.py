@@ -10,6 +10,7 @@ to the cold build rather than restore anything (never a wrong answer).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
@@ -27,6 +28,7 @@ from repro.session import (
     load_snapshot_bytes,
     save_snapshot,
 )
+from repro.testing.layout import one_group
 from repro.violations import build_violation_index
 
 from .test_sharding import (
@@ -73,8 +75,7 @@ class TestRoundTrip:
             ],
         )
         measures = make_measures(TABLE2_MEASURES)
-        one_group = [tuple(relations)]
-        with MeasurementSession(constraints, database, one_group) as session:
+        with one_group(), MeasurementSession(constraints, database) as session:
             for _ in range(10):
                 _random_mutation(rng, database, relations)
             session.measure_all(measures)
@@ -83,9 +84,9 @@ class TestRoundTrip:
             # into the captured state or the restored session.
             candidates = _random_candidates(rng, database, relations, 3)
             session.speculate_batch(candidates, measures)
-        with MeasurementSession(
-            constraints, database, one_group, warm_start=snap
-        ) as restored, MeasurementSession(constraints, database) as control:
+        with one_group():
+            restored = MeasurementSession(constraints, database, warm_start=snap)
+        with restored, MeasurementSession(constraints, database) as control:
             assert restored.warm_started
             _assert_sessions_identical(restored, control)
             assert restored.measure_all(measures) == control.measure_all(
@@ -124,11 +125,10 @@ class TestRoundTrip:
                 _random_mutation(rng, database, relations)
             session.measure_all(measures)
             snap = _roundtrip(session.snapshot())
-        with MeasurementSession(
-            constraints, database, warm_start=snap
-        ) as restored, MeasurementSession(
-            constraints, database, [tuple(relations)]
-        ) as control:
+        restored = MeasurementSession(constraints, database, warm_start=snap)
+        with one_group():
+            control = MeasurementSession(constraints, database)
+        with restored, control:
             assert restored.warm_started
             _assert_sessions_identical(restored, control)
             assert restored.measure_all(measures) == control.measure_all(
@@ -371,14 +371,17 @@ class TestFallback:
         with MeasurementSession(constraints, database) as session:
             assert session.relation_groups == [("T0",), ("T1",)]
             snap = _roundtrip(session.snapshot())
-        # A coarser (still valid) explicit partition: the per-shard
-        # payloads describe the wrong slices, so the restore must reject.
-        with MeasurementSession(
-            constraints, database, shards=[("T0", "T1")], warm_start=snap
-        ) as restored:
-            assert not restored.warm_started
-            full = build_violation_index(constraints, database)
-            assert restored.index().mi_sets == full.mi_sets
+        # A snapshot recording another partition (a coarser one, or the
+        # same groups in another order): its per-shard payloads describe
+        # the wrong slices, so the restore must reject.
+        for groups in ([("T0", "T1")], [("T1",), ("T0",)]):
+            altered = dataclasses.replace(snap, relation_groups=groups)
+            with MeasurementSession(
+                constraints, database, warm_start=altered
+            ) as restored:
+                assert not restored.warm_started
+                full = build_violation_index(constraints, database)
+                assert restored.index().mi_sets == full.mi_sets
 
     def test_v2_snapshot_file_rejected_and_cold_builds(
         self, tmp_path, simple_schema

@@ -17,6 +17,7 @@ exercises the fallback path.
 from __future__ import annotations
 
 import sys
+from typing import Iterator
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.session import (
     make_session,
 )
 from repro.session.columnar import ColumnStore, _detect_backend
+from repro.testing.layout import column_backend
 
 from .test_setbased import (
     HAS_NUMPY,
@@ -55,12 +57,13 @@ def _mirror(database: Database) -> Database:
     return copy
 
 
-def _sessions(database: Database, dcs) -> list[MeasurementSession]:
-    """One session per available backend, over mirrored databases."""
-    return [
-        MeasurementSession(dcs, _mirror(database), vector_backend=backend)
-        for backend in BACKENDS
-    ]
+def _sessions(database: Database, dcs) -> Iterator[MeasurementSession]:
+    """One session per available backend, each over its own mirror of
+    *database* and open while its backend's block is."""
+    for backend in BACKENDS:
+        with column_backend(backend):
+            with MeasurementSession(dcs, _mirror(database)) as session:
+                yield session
 
 
 def _facts_parity(schema: Schema, rows: dict[str, list[tuple]], dcs) -> None:
@@ -71,7 +74,6 @@ def _facts_parity(schema: Schema, rows: dict[str, list[tuple]], dcs) -> None:
             database.insert(Fact(relation, values))
     for session in _sessions(database, dcs):
         assert_matches_reference(session)
-        session.close()
 
 
 class TestBackendParity:
@@ -81,7 +83,6 @@ class TestBackendParity:
         _, _, _, database, dcs = _random_instance(rng, rng.randint(20, 80))
         for session in _sessions(database, dcs):
             assert_matches_reference(session)
-            session.close()
 
     @pytest.mark.parametrize("case", range(3))
     def test_interleaved_histories(self, case, case_rng):
@@ -89,19 +90,16 @@ class TestBackendParity:
         _, relations, spread, database, dcs = _random_instance(
             rng, rng.randint(15, 40)
         )
-        batches = _sessions(database, dcs)
-        databases = [session.database for session in batches]
-        for step in range(rng.randint(20, 40)):
-            state = rng.getstate()
-            for mutated in databases:
-                rng.setstate(state)
-                _mutate(rng, mutated, relations, spread)
-            if step % 5 == 0:
-                for session in batches:
+        steps = rng.randint(20, 40)
+        # Every backend replays the same history from the same stream.
+        start = rng.getstate()
+        for session in _sessions(database, dcs):
+            rng.setstate(start)
+            for step in range(steps):
+                _mutate(rng, session.database, relations, spread)
+                if step % 5 == 0:
                     assert_matches_reference(session)
-        for session in batches:
             assert_matches_reference(session)
-            session.close()
 
     @pytest.mark.parametrize("case", range(2))
     def test_speculation(self, case, case_rng):
@@ -112,38 +110,35 @@ class TestBackendParity:
         _, relations, spread, database, dcs = _random_instance(
             rng, rng.randint(15, 40)
         )
-        batches = _sessions(database, dcs)
         measure = make_measure("I_MI")
-        for _ in range(3):
-            identifiers = batches[0].database.ids()
-            if not identifiers:
-                break
-            candidates = []
+        # Every backend replays the same rounds from the same stream.
+        start = rng.getstate()
+        for session in _sessions(database, dcs):
+            rng.setstate(start)
             for _ in range(3):
-                identifier = rng.choice(identifiers)
-                if rng.random() < 0.5:
-                    candidates.append([DeleteOperation(identifier)])
-                else:
-                    candidates.append(
-                        [
-                            UpdateOperation(
-                                identifier,
-                                rng.choice(["A", "B"]),
-                                _random_value(rng, spread),
-                            )
-                        ]
-                    )
-            for session in batches:
+                identifiers = session.database.ids()
+                if not identifiers:
+                    break
+                candidates = []
+                for _ in range(3):
+                    identifier = rng.choice(identifiers)
+                    if rng.random() < 0.5:
+                        candidates.append([DeleteOperation(identifier)])
+                    else:
+                        candidates.append(
+                            [
+                                UpdateOperation(
+                                    identifier,
+                                    rng.choice(["A", "B"]),
+                                    _random_value(rng, spread),
+                                )
+                            ]
+                        )
                 with fresh_reference(session) as reference:
                     expected = reference.speculate_batch(candidates, [measure])
                 assert session.speculate_batch(candidates, [measure]) == expected
-            state = rng.getstate()
-            for mutated in [s.database for s in batches]:
-                rng.setstate(state)
-                _mutate(rng, mutated, relations, spread)
-        for session in batches:
+                _mutate(rng, session.database, relations, spread)
             assert_matches_reference(session)
-            session.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sharded(self, backend, case_rng):
@@ -159,18 +154,12 @@ class TestBackendParity:
             FunctionalDependency("R0", {"A"}, {"B"}),
             FunctionalDependency("R1", {"A"}, {"C"}),
         ]
-        sharded = make_session(
-            constraints,
-            database,
-            shards="auto",
-            vector_backend=backend,
-        )
-        assert_matches_reference(sharded)
-        assert sharded.stats()["vector_backend"] == backend
-        for _ in range(15):
-            _mutate(rng, database, relations, 6)
-        assert_matches_reference(sharded)
-        sharded.close()
+        with column_backend(backend), make_session(constraints, database) as sharded:
+            assert_matches_reference(sharded)
+            assert sharded.stats()["vector_backend"] == backend
+            for _ in range(15):
+                _mutate(rng, database, relations, 6)
+            assert_matches_reference(sharded)
 
     @pytest.mark.parametrize("snap_backend", BACKENDS)
     def test_warm_start_across_backends(self, snap_backend, case_rng):
@@ -188,26 +177,21 @@ class TestBackendParity:
             ],
             name="fd",
         )
-        with MeasurementSession(
-            [dc], database, vector_backend=snap_backend
-        ) as source:
-            snap = source.snapshot()
+        with column_backend(snap_backend):
+            with MeasurementSession([dc], database) as source:
+                snap = source.snapshot()
         for backend in BACKENDS:
             mirrored = _mirror(database)
-            session = MeasurementSession(
-                [dc],
-                mirrored,
-                vector_backend=backend,
-                warm_start=snap,
-            )
-            assert session.warm_started
-            assert session.stats()["constraints"][0]["cold_runs"] == 0
-            assert_matches_reference(session)
-            for _ in range(10):
-                _mutate(rng, mirrored, relations, 5)
-            assert_matches_reference(session)
-            assert session.stats()["constraints"][0]["delta_runs"] >= 1
-            session.close()
+            with column_backend(backend):
+                session = MeasurementSession([dc], mirrored, warm_start=snap)
+                assert session.warm_started
+                assert session.stats()["constraints"][0]["cold_runs"] == 0
+                assert_matches_reference(session)
+                for _ in range(10):
+                    _mutate(rng, mirrored, relations, 5)
+                assert_matches_reference(session)
+                assert session.stats()["constraints"][0]["delta_runs"] >= 1
+                session.close()
 
 
 def _dc_pair(op_bc):
@@ -508,14 +492,12 @@ BULK_CASES = {
 }
 
 
-def _event_built(dcs, database, backend):
+def _event_built(dcs, database):
     """An empty store fed one insert event per fact, in fact-id order."""
     from repro.relational.database import ChangeEvent
     from repro.session import build_enumerators
 
-    enumerators, store = build_enumerators(
-        dcs, Database(database.schema), vector_backend=backend
-    )
+    enumerators, store = build_enumerators(dcs, Database(database.schema))
     for identifier, fact in database.items():
         store.apply(ChangeEvent("insert", identifier, None, fact))
     return enumerators, store
@@ -561,10 +543,10 @@ class TestBulkLoad:
             monkeypatch.setattr(VectorColumnStore, "COMPACT_MIN_SLOTS", 8)
         rng = case_rng
         database, dcs = BULK_CASES[case]()
-        bulk_enumerators, bulk = build_enumerators(
-            dcs, database, vector_backend=backend
-        )
-        event_enumerators, evented = _event_built(dcs, database, backend)
+        with column_backend(backend):
+            bulk_enumerators, bulk = build_enumerators(dcs, database)
+            event_enumerators, evented = _event_built(dcs, database)
+        assert bulk.backend == evented.backend == backend
         assert _store_state(bulk) == _store_state(evented)
         database.subscribe(bulk.apply)
         database.subscribe(evented.apply)
@@ -590,9 +572,8 @@ class TestBulkLoad:
         database = Database(_schema(["R"]))
         for value in values:
             database.insert(Fact("R", (1, value, 0)))
-        _, store = build_enumerators(
-            _dc_pair(ComparisonOp.LT), database, vector_backend="numpy"
-        )
+        with column_backend("numpy"):
+            _, store = build_enumerators(_dc_pair(ComparisonOp.LT), database)
         column = store.column("R", "B")
         assert (column.kind, column.huge) == ("obj", huge)
 
@@ -616,25 +597,25 @@ class TestDictionaryAndCompaction:
             ],
             name="fd",
         )
-        session = MeasurementSession([dc], database, vector_backend="numpy")
-        session.index()
-        store = session.shards[0]._columns
-        dictionary = store.column("R0", "A").dict_class
-        before = dict(dictionary.codes)
-        # Speculate updates that introduce brand-new join values, then
-        # roll back; dedicated codes were assigned inside the savepoint.
-        candidates = [
-            [UpdateOperation(identifier, "A", 1000 + k)]
-            for k, identifier in enumerate(database.ids()[:4])
-        ]
-        session.speculate_batch(candidates, [make_measure("I_MI")])
-        after = dict(dictionary.codes)
-        for value, code in before.items():
-            assert after[value] == code
-        assert all(1000 + k in after for k in range(4))
-        # The rolled-back store still answers identically to a fresh build.
-        assert_matches_reference(session)
-        session.close()
+        with column_backend("numpy"), MeasurementSession([dc], database) as session:
+            session.index()
+            store = session.shards[0]._columns
+            dictionary = store.column("R0", "A").dict_class
+            before = dict(dictionary.codes)
+            # Speculate updates that introduce brand-new join values, then
+            # roll back; dedicated codes were assigned inside the savepoint.
+            candidates = [
+                [UpdateOperation(identifier, "A", 1000 + k)]
+                for k, identifier in enumerate(database.ids()[:4])
+            ]
+            session.speculate_batch(candidates, [make_measure("I_MI")])
+            after = dict(dictionary.codes)
+            for value, code in before.items():
+                assert after[value] == code
+            assert all(1000 + k in after for k in range(4))
+            # The rolled-back store still answers identically to a fresh
+            # build.
+            assert_matches_reference(session)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_compaction_preserves_parity(self, backend, case_rng, monkeypatch):
@@ -659,25 +640,24 @@ class TestDictionaryAndCompaction:
             ],
             name="fd",
         )
-        batch = MeasurementSession([dc], database, vector_backend=backend)
-        # Alternate delete waves (dropping live fraction below 1/2) with
-        # insert/update waves, checking parity after every wave.
-        for wave in range(6):
-            identifiers = database.ids()
-            if wave % 2 == 0:
-                for identifier in identifiers[: len(identifiers) * 2 // 3]:
-                    database.delete(identifier)
-            else:
-                for _ in range(25):
-                    _mutate(rng, database, relations, 8)
-            assert_matches_reference(batch)
-        # At least one compaction actually fired on the batch store: the
-        # initial 60 slots can only shrink through _compact (rows are
-        # tombstoned in place otherwise).
-        relation = batch.shards[0]._columns.relation("R0")
-        slots = relation.n if backend == "numpy" else len(relation.ids)
-        assert slots < 60
-        batch.close()
+        with column_backend(backend), MeasurementSession([dc], database) as batch:
+            # Alternate delete waves (dropping live fraction below 1/2)
+            # with insert/update waves, checking parity after every wave.
+            for wave in range(6):
+                identifiers = database.ids()
+                if wave % 2 == 0:
+                    for identifier in identifiers[: len(identifiers) * 2 // 3]:
+                        database.delete(identifier)
+                else:
+                    for _ in range(25):
+                        _mutate(rng, database, relations, 8)
+                assert_matches_reference(batch)
+            # At least one compaction actually fired on the batch store:
+            # the initial 60 slots can only shrink through _compact (rows
+            # are tombstoned in place otherwise).
+            relation = batch.shards[0]._columns.relation("R0")
+            slots = relation.n if backend == "numpy" else len(relation.ids)
+            assert slots < 60
 
 
 class TestLoneVariableShapes:
@@ -700,56 +680,57 @@ class TestLoneVariableShapes:
         for _ in range(40):
             database.insert(_random_fact(rng, rng.choice(relations), 4))
         dc = self._lone_dc()
-        batch = MeasurementSession([dc], database, vector_backend=backend)
-        assert_matches_reference(batch)
-        # Mutations confined to the lone variable's relation seed the
-        # delta pass on the keyless pin.
-        r1_ids = [
-            identifier
-            for identifier, fact in database.items()
-            if fact.relation == "R1"
-        ]
-        for k, identifier in enumerate(r1_ids[:6]):
-            if k % 2 == 0:
-                database.update(identifier, "C", 1 if k % 4 == 0 else 3)
-            else:
-                database.delete(identifier)
+        with column_backend(backend), MeasurementSession([dc], database) as batch:
             assert_matches_reference(batch)
-        for _ in range(4):
-            database.insert(Fact("R1", (2, 2, 1)))
-            assert_matches_reference(batch)
-        assert batch.stats()["constraints"][0]["delta_runs"] >= 1
-        batch.close()
+            # Mutations confined to the lone variable's relation seed the
+            # delta pass on the keyless pin.
+            r1_ids = [
+                identifier
+                for identifier, fact in database.items()
+                if fact.relation == "R1"
+            ]
+            for k, identifier in enumerate(r1_ids[:6]):
+                if k % 2 == 0:
+                    database.update(identifier, "C", 1 if k % 4 == 0 else 3)
+                else:
+                    database.delete(identifier)
+                assert_matches_reference(batch)
+            for _ in range(4):
+                database.insert(Fact("R1", (2, 2, 1)))
+                assert_matches_reference(batch)
+            assert batch.stats()["constraints"][0]["delta_runs"] >= 1
 
 
 class TestBackendSelection:
-    def test_make_column_store(self):
-        schema = _schema(["R0"])
-        assert make_column_store(schema, "list").backend == "list"
-        assert isinstance(make_column_store(schema, "list"), ColumnStore)
-        if HAS_NUMPY:
-            assert make_column_store(schema, "numpy").backend == "numpy"
-        with pytest.raises(ValueError, match="unknown column backend"):
-            make_column_store(schema, "duckdb")
+    """The backend is derived, never passed: numpy when it imports."""
 
-    def test_detect_backend_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "list")
-        assert _detect_backend() == "list"
-        monkeypatch.setenv("REPRO_VECTOR", "banana")
-        with pytest.raises(ValueError, match="REPRO_VECTOR"):
-            _detect_backend()
-        if HAS_NUMPY:
-            monkeypatch.setenv("REPRO_VECTOR", "numpy")
-            assert _detect_backend() == "numpy"
+    def test_make_column_store_follows_the_constant(self):
+        schema = _schema(["R0"])
+        for backend in BACKENDS:
+            with column_backend(backend):
+                assert make_column_store(schema).backend == backend
+        with column_backend("list"):
+            assert isinstance(make_column_store(schema), ColumnStore)
+
+    def test_detect_backend(self):
+        assert _detect_backend() == ("numpy" if HAS_NUMPY else "list")
 
     def test_detect_backend_without_numpy(self, monkeypatch):
-        """Simulate the numpy-absent install: auto falls back, numpy raises."""
+        """Simulate the numpy-absent install: detection falls back."""
         monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.setenv("REPRO_VECTOR", "auto")
         assert _detect_backend() == "list"
-        monkeypatch.setenv("REPRO_VECTOR", "numpy")
-        with pytest.raises(RuntimeError, match="numpy is not importable"):
-            _detect_backend()
+
+    def test_no_layout_options(self):
+        database = Database(_schema(["R"]))
+        dcs = _dc_pair(ComparisonOp.NE)
+        with pytest.raises(ValueError, match="only 'auto'"):
+            make_session(dcs, database, shards=[("R",)])
+        with pytest.raises(TypeError):
+            MeasurementSession(dcs, database, [("R",)])
+        with pytest.raises(TypeError):
+            MeasurementSession(dcs, database, vector_backend="list")
+        with make_session(dcs, database, shards="auto") as session:
+            assert session.relation_groups == [("R",)]
 
     def test_stats_surface_backend(self, case_rng):
         rng = case_rng
@@ -765,8 +746,7 @@ class TestBackendSelection:
             name="fd",
         )
         for backend in BACKENDS:
-            session = MeasurementSession([dc], database, vector_backend=backend)
-            stats = session.stats()
-            assert stats["vector_backend"] == backend
-            assert stats["constraints"][0]["backend"] == backend
-            session.close()
+            with column_backend(backend), MeasurementSession([dc], database) as session:
+                stats = session.stats()
+                assert stats["vector_backend"] == backend
+                assert stats["constraints"][0]["backend"] == backend

@@ -10,6 +10,7 @@ degraded values never poison the component caches.
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 
 import pytest
 
@@ -44,6 +45,7 @@ from repro.solvers.anytime import (
     subset_count_bound,
     worst_status,
 )
+from repro.testing.layout import one_group
 
 
 def _path_workload(n: int = 16, relations=("R",)):
@@ -66,13 +68,13 @@ def _path_workload(n: int = 16, relations=("R",)):
     return constraints, database
 
 
-#: Both session read paths over a two-relation workload: one explicit
-#: group (one shard, no merge) and ``"auto"`` (one shard per relation,
-#: k-way merge).
+#: Both session read paths over a two-relation workload: both relations
+#: in one group (one shard, no merge) and the derived partition (one
+#: shard per relation, k-way merge).
 TWO_RELATIONS = ("R", "S")
-SHARDINGS = [
-    pytest.param([TWO_RELATIONS], id="one-group"),
-    pytest.param("auto", id="auto"),
+PARTITIONS = [
+    pytest.param(one_group, id="one-group"),
+    pytest.param(nullcontext, id="auto"),
 ]
 
 
@@ -421,11 +423,13 @@ class TestSessionBudgets:
         assert status_of(value) == TIMEOUT
         assert value.lower <= exact <= value.upper
 
-    @pytest.mark.parametrize("shards", SHARDINGS)
-    def test_budget_semantics_on_both_read_paths(self, shards):
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    def test_budget_semantics_on_both_read_paths(self, partition):
         constraints, database = _path_workload(14, TWO_RELATIONS)
         mc = MaximalConsistentMeasure()
-        with make_session(constraints, database, shards=shards) as session:
+        with partition():
+            session = make_session(constraints, database)
+        with session:
             value = session.measure(mc, budget=0.0)
             # Degraded parts were never memoized: the unbudgeted re-read
             # re-solves exactly.
@@ -443,14 +447,16 @@ class TestSessionBudgets:
         assert again == exact
         assert type(again) is float
 
-    @pytest.mark.parametrize("shards", SHARDINGS)
-    def test_budgeted_batch_never_leaks_degraded_parts(self, shards):
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    def test_budgeted_batch_never_leaks_degraded_parts(self, partition):
         from repro.repairs.operations import DeleteOperation
 
         constraints, database = _path_workload(14, TWO_RELATIONS)
         mc = MaximalConsistentMeasure()
         candidates = [[DeleteOperation(0)], [DeleteOperation(15)]]
-        with make_session(constraints, database, shards=shards) as session:
+        with partition():
+            session = make_session(constraints, database)
+        with session:
             degraded = session.speculate_batch(candidates, [mc], budget=0.0)
             exact = session.speculate_batch(candidates, [mc])
         with MeasurementSession(constraints, database) as fresh:

@@ -1,13 +1,15 @@
 """Optional dependencies must stay out of the default import graph.
 
-The pure-python legs (``REPRO_VECTOR=list``, no ``repro[cpsat]``) run on
+The pure-python legs (the list column backend, no ``repro[cpsat]``) run on
 interpreters without numpy/scipy/ortools installed, so importing every
 non-extra module must succeed with those distributions absent.  The static
 half of this contract is the ``import-hygiene`` lint rule; this test is
 the runtime half: a subprocess installs a meta-path blocker that raises on
 any optional-dependency import, then imports the whole package and
 exercises numpy-free end-to-end measurements, including ``I_lin_R`` on a
-DC of width 3 (the exact covering-LP path).
+DC of width 3 (the exact covering-LP path).  Nothing selects the backend:
+detection itself must fall back to the list store, and the session must
+report that it ran there.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         continue
     __import__(info.name)
 
+# Backend detection falls back on its own: no option selects it.
+from repro.session import VECTOR_BACKEND
+
+assert VECTOR_BACKEND == "list", VECTOR_BACKEND
+
 # Real measurements must run end to end on the list backend.
 from repro import (
     Database,
@@ -59,7 +66,9 @@ db = Database.from_rows(schema, "R", [("1", "a"), ("1", "b"), ("1", "c")])
 fd = FunctionalDependency("R", ["zip"], ["city"])
 with MeasurementSession([fd], db) as session:
     value = session.measure(make_measure("I_MI"))
+    backend = session.stats()["vector_backend"]
 assert value == 3.0, value
+assert backend == "list", backend
 
 # A width-3 DC (at most two facts) puts its one MI set of three facts on
 # the covering-LP path of I_lin_R, which must solve without numpy.
@@ -75,7 +84,7 @@ print("OK")
 def test_package_imports_without_optional_dependencies():
     result = subprocess.run(
         [sys.executable, "-c", _PROBE],
-        env={"PYTHONPATH": str(_SRC), "REPRO_VECTOR": "list", "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(_SRC), "PATH": "/usr/bin:/bin"},
         capture_output=True,
         text=True,
         timeout=300,

@@ -25,6 +25,7 @@ from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
 from repro.session import WitnessEnumerator, build_enumerators
+from repro.testing.layout import column_backend
 
 from ..oracle import (
     ATTRIBUTES,
@@ -279,9 +280,8 @@ def _instance(values, case, rng: random.Random):
 def _enumerator(
     dc: DenialConstraint, database: Database, backend: str
 ) -> WitnessEnumerator:
-    (enumerator,), _ = build_enumerators(
-        [dc], database, vector_backend="numpy" if backend == NUMPY_BLOCKED else backend
-    )
+    with column_backend("numpy" if backend == NUMPY_BLOCKED else backend):
+        (enumerator,), _ = build_enumerators([dc], database)
     return enumerator
 
 

@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-import repro.session.columnar as columnar
 from repro.constraints import (
     Atom,
     EqualityGeneratingDependency,
@@ -31,6 +30,7 @@ from repro.noise import CONoise
 from repro.relational import Database, Fact, Schema, SchemaError
 from repro.session import make_session
 from repro.session.enumeration import plan_pin
+from repro.testing.layout import column_backend
 from repro.violations import (
     build_violation_index,
     find_first_violation,
@@ -50,12 +50,12 @@ _ODD_VALUES = ("x", "y", None, _NAN)
 
 
 @pytest.fixture(params=["list", "numpy"])
-def backend(request, monkeypatch):
+def backend(request):
     """Run the one-shot path on one process-default column backend."""
     if request.param == "numpy":
         pytest.importorskip("numpy")
-    monkeypatch.setattr(columnar, "VECTOR_BACKEND", request.param)
-    return request.param
+    with column_backend(request.param):
+        yield request.param
 
 
 def _col(variable: str, attribute: str) -> Term:
