@@ -171,11 +171,6 @@ def test_bench_speculative_scoring(benchmark):
                 f"{cell['speculative_seconds']:.3f}s "
                 f"(speedup ×{cell['speedup']:.1f})"
             )
-            # Identity was asserted inside; here the perf acceptance claim.
-            assert cell["speedup"] >= MIN_SPEEDUP, (
-                f"{row['dataset']}/{measure_name}: ×{cell['speedup']:.1f} "
-                f"< ×{MIN_SPEEDUP}"
-            )
     for row in results["shapley"]:
         lines.append(
             f"[{row['dataset']}/shapley I_MI] {row['samples']} permutations "
@@ -194,3 +189,11 @@ def test_bench_speculative_scoring(benchmark):
             "Speculative what-if deltas vs copy-and-rebuild", "\n".join(lines)
         ),
     )
+    # Identity was asserted inside; here the perf acceptance claim, checked
+    # after the artifacts are written so a miss still records its numbers.
+    for row in results["scoring"]:
+        for measure_name, cell in row["measures"].items():
+            assert cell["speedup"] >= MIN_SPEEDUP, (
+                f"{row['dataset']}/{measure_name}: ×{cell['speedup']:.1f} "
+                f"< ×{MIN_SPEEDUP}"
+            )

@@ -85,6 +85,7 @@ OPTIONAL_DEPENDENCIES: dict[str, dict[str, frozenset[str]]] = {
 #: index state.
 PREVIEW_ROOTS = (
     "repro.violations.topology:ComponentTopology.preview",
+    "repro.violations.topology:ComponentTopology.preview_deletion",
     "repro.session.session:MeasurementSession.speculate_batch",
     "repro.session.shard:_Shard._preview_region",
 )

@@ -51,6 +51,15 @@ class Operation(ABC):
         leaves ``D`` bit-identical whenever ``undo`` is not None.
         """
 
+    def deleted_fact(self, database: Database) -> int | None:
+        """The live identifier this operation would delete from *database*.
+
+        None for every operation that does anything else (or nothing).
+        Batched speculation scores a candidate made only of such deletions
+        without applying it: deleting facts only retracts MI sets.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class DeleteOperation(Operation):
@@ -68,6 +77,9 @@ class DeleteOperation(Operation):
         if self.identifier not in database:
             return None
         return RestoreOperation(self.identifier, database[self.identifier])
+
+    def deleted_fact(self, database: Database) -> int | None:
+        return self.identifier if self.identifier in database else None
 
     def __str__(self) -> str:
         return f"<-{self.identifier}>"

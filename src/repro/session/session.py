@@ -187,6 +187,22 @@ def _merge_generic_batch(
     ]
 
 
+def _deleted_facts(operations: list, database: Database) -> list[int] | None:
+    """The live identifiers a deletion-only candidate removes, else None.
+
+    None as soon as one operation does anything but delete a live fact
+    (an insert, an update, a delete of a dead identifier): that candidate
+    takes the savepoint path.
+    """
+    deleted: list[int] = []
+    for operation in operations:
+        identifier = operation.deleted_fact(database)
+        if identifier is None:
+            return None
+        deleted.append(identifier)
+    return deleted
+
+
 def _purge_degraded_parts(base: "_SpeculationBase") -> None:
     """Drop base-part maps containing non-OPTIMAL (budget-degraded) values.
 
@@ -306,6 +322,8 @@ class MeasurementSession:
         self._pseudo: ViolationIndex | None = None
         self._pseudo_key: tuple | None = None
         self._spec_base: _SpeculationBase | None = None
+        # Cumulative speculate_batch candidates by scoring path (stats()).
+        self._speculation = {"deletion_previews": 0, "savepoint_previews": 0}
         # The attached streaming-ingest pipeline, if any (set by
         # IngestPipeline; surfaces its counters through stats()).
         self._ingest = None
@@ -534,6 +552,9 @@ class MeasurementSession:
 
         ``vector_backend`` is the column backend every shard's store runs
         on (None for a session without constraints, which has no shard).
+        ``speculation`` counts the candidates :meth:`speculate_batch` has
+        scored since construction: ``deletion_previews`` were never
+        applied, ``savepoint_previews`` were applied and rolled back.
         """
         stats = {
             "vector_backend": (
@@ -546,6 +567,7 @@ class MeasurementSession:
                 )
                 for number, local in self._routing
             ],
+            "speculation": dict(self._speculation),
         }
         if self._ingest is not None:
             stats["ingest"] = self._ingest.counters()
@@ -658,23 +680,33 @@ class MeasurementSession:
     ) -> list[dict[str, float]]:
         """Score a whole candidate set against the current base state.
 
-        *candidates* is a sequence of operation batches; each is applied
-        under its own savepoint, measured, and rolled back, exactly like a
-        :meth:`speculate` call — the returned dicts are value-identical to
-        per-candidate speculation (and therefore to copy-apply-rebuild).
+        *candidates* is a sequence of operation batches; the returned dicts
+        are value-identical to per-candidate :meth:`speculate` (and
+        therefore to copy-apply-rebuild).
 
         The batch owns the scoring round, so each candidate is **one region
-        pass** per shard it touches: its witness delta is enumerated
-        against the patched database, the affected region is re-minimized
-        and re-split through a read-only
-        :meth:`~repro.violations.topology.ComponentTopology.preview` — the
-        live topologies, the witness stores and every derived cache stay
-        untouched — and the base component values, resolved once per batch,
-        fill in the rest by identity.  The apply/rollback dirty marks the
-        batch itself produced are balanced by construction and dropped at
-        the end instead of flushed.  Mixed batches split: the component-wise
-        measures keep this fast path, and only the whole-database
-        stragglers pay a per-candidate generic pass.
+        pass** per shard it touches, and the base component values,
+        resolved once per batch, fill in the rest by identity.  The live
+        topologies, the witness stores and every derived cache stay
+        untouched.  A candidate takes one of two paths:
+
+        * every operation deletes a live fact: nothing is applied.  Each
+          touched shard filters its owning components' MI sets through
+          :meth:`~repro.violations.topology.ComponentTopology.preview_deletion`
+          — no savepoint, no change event, no column-store write and no
+          re-enumeration;
+        * anything else is applied under its own savepoint: its witness
+          delta is enumerated against the patched database, the affected
+          region is re-minimized and re-split through a read-only
+          :meth:`~repro.violations.topology.ComponentTopology.preview`,
+          and the candidate is rolled back.  The apply/rollback dirty
+          marks the batch itself produced are balanced by construction and
+          dropped at the end instead of flushed.
+
+        ``stats()["speculation"]`` counts the candidates of each path.
+        Mixed batches split: the component-wise measures keep these fast
+        paths, and only the whole-database stragglers pay a per-candidate
+        generic pass.
         """
         candidates = [list(operations) for operations in candidates]
         measures = list(measures)
@@ -682,15 +714,17 @@ class MeasurementSession:
         if not candidates:
             return []
         fast, generic = _split_measures(measures)
+        counts = self._speculation
         if not fast:
+            counts["savepoint_previews"] += len(candidates)
             with solver_scope(budget):
                 return [
                     _generic_speculation(self, operations, measures)
                     for operations in candidates
                 ]
         base = self._speculation_base()
+        database = self.database
         shards = self.shards
-        shard_number = self._shard_number
         batch_marks: list[set[int]] = [set() for _ in shards]
         outside: list[set[int]] = [set() for _ in shards]
         with solver_scope(budget, plan=self._solve_plan(measures)):
@@ -705,24 +739,41 @@ class MeasurementSession:
                     for number, shard in enumerate(shards):
                         if shard._dirty:
                             outside[number] |= shard._dirty - batch_marks[number]
+                    deleted = _deleted_facts(operations, database)
+                    if deleted is not None:
+                        counts["deletion_previews"] += 1
+                        touched = self._by_shard(
+                            (identifier, database[identifier])
+                            for identifier in deleted
+                        )
+                        previews = {
+                            number: shards[number].topology.preview_deletion(
+                                identifiers
+                            )
+                            for number, identifiers in touched.items()
+                        }
+                        results.append(self._preview_values(base, previews, fast))
+                        continue
+                    counts["savepoint_previews"] += 1
                     with self.savepoint() as savepoint:
                         for operation in operations:
-                            operation.apply_in_place(self.database)
+                            operation.apply_in_place(database)
                         # Routed like _on_change: an event never changes
                         # its fact's relation.
-                        touched: dict[int, set[int]] = {}
-                        for event in savepoint.events:
-                            fact = event.new if event.new is not None else event.old
-                            number = shard_number.get(fact.relation)
-                            if number is not None:
-                                touched.setdefault(number, set()).add(
-                                    event.identifier
-                                )
+                        touched = self._by_shard(
+                            (
+                                event.identifier,
+                                event.new if event.new is not None else event.old,
+                            )
+                            for event in savepoint.events
+                        )
+                        previews = {}
                         for number, identifiers in touched.items():
                             batch_marks[number] |= identifiers
-                        results.append(
-                            self._preview_values(base, touched, fast)
-                        )
+                            previews[number] = shards[number]._preview_region(
+                                identifiers
+                            )
+                        results.append(self._preview_values(base, previews, fast))
             finally:
                 # A budgeted round may have primed the memoized base with
                 # degraded parts; the snapshot outlives the scope, so purge
@@ -778,6 +829,17 @@ class MeasurementSession:
         for shard in self.shards:
             if shard._dirty:
                 shard._flush()
+
+    def _by_shard(self, facts: Iterable[tuple[int, Fact]]) -> dict[int, set[int]]:
+        """``(identifier, fact)`` pairs grouped by the shard indexing each
+        fact's relation; a fact whose relation has no shard changes nothing
+        and is dropped."""
+        touched: dict[int, set[int]] = {}
+        for identifier, fact in facts:
+            number = self._shard_number.get(fact.relation)
+            if number is not None:
+                touched.setdefault(number, set()).add(identifier)
+        return touched
 
     def _generation_key(self) -> tuple:
         return tuple(
@@ -931,25 +993,27 @@ class MeasurementSession:
     def _preview_values(
         self,
         base: _SpeculationBase,
-        touched: dict[int, set[int]],
+        previews: dict[int, tuple[list[frozenset[int]], set]],
         measures: list,
     ) -> dict[str, float]:
         """Score one candidate from read-only per-shard region previews.
 
-        Runs inside the candidate's savepoint: the database and every
-        touched shard's equality index are patched, the topologies still
-        describe the base.  Each touched shard previews its slice of the
-        delta; untouched shards contribute their base components whole,
-        and base components outside every region fill in by identity —
-        bit-identical to commit-and-read.
+        *previews* maps each shard the candidate touches to its
+        ``(minimized, region)`` preview: ``_Shard._preview_region`` inside
+        the candidate's savepoint (the database and the shard's column
+        store are patched, the topologies still describe the base), or
+        ``ComponentTopology.preview_deletion`` for a deletion-only
+        candidate that was never applied.  Untouched shards contribute
+        their base components whole, and base components outside every
+        region fill in by identity — bit-identical to commit-and-read.
         """
         entries: list = []
         for number, shard_entries in enumerate(base.entries):
-            identifiers = touched.get(number)
-            if identifiers is None:
+            preview = previews.get(number)
+            if preview is None:
                 entries.extend(shard_entries)
                 continue
-            minimized, region = self.shards[number]._preview_region(identifiers)
+            minimized, region = preview
             entries.extend(
                 [entry for entry in shard_entries if entry[1] not in region]
             )

@@ -23,7 +23,9 @@ witness that binds a dirty fact is retracted, only the witnesses touching
 the dirty facts are re-enumerated, and the net witness delta goes to the
 topology, which re-minimizes and re-splits only the affected region.
 :meth:`_Shard._preview_region` computes the same region for a candidate
-delta without writing anything (batched speculation).
+delta without writing anything (batched speculation of a candidate applied
+under a savepoint; a deletion-only candidate needs no re-enumeration and
+goes straight to the topology's ``preview_deletion``).
 """
 
 from __future__ import annotations

@@ -45,37 +45,45 @@ def _connected_groups(
 
     Two groups are connected when they share a fact.  Returns ``(member
     facts, groups)`` pairs; within a component the groups keep their input
-    order.  The single union-find behind :meth:`ViolationIndex.components`,
-    the live topology's regional re-split and the speculative preview split
-    — one implementation, one ordering contract.
+    order.  The single component split behind
+    :meth:`ViolationIndex.components`, the live topology's regional
+    re-split and the speculative preview split — one implementation, one
+    ordering contract.  A depth-first walk over the fact → groups
+    incidence lists: each fact and each group is visited once.
     """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    incident: dict[int, list[frozenset[int]]] = {}
     for group in groups:
-        anchor = None
         for fact in group:
-            parent.setdefault(fact, fact)
-            if anchor is None:
-                anchor = fact
+            bound = incident.get(fact)
+            if bound is None:
+                incident[fact] = [group]
             else:
-                ra, rb = find(anchor), find(fact)
-                if ra != rb:
-                    parent[rb] = ra
+                bound.append(group)
+    # fact → the first-seen fact of its component (the component's label).
+    label: dict[int, int] = {}
     members: dict[int, set[int]] = {}
+    for start in incident:
+        if start in label:
+            continue
+        label[start] = start
+        reached = {start}
+        stack = [start]
+        while stack:
+            for group in incident[stack.pop()]:
+                for fact in group:
+                    if fact not in label:
+                        label[fact] = start
+                        reached.add(fact)
+                        stack.append(fact)
+        members[start] = reached
     bucket: dict[int, list[frozenset[int]]] = {}
     for group in groups:
-        root = find(next(iter(group)))
-        bucket.setdefault(root, []).append(group)
-    for fact in parent:
-        members.setdefault(find(fact), set()).add(fact)
+        root = label[next(iter(group))]
+        grouped = bucket.get(root)
+        if grouped is None:
+            bucket[root] = [group]
+        else:
+            grouped.append(group)
     return sorted(
         ((members[root], grouped) for root, grouped in bucket.items()),
         key=lambda piece: min(piece[0]),

@@ -72,9 +72,9 @@ def split_minimized(
     """Standalone component split of a minimized family.
 
     Returns ``(smallest member, sub-index)`` pairs ordered by smallest
-    member — the throwaway split :meth:`ComponentTopology.preview`
-    consumers need for a candidate's affected region, without touching any
-    live structure.
+    member — the throwaway split :meth:`ComponentTopology.preview` and
+    :meth:`ComponentTopology.preview_deletion` consumers need for a
+    candidate's affected region, without touching any live structure.
     """
     result: list[tuple[int, ViolationIndex]] = []
     for facts, grouped in _connected_groups(minimized):
@@ -417,6 +417,49 @@ class ComponentTopology:
                 if component is not None:
                     seeds.add(component)
         _, minimized, region = self._regionize(seeds, fresh, gone)
+        return minimized, region
+
+    def preview_deletion(
+        self, facts: Iterable[int]
+    ) -> tuple[list[frozenset[int]], set[TopologyComponent]]:
+        """:meth:`preview` of deleting *facts* — a filter, **no mutation**.
+
+        Same contract as :meth:`preview`: returns the regional minimized
+        family in ``mi_sort_key`` order and the live components it
+        replaces.  The region is the components owning a deleted fact; the
+        family is their MI sets disjoint from *facts*.  No witness is
+        re-minimized, no region is closed and no dominator is read,
+        because ``MI_Σ(D − F) = {S ∈ MI_Σ(D) : S ∩ F = ∅}``:
+
+        1. DCs are anti-monotone, and a witness's violation reads only its
+           own facts.  So the witnesses of ``D − F`` are exactly the
+           witnesses of ``D`` disjoint from ``F``, and a minimal witness
+           of ``D`` that misses ``F`` stays minimal (its proper subsets
+           were no witnesses before and are none now).
+        2. No non-minimal witness can become minimal.  Every stored
+           witness ``T`` is dominated by some ``S ∈ MI_Σ(D)`` with
+           ``S ⊆ T``; if ``S ∩ F ≠ ∅`` then ``T ∩ F ≠ ∅`` too, so ``T``
+           is retracted with it, and if ``S`` misses ``F`` it survives
+           and still dominates ``T``.
+        3. A component that owns no deleted fact has no MI set meeting
+           ``F``, so by (1) and (2) it keeps its content — it keeps its
+           identity, and with it its base value.  The surviving sets of
+           the owning components only need re-splitting, which the caller
+           does (:func:`split_minimized`).
+        """
+        facts = set(facts)
+        component_of = self._component_of
+        region = {
+            component_of[fact] for fact in facts if fact in component_of
+        }
+        minimized = [
+            witness
+            for component in region
+            for witness in component.index.mi_sets
+            if facts.isdisjoint(witness)
+        ]
+        if len(region) > 1:
+            minimized.sort(key=mi_sort_key)
         return minimized, region
 
     def _regionize(

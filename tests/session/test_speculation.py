@@ -13,10 +13,13 @@ Two randomized invariants anchor the subsystem:
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
 import random
 
 import pytest
 
+from repro.constraints import FunctionalDependency, parse_dc
 from repro.measures import TABLE2_MEASURES, available_measures, make_measure
 from repro.relational import Database, Fact, Schema
 from repro.repairs.operations import (
@@ -26,10 +29,16 @@ from repro.repairs.operations import (
     UpdateOperation,
     apply_sequence,
 )
+from repro.repairs.system import subset_system, update_system
+from repro.repairs.tradeoff import score_operations
 from repro.session import MeasurementSession
+from repro.testing.layout import column_backend, one_group
 from repro.violations import affected_components, build_violation_index
+from repro.violations.topology import ComponentTopology
 
 from .test_session import _constraint_suites, _random_fact, _random_mutation
+
+BACKENDS = ["list"] + (["numpy"] if importlib.util.find_spec("numpy") else [])
 
 
 @pytest.fixture
@@ -486,3 +495,207 @@ class TestMixedMeasureSplit:
         }
         assert values == reference
         assert batch[0] == reference
+
+
+def _three_relation_setup(rng: random.Random) -> tuple[Database, list]:
+    """R and S each carry their own DCs (two shards under the derived
+    partition, one under ``one_group``); U is constrained by nothing."""
+    schema = Schema.from_dict(
+        {relation: ["A", "B", "C"] for relation in ("R", "S", "U")}
+    )
+    constraints = _constraint_suites()["binary"] + [
+        FunctionalDependency("S", {"A"}, {"B"}),
+        parse_dc(
+            "not(t.A = t2.A, t.C > t2.C, t.B != t2.B)", "S", name="mixed_S"
+        ),
+    ]
+    facts = [_random_fact(rng) for _ in range(14)]
+    for relation, count in (("S", 8), ("U", 4)):
+        facts += [
+            Fact(relation, (rng.randint(0, 3), rng.choice("xyz"), rng.randint(0, 9)))
+            for _ in range(count)
+        ]
+    rng.shuffle(facts)
+    return Database.from_facts(schema, facts), constraints
+
+
+def _deletion_candidates(
+    rng: random.Random, database: Database, problematic
+) -> list[list]:
+    """Candidates made only of deletions of live facts."""
+    constrained = [i for i in database.ids() if database[i].relation != "U"]
+    unconstrained = [i for i in database.ids() if database[i].relation == "U"]
+    quiet = [i for i in constrained if i not in problematic] or constrained
+    hot = sorted(problematic) or constrained
+    repeated = rng.choice(hot)
+    return [
+        [DeleteOperation(rng.choice(hot))],
+        [DeleteOperation(i) for i in rng.sample(constrained, 3)],
+        [DeleteOperation(repeated), DeleteOperation(repeated)],
+        [DeleteOperation(rng.choice(quiet))],
+        [DeleteOperation(rng.choice(unconstrained))],
+        [
+            DeleteOperation(rng.choice(unconstrained)),
+            DeleteOperation(rng.choice(hot)),
+        ],
+    ]
+
+
+def _savepoint_candidates(rng: random.Random, database: Database) -> list[list]:
+    """Dead-id deletes, inserts, updates and mixes of them."""
+    live = database.ids()
+    dead = database.peek_next_id()
+    return [
+        [DeleteOperation(dead)],
+        [DeleteOperation(rng.choice(live)), DeleteOperation(dead)],
+        [InsertOperation(_random_fact(rng))],
+        # The delete hits the fact the insert allocates.
+        [InsertOperation(_random_fact(rng)), DeleteOperation(dead)],
+        [UpdateOperation(rng.choice(live), "B", rng.choice("xyz"))],
+        [
+            DeleteOperation(rng.choice(live)),
+            UpdateOperation(rng.choice(live), "A", rng.randint(0, 4)),
+        ],
+    ]
+
+
+def _purity_state(session: MeasurementSession) -> list[tuple]:
+    """Everything a deletion preview must leave alone, per shard (the
+    enumeration counters too: a preview must never re-enumerate)."""
+    return [
+        (
+            [stats.as_dict() for stats in shard._enum_stats],
+            shard_indexes(shard),
+            {key: set(entries) for key, entries in shard._touching.items()},
+            [set(store) for store in shard._witnesses],
+            shard.topology,
+            shard.topology.generation,
+            set(shard._dirty),
+        )
+        for shard in session.shards
+    ]
+
+
+class TestDeletionPreviews:
+    """Deletion-only candidates are scored without being applied."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("grouping", ["derived", "one_group"])
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_mixed_batch_identity_and_purity(
+        self, backend, grouping, case, case_rng
+    ):
+        rng = case_rng
+        database, constraints = _three_relation_setup(rng)
+        measures = [make_measure(name) for name in TABLE2_MEASURES]
+        fast = [measure for measure in measures if measure.name != "I_d"]
+        layout = one_group() if grouping == "one_group" else contextlib.nullcontext()
+        with column_backend(backend), layout:
+            session = MeasurementSession(constraints, database)
+        with column_backend(backend), session:
+            assert len(session.shards) == (1 if grouping == "one_group" else 2)
+            for _ in range(3):
+                problematic = set(session.problematic_facts())
+                deletions = _deletion_candidates(rng, database, problematic)
+                candidates = deletions + _savepoint_candidates(rng, database)
+                rng.shuffle(candidates)
+                counts = dict(session.stats()["speculation"])
+                batch = session.speculate_batch(candidates, measures)
+                stats = session.stats()["speculation"]
+                assert stats == {
+                    "deletion_previews": counts["deletion_previews"]
+                    + len(deletions),
+                    "savepoint_previews": counts["savepoint_previews"]
+                    + len(candidates)
+                    - len(deletions),
+                }
+                assert batch == [
+                    session.speculate(operations, measures)
+                    for operations in candidates
+                ]
+                assert batch == [
+                    {
+                        measure.name: measure.value(
+                            constraints, apply_sequence(database, operations)
+                        )
+                        for measure in measures
+                    }
+                    for operations in candidates
+                ]
+                # Purity: a deletion-only batch emits no change event and
+                # moves no store, reverse map, topology or dirty mark.
+                # (speculate's rollbacks left marks: pin the base first.)
+                base = session._speculation_base()
+                events: list = []
+                database.subscribe(events.append)
+                before = _purity_state(session)
+                facts = dict(database.items())
+                session.speculate_batch(deletions, fast)
+                database.unsubscribe(events.append)
+                assert events == []
+                # (Topologies compare by identity: the same objects.)
+                assert _purity_state(session) == before
+                assert session._spec_base is base
+                assert dict(database.items()) == facts
+                for _ in range(rng.randint(1, 3)):
+                    _random_mutation(rng, database)
+            assert session.index().mi_sets == build_violation_index(
+                constraints, database
+            ).mi_sets
+
+    def test_outside_commit_between_deletion_candidates_survives(
+        self, schema, monkeypatch
+    ):
+        """A commit landing between two deletion previews (a concurrent
+        producer) keeps its dirty mark and is flushed after the batch."""
+        database = Database.from_rows(
+            schema, "R", [(1, "x", 0), (1, "y", 0), (2, "p", 0), (2, "q", 0)]
+        )
+        constraints = _constraint_suites()["binary"][:1]
+        measure = make_measure("I_MI")
+        original = ComponentTopology.preview_deletion
+        inserted: list[int] = []
+
+        def interleaved(topology, facts):
+            if not inserted:
+                inserted.append(database.insert(Fact("R", (2, "r", 0))))
+            return original(topology, facts)
+
+        monkeypatch.setattr(ComponentTopology, "preview_deletion", interleaved)
+        with MeasurementSession(constraints, database) as session:
+            session.speculate_batch(
+                [[DeleteOperation(0)], [DeleteOperation(2)]], [measure]
+            )
+            assert inserted[0] in session.shards[0]._dirty
+            assert session.index().mi_sets == build_violation_index(
+                constraints, database
+            ).mi_sets
+            assert session.measure(measure) == measure.value(
+                constraints, database
+            )
+
+    def test_stats_count_each_scoring_path(self, schema):
+        """A subset round scores only deletion previews; an update round
+        only savepoint previews."""
+        rows = [(1, "x", 0), (1, "y", 0), (2, "p", 0), (2, "q", 0), (3, "z", 9)]
+        constraints = _constraint_suites()["binary"][:1]
+        measure = make_measure("I_MI")
+        for system, path in (
+            (subset_system(), "deletion_previews"),
+            (update_system(), "savepoint_previews"),
+        ):
+            database = Database.from_rows(schema, "R", rows)
+            with MeasurementSession(constraints, database) as session:
+                assert session.stats()["speculation"] == {
+                    "deletion_previews": 0,
+                    "savepoint_previews": 0,
+                }
+                scored = score_operations(
+                    measure, constraints, database, system, session=session
+                )
+                assert scored
+                assert session.stats()["speculation"] == {
+                    "deletion_previews": 0,
+                    "savepoint_previews": 0,
+                    path: len(scored),
+                }

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.constraints import FunctionalDependency
+from repro.constraints import FunctionalDependency, parse_dc
 from repro.relational import Database, Fact, Schema
 from repro.session import MeasurementSession
 from repro.violations import build_violation_index
+from repro.violations.topology import split_minimized
 
 from ..session.test_session import (
     _constraint_suites,
@@ -178,3 +179,89 @@ class TestGenerationSemantics:
         index = session.refresh()
         assert len(index.components()) == 2
         _assert_matches_scratch(session, constraints, database)
+
+
+def _previewed_components(topology, minimized, region) -> list[list]:
+    """The component split a preview describes: base components outside
+    *region* whole, plus the split of the regional family."""
+    pieces = [
+        (component.minimum, component.index.mi_sets)
+        for component in topology.components()
+        if component not in region
+    ]
+    pieces += [
+        (minimum, index.mi_sets) for minimum, index in split_minimized(minimized)
+    ]
+    return [mi_sets for _, mi_sets in sorted(pieces, key=lambda piece: piece[0])]
+
+
+class TestPreviewDeletion:
+    """``preview_deletion(F)`` is ``preview(gone_F, ∅)`` without the work."""
+
+    @staticmethod
+    def _suites():
+        suites = _constraint_suites()
+        return {
+            # Binary FD-shaped DCs only.
+            "fd": suites["binary"][:1] + suites["binary"][2:],
+            # Singleton self-inconsistent facts next to pairs: widths {1, 2}.
+            "widths_1_2": suites["binary"],
+            # Width-3 witnesses left non-minimal by a pair or by a
+            # self-inconsistent fact: a same-B pair {x, y} dominates the
+            # wide3 witness {x, y, z}, while z (another B) can sit in a
+            # different component.
+            "width_3": suites["wide"][1:]
+            + [
+                parse_dc(
+                    "not(t.A = t2.A, t.B = t2.B, t.C > t2.C)", "R", name="same_b"
+                ),
+                parse_dc("not(t.A > t.C)", "R", name="order"),
+            ],
+        }
+
+    @pytest.mark.parametrize("suite", ["fd", "widths_1_2", "width_3"])
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    def test_matches_full_preview_and_scratch(self, schema, suite, case, case_rng):
+        rng = case_rng
+        constraints = self._suites()[suite]
+        database = Database.from_facts(
+            schema,
+            [
+                Fact("R", (rng.randint(0, 3), rng.choice("xyz"), rng.randint(0, 6)))
+                for _ in range(18)
+            ],
+        )
+        with MeasurementSession(constraints, database) as session:
+            for _ in range(25):
+                session.index()
+                shard = session.shards[0]
+                topology = shard.topology
+                ids = database.ids()
+                facts = set(rng.sample(ids, rng.randint(1, 3)))
+                gone = {
+                    witness
+                    for fact in facts
+                    for _, witness in shard._touching.get(fact, ())
+                }
+                generation = topology.generation
+                minimized, region = topology.preview_deletion(facts)
+                full_minimized, full_region = topology.preview(gone, set())
+                assert topology.generation == generation
+                # The full preview also seeds the components of non-minimal
+                # witnesses through F; those keep their content, so the
+                # fast region is a subset and the families agree on it.
+                assert region <= full_region
+                owned = set().union(*(c.facts for c in region))
+                assert minimized == [
+                    witness for witness in full_minimized if witness <= owned
+                ]
+                assert all(facts.isdisjoint(witness) for witness in minimized)
+                split = _previewed_components(topology, minimized, region)
+                assert split == _previewed_components(
+                    topology, full_minimized, full_region
+                )
+                scratch = build_violation_index(
+                    constraints, database.subset(set(ids) - facts)
+                )
+                assert split == [c.mi_sets for c in scratch.components()]
+                _random_mutation(rng, database)
