@@ -24,8 +24,8 @@ from .base import ComponentwiseMeasure
 class LinearRelaxationMeasure(ComponentwiseMeasure):
     """``I_lin_R(Σ, D)`` — optimal value of the relaxed repair LP.
 
-    Exact solvers: the half-integral max-flow construction when every MI set
-    is a pair (FDs, binary DCs), the exact covering LP
+    Exact solvers: the half-integral double-cover flow when every MI set is
+    a pair (FDs, binary DCs), the exact covering LP
     (:func:`~repro.solvers.simplex.covering_lp`) otherwise.  The
     half-integral path is what makes the measure fast in practice; the
     covering LP keeps it polynomial for wide DCs.  The LP is separable over

@@ -5,8 +5,8 @@ per-component hitting-set solve runs a graceful-degradation chain:
 optional CP-SAT (when ``ortools`` is importable) → deadline-aware
 pure-python branch-and-bound → greedy upper bound + LP/half-integral
 lower bound.  The greedy cover is a real repair, so its cost is always a
-valid upper bound; the LP relaxation (half-integral max-flow when every
-MI set is a pair) bounds from below.
+valid upper bound; the LP relaxation (half-integral double-cover flow when
+every MI set is a pair) bounds from below.
 """
 
 from __future__ import annotations

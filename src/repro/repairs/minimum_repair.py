@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from ..constraints.base import Constraint
 from ..relational.database import Database
-from ..solvers.halfintegral import vertex_cover_lp
+from ..solvers.halfintegral import AS_FLOAT, vertex_cover_lp
 from ..solvers.simplex import covering_lp
 from ..solvers.vertex_cover import greedy_hitting_set, minimum_hitting_set
 from ..violations.minimal import ViolationIndex, build_violation_index
@@ -101,8 +101,8 @@ def repair_lp_relaxation(
 ) -> tuple[float, dict[int, float]]:
     """The LP relaxation of the repair ILP — the value of ``I_lin_R``.
 
-    Uses the exact half-integral (max-flow) path when every MI set has at
-    most two facts, and the exact covering LP otherwise.  Returns the optimal
+    Uses the exact half-integral (double-cover flow) path when every MI set
+    has at most two facts, and the exact covering LP otherwise.  Returns the optimal
     objective and the per-fact fractional assignment.
     """
     if index is None:
@@ -129,25 +129,22 @@ def component_lp_relaxation(
     cost_function: CostFunction | None = None,
 ) -> tuple[float, dict[int, float]]:
     """The relaxed repair LP restricted to one connected component."""
-    weights = deletion_costs(
-        database, cost_function or subset_cost, component.problematic
-    )
+    facts = component.problematic
+    weights = deletion_costs(database, cost_function or subset_cost, facts)
     if component.max_width <= 2:
         pairs = []
         loops = []
-        vertices = set()
         for group in component.mi_sets:
-            vertices |= group
             if len(group) == 1:
-                loops.append(next(iter(group)))
+                loops.extend(group)
             else:
-                u, v = sorted(group)
-                pairs.append((u, v))
+                pairs.append(group)
         value, assignment = vertex_cover_lp(
-            sorted(vertices), pairs, weights, self_loops=loops
+            sorted(facts), pairs, weights, self_loops=loops
         )
         return value, {
-            vertex: float(fraction) for vertex, fraction in assignment.items()
+            vertex: AS_FLOAT[id(fraction)]
+            for vertex, fraction in assignment.items()
         }
 
     # Hypergraph component: the exact covering LP (solved via its dual).

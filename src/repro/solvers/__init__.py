@@ -8,15 +8,12 @@ from .cliques import (
     maximal_sets_avoiding,
 )
 from .halfintegral import nemhauser_trotter_kernel, vertex_cover_lp
-from .maxflow import INFINITY, FlowNetwork
 from .simplex import covering_lp
 from .vertex_cover import BudgetExceeded, greedy_hitting_set, minimum_hitting_set
 
 __all__ = [
     "BudgetExceeded",
     "EnumerationBudgetExceeded",
-    "FlowNetwork",
-    "INFINITY",
     "count_maximal_independent_sets",
     "covering_lp",
     "greedy_hitting_set",

@@ -22,9 +22,10 @@ the primal optimum ``x_e`` is read off as the final reduced cost of
 ``e``'s slack column.  Everything is exact; the value is rounded to float
 once, at the end.
 
-For the 2-ary-conflict case (FDs and all pairwise DCs) the max-flow path in
-:mod:`repro.solvers.halfintegral` is much faster; this solver handles the
-hypergraph conflicts of DCs with three or more tuple variables.
+For the 2-ary-conflict case (FDs and all pairwise DCs) the double-cover
+flow solver in :mod:`repro.solvers.halfintegral` is much faster; this
+solver handles the hypergraph conflicts of DCs with three or more tuple
+variables.
 """
 
 from __future__ import annotations

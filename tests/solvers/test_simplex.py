@@ -1,4 +1,4 @@
-"""Unit tests for the exact covering LP, cross-checked with the max-flow path
+"""Unit tests for the exact covering LP, cross-checked with the half-integral path
 and (when scipy is installed) with HiGHS."""
 
 import random
