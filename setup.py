@@ -18,14 +18,9 @@ setup(
         ],
     },
     # The core package is dependency-free on purpose: every solver has a
-    # pure-python implementation, and the optional backends below only
-    # *sharpen* results (the anytime chain reports status=FALLBACK and
-    # keeps honest bounds when they are absent — see
-    # repro/solvers/anytime.py).
+    # pure-python implementation, and the extras below only add test
+    # tooling or speed — never a different answer.
     extras_require={
-        # CP-SAT backend for the I_R hitting-set chain (and any future
-        # chain stage that probes repro.solvers.anytime.has_cpsat()).
-        "cpsat": ["ortools>=9.4"],
         # Per-test wall-clock ceilings in CI; tests/conftest.py falls back
         # to a SIGALRM-based ceiling when the plugin is not installed.
         "timeout": ["pytest-timeout"],

@@ -56,17 +56,19 @@ CLOCK_MODULES = frozenset(
 #: dependency's designated home and are themselves only ever imported
 #: lazily); ``lazy`` modules may import it inside a function.  Everything
 #: else in ``src/`` must not touch the dependency at all — the pure-python
-#: fallback legs (the list column backend, no ``repro[cpsat]``) import
-#: every non-extra module on a bare interpreter.
+#: fallback leg (the list column backend) imports every non-extra module
+#: on a bare interpreter.  Empty sets forbid a root everywhere.
 OPTIONAL_DEPENDENCIES: dict[str, dict[str, frozenset[str]]] = {
     "numpy": {
         "eager": frozenset({"repro.session.vectorized"}),
         # backend availability probe
         "lazy": frozenset({"repro.session.columnar"}),
     },
+    # ortools is not a dependency at all: every hard measure
+    # solves in pure python, so any import of it in src/ is a finding.
     "ortools": {
         "eager": frozenset(),
-        "lazy": frozenset({"repro.solvers.anytime"}),  # CP-SAT probe
+        "lazy": frozenset(),
     },
     # scipy is a cross-check oracle for the solver tests only; no src
     # module may touch it, and tests take it via pytest.importorskip.
@@ -227,7 +229,7 @@ COMPONENT_ACCESSORS = frozenset(
 #: (fact lookups by problematic member id only).
 COMPONENT_HELPERS = frozenset(
     {
-        "solve_component",  # anytime chain entry (wraps the exact lambda)
+        "solve_component",  # anytime entry (wraps the exact lambda)
         "component_hitting_set",  # vertex-cover/B&B hitting set
         "component_lp_relaxation",  # LP lower bound
         "component_cache_key",  # the content key itself

@@ -1,10 +1,11 @@
 """Optional-dependency import hygiene.
 
 The core package is dependency-free on purpose (see ``setup.py``): numpy
-and ortools only *sharpen* results, and the pure-python legs — the list
-column backend numpy-free installs run, the no-``[cpsat]`` solver chain —
-must import every non-extra module on a bare interpreter without the
-dependency installed.  That dies the moment someone writes an eager
+only speeds the column kernels up, and the pure-python leg — the list
+column backend numpy-free installs run — must import every non-extra
+module on a bare interpreter without the dependency installed.  Roots
+that are no dependency at all (ortools, scipy) are listed with no
+designated modules, so any import of them in ``src/`` is a finding.  That dies the moment someone writes an eager
 ``import numpy`` at module top, and nothing in the type system stops them.
 
 The rule enforces the manifest in :mod:`repro.analysis.config`:
@@ -41,8 +42,9 @@ def _root(name: str) -> str:
 class ImportHygieneRule(Rule):
     name = "import-hygiene"
     description = (
-        "numpy/ortools imported eagerly, or lazily outside the designated "
-        "modules; eager imports of gated modules propagate the taint"
+        "numpy imported eagerly, or lazily outside the designated modules, "
+        "ortools/scipy imported at all; eager imports of gated modules "
+        "propagate the taint"
     )
 
     def __init__(

@@ -51,6 +51,16 @@ def format_measurement(
     )
 
 
+def budget_seconds(text: str) -> float:
+    """``--time-budget`` values: non-negative seconds (NaN is rejected)."""
+    seconds = float(text)
+    if not seconds >= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number of seconds, got {text!r}"
+        )
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--time-budget",
-        type=float,
+        type=budget_seconds,
         default=None,
         metavar="SECONDS",
         help="solver budget per measure: hard measures (I_MC, I_R) degrade "

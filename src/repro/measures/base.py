@@ -100,6 +100,37 @@ class ComponentwiseMeasure(InconsistencyMeasure):
     ) -> float:
         """The measure restricted to one connected component."""
 
+    def bounded_value(
+        self,
+        constraints: Sequence[Constraint],
+        database: Database,
+        component: ViolationIndex,
+        deadline,
+    ) -> float:
+        """The exact solve of one component, polling *deadline*.
+
+        Hard measures (``I_R``, ``I_MC``) override this and
+        :meth:`component_bounds`;
+        :func:`~repro.solvers.anytime.solve_component` calls it under an
+        active budget.  Returns the exact float, or a ``TIMEOUT``
+        :class:`~repro.solvers.anytime.BoundedValue` when the deadline
+        expired mid-solve.
+        """
+        raise NotImplementedError(f"{self.name} has no budgeted solve")
+
+    def component_bounds(
+        self,
+        constraints: Sequence[Constraint],
+        database: Database,
+        component: ViolationIndex,
+    ) -> tuple[float, float, float]:
+        """``(estimate, lower, upper)`` for one component, bounds only.
+
+        No deadline, no search: what answers when :meth:`bounded_value`
+        crashed, so it must not fail itself.
+        """
+        raise NotImplementedError(f"{self.name} has no component bounds")
+
     def combine(self, parts: Sequence[float]) -> float:
         return float(sum(parts))
 
@@ -180,6 +211,15 @@ def needs_finalize_index(measure: "ComponentwiseMeasure") -> bool:
     them.
     """
     return type(measure).finalize is not ComponentwiseMeasure.finalize
+
+
+def has_bounded_solve(measure: InconsistencyMeasure) -> bool:
+    """Whether *measure*'s class overrides ``bounded_value`` (a hard one)."""
+    return (
+        isinstance(measure, ComponentwiseMeasure)
+        and type(measure).bounded_value
+        is not ComponentwiseMeasure.bounded_value
+    )
 
 
 def component_cache_key(

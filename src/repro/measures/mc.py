@@ -31,7 +31,6 @@ from ..solvers.cliques import (
     maximal_independent_sets,
     maximal_sets_avoiding,
 )
-from ..testing import faults
 from ..violations.minimal import ViolationIndex
 from .base import ComponentwiseMeasure
 
@@ -66,6 +65,35 @@ class MaximalConsistentMeasure(ComponentwiseMeasure):
             component,
             lambda: float(self._count_component_mcs(component)),
         )
+
+    def bounded_value(self, constraints, database, component, deadline):
+        """Deadline-aware exact enumeration; degrades to a partial count.
+
+        Every maximal set yielded before the deadline is a distinct member
+        of ``MC``, so the partial count is a true lower bound; hitting the
+        ``enumeration_limit`` degrades the same way instead of raising.
+        """
+        groups, usable = self._component_core(component)
+        if not groups:
+            return 1.0
+        counted = 0
+        try:
+            for _ in self._iter_component_mcs(groups, usable, deadline):
+                counted += 1
+        except (anytime.SolveTimeout, EnumerationBudgetExceeded):
+            lower = float(max(counted, 1))
+            return anytime.bounded(
+                lower,
+                lower,
+                _mcs_count_upper_bound(groups),
+                anytime.TIMEOUT,
+            )
+        return float(counted)
+
+    def component_bounds(self, constraints, database, component):
+        """``(1, 1, upper)``: every component has at least one MCS."""
+        groups, _ = self._component_core(component)
+        return 1.0, 1.0, _mcs_count_upper_bound(groups)
 
     def _component_core(
         self, component: ViolationIndex
@@ -120,64 +148,10 @@ class MaximalConsistentPrimeMeasure(MaximalConsistentMeasure):
         return combined + len(index.self_inconsistent) - 1.0
 
 
-# ----------------------------------------------------------------------
-# Anytime solver chain (active only under a budget scope)
-# ----------------------------------------------------------------------
-def _mcs_count_upper_bound(
-    groups: list[frozenset[int]], usable: list[int]
-) -> float:
+def _mcs_count_upper_bound(groups: list[frozenset[int]]) -> float:
     """Upper bound on one component's ``|MC|``."""
+    involved = {fact for group in groups for fact in group}
     if all(len(group) == 2 for group in groups):
         # MIS count only depends on non-isolated vertices; Moon–Moser.
-        involved = {fact for group in groups for fact in group}
         return anytime.moon_moser_bound(len(involved))
-    constrained = {fact for group in groups for fact in group}
-    return anytime.subset_count_bound(len(constrained))
-
-
-def _mc_exact_stage(measure, constraints, database, component, deadline):
-    """Deadline-aware exact enumeration; degrades to a partial-count bound.
-
-    Every maximal set yielded before the deadline is a distinct member of
-    ``MC``, so the partial count is a true lower bound; hitting the
-    ``enumeration_limit`` degrades the same way instead of raising.
-    """
-    faults.trip(anytime.FAULT_BACKEND)
-    groups, usable = measure._component_core(component)
-    if not groups:
-        return 1.0
-    counted = 0
-    try:
-        for _ in measure._iter_component_mcs(groups, usable, deadline):
-            counted += 1
-    except (anytime.SolveTimeout, EnumerationBudgetExceeded):
-        lower = float(max(counted, 1))
-        return anytime.bounded(
-            lower,
-            lower,
-            _mcs_count_upper_bound(groups, usable),
-            anytime.TIMEOUT,
-        )
-    return float(counted)
-
-
-def _mc_bounds_stage(measure, constraints, database, component, deadline):
-    """Terminal bounds-only stage: cannot time out, cannot fail.
-
-    Reached only when the exact stage crashed (a backend fault); the
-    runtime retags the FEASIBLE result as FALLBACK.
-    """
-    groups, usable = measure._component_core(component)
-    if not groups:
-        return 1.0
-    return anytime.bounded(
-        1.0, 1.0, _mcs_count_upper_bound(groups, usable), anytime.FEASIBLE
-    )
-
-
-anytime.register_chain(
-    MaximalConsistentMeasure.name, (_mc_exact_stage, _mc_bounds_stage)
-)
-anytime.register_chain(
-    MaximalConsistentPrimeMeasure.name, (_mc_exact_stage, _mc_bounds_stage)
-)
+    return anytime.subset_count_bound(len(involved))

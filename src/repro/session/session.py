@@ -52,6 +52,7 @@ from ..measures.base import (
     ComponentValueCache,
     ComponentwiseMeasure,
     component_cache_key,
+    has_bounded_solve,
     needs_finalize_index,
 )
 from ..relational.database import ChangeEvent, Database, Fact, Savepoint
@@ -61,7 +62,6 @@ from ..solvers.anytime import (
     BoundedValue,
     as_budget,
     current_scope,
-    registered_chain,
     solver_scope,
     status_of,
 )
@@ -514,12 +514,7 @@ class MeasurementSession:
 
     def _solve_plan(self, measures: Sequence) -> int | None:
         """Estimated hard component solves ahead (budget slicing hint)."""
-        hard = sum(
-            1
-            for measure in measures
-            if isinstance(measure, ComponentwiseMeasure)
-            and registered_chain(measure.name) is not None
-        )
+        hard = sum(1 for measure in measures if has_bounded_solve(measure))
         if not hard:
             return None
         components = sum(

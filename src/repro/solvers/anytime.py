@@ -1,4 +1,4 @@
-"""The anytime solver runtime: budgets, bounds-with-status, solver chains.
+"""The anytime solver runtime: budgets, bounds-with-status, one budgeted solve.
 
 The hard measures (``I_MC`` — #P-complete MIS counting, ``I_R`` — NP-hard
 weighted hitting sets) used to be exact-or-hang: on hub-shaped conflict
@@ -7,38 +7,33 @@ help, and a sweep either finished or stalled.  This module converts every
 hard per-component solve into a **budgeted, interruptible, status-carrying
 computation**:
 
-* A :class:`Budget` carries a wall-clock allowance (and a solver-backend
-  preference) through ``measure`` / ``measure_all`` / ``speculate`` /
-  ``speculate_batch`` on both session flavors.  Inside a budgeted call the
-  runtime slices the remaining time across the hard component solves still
-  ahead (:class:`SolveScope`), so one pathological component cannot starve
-  the rest.
-* Each hard measure registers a **solver chain** (:func:`register_chain`):
-  ordered stages tried in turn for one component.  A stage may return a
-  result, return ``None`` (not applicable / backend unavailable), or raise
-  (backend crashed mid-solve) — the chain falls through, and the final
-  stage of every registered chain is a bounds-only computation that cannot
-  time out.  The built-in chains are registered by the measure modules:
-  pure-python exact (deadline-aware) → greedy upper bound + LP /
-  half-integral lower bound → optional CP-SAT when ``ortools`` is
-  importable.
+* A :class:`Budget` carries a wall-clock allowance through ``measure`` /
+  ``measure_all`` / ``speculate`` / ``speculate_batch`` on both session
+  flavors.  Inside a budgeted call the runtime slices the remaining time
+  across the hard component solves still ahead (:class:`SolveScope`), so
+  one pathological component cannot starve the rest.
+* Each hard measure overrides two hooks of
+  :class:`~repro.measures.base.ComponentwiseMeasure`: ``bounded_value``,
+  the pure-python exact solve that polls its :class:`Deadline` and
+  degrades to bounds when it expires, and ``component_bounds``, a
+  bounds-only computation (greedy upper bound + LP / half-integral lower
+  bound for ``I_R``, Moon–Moser for ``I_MC``) that cannot time out.
+  :func:`solve_component` runs the first and, when it crashes, answers
+  from the second.
 * A solve that could not prove optimality returns a :class:`BoundedValue`
   — a ``float`` subclass carrying ``lower``/``upper`` bounds and a
-  ``status`` in {``OPTIMAL``, ``FEASIBLE``, ``TIMEOUT``, ``FALLBACK``} —
-  instead of hanging or raising.  Plain floats mean OPTIMAL; the sessions'
-  caches admit **only** optimal values, so a tight budget can never poison
-  later unbudgeted reads.
+  ``status`` in {``OPTIMAL``, ``FALLBACK``, ``TIMEOUT``} — instead of
+  hanging or raising.  Plain floats mean OPTIMAL; the sessions' caches
+  admit **only** optimal values, so a tight budget can never poison later
+  unbudgeted reads.
 
 Status semantics (severity-ordered; combining takes the worst):
 
 ``OPTIMAL``
     Exact value, identical to the unbudgeted solver; ``lower == upper``.
-``FEASIBLE``
-    A solver proved a feasible solution but not optimality within its
-    slice; ``value`` is the incumbent, bounds are honest.
 ``FALLBACK``
-    A preferred backend was unavailable or crashed; the value came from a
-    weaker chain member (bounds still honest, possibly even tight).
+    The exact solve crashed; the bounds answered (honest, possibly even
+    tight).
 ``TIMEOUT``
     The slice expired; ``value`` is the best available estimate inside
     ``[lower, upper]``.
@@ -62,12 +57,11 @@ from ..testing import faults
 # Statuses
 # ----------------------------------------------------------------------
 OPTIMAL = "OPTIMAL"
-FEASIBLE = "FEASIBLE"
 FALLBACK = "FALLBACK"
 TIMEOUT = "TIMEOUT"
 
 #: Severity order for combining per-component statuses (worst wins).
-_SEVERITY = {OPTIMAL: 0, FEASIBLE: 1, FALLBACK: 2, TIMEOUT: 3}
+_SEVERITY = {OPTIMAL: 0, FALLBACK: 1, TIMEOUT: 2}
 
 #: Fault-injection points owned by the runtime (see repro.testing.faults).
 FAULT_DEADLINE = "solver.deadline"
@@ -91,8 +85,9 @@ def status_of(value) -> str:
 class SolveTimeout(RuntimeError):
     """Raised inside a solver when its deadline expires mid-search.
 
-    Internal to the runtime: chain stages catch it and degrade to bounds
-    with status ``TIMEOUT``; it never escapes a budgeted session call.
+    Internal to the runtime: the measures' ``bounded_value`` solves catch
+    it and degrade to bounds with status ``TIMEOUT``; it never escapes a
+    budgeted session call.
     """
 
 
@@ -161,31 +156,22 @@ class Budget:
     ``Budget(2.0)`` gives the whole call two seconds; ``Budget(None)`` is
     explicit "no limit" (identical to not passing a budget at all).  The
     deadline starts ticking at construction, so build the budget right
-    before the call it governs.
-
-    *prefer* selects the solver backend: ``"auto"`` uses CP-SAT when
-    ``ortools`` is importable and the pure-python chain otherwise (with
-    ordinary statuses); ``"cpsat"`` *requires* it — when absent the chain
-    still answers from the pure-python stages but tags results
-    ``FALLBACK`` so the degradation is visible; ``"pure"`` skips CP-SAT
-    even when installed.
+    before the call it governs.  Negative and NaN seconds are rejected.
     """
 
-    __slots__ = ("seconds", "prefer", "deadline_at", "_clock")
+    __slots__ = ("seconds", "deadline_at", "_clock")
 
     def __init__(
         self,
         seconds: float | None,
         *,
-        prefer: str = "auto",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if prefer not in ("auto", "cpsat", "pure"):
-            raise ValueError(f"unknown solver preference {prefer!r}")
-        if seconds is not None and seconds < 0:
-            raise ValueError("budget seconds must be non-negative")
+        # ``not >=`` so NaN is rejected too: it would compare neither
+        # expired nor live and report 0 s remaining.
+        if seconds is not None and not seconds >= 0:
+            raise ValueError("budget seconds must be a non-negative number")
         self.seconds = None if seconds is None else float(seconds)
-        self.prefer = prefer
         self._clock = clock
         self.deadline_at = (
             None if seconds is None else clock() + float(seconds)
@@ -310,60 +296,6 @@ def solver_scope(
         _SCOPE.reset(token)
 
 
-# ----------------------------------------------------------------------
-# Optional CP-SAT backend
-# ----------------------------------------------------------------------
-_CPSAT_MODULE = None
-_CPSAT_PROBED = False
-
-
-def cpsat_model():
-    """The ``ortools.sat.python.cp_model`` module, or None when absent.
-
-    ``ortools`` is an optional extra (``pip install repro[cpsat]``); the
-    import is probed once and never raises — a bare install simply runs
-    the pure-python chain.
-    """
-    global _CPSAT_MODULE, _CPSAT_PROBED
-    if not _CPSAT_PROBED:
-        _CPSAT_PROBED = True
-        try:
-            from ortools.sat.python import cp_model  # noqa: PLC0415
-        except Exception:
-            _CPSAT_MODULE = None
-        else:
-            _CPSAT_MODULE = cp_model
-    return _CPSAT_MODULE
-
-
-def has_cpsat() -> bool:
-    """Whether the optional CP-SAT backend is importable."""
-    return cpsat_model() is not None
-
-
-# ----------------------------------------------------------------------
-# The per-measure solver registry
-# ----------------------------------------------------------------------
-#: measure name → ordered chain of stages.  A stage is
-#: ``stage(measure, constraints, database, component, deadline) ->
-#: float | BoundedValue | None`` — None skips to the next stage, an
-#: exception (a crashed backend) falls through likewise, and the *last*
-#: stage of a chain must be a bounds-only computation that cannot fail.
-_REGISTRY: dict[str, tuple[Callable, ...]] = {}
-
-
-def register_chain(measure_name: str, stages: Sequence[Callable]) -> None:
-    """Register (or replace) the solver chain for *measure_name*."""
-    if not stages:
-        raise ValueError("a solver chain needs at least one stage")
-    _REGISTRY[measure_name] = tuple(stages)
-
-
-def registered_chain(measure_name: str) -> tuple[Callable, ...] | None:
-    """The registered chain for *measure_name*, if any."""
-    return _REGISTRY.get(measure_name)
-
-
 def solve_component(
     measure,
     constraints,
@@ -373,47 +305,33 @@ def solve_component(
 ):
     """One hard component solve under the active budget, if any.
 
-    Outside a budget scope (or for measures with no registered chain) this
-    is exactly ``exact()`` — the historical bit-identical path.  Inside a
-    scope the measure's chain runs against the solve's time slice; the
-    first stage to produce a value wins, stages that raise degrade to the
-    next stage, and a preferred-but-unavailable backend tags the result
-    ``FALLBACK``.  OPTIMAL results collapse to plain floats (the only
-    values the component caches ever admit).
+    Outside a budget scope this is exactly ``exact()`` — the historical
+    bit-identical path.  Inside a scope the solve takes its time slice and
+    runs the measure's deadline-aware
+    :meth:`~repro.measures.base.ComponentwiseMeasure.bounded_value`, which
+    returns the exact float or TIMEOUT bounds.  When that solve raises (a
+    crashed backend, including an injected ``solver.backend`` fault) the
+    measure's bounds-only
+    :meth:`~repro.measures.base.ComponentwiseMeasure.component_bounds`
+    answers, tagged ``FALLBACK`` even when its bounds meet — so the value
+    never enters a component cache.
     """
     scope = current_scope()
-    chain = _REGISTRY.get(measure.name)
-    if scope is None or chain is None:
+    if scope is None:
         return exact()
     deadline = scope.begin_solve()
-    degraded = scope.budget.prefer == "cpsat" and not has_cpsat()
-    result = None
-    for stage in chain[:-1]:
-        try:
-            result = stage(measure, constraints, database, component, deadline)
-        except Exception:
-            # A crashed backend (including injected solver.backend faults)
-            # must never take the measurement down — fall through.
-            degraded = True
-            result = None
-        if result is not None:
-            break
-    if result is None:
-        # The terminal stage is bounds-only by contract: no deadline, no
-        # backend, nothing left to degrade to — let a failure here surface.
-        result = chain[-1](
-            measure, constraints, database, component, deadline
+    try:
+        faults.trip(FAULT_BACKEND)
+        return measure.bounded_value(
+            constraints, database, component, deadline
         )
-    if degraded and status_of(result) in (OPTIMAL, FEASIBLE):
-        result = bounded(
-            float(result),
-            getattr(result, "lower", float(result)),
-            getattr(result, "upper", float(result)),
-            FALLBACK,
+    except Exception:
+        # A crashed solve must never take the measurement down; the bounds
+        # need no deadline and no backend, so a failure there surfaces.
+        value, lower, upper = measure.component_bounds(
+            constraints, database, component
         )
-    if isinstance(result, BoundedValue):
-        return result
-    return float(result)
+        return bounded(value, lower, upper, FALLBACK)
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +365,7 @@ def combine_bounds(
 
 
 # ----------------------------------------------------------------------
-# Shared bound helpers for the built-in chains
+# Shared bound helpers for the hard measures
 # ----------------------------------------------------------------------
 def moon_moser_bound(vertex_count: int) -> float:
     """Upper bound on the number of maximal independent sets: ``3^(n/3)``."""

@@ -2,7 +2,7 @@
 
 The anytime solver runtime promises that every hard failure mode lands in a
 *defined* state: a solver missing its deadline degrades to bounds with an
-honest status, a solver backend crashing mid-solve falls through the chain,
+honest status, a solver backend crashing mid-solve answers from bounds,
 a snapshot interrupted mid-write never corrupts the target file, a shard
 raising during fan-out self-heals with a rebuild on the next read.  Those
 promises are only worth anything if the paths actually run, so production
@@ -29,8 +29,9 @@ Points currently wired into production code:
     Forces the anytime runtime's deadline check to report expiry — the
     "solver budget exceeded" degradation without having to burn wall-clock.
 ``solver.backend``
-    Raises at the entry of an exact solver stage — the "backend crashed
-    mid-solve" degradation; the chain must fall through to bounds.
+    Raises at the entry of a hard measure's budgeted exact solve — the
+    "backend crashed mid-solve" degradation; the measure's bounds must
+    answer, tagged ``FALLBACK``.
 ``snapshot.write``
     Fires inside :func:`~repro.session.snapshot.save_snapshot` after a
     truncated prefix of the payload has been written to the *temporary*

@@ -197,3 +197,14 @@ class TestRealManifest:
         )
         (finding,) = findings_of(default, module)
         assert "scipy" in finding.message
+
+    def test_ortools_never_allowed_in_src(self):
+        # No module is a home for ortools, not even the anytime runtime
+        # that once probed it: every hard measure solves in pure python.
+        default = ImportHygieneRule()
+        module = make_module(
+            "repro.solvers.anytime",
+            "def probe():\n    from ortools.sat.python import cp_model\n",
+        )
+        (finding,) = findings_of(default, module)
+        assert "ortools" in finding.message

@@ -2,8 +2,8 @@
 
 The anytime runtime's robustness promises (docstring of
 :mod:`repro.testing.faults`) are exercised here point by point: a solver
-missing its deadline degrades to TIMEOUT bounds, a crashing backend falls
-through to FALLBACK bounds, a snapshot interrupted mid-write never
+missing its deadline degrades to TIMEOUT bounds, a crashing backend
+answers from FALLBACK bounds, a snapshot interrupted mid-write never
 corrupts the target file, and a shard raising during fan-out rebuilds
 cold.  After every drill the session must measure **bit-identical** to a
 from-scratch session over the same database — degradation may cost work,
@@ -17,7 +17,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.constraints import FunctionalDependency
+from repro.constraints import FunctionalDependency, parse_dc
 from repro.measures import TABLE2_MEASURES, make_measures
 from repro.measures.mc import MaximalConsistentMeasure
 from repro.relational import Database, Fact, Schema
@@ -140,15 +140,40 @@ class TestSolverDeadlineDrill:
 class TestSolverBackendDrill:
     def test_crashed_backend_falls_through_to_bounds(self):
         constraints, database = _workload()
-        measures = make_measures(("I_MC", "I_R"))
+        names = ("I_MC", "I'_MC", "I_R")
+        measures = make_measures(names)
+        exact = _fresh_values(constraints, database, measures)
         with MeasurementSession(constraints, database) as session:
             with faults.inject(FAULT_BACKEND, times=None):
                 values = session.measure_all(measures, budget=60.0)
-            for name in ("I_MC", "I_R"):
+            for name in names:
                 assert status_of(values[name]) == FALLBACK
-                assert values[name].lower <= values[name].upper
+                assert values[name].lower <= exact[name] <= values[name].upper
             after = session.measure_all(measures)
-        assert after == _fresh_values(constraints, database, measures)
+        assert after == exact
+
+    def test_meeting_bounds_stay_fallback_and_uncached(self):
+        # Only self-inconsistent facts: every component has no MI set of
+        # two or more facts, so I_MC's bounds meet at the exact count.
+        schema = Schema.from_dict({"R": ["A", "B"]})
+        database = Database.from_facts(
+            schema, [Fact("R", (i + 1, i)) for i in range(3)]
+        )
+        constraints = [parse_dc("not(t.A > t.B)", "R")]
+        names = ("I_MC", "I'_MC")
+        measures = make_measures(names)
+        exact = _fresh_values(constraints, database, measures)
+        with MeasurementSession(constraints, database) as session:
+            with faults.inject(FAULT_BACKEND, times=None):
+                values = session.measure_all(measures, budget=60.0)
+            for name in names:
+                assert status_of(values[name]) == FALLBACK
+                assert values[name].lower == exact[name] == values[name].upper
+            assert len(session.component_cache) == 0
+            after = session.measure_all(measures)
+            assert len(session.component_cache) > 0
+        assert after == exact
+        assert all(status_of(value) == OPTIMAL for value in after.values())
 
 
 class TestSnapshotWriteDrill:

@@ -1,4 +1,4 @@
-"""The anytime solver runtime: budgets, bounds, chains, bit-identity.
+"""The anytime solver runtime: budgets, bounds, the budgeted solve, bit-identity.
 
 Unit coverage for :mod:`repro.solvers.anytime` plus the end-to-end
 contract on real sessions: a budgeted solve returns within its deadline
@@ -16,14 +16,14 @@ import pytest
 
 from repro.constraints import FunctionalDependency
 from repro.measures import make_measure
+from repro.measures.base import ComponentwiseMeasure, has_bounded_solve
 from repro.measures.mc import MaximalConsistentMeasure
 from repro.measures.minimal_repair import MinimumRepairMeasure
 from repro.relational import Database, Fact, Schema
 from repro.session import MeasurementSession, make_session
-from repro.solvers import anytime
 from repro.solvers.anytime import (
     FALLBACK,
-    FEASIBLE,
+    FAULT_BACKEND,
     NO_DEADLINE,
     OPTIMAL,
     TIMEOUT,
@@ -37,14 +37,13 @@ from repro.solvers.anytime import (
     combine_bounds,
     current_scope,
     moon_moser_bound,
-    register_chain,
-    registered_chain,
     solve_component,
     solver_scope,
     status_of,
     subset_count_bound,
     worst_status,
 )
+from repro.testing import faults
 from repro.testing.layout import one_group
 
 
@@ -98,15 +97,17 @@ class TestBoundedValue:
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError):
             BoundedValue(1.0, 1.0, 1.0, "MAYBE")
+        with pytest.raises(ValueError):
+            BoundedValue(1.0, 1.0, 1.0, "FEASIBLE")  # no solve reports it
 
     def test_pickle_round_trip(self):
-        value = BoundedValue(3.0, 1.0, 9.0, FEASIBLE)
+        value = BoundedValue(3.0, 1.0, 9.0, FALLBACK)
         clone = pickle.loads(pickle.dumps(value))
         assert (clone, clone.lower, clone.upper, clone.status) == (
             3.0,
             1.0,
             9.0,
-            FEASIBLE,
+            FALLBACK,
         )
 
     def test_as_dict(self):
@@ -129,8 +130,8 @@ class TestBoundedValue:
 class TestStatuses:
     def test_worst_status_severity_order(self):
         assert worst_status([]) == OPTIMAL
-        assert worst_status([OPTIMAL, FEASIBLE]) == FEASIBLE
-        assert worst_status([FEASIBLE, FALLBACK]) == FALLBACK
+        assert worst_status([OPTIMAL, FALLBACK]) == FALLBACK
+        assert worst_status([FALLBACK, TIMEOUT]) == TIMEOUT
         assert worst_status([TIMEOUT, FALLBACK, OPTIMAL]) == TIMEOUT
 
     def test_status_of(self):
@@ -143,7 +144,11 @@ class TestBudget:
         with pytest.raises(ValueError):
             Budget(-1.0)
         with pytest.raises(ValueError):
-            Budget(1.0, prefer="quantum")
+            Budget(float("nan"))
+        with pytest.raises(ValueError):
+            as_budget(float("nan"))
+        assert Budget(0.0).remaining() == 0.0
+        assert not Budget(float("inf")).expired()
 
     def test_remaining_and_expiry(self):
         clock = _FakeClock()
@@ -224,91 +229,90 @@ class TestSolveScope:
         assert current_scope() is None
 
 
-class _FakeMeasure:
-    def __init__(self, name: str) -> None:
-        self.name = name
+class _ScriptedMeasure(ComponentwiseMeasure):
+    """A hard measure whose budgeted solve and bounds are scripted."""
+
+    name = "_scripted"
+
+    def __init__(self, solve, bounds=(1.0, 1.0, 8.0)) -> None:
+        self.solve = solve
+        self.bounds = bounds
+        self.deadlines = []
+
+    def component_value(self, constraints, database, component):
+        return solve_component(
+            self, constraints, database, component, lambda: 7.0
+        )
+
+    def bounded_value(self, constraints, database, component, deadline):
+        self.deadlines.append(deadline)
+        return self.solve()
+
+    def component_bounds(self, constraints, database, component):
+        return self.bounds
 
 
-@pytest.fixture
-def chain_name():
-    """A registry slot unique to the test, removed afterwards."""
-    name = "_test_measure_anytime"
-    yield name
-    anytime._REGISTRY.pop(name, None)
+def _crash():
+    raise RuntimeError("backend died")
 
 
 class TestSolveComponent:
-    def test_no_scope_runs_exact(self, chain_name):
-        register_chain(
-            chain_name, (lambda *a: (_ for _ in ()).throw(AssertionError()),)
-        )
-        assert (
-            solve_component(_FakeMeasure(chain_name), (), None, None, lambda: 7.0)
-            == 7.0
-        )
+    def test_no_scope_runs_exact(self):
+        measure = _ScriptedMeasure(_crash)
+        assert measure.component_value((), None, None) == 7.0
+        assert measure.deadlines == []
 
-    def test_no_chain_runs_exact_inside_scope(self):
+    def test_exact_solve_passes_through_as_plain_float(self):
+        measure = _ScriptedMeasure(lambda: 4.0)
         with solver_scope(Budget(1.0)):
-            assert (
-                solve_component(
-                    _FakeMeasure("_unregistered"), (), None, None, lambda: 3.0
-                )
-                == 3.0
-            )
-
-    def test_first_stage_wins(self, chain_name):
-        register_chain(
-            chain_name,
-            (lambda *a: 4.0, lambda *a: bounded(0.0, 0.0, 1.0, FEASIBLE)),
-        )
-        with solver_scope(Budget(1.0)):
-            value = solve_component(
-                _FakeMeasure(chain_name), (), None, None, lambda: 0.0
-            )
+            value = measure.component_value((), None, None)
         assert value == 4.0 and type(value) is float
 
-    def test_none_stage_skips_to_next(self, chain_name):
-        register_chain(chain_name, (lambda *a: None, lambda *a: 2.0))
+    def test_timeout_bounds_pass_through(self):
+        measure = _ScriptedMeasure(lambda: bounded(2.0, 1.0, 5.0, TIMEOUT))
         with solver_scope(Budget(1.0)):
-            assert (
-                solve_component(
-                    _FakeMeasure(chain_name), (), None, None, lambda: 0.0
-                )
-                == 2.0
-            )
+            value = measure.component_value((), None, None)
+        assert status_of(value) == TIMEOUT
+        assert (float(value), value.lower, value.upper) == (2.0, 1.0, 5.0)
 
-    def test_crashing_stage_degrades_to_fallback(self, chain_name):
-        def boom(*args):
-            raise RuntimeError("backend died")
-
-        register_chain(
-            chain_name, (boom, lambda *a: bounded(1.0, 1.0, 8.0, FEASIBLE))
-        )
+    def test_crashing_solve_degrades_to_fallback(self):
+        measure = _ScriptedMeasure(_crash)
         with solver_scope(Budget(1.0)):
-            value = solve_component(
-                _FakeMeasure(chain_name), (), None, None, lambda: 0.0
-            )
+            value = measure.component_value((), None, None)
         assert status_of(value) == FALLBACK
-        assert (value.lower, value.upper) == (1.0, 8.0)
+        assert (float(value), value.lower, value.upper) == (1.0, 1.0, 8.0)
 
-    def test_prefer_cpsat_without_backend_tags_fallback(self, chain_name):
-        if anytime.has_cpsat():
-            pytest.skip("ortools installed: the preference is satisfiable")
-        register_chain(chain_name, (lambda *a: 6.0, lambda *a: 0.0))
-        with solver_scope(Budget(1.0, prefer="cpsat")):
-            value = solve_component(
-                _FakeMeasure(chain_name), (), None, None, lambda: 0.0
-            )
+    def test_fallback_even_when_bounds_meet(self):
+        measure = _ScriptedMeasure(_crash, bounds=(3.0, 3.0, 3.0))
+        with solver_scope(Budget(1.0)):
+            value = measure.component_value((), None, None)
+        assert isinstance(value, BoundedValue)
         assert status_of(value) == FALLBACK
-        assert float(value) == 6.0
+        assert (float(value), value.lower, value.upper) == (3.0, 3.0, 3.0)
 
-    def test_stage_receives_its_time_slice(self, chain_name):
-        seen = []
-        register_chain(chain_name, (lambda m, c, d, comp, dl: seen.append(dl) or 1.0,))
+    def test_backend_fault_trips_before_the_solve(self):
+        measure = _ScriptedMeasure(lambda: 4.0)
+        with solver_scope(Budget(1.0)), faults.inject(FAULT_BACKEND):
+            value = measure.component_value((), None, None)
+        assert status_of(value) == FALLBACK
+        assert measure.deadlines == []
+
+    def test_solve_receives_its_time_slice(self):
+        measure = _ScriptedMeasure(lambda: 1.0)
         with solver_scope(Budget(1.0), plan=4):
-            solve_component(_FakeMeasure(chain_name), (), None, None, lambda: 0.0)
-        assert isinstance(seen[0], Deadline)
-        assert seen[0].remaining() <= 0.26  # ~a quarter of the budget
+            measure.component_value((), None, None)
+        (deadline,) = measure.deadlines
+        assert isinstance(deadline, Deadline)
+        assert deadline.remaining() <= 0.26  # ~a quarter of the budget
+
+    def test_hard_measures_are_the_hook_overriders(self):
+        assert has_bounded_solve(_ScriptedMeasure(_crash))
+        hard = {
+            name
+            for name in ("I_d", "I_MI", "I_P", "I_MC", "I'_MC", "I_R", "I_lin_R")
+            if has_bounded_solve(make_measure(name))
+        }
+        assert hard == {"I_MC", "I'_MC", "I_R"}
 
 
 class TestCombineBounds:

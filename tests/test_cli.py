@@ -5,6 +5,9 @@ import io
 import pytest
 
 from repro.cli import run
+from repro.constraints import parse_fd
+from repro.measures import make_measure
+from repro.relational import load_csv
 
 
 @pytest.fixture
@@ -207,3 +210,55 @@ class TestStatsFlag:
         assert "warm start: cold build" in text
         assert '"backend"' in text
         assert snap.exists()
+
+
+@pytest.fixture
+def path_csv(tmp_path):
+    """A path-shaped conflict graph over 16 facts: one hub component
+    whose maximal consistent subsets no zero budget can enumerate."""
+    path = tmp_path / "path.csv"
+    rows = [f"{i // 2},{i},{(i + 1) // 2}" for i in range(16)]
+    path.write_text("A,B,C\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+PATH_FDS = ["--fd", "R: A -> B", "--fd", "R: C -> B"]
+
+
+class TestTimeBudget:
+    @pytest.mark.parametrize("extra", [[], ["--stats"]], ids=["oneshot", "session"])
+    def test_zero_budget_prints_timeout_bounds(self, path_csv, extra):
+        code, text = invoke(
+            [str(path_csv), *PATH_FDS, "--measures", "I_MC", "I_MI"]
+            + ["--time-budget", "0", *extra]
+        )
+        assert code == 0
+        (line,) = [line for line in text.splitlines() if "I_MC" in line]
+        assert line.startswith("I_MC ∈ [")
+        assert "TIMEOUT after 0s" in line
+        # Polynomial measures ignore the budget and stay exact.
+        assert "I_MI = 15.0" in text
+
+    def test_without_budget_prints_exact_values(self, path_csv):
+        code, text = invoke([str(path_csv), *PATH_FDS, "--measures", "I_MC"])
+        constraints = [parse_fd("R: A -> B"), parse_fd("R: C -> B")]
+        exact = make_measure("I_MC").value(constraints, load_csv(path_csv, "R"))
+        assert code == 0
+        assert f"I_MC = {exact}" in text.splitlines()
+        assert "∈" not in text
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--time-budget=-1"], ["--time-budget", "-1"], ["--time-budget=nan"],
+         ["--time-budget=soon"]],
+        ids=["negative", "negative-split", "nan", "word"],
+    )
+    def test_bad_budget_is_a_usage_error_before_loading(
+        self, tmp_path, flag, capsys
+    ):
+        missing = tmp_path / "missing.csv"  # loading it would raise
+        with pytest.raises(SystemExit) as exit_info:
+            invoke([str(missing), *PATH_FDS, *flag])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "usage:" in error and "--time-budget" in error

@@ -1,7 +1,7 @@
 """Optional dependencies must stay out of the default import graph.
 
-The pure-python legs (the list column backend, no ``repro[cpsat]``) run on
-interpreters without numpy/scipy/ortools installed, so importing every
+The pure-python leg (the list column backend) runs on interpreters
+without numpy/scipy/ortools installed, so importing every
 non-extra module must succeed with those distributions absent.  The static
 half of this contract is the ``import-hygiene`` lint rule; this test is
 the runtime half: a subprocess installs a meta-path blocker that raises on
