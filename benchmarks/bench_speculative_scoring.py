@@ -4,8 +4,11 @@ The prioritization applications (stepwise resolution, Shapley blame) score
 every candidate repair operation by its inconsistency reduction.  The
 legacy path pays a full ``Database.copy()`` plus a from-scratch
 ``build_violation_index`` *per candidate, per round* — quadratic by copy.
-``MeasurementSession.speculate`` replaces that with a savepoint-guarded
-delta patch and component-localized ``ΔI``.  This bench runs the
+The session's one what-if engine, ``MeasurementSession.speculate_batch``
+(``speculate`` is its one-candidate case), replaces that with a read-only
+preview of each candidate's affected region — a deletion is never
+applied, anything else under a savepoint — and component-localized
+``ΔI``.  This bench runs the
 ``stepwise_resolve`` scoring loop both ways on Fig.-11-scale workloads
 (noised dataset samples), asserts the scored values are *identical*, and
 requires the speculative path to be ≥10× faster at full scale.  It also

@@ -12,9 +12,12 @@ workloads (Tax/Airport samples, whose conflict graphs scatter into many
 components) and, per step, times the maintained assembly against a faithful
 emulation of the pre-topology assembly over the *same* maintained stores —
 isolating exactly the work the topology removes.  It also scores one round
-of candidate deletions both ways: per-candidate ``speculate`` (content-keyed
-cache probes for every component, every candidate) vs one
-``speculate_batch`` (base resolved once, unaffected components shared by
+of candidate deletions both ways: per-candidate commit-and-rollback (flush,
+apply under a savepoint, a committed ``session.measure`` read, roll back —
+the scoring path ``speculate`` ran before it became a one-candidate batch:
+two committed re-splits and content-keyed cache probes for every
+component, every candidate) vs one ``speculate_batch`` (base resolved once,
+each candidate previewed read-only, unaffected components shared by
 identity).  Identity of all results is asserted at every scale; the ≥5×
 assembly and ≥2× batched-scoring acceptance bars apply at full scale only.
 Results land in ``BENCH_topology.json``.
@@ -86,6 +89,23 @@ def _legacy_assemble(session: MeasurementSession) -> ViolationIndex:
     return index
 
 
+def _commit_and_rollback(
+    session: MeasurementSession, operations: list, measure
+) -> dict[str, float]:
+    """One candidate scored through committed state, then undone.
+
+    Flushes the previous candidate's rollback marks, applies *operations*
+    under a savepoint, reads *measure* off the committed re-split and rolls
+    back — step by step what ``speculate`` did before it delegated to
+    ``speculate_batch``, on the same session.
+    """
+    session.is_consistent()
+    with session.savepoint():
+        for operation in operations:
+            operation.apply_in_place(session.database)
+        return {measure.name: session.measure(measure)}
+
+
 def _bench_assembly(name: str) -> dict:
     """Per-point assembly: maintained topology vs re-minimize from scratch.
 
@@ -150,7 +170,7 @@ def _bench_batched_scoring(name: str) -> dict:
 
             start = time.perf_counter()
             sequential = [
-                session.speculate(operations, [measure])
+                _commit_and_rollback(session, operations, measure)
                 for operations in candidates
             ]
             sequential_seconds = time.perf_counter() - start
@@ -161,7 +181,7 @@ def _bench_batched_scoring(name: str) -> dict:
 
             assert batched == sequential, (
                 f"{name}/{measure_name}: batched speculation diverged from "
-                "per-candidate speculation"
+                "per-candidate commit-and-rollback"
             )
             row["measures"][measure_name] = {
                 "candidates": len(candidates),

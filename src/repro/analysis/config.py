@@ -21,7 +21,6 @@ BIT_CRITICAL_MODULES = frozenset(
     {
         "repro.violations.minimal",
         "repro.violations.topology",
-        "repro.violations.conflict_graph",
         "repro.measures.base",
         "repro.session.session",
         "repro.session.shard",
@@ -88,6 +87,7 @@ OPTIONAL_DEPENDENCIES: dict[str, dict[str, frozenset[str]]] = {
 PREVIEW_ROOTS = (
     "repro.violations.topology:ComponentTopology.preview",
     "repro.violations.topology:ComponentTopology.preview_deletion",
+    "repro.session.session:MeasurementSession.speculate",
     "repro.session.session:MeasurementSession.speculate_batch",
     "repro.session.shard:_Shard._preview_region",
 )
@@ -98,9 +98,10 @@ PREVIEW_ROOTS = (
 #:
 #: * ``_speculation_base`` — the one pre-batch flush that pins the base
 #:   snapshot; it runs before any candidate is applied.
-#: * ``_merge_generic_batch`` — the whole-database fallback for measures
-#:   that do not localize (``I_d``/``I_R_upd``); it deliberately flushes
-#:   and assembles under each candidate's savepoint.
+#: * ``_merge_generic_batch`` / ``_generic_speculation`` — the
+#:   whole-database fallback for measures that do not localize
+#:   (``I_d``/``I_R_upd``); it deliberately flushes and assembles under
+#:   each candidate's savepoint.
 #: * ``savepoint`` — the rollback journal on the *database*; database
 #:   mutation under a savepoint is the speculation mechanism itself.
 #:
@@ -206,21 +207,27 @@ FAULTS_REGISTRY_MODULE = "repro.testing.faults"
 # componentwise read-set discipline
 # ----------------------------------------------------------------------
 
-#: The base class whose subclasses' ``component_value`` implementations
-#: are checked.
+#: The base class whose subclasses' component hooks are checked.
 COMPONENTWISE_BASE = "ComponentwiseMeasure"
 
-#: Attributes of the component (``ViolationIndex``) parameter a
-#: ``component_value`` implementation may read: the MI family and views
-#: derived from it.  Anything else (``per_constraint``, the raw stores)
-#: breaks the locality contract behind ``component_cache_key``.
+#: The hooks checked, all with the contract signature
+#: ``(self, constraints, database, component, ...)``: the exact part, and
+#: the budgeted solve and its bounds that ``solve_component`` calls in its
+#: place (``bounded_value``'s exact float is cached like the part).
+COMPONENT_ENTRIES = frozenset(
+    {"component_value", "bounded_value", "component_bounds"}
+)
+
+#: Attributes of the component (``ViolationIndex``) parameter a component
+#: hook may read: the MI family and views derived from it.  Anything else
+#: (``per_constraint``, the raw stores) breaks the locality contract behind
+#: ``component_cache_key``.
 COMPONENT_ACCESSORS = frozenset(
     {
         "mi_sets",
         "problematic",
         "self_inconsistent",
         "components",
-        "conflict_graph",
     }
 )
 
@@ -233,6 +240,7 @@ COMPONENT_HELPERS = frozenset(
         "component_hitting_set",  # vertex-cover/B&B hitting set
         "component_lp_relaxation",  # LP lower bound
         "component_cache_key",  # the content key itself
+        "deletion_costs",  # fact costs, given the problematic ids
     }
 )
 

@@ -1,4 +1,4 @@
-"""Componentwise read-set discipline for ``component_value``.
+"""Componentwise read-set discipline for the component hooks.
 
 ``ComponentwiseMeasure.component_value`` is the locality contract the whole
 incremental engine leans on: a component's part may depend only on that
@@ -7,11 +7,14 @@ component's MI family (and the facts of its problematic members), because
 ``ComponentValueCache`` / sharded assembly replay parts without re-running
 the measure.  An implementation that peeks anywhere else — the database at
 large, the per-constraint stores, session state — computes values the cache
-key does not capture, and warm restores silently serve wrong numbers.
+key does not capture, and warm restores silently serve wrong numbers.  The
+budgeted hooks ``bounded_value`` and ``component_bounds`` answer in
+``component_value``'s place under a budget (and ``bounded_value``'s exact
+float is cached the same way), so they carry the same contract.
 
 The rule finds every subclass of ``ComponentwiseMeasure`` (name-based, over
-the collected ``src/`` tree, transitively) and checks each
-``component_value`` body:
+the collected ``src/`` tree, transitively) and checks the body of each hook
+named in ``COMPONENT_ENTRIES``:
 
 * the *component* parameter may be read only through the accessors in
   ``COMPONENT_ACCESSORS`` (the MI family and its derived views) or handed
@@ -26,7 +29,7 @@ the collected ``src/`` tree, transitively) and checks each
   check, so it is conservatively treated as a violation.
 
 Parameters are identified positionally from the contract signature
-``component_value(self, constraints, database, component)``; the
+``(self, constraints, database, component, ...)`` every hook shares; the
 *constraints* parameter is unrestricted (measures legitimately inspect the
 constraint set).
 """
@@ -45,9 +48,9 @@ _ClassKey = tuple[str, str]  # (module name, class name)
 class ComponentReadSetRule(Rule):
     name = "component-readset"
     description = (
-        "component_value implementations read components only through the "
-        "MI-family accessors and the database only via fact subscripts or "
-        "audited helpers"
+        "component hooks (component_value, bounded_value, component_bounds) "
+        "read components only through the MI-family accessors and the "
+        "database only via fact subscripts or audited helpers"
     )
 
     def __init__(
@@ -89,7 +92,7 @@ class ComponentReadSetRule(Rule):
             for item in node.body:
                 if (
                     isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name == "component_value"
+                    and item.name in config.COMPONENT_ENTRIES
                 ):
                     yield from self._check_entry(module, node, item)
 
@@ -123,7 +126,7 @@ class ComponentReadSetRule(Rule):
         if params and params[0] == "self":
             params = params[1:]
         roles: dict[str, str] = {}
-        # Contract signature: (constraints, database, component).
+        # Contract signature: (constraints, database, component, ...).
         if len(params) >= 2:
             roles[params[1]] = "database"
         if len(params) >= 3:
@@ -215,8 +218,8 @@ class ComponentReadSetRule(Rule):
             if role == "component" and parent.attr in self.accessors:
                 return None
             return (
-                f"read of '.{parent.attr}' on the {role} parameter in "
-                f"component_value; the componentwise contract allows only "
+                f"read of '.{parent.attr}' on the {role} parameter in a "
+                f"component hook; the componentwise contract allows only "
                 + (
                     f"the accessors {', '.join(sorted(self.accessors))}"
                     if role == "component"
@@ -274,6 +277,6 @@ class ComponentReadSetRule(Rule):
                 )
         return (
             f"raw use of the {role} parameter (aliasing, return, or "
-            f"comparison) in component_value; aliasing defeats the read-set "
+            f"comparison) in a component hook; aliasing defeats the read-set "
             f"contract behind component_cache_key"
         )

@@ -483,22 +483,6 @@ class ComponentValueCache:
         self._values[entry] = part
         return part
 
-    def value(
-        self,
-        measure: InconsistencyMeasure,
-        constraints: Sequence[Constraint],
-        database: Database,
-        index: ViolationIndex,
-    ) -> float:
-        """``measure.value`` with per-component memoization when it applies."""
-        if not isinstance(measure, ComponentwiseMeasure):
-            return measure.value(constraints, database, index)
-        parts = [
-            self.component_value(measure, constraints, database, component)
-            for component in index.components()
-        ]
-        return measure.value_from_parts(parts, index)
-
 
 def normalize_series(values: Sequence[float]) -> list[float]:
     """Scale a measurement series to [0, 1] by its maximum (paper figures)."""

@@ -13,9 +13,10 @@ shard for a single-relation workload).  Each shard owns a live
 re-minimizes and re-splits only the delta's affected region, and a change
 event reaches only the shard indexing its relation.  The session is the
 one class that reads the shards: measures and budgets, copy-free
-speculation (:meth:`~repro.session.session.MeasurementSession.speculate`,
-and :meth:`~repro.session.session.MeasurementSession.speculate_batch` for
-whole candidate sets), streaming ingest and snapshots.  The partition is
+speculation (one read-only what-if engine,
+:meth:`~repro.session.session.MeasurementSession.speculate_batch`, with
+:meth:`~repro.session.session.MeasurementSession.speculate` as its
+one-candidate case), streaming ingest and snapshots.  The partition is
 derived from ``(Σ, schema)``, never passed in, and every read is
 bit-identical whatever it is.
 

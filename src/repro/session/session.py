@@ -28,17 +28,17 @@ so every result is bit-identical to ``build_violation_index`` plus
 merge runs; with several, the per-shard streams are k-way merged.
 
 On top of the maintained topology the session offers **speculative
-evaluation**: :meth:`MeasurementSession.speculate` scores candidate repair
-operations by applying them through the change feed under a
-:class:`~repro.relational.database.Savepoint`, reading component-wise
-measures off the patched topology (unchanged components keep object
-identity and serve their cached values), and rolling back by replaying
-inverse events — no database copy, no rebuild, bit-identical to the
-copy-and-rebuild result.  :meth:`MeasurementSession.speculate_batch` scores
-a whole candidate set in one round: the base component values are resolved
-once and every candidate pays only its own affected region, previewed
-read-only on the shards it touches, plus O(1) identity lookups for the
-rest.
+evaluation** through one what-if engine,
+:meth:`MeasurementSession.speculate_batch` (:meth:`~MeasurementSession.speculate`
+is its one-candidate case).  The base component values are resolved once
+per round; each candidate pays only its own affected region, previewed
+read-only on the shards it touches — a deletion of live facts without
+touching the database at all, anything else under a
+:class:`~repro.relational.database.Savepoint` rolled back by replaying
+inverse events — plus O(1) identity lookups for the rest.  No database
+copy, no rebuild, and for the component-wise measures no committed flush
+and no topology write; every value is bit-identical to the
+copy-and-rebuild result.
 """
 
 from __future__ import annotations
@@ -142,33 +142,24 @@ def _entry_values(
     return values
 
 
-def _generic_values(session, measures: list) -> dict[str, float]:
-    """Non-decomposing measures read off the assembled (patched) index.
-
-    Runs inside the caller's savepoint (or against the committed state):
-    the one whole-database read the mixed ``speculate`` path and
-    :func:`_generic_speculation` share.
-    """
-    index = session.index()
-    return {
-        measure.name: session.component_cache.value(
-            measure, session.constraints, session.database, index
-        )
-        for measure in measures
-    }
-
-
 def _generic_speculation(session, operations: list, measures: list) -> dict[str, float]:
     """Whole-database speculation against the assembled patched index.
 
     The fallback for measures that do not localize (``I_d``, ``I_R_upd``):
     apply under a savepoint, assemble the patched index, read every value,
-    roll back.
+    roll back.  The one session path that commits a flush under a
+    savepoint.
     """
     with session.savepoint():
         for operation in operations:
             operation.apply_in_place(session.database)
-        return _generic_values(session, measures)
+        index = session.index()
+        return {
+            measure.name: measure.value(
+                session.constraints, session.database, index
+            )
+            for measure in measures
+        }
 
 
 def _merge_generic_batch(
@@ -322,7 +313,7 @@ class MeasurementSession:
         self._pseudo: ViolationIndex | None = None
         self._pseudo_key: tuple | None = None
         self._spec_base: _SpeculationBase | None = None
-        # Cumulative speculate_batch candidates by scoring path (stats()).
+        # Cumulative speculated candidates by scoring path (stats()).
         self._speculation = {"deletion_previews": 0, "savepoint_previews": 0}
         # The attached streaming-ingest pipeline, if any (set by
         # IngestPipeline; surfaces its counters through stats()).
@@ -547,9 +538,10 @@ class MeasurementSession:
 
         ``vector_backend`` is the column backend every shard's store runs
         on (None for a session without constraints, which has no shard).
-        ``speculation`` counts the candidates :meth:`speculate_batch` has
-        scored since construction: ``deletion_previews`` were never
-        applied, ``savepoint_previews`` were applied and rolled back.
+        ``speculation`` counts the candidates scored since construction,
+        by :meth:`speculate_batch` and :meth:`speculate` alike:
+        ``deletion_previews`` were never applied, ``savepoint_previews``
+        were applied and rolled back.
         """
         stats = {
             "vector_backend": (
@@ -622,52 +614,18 @@ class MeasurementSession:
     ) -> dict[str, float]:
         """Measure values *as if* *operations* had been applied — copy-free.
 
-        Applies the operations in place under a savepoint, flushes the
-        delta-restricted witness patch through the touched shards,
-        evaluates each measure against the patched state, then rolls back.
-        The returned values are bit-identical to copying the database,
-        applying the operations, and rebuilding from scratch.
-
-        When every requested measure is component-wise, evaluation is
-        **component-localized ΔI**: the topology rebuilds only the affected
-        region, every untouched component keeps its object identity, and
-        its (possibly expensive) value is served from the per-component
-        cache in the exact from-scratch float-summation order.
-        Whole-database measures (``I_d``, ``I_R_upd``) read the fully
-        assembled patched index instead; a mixed request splits, so the
-        component-wise majority keeps the localized path.  Scoring many
-        candidates against one base state is cheaper through
-        :meth:`speculate_batch`.
-
-        *budget* bounds the hard per-component solves exactly as in
-        :meth:`measure` — degraded values carry bounds and status, and are
-        never memoized anywhere the unbudgeted paths could later read.
+        A one-candidate :meth:`speculate_batch`: same paths, same values
+        (bit-identical to copying the database, applying the operations
+        and rebuilding from scratch), same read-only contract — for the
+        component-wise measures nothing is committed, so the live
+        topologies, their generations and every derived cache survive the
+        call.  *budget* bounds the hard per-component solves exactly as in
+        :meth:`measure`.
         """
-        measures = list(measures)
-        operations = list(operations)
-        budget = self._call_budget(budget)
-        fast, generic = _split_measures(measures)
-        if not fast:
-            with solver_scope(budget):
-                return _generic_speculation(self, operations, measures)
-        self._flush()
-        with solver_scope(budget, plan=self._solve_plan(measures)):
-            with self.savepoint():
-                for operation in operations:
-                    operation.apply_in_place(self.database)
-                self._flush()
-                values = {
-                    measure.name: self._componentwise_value(measure)
-                    for measure in fast
-                }
-                if generic:
-                    values.update(_generic_values(self, generic))
-                return {
-                    measure.name: values[measure.name] for measure in measures
-                }
+        return self.speculate_batch([operations], measures, budget=budget)[0]
 
     def speculate_value(self, operations: Iterable, measure) -> float:
-        """One-measure :meth:`speculate` (the candidate-scoring hot path)."""
+        """One-measure :meth:`speculate`."""
         return self.speculate(operations, (measure,))[measure.name]
 
     def speculate_batch(
@@ -676,8 +634,8 @@ class MeasurementSession:
         """Score a whole candidate set against the current base state.
 
         *candidates* is a sequence of operation batches; the returned dicts
-        are value-identical to per-candidate :meth:`speculate` (and
-        therefore to copy-apply-rebuild).
+        are value-identical to copy-apply-rebuild.  This is the session's
+        only what-if engine: :meth:`speculate` is a one-candidate batch.
 
         The batch owns the scoring round, so each candidate is **one region
         pass** per shard it touches, and the base component values,
@@ -700,8 +658,13 @@ class MeasurementSession:
 
         ``stats()["speculation"]`` counts the candidates of each path.
         Mixed batches split: the component-wise measures keep these fast
-        paths, and only the whole-database stragglers pay a per-candidate
-        generic pass.
+        paths, and only the whole-database stragglers (``I_d``,
+        ``I_R_upd``) pay a per-candidate generic pass, which does commit a
+        flush under the candidate's savepoint.
+
+        *budget* bounds the hard per-component solves exactly as in
+        :meth:`measure` — degraded values carry bounds and status, and are
+        never memoized anywhere the unbudgeted paths could later read.
         """
         candidates = [list(operations) for operations in candidates]
         measures = list(measures)

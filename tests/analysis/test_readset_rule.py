@@ -134,6 +134,33 @@ class TestViolations:
         )
         assert findings_of(ComponentReadSetRule(), module)
 
+    def test_budgeted_hooks_are_checked(self):
+        """``bounded_value`` and ``component_bounds`` answer in
+        ``component_value``'s place under a budget: same contract."""
+        module = make_module(
+            "repro.measures.custom",
+            """
+            from repro.measures.base import ComponentwiseMeasure
+
+            class CustomMeasure(ComponentwiseMeasure):
+                def component_value(self, constraints, database, component):
+                    return float(len(component.mi_sets))
+
+                def bounded_value(self, constraints, database, component, deadline):
+                    return float(len(database.facts) + len(component.per_constraint))
+
+                def component_bounds(self, constraints, database, component):
+                    return 0.0, 0.0, float(len(database.facts))
+            """,
+        )
+        findings = findings_of(ComponentReadSetRule(), module)
+        assert {finding.symbol for finding in findings} == {
+            "CustomMeasure.bounded_value",
+            "CustomMeasure.component_bounds",
+        }
+        messages = " ".join(finding.message for finding in findings)
+        assert ".facts" in messages and "per_constraint" in messages
+
     def test_non_componentwise_class_not_checked(self):
         module = make_module(
             "repro.measures.custom",

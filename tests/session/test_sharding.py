@@ -191,7 +191,8 @@ class TestRandomizedConformance:
     @pytest.mark.slow
     @pytest.mark.parametrize("case", [0, 1])
     def test_full_registry_speculation(self, case, case_rng):
-        """Whole-database measures force the generic fallback; still equal.
+        """Whole-database measures force the generic fallback; still equal
+        across layouts and to copy-apply-rebuild.
 
         Small database: the registry includes the exact update-repair
         measure, which is exponential in the problematic-fact count.
@@ -208,9 +209,17 @@ class TestRandomizedConformance:
             with MeasurementSession(constraints, database) as sharded:
                 for _ in range(3):
                     candidates = _random_candidates(rng, database, relations, 2)
-                    assert sharded.speculate_batch(
-                        candidates, registry
-                    ) == single.speculate_batch(candidates, registry)
+                    batch = sharded.speculate_batch(candidates, registry)
+                    assert batch == single.speculate_batch(candidates, registry)
+                    assert batch == [
+                        {
+                            measure.name: measure.value(
+                                constraints, apply_sequence(database, operations)
+                            )
+                            for measure in registry
+                        }
+                        for operations in candidates
+                    ]
                     assert [
                         sharded.speculate(operations, registry)
                         for operations in candidates
@@ -540,15 +549,15 @@ class TestMixedMeasureSpeculation:
         generic_lists: list[list[str]] = []
         import repro.session.session as session_module
 
-        original = session_module._generic_values
+        original = session_module._generic_speculation
 
-        def spy(session, measures):
+        def spy(session, operations, measures):
             generic_lists.append([measure.name for measure in measures])
-            return original(session, measures)
+            return original(session, operations, measures)
 
         # Every generic read funnels through the session module's
-        # _generic_values.
-        monkeypatch.setattr(session_module, "_generic_values", spy)
+        # _generic_speculation.
+        monkeypatch.setattr(session_module, "_generic_speculation", spy)
         with MeasurementSession(constraints, database) as session:
             values = session.speculate([DeleteOperation(0)], mixed)
             batch = session.speculate_batch(

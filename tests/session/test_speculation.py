@@ -33,7 +33,7 @@ from repro.repairs.system import subset_system, update_system
 from repro.repairs.tradeoff import score_operations
 from repro.session import MeasurementSession
 from repro.testing.layout import column_backend, one_group
-from repro.violations import affected_components, build_violation_index
+from repro.violations import build_violation_index
 from repro.violations.topology import ComponentTopology
 
 from .test_session import _constraint_suites, _random_fact, _random_mutation
@@ -347,8 +347,8 @@ class TestSpeculateBatch:
     @pytest.mark.parametrize("case", [0, 1])
     def test_mixed_batch_falls_back_value_identical(self, schema, case, case_rng):
         """Whole-database measures in the batch force the generic path;
-        values still match per-candidate speculation (small database — the
-        exact update-repair measure is exponential)."""
+        values still match per-candidate speculation and copy-apply-rebuild
+        (small database — the exact update-repair measure is exponential)."""
         rng = case_rng
         database = Database.from_facts(
             schema, [_random_fact(rng) for _ in range(8)]
@@ -360,8 +360,18 @@ class TestSpeculateBatch:
                 candidates = [
                     _random_operations(rng, database) for _ in range(2)
                 ]
-                assert session.speculate_batch(candidates, registry) == [
+                batch = session.speculate_batch(candidates, registry)
+                assert batch == [
                     session.speculate(operations, registry)
+                    for operations in candidates
+                ]
+                assert batch == [
+                    {
+                        measure.name: measure.value(
+                            constraints, apply_sequence(database, operations)
+                        )
+                        for measure in registry
+                    }
                     for operations in candidates
                 ]
                 _bounded_mutation(rng, database)
@@ -436,7 +446,8 @@ class TestComponentLocalizedDelta:
         measure = make_measure("I_R")
         with MeasurementSession(constraints, database) as session:
             assert session.measure(measure) == 2.0
-            assert affected_components(session.index(), {0}) == [0]
+            topology = session.shards[0].topology
+            assert topology.component_of(0) is topology.components()[0]
             misses_before = session.component_cache.misses
             assert session.speculate_value([DeleteOperation(0)], measure) == 1.0
             # Component {2, 3} was served from the cache: at most the patched
@@ -444,18 +455,6 @@ class TestComponentLocalizedDelta:
             # so no new component value at all was solved).
             assert session.component_cache.misses == misses_before
             assert session.component_cache.hits > 0
-
-    def test_affected_components_positions(self, schema):
-        database = Database.from_rows(
-            schema,
-            "R",
-            [(1, "x", 0), (1, "y", 0), (2, "p", 0), (2, "q", 0)],
-        )
-        constraints = _constraint_suites()["binary"][:1]
-        index = build_violation_index(constraints, database)
-        assert affected_components(index, {2, 3}) == [1]
-        assert affected_components(index, {0, 3}) == [0, 1]
-        assert affected_components(index, {99}) == []
 
 
 class TestMixedMeasureSplit:
@@ -472,13 +471,13 @@ class TestMixedMeasureSplit:
         constraints = _constraint_suites()["binary"]
         mixed = [make_measure(name) for name in ("I_MI", "I_d", "I_R")]
         generic_lists: list[list[str]] = []
-        original = session_module._generic_values
+        original = session_module._generic_speculation
 
-        def spy(session, measures):
+        def spy(session, operations, measures):
             generic_lists.append([measure.name for measure in measures])
-            return original(session, measures)
+            return original(session, operations, measures)
 
-        monkeypatch.setattr(session_module, "_generic_values", spy)
+        monkeypatch.setattr(session_module, "_generic_speculation", spy)
         with MeasurementSession(constraints, database) as session:
             values = session.speculate([DeleteOperation(0)], mixed)
             batch = session.speculate_batch(
@@ -624,7 +623,9 @@ class TestDeletionPreviews:
                 ]
                 # Purity: a deletion-only batch emits no change event and
                 # moves no store, reverse map, topology or dirty mark.
-                # (speculate's rollbacks left marks: pin the base first.)
+                # (I_d's generic pass committed a flush under each
+                # candidate's savepoint, and its rollbacks left marks: pin
+                # the base first.)
                 base = session._speculation_base()
                 events: list = []
                 database.subscribe(events.append)
@@ -699,3 +700,45 @@ class TestDeletionPreviews:
                     "savepoint_previews": 0,
                     path: len(scored),
                 }
+
+
+class TestSpeculatePurity:
+    """``speculate`` is a one-candidate batch: on a flushed session it
+    commits nothing, whichever path its candidate takes."""
+
+    @pytest.mark.parametrize("grouping", ["derived", "one_group"])
+    @pytest.mark.parametrize("kind", ["deletion", "update"])
+    def test_speculate_leaves_the_session_flushed(self, grouping, kind):
+        database, constraints = _three_relation_setup(random.Random(3))
+        measures = [make_measure(name) for name in ("I_MI", "I_P", "I_R")]
+        layout = one_group() if grouping == "one_group" else contextlib.nullcontext()
+        with layout:
+            session = MeasurementSession(constraints, database)
+        with session:
+            target = min(session.problematic_facts())
+            if kind == "deletion":
+                operations = [DeleteOperation(target)]
+                path = "deletion_previews"
+            else:
+                operations = [UpdateOperation(target, "B", "w")]
+                path = "savepoint_previews"
+            base = session._speculation_base()
+            topologies = [
+                (shard.topology, shard.topology.generation)
+                for shard in session.shards
+            ]
+            counts = dict(session.stats()["speculation"])
+            values = session.speculate(operations, measures)
+            assert session.pending_deltas == 0
+            for shard, (topology, generation) in zip(session.shards, topologies):
+                assert shard.topology is topology
+                assert shard.topology.generation == generation
+            assert session._speculation_base() is base
+            counts[path] += 1
+            assert session.stats()["speculation"] == counts
+            assert values == {
+                measure.name: measure.value(
+                    constraints, apply_sequence(database, operations)
+                )
+                for measure in measures
+            }
