@@ -456,6 +456,33 @@ class TestComponentLocalizedDelta:
             assert session.component_cache.misses == misses_before
             assert session.component_cache.hits > 0
 
+    def test_affected_components_positions(self, schema):
+        # The facts a candidate touches map to the components it must
+        # re-solve; a fact in no conflict maps to none.
+        database = Database.from_rows(
+            schema,
+            "R",
+            [(1, "x", 0), (1, "y", 0), (2, "p", 0), (2, "q", 0)],
+        )
+        constraints = _constraint_suites()["binary"][:1]
+        with MeasurementSession(constraints, database) as session:
+            assert session.is_consistent() is False
+            topology = session.shards[0].topology
+            components = topology.components()
+
+            def affected(fact_ids):
+                touched = {topology.component_of(fact) for fact in fact_ids}
+                return [
+                    position
+                    for position, component in enumerate(components)
+                    if component in touched
+                ]
+
+            assert affected({2, 3}) == [1]
+            assert affected({0, 3}) == [0, 1]
+            assert affected({99}) == []
+            assert topology.component_of(99) is None
+
 
 class TestMixedMeasureSplit:
     def test_one_shard_mixed_list_keeps_component_fast_path(

@@ -13,7 +13,7 @@ from repro.violations import (
     lower_constraints,
     violations_of,
 )
-from repro.violations.minimal import find_first_violation
+from repro.violations.minimal import ViolationIndex, find_first_violation
 
 
 @pytest.fixture
@@ -150,3 +150,55 @@ class TestHelpers:
         dc = parse_dc("not(t.A > t.C)", "R")
         lowered = lower_constraints([fd, dc], schema)
         assert len(lowered) == 3
+
+
+class TestComponents:
+    """``ViolationIndex.components()``: the split along shared facts."""
+
+    @pytest.fixture
+    def index_pairs(self):
+        index = ViolationIndex()
+        index.mi_sets = [frozenset({0, 1}), frozenset({1, 2}), frozenset({5})]
+        return index
+
+    def test_pairs_sharing_a_fact_join(self, index_pairs):
+        components = index_pairs.components()
+        assert [c.problematic for c in components] == [{0, 1, 2}, {5}]
+        assert [c.mi_sets for c in components] == [
+            [frozenset({0, 1}), frozenset({1, 2})],
+            [frozenset({5})],
+        ]
+        assert components[1].self_inconsistent == {5}
+        assert components[0].self_inconsistent == set()
+
+    def test_wide_sets_keep_their_width(self):
+        index = ViolationIndex()
+        index.mi_sets = [frozenset({0, 1, 2}), frozenset({3, 4})]
+        components = index.components()
+        assert [c.problematic for c in components] == [{0, 1, 2}, {3, 4}]
+        assert [c.max_width for c in components] == [3, 2]
+        assert index.max_width == 3
+
+    def test_empty_index_has_no_components(self):
+        index = ViolationIndex()
+        assert index.components() == []
+        assert index.max_width == 0
+        assert index.is_consistent()
+
+    def test_fd_components_end_to_end(self, schema):
+        fd = FunctionalDependency("R", {"A"}, {"B"})
+        db = Database.from_rows(
+            schema, "R", [(1, "x", 0), (1, "y", 0), (2, "z", 0)]
+        )
+        components = build_violation_index([fd], db).components()
+        assert len(components) == 1
+        assert components[0].mi_sets == [frozenset({0, 1})]
+        assert [v.fact_ids for v in components[0].per_constraint] == [
+            frozenset({0, 1})
+        ]
+
+    def test_split_follows_appended_sets(self, index_pairs):
+        assert len(index_pairs.components()) == 2
+        index_pairs.mi_sets.append(frozenset({2, 5}))
+        components = index_pairs.components()
+        assert [c.problematic for c in components] == [{0, 1, 2, 5}]
