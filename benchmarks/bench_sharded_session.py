@@ -43,7 +43,8 @@ from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
 #: into many small FD components instead of coalescing into hubs.
 FACTS_PER_RELATION = 2000
 RELATIONS = ("T0", "T1", "T2")
-#: Component-wise, default-finalize measures — the sweep fast path.
+#: Measures read from per-component parts — the sweep fast path, which
+#: every registered measure but ``I_R_upd`` (``I_d`` included) takes.
 MEASURES = ("I_MI", "I_P", "I_R", "I_lin_R")
 #: Single-fact update deltas, round-robin over the relations.
 STEPS = 60

@@ -213,10 +213,6 @@ def test_bench_topology_incremental(benchmark):
             f"end-to-end with the shared {row['maintain_seconds']:.3f}s witness "
             f"maintenance ×{row['end_to_end_speedup']:.1f})"
         )
-        assert row["speedup"] >= MIN_ASSEMBLY_SPEEDUP, (
-            f"{row['dataset']}: assembly ×{row['speedup']:.1f} "
-            f"< ×{MIN_ASSEMBLY_SPEEDUP}"
-        )
     for row in results["batched_scoring"]:
         for measure_name, cell in row["measures"].items():
             lines.append(
@@ -224,10 +220,6 @@ def test_bench_topology_incremental(benchmark):
                 f"candidates: sequential {cell['sequential_seconds']:.3f}s, "
                 f"batched {cell['batched_seconds']:.3f}s "
                 f"(speedup ×{cell['speedup']:.1f})"
-            )
-            assert cell["speedup"] >= MIN_BATCH_SPEEDUP, (
-                f"{row['dataset']}/{measure_name}: batched ×"
-                f"{cell['speedup']:.1f} < ×{MIN_BATCH_SPEEDUP}"
             )
     if full_scale():  # smoke runs must not clobber the committed trajectory
         RESULTS_DIR.mkdir(exist_ok=True)
@@ -241,3 +233,16 @@ def test_bench_topology_incremental(benchmark):
             "\n".join(lines),
         ),
     )
+    # The bars are checked only once every cell is on disk: a host that
+    # misses one bar still records the others.
+    for row in results["assembly"]:
+        assert row["speedup"] >= MIN_ASSEMBLY_SPEEDUP, (
+            f"{row['dataset']}: assembly ×{row['speedup']:.1f} "
+            f"< ×{MIN_ASSEMBLY_SPEEDUP}"
+        )
+    for row in results["batched_scoring"]:
+        for measure_name, cell in row["measures"].items():
+            assert cell["speedup"] >= MIN_BATCH_SPEEDUP, (
+                f"{row['dataset']}/{measure_name}: batched ×"
+                f"{cell['speedup']:.1f} < ×{MIN_BATCH_SPEEDUP}"
+            )

@@ -98,10 +98,12 @@ PREVIEW_ROOTS = (
 #:
 #: * ``_speculation_base`` — the one pre-batch flush that pins the base
 #:   snapshot; it runs before any candidate is applied.
-#: * ``_merge_generic_batch`` / ``_generic_speculation`` — the
-#:   whole-database fallback for measures that do not localize
-#:   (``I_d``/``I_R_upd``); it deliberately flushes and assembles under
-#:   each candidate's savepoint.
+#: * ``_whole_database_values`` — ``measure.value(Σ, D)`` for the measures
+#:   that do not localize (``I_R_upd``), read off the patched database
+#:   with no index.  The name-based call graph cannot tell which ``value``
+#:   runs and follows ``DrasticMeasure.value → index.is_consistent`` into
+#:   ``MeasurementSession.is_consistent → _flush``; without an index no
+#:   such call happens, so the scan stops here.
 #: * ``savepoint`` — the rollback journal on the *database*; database
 #:   mutation under a savepoint is the speculation mechanism itself.
 #:
@@ -111,8 +113,7 @@ PREVIEW_STOP_EDGES = frozenset(
     {
         "repro.session.session:MeasurementSession._speculation_base",
         "repro.session.session:MeasurementSession.savepoint",
-        "repro.session.session:_merge_generic_batch",
-        "repro.session.session:_generic_speculation",
+        "repro.session.session:_whole_database_values",
         # Idempotent memo-fill read accessors: each fills a content-derived
         # view from maintained state on first read (``self._x = <derived>``
         # guarded by ``if self._x is None``) and is legitimately read by the
@@ -146,7 +147,6 @@ PREVIEW_PROTECTED_ATTRS = frozenset(
         "_ordered",
         "_mi_pairs",
         "_mi_cache",
-        "_pseudo",
         "_indexes",
         "generation",
         # MeasurementSession derived state

@@ -23,8 +23,8 @@ Call resolution is syntactic and deliberately conservative-but-bounded:
   ``PREVIEW_SKIP_METHODS``, which would wire the graph to every
   ``set.add``/``dict.get`` call site;
 * documented mutation barriers (``PREVIEW_STOP_EDGES`` — the pre-batch
-  flush, the generic whole-database fallback) are not descended into;
-  each carries its justification in the manifest.
+  flush, the whole-database measures' index-free read) are not descended
+  into; each carries its justification in the manifest.
 
 Every ``PREVIEW_ROOTS`` / ``PREVIEW_STOP_EDGES`` entry must name a
 function in ``src/``; a stale entry (a renamed root, a moved barrier) is

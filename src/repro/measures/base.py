@@ -12,15 +12,16 @@ Measures whose value decomposes over the connected components of the
 conflict (hyper)graph subclass :class:`ComponentwiseMeasure` instead: the
 framework splits the index per component, evaluates each independently, and
 combines (sum for ``I_MI``/``I_P``/``I_R``/``I_lin_R``, product of MCS
-counts for ``I_MC``).  Beyond being the honest algebraic structure, this is
-what turns the exponential solvers tractable in practice — branch-and-bound
-and MIS counting run on small components instead of the whole database.
+counts for ``I_MC``, "any component at all" for ``I_d``).  Beyond being the
+honest algebraic structure, this is what turns the exponential solvers
+tractable in practice — branch-and-bound and MIS counting run on small
+components instead of the whole database.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..constraints.base import Constraint
 from ..relational.database import Database
@@ -78,10 +79,11 @@ class ComponentwiseMeasure(InconsistencyMeasure):
     """A measure evaluated per connected component of ``MI_Σ(D)``.
 
     ``value`` becomes ``finalize(combine([component_value(c) for c in
-    index.components()]), index)``.  The default :meth:`combine` sums (the
-    additive measures); counting measures override it with a product.  On a
-    consistent database the component list is empty, so ``combine`` sees
-    ``[]`` and must return its monoid identity (``sum`` → 0, product → 1).
+    index.components()]), index.components())``.  The default
+    :meth:`combine` sums (the additive measures); counting measures
+    override it with a product.  On a consistent database the component
+    list is empty, so ``combine`` sees ``[]`` and must return its monoid
+    identity (``sum`` → 0, product → 1, ``I_d``'s "any" → 0).
 
     **Locality contract** (what :class:`ComponentValueCache` relies on):
     :meth:`component_value` may read the component's MI family and the facts
@@ -134,20 +136,22 @@ class ComponentwiseMeasure(InconsistencyMeasure):
     def combine(self, parts: Sequence[float]) -> float:
         return float(sum(parts))
 
-    def finalize(self, combined: float, index: ViolationIndex) -> float:
+    def finalize(
+        self, combined: float, components: Iterable[ViolationIndex]
+    ) -> float:
         """Post-process the combined value (e.g. ``I_MC``'s ``− 1``).
 
-        Overrides may read *index* only at MI-family granularity
-        (``mi_sets``-derived views such as ``self_inconsistent``): the
-        localized evaluation paths pass a pseudo index whose MI *content*
-        matches the assembled one but whose order is component-major and
-        whose ``per_constraint`` is empty.  Measures that keep this default
-        are evaluated without building any index at all.
+        *components* are the component sub-indexes the parts came from, in
+        any order and possibly as a one-pass iterator — so overrides may
+        only aggregate order-free per-component views (``I'_MC`` counts
+        ``self_inconsistent`` facts, each of which lies in exactly one
+        component).  The default ignores them, so measures keeping it never
+        walk the components at all.
         """
         return combined
 
     def value_from_parts(
-        self, parts: Sequence[float], pseudo_index: ViolationIndex | None = None
+        self, parts: Sequence[float], components: Iterable[ViolationIndex]
     ) -> float:
         """Assemble the measure value from precomputed per-component parts.
 
@@ -157,8 +161,8 @@ class ComponentwiseMeasure(InconsistencyMeasure):
         be in global component order (ascending smallest member fact): that
         is the float combination order of the from-scratch path, so the
         result is bit-identical to :meth:`value` no matter how many shards
-        the components were collected from.  *pseudo_index* is required
-        exactly when :func:`needs_finalize_index` holds.
+        the components were collected from.  *components* are handed to
+        :meth:`finalize`.
 
         Parts produced under a solver budget may be
         :class:`~repro.solvers.anytime.BoundedValue`; bounds then combine
@@ -170,23 +174,14 @@ class ComponentwiseMeasure(InconsistencyMeasure):
         """
         if any(isinstance(part, BoundedValue) for part in parts):
             value, lower, upper, status = combine_bounds(self.combine, parts)
-            if needs_finalize_index(self):
-                if pseudo_index is None:
-                    raise ValueError(
-                        f"{self.name} overrides finalize and needs a pseudo index"
-                    )
-                value = float(self.finalize(value, pseudo_index))
-                lower = float(self.finalize(lower, pseudo_index))
-                upper = float(self.finalize(upper, pseudo_index))
-            return bounded(value, lower, upper, status)
-        combined = self.combine(parts)
-        if not needs_finalize_index(self):
-            return float(combined)
-        if pseudo_index is None:
-            raise ValueError(
-                f"{self.name} overrides finalize and needs a pseudo index"
+            components = list(components)
+            return bounded(
+                float(self.finalize(value, components)),
+                float(self.finalize(lower, components)),
+                float(self.finalize(upper, components)),
+                status,
             )
-        return float(self.finalize(combined, pseudo_index))
+        return float(self.finalize(self.combine(parts), components))
 
     def value(
         self,
@@ -195,22 +190,12 @@ class ComponentwiseMeasure(InconsistencyMeasure):
         index: ViolationIndex | None = None,
     ) -> float:
         index = self._ensure_index(constraints, database, index)
+        components = index.components()
         parts = [
             self.component_value(constraints, database, component)
-            for component in index.components()
+            for component in components
         ]
-        return self.value_from_parts(parts, index)
-
-
-def needs_finalize_index(measure: "ComponentwiseMeasure") -> bool:
-    """Whether *measure* overrides ``finalize`` and so needs a pseudo index.
-
-    Measures keeping the inherited no-op finalize are evaluated from their
-    per-component parts alone — the localized paths (live topology reads,
-    speculative previews, sharded assembly) skip building any index for
-    them.
-    """
-    return type(measure).finalize is not ComponentwiseMeasure.finalize
+        return self.value_from_parts(parts, components)
 
 
 def has_bounded_solve(measure: InconsistencyMeasure) -> bool:
@@ -298,8 +283,8 @@ class ComponentValueCache:
 
     Keys embed the measure *instance* (identity-hashed and kept alive by the
     dict), so differently configured instances of one measure never share
-    entries.  Non-component-wise measures (``I_d``, ``I_R_upd``) bypass the
-    cache — their values do not localize.
+    entries.  The one measure that is not component-wise (``I_R_upd``)
+    bypasses the cache — its value does not localize.
 
     **Bounding.**  The cache self-bounds with LRU eviction: hits refresh an
     entry's recency, and crossing *max_entries* evicts the stalest entries

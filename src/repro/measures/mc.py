@@ -21,7 +21,7 @@ enumerated is a lower bound on the final count, and Moon–Moser's
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..constraints.base import Constraint
 from ..relational.database import Database
@@ -49,7 +49,9 @@ class MaximalConsistentMeasure(ComponentwiseMeasure):
         # belong to every MCS and contribute a factor of 1.
         return float(math.prod(parts))
 
-    def finalize(self, combined: float, index: ViolationIndex) -> float:
+    def finalize(
+        self, combined: float, components: Iterable[ViolationIndex]
+    ) -> float:
         return combined - 1.0
 
     def component_value(
@@ -144,8 +146,15 @@ class MaximalConsistentPrimeMeasure(MaximalConsistentMeasure):
 
     name = "I'_MC"
 
-    def finalize(self, combined: float, index: ViolationIndex) -> float:
-        return combined + len(index.self_inconsistent) - 1.0
+    def finalize(
+        self, combined: float, components: Iterable[ViolationIndex]
+    ) -> float:
+        # Every MI set lies in exactly one component, so the per-component
+        # counts sum to ``|SelfInconsistencies(D)|``.
+        self_inconsistent = sum(
+            len(component.self_inconsistent) for component in components
+        )
+        return combined + self_inconsistent - 1.0
 
 
 def _mcs_count_upper_bound(groups: list[frozenset[int]]) -> float:

@@ -35,9 +35,11 @@ per round; each candidate pays only its own affected region, previewed
 read-only on the shards it touches — a deletion of live facts without
 touching the database at all, anything else under a
 :class:`~repro.relational.database.Savepoint` rolled back by replaying
-inverse events — plus O(1) identity lookups for the rest.  No database
-copy, no rebuild, and for the component-wise measures no committed flush
-and no topology write; every value is bit-identical to the
+inverse events — plus O(1) identity lookups for the rest.  Every measure
+that decomposes over components (``I_d`` included) is scored this way;
+the one that does not (``I_R_upd``) reads the patched database inside the
+candidate's savepoint.  No database copy, no rebuild, no committed flush
+and no topology write on any path; every value is bit-identical to the
 copy-and-rebuild result.
 """
 
@@ -53,7 +55,6 @@ from ..measures.base import (
     ComponentwiseMeasure,
     component_cache_key,
     has_bounded_solve,
-    needs_finalize_index,
 )
 from ..relational.database import ChangeEvent, Database, Fact, Savepoint
 from ..relational.values import Value
@@ -84,19 +85,6 @@ _MINIMUM = attrgetter("minimum")
 _FIRST = itemgetter(0)
 
 
-def _split_measures(measures: list) -> tuple[list, list]:
-    """Partition a measure list into (component-wise, whole-database).
-
-    Mixed requests must not drag the component-wise majority through the
-    generic whole-database path: the fast measures keep the localized
-    evaluation and only the non-decomposing stragglers (``I_d``,
-    ``I_R_upd``) pay full index assembly.
-    """
-    fast = [m for m in measures if isinstance(m, ComponentwiseMeasure)]
-    generic = [m for m in measures if not isinstance(m, ComponentwiseMeasure)]
-    return fast, generic
-
-
 def _entry_values(
     entries: list,
     base_parts: dict,
@@ -115,11 +103,6 @@ def _entry_values(
     order, so the result is bit-identical to commit-and-read no matter how
     the entries were collected.
     """
-    pseudo: ViolationIndex | None = None
-    if any(needs_finalize_index(measure) for measure in measures):
-        pseudo = ViolationIndex()
-        for _, _, index in entries:
-            pseudo.mi_sets.extend(index.mi_sets)
     regional_keys: dict[int, tuple] = {}
     values: dict[str, float] = {}
     for measure in measures:
@@ -138,44 +121,25 @@ def _entry_values(
                     measure, constraints, database, index, key=key
                 )
             )
-        values[measure.name] = measure.value_from_parts(parts, pseudo)
+        values[measure.name] = measure.value_from_parts(
+            parts, (index for _, _, index in entries)
+        )
     return values
 
 
-def _generic_speculation(session, operations: list, measures: list) -> dict[str, float]:
-    """Whole-database speculation against the assembled patched index.
+def _whole_database_values(
+    constraints: Sequence[Constraint], database: Database, measures: list
+) -> dict[str, float]:
+    """Score the measures that do not localize (``I_R_upd``) on *database*.
 
-    The fallback for measures that do not localize (``I_d``, ``I_R_upd``):
-    apply under a savepoint, assemble the patched index, read every value,
-    roll back.  The one session path that commits a flush under a
-    savepoint.
+    Inside a candidate's savepoint the database is the patched state.  No
+    index is handed over: these measures read the database itself, so
+    nothing is flushed or assembled.
     """
-    with session.savepoint():
-        for operation in operations:
-            operation.apply_in_place(session.database)
-        index = session.index()
-        return {
-            measure.name: measure.value(
-                session.constraints, session.database, index
-            )
-            for measure in measures
-        }
-
-
-def _merge_generic_batch(
-    session, candidates: list, results: list, generic: list, measures: list
-) -> list[dict[str, float]]:
-    """Fold a mixed batch's whole-database stragglers into its results.
-
-    One generic pass per candidate, merged back and re-keyed in the
-    caller's measure order.
-    """
-    for operations, values in zip(candidates, results):
-        values.update(_generic_speculation(session, operations, generic))
-    return [
-        {measure.name: values[measure.name] for measure in measures}
-        for values in results
-    ]
+    return {
+        measure.name: measure.value(constraints, database)
+        for measure in measures
+    }
 
 
 def _deleted_facts(operations: list, database: Database) -> list[int] | None:
@@ -310,8 +274,6 @@ class MeasurementSession:
         # (topology, generation): a delta recomputes only the touched
         # shard's parts.  Unused with one shard (see _shard_parts).
         self._parts: list[dict] = [{} for _ in self.shards]
-        self._pseudo: ViolationIndex | None = None
-        self._pseudo_key: tuple | None = None
         self._spec_base: _SpeculationBase | None = None
         # Cumulative speculated candidates by scoring path (stats()).
         self._speculation = {"deletion_previews": 0, "savepoint_previews": 0}
@@ -517,10 +479,10 @@ class MeasurementSession:
         """Force a from-scratch rebuild of every shard (a cross-check tool).
 
         Every memo derived from the retired topologies is dropped with
-        them: the per-shard part lists and the pseudo index hold the old
-        component objects (and their values) alive, and the stale
-        assembly/pseudo keys would otherwise pin retired topology objects
-        for the session's lifetime.
+        them: the per-shard part lists and the speculation base hold the
+        old component objects (and their values) alive, and the stale
+        assembly key would otherwise pin retired topology objects for the
+        session's lifetime.
         """
         for shard in self.shards:
             shard._rebuild()
@@ -528,8 +490,6 @@ class MeasurementSession:
         self._cached = None
         self._cached_key = None
         self._parts = [{} for _ in self.shards]
-        self._pseudo = None
-        self._pseudo_key = None
         self._spec_base = None
         return self.index()
 
@@ -616,11 +576,10 @@ class MeasurementSession:
 
         A one-candidate :meth:`speculate_batch`: same paths, same values
         (bit-identical to copying the database, applying the operations
-        and rebuilding from scratch), same read-only contract — for the
-        component-wise measures nothing is committed, so the live
-        topologies, their generations and every derived cache survive the
-        call.  *budget* bounds the hard per-component solves exactly as in
-        :meth:`measure`.
+        and rebuilding from scratch), same read-only contract — nothing is
+        committed, so the live topologies, their generations and every
+        derived cache survive the call.  *budget* bounds the hard
+        per-component solves exactly as in :meth:`measure`.
         """
         return self.speculate_batch([operations], measures, budget=budget)[0]
 
@@ -657,10 +616,11 @@ class MeasurementSession:
           dropped at the end instead of flushed.
 
         ``stats()["speculation"]`` counts the candidates of each path.
-        Mixed batches split: the component-wise measures keep these fast
-        paths, and only the whole-database stragglers (``I_d``,
-        ``I_R_upd``) pay a per-candidate generic pass, which does commit a
-        flush under the candidate's savepoint.
+        A measure that does not decompose over components (``I_R_upd``)
+        needs the patched database itself: with one in the list every
+        candidate takes the savepoint path, and the measure reads the
+        database inside the savepoint — no index, no flush.  No path
+        commits anything.
 
         *budget* bounds the hard per-component solves exactly as in
         :meth:`measure` — degraded values carry bounds and status, and are
@@ -671,15 +631,9 @@ class MeasurementSession:
         budget = self._call_budget(budget)
         if not candidates:
             return []
-        fast, generic = _split_measures(measures)
+        local = [m for m in measures if isinstance(m, ComponentwiseMeasure)]
+        whole = [m for m in measures if not isinstance(m, ComponentwiseMeasure)]
         counts = self._speculation
-        if not fast:
-            counts["savepoint_previews"] += len(candidates)
-            with solver_scope(budget):
-                return [
-                    _generic_speculation(self, operations, measures)
-                    for operations in candidates
-                ]
         base = self._speculation_base()
         database = self.database
         shards = self.shards
@@ -687,7 +641,7 @@ class MeasurementSession:
         outside: list[set[int]] = [set() for _ in shards]
         with solver_scope(budget, plan=self._solve_plan(measures)):
             try:
-                self._prime_base(base, fast)
+                self._prime_base(base, local)
                 results: list[dict[str, float]] = []
                 for operations in candidates:
                     # Dirty marks present before this candidate that no
@@ -697,7 +651,9 @@ class MeasurementSession:
                     for number, shard in enumerate(shards):
                         if shard._dirty:
                             outside[number] |= shard._dirty - batch_marks[number]
-                    deleted = _deleted_facts(operations, database)
+                    # A whole-database measure reads the patched database,
+                    # so its candidates are always applied.
+                    deleted = None if whole else _deleted_facts(operations, database)
                     if deleted is not None:
                         counts["deletion_previews"] += 1
                         touched = self._by_shard(
@@ -710,7 +666,7 @@ class MeasurementSession:
                             )
                             for number, identifiers in touched.items()
                         }
-                        results.append(self._preview_values(base, previews, fast))
+                        results.append(self._preview_values(base, previews, local))
                         continue
                     counts["savepoint_previews"] += 1
                     with self.savepoint() as savepoint:
@@ -731,7 +687,15 @@ class MeasurementSession:
                             previews[number] = shards[number]._preview_region(
                                 identifiers
                             )
-                        results.append(self._preview_values(base, previews, fast))
+                        values = self._preview_values(base, previews, local)
+                        if whole:
+                            values.update(
+                                _whole_database_values(
+                                    self.constraints, database, whole
+                                )
+                            )
+                            values = {m.name: values[m.name] for m in measures}
+                        results.append(values)
             finally:
                 # A budgeted round may have primed the memoized base with
                 # degraded parts; the snapshot outlives the scope, so purge
@@ -748,11 +712,6 @@ class MeasurementSession:
             if shard._dirty:
                 outside[number] |= shard._dirty - batch_marks[number]
                 shard._dirty &= outside[number]
-        if generic:
-            with solver_scope(budget):
-                results = _merge_generic_batch(
-                    self, candidates, results, generic, measures
-                )
         return results
 
     # ------------------------------------------------------------------
@@ -888,29 +847,14 @@ class MeasurementSession:
                     for number in range(len(self.shards))
                 ]
             )
-        if needs_finalize_index(measure):
-            return measure.value_from_parts(parts, self._pseudo_index())
-        return measure.value_from_parts(parts)
-
-    def _pseudo_index(self) -> ViolationIndex:
-        """The component-major pseudo index, memoized per generation key.
-
-        Content-identical to a from-scratch ``topology.pseudo_index()``
-        over all components (same global component order), rebuilt only
-        when some shard's topology actually changed.
-        """
-        if len(self.shards) == 1:
-            return self.shards[0].topology.pseudo_index()
-        key = self._generation_key()
-        if self._pseudo is None or self._pseudo_key != key:
-            pseudo = ViolationIndex()
-            for component in self._in_component_order(
-                [shard.topology.components() for shard in self.shards]
-            ):
-                pseudo.mi_sets.extend(component.index.mi_sets)
-            self._pseudo = pseudo
-            self._pseudo_key = key
-        return self._pseudo
+        return measure.value_from_parts(
+            parts,
+            (
+                component.index
+                for shard in self.shards
+                for component in shard.topology.components()
+            ),
+        )
 
     def _speculation_base(self) -> _SpeculationBase:
         """The memoized base snapshot for batched speculation.

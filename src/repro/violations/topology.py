@@ -155,7 +155,6 @@ class ComponentTopology:
         self._ordered: list[TopologyComponent] | None = []
         self._mi_pairs: list[tuple[tuple, frozenset[int]]] | None = []
         self._mi_cache: list[frozenset[int]] | None = []
-        self._pseudo: ViolationIndex | None = None
         self._indexes: list[ViolationIndex] | None = []
 
     # ------------------------------------------------------------------
@@ -209,20 +208,6 @@ class ComponentTopology:
                 witness for _, witness in self.assemble_mi_pairs()
             ]
         return self._mi_cache
-
-    def pseudo_index(self) -> ViolationIndex:
-        """A light index over the concatenated component families.
-
-        Only for :meth:`~repro.measures.base.ComponentwiseMeasure.finalize`
-        consumers (``I'_MC`` reads ``self_inconsistent``): the MI *content*
-        matches the assembled index, the order is component-major.
-        """
-        if self._pseudo is None:
-            pseudo = ViolationIndex()
-            for component in self.components():
-                pseudo.mi_sets.extend(component.index.mi_sets)
-            self._pseudo = pseudo
-        return self._pseudo
 
     def problematic(self):
         """Live view of the problematic facts (read-only dict keys)."""
@@ -321,7 +306,6 @@ class ComponentTopology:
         topology._ordered = None
         topology._mi_pairs = None
         topology._mi_cache = None
-        topology._pseudo = None
         topology._indexes = None
         return topology
 
@@ -384,7 +368,6 @@ class ComponentTopology:
         self._ordered = None
         self._mi_pairs = None
         self._mi_cache = None
-        self._pseudo = None
         self._indexes = None
         return True
 

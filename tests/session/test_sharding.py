@@ -191,8 +191,8 @@ class TestRandomizedConformance:
     @pytest.mark.slow
     @pytest.mark.parametrize("case", [0, 1])
     def test_full_registry_speculation(self, case, case_rng):
-        """Whole-database measures force the generic fallback; still equal
-        across layouts and to copy-apply-rebuild.
+        """``I_R_upd`` sends every candidate through its savepoint; still
+        equal across layouts and to copy-apply-rebuild.
 
         Small database: the registry includes the exact update-repair
         measure, which is exponential in the problematic-fact count.
@@ -465,7 +465,7 @@ class TestRefreshInvalidation:
         """refresh() + measure_all must be bit-identical to a fresh session.
 
         The cross-check: the coordinator's memoized per-shard part streams,
-        pseudo index and assembly keys all derive from the retired
+        speculation base and assembly keys all derive from the retired
         topologies and must not survive the rebuild.
         """
         rng = case_rng
@@ -488,7 +488,6 @@ class TestRefreshInvalidation:
             )
             session.refresh()
             assert all(not memo for memo in session._parts)
-            assert session._pseudo is None and session._pseudo_key is None
             assert session._spec_base is None
             with MeasurementSession(constraints, database) as fresh:
                 assert session.measure_all(measures) == fresh.measure_all(
@@ -528,7 +527,8 @@ class TestRefreshInvalidation:
 
 class TestMixedMeasureSpeculation:
     def test_mixed_list_keeps_component_fast_path(self, monkeypatch):
-        """Only the whole-database stragglers go through the generic path."""
+        """Across shards, ``I_d`` is scored by deletion previews; only
+        ``I_R_upd`` reaches the whole-database helper."""
         schema = Schema.from_dict(
             {"T0": ["A", "B", "C"], "T1": ["A", "B", "C"]}
         )
@@ -546,34 +546,43 @@ class TestMixedMeasureSpeculation:
             for relation in ("T0", "T1")
         ]
         mixed = [make_measure(name) for name in ("I_MI", "I_d", "I_R")]
-        generic_lists: list[list[str]] = []
+        whole_lists: list[list[str]] = []
         import repro.session.session as session_module
 
-        original = session_module._generic_speculation
+        original = session_module._whole_database_values
 
-        def spy(session, operations, measures):
-            generic_lists.append([measure.name for measure in measures])
-            return original(session, operations, measures)
+        def spy(constraints, database, measures):
+            whole_lists.append([measure.name for measure in measures])
+            return original(constraints, database, measures)
 
-        # Every generic read funnels through the session module's
-        # _generic_speculation.
-        monkeypatch.setattr(session_module, "_generic_speculation", spy)
+        monkeypatch.setattr(session_module, "_whole_database_values", spy)
+        deletions = [[DeleteOperation(0)], [DeleteOperation(2)]]
         with MeasurementSession(constraints, database) as session:
-            values = session.speculate([DeleteOperation(0)], mixed)
-            batch = session.speculate_batch(
-                [[DeleteOperation(0)], [DeleteOperation(2)]], mixed
-            )
-        assert generic_lists and all(
-            names == ["I_d"] for names in generic_lists
-        ), generic_lists
-        reference = {
-            measure.name: measure.value(
-                constraints, apply_sequence(database, [DeleteOperation(0)])
-            )
-            for measure in mixed
+            assert len(session.shards) == 2
+            values = session.speculate(deletions[0], mixed)
+            batch = session.speculate_batch(deletions, mixed)
+            assert whole_lists == []
+            assert session.stats()["speculation"] == {
+                "deletion_previews": 3,
+                "savepoint_previews": 0,
+            }
+            with_upd = mixed + [make_measure("I_R_upd")]
+            upd_batch = session.speculate_batch(deletions, with_upd)
+            assert whole_lists == [["I_R_upd"], ["I_R_upd"]]
+            assert session.stats()["speculation"] == {
+                "deletion_previews": 3,
+                "savepoint_previews": 2,
+            }
+        for operations, scored in zip(deletions, upd_batch):
+            assert scored == {
+                measure.name: measure.value(
+                    constraints, apply_sequence(database, operations)
+                )
+                for measure in with_upd
+            }
+        assert values == batch[0] == {
+            name: upd_batch[0][name] for name in ("I_MI", "I_d", "I_R")
         }
-        assert values == reference
-        assert batch[0] == reference
 
     def test_mixed_list_value_identity_randomized(self, case_rng):
         """Auto == one group == copy-apply-rebuild for mixed measure lists."""

@@ -138,7 +138,7 @@ class TestSpeculateEqualsCopyRebuild:
     @pytest.mark.slow
     @pytest.mark.parametrize("case", [0, 1, 2])
     def test_full_registry_small_database(self, schema, case, case_rng):
-        """Every registered measure, including the whole-database ones."""
+        """Every registered measure, including the whole-database ``I_R_upd``."""
         rng = case_rng
         database = Database.from_facts(
             schema, [_random_fact(rng) for _ in range(8)]
@@ -309,7 +309,7 @@ class TestSpeculateBatch:
         self, schema, suite, case, case_rng
     ):
         """Value identity: batch == per-candidate speculate == copy-rebuild,
-        for the full registry (whole-database measures take the fallback)."""
+        for every Table 2 measure (``I_d`` included)."""
         rng = case_rng
         database = Database.from_facts(
             schema, [_random_fact(rng) for _ in range(14)]
@@ -346,9 +346,10 @@ class TestSpeculateBatch:
     @pytest.mark.slow
     @pytest.mark.parametrize("case", [0, 1])
     def test_mixed_batch_falls_back_value_identical(self, schema, case, case_rng):
-        """Whole-database measures in the batch force the generic path;
-        values still match per-candidate speculation and copy-apply-rebuild
-        (small database — the exact update-repair measure is exponential)."""
+        """``I_R_upd`` in the batch sends every candidate through its
+        savepoint; values still match per-candidate speculation and
+        copy-apply-rebuild (small database — the exact update-repair
+        measure is exponential)."""
         rng = case_rng
         database = Database.from_facts(
             schema, [_random_fact(rng) for _ in range(8)]
@@ -488,8 +489,9 @@ class TestMixedMeasureSplit:
     def test_one_shard_mixed_list_keeps_component_fast_path(
         self, schema, monkeypatch
     ):
-        """A one-shard session splits mixed lists too — only ``I_d`` and
-        friends pay the generic whole-database pass."""
+        """On a one-shard session ``I_d`` rides the deletion previews with
+        the other component-wise measures; only ``I_R_upd`` reaches the
+        whole-database helper, and its presence applies every candidate."""
         import repro.session.session as session_module
 
         database = Database.from_rows(
@@ -497,30 +499,42 @@ class TestMixedMeasureSplit:
         )
         constraints = _constraint_suites()["binary"]
         mixed = [make_measure(name) for name in ("I_MI", "I_d", "I_R")]
-        generic_lists: list[list[str]] = []
-        original = session_module._generic_speculation
+        whole_lists: list[list[str]] = []
+        original = session_module._whole_database_values
 
-        def spy(session, operations, measures):
-            generic_lists.append([measure.name for measure in measures])
-            return original(session, operations, measures)
+        def spy(constraints, database, measures):
+            whole_lists.append([measure.name for measure in measures])
+            return original(constraints, database, measures)
 
-        monkeypatch.setattr(session_module, "_generic_speculation", spy)
+        monkeypatch.setattr(session_module, "_whole_database_values", spy)
+        deletions = [[DeleteOperation(0)], [DeleteOperation(2)]]
         with MeasurementSession(constraints, database) as session:
-            values = session.speculate([DeleteOperation(0)], mixed)
-            batch = session.speculate_batch(
-                [[DeleteOperation(0)], [DeleteOperation(2)]], mixed
-            )
-        assert generic_lists and all(
-            names == ["I_d"] for names in generic_lists
-        ), generic_lists
+            values = session.speculate(deletions[0], mixed)
+            batch = session.speculate_batch(deletions, mixed)
+            assert whole_lists == []
+            assert session.stats()["speculation"] == {
+                "deletion_previews": 3,
+                "savepoint_previews": 0,
+            }
+            with_upd = mixed + [make_measure("I_R_upd")]
+            upd_batch = session.speculate_batch(deletions, with_upd)
+            assert whole_lists == [["I_R_upd"], ["I_R_upd"]]
+            assert session.stats()["speculation"] == {
+                "deletion_previews": 3,
+                "savepoint_previews": 2,
+            }
         reference = {
             measure.name: measure.value(
-                constraints, apply_sequence(database, [DeleteOperation(0)])
+                constraints, apply_sequence(database, deletions[0])
             )
-            for measure in mixed
+            for measure in with_upd
         }
-        assert values == reference
-        assert batch[0] == reference
+        assert values == batch[0] == {
+            name: reference[name] for name in ("I_MI", "I_d", "I_R")
+        }
+        assert upd_batch[0] == reference
+        # Re-keyed in the caller's measure order.
+        assert list(upd_batch[0]) == [measure.name for measure in with_upd]
 
 
 def _three_relation_setup(rng: random.Random) -> tuple[Database, list]:
@@ -625,6 +639,7 @@ class TestDeletionPreviews:
                 deletions = _deletion_candidates(rng, database, problematic)
                 candidates = deletions + _savepoint_candidates(rng, database)
                 rng.shuffle(candidates)
+                base = session._speculation_base()
                 counts = dict(session.stats()["speculation"])
                 batch = session.speculate_batch(candidates, measures)
                 stats = session.stats()["speculation"]
@@ -650,10 +665,6 @@ class TestDeletionPreviews:
                 ]
                 # Purity: a deletion-only batch emits no change event and
                 # moves no store, reverse map, topology or dirty mark.
-                # (I_d's generic pass committed a flush under each
-                # candidate's savepoint, and its rollbacks left marks: pin
-                # the base first.)
-                base = session._speculation_base()
                 events: list = []
                 database.subscribe(events.append)
                 before = _purity_state(session)
@@ -769,3 +780,67 @@ class TestSpeculatePurity:
                 )
                 for measure in measures
             }
+
+    @pytest.mark.parametrize("grouping", ["derived", "one_group"])
+    @pytest.mark.parametrize(
+        "whole, path",
+        [("I_d", "deletion_previews"), ("I_R_upd", "savepoint_previews")],
+    )
+    def test_mixed_batch_leaves_the_session_flushed(self, grouping, whole, path):
+        """``I_d`` in a batch is scored by deletion previews; the
+        whole-database ``I_R_upd`` reads the patched database inside each
+        candidate's savepoint.  Neither commits a flush."""
+        if whole == "I_d":
+            database, constraints = _three_relation_setup(random.Random(3))
+        else:
+            # I_R_upd is exponential: a tiny two-relation instance.
+            schema = Schema.from_dict({"R": ["A", "B", "C"], "S": ["A", "B", "C"]})
+            database = Database.from_facts(
+                schema,
+                [
+                    Fact("R", (1, "x", 0)),
+                    Fact("R", (1, "y", 0)),
+                    Fact("R", (2, "x", 0)),
+                    Fact("S", (1, "x", 0)),
+                    Fact("S", (1, "y", 0)),
+                ],
+            )
+            constraints = [
+                FunctionalDependency(relation, {"A"}, {"B"})
+                for relation in ("R", "S")
+            ]
+        measures = [make_measure("I_MI"), make_measure(whole)]
+        layout = one_group() if grouping == "one_group" else contextlib.nullcontext()
+        with layout:
+            session = MeasurementSession(constraints, database)
+        with session:
+            assert len(session.shards) == (1 if grouping == "one_group" else 2)
+            problematic = sorted(session.problematic_facts())
+            candidates = [[DeleteOperation(i)] for i in problematic]
+            candidates.append([DeleteOperation(i) for i in problematic[:2]])
+            base = session._speculation_base()
+            topologies = [
+                (shard.topology, shard.topology.generation)
+                for shard in session.shards
+            ]
+            counts = dict(session.stats()["speculation"])
+            for _ in range(2):
+                batch = session.speculate_batch(candidates, measures)
+                assert session.pending_deltas == 0
+                for shard, (topology, generation) in zip(
+                    session.shards, topologies
+                ):
+                    assert shard.topology is topology
+                    assert shard.topology.generation == generation
+                assert session._spec_base is base
+                counts[path] += len(candidates)
+                assert session.stats()["speculation"] == counts
+            assert batch == [
+                {
+                    measure.name: measure.value(
+                        constraints, apply_sequence(database, operations)
+                    )
+                    for measure in measures
+                }
+                for operations in candidates
+            ]
