@@ -1,17 +1,17 @@
 """One-group vs derived relation partitions on multi-relation sweeps.
 
 A :class:`MeasurementSession` with every relation in one group keeps a
-single shard and pays per measurement point for the *whole* database:
-every lowered DC is probed with the delta, the one topology is
-invalidated, and every conflict component's cached value is re-probed
-through its content key.  No session is built that way on its own: the
-flat leg comes from the :func:`repro.testing.layout.one_group` test seam.
-The partition a session derives (the constraint/relation hypergraph's
-connected components) splits that state by relation, so a single-fact
-delta dirties exactly one shard: the other shards' topologies keep their
-generation and serve their memoized parts, and the measurement point pays
-content-key probes only for the touched shard plus a cheap k-way float
-merge.
+single shard: every lowered DC is probed with the delta and the one
+topology re-splits the touched region, while every untouched conflict
+component serves the values it stores itself.  No session is built that
+way on its own: the flat leg comes from the
+:func:`repro.testing.layout.one_group` test seam.  The partition a session
+derives (the constraint/relation hypergraph's connected components)
+splits that state by relation, so a single-fact delta dirties exactly one
+shard and the other shards' topologies keep their generation.  Either way
+a measurement point reads each live component's stored value (one dict
+lookup) and solves only the components the delta replaced; the derived
+partition adds a k-way float merge across its shards.
 
 This bench replays an identical single-fact update stream on a 3-relation
 scattered workload whose constraints never cross relations (the regime

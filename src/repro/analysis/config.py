@@ -117,7 +117,7 @@ PREVIEW_STOP_EDGES = frozenset(
         # Idempotent memo-fill read accessors: each fills a content-derived
         # view from maintained state on first read (``self._x = <derived>``
         # guarded by ``if self._x is None``) and is legitimately read by the
-        # preview when priming base values.  The fill recomputes the same
+        # preview when a batch reads its base values.  The fill recomputes the same
         # value from the same content, so it is not a purity violation —
         # but it *is* an assignment to a protected attribute, so the scan
         # must not descend into these.

@@ -286,28 +286,22 @@ class ComponentValueCache:
     entries.  The one measure that is not component-wise (``I_R_upd``)
     bypasses the cache — its value does not localize.
 
-    **Bounding.**  The cache self-bounds with LRU eviction: hits refresh an
-    entry's recency, and crossing *max_entries* evicts the stalest entries
-    — except those whose content key belongs to a component *live* in some
-    registered topology (:meth:`add_pin_source`), which a sweep re-reads at
-    every measurement point and must never lose.  (When every entry is
-    pinned the cache is allowed to exceed the bound; correctness over
-    memory.)
+    **Bounding.**  The cache self-bounds with plain LRU eviction: hits
+    refresh an entry's recency, and crossing *max_entries* evicts the
+    stalest entries.  A session never loses a live component's value to
+    eviction: the first time this cache resolves it, the session stores it
+    on the immutable component (``TopologyComponent.values``) and reads it
+    there afterwards.  The cache answers what identity cannot — components
+    that are new, re-created with old content, or previewed for a what-if
+    candidate.
 
-    Content keys are the cache's ground truth; batched speculation layers a
-    second, cheaper discipline on top: within one scoring round the live
-    topology's unchanged components keep object identity, so the session
-    resolves each base component through this cache once and thereafter
-    shares the value by ``id()`` — see
-    :meth:`~repro.session.session.MeasurementSession.speculate_batch`.
-
-    **Warm starts.**  :meth:`export_warm` / :meth:`absorb_warm` move the
-    live components' entries through a snapshot: absorbed entries sit in a
-    side table keyed by :func:`warm_cache_token` and are promoted — and
-    consumed — the first time an equally configured measure instance asks
-    for them (counted as hits: the solver work was done in the donor
-    process; the value then lives in the identity-keyed main table and the
-    side-table copy is freed).
+    **Warm starts.**  A snapshot exports the live components' own values
+    as ``(measure token, content key, value)`` triples; :meth:`absorb_warm`
+    puts them in a side table keyed by :func:`warm_cache_token`, and they
+    are promoted — and consumed — the first time an equally configured
+    measure instance asks for them (counted as hits: the solver work was
+    done in the donor process; the value then lives in the identity-keyed
+    main table and the side-table copy is freed).
     """
 
     def __init__(self, max_entries: int = 65536) -> None:
@@ -321,7 +315,6 @@ class ComponentValueCache:
         # alive alongside, exactly like the main table's keys): the warm
         # probe on a miss must not pay a vars() walk per component.
         self._tokens: dict[int, tuple[object, tuple | None]] = {}
-        self._pin_sources: list = []
 
     def __len__(self) -> int:
         return len(self._values)
@@ -338,40 +331,17 @@ class ComponentValueCache:
             self._tokens[id(measure)] = entry
         return entry[1]
 
-    # ------------------------------------------------------------------
-    # Live-component pinning
-    # ------------------------------------------------------------------
-    def add_pin_source(self, provider) -> None:
-        """Register a callable yielding the content keys eviction must spare.
-
-        Sessions register their topology's live component keys here; the
-        provider is polled only when an eviction actually runs.
-        """
-        self._pin_sources.append(provider)
-
-    def remove_pin_source(self, provider) -> None:
-        """Unregister a provider; missing providers are ignored."""
-        try:
-            self._pin_sources.remove(provider)
-        except ValueError:
-            pass
-
     def _evict(self) -> None:
-        """Drop stale unpinned entries until comfortably under the bound.
+        """Drop the stalest entries until comfortably under the bound.
 
         Evicts in recency order (the value dict is LRU-ordered) down to
-        ⅞ of *max_entries*, so the pin-set collection amortizes over many
+        ⅞ of *max_entries*, so the token pruning below amortizes over many
         inserts instead of running per miss at the boundary.
         """
-        pinned: set[tuple] = set()
-        for provider in self._pin_sources:
-            pinned.update(provider())
         target = self.max_entries - max(1, self.max_entries // 8)
         for entry in list(self._values):
             if len(self._values) <= target:
                 break
-            if entry[1] in pinned:
-                continue
             del self._values[entry]
             self.evictions += 1
         # Token memos pin their measure instances; drop the ones whose
@@ -388,27 +358,6 @@ class ComponentValueCache:
     # ------------------------------------------------------------------
     # Warm-start entry transfer
     # ------------------------------------------------------------------
-    def export_warm(self, live_keys) -> list[tuple[tuple, tuple, float]]:
-        """``(measure token, content key, value)`` for the live components.
-
-        Only entries whose content key is in *live_keys* (the snapshotting
-        session's current components) and whose measure has a
-        :func:`warm_cache_token` are exported — dead states and opaquely
-        configured measures stay behind.
-        """
-        live = set(live_keys)
-        exported: list[tuple[tuple, tuple, float]] = []
-        for (measure, key), value in self._values.items():
-            if key not in live:
-                continue
-            if status_of(value) != OPTIMAL:  # pragma: no cover - belt
-                continue  # admission already bars these; keep the invariant
-            token = self._token_of(measure)
-            if token is None:
-                continue
-            exported.append((token, key, float(value)))
-        return exported
-
     def absorb_warm(self, entries) -> None:
         """Adopt exported entries into the warm side table.
 

@@ -21,17 +21,23 @@ marks touched facts dirty and, on the next read,
    family and the conflict components are *maintained*, never rebuilt.
 
 The session itself owns everything that reads those shards: measures,
-budgets, speculation, ingest and snapshots.  Reads visit components in
-global smallest-member-fact order — the order of the from-scratch path —
-so every result is bit-identical to ``build_violation_index`` plus
+budgets, speculation, ingest and snapshots.  A live component is immutable
+— a delta that touches it replaces it — so it carries its own exact
+measure values (``TopologyComponent.values``): a read resolves a component
+through the content-addressed
+:class:`~repro.measures.base.ComponentValueCache` once, and every later
+read of the unchanged component is a dict lookup.  Reads visit components
+in global smallest-member-fact order — the order of the from-scratch path
+— so every result is bit-identical to ``build_violation_index`` plus
 ``measure.value``.  With one shard that order is the shard's own and no
 merge runs; with several, the per-shard streams are k-way merged.
 
 On top of the maintained topology the session offers **speculative
 evaluation** through one what-if engine,
 :meth:`MeasurementSession.speculate_batch` (:meth:`~MeasurementSession.speculate`
-is its one-candidate case).  The base component values are resolved once
-per round; each candidate pays only its own affected region, previewed
+is its one-candidate case).  The base component values are read once per
+batch, off the components' own values; each candidate pays only its own
+affected region, previewed
 read-only on the shards it touches — a deletion of live facts without
 touching the database at all, anything else under a
 :class:`~repro.relational.database.Savepoint` rolled back by replaying
@@ -60,7 +66,6 @@ from ..relational.database import ChangeEvent, Database, Fact, Savepoint
 from ..relational.values import Value
 from ..solvers.anytime import (
     OPTIMAL,
-    BoundedValue,
     as_budget,
     current_scope,
     solver_scope,
@@ -83,6 +88,8 @@ FAULT_FANOUT = "shard.fanout"
 
 _MINIMUM = attrgetter("minimum")
 _FIRST = itemgetter(0)
+#: Bound on one component's stored values (one entry per measure instance).
+_MAX_COMPONENT_VALUES = 64
 
 
 def _entry_values(
@@ -158,38 +165,20 @@ def _deleted_facts(operations: list, database: Database) -> list[int] | None:
     return deleted
 
 
-def _purge_degraded_parts(base: "_SpeculationBase") -> None:
-    """Drop base-part maps containing non-OPTIMAL (budget-degraded) values.
-
-    The speculation base memoizes per-component values across scoring
-    rounds keyed on topology generations; values produced under a tight
-    budget are bounds, not exact values, and must never be replayed into a
-    later unbudgeted round.
-    """
-    for measure in list(base.parts):
-        if any(
-            status_of(value) != OPTIMAL
-            for value in base.parts[measure].values()
-        ):
-            del base.parts[measure]
-
-
 class _SpeculationBase:
-    """Identity-pinned base snapshot for one batched scoring round.
+    """Identity-pinned base snapshot for batched scoring rounds.
 
     ``entries`` holds, per shard, the ``(minimum, component, index)``
     triples of its live components (pinning every base component's
-    ``id()``); ``parts`` maps each measure to its per-component base values
-    keyed by component identity; ``key`` records the per-shard
-    ``(topology, generation)`` pairs the snapshot was taken at.
+    ``id()``); ``key`` records the per-shard ``(topology, generation)``
+    pairs the snapshot was taken at.
     """
 
-    __slots__ = ("key", "entries", "parts")
+    __slots__ = ("key", "entries")
 
     def __init__(self, key: tuple, entries: list[list]) -> None:
         self.key = key
         self.entries = entries
-        self.parts: dict[object, dict[int, float]] = {}
 
 
 class MeasurementSession:
@@ -270,10 +259,6 @@ class MeasurementSession:
         self._degraded: set[int] = set()
         self._cached: ViolationIndex | None = None
         self._cached_key: tuple | None = None
-        # Per-shard memoized per-measure part lists, keyed on the shard's
-        # (topology, generation): a delta recomputes only the touched
-        # shard's parts.  Unused with one shard (see _shard_parts).
-        self._parts: list[dict] = [{} for _ in self.shards]
         self._spec_base: _SpeculationBase | None = None
         # Cumulative speculated candidates by scoring path (stats()).
         self._speculation = {"deletion_previews": 0, "savepoint_previews": 0}
@@ -290,8 +275,6 @@ class MeasurementSession:
         """Detach from the database's change feed (idempotent)."""
         if not self._closed:
             self.database.unsubscribe(self._on_change)
-            for shard in self.shards:
-                shard.close()
             self._closed = True
 
     def __enter__(self) -> "MeasurementSession":
@@ -412,10 +395,11 @@ class MeasurementSession:
     def measure(self, measure, *, budget=None) -> float:
         """Evaluate one measure against the maintained state.
 
-        Component-wise measures read the topologies directly — per-component
-        values through the session's
-        :class:`~repro.measures.base.ComponentValueCache`, no full-index
-        assembly at all; whole-database measures get the assembled index.
+        Component-wise measures read the topologies directly — each live
+        component's own values, else the session's
+        :class:`~repro.measures.base.ComponentValueCache` — with no
+        full-index assembly at all.  A whole-database measure (``I_R_upd``)
+        reads the database itself: no index, no flush.
 
         *budget* (seconds or a :class:`~repro.solvers.anytime.Budget`)
         bounds the hard per-component solves: within it, results are the
@@ -427,9 +411,9 @@ class MeasurementSession:
         budget = self._call_budget(budget)
         if not isinstance(measure, ComponentwiseMeasure):
             with solver_scope(budget):
-                return measure.value(
-                    self.constraints, self.database, self.index()
-                )
+                return _whole_database_values(
+                    self.constraints, self.database, [measure]
+                )[measure.name]
         self._flush()
         if budget is None:
             return self._componentwise_value(measure)
@@ -479,17 +463,16 @@ class MeasurementSession:
         """Force a from-scratch rebuild of every shard (a cross-check tool).
 
         Every memo derived from the retired topologies is dropped with
-        them: the per-shard part lists and the speculation base hold the
-        old component objects (and their values) alive, and the stale
-        assembly key would otherwise pin retired topology objects for the
-        session's lifetime.
+        them: the speculation base holds the old component objects (and
+        their values) alive, and the stale assembly key would otherwise pin
+        retired topology objects for the session's lifetime.  The fresh
+        components start with empty values.
         """
         for shard in self.shards:
             shard._rebuild()
         self._degraded.clear()
         self._cached = None
         self._cached_key = None
-        self._parts = [{} for _ in self.shards]
         self._spec_base = None
         return self.index()
 
@@ -597,8 +580,8 @@ class MeasurementSession:
         only what-if engine: :meth:`speculate` is a one-candidate batch.
 
         The batch owns the scoring round, so each candidate is **one region
-        pass** per shard it touches, and the base component values,
-        resolved once per batch, fill in the rest by identity.  The live
+        pass** per shard it touches, and the base component values, read
+        once per batch, fill in the rest by identity.  The live
         topologies, the witness stores and every derived cache stay
         untouched.  A candidate takes one of two paths:
 
@@ -623,8 +606,9 @@ class MeasurementSession:
         commits anything.
 
         *budget* bounds the hard per-component solves exactly as in
-        :meth:`measure` — degraded values carry bounds and status, and are
-        never memoized anywhere the unbudgeted paths could later read.
+        :meth:`measure` — degraded values carry bounds and status; they are
+        shared by the batch's candidates and die with the batch, never
+        stored anywhere the unbudgeted paths could later read.
         """
         candidates = [list(operations) for operations in candidates]
         measures = list(measures)
@@ -640,67 +624,75 @@ class MeasurementSession:
         batch_marks: list[set[int]] = [set() for _ in shards]
         outside: list[set[int]] = [set() for _ in shards]
         with solver_scope(budget, plan=self._solve_plan(measures)):
-            try:
-                self._prime_base(base, local)
-                results: list[dict[str, float]] = []
-                for operations in candidates:
-                    # Dirty marks present before this candidate that no
-                    # earlier candidate produced came from *outside* the
-                    # batch (e.g. a concurrent ingest producer committing
-                    # between candidates) — they must survive the batch.
-                    for number, shard in enumerate(shards):
-                        if shard._dirty:
-                            outside[number] |= shard._dirty - batch_marks[number]
-                    # A whole-database measure reads the patched database,
-                    # so its candidates are always applied.
-                    deleted = None if whole else _deleted_facts(operations, database)
-                    if deleted is not None:
-                        counts["deletion_previews"] += 1
-                        touched = self._by_shard(
-                            (identifier, database[identifier])
-                            for identifier in deleted
+            base_parts = {
+                measure: {
+                    id(component): part
+                    for shard in shards
+                    for component, part in zip(
+                        shard.topology.components(),
+                        self._live_parts(shard.topology, measure),
+                    )
+                }
+                for measure in local
+            }
+            results: list[dict[str, float]] = []
+            for operations in candidates:
+                # Dirty marks present before this candidate that no
+                # earlier candidate produced came from *outside* the
+                # batch (e.g. a concurrent ingest producer committing
+                # between candidates) — they must survive the batch.
+                for number, shard in enumerate(shards):
+                    if shard._dirty:
+                        outside[number] |= shard._dirty - batch_marks[number]
+                # A whole-database measure reads the patched database,
+                # so its candidates are always applied.
+                deleted = None if whole else _deleted_facts(operations, database)
+                if deleted is not None:
+                    counts["deletion_previews"] += 1
+                    touched = self._by_shard(
+                        (identifier, database[identifier])
+                        for identifier in deleted
+                    )
+                    previews = {
+                        number: shards[number].topology.preview_deletion(
+                            identifiers
                         )
-                        previews = {
-                            number: shards[number].topology.preview_deletion(
-                                identifiers
-                            )
-                            for number, identifiers in touched.items()
-                        }
-                        results.append(self._preview_values(base, previews, local))
-                        continue
-                    counts["savepoint_previews"] += 1
-                    with self.savepoint() as savepoint:
-                        for operation in operations:
-                            operation.apply_in_place(database)
-                        # Routed like _on_change: an event never changes
-                        # its fact's relation.
-                        touched = self._by_shard(
-                            (
-                                event.identifier,
-                                event.new if event.new is not None else event.old,
-                            )
-                            for event in savepoint.events
+                        for number, identifiers in touched.items()
+                    }
+                    results.append(
+                        self._preview_values(base, base_parts, previews, local)
+                    )
+                    continue
+                counts["savepoint_previews"] += 1
+                with self.savepoint() as savepoint:
+                    for operation in operations:
+                        operation.apply_in_place(database)
+                    # Routed like _on_change: an event never changes
+                    # its fact's relation.
+                    touched = self._by_shard(
+                        (
+                            event.identifier,
+                            event.new if event.new is not None else event.old,
                         )
-                        previews = {}
-                        for number, identifiers in touched.items():
-                            batch_marks[number] |= identifiers
-                            previews[number] = shards[number]._preview_region(
-                                identifiers
+                        for event in savepoint.events
+                    )
+                    previews = {}
+                    for number, identifiers in touched.items():
+                        batch_marks[number] |= identifiers
+                        previews[number] = shards[number]._preview_region(
+                            identifiers
+                        )
+                    values = self._preview_values(
+                        base, base_parts, previews, local
+                    )
+                    if whole:
+                        values.update(
+                            _whole_database_values(
+                                self.constraints, database, whole
                             )
-                        values = self._preview_values(base, previews, local)
-                        if whole:
-                            values.update(
-                                _whole_database_values(
-                                    self.constraints, database, whole
-                                )
-                            )
-                            values = {m.name: values[m.name] for m in measures}
-                        results.append(values)
-            finally:
-                # A budgeted round may have primed the memoized base with
-                # degraded parts; the snapshot outlives the scope, so purge
-                # them — later unbudgeted batches must re-solve exactly.
-                _purge_degraded_parts(base)
+                        )
+                        values = {m.name: values[m.name] for m in measures}
+                    results.append(values)
         # The batch never committed anything: every candidate's events were
         # rolled back (bit-identical database and equality indexes, by the
         # savepoint contract) and neither the stores nor the topologies
@@ -739,10 +731,6 @@ class MeasurementSession:
             degraded, self._degraded = self._degraded, set()
             for number in sorted(degraded):
                 self.shards[number]._rebuild()
-                # The memoized parts key on (topology, generation), so the
-                # fresh topology invalidates them; dropping the dict also
-                # unpins the retired topology's components.
-                self._parts[number] = {}
         for shard in self.shards:
             if shard._dirty:
                 shard._flush()
@@ -781,72 +769,48 @@ class MeasurementSession:
         ]
         return [item for _, item in heapq.merge(*streams)]
 
-    def _shard_parts(self, number: int, measure) -> list:
-        """One shard's per-component values of *measure*, in its
-        ``components()`` order.
+    def _live_parts(self, topology, measure) -> list:
+        """Every live component's value of *measure*, in ``components()``
+        order.
 
-        With several shards the values are memoized on the shard's
-        ``(topology, generation)``: a delta that never reached this shard
-        serves them untouched, so a measurement point pays content-key
-        cache probes only for the shards the delta dirtied.  A one-shard
-        session has no untouched shard to serve — every delta reaches its
-        only shard — so it reads the cache directly, at the cost of a
-        plain walk over the components.
+        A component's own ``values`` answer first: it is immutable, so a
+        value stored on it stays exact for its whole life.  Otherwise the
+        content-addressed cache resolves it (a hit, a warm-start entry, or
+        a solve), and an OPTIMAL result is stored on the component — a
+        budget-degraded bound never is, so the next read re-solves it.
+        Callers that build fresh measure instances per read would grow a
+        component's values without bound, so a full dict is cleared first.
         """
-        topology = self.shards[number].topology
-        if len(self.shards) == 1:
-            return self._component_parts(topology, measure)
-        memo = self._parts[number]
-        entry = memo.get(measure)
-        if (
-            entry is not None
-            and entry[0] is topology
-            and entry[1] == topology.generation
-        ):
-            return entry[2]
-        if len(memo) >= 64:
-            # Callers constructing fresh measure instances per call would
-            # otherwise grow the memo without bound (the content-addressed
-            # cache below self-bounds the expensive values either way).
-            memo.clear()
-        parts = self._component_parts(topology, measure)
-        if BoundedValue not in map(type, parts):
-            # Degraded (budget-bounded) parts are never memoized: the next
-            # read — possibly unbudgeted — must re-solve them exactly.
-            memo[measure] = (topology, topology.generation, parts)
-        return parts
-
-    def _component_parts(self, topology, measure) -> list:
-        """Every component's value through the content-addressed cache."""
         cache = self.component_cache
-        return [
-            cache.component_value(
-                measure,
-                self.constraints,
-                self.database,
-                component.index,
-                key=topology.cache_key(component),
-            )
-            for component in topology.components()
-        ]
+        parts: list = []
+        for component in topology.components():
+            values = component.values
+            part = values.get(measure)
+            if part is None:
+                part = cache.component_value(
+                    measure,
+                    self.constraints,
+                    self.database,
+                    component.index,
+                    key=topology.cache_key(component),
+                )
+                if status_of(part) == OPTIMAL:
+                    if len(values) >= _MAX_COMPONENT_VALUES:
+                        values.clear()
+                    values[measure] = part
+            parts.append(part)
+        return parts
 
     def _componentwise_value(self, measure) -> float:
         """One component-wise measure over the live topologies.
 
-        Per-shard parts resolve through the shared content-addressed cache
-        and combine in global component order — the exact float order of
-        the from-scratch path.  One shard's parts already are in that
-        order.
+        Per-shard parts combine in global component order — the exact
+        float order of the from-scratch path.  One shard's parts already
+        are in that order.
         """
-        if len(self.shards) == 1:
-            parts = self._shard_parts(0, measure)
-        else:
-            parts = self._in_component_order(
-                [
-                    self._shard_parts(number, measure)
-                    for number in range(len(self.shards))
-                ]
-            )
+        parts = self._in_component_order(
+            [self._live_parts(shard.topology, measure) for shard in self.shards]
+        )
         return measure.value_from_parts(
             parts,
             (
@@ -879,22 +843,10 @@ class MeasurementSession:
             )
         return self._spec_base
 
-    def _prime_base(self, base: _SpeculationBase, measures: list) -> None:
-        """Resolve every base component's value once per measure."""
-        for measure in measures:
-            if measure in base.parts:
-                continue
-            parts: dict[int, float] = {}
-            for number, entries in enumerate(base.entries):
-                for (_, component, _), value in zip(
-                    entries, self._shard_parts(number, measure)
-                ):
-                    parts[id(component)] = value
-            base.parts[measure] = parts
-
     def _preview_values(
         self,
         base: _SpeculationBase,
+        base_parts: dict,
         previews: dict[int, tuple[list[frozenset[int]], set]],
         measures: list,
     ) -> dict[str, float]:
@@ -907,7 +859,8 @@ class MeasurementSession:
         ``ComponentTopology.preview_deletion`` for a deletion-only
         candidate that was never applied.  Untouched shards contribute
         their base components whole, and base components outside every
-        region fill in by identity — bit-identical to commit-and-read.
+        region fill in by identity from *base_parts* — bit-identical to
+        commit-and-read.
         """
         entries: list = []
         for number, shard_entries in enumerate(base.entries):
@@ -926,7 +879,7 @@ class MeasurementSession:
         entries.sort(key=_FIRST)
         return _entry_values(
             entries,
-            base.parts,
+            base_parts,
             measures,
             self.component_cache,
             self.constraints,

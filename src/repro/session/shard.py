@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..constraints.dc import DenialConstraint
-from ..measures.base import ComponentValueCache
+from ..measures.base import ComponentValueCache, warm_cache_token
 from ..relational.database import ChangeEvent, Database
 from ..relational.schema import Schema
 from ..violations.minimal import _connected_groups
@@ -75,8 +75,9 @@ class _Shard:
 
     Built only by the session, which routes change events to
     :meth:`_on_change` and calls :meth:`_flush` before reading
-    ``topology``.  The shared *component_cache* is pinned with the live
-    components' keys and carries the snapshot's warm values.
+    ``topology``.  The live components carry their own measure values; a
+    snapshot exports them, and a restore hands them to the shared
+    *component_cache* as warm entries.
     """
 
     def __init__(
@@ -100,18 +101,11 @@ class _Shard:
         self.topology: ComponentTopology
         self._dirty: set[int] = set()
         self.component_cache = component_cache
-        # Eviction must never drop a component the live topology still
-        # reads every measurement point.
-        component_cache.add_pin_source(self._live_cache_keys)
         #: Whether construction restored *warm_start* (False on fallback —
         #: a mismatched payload cold-builds, never mis-restores).
         self.warm_started = warm_start is not None and self._restore(warm_start)
         if not self.warm_started:
             self._rebuild()
-
-    def close(self) -> None:
-        """Release the cache pin (the session closes each shard once)."""
-        self.component_cache.remove_pin_source(self._live_cache_keys)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -187,12 +181,24 @@ class _Shard:
     # Warm-start payloads
     # ------------------------------------------------------------------
     def _snapshot_payload(self) -> ShardSnapshot:
-        """This shard's derived state (the session flushed it first)."""
+        """This shard's derived state (the session flushed it first).
+
+        ``cache`` carries the live components' own values as ``(measure
+        token, content key, value)`` triples; values of measures without a
+        :func:`~repro.measures.base.warm_cache_token` stay behind.
+        """
+        topology = self.topology
+        cache = []
+        for component in topology.components():
+            for measure, value in component.values.items():
+                token = warm_cache_token(measure)
+                if token is not None:
+                    cache.append((token, topology.cache_key(component), value))
         return ShardSnapshot(
             constraints=constraint_digest(self.dcs),
             stores=[store.capture() for store in self._witnesses],
-            topology=self.topology.capture(),
-            cache=self.component_cache.export_warm(self._live_cache_keys()),
+            topology=topology.capture(),
+            cache=cache,
         )
 
     def _restore(self, snap) -> bool:
@@ -239,19 +245,6 @@ class _Shard:
         ]
         self._dirty.clear()
         return True
-
-    def _live_cache_keys(self) -> list[tuple]:
-        """Content keys of the live components (the eviction pin set).
-
-        Only keys already computed are reported: a component without a
-        memoized key has never been cached under it, so there is nothing
-        to pin.
-        """
-        return [
-            component._cache_key
-            for component in self.topology._components
-            if component._cache_key is not None
-        ]
 
     # ------------------------------------------------------------------
     # Read-only preview (batched speculation)

@@ -135,9 +135,10 @@ class ShardSnapshot:
     ``stores`` holds, per lowered-DC position of the shard, the witness key
     tuples in the store's maintained sorted order; ``topology`` is the
     :meth:`~repro.violations.topology.ComponentTopology.capture` payload;
-    ``cache`` carries ``(measure token, content key, value)`` triples for
-    the components live at snapshot time (see
-    :meth:`~repro.measures.base.ComponentValueCache.export_warm`).
+    ``cache`` carries ``(measure token, content key, value)`` triples: the
+    values the components live at snapshot time carry themselves
+    (``TopologyComponent.values``), adopted on restore by
+    :meth:`~repro.measures.base.ComponentValueCache.absorb_warm`.
     ``constraints`` is the digest of the shard's own lowered DCs, so a
     payload is never restored into a shard it was not captured from.
     """

@@ -23,7 +23,7 @@ actually touches (components of changed witnesses' facts), expanded only
 when a witness genuinely becomes minimal across a component boundary (a
 true merge).  The region's raw family is re-minimized and re-split; every
 component outside the region keeps its object identity, and with it its
-memoized content key and any cached per-component measure values.
+memoized content key and its own per-measure values.
 
 **Retraction strategy.**  Union-find does not support deletion directly;
 retraction is handled by regional re-split.  A deletion may split a
@@ -99,12 +99,14 @@ class TopologyComponent:
 
     Instances are immutable once published: a delta that touches a
     component replaces it with freshly built objects, so object identity is
-    a proof of unchanged content — which is what lets speculative scoring
-    reuse cached per-component values by ``id()`` instead of re-hashing
-    content keys.
+    a proof of unchanged content — which is what lets the component carry
+    its own measure values (``values``) and speculative scoring reuse them
+    by ``id()`` instead of re-hashing content keys.
     """
 
-    __slots__ = ("index", "facts", "raw", "minimum", "mi_pairs", "_cache_key")
+    __slots__ = (
+        "index", "facts", "raw", "minimum", "mi_pairs", "_cache_key", "values"
+    )
 
     def __init__(self) -> None:
         #: The component as a ``ViolationIndex`` (what measures consume).
@@ -119,6 +121,10 @@ class TopologyComponent:
         #: ``(sort key, MI set)`` pairs, sorted — feeds global assembly.
         self.mi_pairs: list[tuple[tuple, frozenset[int]]] = []
         self._cache_key: tuple | None = None
+        #: Measure instance → this component's exact (OPTIMAL) value — a
+        #: content-derived memo like ``_cache_key``, filled by the session's
+        #: reads and dropped with the object when a delta replaces it.
+        self.values: dict[object, float] = {}
 
 
 class ComponentTopology:

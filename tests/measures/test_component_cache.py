@@ -1,10 +1,10 @@
-"""ComponentValueCache bounding: LRU eviction, live pinning, warm entries.
+"""ComponentValueCache bounding: LRU eviction, live components, warm entries.
 
 Regression suite for the wholesale-clear bug: crossing *max_entries*
 mid-sweep used to drop every hot entry (and the identity-keyed measure
 instances with them), so the very next measurement point re-solved every
-live component.  Eviction is now LRU and never touches an entry whose
-content key is pinned by a live topology.
+live component.  Eviction is now LRU, and a session's live components
+carry their own values, so eviction never costs them a re-solve.
 """
 
 from __future__ import annotations
@@ -56,29 +56,6 @@ class TestLruEviction:
         _probe(cache, measure, ("key", 1))  # evicted (stalest)
         assert cache.misses == misses + 1
 
-    def test_pinned_entries_survive_eviction(self):
-        cache = ComponentValueCache(max_entries=8)
-        live = {("live", k) for k in range(4)}
-        cache.add_pin_source(lambda: live)
-        measure = _CountingMeasure()
-        for k in range(4):
-            _probe(cache, measure, ("live", k))
-        for k in range(20):
-            _probe(cache, measure, ("dead", k))
-        hits = cache.hits
-        for k in range(4):
-            _probe(cache, measure, ("live", k))
-        assert cache.hits == hits + 4, "a live component's entry was evicted"
-
-    def test_all_pinned_cache_may_exceed_bound(self):
-        cache = ComponentValueCache(max_entries=4)
-        live = {("live", k) for k in range(6)}
-        cache.add_pin_source(lambda: live)
-        measure = _CountingMeasure()
-        for k in range(6):
-            _probe(cache, measure, ("live", k))
-        assert len(cache) == 6  # correctness over memory
-
     def test_sweep_crossing_the_bound_keeps_its_hit_rate(self):
         """The end-to-end regression: a session sweep over more components
         than *max_entries* allows must keep serving live components from
@@ -104,15 +81,22 @@ class TestLruEviction:
             session.measure_all(measures)
             assert session.component_cache.misses == 0
 
-    def test_session_close_unpins(self):
+
+class TestComponentValues:
+    def test_fresh_measure_instances_stay_bounded(self):
+        """Callers that build a fresh measure per read grow one unchanged
+        component's values by one entry each; 64 entries is the cap."""
         schema = Schema.from_dict({"R": ["A", "B"]})
         database = Database.from_rows(schema, "R", [(1, "x"), (1, "y")])
         constraints = [FunctionalDependency("R", {"A"}, {"B"})]
-        session = MeasurementSession(constraints, database)
-        cache = session.component_cache
-        assert cache._pin_sources
-        session.close()
-        assert not cache._pin_sources
+        with MeasurementSession(constraints, database) as session:
+            (component,) = session.shards[0].topology.components()
+            for _ in range(100):
+                (measure,) = make_measures(("I_MI",))
+                assert session.measure(measure) == 1.0
+                assert session.shards[0].topology.components() == [component]
+                assert component.values[measure] == 1.0
+                assert len(component.values) <= 64
 
 
 class TestWarmTokens:

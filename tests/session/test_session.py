@@ -86,6 +86,22 @@ def schema() -> Schema:
 
 
 class TestIncrementalMaintenance:
+    def test_whole_database_measure_reads_without_flush(self, schema):
+        """``I_R_upd`` reads the database itself: no index, no flush."""
+        database = Database.from_rows(
+            schema, "R", [(1, "x", 0), (1, "y", 0), (2, "x", 0)]
+        )
+        constraints = [FunctionalDependency("R", {"A"}, {"B"})]
+        measure = make_measure("I_R_upd")
+        with MeasurementSession(constraints, database) as session:
+            session.index()
+            database.insert(Fact("R", (2, "y", 0)))
+            assert session.pending_deltas > 0
+            assert session.measure(measure) == measure.value(
+                constraints, database
+            )
+            assert session.pending_deltas > 0
+
     @pytest.mark.parametrize("suite", ["binary", "wide"])
     @pytest.mark.parametrize("case", [0, 1, 2])
     def test_random_deltas_match_full_rebuild(self, schema, suite, case, case_rng):

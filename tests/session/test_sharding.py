@@ -391,7 +391,7 @@ class TestFanOut:
             assert len(session.index().mi_sets) == 2
 
     def test_untouched_shard_parts_are_not_reprobed(self):
-        """The per-shard part streams are memoized on shard generation."""
+        """An untouched shard's components serve their own values."""
         database, session = self._session()
         with session:
             measure = make_measure("I_MI")
@@ -402,8 +402,8 @@ class TestFanOut:
             )
             database.update(0, "B", "y")  # resolves the R0 conflict
             assert session.measure(measure) == 1.0
-            # The R1 shard's stream was served from the generation-keyed
-            # memo: no cache probe (hit or miss) happened for it at all,
+            # The R1 shard's component kept its identity and so its own
+            # value: no cache probe (hit or miss) happened for it at all,
             # and the R0 shard's conflict vanished, so nothing was solved.
             assert session.component_cache.misses == misses
             assert session.component_cache.hits == hits
@@ -464,9 +464,9 @@ class TestRefreshInvalidation:
     def test_refresh_then_measure_matches_fresh_session(self, case_rng):
         """refresh() + measure_all must be bit-identical to a fresh session.
 
-        The cross-check: the coordinator's memoized per-shard part streams,
-        speculation base and assembly keys all derive from the retired
-        topologies and must not survive the rebuild.
+        The cross-check: the components' own values, the speculation base
+        and the assembly keys all derive from the retired topologies and
+        must not survive the rebuild.
         """
         rng = case_rng
         schema, constraints = _random_setup(rng)
@@ -487,7 +487,11 @@ class TestRefreshInvalidation:
                 _random_candidates(rng, database, relations, 2), measures
             )
             session.refresh()
-            assert all(not memo for memo in session._parts)
+            assert not any(
+                component.values
+                for shard in session.shards
+                for component in shard.topology.components()
+            )
             assert session._spec_base is None
             with MeasurementSession(constraints, database) as fresh:
                 assert session.measure_all(measures) == fresh.measure_all(

@@ -174,6 +174,28 @@ class TestRoundTrip:
             assert restored.component_cache.misses == 0
             assert restored.component_cache.hits > 0
 
+    def test_evicted_live_entries_still_warm_the_restore(self, simple_schema):
+        """The snapshot exports the live components' own values, so cache
+        entries evicted before it was taken still warm every component."""
+        database = Database.from_rows(
+            simple_schema,
+            "R",
+            [(k, source, k) for k in range(6) for source in ("x", "y")],
+        )
+        constraints = [FunctionalDependency("R", {"A"}, {"B"})]
+        with MeasurementSession(constraints, database) as session:
+            session.component_cache.max_entries = 4
+            session.measure_all(make_measures(TABLE2_MEASURES))
+            assert session.component_cache.evictions > 0
+            snap = _roundtrip(session.snapshot())
+        with MeasurementSession(
+            constraints, database, warm_start=snap
+        ) as restored:
+            assert restored.warm_started
+            restored.measure_all(make_measures(TABLE2_MEASURES))
+            assert restored.component_cache.misses == 0
+            assert restored.component_cache.hits > 0
+
 
 class TestFallback:
     def _setup(self, schema):

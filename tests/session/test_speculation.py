@@ -451,11 +451,11 @@ class TestComponentLocalizedDelta:
             assert topology.component_of(0) is topology.components()[0]
             misses_before = session.component_cache.misses
             assert session.speculate_value([DeleteOperation(0)], measure) == 1.0
-            # Component {2, 3} was served from the cache: at most the patched
-            # component around facts {0, 1} was recomputed (here: it vanished,
-            # so no new component value at all was solved).
+            # Component {2, 3} was served from its own stored value: at most
+            # the patched component around facts {0, 1} was recomputed (here:
+            # it vanished, so no new component value at all was solved).
+            assert topology.component_of(2).values[measure] == 1.0
             assert session.component_cache.misses == misses_before
-            assert session.component_cache.hits > 0
 
     def test_affected_components_positions(self, schema):
         # The facts a candidate touches map to the components it must

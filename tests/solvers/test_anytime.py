@@ -440,9 +440,9 @@ class TestSessionBudgets:
             again = session.measure(mc)
             assert not any(
                 isinstance(part, BoundedValue)
-                for memo in session._parts
-                for entry in memo.values()
-                for part in entry[2]
+                for shard in session.shards
+                for component in shard.topology.components()
+                for part in component.values.values()
             )
         with MeasurementSession(constraints, database) as fresh:
             exact = fresh.measure(mc)
@@ -469,3 +469,28 @@ class TestSessionBudgets:
         assert all(
             type(values["I_MC"]) is float for values in exact
         )
+
+    @pytest.mark.parametrize("partition", PARTITIONS)
+    def test_component_values_keep_only_exact_parts(self, partition):
+        """A budgeted read leaves the live components' values empty; the
+        unbudgeted re-read stores the exact float on every component."""
+        constraints, database = _path_workload(14, TWO_RELATIONS)
+        mc = MaximalConsistentMeasure()
+        with partition():
+            session = make_session(constraints, database)
+        with session:
+            assert status_of(session.measure(mc, budget=0.0)) == TIMEOUT
+            components = [
+                component
+                for shard in session.shards
+                for component in shard.topology.components()
+            ]
+            assert components
+            assert all(mc not in component.values for component in components)
+            session.measure(mc)
+            for component in components:
+                part = component.values[mc]
+                assert type(part) is float
+                assert part == mc.component_value(
+                    constraints, database, component.index
+                )
