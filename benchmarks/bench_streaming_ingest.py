@@ -9,7 +9,7 @@ reader's staleness bound demands it, amortizing maintenance across the
 batch.
 
 This bench replays one deterministic skewed mutation stream (hot-key
-updates, inserts, deletes over a 3-relation sharded workload) three
+updates, inserts, deletes over a 3-relation workload) three
 ways — per-event flushing, and through the pipeline at two read-staleness
 settings — timing sustained ops/sec, per-flush latency (p50/p99) and
 per-read latency (p50/p99).  At every checkpoint the pipeline legs drain

@@ -76,11 +76,7 @@ def _legacy_assemble(session: MeasurementSession) -> ViolationIndex:
     """
     index = ViolationIndex()
     raw: set[frozenset[int]] = set()
-    stores = [
-        session.shards[number]._witnesses[local]
-        for number, local in session._routing
-    ]
-    for store in stores:
+    for store in session._witnesses:
         for witness in sorted(store, key=sorted):
             index.per_constraint.append(MinimalViolation(witness, store.dc))
             raw.add(witness)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 #: Modules on the bit-identity-critical path: everything that feeds the
 #: maintained index, the float-summation order of component parts, or the
-#: fixed-order sharded assembly.  Unordered-set iteration feeding emission,
+#: fixed-order component assembly.  Unordered-set iteration feeding emission,
 #: accumulation or keyed min/max tie-breaks is flagged here.
 BIT_CRITICAL_MODULES = frozenset(
     {
@@ -23,7 +23,6 @@ BIT_CRITICAL_MODULES = frozenset(
         "repro.violations.topology",
         "repro.measures.base",
         "repro.session.session",
-        "repro.session.shard",
         "repro.session.witnesses",
         "repro.session.enumeration",
         "repro.session.columnar",
@@ -89,15 +88,15 @@ PREVIEW_ROOTS = (
     "repro.violations.topology:ComponentTopology.preview_deletion",
     "repro.session.session:MeasurementSession.speculate",
     "repro.session.session:MeasurementSession.speculate_batch",
-    "repro.session.shard:_Shard._preview_region",
+    "repro.session.session:MeasurementSession._preview_region",
 )
 
 #: Documented mutation barriers the traversal does not descend into — each
 #: runs *before* (or outside) the per-candidate preview loop and owns its
 #: own correctness story:
 #:
-#: * ``_speculation_base`` — the one pre-batch flush that pins the base
-#:   snapshot; it runs before any candidate is applied.
+#: * ``_flush`` — the one committed flush of a batch; it runs before any
+#:   candidate is applied.
 #: * ``_whole_database_values`` — ``measure.value(Σ, D)`` for the measures
 #:   that do not localize (``I_R_upd``), read off the patched database
 #:   with no index.  The name-based call graph cannot tell which ``value``
@@ -111,7 +110,7 @@ PREVIEW_ROOTS = (
 #: ``src/``; the rule reports stale ones.
 PREVIEW_STOP_EDGES = frozenset(
     {
-        "repro.session.session:MeasurementSession._speculation_base",
+        "repro.session.session:MeasurementSession._flush",
         "repro.session.session:MeasurementSession.savepoint",
         "repro.session.session:_whole_database_values",
         # Idempotent memo-fill read accessors: each fills a content-derived

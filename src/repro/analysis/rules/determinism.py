@@ -1,6 +1,6 @@
 """Determinism lint: sources of run-to-run nondeterminism on critical paths.
 
-The engine's headline invariant is *bit-identity*: maintained, sharded,
+The engine's headline invariant is *bit-identity*: maintained,
 speculative, warm-restored and batch-enumerated results must equal the
 from-scratch rebuild bit for bit, which in particular fixes the float
 summation order of component parts and the emission order of every

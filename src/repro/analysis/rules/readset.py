@@ -4,8 +4,8 @@
 incremental engine leans on: a component's part may depend only on that
 component's MI family (and the facts of its problematic members), because
 ``component_cache_key`` content-addresses exactly that input and the
-``ComponentValueCache`` / sharded assembly replay parts without re-running
-the measure.  An implementation that peeks anywhere else — the database at
+``ComponentValueCache`` and the components' own values replay parts
+without re-running the measure.  An implementation that peeks anywhere else — the database at
 large, the per-constraint stores, session state — computes values the cache
 key does not capture, and warm restores silently serve wrong numbers.  The
 budgeted hooks ``bounded_value`` and ``component_bounds`` answer in

@@ -57,8 +57,8 @@ def run_incremental_pipeline(
     more and more of the rules — exactly the Figure 7 protocol.  The cleaner
     repairs cells in place; a :class:`~repro.session.MeasurementSession`
     over the working copy turns those repairs into index deltas, so each
-    measurement point only re-examines the repaired facts (per shard, for
-    multi-relation pipelines).  *warm_start* accepts a
+    measurement point only re-examines the repaired facts.  *warm_start*
+    accepts a
     snapshot of the dirty base state: the pipeline measures over a working
     ``database.copy()``, which preserves identifiers and allocator state,
     so one snapshot warms every permutation of the same pipeline

@@ -59,8 +59,8 @@ def run_behavior_experiment(
     Measurement points share a :class:`~repro.session.MeasurementSession`:
     the noise generator's in-place cell updates arrive as deltas, so each
     record patches the violation index instead of rebuilding it from the
-    whole database; the session is sharded by relation, so multi-relation
-    sweeps only re-examine the shard each step touched.  *warm_start*
+    whole database, and only the components each step touched are
+    re-solved.  *warm_start*
     accepts a :meth:`~repro.session.MeasurementSession.snapshot` of the
     same base ``(Σ, D)`` so a batch of sweeps skips the from-scratch build
     per run (mismatches cold-build; series are bit-identical either way).
@@ -80,8 +80,8 @@ def run_behavior_experiment(
         def record(iteration: int) -> None:
             # Batch evaluation through the session: component-wise measures
             # read the maintained topology with per-component value caching,
-            # so a measurement point only re-solves the components (and the
-            # shards) the delta actually touched.
+            # so a measurement point only re-solves the components the delta
+            # actually touched.
             result.iterations.append(iteration)
             for name, value in session.measure_all(measures).items():
                 result.series[name].append(float(value))

@@ -156,13 +156,11 @@ class ComponentwiseMeasure(InconsistencyMeasure):
         """Assemble the measure value from precomputed per-component parts.
 
         The shared finalization step of every localized evaluation path —
-        the live session reading its topology, speculative previews, and
-        multi-shard sessions merging per-shard component streams.  *parts* must
-        be in global component order (ascending smallest member fact): that
-        is the float combination order of the from-scratch path, so the
-        result is bit-identical to :meth:`value` no matter how many shards
-        the components were collected from.  *components* are handed to
-        :meth:`finalize`.
+        the live session reading its topology and speculative previews.
+        *parts* must be in component order (ascending smallest member
+        fact): that is the float combination order of the from-scratch
+        path, so the result is bit-identical to :meth:`value`.
+        *components* are handed to :meth:`finalize`.
 
         Parts produced under a solver budget may be
         :class:`~repro.solvers.anytime.BoundedValue`; bounds then combine

@@ -93,8 +93,7 @@ def score_operations(
     :meth:`~repro.session.MeasurementSession.speculate_batch`, which
     resolves the base component values once and charges each candidate only
     its affected region — no database copy, no index rebuild, values
-    identical to the copy path (candidates preview only on the shards they
-    touch).  A deletion of a live fact, every candidate of the default
+    identical to the copy path.  A deletion of a live fact, every candidate of the default
     ``R⊆`` system, is scored without being applied; any other operation
     costs one savepoint apply/rollback.  The session must
     own *database*.  *index* (copy path only) lets callers reuse a

@@ -6,23 +6,19 @@ inserts, deletes and updates instead of rebuilding it from scratch — the
 regime of every noise sweep and repair loop, where one step touches a
 handful of facts while ``MI_Σ(D)`` is dominated by unchanged witnesses.
 
-The live state is partitioned by relation along the constraint/relation
-hypergraph's connected components (:mod:`repro.session.sharding`; one
-shard for a single-relation workload).  Each shard owns a live
-:class:`~repro.violations.topology.ComponentTopology`, so a flush
-re-minimizes and re-splits only the delta's affected region, and a change
-event reaches only the shard indexing its relation.  The session is the
-one class that reads the shards: measures and budgets, copy-free
-speculation (one read-only what-if engine,
-:meth:`~repro.session.session.MeasurementSession.speculate_batch`, with
-:meth:`~repro.session.session.MeasurementSession.speculate` as its
-one-candidate case), streaming ingest and snapshots.  The partition is
-derived from ``(Σ, schema)``, never passed in, and every read is
-bit-identical whatever it is.
+A session owns one maintained state over all its DCs — the witness
+stores, the column store their enumerators read and a live
+:class:`~repro.violations.topology.ComponentTopology` — so a flush
+re-minimizes and re-splits only the delta's affected region.  Change
+events on relations no DC mentions are dropped.  On that state the session
+serves measures and budgets, copy-free speculation (one read-only what-if
+engine, :meth:`~repro.session.session.MeasurementSession.speculate_batch`,
+with :meth:`~repro.session.session.MeasurementSession.speculate` as its
+one-candidate case), streaming ingest and snapshots.
 
 Repeated sweeps over the same ``(Σ, D)`` warm-start instead of rebuilding:
 ``session.snapshot()`` captures the full derived state (witness stores,
-component topologies, live cache entries) behind a database fingerprint,
+component topology, live cache entries) behind a database fingerprint,
 and ``MeasurementSession(..., warm_start=snap)`` restores it in O(state) —
 falling back to the ordinary cold build on any mismatch, so a warm start
 is never a wrong answer (:mod:`repro.session.snapshot`).
@@ -30,7 +26,7 @@ is never a wrong answer (:mod:`repro.session.snapshot`).
 Sustained update streams go through :class:`~repro.session.ingest.IngestPipeline`
 (``session.ingest()``): submissions are coalesced per fact identifier in a
 bounded buffer with caller-visible backpressure, and staleness-bounded
-reads drain only the shards over their watermark — one regional re-split
+reads drain only the most-backlogged relations — one regional re-split
 per touched component per *flush* instead of per event, bit-identical to
 eager per-event application.
 
@@ -64,12 +60,11 @@ from .ingest import (
     IngestRead,
 )
 from .session import MeasurementSession
-from .sharding import make_session, relation_groups
+from .sharding import make_session
 from .snapshot import (
     SNAPSHOT_VERSION,
     DatabaseFingerprint,
     SessionSnapshot,
-    ShardSnapshot,
     SnapshotError,
     database_fingerprint,
     dump_snapshot,
@@ -91,7 +86,6 @@ __all__ = [
     "RelationColumns",
     "SNAPSHOT_VERSION",
     "SessionSnapshot",
-    "ShardSnapshot",
     "SnapshotError",
     "VECTOR_BACKEND",
     "WitnessEnumerator",
@@ -103,6 +97,5 @@ __all__ = [
     "make_column_store",
     "load_snapshot_bytes",
     "make_session",
-    "relation_groups",
     "save_snapshot",
 ]

@@ -27,9 +27,10 @@ The cold :meth:`~ColumnStore.build` **loads by column** in one pass:
 :func:`gather_rows` sweeps the database once for each registered
 relation's ids and value tuples in fact-id order, and both backends fill
 whole columns (and derive their row maps and join indexes) from those.
-From then on the store is **maintained**, not rebuilt: the owning shard
+From then on the store is **maintained**, not rebuilt: the owning session
 feeds :meth:`~ColumnStore.apply` the
-:class:`~repro.relational.database.ChangeEvent` stream of its relations,
+:class:`~repro.relational.database.ChangeEvent` stream of the relations
+its DCs mention,
 one event at a time, so every enumeration (cold or delta, committed or
 inside a speculation savepoint) sees current state at O(1) amortized cost
 per mutation.  A cold load equals an empty store fed one insert event per

@@ -733,10 +733,10 @@ class WitnessEnumerator:
         """One set-based pass per pinned tuple variable, seeded by relation.
 
         The dirty identifiers are grouped by relation **once**; each plan
-        is seeded with its pin relation's live dirty rows.
+        is seeded with its pin relation's live dirty rows.  A call that
+        seeds no plan (no live dirty fact in any relation the DC binds)
+        runs nothing and is not counted in ``delta_runs``.
         """
-        stats = self.stats
-        stats.delta_runs += 1
         store = self.store
         by_relation = _by_relation(database, dirty_ids)
         found: Witnesses = set()
@@ -755,6 +755,10 @@ class WitnessEnumerator:
                 )
                 rows_cache[plan.seed_relation] = rows
             seeded.append((plan, rows))
+        if not seeded:
+            return found
+        stats = self.stats
+        stats.delta_runs += 1
         if store.backend == "numpy":
             # Plans pinned on different variables of one DC re-find the
             # same witnesses; dedup survivors across plans *before* the

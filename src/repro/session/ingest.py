@@ -42,10 +42,9 @@ they never grow the buffer.
 **Read staleness.**  ``read(measures, max_staleness_events=N)`` serves
 measurements that lag the stream by at most ``N`` net pending events: it
 forces a drain only when the pending count exceeds ``N``, draining the
-most-backlogged shards first and leaving shards under their watermark
-untouched (their topologies keep their generation and every memoized
-stream).  Every read reports the topology generation it was served at —
-a single coherent generation per shard, never a half-flushed one.
+most-backlogged relations first and leaving the other relations' events
+pending.  Every read reports the topology generation it was served at —
+one coherent generation, never a half-flushed one.
 
 The drill point :data:`FAULT_FLUSH` (``"ingest.flush"``) trips at the
 head of every drain, before any event applies: a tripped flush leaves
@@ -86,8 +85,8 @@ class IngestRead(NamedTuple):
 
     #: ``measure name → value`` for the requested measures.
     values: dict[str, float]
-    #: Per-shard topology generations the read was served at.
-    generation: tuple[int, ...]
+    #: The topology generation the read was served at.
+    generation: int
     #: Net pending events the read lags the stream by (≤ the requested
     #: ``max_staleness_events``).
     staleness: int
@@ -100,8 +99,8 @@ class _Pending:
 
     ``base`` is the committed pre-image (``None`` = the fact does not
     exist in the database, i.e. a net insert); ``post`` is the pending
-    post-image (``None`` = net delete).  ``group`` routes the entry to
-    the shard that owns its *base* relation (per-shard drains).
+    post-image (``None`` = net delete).  ``group`` is the schema position
+    of the entry's *base* relation (per-relation drains).
     """
 
     __slots__ = ("base", "post", "group")
@@ -134,13 +133,10 @@ class IngestPipeline:
         self.capacity = capacity
         self._database: Database = session.database
         self._schema = session.database.schema
-        # One drain group per shard, plus an overflow group for relations
-        # no constraint mentions (their events still have to reach the
-        # database, even though no shard indexes them).
-        numbers: dict[str, int] = session._shard_number
-        overflow = len(session.shards)
-        self._groups = overflow + 1
-        self._group_of = lambda relation: numbers.get(relation, overflow)
+        # One drain group per relation, in schema order.
+        names = self._schema.relation_names()
+        self._groups = len(names)
+        self._group_of = {name: group for group, name in enumerate(names)}
         #: fact id → net pending change (the coalesced buffer).
         self._pending: dict[int, _Pending] = {}
         self._counts = [0] * self._groups
@@ -189,8 +185,8 @@ class IngestPipeline:
         """Net pending events (coalesced entries) awaiting a drain."""
         return len(self._pending)
 
-    def pending_per_shard(self) -> list[int]:
-        """Net pending events per drain group (per shard, then overflow)."""
+    def pending_per_relation(self) -> list[int]:
+        """Net pending events per relation, in schema order."""
         return list(self._counts)
 
     def submit(self, kind: str, *args) -> int | bool:
@@ -293,7 +289,7 @@ class IngestPipeline:
             entry.post = fact
             self._coalesced += 1
         else:
-            group = self._group_of(fact.relation)
+            group = self._group_of[fact.relation]
             self._pending[identifier] = _Pending(None, fact, group)
             self._counts[group] += 1
         return identifier
@@ -317,7 +313,7 @@ class IngestPipeline:
         if not self._admit(block):
             return None
         self._resync_mirror()
-        group = self._group_of(base.relation)
+        group = self._group_of[base.relation]
         self._pending[identifier] = _Pending(base, None, group)
         self._counts[group] += 1
         self._mirror_next = min(self._mirror_next, identifier)
@@ -348,7 +344,7 @@ class IngestPipeline:
             return True
         if not self._admit(block):
             return None
-        group = self._group_of(target.relation)
+        group = self._group_of[target.relation]
         self._pending[identifier] = _Pending(target, post, group)
         self._counts[group] += 1
         return True
@@ -449,9 +445,9 @@ class IngestPipeline:
         """Measure through the pipeline, at most *N* net events stale.
 
         Forces a drain only when the pending count exceeds
-        ``max_staleness_events``, draining the most-backlogged shards
-        first and stopping as soon as the bound holds — shards under
-        their watermark keep their generation and memoized streams.  The
+        ``max_staleness_events``, draining the most-backlogged relations
+        first and stopping as soon as the bound holds — the other
+        relations' events stay pending.  The
         returned :class:`IngestRead` carries the generation the values
         were served at and the residual staleness.
         """
@@ -482,13 +478,10 @@ class IngestPipeline:
         )
         return IngestRead(
             values=values,
-            generation=self._generation(),
+            generation=self.session.topology.generation,
             staleness=len(self._pending),
             flushed=forced,
         )
-
-    def _generation(self) -> tuple[int, ...]:
-        return tuple(shard.topology.generation for shard in self.session.shards)
 
     # ------------------------------------------------------------------
     # Observability
@@ -498,7 +491,7 @@ class IngestPipeline:
         return {
             "capacity": self.capacity,
             "pending": len(self._pending),
-            "pending_per_shard": list(self._counts),
+            "pending_per_relation": list(self._counts),
             "events_submitted": self._submitted,
             "events_coalesced": self._coalesced,
             "events_noop": self._noops,

@@ -7,38 +7,35 @@ step pays that full cost at every measurement point.  A
 (:func:`~repro.session.enumeration.cold_build`) once and then maintains
 the result under the database's change feed.
 
-The live state is split by relation into shards
-(:mod:`repro.session.sharding`); each shard (:class:`~repro.session.shard._Shard`)
-marks touched facts dirty and, on the next read,
+A session owns one maintained state over every lowered DC: the per-DC
+witness enumerators and the column store they read, the per-DC witness
+stores with a reverse fact → ``(dc, witness)`` map, and a live
+:class:`~repro.violations.topology.ComponentTopology`.  A change event
+marks its fact dirty (events on relations no DC mentions are dropped),
+and the next read
 
-1. retracts every stored witness that binds a dirty fact (via a reverse
-   fact → witness map),
+1. retracts every stored witness that binds a dirty fact,
 2. re-enumerates, per lowered DC, only the witnesses touching the dirty
    facts, and
-3. folds the witness delta into a live
-   :class:`~repro.violations.topology.ComponentTopology`, which locally
-   re-minimizes and re-splits only the affected region — the minimized
-   family and the conflict components are *maintained*, never rebuilt.
+3. folds the witness delta into the topology, which locally re-minimizes
+   and re-splits only the affected region — the minimized family and the
+   conflict components are *maintained*, never rebuilt.
 
-The session itself owns everything that reads those shards: measures,
-budgets, speculation, ingest and snapshots.  A live component is immutable
-— a delta that touches it replaces it — so it carries its own exact
-measure values (``TopologyComponent.values``): a read resolves a component
-through the content-addressed
+A live component is immutable — a delta that touches it replaces it — so
+it carries its own exact measure values (``TopologyComponent.values``): a
+read resolves a component through the content-addressed
 :class:`~repro.measures.base.ComponentValueCache` once, and every later
 read of the unchanged component is a dict lookup.  Reads visit components
-in global smallest-member-fact order — the order of the from-scratch path
-— so every result is bit-identical to ``build_violation_index`` plus
-``measure.value``.  With one shard that order is the shard's own and no
-merge runs; with several, the per-shard streams are k-way merged.
+in smallest-member-fact order — the order of the from-scratch path — so
+every result is bit-identical to ``build_violation_index`` plus
+``measure.value``.
 
 On top of the maintained topology the session offers **speculative
 evaluation** through one what-if engine,
 :meth:`MeasurementSession.speculate_batch` (:meth:`~MeasurementSession.speculate`
 is its one-candidate case).  The base component values are read once per
 batch, off the components' own values; each candidate pays only its own
-affected region, previewed
-read-only on the shards it touches — a deletion of live facts without
+affected region, previewed read-only — a deletion of live facts without
 touching the database at all, anything else under a
 :class:`~repro.relational.database.Savepoint` rolled back by replaying
 inverse events — plus O(1) identity lookups for the rest.  Every measure
@@ -51,8 +48,7 @@ copy-and-rebuild result.
 
 from __future__ import annotations
 
-import heapq
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ..constraints.base import Constraint
@@ -61,6 +57,7 @@ from ..measures.base import (
     ComponentwiseMeasure,
     component_cache_key,
     has_bounded_solve,
+    warm_cache_token,
 )
 from ..relational.database import ChangeEvent, Database, Fact, Savepoint
 from ..relational.values import Value
@@ -73,20 +70,25 @@ from ..solvers.anytime import (
 )
 from ..testing import faults
 from ..violations.minimal import ViolationIndex, lower_constraints
-from ..violations.topology import split_minimized
-from .shard import _Shard, relation_groups
+from ..violations.topology import (
+    ComponentTopology,
+    TopologyComponent,
+    split_minimized,
+)
+from .columnar import ColumnStore
+from .enumeration import WitnessEnumerator, build_enumerators, cold_build
 from .snapshot import (
     SNAPSHOT_VERSION,
     SessionSnapshot,
     constraint_digest,
     database_fingerprint,
 )
+from .witnesses import WitnessStore
 
-#: Fault-injection point: raised while forwarding a change event to the
-#: owning shard (see :mod:`repro.testing.faults`).
+#: Fault-injection point: raised while the session takes in a change event
+#: (see :mod:`repro.testing.faults`).
 FAULT_FANOUT = "shard.fanout"
 
-_MINIMUM = attrgetter("minimum")
 _FIRST = itemgetter(0)
 #: Bound on one component's stored values (one entry per measure instance).
 _MAX_COMPONENT_VALUES = 64
@@ -165,22 +167,6 @@ def _deleted_facts(operations: list, database: Database) -> list[int] | None:
     return deleted
 
 
-class _SpeculationBase:
-    """Identity-pinned base snapshot for batched scoring rounds.
-
-    ``entries`` holds, per shard, the ``(minimum, component, index)``
-    triples of its live components (pinning every base component's
-    ``id()``); ``key`` records the per-shard ``(topology, generation)``
-    pairs the snapshot was taken at.
-    """
-
-    __slots__ = ("key", "entries")
-
-    def __init__(self, key: tuple, entries: list[list]) -> None:
-        self.key = key
-        self.entries = entries
-
-
 class MeasurementSession:
     """Owns ``(Σ, D)`` and keeps the violation index maintained under deltas.
 
@@ -190,13 +176,9 @@ class MeasurementSession:
     conveniences or directly through the database — noise generators and
     cleaners that mutate in place are tracked all the same.
 
-    The live state is partitioned by the constraint/relation hypergraph's
-    connected components (:func:`~repro.session.shard.relation_groups` —
-    the finest sharding that keeps every DC inside one shard), and each
-    shard's column store runs on the process's column backend.  Neither
-    is an option: a change event only ever reaches the one shard indexing
-    its relation, and results are bit-identical whatever the partition or
-    the backend.
+    The column store runs on the process's column backend
+    (``columnar.VECTOR_BACKEND``), which is not an option: every read is
+    bit-identical whatever the backend.
     """
 
     def __init__(
@@ -215,51 +197,34 @@ class MeasurementSession:
         #: clock starts when the call does; an explicit ``budget=`` always
         #: wins.
         self.time_budget = time_budget
-        # Lower once; shards receive pre-lowered subsets.
         self.dcs = lower_constraints(self.constraints, database.schema)
-        groups = relation_groups(self.dcs, database.schema)
-        self.relation_groups: list[tuple[str, ...]] = groups
-        self.component_cache = ComponentValueCache()
-        #: Relation name → number of the shard indexing it.
-        self._shard_number: dict[str, int] = {
-            relation: number
-            for number, group in enumerate(groups)
-            for relation in group
-        }
-        shard_dcs: list[list] = [[] for _ in groups]
-        #: Global lowered-DC position → (shard number, local store position).
-        self._routing: list[tuple[int, int]] = []
-        for dc in self.dcs:
-            number = self._shard_number[dc.variables[0][1]]
-            self._routing.append((number, len(shard_dcs[number])))
-            shard_dcs[number].append(dc)
-        # Shard payloads only when the session-level identity (format
-        # version, lowered-DC digest, routing partition, fingerprint) still
-        # holds; each shard then re-verifies its own slice and cold-builds
-        # alone on mismatch — never a wrong answer, by composition.
-        payloads = self._warm_payloads(warm_start)
-        self.shards: list[_Shard] = [
-            _Shard(
-                dcs,
-                database,
-                self.component_cache,
-                warm_start=payloads[number] if payloads else None,
-            )
-            for number, dcs in enumerate(shard_dcs)
-        ]
-        #: Whether every shard restored from the warm-start snapshot (False
-        #: on fallback — a mismatched snapshot cold-builds, never
-        #: mis-restores).
-        self.warm_started = payloads is not None and all(
-            shard.warm_started for shard in self.shards
+        #: Relations some DC mentions; events on any other relation can
+        #: never produce a witness and are dropped.
+        self._relations = frozenset(
+            relation for dc in self.dcs for _, relation in dc.variables
         )
-        # Shards whose fan-out raised mid-event: their maintained state may
-        # have missed the event, so they rebuild cold at the next flush
+        self.component_cache = ComponentValueCache()
+        # The witness stores (with the reverse fact → (dc, witness) map),
+        # the per-DC enumerators with their column store and the topology
+        # are all created by exactly one of _restore/_rebuild below.
+        self._enumerators: list[WitnessEnumerator]
+        self._columns: ColumnStore
+        self._enum_stats: list = [None] * len(self.dcs)
+        self._witnesses: list[WitnessStore]
+        self._touching: dict[int, set[tuple[int, frozenset[int]]]]
+        self.topology: ComponentTopology
+        self._dirty: set[int] = set()
+        # Set when taking in a change event raised: the maintained state
+        # may have missed the event, so it rebuilds cold at the next flush
         # instead of ever serving a stale answer.
-        self._degraded: set[int] = set()
+        self._degraded = False
         self._cached: ViolationIndex | None = None
-        self._cached_key: tuple | None = None
-        self._spec_base: _SpeculationBase | None = None
+        self._cached_generation = -1
+        #: Whether construction restored *warm_start* (False on fallback —
+        #: a mismatched snapshot cold-builds, never mis-restores).
+        self.warm_started = warm_start is not None and self._restore(warm_start)
+        if not self.warm_started:
+            self._rebuild()
         # Cumulative speculated candidates by scoring path (stats()).
         self._speculation = {"deletion_previews": 0, "savepoint_previews": 0}
         # The attached streaming-ingest pipeline, if any (set by
@@ -305,8 +270,8 @@ class MeasurementSession:
 
         Returns an :class:`~repro.session.ingest.IngestPipeline` with a
         bounded pending buffer of *capacity* net events, buffered per
-        owning shard — see that module for the coalescing, backpressure
-        and read-staleness contract.
+        relation — see that module for the coalescing, backpressure and
+        read-staleness contract.
         """
         from .ingest import IngestPipeline
 
@@ -327,75 +292,45 @@ class MeasurementSession:
     # ------------------------------------------------------------------
     @property
     def pending_deltas(self) -> int:
-        """Dirty fact count across shards awaiting the next flush."""
-        return sum(len(shard._dirty) for shard in self.shards)
+        """Dirty fact count awaiting the next flush."""
+        return len(self._dirty)
 
     def index(self) -> ViolationIndex:
         """The current ``ViolationIndex``, patched with any pending deltas.
 
-        ``per_constraint`` concatenates the shards' cached sorted stores in
-        global lowered-DC order, ``mi_sets`` merges the shards' maintained
-        sorted pair views, and the component split is adopted from the
-        topologies in global component order — list-identical to
-        ``build_violation_index``.  Memoized on the per-shard topology
-        generations, so only a flush that changed some witness
+        ``per_constraint`` concatenates the cached sorted witness stores in
+        lowered-DC order, ``mi_sets`` is the topology's maintained sorted
+        view, and the component split is adopted from the topology —
+        list-identical to ``build_violation_index``.  Memoized on the
+        topology generation, so only a flush that changed some witness
         re-assembles.
         """
         self._flush()
-        key = self._generation_key()
-        if self._cached is None or self._cached_key != key:
+        generation = self.topology.generation
+        if self._cached is None or self._cached_generation != generation:
             index = ViolationIndex()
-            per_constraint = index.per_constraint
-            for number, local in self._routing:
-                per_constraint.extend(
-                    self.shards[number]._witnesses[local].ordered()
-                )
-            if len(self.shards) == 1:
-                index.mi_sets = list(self.shards[0].topology.assemble_mi())
-            else:
-                index.mi_sets = [
-                    witness
-                    for _, witness in heapq.merge(
-                        *(
-                            shard.topology.assemble_mi_pairs()
-                            for shard in self.shards
-                        )
-                    )
-                ]
-            index.adopt_components(
-                self._in_component_order(
-                    [shard.topology.component_indexes() for shard in self.shards]
-                )
-            )
+            for store in self._witnesses:
+                index.per_constraint.extend(store.ordered())
+            index.mi_sets = list(self.topology.assemble_mi())
+            index.adopt_components(self.topology.component_indexes())
             self._cached = index
-            self._cached_key = key
+            self._cached_generation = generation
         return self._cached
 
     def is_consistent(self) -> bool:
         self._flush()
-        for shard in self.shards:
-            if not shard.topology.is_consistent():
-                return False
-        return True
+        return self.topology.is_consistent()
 
     def problematic_facts(self):
-        """``∪ MI_Σ(D)`` — no index assembly required.
-
-        A one-shard session returns the topology's live read-only view;
-        several shards return the union as a fresh set.
-        """
+        """``∪ MI_Σ(D)`` — the topology's live read-only view, no index
+        assembly required."""
         self._flush()
-        if len(self.shards) == 1:
-            return self.shards[0].topology.problematic()
-        union: set[int] = set()
-        for shard in self.shards:
-            union.update(shard.topology.problematic())
-        return union
+        return self.topology.problematic()
 
     def measure(self, measure, *, budget=None) -> float:
         """Evaluate one measure against the maintained state.
 
-        Component-wise measures read the topologies directly — each live
+        Component-wise measures read the topology directly — each live
         component's own values, else the session's
         :class:`~repro.measures.base.ComponentValueCache` — with no
         full-index assembly at all.  A whole-database measure (``I_R_upd``)
@@ -424,8 +359,8 @@ class MeasurementSession:
         """Evaluate a batch of measures sharing the maintained state.
 
         One *budget* covers the whole batch: the remaining time is sliced
-        across the hard component solves still ahead (of every shard), so
-        a single pathological component cannot starve the other measures.
+        across the hard component solves still ahead, so a single
+        pathological component cannot starve the other measures.
         """
         measures = list(measures)
         budget = self._call_budget(budget)
@@ -454,48 +389,33 @@ class MeasurementSession:
         hard = sum(1 for measure in measures if has_bounded_solve(measure))
         if not hard:
             return None
-        components = sum(
-            len(shard.topology._components) for shard in self.shards
-        )
-        return max(1, hard * components)
+        return max(1, hard * len(self.topology._components))
 
     def refresh(self) -> ViolationIndex:
-        """Force a from-scratch rebuild of every shard (a cross-check tool).
+        """Force a from-scratch rebuild of the maintained state (a
+        cross-check tool).
 
-        Every memo derived from the retired topologies is dropped with
-        them: the speculation base holds the old component objects (and
-        their values) alive, and the stale assembly key would otherwise pin
-        retired topology objects for the session's lifetime.  The fresh
-        components start with empty values.
+        The retired topology takes its components and their values with
+        it, and the assembled index is dropped; the fresh components start
+        with empty values.
         """
-        for shard in self.shards:
-            shard._rebuild()
-        self._degraded.clear()
-        self._cached = None
-        self._cached_key = None
-        self._spec_base = None
+        self._rebuild()
         return self.index()
 
     def stats(self) -> dict:
-        """Per-DC enumeration counters in global lowered-DC order.
+        """Per-DC enumeration counters in lowered-DC order.
 
-        ``vector_backend`` is the column backend every shard's store runs
-        on (None for a session without constraints, which has no shard).
+        ``vector_backend`` is the column backend the store runs on.
         ``speculation`` counts the candidates scored since construction,
         by :meth:`speculate_batch` and :meth:`speculate` alike:
         ``deletion_previews`` were never applied, ``savepoint_previews``
         were applied and rolled back.
         """
         stats = {
-            "vector_backend": (
-                self.shards[0]._columns.backend if self.shards else None
-            ),
+            "vector_backend": self._columns.backend,
             "constraints": [
-                dict(
-                    self.shards[number]._enum_stats[local].as_dict(),
-                    constraint=self.shards[number].dcs[local].name,
-                )
-                for number, local in self._routing
+                dict(counters.as_dict(), constraint=dc.name)
+                for dc, counters in zip(self.dcs, self._enum_stats)
             ],
             "speculation": dict(self._speculation),
         }
@@ -509,45 +429,74 @@ class MeasurementSession:
     def snapshot(self) -> SessionSnapshot:
         """Capture the full derived state for a later warm start.
 
-        The snapshot embeds the database fingerprint, the lowered-DC digest
-        and the relation partition; ``MeasurementSession(...,
-        warm_start=snap)`` restores it shard by shard only when all of
-        them still match (falling back to a cold build otherwise), so a
-        warm-started session is bit-identical to a cold one on every read —
-        see :mod:`repro.session.snapshot`.  Snapshots round-trip through
-        :func:`~repro.session.snapshot.save_snapshot` /
+        The snapshot embeds the database fingerprint and the lowered-DC
+        digest; ``MeasurementSession(..., warm_start=snap)`` restores it
+        only when both still match (falling back to a cold build
+        otherwise), so a warm-started session is bit-identical to a cold
+        one on every read — see :mod:`repro.session.snapshot`.  Snapshots
+        round-trip through :func:`~repro.session.snapshot.save_snapshot` /
         :func:`~repro.session.snapshot.load_snapshot` (or plain pickle).
+
+        ``cache`` carries the live components' own values as ``(measure
+        token, content key, value)`` triples; values of measures without a
+        :func:`~repro.measures.base.warm_cache_token` stay behind.
         """
         self._flush()
+        topology = self.topology
+        cache = []
+        for component in topology.components():
+            for measure, value in component.values.items():
+                token = warm_cache_token(measure)
+                if token is not None:
+                    cache.append((token, topology.cache_key(component), value))
         return SessionSnapshot(
             version=SNAPSHOT_VERSION,
             fingerprint=database_fingerprint(self.database),
             constraints=constraint_digest(self.dcs),
-            relation_groups=[tuple(group) for group in self.relation_groups],
-            shards=[shard._snapshot_payload() for shard in self.shards],
+            stores=[store.capture() for store in self._witnesses],
+            topology=topology.capture(),
+            cache=cache,
         )
 
-    def _warm_payloads(self, snap) -> list | None:
-        """The per-shard payloads of *snap*, or None to cold-build.
+    def _restore(self, snap) -> bool:
+        """Adopt a snapshot's derived state; False on any mismatch.
 
-        Revalidates the routing partition: the payloads describe relation
-        slices, so a snapshot whose recorded partition differs from this
-        session's must not be threaded into shards it was never split
-        for.  The database is hashed only after every cheap check has
-        passed.
+        The database is hashed only after every cheap check has passed.  A
+        snapshot that deserialized but carries malformed fields (bit rot,
+        a hand-crafted file) degrades the same way: structural errors
+        anywhere in the restore are caught and answered with False — the
+        caller's ``_rebuild`` reassigns every partially-touched structure,
+        so a half-restore leaves nothing behind.
         """
-        if snap is None:
-            return None
         try:
             if not isinstance(snap, SessionSnapshot):
-                return None
-            if snap.verify(self.dcs, self.relation_groups, self.database) is None:
-                return None
-            return list(snap.shards)
+                return False
+            if snap.verify(self.dcs, self.database) is None:
+                return False
+            self._witnesses = [
+                WitnessStore.restore(dc, keys)
+                for dc, keys in zip(self.dcs, snap.stores)
+            ]
+            self._touching = {}
+            for dc_position, store in enumerate(self._witnesses):
+                for witness in store:
+                    for identifier in witness:
+                        self._touching.setdefault(identifier, set()).add(
+                            (dc_position, witness)
+                        )
+            self.topology = ComponentTopology.restore(
+                self.dcs, self.database, snap.topology
+            )
+            self.component_cache.absorb_warm(snap.cache)
         except Exception:
-            # Malformed fields in a deserialized-but-bogus snapshot must
-            # degrade to a cold build, exactly like any other mismatch.
-            return None
+            return False
+        self._enumerators, self._columns = build_enumerators(
+            self.dcs, self.database, self._enum_stats
+        )
+        self._enum_stats = [
+            enumerator.stats for enumerator in self._enumerators
+        ]
+        return True
 
     # ------------------------------------------------------------------
     # Speculative evaluation (what-if deltas)
@@ -560,9 +509,9 @@ class MeasurementSession:
         A one-candidate :meth:`speculate_batch`: same paths, same values
         (bit-identical to copying the database, applying the operations
         and rebuilding from scratch), same read-only contract — nothing is
-        committed, so the live topologies, their generations and every
-        derived cache survive the call.  *budget* bounds the hard
-        per-component solves exactly as in :meth:`measure`.
+        committed, so the live topology, its generation and every derived
+        cache survive the call.  *budget* bounds the hard per-component
+        solves exactly as in :meth:`measure`.
         """
         return self.speculate_batch([operations], measures, budget=budget)[0]
 
@@ -580,13 +529,13 @@ class MeasurementSession:
         only what-if engine: :meth:`speculate` is a one-candidate batch.
 
         The batch owns the scoring round, so each candidate is **one region
-        pass** per shard it touches, and the base component values, read
-        once per batch, fill in the rest by identity.  The live
-        topologies, the witness stores and every derived cache stay
-        untouched.  A candidate takes one of two paths:
+        pass**, and the base component values, read once per batch, fill
+        in the rest by identity.  The live topology, the witness stores
+        and every derived cache stay untouched.  A candidate takes one of
+        two paths:
 
-        * every operation deletes a live fact: nothing is applied.  Each
-          touched shard filters its owning components' MI sets through
+        * every operation deletes a live fact: nothing is applied.  The
+          owning components' MI sets are filtered through
           :meth:`~repro.violations.topology.ComponentTopology.preview_deletion`
           — no savepoint, no change event, no column-store write and no
           re-enumeration;
@@ -618,21 +567,23 @@ class MeasurementSession:
         local = [m for m in measures if isinstance(m, ComponentwiseMeasure)]
         whole = [m for m in measures if not isinstance(m, ComponentwiseMeasure)]
         counts = self._speculation
-        base = self._speculation_base()
         database = self.database
-        shards = self.shards
-        batch_marks: list[set[int]] = [set() for _ in shards]
-        outside: list[set[int]] = [set() for _ in shards]
+        relations = self._relations
+        # The one committed flush, before any candidate is applied.
+        self._flush()
+        topology = self.topology
+        components = topology.components()
+        base = [
+            (component.minimum, component, component.index)
+            for component in components
+        ]
+        batch_marks: set[int] = set()
+        outside: set[int] = set()
         with solver_scope(budget, plan=self._solve_plan(measures)):
             base_parts = {
-                measure: {
-                    id(component): part
-                    for shard in shards
-                    for component, part in zip(
-                        shard.topology.components(),
-                        self._live_parts(shard.topology, measure),
-                    )
-                }
+                measure: dict(
+                    zip(map(id, components), self._live_parts(measure))
+                )
                 for measure in local
             }
             results: list[dict[str, float]] = []
@@ -641,49 +592,38 @@ class MeasurementSession:
                 # earlier candidate produced came from *outside* the
                 # batch (e.g. a concurrent ingest producer committing
                 # between candidates) — they must survive the batch.
-                for number, shard in enumerate(shards):
-                    if shard._dirty:
-                        outside[number] |= shard._dirty - batch_marks[number]
+                if self._dirty:
+                    outside |= self._dirty - batch_marks
                 # A whole-database measure reads the patched database,
                 # so its candidates are always applied.
                 deleted = None if whole else _deleted_facts(operations, database)
                 if deleted is not None:
                     counts["deletion_previews"] += 1
-                    touched = self._by_shard(
-                        (identifier, database[identifier])
-                        for identifier in deleted
-                    )
-                    previews = {
-                        number: shards[number].topology.preview_deletion(
-                            identifiers
-                        )
-                        for number, identifiers in touched.items()
-                    }
+                    preview = topology.preview_deletion(deleted)
                     results.append(
-                        self._preview_values(base, base_parts, previews, local)
+                        self._preview_values(base, base_parts, preview, local)
                     )
                     continue
                 counts["savepoint_previews"] += 1
                 with self.savepoint() as savepoint:
                     for operation in operations:
                         operation.apply_in_place(database)
-                    # Routed like _on_change: an event never changes
+                    # Filtered like _on_change: an event never changes
                     # its fact's relation.
-                    touched = self._by_shard(
-                        (
-                            event.identifier,
-                            event.new if event.new is not None else event.old,
-                        )
+                    touched = {
+                        event.identifier
                         for event in savepoint.events
-                    )
-                    previews = {}
-                    for number, identifiers in touched.items():
-                        batch_marks[number] |= identifiers
-                        previews[number] = shards[number]._preview_region(
-                            identifiers
-                        )
+                        if (
+                            event.new if event.new is not None else event.old
+                        ).relation
+                        in relations
+                    }
+                    preview = None
+                    if touched:
+                        batch_marks |= touched
+                        preview = self._preview_region(touched)
                     values = self._preview_values(
-                        base, base_parts, previews, local
+                        base, base_parts, preview, local
                     )
                     if whole:
                         values.update(
@@ -695,81 +635,109 @@ class MeasurementSession:
                     results.append(values)
         # The batch never committed anything: every candidate's events were
         # rolled back (bit-identical database and equality indexes, by the
-        # savepoint contract) and neither the stores nor the topologies
-        # were ever written.  The batch's own dirty marks are balanced
+        # savepoint contract) and neither the stores nor the topology were
+        # ever written.  The batch's own dirty marks are balanced
         # apply/inverse pairs, so the flush they call for is a no-op by
         # construction — drop them.  Marks recorded by mutations outside
         # the balanced pairs describe real committed deltas and stay dirty.
-        for number, shard in enumerate(shards):
-            if shard._dirty:
-                outside[number] |= shard._dirty - batch_marks[number]
-                shard._dirty &= outside[number]
+        if self._dirty:
+            outside |= self._dirty - batch_marks
+            self._dirty &= outside
         return results
 
     # ------------------------------------------------------------------
-    # Internals
+    # Maintenance
     # ------------------------------------------------------------------
     def _on_change(self, event: ChangeEvent) -> None:
         fact = event.new if event.new is not None else event.old
-        number = self._shard_number.get(fact.relation)
-        if number is None:
+        if fact.relation not in self._relations:
             return
         try:
             faults.trip(FAULT_FANOUT)
-            self.shards[number]._on_change(event)
+            self._dirty.add(event.identifier)
+            self._columns.apply(event)
         except BaseException:
-            # The shard may have missed (or half-applied) the event; its
-            # maintained state can no longer be trusted.  Mark it for a
-            # cold rebuild at the next flush and let the error surface to
-            # the mutator — a lost delta degrades to recomputation, never
-            # to a stale answer.
-            self._degraded.add(number)
+            # The maintained state may have missed (or half-applied) the
+            # event and can no longer be trusted.  Mark it for a cold
+            # rebuild at the next flush and let the error surface to the
+            # mutator — a lost delta degrades to recomputation, never to a
+            # stale answer.
+            self._degraded = True
             raise
 
     def _flush(self) -> None:
-        if self._degraded:
-            degraded, self._degraded = self._degraded, set()
-            for number in sorted(degraded):
-                self.shards[number]._rebuild()
-        for shard in self.shards:
-            if shard._dirty:
-                shard._flush()
+        """Fold the pending dirty set into the stores and the topology.
 
-    def _by_shard(self, facts: Iterable[tuple[int, Fact]]) -> dict[int, set[int]]:
-        """``(identifier, fact)`` pairs grouped by the shard indexing each
-        fact's relation; a fact whose relation has no shard changes nothing
-        and is dropped."""
-        touched: dict[int, set[int]] = {}
-        for identifier, fact in facts:
-            number = self._shard_number.get(fact.relation)
-            if number is not None:
-                touched.setdefault(number, set()).add(identifier)
-        return touched
-
-    def _generation_key(self) -> tuple:
-        return tuple(
-            (shard.topology, shard.topology.generation)
-            for shard in self.shards
-        )
-
-    def _in_component_order(self, per_shard: list[list]) -> list:
-        """Per-shard lists, each parallel to its shard's ``components()``,
-        as one list in global component order (smallest member fact).
-
-        One shard's list is already in that order and is returned as is —
-        no merge.  Several are k-way merged on the component minimums,
-        which are unique (a fact lives in one component of one shard), so
-        the merge never compares the items themselves.
+        Witnesses binding a dirty fact are retracted, the delta is
+        re-enumerated, and the net ``(dc, witness)`` delta is handed to the
+        topology, which re-minimizes and re-splits only the affected
+        region.  A flush that produces no witness delta leaves the
+        topology generation untouched.
         """
-        if len(per_shard) == 1:
-            return per_shard[0]
-        streams = [
-            zip(map(_MINIMUM, shard.topology.components()), items)
-            for shard, items in zip(self.shards, per_shard)
-        ]
-        return [item for _, item in heapq.merge(*streams)]
+        if self._degraded:
+            self._rebuild()
+        if not self._dirty:
+            return
+        dirty, self._dirty = self._dirty, set()
+        retracted: list[tuple[int, frozenset[int]]] = []
+        inserted: list[tuple[int, frozenset[int]]] = []
+        for identifier in dirty:
+            for dc_position, witness in self._touching.pop(identifier, ()):
+                if self._witnesses[dc_position].discard(witness):
+                    retracted.append((dc_position, witness))
+                for other in witness:
+                    if other != identifier:
+                        entry = self._touching.get(other)
+                        if entry is not None:
+                            entry.discard((dc_position, witness))
+                            if not entry:
+                                del self._touching[other]
+        live = {i for i in dirty if i in self.database}
+        if live:
+            for dc_position, enumerator in enumerate(self._enumerators):
+                for witness in enumerator.delta(self.database, live):
+                    if self._add_witness(dc_position, witness):
+                        inserted.append((dc_position, witness))
+        self.topology.apply(retracted, inserted)
 
-    def _live_parts(self, topology, measure) -> list:
+    def _add_witness(self, dc_position: int, witness: frozenset[int]) -> bool:
+        if not self._witnesses[dc_position].add(witness):
+            return False
+        for identifier in witness:
+            self._touching.setdefault(identifier, set()).add(
+                (dc_position, witness)
+            )
+        return True
+
+    def _rebuild(self) -> None:
+        # The enumerators and their column store are recreated too: a
+        # refresh after *untracked* mutations (the session was closed while
+        # the database changed) must not leave stale columns or key groups
+        # behind, or every later delta re-enumeration would join wrong
+        # candidates.
+        self._enumerators, self._columns, families = cold_build(
+            self.dcs, self.database, self._enum_stats
+        )
+        self._enum_stats = [
+            enumerator.stats for enumerator in self._enumerators
+        ]
+        self._witnesses = [WitnessStore(dc) for dc in self.dcs]
+        self._touching = {}
+        self._dirty.clear()
+        self._degraded = False
+        self._cached = None
+        self.topology = ComponentTopology(self.dcs, self.database)
+        inserted: list[tuple[int, frozenset[int]]] = []
+        for dc_position, family in enumerate(families):
+            for witness in family:
+                if self._add_witness(dc_position, witness):
+                    inserted.append((dc_position, witness))
+        self.topology.apply([], inserted)
+
+    # ------------------------------------------------------------------
+    # Reads over the live components
+    # ------------------------------------------------------------------
+    def _live_parts(self, measure) -> list:
         """Every live component's value of *measure*, in ``components()``
         order.
 
@@ -781,6 +749,7 @@ class MeasurementSession:
         Callers that build fresh measure instances per read would grow a
         component's values without bound, so a full dict is cleared first.
         """
+        topology = self.topology
         cache = self.component_cache
         parts: list = []
         for component in topology.components():
@@ -802,81 +771,71 @@ class MeasurementSession:
         return parts
 
     def _componentwise_value(self, measure) -> float:
-        """One component-wise measure over the live topologies.
-
-        Per-shard parts combine in global component order — the exact
-        float order of the from-scratch path.  One shard's parts already
-        are in that order.
-        """
-        parts = self._in_component_order(
-            [self._live_parts(shard.topology, measure) for shard in self.shards]
-        )
+        """One component-wise measure over the live topology, its parts
+        combined in component order — the exact float order of the
+        from-scratch path."""
         return measure.value_from_parts(
-            parts,
-            (
-                component.index
-                for shard in self.shards
-                for component in shard.topology.components()
-            ),
+            self._live_parts(measure),
+            (component.index for component in self.topology.components()),
         )
 
-    def _speculation_base(self) -> _SpeculationBase:
-        """The memoized base snapshot for batched speculation.
+    # ------------------------------------------------------------------
+    # Read-only preview (batched speculation)
+    # ------------------------------------------------------------------
+    def _preview_region(
+        self, touched: set[int]
+    ) -> tuple[list[frozenset[int]], set[TopologyComponent]]:
+        """Read-only region preview of retracting/re-enumerating *touched*.
 
-        Keyed on the per-shard topology generations, not on raw mutation
-        events: flushes that produce no witness delta, and a batch's
-        balanced apply/rollback pairs, leave every generation — and this
-        snapshot — untouched.
+        Runs inside a candidate's savepoint: the database and the column
+        store are patched, the stores and the topology still describe the
+        base.  The witness delta of *touched* — retract what binds them,
+        re-enumerate around the live ones — is handed to
+        :meth:`~repro.violations.topology.ComponentTopology.preview`.  No
+        live structure is written.
         """
-        self._flush()
-        key = self._generation_key()
-        if self._spec_base is None or self._spec_base.key != key:
-            self._spec_base = _SpeculationBase(
-                key,
-                [
-                    [
-                        (component.minimum, component, component.index)
-                        for component in shard.topology.components()
-                    ]
-                    for shard in self.shards
-                ],
-            )
-        return self._spec_base
+        database = self.database
+        gone: set[frozenset[int]] = set()
+        for fact in touched:
+            for _, witness in self._touching.get(fact, ()):
+                gone.add(witness)
+        live = {fact for fact in touched if fact in database}
+        fresh: set[frozenset[int]] = set()
+        if live:
+            for enumerator in self._enumerators:
+                fresh.update(enumerator.delta(database, live))
+        return self.topology.preview(gone, fresh)
 
     def _preview_values(
         self,
-        base: _SpeculationBase,
+        base: list,
         base_parts: dict,
-        previews: dict[int, tuple[list[frozenset[int]], set]],
+        preview: tuple[list[frozenset[int]], set] | None,
         measures: list,
     ) -> dict[str, float]:
-        """Score one candidate from read-only per-shard region previews.
+        """Score one candidate from its read-only region preview.
 
-        *previews* maps each shard the candidate touches to its
-        ``(minimized, region)`` preview: ``_Shard._preview_region`` inside
-        the candidate's savepoint (the database and the shard's column
-        store are patched, the topologies still describe the base), or
+        *base* holds the ``(minimum, component, index)`` triples of the
+        live components, in component order.  *preview* is the
+        candidate's ``(minimized, region)``: :meth:`_preview_region` inside
+        its savepoint (the database and the column store are patched, the
+        topology still describes the base), or
         ``ComponentTopology.preview_deletion`` for a deletion-only
-        candidate that was never applied.  Untouched shards contribute
-        their base components whole, and base components outside every
-        region fill in by identity from *base_parts* — bit-identical to
+        candidate that was never applied; None when the candidate touched
+        no constrained relation.  Base components outside the region fill
+        in by identity from *base_parts* — bit-identical to
         commit-and-read.
         """
-        entries: list = []
-        for number, shard_entries in enumerate(base.entries):
-            preview = previews.get(number)
-            if preview is None:
-                entries.extend(shard_entries)
-                continue
+        if preview is None:
+            entries = base
+        else:
             minimized, region = preview
-            entries.extend(
-                [entry for entry in shard_entries if entry[1] not in region]
-            )
+            entries = [entry for entry in base if entry[1] not in region]
             entries.extend(
                 (minimum, None, index)
                 for minimum, index in split_minimized(minimized)
             )
-        entries.sort(key=_FIRST)
+            entries.sort(key=_FIRST)
         return _entry_values(
             entries,
             base_parts,

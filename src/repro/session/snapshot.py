@@ -34,12 +34,6 @@ restoration rejects version drift even when the unpickle itself succeeds.
 :func:`save_snapshot` writes atomically (temp file + rename), so a crash
 mid-write leaves the target absent or bit-identical to its previous
 content — a half-written snapshot can never shadow a good one.
-
-Snapshots compose per shard: one fingerprint, the session's relation
-partition (revalidated on restore — a different routing means the shard
-payloads describe the wrong slices), and one :class:`ShardSnapshot` per
-shard.  A shard whose own payload fails verification rebuilds cold on its
-own; the rest still restore warm.
 """
 
 from __future__ import annotations
@@ -64,8 +58,9 @@ FAULT_WRITE = "snapshot.write"
 #: Bump on any change to the snapshot payload layout or framing.  Loading
 #: rejects other versions outright — a stale format must fall back to a
 #: cold build, never be reinterpreted.  (2 added the payload digest; 3
-#: made the sharded layout the only one — every session is sharded.)
-SNAPSHOT_VERSION = 3
+#: nested one payload per relation shard; 4 holds the session's one
+#: maintained state directly.)
+SNAPSHOT_VERSION = 4
 
 _MAGIC = b"REPRO-SNAPSHOT\n"
 
@@ -129,57 +124,38 @@ def constraint_digest(dcs: Sequence[DenialConstraint]) -> tuple:
 
 
 @dataclass
-class ShardSnapshot:
-    """The derived state of one shard, nested in a :class:`SessionSnapshot`.
+class SessionSnapshot:
+    """The derived state of one session, behind its identity checks.
 
-    ``stores`` holds, per lowered-DC position of the shard, the witness key
-    tuples in the store's maintained sorted order; ``topology`` is the
+    ``stores`` holds, per lowered-DC position, the witness key tuples in
+    the store's maintained sorted order; ``topology`` is the
     :meth:`~repro.violations.topology.ComponentTopology.capture` payload;
     ``cache`` carries ``(measure token, content key, value)`` triples: the
     values the components live at snapshot time carry themselves
     (``TopologyComponent.values``), adopted on restore by
     :meth:`~repro.measures.base.ComponentValueCache.absorb_warm`.
-    ``constraints`` is the digest of the shard's own lowered DCs, so a
-    payload is never restored into a shard it was not captured from.
     """
 
+    version: int
+    fingerprint: DatabaseFingerprint
     constraints: tuple
     stores: list = field(default_factory=list)
     topology: dict = field(default_factory=dict)
     cache: list = field(default_factory=list)
 
-
-@dataclass
-class SessionSnapshot:
-    """One session's shard payloads plus the partition they were routed under."""
-
-    version: int
-    fingerprint: DatabaseFingerprint
-    constraints: tuple
-    relation_groups: list
-    shards: list = field(default_factory=list)
-
     def verify(
-        self,
-        dcs: Sequence[DenialConstraint],
-        relation_groups: Sequence[tuple],
-        database: Database,
+        self, dcs: Sequence[DenialConstraint], database: Database
     ) -> DatabaseFingerprint | None:
         """The database's current fingerprint when restoring is bit-safe.
 
-        Session-level verification, the routing partition included: the
-        shard payloads only describe the right slices when the restoring
-        session routes constraints exactly as the captured one did.  Cheap
-        identity checks run first, so rejecting a drifted or foreign
+        Cheap identity checks run first, so rejecting a drifted or foreign
         snapshot costs O(constraints), not an O(n) hash.  Returns None on
         any mismatch.
         """
         if (
             self.version != SNAPSHOT_VERSION
             or self.constraints != constraint_digest(dcs)
-            or [tuple(group) for group in self.relation_groups]
-            != [tuple(group) for group in relation_groups]
-            or len(self.shards) != len(self.relation_groups)
+            or len(self.stores) != len(self.constraints)
             or self.fingerprint.fact_count != len(database)
             or self.fingerprint.next_id != database._next_id
         ):
@@ -188,13 +164,11 @@ class SessionSnapshot:
         return current if current == self.fingerprint else None
 
     def matches(
-        self,
-        dcs: Sequence[DenialConstraint],
-        relation_groups: Sequence[tuple],
-        database: Database,
+        self, dcs: Sequence[DenialConstraint], database: Database
     ) -> bool:
-        """Whether restoring into the given session shape is bit-safe."""
-        return self.verify(dcs, relation_groups, database) is not None
+        """Whether restoring into a session over *dcs* and *database* is
+        bit-safe."""
+        return self.verify(dcs, database) is not None
 
 
 #: The only classes a snapshot payload may reference.  Restricting the
@@ -208,7 +182,6 @@ _ALLOWED_CLASSES = {
     ("builtins", "set"),
     ("repro.session.snapshot", "DatabaseFingerprint"),
     ("repro.session.snapshot", "SessionSnapshot"),
-    ("repro.session.snapshot", "ShardSnapshot"),
     ("repro.relational.database", "Fact"),
 }
 

@@ -1,7 +1,7 @@
 """Maintained witness state: one :class:`WitnessStore` per DC.
 
-A store keeps one DC's live witness set in fact-id order; the owning shard
-adds and discards witnesses as :mod:`repro.session.enumeration` finds them
+A store keeps one DC's live witness set in fact-id order; the owning
+session adds and discards witnesses as :mod:`repro.session.enumeration` finds them
 and the change feed retracts them.
 """
 

@@ -4,9 +4,9 @@
 degradation drills build on; it lives in the package (not under ``tests/``)
 because the injection *points* are calls inside production modules and the
 arming API must be importable wherever the code under test runs.
-:mod:`repro.testing.layout` holds the seams that fix a session's column
-backend or relation partition for a block, shared by the tests and the
-benches for the same reason.
+:mod:`repro.testing.layout` holds the seam that fixes a session's column
+backend for a block, shared by the tests and the benches for the same
+reason.
 """
 
 from .faults import (

@@ -3,8 +3,9 @@
 The anytime solver runtime promises that every hard failure mode lands in a
 *defined* state: a solver missing its deadline degrades to bounds with an
 honest status, a solver backend crashing mid-solve answers from bounds,
-a snapshot interrupted mid-write never corrupts the target file, a shard
-raising during fan-out self-heals with a rebuild on the next read.  Those
+a snapshot interrupted mid-write never corrupts the target file, a
+session whose change-feed handler raised self-heals with a rebuild on the
+next read.  Those
 promises are only worth anything if the paths actually run, so production
 code marks each of them with a **named injection point** and the drill
 suite arms the points deterministically.
@@ -38,9 +39,10 @@ Points currently wired into production code:
     file — the "crash mid-write" drill; the target path must be left
     either absent or with its previous bit-identical content.
 ``shard.fanout``
-    Raises while the sharded coordinator forwards a change event to the
-    owning shard — the shard marks itself degraded and rebuilds cold on
-    the next read instead of serving a stale answer.
+    Raises in the session's change-feed handler, before the event marks
+    its fact dirty or reaches the column store (the name predates the
+    single maintained state) — the session marks itself degraded and
+    rebuilds cold on the next read instead of serving a stale answer.
 ``ingest.flush``
     Raises at the head of an :class:`~repro.session.ingest.IngestPipeline`
     drain, before any pending event applies — the pending buffer, the

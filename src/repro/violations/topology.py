@@ -195,9 +195,7 @@ class ComponentTopology:
         preserves it), so the global view is a k-way merge of the cached
         per-component views — O(n log k) against the O(n log n) re-sort
         this replaces.  Keys are unique (a key reconstructs its set), so
-        the merge never falls through to comparing the frozensets.  Multi-shard
-        sessions merge these pair lists *across* shards under the same key
-        without recomputing it.
+        the merge never falls through to comparing the frozensets.
         """
         if self._mi_pairs is None:
             self._mi_pairs = list(

@@ -98,7 +98,7 @@ class TestConstantResolution:
     def test_local_constant_resolves(self):
         registry = registry_module("shard.fanout")
         user = make_module(
-            "repro.session.sharding",
+            "repro.session.session",
             """
             from repro.testing import faults
 
@@ -115,7 +115,7 @@ class TestConstantResolution:
     def test_constant_name_reference_counts_as_drill(self):
         registry = registry_module("shard.fanout")
         user = make_module(
-            "repro.session.sharding",
+            "repro.session.session",
             'from repro.testing import faults\n\n'
             'FAULT_FANOUT = "shard.fanout"\n\n'
             "def forward():\n    faults.trip(FAULT_FANOUT)\n",
@@ -123,7 +123,7 @@ class TestConstantResolution:
         # The test references the constant, not the literal string.
         drill = make_module(
             "test_drills",
-            "from repro.session.sharding import FAULT_FANOUT\n\n"
+            "from repro.session.session import FAULT_FANOUT\n\n"
             "def test_drill():\n    assert FAULT_FANOUT\n",
             realm="tests",
             path="tests/test_drills.py",
@@ -133,7 +133,7 @@ class TestConstantResolution:
     def test_unregistered_constant_fires(self):
         registry = registry_module("shard.fanout")
         user = make_module(
-            "repro.session.sharding",
+            "repro.session.session",
             'FAULT_OTHER = "shard.other"\n',
         )
         findings = findings_of(rule(), registry, user)
@@ -142,7 +142,7 @@ class TestConstantResolution:
     def test_dynamic_point_argument_fires(self):
         registry = registry_module("shard.fanout")
         user = make_module(
-            "repro.session.sharding",
+            "repro.session.session",
             """
             from repro.testing import faults
 

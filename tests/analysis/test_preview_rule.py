@@ -13,7 +13,7 @@ def rule(**overrides) -> PreviewPurityRule:
     options = {
         "roots": (f"{SESSION}:MeasurementSession.speculate_batch",),
         "stop_edges": frozenset(
-            {f"{SESSION}:MeasurementSession._speculation_base"}
+            {f"{SESSION}:MeasurementSession._flush"}
         ),
     }
     options.update(overrides)
@@ -98,9 +98,9 @@ class TestCallResolution:
             """
             class MeasurementSession:
                 def speculate_batch(self, deltas):
-                    self._speculation_base()
+                    self._flush()
 
-                def _speculation_base(self):
+                def _flush(self):
                     self._cached = None  # the documented pre-batch flush
             """,
         )
@@ -246,9 +246,9 @@ class TestManifestEntries:
         """
         class MeasurementSession:
             def speculate_batch(self, deltas):
-                return self._speculation_base()
+                return self._flush()
 
-            def _speculation_base(self):
+            def _flush(self):
                 self._cached = None
         """,
     )
@@ -264,9 +264,9 @@ class TestManifestEntries:
         assert finding.path == "repro/analysis/config.py"
 
     def test_bogus_stop_edge_is_reported(self):
-        stale = "repro.session.gone:Session._speculation_base"
+        stale = "repro.session.gone:Session._flush"
         stop_edges = frozenset(
-            {f"{SESSION}:MeasurementSession._speculation_base", stale}
+            {f"{SESSION}:MeasurementSession._flush", stale}
         )
         (finding,) = findings_of(
             rule(stop_edges=stop_edges), self.MANIFEST, self.SESSION_MODULE

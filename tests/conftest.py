@@ -17,6 +17,7 @@ that have it.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import signal
@@ -35,6 +36,7 @@ from repro.datasets.example1 import (
     noisy_database_d2,
 )
 from repro.relational import Database, Schema
+from repro.testing.layout import column_backend
 
 #: Default session seed — fixed so plain ``pytest`` runs are stable; CI or
 #: soak runs vary it via ``--repro-seed`` / ``REPRO_SEED``.
@@ -150,6 +152,24 @@ def pytest_runtest_makereport(item, call):
             )
         )
     return report
+
+
+#: Column backends this process can build sessions on ("list" always can).
+COLUMN_BACKENDS = ["list"] + (
+    ["numpy"] if importlib.util.find_spec("numpy") else []
+)
+
+
+@pytest.fixture(params=COLUMN_BACKENDS)
+def session_backend(request) -> str:
+    """Run the test once per column backend.
+
+    Every session the test builds, rebuilds or recovers lives inside the
+    backend's :func:`~repro.testing.layout.column_backend` block, so a
+    fault-recovery rebuild stays on the same backend as the cold build.
+    """
+    with column_backend(request.param):
+        yield request.param
 
 
 @pytest.fixture

@@ -90,11 +90,11 @@ class TestComponentValues:
         database = Database.from_rows(schema, "R", [(1, "x"), (1, "y")])
         constraints = [FunctionalDependency("R", {"A"}, {"B"})]
         with MeasurementSession(constraints, database) as session:
-            (component,) = session.shards[0].topology.components()
+            (component,) = session.topology.components()
             for _ in range(100):
                 (measure,) = make_measures(("I_MI",))
                 assert session.measure(measure) == 1.0
-                assert session.shards[0].topology.components() == [component]
+                assert session.topology.components() == [component]
                 assert component.values[measure] == 1.0
                 assert len(component.values) <= 64
 

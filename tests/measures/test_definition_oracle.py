@@ -6,12 +6,11 @@ component), so every entry point is checked against
 :func:`tests.oracle.definition_values`: ``MI_Σ(D)`` from brute-force
 witnesses and ⊆-minimization, ``|MC_Σ(D)|`` from every subset of a
 database of at most eight facts.  The entry points are the one-shot
-``value``, ``session.measure_all`` under the derived partition and under
-one group, and ``speculate_batch`` over deletion and update candidates,
+``value``, ``session.measure_all`` and ``speculate_batch`` over deletion and update candidates,
 each checked against the oracle on the patched copy.
 
 Draws include width-1 DCs, so self-inconsistent facts appear, and a
-two-relation case whose two DCs land in two shards.
+two-relation case with one DC per relation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.repairs.operations import (
     apply_sequence,
 )
 from repro.session import MeasurementSession
-from repro.testing.layout import one_group
 
 from ..oracle import (
     ATTRIBUTES,
@@ -68,8 +66,8 @@ def _one_relation_case(rng: random.Random):
     return _database(rng, ["R0"]), dcs
 
 
-def _two_shard_case(rng: random.Random):
-    """Two relations, one DC each: the derived partition has two shards."""
+def _two_relation_case(rng: random.Random):
+    """Two relations, one DC each."""
     dcs = [
         random_dc(rng, [relation], rng.randint(1, 2), name=f"dc_{relation}")
         for relation in ("R0", "R1")
@@ -92,7 +90,7 @@ def _candidates(rng: random.Random, database: Database) -> list[list]:
     ]
 
 
-def _check(rng: random.Random, database: Database, dcs, shards: int) -> bool:
+def _check(rng: random.Random, database: Database, dcs) -> bool:
     """Every entry point equals the oracle; whether D has a
     self-inconsistent fact."""
     measures = [make_measure(name) for name in NAMES]
@@ -104,33 +102,26 @@ def _check(rng: random.Random, database: Database, dcs, shards: int) -> bool:
         definition_values(dcs, apply_sequence(database, operations))
         for operations in candidates
     ]
-    for layout, shard_count in ((one_group(), 1), (None, shards)):
-        if layout is None:
-            session = MeasurementSession(dcs, database)
-        else:
-            with layout:
-                session = MeasurementSession(dcs, database)
-        with session:
-            assert len(session.shards) == shard_count
-            assert session.measure_all(measures) == expected
-            assert session.speculate_batch(candidates, measures) == patched
-            assert session.stats()["speculation"] == {
-                "deletion_previews": 2,
-                "savepoint_previews": 2,
-            }
-            assert session.pending_deltas == 0
+    with MeasurementSession(dcs, database) as session:
+        assert session.measure_all(measures) == expected
+        assert session.speculate_batch(candidates, measures) == patched
+        assert session.stats()["speculation"] == {
+            "deletion_previews": 2,
+            "savepoint_previews": 2,
+        }
+        assert session.pending_deltas == 0
     return any(len(group) == 1 for group in definition_mi(dcs, database))
 
 
 @pytest.mark.parametrize(
-    "draw, shards",
-    [(_one_relation_case, 1), (_two_shard_case, 2)],
-    ids=["one-relation", "two-shard"],
+    "draw",
+    [_one_relation_case, _two_relation_case],
+    ids=["one-relation", "two-relation"],
 )
-def test_measures_match_definitions(draw, shards, case_rng):
+def test_measures_match_definitions(draw, case_rng):
     self_inconsistent = 0
     for _ in range(DRAWS):
         database, dcs = draw(case_rng)
-        self_inconsistent += _check(case_rng, database, dcs, shards)
+        self_inconsistent += _check(case_rng, database, dcs)
     # The width-1 draws must actually exercise the I'_MC correction.
     assert self_inconsistent > 0

@@ -276,7 +276,7 @@ class TestSavepointEdgeCases:
         assert dict(db.items()) == facts_before
         assert db.peek_next_id() == 3
 
-    def test_sharded_session_attach_detach_mid_savepoint(self, schema):
+    def test_session_attach_detach_mid_savepoint(self, schema):
         """A measurement session is a subscriber like any other.
 
         Attached mid-savepoint it absorbs the rollback's inverse events as

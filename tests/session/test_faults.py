@@ -4,8 +4,8 @@ The anytime runtime's robustness promises (docstring of
 :mod:`repro.testing.faults`) are exercised here point by point: a solver
 missing its deadline degrades to TIMEOUT bounds, a crashing backend
 answers from FALLBACK bounds, a snapshot interrupted mid-write never
-corrupts the target file, and a shard raising during fan-out rebuilds
-cold.  After every drill the session must measure **bit-identical** to a
+corrupts the target file, and a session whose change-feed handler raised
+rebuilds cold.  After every drill the session must measure **bit-identical** to a
 from-scratch session over the same database — degradation may cost work,
 never correctness.
 """
@@ -13,7 +13,6 @@ never correctness.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 
 import pytest
 
@@ -27,7 +26,7 @@ from repro.session import (
     make_session,
     save_snapshot,
 )
-from repro.session.sharding import FAULT_FANOUT
+from repro.session.session import FAULT_FANOUT
 from repro.session.snapshot import FAULT_WRITE
 from repro.solvers.anytime import (
     FALLBACK,
@@ -40,7 +39,6 @@ from repro.solvers.anytime import (
 from repro.solvers.cliques import EnumerationBudgetExceeded
 from repro.testing import faults
 from repro.testing.faults import FaultInjected
-from repro.testing.layout import one_group
 
 
 def _workload(n: int = 14):
@@ -60,15 +58,6 @@ def _workload(n: int = 14):
         for column in ({"A"}, {"C"})
     ]
     return constraints, database
-
-
-#: Both read paths of the workload: R and S in one group (a one-shard
-#: session — no merge) and the derived partition (one shard per relation —
-#: k-way merge).
-PARTITIONS = [
-    pytest.param(one_group, id="one-group"),
-    pytest.param(nullcontext, id="auto"),
-]
 
 
 def _fresh_values(constraints, database, measures):
@@ -216,8 +205,8 @@ class TestSnapshotWriteDrill:
         load_snapshot(target)
 
 
-class TestShardFanoutDrill:
-    def test_degraded_shard_rebuilds_cold(self):
+class TestFanoutDrill:
+    def test_degraded_session_rebuilds_cold(self):
         constraints, database = _workload()
         measures = make_measures(("I_MI", "I_P", "I_R"))
         with MeasurementSession(constraints, database) as session:
@@ -225,11 +214,11 @@ class TestShardFanoutDrill:
             with faults.inject(FAULT_FANOUT):
                 with pytest.raises(FaultInjected):
                     database.insert(Fact("R", (0, 99, 0)))
-            # The fact is committed but its shard never saw the event; the
-            # next read must rebuild that shard, not serve a stale answer.
+            # The fact is committed but the session never saw the event;
+            # the next read must rebuild, not serve a stale answer.
             values = session.measure_all(measures)
             assert values == _fresh_values(constraints, database, measures)
-            # And the recovered shard keeps tracking subsequent deltas.
+            # And the recovered session keeps tracking subsequent deltas.
             database.insert(Fact("S", (0, 99, 0)))
             assert session.measure_all(measures) == _fresh_values(
                 constraints, database, measures
@@ -248,8 +237,8 @@ class TestShardFanoutDrill:
             )
 
     def test_single_relation_session_has_a_fanout_point(self):
-        """A one-relation session routes through the same fan-out: a
-        raising event degrades its only shard to a cold rebuild."""
+        """A one-relation session has the same drill point: a raising
+        event degrades it to a cold rebuild."""
         schema = Schema.from_dict({"R": ["A", "B", "C"]})
         database = Database.from_facts(
             schema, [Fact("R", (i // 2, i, (i + 1) // 2)) for i in range(10)]
@@ -260,7 +249,6 @@ class TestShardFanoutDrill:
         ]
         measures = make_measures(("I_MI", "I_P", "I_MC", "I_R"))
         with MeasurementSession(constraints, database) as session:
-            assert len(session.shards) == 1
             session.measure_all(measures)
             with faults.inject(FAULT_FANOUT):
                 with pytest.raises(FaultInjected):
@@ -272,7 +260,7 @@ class TestShardFanoutDrill:
 
 class TestEnumerationLimitExceptionSafety:
     """The unbudgeted ``enumeration_limit`` raise must leave every session
-    flavor measuring bit-identically to a fresh session (satellite of the
+    measuring bit-identically to a fresh session (satellite of the
     anytime work: no half-resolved memo may survive the raise)."""
 
     def _measures(self):
@@ -281,13 +269,10 @@ class TestEnumerationLimitExceptionSafety:
             MaximalConsistentMeasure(enumeration_limit=3),
         ]
 
-    @pytest.mark.parametrize("partition", PARTITIONS)
-    def test_measure_all_raise_is_exception_safe(self, partition):
+    def test_measure_all_raise_is_exception_safe(self, session_backend):
         constraints, database = _workload()
         exact = make_measures(TABLE2_MEASURES)
-        with partition():
-            session = make_session(constraints, database)
-        with session:
+        with make_session(constraints, database) as session:
             with pytest.raises(EnumerationBudgetExceeded):
                 session.measure_all(self._measures())
             assert session.measure_all(exact) == _fresh_values(
@@ -299,8 +284,7 @@ class TestEnumerationLimitExceptionSafety:
                 constraints, database, exact
             )
 
-    @pytest.mark.parametrize("partition", PARTITIONS)
-    def test_speculate_batch_raise_is_exception_safe(self, partition):
+    def test_speculate_batch_raise_is_exception_safe(self, session_backend):
         constraints, database = _workload()
         exact = make_measures(TABLE2_MEASURES)
         from repro.repairs.operations import DeleteOperation
@@ -309,9 +293,7 @@ class TestEnumerationLimitExceptionSafety:
             identifier for identifier, _ in database.items()
         )[:3]
         candidates = [[DeleteOperation(i)] for i in identifiers]
-        with partition():
-            session = make_session(constraints, database)
-        with session:
+        with make_session(constraints, database) as session:
             with pytest.raises(EnumerationBudgetExceeded):
                 session.speculate_batch(candidates, self._measures())
             fresh_scores = None
@@ -327,14 +309,11 @@ class TestRandomizedDegradationDrill:
     """Seed-driven rates over every point while a session works; after the
     plan deactivates the session must be bit-identical to from-scratch."""
 
-    @pytest.mark.parametrize("partition", PARTITIONS)
-    def test_drill_lands_in_defined_state(self, partition, case_rng):
+    def test_drill_lands_in_defined_state(self, session_backend, case_rng):
         rng = case_rng
         constraints, database = _workload(10)
         measures = make_measures(("I_MI", "I_MC", "I_R"))
-        with partition():
-            session = make_session(constraints, database)
-        with session:
+        with make_session(constraints, database) as session:
             with faults.fault_plan(
                 rng.randint(0, 2**31),
                 rates={

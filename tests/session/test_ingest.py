@@ -11,13 +11,12 @@ read-staleness/watermark contract with generation-tagged reads, the
 flush-residue audit (a coalesced insert+delete leaves nothing behind in
 ``_touching``, the column store's key groups or the equality-index
 buckets) and generation stability (a
-net-empty flush advances nothing and keeps ``_spec_base``).
+net-empty flush advances nothing and keeps the live components).
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 
 import pytest
 
@@ -34,17 +33,16 @@ from repro.session import (
     database_fingerprint,
     make_session,
 )
-from repro.testing.layout import one_group
 
 from .test_setbased import assert_matches_reference, fresh_reference
-from .test_speculation import shard_indexes
+from .test_speculation import key_groups
 
 MEASURES = make_measures(["I_MI", "I_P", "I_d"])
 
 
 def _schema() -> Schema:
-    # R and S each carry their own FD (two shards); T is mentioned by no
-    # constraint, so its events route through the overflow group.
+    # R and S each carry their own FD; T is mentioned by no constraint,
+    # so its events reach the database but not the session.
     return Schema.from_dict({"R": ("A", "B"), "S": ("K", "V"), "T": ("X", "Y")})
 
 
@@ -81,31 +79,13 @@ def _residue_constraints():
     return _constraints() + [cross_join]
 
 
-def _assert_unindexed(shard, identifier: int) -> None:
+def _assert_unindexed(session, identifier: int) -> None:
     """*identifier* sits in no key group."""
-    groups = shard_indexes(shard)
+    groups = key_groups(session)
     assert groups
     for column in groups.values():
         for ids in column.values():
             assert identifier not in ids
-
-
-def _flavors():
-    """Both read paths: R and S in one group (one shard, no merge) and the
-    derived partition (one shard each, k-way merge)."""
-    return [
-        pytest.param(one_group, id="one-group"),
-        pytest.param(nullcontext, id="auto"),
-    ]
-
-
-def _generation(session: MeasurementSession) -> tuple[int, ...]:
-    return tuple(shard.topology.generation for shard in session.shards)
-
-
-def _r_shard(session: MeasurementSession):
-    """The shard indexing relation R."""
-    return session.shards[session._shard_number["R"]]
 
 
 def _mirror(reference: Database) -> tuple[Database, MeasurementSession]:
@@ -126,11 +106,9 @@ def _assert_identical(session_a, database_a, session_b, database_b):
 
 
 class TestCoalescing:
-    @pytest.mark.parametrize("flavor", _flavors())
-    def test_insert_update_delete_nets_out(self, flavor):
+    def test_insert_update_delete_nets_out(self, session_backend):
         database = _seeded()
-        with flavor():
-            session = MeasurementSession(_constraints(), database)
+        session = MeasurementSession(_constraints(), database)
         pipe = session.ingest()
         before = database_fingerprint(database)
         identifier = pipe.submit("insert", Fact("R", ("a0", "zzz")))
@@ -162,9 +140,9 @@ class TestCoalescing:
         assert pipe.submit("update", 0, "B", "elsewhere") is True
         assert pipe.submit("update", 0, "B", original) is True
         assert pipe.pending == 0
-        generation = _generation(session)
+        generation = session.topology.generation
         pipe.flush()
-        assert _generation(session) == generation
+        assert session.topology.generation == generation
 
     def test_delete_then_reuse_same_relation(self):
         database = _seeded(4)
@@ -320,7 +298,7 @@ class TestStalenessReads:
         database = _seeded()
         session = MeasurementSession(_constraints(), database)
         pipe = session.ingest()
-        generation = _generation(session)
+        generation = session.topology.generation
         for k in range(5):
             pipe.submit("insert", Fact("R", (f"a{k}", "dup")))
         read = pipe.read(MEASURES, max_staleness_events=5)
@@ -349,58 +327,60 @@ class TestStalenessReads:
         with pytest.raises(ValueError, match="max_staleness_events"):
             pipe.read((), max_staleness_events=-1)
 
-    def test_sharded_drains_only_backlogged_shards(self):
+    def test_drains_only_the_most_backlogged_relation(self):
+        """A bounded read drains R (4 pending) and leaves S's event
+        unapplied; the drained read equals the from-scratch value of the
+        database at that state."""
         database = _seeded()
         session = MeasurementSession(_constraints(), database)
         pipe = session.ingest()
-        generations = [shard.topology.generation for shard in session.shards]
         for k in range(4):
-            pipe.submit("insert", Fact("R", ("a0", f"c{k}")))  # shard 0
-        pipe.submit("insert", Fact("S", (0, 99)))  # shard 1
-        assert pipe.pending_per_shard()[:2] == [4, 1]
-        read = pipe.read((), max_staleness_events=1)
-        # Only the over-watermark shard drained: S keeps its pending
-        # event, its topology generation and every memoized stream.
+            pipe.submit("insert", Fact("R", ("a0", f"c{k}")))
+        pending_s = pipe.submit("insert", Fact("S", (0, 99)))
+        assert pipe.pending_per_relation() == [4, 1, 0]
+        size = len(database)
+        read = pipe.read(MEASURES, max_staleness_events=1)
         assert read.flushed is True
-        assert pipe.pending_per_shard()[:2] == [0, 1]
-        assert session.shards[1].topology.generation == generations[1]
-        assert session.shards[0].topology.generation != generations[0]
-        assert read.generation == tuple(
-            shard.topology.generation for shard in session.shards
-        )
+        assert read.staleness == 1
+        assert pipe.pending_per_relation() == [0, 1, 0]
+        assert len(database) == size + 4
+        assert pending_s not in database
+        assert read.values == {
+            measure.name: measure.value(_constraints(), database)
+            for measure in MEASURES
+        }
+        pipe.flush()
+        assert database[pending_s] == Fact("S", (0, 99))
 
-    def test_generation_is_a_per_shard_tuple(self):
-        with one_group():
-            grouped = MeasurementSession(_constraints(), _seeded())
-        generation = grouped.ingest().read(()).generation
-        assert generation == _generation(grouped)
-        assert len(generation) == 1
-        sharded = MeasurementSession(_constraints(), _seeded()).ingest()
-        generation = sharded.read(()).generation
-        assert isinstance(generation, tuple)
-        assert len(generation) == 2
+    def test_generation_is_the_topology_generation(self):
+        session = MeasurementSession(_constraints(), _seeded())
+        pipe = session.ingest()
+        assert pipe.read(()).generation == session.topology.generation
+        pipe.submit("insert", Fact("R", ("a0", "fresh")))
+        read = pipe.read(())
+        assert isinstance(read.generation, int)
+        assert read.generation == session.topology.generation
 
 
 class TestFlushResidue:
     """Satellite: a coalesced insert+delete must leave zero residue."""
 
-    @pytest.mark.parametrize("flavor", _flavors())
-    def test_insert_delete_leaves_no_touching_or_bucket_residue(self, flavor):
+    def test_insert_delete_leaves_no_touching_or_bucket_residue(
+        self, session_backend
+    ):
         database = _seeded()
-        with flavor():
-            session = MeasurementSession(_residue_constraints(), database)
+        session = MeasurementSession(_residue_constraints(), database)
         session.index()
         pipe = session.ingest()
         identifier = pipe.submit("insert", Fact("R", ("a0", "hot")))
         assert pipe.submit("delete", identifier) is True
         pipe.flush()
         session.index()
-        for shard in session.shards:
-            assert identifier not in shard._touching
-            _assert_unindexed(shard, identifier)
-            for store in shard._witnesses:
-                for violation in store.ordered():
-                    assert identifier not in violation.fact_ids
+        assert identifier not in session._touching
+        _assert_unindexed(session, identifier)
+        for store in session._witnesses:
+            for violation in store.ordered():
+                assert identifier not in violation.fact_ids
         assert_matches_reference(session)
 
     def test_session_level_insert_then_delete_before_flush(self):
@@ -410,15 +390,14 @@ class TestFlushResidue:
         database = _seeded()
         session = MeasurementSession(_residue_constraints(), database)
         session.index()
-        generation = _generation(session)
+        generation = session.topology.generation
         identifier = database.insert(Fact("R", ("a0", "hot")))
         database.delete(identifier)
         session.index()
-        shard = _r_shard(session)
-        assert ("R", "A") in shard_indexes(shard)  # the equality join's group
-        assert identifier not in shard._touching
-        _assert_unindexed(shard, identifier)
-        assert _generation(session) == generation
+        assert ("R", "A") in key_groups(session)  # the equality join's group
+        assert identifier not in session._touching
+        _assert_unindexed(session, identifier)
+        assert session.topology.generation == generation
         assert_matches_reference(session)
 
     def test_bound_fact_updated_then_deleted(self):
@@ -428,29 +407,28 @@ class TestFlushResidue:
         a = database.insert(Fact("R", ("k", "v1")))
         b = database.insert(Fact("R", ("k", "v2")))  # conflicts with a
         session.index()
-        shard = _r_shard(session)
-        assert a in shard._touching and b in shard._touching
+        assert a in session._touching and b in session._touching
         assert pipe.submit("update", b, "B", "v3") is True
         assert pipe.submit("delete", b) is True
         pipe.flush()
         session.index()
-        assert b not in shard._touching
-        assert a not in shard._touching  # its only witness retracted
-        _assert_unindexed(shard, b)
+        assert b not in session._touching
+        assert a not in session._touching  # its only witness retracted
+        _assert_unindexed(session, b)
         with fresh_reference(session) as fresh:
             expected = fresh.index().mi_sets
         assert session.index().mi_sets == expected
 
 
 class TestGenerationStability:
-    """Satellite: net-empty flushes advance nothing, keep _spec_base."""
+    """Satellite: net-empty flushes advance nothing, keep the components."""
 
-    @pytest.mark.parametrize("flavor", _flavors())
-    def test_netted_batch_preserves_generation_and_spec_base(self, flavor):
+    def test_netted_batch_preserves_generation_and_components(
+        self, session_backend
+    ):
         database = _seeded()
-        with flavor():
-            session = MeasurementSession(_constraints(), database)
-        base = session._speculation_base()
+        session = MeasurementSession(_constraints(), database)
+        base = session.topology.components()
         pipe = session.ingest()
         original = database[0].values[1]
         pipe.submit("update", 0, "B", "detour")
@@ -458,27 +436,25 @@ class TestGenerationStability:
         identifier = pipe.submit("insert", Fact("S", (50, 50)))
         pipe.submit("delete", identifier)  # nets out
         assert pipe.flush() == 0
-        assert session._speculation_base() is base
+        assert session.topology.components() is base
 
     def test_net_events_with_empty_witness_delta_keep_generation(self):
         database = _seeded()
         session = MeasurementSession(_constraints(), database)
-        base = session._speculation_base()
-        generation = _generation(session)
+        base = session.topology.components()
+        generation = session.topology.generation
         pipe = session.ingest()
         # T is mentioned by no constraint: real net events, empty delta.
         pipe.submit("insert", Fact("T", (123, 456)))
         assert pipe.flush() == 1
-        assert _generation(session) == generation
-        assert session._speculation_base() is base
+        assert session.topology.generation == generation
+        assert session.topology.components() is base
 
 
 class TestObservability:
-    @pytest.mark.parametrize("flavor", _flavors())
-    def test_stats_surface_ingest_counters(self, flavor):
+    def test_stats_surface_ingest_counters(self, session_backend):
         database = _seeded()
-        with flavor():
-            session = MeasurementSession(_constraints(), database)
+        session = MeasurementSession(_constraints(), database)
         assert "ingest" not in session.stats()
         pipe = session.ingest(capacity=16)
         pipe.submit("update", 0, "B", "x")
@@ -542,11 +518,9 @@ def _random_stream_step(rng: random.Random, pipe, mirror_db, mirror_sess):
 class TestLockstepConformance:
     """Randomized coalesced == per-event parity over interleaved histories."""
 
-    @pytest.mark.parametrize("flavor", _flavors())
-    def test_lockstep_parity(self, flavor, case_rng):
+    def test_lockstep_parity(self, session_backend, case_rng):
         database = _seeded()
-        with flavor():
-            session = MeasurementSession(_constraints(), database)
+        session = MeasurementSession(_constraints(), database)
         mirror_db, mirror_sess = _mirror(database)
         pipe = session.ingest(capacity=32)
         for step in range(160):
@@ -562,12 +536,10 @@ class TestLockstepConformance:
         _assert_identical(session, database, mirror_sess, mirror_db)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("flavor", _flavors())
     @pytest.mark.parametrize("round_", range(4))
-    def test_lockstep_parity_soak(self, flavor, round_, case_rng):
+    def test_lockstep_parity_soak(self, session_backend, round_, case_rng):
         database = _seeded(20)
-        with flavor():
-            session = MeasurementSession(_constraints(), database)
+        session = MeasurementSession(_constraints(), database)
         mirror_db, mirror_sess = _mirror(database)
         pipe = session.ingest(capacity=64)
         for step in range(600):
@@ -586,12 +558,11 @@ class TestLockstepConformance:
 class TestSpeculateBatchDirtyMarks:
     """Satellite regression: batch rollback marks vs outside mutations."""
 
-    def test_one_shard_out_of_band_marks_survive_batch(self):
+    def test_out_of_band_marks_survive_batch(self):
         from repro.repairs.operations import UpdateOperation
 
         database = _seeded()
-        with one_group():
-            session = MeasurementSession(_constraints(), database)
+        session = MeasurementSession(_constraints(), database)
         session.index()
         candidates = [
             [UpdateOperation(0, "B", "x")],
@@ -618,15 +589,14 @@ class TestSpeculateBatchDirtyMarks:
             assert session.index().per_constraint == fresh.index().per_constraint
             assert session.measure_all(MEASURES) == fresh.measure_all(MEASURES)
 
-    def test_sharded_out_of_band_marks_survive_batch(self):
+    def test_out_of_band_marks_on_another_relation_survive_batch(self):
         from repro.repairs.operations import UpdateOperation
 
         database = _seeded()
         session = MeasurementSession(_constraints(), database)
         session.index()
-        # Candidates touch only shard 0 (relation R); the out-of-band
-        # commit lands on shard 1 (relation S), which the old wholesale
-        # clear silently wiped.
+        # Candidates touch only relation R; the out-of-band commit lands
+        # on relation S, which a wholesale clear would silently wipe.
         candidates = [
             [UpdateOperation(0, "B", "x")],
             [UpdateOperation(0, "B", "y")],

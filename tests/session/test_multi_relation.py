@@ -1,16 +1,13 @@
-"""Partition conformance, constraint routing, and fan-out.
+"""Multi-relation sessions against the from-scratch path.
 
-The anchor invariant is differential: over randomized multi-relation
-schemas, DC sets (including cross-relation DCs that force merged shards)
-and interleaved insert/delete/update/speculate histories, a session
-partitioned ``"auto"`` (one shard per hypergraph component — the k-way
-merge read path) must return **bit-identical** ``measure_all`` values,
-``index()`` content and ``speculate_batch`` scores to a session built
-under :func:`repro.testing.layout.one_group`, which holds every
-constrained relation in one group (one shard — the no-merge read path),
-on the same database — the same randomized-history style black-box
-checking used for snapshot-isolation conformance, applied to the
-partition-equivalence contract.
+A session owns one maintained state over every DC, whatever relations
+they mention.  Over randomized multi-relation schemas, DC sets (including
+cross-relation DCs) and interleaved insert/delete/update/speculate
+histories, ``measure_all``, ``index()`` and ``problematic_facts()`` must
+equal ``build_violation_index`` plus ``measure.value`` on the same
+database, and every ``speculate_batch`` score must equal
+copy-apply-rebuild — the randomized-history style of black-box checking
+used for snapshot-isolation conformance.
 """
 
 from __future__ import annotations
@@ -30,13 +27,13 @@ from repro.repairs.operations import (
     UpdateOperation,
     apply_sequence,
 )
-from repro.session import MeasurementSession, make_session, relation_groups
-from repro.testing.layout import one_group
+from repro.session import MeasurementSession, make_session
+from repro.session import columnar
 from repro.violations import build_violation_index, lower_constraints
 
 
 def _cross_dc(left: str, right: str) -> DenialConstraint:
-    """An FD-like DC linking two relations on A (forces a merged shard)."""
+    """An FD-like DC linking two relations on A."""
     return DenialConstraint(
         [("x", left), ("y", right)],
         [
@@ -47,14 +44,8 @@ def _cross_dc(left: str, right: str) -> DenialConstraint:
     )
 
 
-def _one_group(database: Database, constraints) -> MeasurementSession:
-    """A one-shard session: every constrained relation in one group."""
-    with one_group():
-        return MeasurementSession(constraints, database)
-
-
 def _random_setup(rng: random.Random) -> tuple[Schema, list]:
-    """A random multi-relation schema with a random (routable) DC set."""
+    """A random multi-relation schema with a random DC set."""
     relations = [f"R{k}" for k in range(rng.randint(2, 4))]
     schema = Schema.from_dict(
         {relation: ["A", "B", "C"] for relation in relations}
@@ -118,8 +109,30 @@ def _random_candidates(
     return candidates
 
 
-def _assert_index_identical(single: MeasurementSession, sharded) -> None:
-    fi, si = single.index(), sharded.index()
+def _scratch_values(constraints, database, measures) -> dict[str, float]:
+    index = build_violation_index(constraints, database)
+    return {
+        measure.name: measure.value(constraints, database, index)
+        for measure in measures
+    }
+
+
+def _copy_values(constraints, database, candidates, measures) -> list[dict]:
+    """Copy-apply-rebuild scores of every candidate."""
+    return [
+        {
+            measure.name: measure.value(
+                constraints, apply_sequence(database, operations)
+            )
+            for measure in measures
+        }
+        for operations in candidates
+    ]
+
+
+def _assert_index_matches_scratch(session: MeasurementSession) -> None:
+    fi = build_violation_index(session.constraints, session.database)
+    si = session.index()
     assert fi.mi_sets == si.mi_sets
     assert [
         (violation.fact_ids, violation.constraint.name)
@@ -156,43 +169,30 @@ class TestRandomizedConformance:
             ],
         )
         measures = [make_measure(name) for name in TABLE2_MEASURES]
-        with _one_group(database, constraints) as single:
-            with MeasurementSession(constraints, database) as sharded:
-                for step in range(60):
-                    _random_mutation(rng, database, relations)
-                    if step % 3 == 0:
-                        assert single.measure_all(measures) == sharded.measure_all(
-                            measures
-                        ), step
-                        _assert_index_identical(single, sharded)
-                        assert (
-                            set(single.problematic_facts())
-                            == sharded.problematic_facts()
-                        ), step
-                        assert single.is_consistent() == sharded.is_consistent()
-                    if step % 10 == 0:
-                        candidates = _random_candidates(
-                            rng, database, relations, 4
-                        )
-                        batch = sharded.speculate_batch(candidates, measures)
-                        assert batch == single.speculate_batch(
-                            candidates, measures
-                        ), step
-                        # Spot-check one candidate against copy-apply-rebuild.
-                        expected = {
-                            measure.name: measure.value(
-                                constraints,
-                                apply_sequence(database, candidates[0]),
-                            )
-                            for measure in measures
-                        }
-                        assert batch[0] == expected, step
+        with MeasurementSession(constraints, database) as session:
+            for step in range(60):
+                _random_mutation(rng, database, relations)
+                if step % 3 == 0:
+                    assert session.measure_all(measures) == _scratch_values(
+                        constraints, database, measures
+                    ), step
+                    _assert_index_matches_scratch(session)
+                    full = build_violation_index(constraints, database)
+                    assert session.problematic_facts() == full.problematic, step
+                    assert session.is_consistent() == full.is_consistent()
+                if step % 10 == 0:
+                    candidates = _random_candidates(rng, database, relations, 4)
+                    assert session.speculate_batch(
+                        candidates, measures
+                    ) == _copy_values(
+                        constraints, database, candidates, measures
+                    ), step
 
     @pytest.mark.slow
     @pytest.mark.parametrize("case", [0, 1])
     def test_full_registry_speculation(self, case, case_rng):
         """``I_R_upd`` sends every candidate through its savepoint; still
-        equal across layouts and to copy-apply-rebuild.
+        equal to copy-apply-rebuild, batched or one at a time.
 
         Small database: the registry includes the exact update-repair
         measure, which is exponential in the problematic-fact count.
@@ -205,35 +205,24 @@ class TestRandomizedConformance:
             [_random_fact(rng, rng.choice(relations)) for _ in range(8)],
         )
         registry = [make_measure(name) for name in available_measures()]
-        with _one_group(database, constraints) as single:
-            with MeasurementSession(constraints, database) as sharded:
-                for _ in range(3):
-                    candidates = _random_candidates(rng, database, relations, 2)
-                    batch = sharded.speculate_batch(candidates, registry)
-                    assert batch == single.speculate_batch(candidates, registry)
-                    assert batch == [
-                        {
-                            measure.name: measure.value(
-                                constraints, apply_sequence(database, operations)
-                            )
-                            for measure in registry
-                        }
-                        for operations in candidates
-                    ]
-                    assert [
-                        sharded.speculate(operations, registry)
-                        for operations in candidates
-                    ] == [
-                        single.speculate(operations, registry)
-                        for operations in candidates
-                    ]
-                    # Keep the database small: the update-repair measure is
-                    # exponential, and random growth would make the runtime
-                    # seed-dependent.
-                    if len(database) >= 8:
-                        database.delete(rng.choice(database.ids()))
-                    else:
-                        _random_mutation(rng, database, relations)
+        with MeasurementSession(constraints, database) as session:
+            for _ in range(3):
+                candidates = _random_candidates(rng, database, relations, 2)
+                batch = session.speculate_batch(candidates, registry)
+                assert batch == _copy_values(
+                    constraints, database, candidates, registry
+                )
+                assert [
+                    session.speculate(operations, registry)
+                    for operations in candidates
+                ] == batch
+                # Keep the database small: the update-repair measure is
+                # exponential, and random growth would make the runtime
+                # seed-dependent.
+                if len(database) >= 8:
+                    database.delete(rng.choice(database.ids()))
+                else:
+                    _random_mutation(rng, database, relations)
 
     def test_short_history_fast_lane(self, case_rng):
         """A trimmed conformance pass that stays in CI's fast lane."""
@@ -245,21 +234,20 @@ class TestRandomizedConformance:
             [_random_fact(rng, rng.choice(relations)) for _ in range(18)],
         )
         measures = [make_measure(name) for name in ("I_MI", "I_P", "I_MC")]
-        with _one_group(database, constraints) as single:
-            with MeasurementSession(constraints, database) as sharded:
-                for step in range(12):
-                    _random_mutation(rng, database, relations)
-                    assert single.measure_all(measures) == sharded.measure_all(
-                        measures
-                    ), step
-                _assert_index_identical(single, sharded)
-                candidates = _random_candidates(rng, database, relations, 3)
-                assert sharded.speculate_batch(
-                    candidates, measures
-                ) == single.speculate_batch(candidates, measures)
+        with MeasurementSession(constraints, database) as session:
+            for step in range(12):
+                _random_mutation(rng, database, relations)
+                assert session.measure_all(measures) == _scratch_values(
+                    constraints, database, measures
+                ), step
+            _assert_index_matches_scratch(session)
+            candidates = _random_candidates(rng, database, relations, 3)
+            assert session.speculate_batch(candidates, measures) == _copy_values(
+                constraints, database, candidates, measures
+            )
 
-    def test_sharded_session_attached_mid_history(self, case_rng):
-        """A sharded session built over a dirty mid-stream state conforms."""
+    def test_session_attached_mid_history(self, case_rng):
+        """A session built over a mid-stream state conforms."""
         rng = case_rng
         schema, constraints = _random_setup(rng)
         relations = schema.relation_names()
@@ -267,65 +255,19 @@ class TestRandomizedConformance:
             schema,
             [_random_fact(rng, rng.choice(relations)) for _ in range(15)],
         )
-        with _one_group(database, constraints) as single:
+        for _ in range(10):
+            _random_mutation(rng, database, relations)
+        with MeasurementSession(constraints, database) as session:
             for _ in range(10):
                 _random_mutation(rng, database, relations)
-            with MeasurementSession(constraints, database) as sharded:
-                for _ in range(10):
-                    _random_mutation(rng, database, relations)
-                _assert_index_identical(single, sharded)
+            _assert_index_matches_scratch(session)
 
 
-class TestRouting:
-    def _schema(self) -> Schema:
-        return Schema.from_dict(
-            {name: ["A", "B", "C"] for name in ("R0", "R1", "R2", "R3")}
-        )
-
-    def test_single_relation_dcs_get_singleton_shards(self):
-        schema = self._schema()
-        constraints = [
-            FunctionalDependency("R0", {"A"}, {"B"}),
-            FunctionalDependency("R1", {"A"}, {"B"}),
-            FunctionalDependency("R2", {"A"}, {"B"}),
-        ]
-        dcs = lower_constraints(constraints, schema)
-        assert relation_groups(dcs, schema) == [("R0",), ("R1",), ("R2",)]
-
-    def test_cross_relation_dc_merges_shards(self):
-        schema = self._schema()
-        constraints = [
-            FunctionalDependency("R0", {"A"}, {"B"}),
-            FunctionalDependency("R1", {"A"}, {"B"}),
-            FunctionalDependency("R2", {"A"}, {"B"}),
-            _cross_dc("R0", "R2"),
-        ]
-        dcs = lower_constraints(constraints, schema)
-        assert relation_groups(dcs, schema) == [("R0", "R2"), ("R1",)]
-
-    def test_unconstrained_relations_get_no_shard(self):
-        schema = self._schema()
-        dcs = lower_constraints(
-            [FunctionalDependency("R1", {"A"}, {"B"})], schema
-        )
-        assert relation_groups(dcs, schema) == [("R1",)]
-
-    def test_every_dc_routes_to_exactly_one_shard(self):
-        schema = self._schema()
-        constraints = [
-            FunctionalDependency("R0", {"A"}, {"B"}),
-            _cross_dc("R1", "R3"),
-            FunctionalDependency("R3", {"A"}, {"B"}),
-        ]
-        database = Database(schema)
-        with MeasurementSession(constraints, database) as session:
-            assert session.relation_groups == [("R0",), ("R1", "R3")]
-            owned = {id(dc) for shard in session.shards for dc in shard.dcs}
-            assert owned == {id(dc) for dc in session.dcs}
-            assert len(owned) == len(session.dcs)
-
+class TestMakeSession:
     def test_make_session_builds_the_one_session_class(self):
-        schema = self._schema()
+        schema = Schema.from_dict(
+            {name: ["A", "B", "C"] for name in ("R0", "R1")}
+        )
         constraints = [
             FunctionalDependency("R0", {"A"}, {"B"}),
             FunctionalDependency("R1", {"A"}, {"B"}),
@@ -333,22 +275,131 @@ class TestRouting:
         database = Database(schema)
         with make_session(constraints, database) as session:
             assert type(session) is MeasurementSession
-            assert session.relation_groups == [("R0",), ("R1",)]
+            assert not hasattr(session, "shards")
         with pytest.raises(ValueError, match="only 'auto'"):
             make_session(constraints, database, shards=[("R0", "R1")])
-        with one_group(), make_session(constraints, database) as grouped:
-            assert grouped.relation_groups == [("R0", "R1")]
-            assert len(grouped.shards) == 1
-
-    def test_single_relation_is_one_shard(self):
-        schema = self._schema()
-        constraints = [FunctionalDependency("R0", {"A"}, {"B"})]
-        with MeasurementSession(constraints, Database(schema)) as session:
-            assert session.relation_groups == [("R0",)]
-            assert len(session.shards) == 1
 
 
-class TestFanOut:
+class TestOneMaintainedState:
+    """Every DC, whatever relations it binds, is maintained by the one
+    state: one witness store per lowered DC in global order, and
+    components that span relations exactly where a DC links them."""
+
+    def _linked(self, link: bool):
+        schema = Schema.from_dict(
+            {name: ["A", "B", "C"] for name in ("R", "S", "U")}
+        )
+        constraints = [
+            FunctionalDependency("R", {"A"}, {"B"}),
+            FunctionalDependency("S", {"A"}, {"B"}),
+        ]
+        if link:
+            constraints.append(_cross_dc("R", "S"))
+        database = Database.from_facts(
+            schema,
+            [
+                Fact("R", (1, "x", 0)),
+                Fact("R", (1, "y", 0)),
+                Fact("S", (1, "x", 0)),
+                Fact("S", (1, "x", 1)),
+                Fact("U", (1, "z", 0)),
+            ],
+        )
+        return constraints, database
+
+    @staticmethod
+    def _relations_of(session, component) -> set[str]:
+        return {
+            session.database[identifier].relation
+            for identifier in component.facts
+        }
+
+    def test_witness_stores_follow_the_lowered_dc_order(self, case_rng):
+        schema, constraints = _random_setup(case_rng)
+        database = Database(schema)
+        lowered = lower_constraints(constraints, schema)
+        with MeasurementSession(constraints, database) as session:
+            assert [store.dc for store in session._witnesses] == session.dcs
+            assert [dc.name for dc in session.dcs] == [
+                dc.name for dc in lowered
+            ]
+
+    def test_cross_relation_dc_joins_relations_in_one_component(self):
+        constraints, database = self._linked(link=True)
+        with MeasurementSession(constraints, database) as session:
+            (component,) = session.topology.components()
+            assert self._relations_of(session, component) == {"R", "S"}
+            assert component.facts == {0, 1, 2, 3}
+            assert session.index().mi_sets == build_violation_index(
+                constraints, database
+            ).mi_sets
+
+    def test_single_relation_dcs_keep_components_within_a_relation(self):
+        constraints, database = self._linked(link=False)
+        with MeasurementSession(constraints, database) as session:
+            # S's two facts now disagree on B: a conflict of its own.
+            database.update(3, "B", "w")
+            session.index()  # flush the pending delta
+            relations = [
+                self._relations_of(session, component)
+                for component in session.topology.components()
+            ]
+            assert relations == [{"R"}, {"S"}]
+
+    def test_component_splits_when_the_cross_link_goes(self):
+        constraints, database = self._linked(link=True)
+        with MeasurementSession(constraints, database) as session:
+            assert len(session.topology.components()) == 1
+            database.update(2, "A", 5)  # S fact 2 leaves the A=1 group
+            database.update(3, "A", 6)  # and so does S fact 3
+            session.index()
+            components = session.topology.components()
+            assert [
+                self._relations_of(session, component)
+                for component in components
+            ] == [{"R"}]
+            database.update(3, "A", 1)  # S fact 3 relinks to R on A
+            session.index()
+            (component,) = session.topology.components()
+            assert component.facts == {0, 1, 3}
+            assert session.index().mi_sets == build_violation_index(
+                constraints, database
+            ).mi_sets
+
+    def test_column_store_holds_only_constrained_relations(self):
+        constraints, database = self._linked(link=True)
+        with MeasurementSession(constraints, database) as session:
+            store = session._columns
+            for relation in ("R", "S"):
+                assert store.live_count(relation) == 2
+            with pytest.raises(KeyError):
+                store.relation("U")
+
+    def test_single_relation_session_matches_scratch(self, case_rng):
+        rng = case_rng
+        schema = Schema.from_dict({"R0": ["A", "B", "C"]})
+        constraints = [
+            FunctionalDependency("R0", {"A"}, {"B"}),
+            parse_dc("not(t.A > t.C)", "R0", name="ord_R0"),
+        ]
+        database = Database.from_facts(
+            schema, [_random_fact(rng, "R0") for _ in range(15)]
+        )
+        measures = [make_measure(name) for name in ("I_MI", "I_P", "I_R")]
+        with MeasurementSession(constraints, database) as session:
+            for step in range(30):
+                _random_mutation(rng, database, ["R0"])
+                if step % 5 == 0:
+                    assert session.index().mi_sets == build_violation_index(
+                        constraints, database
+                    ).mi_sets, step
+                    assert session.measure_all(measures) == {
+                        measure.name: measure.value(constraints, database)
+                        for measure in measures
+                    }, step
+
+
+class TestUnconstrainedRelations:
     def _session(self):
         schema = Schema.from_dict(
             {name: ["A", "B", "C"] for name in ("R0", "R1", "R2")}
@@ -369,29 +420,16 @@ class TestFanOut:
         )
         return database, MeasurementSession(constraints, database)
 
-    def test_events_reach_only_the_owning_shard(self):
-        database, session = self._session()
-        with session:
-            session.index()
-            database.update(0, "B", "y")  # an R0 fact
-            shard_r0 = session.shards[session._shard_number["R0"]]
-            shard_r1 = session.shards[session._shard_number["R1"]]
-            assert shard_r0._dirty == {0}
-            assert shard_r1._dirty == set()
-            generation_r1 = shard_r1.topology.generation
-            session.index()
-            assert shard_r1.topology.generation == generation_r1
-
     def test_unconstrained_relation_events_are_dropped(self):
         database, session = self._session()
         with session:
             session.index()
-            database.update(4, "A", 7)  # the R2 fact — no shard indexes R2
+            database.update(4, "A", 7)  # the R2 fact — no DC mentions R2
             assert session.pending_deltas == 0
             assert len(session.index().mi_sets) == 2
 
-    def test_untouched_shard_parts_are_not_reprobed(self):
-        """An untouched shard's components serve their own values."""
+    def test_untouched_component_values_are_not_reprobed(self):
+        """An untouched component serves its own value."""
         database, session = self._session()
         with session:
             measure = make_measure("I_MI")
@@ -402,9 +440,9 @@ class TestFanOut:
             )
             database.update(0, "B", "y")  # resolves the R0 conflict
             assert session.measure(measure) == 1.0
-            # The R1 shard's component kept its identity and so its own
-            # value: no cache probe (hit or miss) happened for it at all,
-            # and the R0 shard's conflict vanished, so nothing was solved.
+            # The R1 component kept its identity and so its own value: no
+            # cache probe (hit or miss) happened for it at all, and the R0
+            # conflict vanished, so nothing was solved.
             assert session.component_cache.misses == misses
             assert session.component_cache.hits == hits
 
@@ -412,15 +450,49 @@ class TestFanOut:
         schema = Schema.from_dict({"R0": ["A"]})
         database = Database.from_facts(schema, [Fact("R0", (1,))])
         with MeasurementSession([], database) as session:
-            assert session.shards == []
+            assert session.topology.components() == []
             assert session.is_consistent()
             assert session.index().mi_sets == []
             assert session.measure(make_measure("I_MI")) == 0.0
             assert session.measure(make_measure("I_MC")) == 0.0
             assert session.problematic_facts() == set()
+            database.update(0, "A", 2)
+            assert session.pending_deltas == 0
 
 
-class TestShardedAgainstScratch:
+class TestDeltaCounters:
+    def test_update_on_one_relation_runs_no_delta_for_the_other(self):
+        """A DC that binds only S is not counted as a delta run when only
+        R changed; the DCs binding R are."""
+        schema = Schema.from_dict({"R": ["A", "B"], "S": ["A", "B"]})
+        database = Database.from_facts(
+            schema,
+            [
+                Fact("R", (1, "x")),
+                Fact("R", (1, "y")),
+                Fact("S", (2, "p")),
+                Fact("S", (2, "q")),
+            ],
+        )
+        constraints = [
+            FunctionalDependency("R", {"A"}, {"B"}),
+            FunctionalDependency("S", {"A"}, {"B"}),
+            _cross_dc("R", "S"),
+        ]
+        with MeasurementSession(constraints, database) as session:
+            session.index()
+            database.update(0, "B", "y")  # an R fact
+            session.index()
+            runs = [
+                record["delta_runs"] for record in session.stats()["constraints"]
+            ]
+            assert runs == [1, 0, 1]
+            assert session.index().mi_sets == build_violation_index(
+                constraints, database
+            ).mi_sets
+
+
+class TestAgainstScratch:
     def test_index_matches_build_violation_index(self, case_rng):
         rng = case_rng
         schema, constraints = _random_setup(rng)
@@ -464,9 +536,9 @@ class TestRefreshInvalidation:
     def test_refresh_then_measure_matches_fresh_session(self, case_rng):
         """refresh() + measure_all must be bit-identical to a fresh session.
 
-        The cross-check: the components' own values, the speculation base
-        and the assembly keys all derive from the retired topologies and
-        must not survive the rebuild.
+        The cross-check: the components' own values and the assembled
+        index derive from the retired topology and must not survive the
+        rebuild.
         """
         rng = case_rng
         schema, constraints = _random_setup(rng)
@@ -488,11 +560,8 @@ class TestRefreshInvalidation:
             )
             session.refresh()
             assert not any(
-                component.values
-                for shard in session.shards
-                for component in shard.topology.components()
+                component.values for component in session.topology.components()
             )
-            assert session._spec_base is None
             with MeasurementSession(constraints, database) as fresh:
                 assert session.measure_all(measures) == fresh.measure_all(
                     measures
@@ -531,7 +600,7 @@ class TestRefreshInvalidation:
 
 class TestMixedMeasureSpeculation:
     def test_mixed_list_keeps_component_fast_path(self, monkeypatch):
-        """Across shards, ``I_d`` is scored by deletion previews; only
+        """Across relations, ``I_d`` is scored by deletion previews; only
         ``I_R_upd`` reaches the whole-database helper."""
         schema = Schema.from_dict(
             {"T0": ["A", "B", "C"], "T1": ["A", "B", "C"]}
@@ -562,7 +631,6 @@ class TestMixedMeasureSpeculation:
         monkeypatch.setattr(session_module, "_whole_database_values", spy)
         deletions = [[DeleteOperation(0)], [DeleteOperation(2)]]
         with MeasurementSession(constraints, database) as session:
-            assert len(session.shards) == 2
             values = session.speculate(deletions[0], mixed)
             batch = session.speculate_batch(deletions, mixed)
             assert whole_lists == []
@@ -589,7 +657,8 @@ class TestMixedMeasureSpeculation:
         }
 
     def test_mixed_list_value_identity_randomized(self, case_rng):
-        """Auto == one group == copy-apply-rebuild for mixed measure lists."""
+        """Batched == one at a time == copy-apply-rebuild for mixed
+        measure lists."""
         rng = case_rng
         schema, constraints = _random_setup(rng)
         relations = schema.relation_names()
@@ -598,34 +667,23 @@ class TestMixedMeasureSpeculation:
             [_random_fact(rng, rng.choice(relations)) for _ in range(10)],
         )
         mixed = [make_measure(name) for name in ("I_MI", "I_d", "I_P", "I_MC")]
-        with _one_group(database, constraints) as single:
-            with MeasurementSession(constraints, database) as sharded:
-                for _ in range(3):
-                    candidates = _random_candidates(
-                        rng, database, relations, 2
-                    )
-                    single_batch = single.speculate_batch(candidates, mixed)
-                    assert (
-                        sharded.speculate_batch(candidates, mixed)
-                        == single_batch
-                    )
-                    for operations, values in zip(candidates, single_batch):
-                        assert sharded.speculate(operations, mixed) == values
-                        assert values == {
-                            measure.name: measure.value(
-                                constraints,
-                                apply_sequence(database, operations),
-                            )
-                            for measure in mixed
-                        }
-                    _random_mutation(rng, database, relations)
+        with MeasurementSession(constraints, database) as session:
+            for _ in range(3):
+                candidates = _random_candidates(rng, database, relations, 2)
+                batch = session.speculate_batch(candidates, mixed)
+                assert batch == _copy_values(
+                    constraints, database, candidates, mixed
+                )
+                for operations, values in zip(candidates, batch):
+                    assert session.speculate(operations, mixed) == values
+                _random_mutation(rng, database, relations)
 
 
-class TestStatsBackendMerge:
-    """Every shard owns a column store on the session's one backend, so
-    the merged report is that backend."""
+class TestStatsBackend:
+    """The session's one column store runs on the process's backend, and
+    stats() reports it."""
 
-    def test_agreeing_shards_report_the_backend(self):
+    def test_stats_report_the_backend(self):
         schema = Schema.from_dict({"R": ["A", "B", "C"], "S": ["A", "B", "C"]})
         database = Database.from_facts(
             schema,
@@ -636,7 +694,5 @@ class TestStatsBackendMerge:
             FunctionalDependency("S", {"A"}, {"B"}),
         ]
         session = MeasurementSession(constraints, database)
-        assert len(session.shards) == 2
-        backends = {shard._columns.backend for shard in session.shards}
-        assert len(backends) == 1
-        assert session.stats()["vector_backend"] == backends.pop()
+        assert session._columns.backend == columnar.VECTOR_BACKEND
+        assert session.stats()["vector_backend"] == columnar.VECTOR_BACKEND

@@ -160,16 +160,9 @@ def _random_instance(rng: random.Random, size: int):
     return schema, relations, spread, database, dcs
 
 
-def _stores(session: MeasurementSession) -> list:
-    """The witness stores in global lowered-DC order, across shards."""
-    return [
-        session.shards[number]._witnesses[local]
-        for number, local in session._routing
-    ]
-
-
 def _witness_sets(session: MeasurementSession) -> list[set[frozenset[int]]]:
-    return [set(store) for store in _stores(session)]
+    """The witness stores' contents in lowered-DC order."""
+    return [set(store) for store in session._witnesses]
 
 
 def _assert_identical(
@@ -179,8 +172,8 @@ def _assert_identical(
     assert reference.index().mi_sets == other.index().mi_sets
     assert _witness_sets(reference) == _witness_sets(other)
     assert [
-        [v.fact_ids for v in store.ordered()] for store in _stores(reference)
-    ] == [[v.fact_ids for v in store.ordered()] for store in _stores(other)]
+        [v.fact_ids for v in store.ordered()] for store in reference._witnesses
+    ] == [[v.fact_ids for v in store.ordered()] for store in other._witnesses]
 
 
 def other_backend(session: MeasurementSession) -> str:
@@ -209,7 +202,7 @@ def assert_matches_reference(session: MeasurementSession) -> None:
     with fresh_reference(session) as reference:
         _assert_identical(reference, session)
     database = session.database
-    for dc, store in zip(session.dcs, _stores(session)):
+    for dc, store in zip(session.dcs, session._witnesses):
         space = math.prod(
             len(database.relation_ids(relation)) for _, relation in dc.variables
         )
@@ -350,8 +343,8 @@ class TestDeltaEquivalence:
         session.close()
 
 
-class TestShardedAndWarmStart:
-    def test_sharded_stats_in_global_order(self, case_rng):
+class TestMultiRelationAndWarmStart:
+    def test_multi_relation_stats_in_global_order(self, case_rng):
         rng = case_rng
         relations = ["R0", "R1"]
         schema = _schema(relations)
@@ -365,13 +358,12 @@ class TestShardedAndWarmStart:
             FunctionalDependency("R1", {"A"}, {"C"}),
         ]
         session = make_session(constraints, database)
-        assert len(session.shards) == 2
         assert_matches_reference(session)
         stats = session.stats()
         assert "engine" not in stats
         backend = stats["vector_backend"]
         assert [s["backend"] for s in stats["constraints"]] == [backend, backend]
-        # Global lowered-DC order is preserved through the shard routing.
+        # The counters are reported in lowered-DC order.
         assert [s["constraint"] for s in stats["constraints"]] == [
             dc.name for dc in session.dcs
         ]

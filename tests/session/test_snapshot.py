@@ -1,6 +1,6 @@
 """Warm-start snapshots: round-trip bit-identity and fallback semantics.
 
-The anchor invariant is differential, in the style of the partition
+The anchor invariant is differential, in the style of the multi-relation
 conformance suite: a session restored from a snapshot of state S must be
 **bit-identical** — ``index()`` content, ``measure_all`` floats,
 ``speculate_batch`` scores — to a session built from scratch over S, and a
@@ -17,7 +17,7 @@ import pytest
 
 from repro.constraints import FunctionalDependency
 from repro.measures import TABLE2_MEASURES, make_measures
-from repro.relational import Database, Fact, Schema
+from repro.relational import Database, Fact
 from repro.session import (
     SNAPSHOT_VERSION,
     MeasurementSession,
@@ -28,10 +28,9 @@ from repro.session import (
     load_snapshot_bytes,
     save_snapshot,
 )
-from repro.testing.layout import one_group
 from repro.violations import build_violation_index
 
-from .test_sharding import (
+from .test_multi_relation import (
     _random_candidates,
     _random_mutation,
     _random_setup,
@@ -60,7 +59,7 @@ def _assert_sessions_identical(restored, control) -> None:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("case", [0, 1, 2])
-    def test_one_group_round_trip_bit_identical(self, case, case_rng):
+    def test_round_trip_bit_identical(self, case, case_rng):
         rng = case_rng
         schema, constraints = _random_setup(rng)
         relations = schema.relation_names()
@@ -75,7 +74,7 @@ class TestRoundTrip:
             ],
         )
         measures = make_measures(TABLE2_MEASURES)
-        with one_group(), MeasurementSession(constraints, database) as session:
+        with MeasurementSession(constraints, database) as session:
             for _ in range(10):
                 _random_mutation(rng, database, relations)
             session.measure_all(measures)
@@ -84,8 +83,7 @@ class TestRoundTrip:
             # into the captured state or the restored session.
             candidates = _random_candidates(rng, database, relations, 3)
             session.speculate_batch(candidates, measures)
-        with one_group():
-            restored = MeasurementSession(constraints, database, warm_start=snap)
+        restored = MeasurementSession(constraints, database, warm_start=snap)
         with restored, MeasurementSession(constraints, database) as control:
             assert restored.warm_started
             _assert_sessions_identical(restored, control)
@@ -105,7 +103,7 @@ class TestRoundTrip:
                 _assert_sessions_identical(restored, control)
 
     @pytest.mark.parametrize("case", [0, 1])
-    def test_sharded_round_trip_bit_identical(self, case, case_rng):
+    def test_round_trip_after_close_bit_identical(self, case, case_rng):
         rng = case_rng
         schema, constraints = _random_setup(rng)
         relations = schema.relation_names()
@@ -126,8 +124,7 @@ class TestRoundTrip:
             session.measure_all(measures)
             snap = _roundtrip(session.snapshot())
         restored = MeasurementSession(constraints, database, warm_start=snap)
-        with one_group():
-            control = MeasurementSession(constraints, database)
+        control = MeasurementSession(constraints, database)
         with restored, control:
             assert restored.warm_started
             _assert_sessions_identical(restored, control)
@@ -252,19 +249,17 @@ class TestFallback:
         bad_fingerprint = _roundtrip(good)
         bad_fingerprint.fingerprint = frozenset()
         bad_topology = _roundtrip(good)
-        bad_topology.shards[0].topology = {}
+        bad_topology.topology = {}
         bad_stores = _roundtrip(good)
-        bad_stores.shards[0].stores = [object()]
-        bad_shards = _roundtrip(good)
-        bad_shards.shards = [object()]
+        bad_stores.stores = [object()]
+        bad_cache = _roundtrip(good)
+        bad_cache.cache = [object()]
         bogus = SessionSnapshot(
             version=SNAPSHOT_VERSION,
             fingerprint=frozenset(),
             constraints=(),
-            relation_groups=[],
-            shards=[],
         )
-        for snap in (bad_fingerprint, bad_topology, bad_stores, bad_shards, bogus):
+        for snap in (bad_fingerprint, bad_topology, bad_stores, bad_cache, bogus):
             with MeasurementSession(
                 constraints, database, warm_start=snap
             ) as restored:
@@ -373,37 +368,31 @@ class TestFallback:
         ) as restored:
             assert restored.warm_started
 
-    def test_sharded_partition_mismatch_falls_back(self):
-        schema = Schema.from_dict(
-            {"T0": ["A", "B", "C"], "T1": ["A", "B", "C"]}
-        )
-        database = Database.from_facts(
-            schema,
-            [
-                Fact("T0", (1, "x", 0)),
-                Fact("T0", (1, "y", 0)),
-                Fact("T1", (2, "x", 0)),
-                Fact("T1", (2, "y", 0)),
-            ],
-        )
-        constraints = [
-            FunctionalDependency(relation, {"A"}, {"B"})
-            for relation in ("T0", "T1")
-        ]
+    def test_v3_snapshot_rejected_and_cold_builds(
+        self, tmp_path, simple_schema
+    ):
+        """Format 3 (one payload per relation shard) is refused: a file
+        raises SnapshotError on load, and a snapshot value still tagged 3
+        cold-builds instead of restoring."""
+        import hashlib
+        import pickle
+
+        database, constraints = self._setup(simple_schema)
         with MeasurementSession(constraints, database) as session:
-            assert session.relation_groups == [("T0",), ("T1",)]
-            snap = _roundtrip(session.snapshot())
-        # A snapshot recording another partition (a coarser one, or the
-        # same groups in another order): its per-shard payloads describe
-        # the wrong slices, so the restore must reject.
-        for groups in ([("T0", "T1")], [("T1",), ("T0",)]):
-            altered = dataclasses.replace(snap, relation_groups=groups)
-            with MeasurementSession(
-                constraints, database, warm_start=altered
-            ) as restored:
-                assert not restored.warm_started
-                full = build_violation_index(constraints, database)
-                assert restored.index().mi_sets == full.mi_sets
+            current = session.snapshot()
+        assert current.version == SNAPSHOT_VERSION == 4
+        body = pickle.dumps((3, current))
+        path = tmp_path / "state.snap"
+        path.write_bytes(b"REPRO-SNAPSHOT\n" + hashlib.sha256(body).digest() + body)
+        with pytest.raises(SnapshotError, match="version 3"):
+            load_snapshot(path)
+        stale = dataclasses.replace(current, version=3)
+        with MeasurementSession(
+            constraints, database, warm_start=stale
+        ) as restored:
+            assert not restored.warm_started
+            full = build_violation_index(constraints, database)
+            assert restored.index().mi_sets == full.mi_sets
 
     def test_v2_snapshot_file_rejected_and_cold_builds(
         self, tmp_path, simple_schema

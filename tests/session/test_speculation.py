@@ -13,7 +13,6 @@ Two randomized invariants anchor the subsystem:
 
 from __future__ import annotations
 
-import contextlib
 import importlib.util
 import random
 
@@ -32,7 +31,7 @@ from repro.repairs.operations import (
 from repro.repairs.system import subset_system, update_system
 from repro.repairs.tradeoff import score_operations
 from repro.session import MeasurementSession
-from repro.testing.layout import column_backend, one_group
+from repro.testing.layout import column_backend
 from repro.violations import build_violation_index
 from repro.violations.topology import ComponentTopology
 
@@ -88,19 +87,15 @@ def _domain_snapshot(database: Database) -> dict:
     }
 
 
-def _index_snapshot(session: MeasurementSession) -> list[dict]:
-    """Per shard: the column store's key groups (see :func:`shard_indexes`)."""
-    return [shard_indexes(shard) for shard in session.shards]
-
-
-def shard_indexes(shard) -> dict:
-    """One shard's key groups: each grouped column's ``value → fact ids``.
+def key_groups(session: MeasurementSession) -> dict:
+    """The column store's key groups: each grouped column's ``value → fact
+    ids``.
 
     The numpy store groups by dictionary code instead of value (codes are
     never recycled, so they survive a rollback).  A dead row left behind
     in a list-store group shows up as a ``None`` id.
     """
-    store = shard._columns
+    store = session._columns
     if store.backend == "list":
         return {
             (relation, attribute): {
@@ -124,14 +119,11 @@ def shard_indexes(shard) -> dict:
     return groups
 
 
-def _witness_snapshot(session: MeasurementSession) -> list[tuple]:
-    return [
-        (
-            [set(store) for store in shard._witnesses],
-            {key: set(entries) for key, entries in shard._touching.items()},
-        )
-        for shard in session.shards
-    ]
+def _witness_snapshot(session: MeasurementSession) -> tuple:
+    return (
+        [set(store) for store in session._witnesses],
+        {key: set(entries) for key, entries in session._touching.items()},
+    )
 
 
 class TestSpeculateEqualsCopyRebuild:
@@ -216,7 +208,7 @@ class TestSavepointRollback:
             facts_before = dict(database.items())
             next_id_before = database._next_id
             domains_before = _domain_snapshot(database)
-            indexes_before = _index_snapshot(session)
+            indexes_before = key_groups(session)
             (groups,) = indexes_before
             assert groups
             with session.savepoint():
@@ -227,7 +219,7 @@ class TestSavepointRollback:
             assert dict(database.items()) == facts_before
             assert database._next_id == next_id_before
             assert _domain_snapshot(database) == domains_before
-            assert _index_snapshot(session) == indexes_before
+            assert key_groups(session) == indexes_before
             after = _witness_snapshot(session)
             fresh = session.refresh()
             assert after == _witness_snapshot(session)
@@ -404,21 +396,21 @@ class TestSpeculateBatch:
             # {0, 1} dissolves that component, so nothing is ever re-solved.
             assert session.component_cache.misses == misses_before
 
-    def test_speculation_base_survives_no_op_flushes(self, schema):
-        """The memoized base is keyed on topology generation: a flush that
-        changes no witness must not recompute it."""
+    def test_components_survive_no_op_flushes(self, schema):
+        """The components list a batch reads is memoized per topology
+        generation: a flush that changes no witness must not recompute it."""
         database = Database.from_rows(
             schema, "R", [(1, "x", 0), (1, "y", 0), (5, "q", 9)]
         )
         constraints = _constraint_suites()["binary"][:1]
         with MeasurementSession(constraints, database) as session:
-            base = session._speculation_base()
+            base = session.topology.components()
             database.update(2, "C", 4)  # fact 2 binds no witness
             session.index()
-            assert session._speculation_base() is base
+            assert session.topology.components() is base
             database.update(0, "B", "z")  # retract + re-insert the conflict
             session.index()
-            assert session._speculation_base() is not base
+            assert session.topology.components() is not base
 
     def test_batch_repins_base_across_rounds(self, schema):
         """A batch's rollbacks restore the base; the next batch reuses it."""
@@ -429,9 +421,9 @@ class TestSpeculateBatch:
         measure = make_measure("I_MI")
         with MeasurementSession(constraints, database) as session:
             session.speculate_batch([[DeleteOperation(0)]], [measure])
-            base = session._spec_base
+            base = session.topology.components()
             session.speculate_batch([[DeleteOperation(2)]], [measure])
-            assert session._spec_base is base
+            assert session.topology.components() is base
 
 
 class TestComponentLocalizedDelta:
@@ -447,7 +439,7 @@ class TestComponentLocalizedDelta:
         measure = make_measure("I_R")
         with MeasurementSession(constraints, database) as session:
             assert session.measure(measure) == 2.0
-            topology = session.shards[0].topology
+            topology = session.topology
             assert topology.component_of(0) is topology.components()[0]
             misses_before = session.component_cache.misses
             assert session.speculate_value([DeleteOperation(0)], measure) == 1.0
@@ -468,7 +460,7 @@ class TestComponentLocalizedDelta:
         constraints = _constraint_suites()["binary"][:1]
         with MeasurementSession(constraints, database) as session:
             assert session.is_consistent() is False
-            topology = session.shards[0].topology
+            topology = session.topology
             components = topology.components()
 
             def affected(fact_ids):
@@ -486,10 +478,10 @@ class TestComponentLocalizedDelta:
 
 
 class TestMixedMeasureSplit:
-    def test_one_shard_mixed_list_keeps_component_fast_path(
+    def test_one_relation_mixed_list_keeps_component_fast_path(
         self, schema, monkeypatch
     ):
-        """On a one-shard session ``I_d`` rides the deletion previews with
+        """On a one-relation session ``I_d`` rides the deletion previews with
         the other component-wise measures; only ``I_R_upd`` reaches the
         whole-database helper, and its presence applies every candidate."""
         import repro.session.session as session_module
@@ -538,8 +530,7 @@ class TestMixedMeasureSplit:
 
 
 def _three_relation_setup(rng: random.Random) -> tuple[Database, list]:
-    """R and S each carry their own DCs (two shards under the derived
-    partition, one under ``one_group``); U is constrained by nothing."""
+    """R and S each carry their own DCs; U is constrained by nothing."""
     schema = Schema.from_dict(
         {relation: ["A", "B", "C"] for relation in ("R", "S", "U")}
     )
@@ -599,47 +590,39 @@ def _savepoint_candidates(rng: random.Random, database: Database) -> list[list]:
     ]
 
 
-def _purity_state(session: MeasurementSession) -> list[tuple]:
-    """Everything a deletion preview must leave alone, per shard (the
-    enumeration counters too: a preview must never re-enumerate)."""
-    return [
-        (
-            [stats.as_dict() for stats in shard._enum_stats],
-            shard_indexes(shard),
-            {key: set(entries) for key, entries in shard._touching.items()},
-            [set(store) for store in shard._witnesses],
-            shard.topology,
-            shard.topology.generation,
-            set(shard._dirty),
-        )
-        for shard in session.shards
-    ]
+def _purity_state(session: MeasurementSession) -> tuple:
+    """Everything a deletion preview must leave alone (the enumeration
+    counters too: a preview must never re-enumerate)."""
+    return (
+        [stats.as_dict() for stats in session._enum_stats],
+        key_groups(session),
+        {key: set(entries) for key, entries in session._touching.items()},
+        [set(store) for store in session._witnesses],
+        session.topology,
+        session.topology.generation,
+        set(session._dirty),
+    )
 
 
 class TestDeletionPreviews:
     """Deletion-only candidates are scored without being applied."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("grouping", ["derived", "one_group"])
-    @pytest.mark.parametrize("case", [0, 1])
-    def test_mixed_batch_identity_and_purity(
-        self, backend, grouping, case, case_rng
-    ):
+    @pytest.mark.parametrize("case", range(4))
+    def test_mixed_batch_identity_and_purity(self, backend, case, case_rng):
         rng = case_rng
         database, constraints = _three_relation_setup(rng)
         measures = [make_measure(name) for name in TABLE2_MEASURES]
         fast = [measure for measure in measures if measure.name != "I_d"]
-        layout = one_group() if grouping == "one_group" else contextlib.nullcontext()
-        with column_backend(backend), layout:
+        with column_backend(backend):
             session = MeasurementSession(constraints, database)
         with column_backend(backend), session:
-            assert len(session.shards) == (1 if grouping == "one_group" else 2)
             for _ in range(3):
                 problematic = set(session.problematic_facts())
                 deletions = _deletion_candidates(rng, database, problematic)
                 candidates = deletions + _savepoint_candidates(rng, database)
                 rng.shuffle(candidates)
-                base = session._speculation_base()
+                base = session.topology.components()
                 counts = dict(session.stats()["speculation"])
                 batch = session.speculate_batch(candidates, measures)
                 stats = session.stats()["speculation"]
@@ -672,9 +655,9 @@ class TestDeletionPreviews:
                 session.speculate_batch(deletions, fast)
                 database.unsubscribe(events.append)
                 assert events == []
-                # (Topologies compare by identity: the same objects.)
+                # (The topology compares by identity: the same object.)
                 assert _purity_state(session) == before
-                assert session._spec_base is base
+                assert session.topology.components() is base
                 assert dict(database.items()) == facts
                 for _ in range(rng.randint(1, 3)):
                     _random_mutation(rng, database)
@@ -705,7 +688,7 @@ class TestDeletionPreviews:
             session.speculate_batch(
                 [[DeleteOperation(0)], [DeleteOperation(2)]], [measure]
             )
-            assert inserted[0] in session.shards[0]._dirty
+            assert inserted[0] in session._dirty
             assert session.index().mi_sets == build_violation_index(
                 constraints, database
             ).mi_sets
@@ -744,15 +727,11 @@ class TestSpeculatePurity:
     """``speculate`` is a one-candidate batch: on a flushed session it
     commits nothing, whichever path its candidate takes."""
 
-    @pytest.mark.parametrize("grouping", ["derived", "one_group"])
     @pytest.mark.parametrize("kind", ["deletion", "update"])
-    def test_speculate_leaves_the_session_flushed(self, grouping, kind):
+    def test_speculate_leaves_the_session_flushed(self, session_backend, kind):
         database, constraints = _three_relation_setup(random.Random(3))
         measures = [make_measure(name) for name in ("I_MI", "I_P", "I_R")]
-        layout = one_group() if grouping == "one_group" else contextlib.nullcontext()
-        with layout:
-            session = MeasurementSession(constraints, database)
-        with session:
+        with MeasurementSession(constraints, database) as session:
             target = min(session.problematic_facts())
             if kind == "deletion":
                 operations = [DeleteOperation(target)]
@@ -760,18 +739,15 @@ class TestSpeculatePurity:
             else:
                 operations = [UpdateOperation(target, "B", "w")]
                 path = "savepoint_previews"
-            base = session._speculation_base()
-            topologies = [
-                (shard.topology, shard.topology.generation)
-                for shard in session.shards
-            ]
+            topology = session.topology
+            generation = topology.generation
+            base = topology.components()
             counts = dict(session.stats()["speculation"])
             values = session.speculate(operations, measures)
             assert session.pending_deltas == 0
-            for shard, (topology, generation) in zip(session.shards, topologies):
-                assert shard.topology is topology
-                assert shard.topology.generation == generation
-            assert session._speculation_base() is base
+            assert session.topology is topology
+            assert topology.generation == generation
+            assert topology.components() is base
             counts[path] += 1
             assert session.stats()["speculation"] == counts
             assert values == {
@@ -781,12 +757,13 @@ class TestSpeculatePurity:
                 for measure in measures
             }
 
-    @pytest.mark.parametrize("grouping", ["derived", "one_group"])
     @pytest.mark.parametrize(
         "whole, path",
         [("I_d", "deletion_previews"), ("I_R_upd", "savepoint_previews")],
     )
-    def test_mixed_batch_leaves_the_session_flushed(self, grouping, whole, path):
+    def test_mixed_batch_leaves_the_session_flushed(
+        self, session_backend, whole, path
+    ):
         """``I_d`` in a batch is scored by deletion previews; the
         whole-database ``I_R_upd`` reads the patched database inside each
         candidate's savepoint.  Neither commits a flush."""
@@ -810,29 +787,20 @@ class TestSpeculatePurity:
                 for relation in ("R", "S")
             ]
         measures = [make_measure("I_MI"), make_measure(whole)]
-        layout = one_group() if grouping == "one_group" else contextlib.nullcontext()
-        with layout:
-            session = MeasurementSession(constraints, database)
-        with session:
-            assert len(session.shards) == (1 if grouping == "one_group" else 2)
+        with MeasurementSession(constraints, database) as session:
             problematic = sorted(session.problematic_facts())
             candidates = [[DeleteOperation(i)] for i in problematic]
             candidates.append([DeleteOperation(i) for i in problematic[:2]])
-            base = session._speculation_base()
-            topologies = [
-                (shard.topology, shard.topology.generation)
-                for shard in session.shards
-            ]
+            topology = session.topology
+            generation = topology.generation
+            base = topology.components()
             counts = dict(session.stats()["speculation"])
             for _ in range(2):
                 batch = session.speculate_batch(candidates, measures)
                 assert session.pending_deltas == 0
-                for shard, (topology, generation) in zip(
-                    session.shards, topologies
-                ):
-                    assert shard.topology is topology
-                    assert shard.topology.generation == generation
-                assert session._spec_base is base
+                assert session.topology is topology
+                assert topology.generation == generation
+                assert topology.components() is base
                 counts[path] += len(candidates)
                 assert session.stats()["speculation"] == counts
             assert batch == [

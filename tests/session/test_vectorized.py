@@ -4,7 +4,7 @@ The vectorized column backend (:mod:`repro.session.vectorized`) is held to
 the same differential contract as the list backend: over randomized DC
 sets and interleaved histories, sessions running either store must
 maintain witness sets identical to a fresh cold build on the other
-backend — across cold builds, delta maintenance, speculation, sharding and
+backend — across cold builds, delta maintenance, speculation, multi-relation sessions and
 warm starts.  On top of the parity sweeps, targeted suites pin
 the hazards the dtype ladder and dictionary encoding introduce: None/NaN
 cells, bool columns, > 2**53 integers against floats, mixed str/int
@@ -141,7 +141,7 @@ class TestBackendParity:
             assert_matches_reference(session)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sharded(self, backend, case_rng):
+    def test_multi_relation(self, backend, case_rng):
         from repro.constraints import FunctionalDependency
 
         rng = case_rng
@@ -154,12 +154,12 @@ class TestBackendParity:
             FunctionalDependency("R0", {"A"}, {"B"}),
             FunctionalDependency("R1", {"A"}, {"C"}),
         ]
-        with column_backend(backend), make_session(constraints, database) as sharded:
-            assert_matches_reference(sharded)
-            assert sharded.stats()["vector_backend"] == backend
+        with column_backend(backend), make_session(constraints, database) as session:
+            assert_matches_reference(session)
+            assert session.stats()["vector_backend"] == backend
             for _ in range(15):
                 _mutate(rng, database, relations, 6)
-            assert_matches_reference(sharded)
+            assert_matches_reference(session)
 
     @pytest.mark.parametrize("snap_backend", BACKENDS)
     def test_warm_start_across_backends(self, snap_backend, case_rng):
@@ -599,7 +599,7 @@ class TestDictionaryAndCompaction:
         )
         with column_backend("numpy"), MeasurementSession([dc], database) as session:
             session.index()
-            store = session.shards[0]._columns
+            store = session._columns
             dictionary = store.column("R0", "A").dict_class
             before = dict(dictionary.codes)
             # Speculate updates that introduce brand-new join values, then
@@ -655,7 +655,7 @@ class TestDictionaryAndCompaction:
             # At least one compaction actually fired on the batch store:
             # the initial 60 slots can only shrink through _compact (rows
             # are tombstoned in place otherwise).
-            relation = batch.shards[0]._columns.relation("R0")
+            relation = batch._columns.relation("R0")
             slots = relation.n if backend == "numpy" else len(relation.ids)
             assert slots < 60
 
@@ -730,7 +730,7 @@ class TestBackendSelection:
         with pytest.raises(TypeError):
             MeasurementSession(dcs, database, vector_backend="list")
         with make_session(dcs, database, shards="auto") as session:
-            assert session.relation_groups == [("R",)]
+            assert type(session) is MeasurementSession
 
     def test_stats_surface_backend(self, case_rng):
         rng = case_rng

@@ -10,7 +10,6 @@ degraded values never poison the component caches.
 from __future__ import annotations
 
 import pickle
-from contextlib import nullcontext
 
 import pytest
 
@@ -44,7 +43,6 @@ from repro.solvers.anytime import (
     worst_status,
 )
 from repro.testing import faults
-from repro.testing.layout import one_group
 
 
 def _path_workload(n: int = 16, relations=("R",)):
@@ -67,14 +65,8 @@ def _path_workload(n: int = 16, relations=("R",)):
     return constraints, database
 
 
-#: Both session read paths over a two-relation workload: both relations
-#: in one group (one shard, no merge) and the derived partition (one
-#: shard per relation, k-way merge).
+#: A two-relation workload: one path-shaped component per relation.
 TWO_RELATIONS = ("R", "S")
-PARTITIONS = [
-    pytest.param(one_group, id="one-group"),
-    pytest.param(nullcontext, id="auto"),
-]
 
 
 class _FakeClock:
@@ -427,21 +419,17 @@ class TestSessionBudgets:
         assert status_of(value) == TIMEOUT
         assert value.lower <= exact <= value.upper
 
-    @pytest.mark.parametrize("partition", PARTITIONS)
-    def test_budget_semantics_on_both_read_paths(self, partition):
+    def test_budget_semantics_on_two_relations(self, session_backend):
         constraints, database = _path_workload(14, TWO_RELATIONS)
         mc = MaximalConsistentMeasure()
-        with partition():
-            session = make_session(constraints, database)
-        with session:
+        with make_session(constraints, database) as session:
             value = session.measure(mc, budget=0.0)
             # Degraded parts were never memoized: the unbudgeted re-read
             # re-solves exactly.
             again = session.measure(mc)
             assert not any(
                 isinstance(part, BoundedValue)
-                for shard in session.shards
-                for component in shard.topology.components()
+                for component in session.topology.components()
                 for part in component.values.values()
             )
         with MeasurementSession(constraints, database) as fresh:
@@ -451,16 +439,13 @@ class TestSessionBudgets:
         assert again == exact
         assert type(again) is float
 
-    @pytest.mark.parametrize("partition", PARTITIONS)
-    def test_budgeted_batch_never_leaks_degraded_parts(self, partition):
+    def test_budgeted_batch_never_leaks_degraded_parts(self, session_backend):
         from repro.repairs.operations import DeleteOperation
 
         constraints, database = _path_workload(14, TWO_RELATIONS)
         mc = MaximalConsistentMeasure()
         candidates = [[DeleteOperation(0)], [DeleteOperation(15)]]
-        with partition():
-            session = make_session(constraints, database)
-        with session:
+        with make_session(constraints, database) as session:
             degraded = session.speculate_batch(candidates, [mc], budget=0.0)
             exact = session.speculate_batch(candidates, [mc])
         with MeasurementSession(constraints, database) as fresh:
@@ -470,21 +455,14 @@ class TestSessionBudgets:
             type(values["I_MC"]) is float for values in exact
         )
 
-    @pytest.mark.parametrize("partition", PARTITIONS)
-    def test_component_values_keep_only_exact_parts(self, partition):
+    def test_component_values_keep_only_exact_parts(self, session_backend):
         """A budgeted read leaves the live components' values empty; the
         unbudgeted re-read stores the exact float on every component."""
         constraints, database = _path_workload(14, TWO_RELATIONS)
         mc = MaximalConsistentMeasure()
-        with partition():
-            session = make_session(constraints, database)
-        with session:
+        with make_session(constraints, database) as session:
             assert status_of(session.measure(mc, budget=0.0)) == TIMEOUT
-            components = [
-                component
-                for shard in session.shards
-                for component in shard.topology.components()
-            ]
+            components = list(session.topology.components())
             assert components
             assert all(mc not in component.values for component in components)
             session.measure(mc)

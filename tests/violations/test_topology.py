@@ -48,7 +48,7 @@ def _assert_matches_scratch(session: MeasurementSession, constraints, database):
         {(v.fact_ids, v.constraint.name) for v in c.per_constraint}
         for c in scratch
     ]
-    topology = session.shards[0].topology
+    topology = session.topology
     assert set(topology.problematic()) == full.problematic
     for component in topology.components():
         assert component.facts == set().union(*component.index.mi_sets)
@@ -142,12 +142,12 @@ class TestStructuralDeltas:
         )
         constraints = [FunctionalDependency("R", {"A"}, {"B"})]
         with MeasurementSession(constraints, database) as session:
-            before = session.shards[0].topology.components()
+            before = session.topology.components()
             assert len(before) == 2
             untouched = before[1]
             database.update(0, "B", "y2")  # perturbs component {0, 1} only
             session.index()
-            after = session.shards[0].topology.components()
+            after = session.topology.components()
             assert after[1] is untouched  # object identity ⇒ cached values ok
             assert after[0] is not before[0]
             _assert_matches_scratch(session, constraints, database)
@@ -161,13 +161,13 @@ class TestGenerationSemantics:
         constraints = [FunctionalDependency("R", {"A"}, {"B"})]
         with MeasurementSession(constraints, database) as session:
             session.index()
-            generation = session.shards[0].topology.generation
+            generation = session.topology.generation
             database.update(2, "C", 3)  # fact 2 binds no witness
             session.index()
-            assert session.shards[0].topology.generation == generation
+            assert session.topology.generation == generation
             database.update(0, "B", "z")  # retract + re-insert the conflict
             session.index()
-            assert session.shards[0].topology.generation > generation
+            assert session.topology.generation > generation
 
     def test_refresh_resets_the_topology(self, schema):
         database = Database.from_rows(schema, "R", [(1, "x", 5), (1, "y", 5)])
@@ -234,14 +234,13 @@ class TestPreviewDeletion:
         with MeasurementSession(constraints, database) as session:
             for _ in range(25):
                 session.index()
-                shard = session.shards[0]
-                topology = shard.topology
+                topology = session.topology
                 ids = database.ids()
                 facts = set(rng.sample(ids, rng.randint(1, 3)))
                 gone = {
                     witness
                     for fact in facts
-                    for _, witness in shard._touching.get(fact, ())
+                    for _, witness in session._touching.get(fact, ())
                 }
                 generation = topology.generation
                 minimized, region = topology.preview_deletion(facts)
