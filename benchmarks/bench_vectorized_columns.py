@@ -32,6 +32,7 @@ from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
 from repro.relational.database import ChangeEvent
 from repro.session import build_enumerators
+from repro.session.enumeration import group_by_relation
 from repro.testing.layout import column_backend
 
 from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
@@ -216,7 +217,7 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
     dirty = rng.sample(identifiers, min(DIRTY_BATCH, len(identifiers)))
     for identifier in dirty:
         database.update(identifier, dirty_attr, dirty_value())
-    dirty_set = set(dirty)
+    by_relation = group_by_relation(database, dirty)
     delta: dict[str, list] = {}
     delta_seconds: dict[str, float] = {}
     for leg, enumerators in legs.items():
@@ -224,7 +225,7 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
         for _ in range(DELTA_ROUNDS):
             delta[leg], seconds = _timed(
                 lambda enumerators=enumerators: [
-                    enumerator.delta(database, dirty_set)
+                    enumerator.delta(by_relation)
                     for enumerator in enumerators
                 ]
             )

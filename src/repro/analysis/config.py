@@ -129,18 +129,19 @@ PREVIEW_STOP_EDGES = frozenset(
 )
 
 #: Attribute names that constitute live derived state: the topology's
-#: maintained structures, the session's witness stores / reverse map /
-#: assembled-index cache, and the handle to the topology itself.  An
-#: assignment (or deletion) of one of these in preview-reachable code is a
-#: purity violation.  (``_dirty`` is deliberately absent: dropping a
-#: batch's own balanced marks after the last rollback is part of the
-#: batch contract, not derived state.)
+#: maintained structures, the session's witness stores and assembled-index
+#: cache, and the handle to the topology itself.  An assignment (or
+#: deletion) of one of these, or an item store into one
+#: (``self._tags[w] = ...``, ``del self._binding[f]``), in
+#: preview-reachable code is a purity violation.  (``_dirty`` is
+#: deliberately absent: dropping a batch's own balanced marks after the
+#: last rollback is part of the batch contract, not derived state.)
 PREVIEW_PROTECTED_ATTRS = frozenset(
     {
         # ComponentTopology maintained state
         "_tags",
         "_binding",
-        "_dominator",
+        "_minimal",
         "_components",
         "_component_of",
         "_ordered",
@@ -150,7 +151,6 @@ PREVIEW_PROTECTED_ATTRS = frozenset(
         "generation",
         # MeasurementSession derived state
         "_witnesses",
-        "_touching",
         "_cached",
         "topology",
     }

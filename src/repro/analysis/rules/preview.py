@@ -2,7 +2,7 @@
 
 Batched speculation's whole contract is that scoring a candidate set
 leaves the session's derived state untouched: candidates are previewed
-through ``ComponentTopology.preview`` (a read-only regional re-minimize)
+through ``ComponentTopology.preview`` (a read-only regional status pass)
 and the live topology, witness stores and assembled-index cache are never
 written — so the memoized base snapshot stays valid and the batch ends by
 *dropping* its balanced dirty marks instead of flushing.  One assignment
@@ -12,7 +12,9 @@ maintained state for every later read.
 The rule builds the intra-package call graph from the preview entry points
 (manifest: ``PREVIEW_ROOTS``) and flags any assignment/deletion of a
 protected attribute (``PREVIEW_PROTECTED_ATTRS`` — the topology's
-maintained structures, the session's stores and caches) in reachable code.
+maintained structures, the session's stores and caches) in reachable code,
+and any item store into one (a subscript target whose base is a protected
+attribute, in an assignment, augmented assignment or deletion).
 
 Call resolution is syntactic and deliberately conservative-but-bounded:
 
@@ -256,35 +258,30 @@ class PreviewPurityRule(Rule):
         reachable: dict[_FuncKey, _FuncKey | None],
     ) -> Iterable[Finding]:
         for node in ast.walk(info.node):
-            attrs: list[ast.Attribute] = []
-            if isinstance(node, ast.Assign):
-                attrs = [
-                    target
-                    for target in node.targets
-                    if isinstance(target, ast.Attribute)
-                ]
-            elif isinstance(node, ast.AugAssign) and isinstance(
-                node.target, ast.Attribute
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, ast.AugAssign) or (
+                isinstance(node, ast.AnnAssign) and node.value is not None
             ):
-                attrs = [node.target]
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Attribute
-            ):
-                if node.value is not None:
-                    attrs = [node.target]
-            elif isinstance(node, ast.Delete):
-                attrs = [
-                    target
-                    for target in node.targets
-                    if isinstance(target, ast.Attribute)
-                ]
-            for target in attrs:
-                if target.attr in self.protected:
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                # An item store (``self._tags[w] = ...``, ``x[k] += ...``,
+                # ``del self._binding[f]``) writes its base attribute.
+                kind = "write to"
+                while isinstance(target, ast.Subscript):
+                    kind = "item store into"
+                    target = target.value
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in self.protected
+                ):
                     mod, cls, func = info.key
                     yield info.module.finding(
                         self.name,
                         target,
-                        f"write to protected attribute '{target.attr}' in "
+                        f"{kind} protected attribute '{target.attr}' in "
                         f"'{qualname(cls, func)}', which is reachable from "
                         f"the read-only speculation preview "
                         f"({self._path(info.key, reachable)})",

@@ -9,7 +9,7 @@ handful of facts while ``MI_Σ(D)`` is dominated by unchanged witnesses.
 A session owns one maintained state over all its DCs — the witness
 stores, the column store their enumerators read and a live
 :class:`~repro.violations.topology.ComponentTopology` — so a flush
-re-minimizes and re-splits only the delta's affected region.  Change
+decides MI status locally and re-splits only the delta's affected region.  Change
 events on relations no DC mentions are dropped.  On that state the session
 serves measures and budgets, copy-free speculation (one read-only what-if
 engine, :meth:`~repro.session.session.MeasurementSession.speculate_batch`,

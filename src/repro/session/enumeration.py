@@ -637,8 +637,14 @@ def _trim(rows, candidate: tuple, fused: tuple):
 # ----------------------------------------------------------------------
 # The strategy objects
 # ----------------------------------------------------------------------
-def _by_relation(database: Database, dirty_ids: Iterable[int]) -> dict[str, list[int]]:
-    """The live dirty identifiers grouped by relation, in one pass."""
+def group_by_relation(
+    database: Database, dirty_ids: Iterable[int]
+) -> dict[str, list[int]]:
+    """The live dirty identifiers grouped by relation, in one pass.
+
+    Dead identifiers drop out.  A flush groups its dirty set once and hands
+    the grouping to every :meth:`WitnessEnumerator.delta` call.
+    """
     grouped: dict[str, list[int]] = {}
     lookup = database.get
     for identifier in dirty_ids:
@@ -675,6 +681,8 @@ class WitnessEnumerator:
         self.store = store
         self.stats = stats if stats is not None else EnumerationStats(store.backend)
         self.stats.backend = store.backend
+        #: The relations the DC binds: a delta over none of them is empty.
+        self.relations = frozenset(relation for _, relation in dc.variables)
         register_batch_columns(dc, store)
         # The vectorized kernels amortize per-run overhead across the whole
         # chunk, so they want much larger batches than the python-loop
@@ -729,19 +737,17 @@ class WitnessEnumerator:
             start += size
             size = min(2 * size, self.cold_chunk)
 
-    def delta(self, database: Database, dirty_ids: Iterable[int]) -> Witnesses:
+    def delta(self, by_relation: dict[str, list[int]]) -> Witnesses:
         """One set-based pass per pinned tuple variable, seeded by relation.
 
-        The dirty identifiers are grouped by relation **once**; each plan
-        is seeded with its pin relation's live dirty rows.  A call that
-        seeds no plan (no live dirty fact in any relation the DC binds)
-        runs nothing and is not counted in ``delta_runs``.
+        *by_relation* is the live dirty identifiers grouped by relation
+        (:func:`group_by_relation`); each plan is seeded with its pin
+        relation's dirty rows.  A call that seeds no plan (no dirty fact in
+        any relation the DC binds) runs nothing and is not counted in
+        ``delta_runs``.
         """
         store = self.store
-        by_relation = _by_relation(database, dirty_ids)
         found: Witnesses = set()
-        if not by_relation:
-            return found
         rows_cache: dict[str, list[int]] = {}
         seeded = []
         for plan in self._compiled():

@@ -1,6 +1,6 @@
 """Streaming ingest: coalesced batched flushes with backpressure.
 
-Every session flush pays one regional re-minimize/re-split per touched
+Every session flush pays one regional status pass and re-split per touched
 conflict component — so a stream of single mutations applied one at a
 time pays that price per *event*, even when most events hit the same hot
 facts.  :class:`IngestPipeline` sits between a mutation producer and a

@@ -9,17 +9,19 @@ the result under the database's change feed.
 
 A session owns one maintained state over every lowered DC: the per-DC
 witness enumerators and the column store they read, the per-DC witness
-stores with a reverse fact → ``(dc, witness)`` map, and a live
-:class:`~repro.violations.topology.ComponentTopology`.  A change event
+stores, and a live :class:`~repro.violations.topology.ComponentTopology`,
+which is also the one fact → ``(dc, witness)`` registry.  A change event
 marks its fact dirty (events on relations no DC mentions are dropped),
 and the next read
 
 1. retracts every stored witness that binds a dirty fact,
-2. re-enumerates, per lowered DC, only the witnesses touching the dirty
-   facts, and
-3. folds the witness delta into the topology, which locally re-minimizes
-   and re-splits only the affected region — the minimized family and the
-   conflict components are *maintained*, never rebuilt.
+2. groups the live dirty facts by relation once and re-enumerates, per
+   lowered DC binding one of those relations, only the witnesses touching
+   them, and
+3. folds the witness delta into the topology, which decides the MI status
+   of the delta's witnesses and their supersets locally and re-splits only
+   the affected region — the minimized family and the conflict components
+   are *maintained*, never rebuilt.
 
 A live component is immutable — a delta that touches it replaces it — so
 it carries its own exact measure values (``TopologyComponent.values``): a
@@ -76,7 +78,12 @@ from ..violations.topology import (
     split_minimized,
 )
 from .columnar import ColumnStore
-from .enumeration import WitnessEnumerator, build_enumerators, cold_build
+from .enumeration import (
+    WitnessEnumerator,
+    build_enumerators,
+    cold_build,
+    group_by_relation,
+)
 from .snapshot import (
     SNAPSHOT_VERSION,
     SessionSnapshot,
@@ -204,14 +211,13 @@ class MeasurementSession:
             relation for dc in self.dcs for _, relation in dc.variables
         )
         self.component_cache = ComponentValueCache()
-        # The witness stores (with the reverse fact → (dc, witness) map),
-        # the per-DC enumerators with their column store and the topology
-        # are all created by exactly one of _restore/_rebuild below.
+        # The witness stores, the per-DC enumerators with their column
+        # store and the topology are all created by exactly one of
+        # _restore/_rebuild below.
         self._enumerators: list[WitnessEnumerator]
         self._columns: ColumnStore
         self._enum_stats: list = [None] * len(self.dcs)
         self._witnesses: list[WitnessStore]
-        self._touching: dict[int, set[tuple[int, frozenset[int]]]]
         self.topology: ComponentTopology
         self._dirty: set[int] = set()
         # Set when taking in a change event raised: the maintained state
@@ -477,13 +483,6 @@ class MeasurementSession:
                 WitnessStore.restore(dc, keys)
                 for dc, keys in zip(self.dcs, snap.stores)
             ]
-            self._touching = {}
-            for dc_position, store in enumerate(self._witnesses):
-                for witness in store:
-                    for identifier in witness:
-                        self._touching.setdefault(identifier, set()).add(
-                            (dc_position, witness)
-                        )
             self.topology = ComponentTopology.restore(
                 self.dcs, self.database, snap.topology
             )
@@ -541,7 +540,7 @@ class MeasurementSession:
           re-enumeration;
         * anything else is applied under its own savepoint: its witness
           delta is enumerated against the patched database, the affected
-          region is re-minimized and re-split through a read-only
+          region's MI status is decided and re-split through a read-only
           :meth:`~repro.violations.topology.ComponentTopology.preview`,
           and the candidate is rolled back.  The apply/rollback dirty
           marks the batch itself produced are balanced by construction and
@@ -668,46 +667,47 @@ class MeasurementSession:
     def _flush(self) -> None:
         """Fold the pending dirty set into the stores and the topology.
 
-        Witnesses binding a dirty fact are retracted, the delta is
-        re-enumerated, and the net ``(dc, witness)`` delta is handed to the
-        topology, which re-minimizes and re-splits only the affected
-        region.  A flush that produces no witness delta leaves the
-        topology generation untouched.
+        Witnesses binding a dirty fact (read off the topology) are
+        retracted, the delta is re-enumerated, and the net ``(dc,
+        witness)`` delta is handed to the topology, which updates MI
+        status locally and re-splits only the affected region.  A flush
+        that produces no witness delta leaves the topology generation
+        untouched.
         """
         if self._degraded:
             self._rebuild()
         if not self._dirty:
             return
         dirty, self._dirty = self._dirty, set()
+        topology = self.topology
+        stores = self._witnesses
         retracted: list[tuple[int, frozenset[int]]] = []
         inserted: list[tuple[int, frozenset[int]]] = []
         for identifier in dirty:
-            for dc_position, witness in self._touching.pop(identifier, ()):
-                if self._witnesses[dc_position].discard(witness):
+            for dc_position, witness in topology.bound(identifier):
+                if stores[dc_position].discard(witness):
                     retracted.append((dc_position, witness))
-                for other in witness:
-                    if other != identifier:
-                        entry = self._touching.get(other)
-                        if entry is not None:
-                            entry.discard((dc_position, witness))
-                            if not entry:
-                                del self._touching[other]
-        live = {i for i in dirty if i in self.database}
-        if live:
-            for dc_position, enumerator in enumerate(self._enumerators):
-                for witness in enumerator.delta(self.database, live):
-                    if self._add_witness(dc_position, witness):
-                        inserted.append((dc_position, witness))
-        self.topology.apply(retracted, inserted)
+        for dc_position, witnesses in self._delta(dirty):
+            store = stores[dc_position]
+            for witness in witnesses:
+                if store.add(witness):
+                    inserted.append((dc_position, witness))
+        topology.apply(retracted, inserted)
 
-    def _add_witness(self, dc_position: int, witness: frozenset[int]) -> bool:
-        if not self._witnesses[dc_position].add(witness):
-            return False
-        for identifier in witness:
-            self._touching.setdefault(identifier, set()).add(
-                (dc_position, witness)
-            )
-        return True
+    def _delta(self, dirty: Iterable[int]) -> list[tuple[int, set]]:
+        """``(dc position, witnesses)`` touching the live *dirty* facts.
+
+        The facts are grouped by relation once; a DC that binds none of
+        their relations is not called.
+        """
+        by_relation = group_by_relation(self.database, dirty)
+        if not by_relation:
+            return []
+        return [
+            (dc_position, enumerator.delta(by_relation))
+            for dc_position, enumerator in enumerate(self._enumerators)
+            if not enumerator.relations.isdisjoint(by_relation)
+        ]
 
     def _rebuild(self) -> None:
         # The enumerators and their column store are recreated too: a
@@ -722,17 +722,17 @@ class MeasurementSession:
             enumerator.stats for enumerator in self._enumerators
         ]
         self._witnesses = [WitnessStore(dc) for dc in self.dcs]
-        self._touching = {}
         self._dirty.clear()
         self._degraded = False
         self._cached = None
-        self.topology = ComponentTopology(self.dcs, self.database)
-        inserted: list[tuple[int, frozenset[int]]] = []
-        for dc_position, family in enumerate(families):
+        tagged: list[tuple[int, frozenset[int]]] = []
+        for dc_position, (store, family) in enumerate(
+            zip(self._witnesses, families)
+        ):
             for witness in family:
-                if self._add_witness(dc_position, witness):
-                    inserted.append((dc_position, witness))
-        self.topology.apply([], inserted)
+                store.add(witness)
+                tagged.append((dc_position, witness))
+        self.topology = ComponentTopology(self.dcs, self.database, tagged)
 
     # ------------------------------------------------------------------
     # Reads over the live components
@@ -789,22 +789,16 @@ class MeasurementSession:
 
         Runs inside a candidate's savepoint: the database and the column
         store are patched, the stores and the topology still describe the
-        base.  The witness delta of *touched* — retract what binds them,
-        re-enumerate around the live ones — is handed to
+        base.  The witnesses re-enumerated around the live touched facts
+        are handed, with the touched facts themselves (the topology
+        retracts what binds them), to
         :meth:`~repro.violations.topology.ComponentTopology.preview`.  No
         live structure is written.
         """
-        database = self.database
-        gone: set[frozenset[int]] = set()
-        for fact in touched:
-            for _, witness in self._touching.get(fact, ()):
-                gone.add(witness)
-        live = {fact for fact in touched if fact in database}
         fresh: set[frozenset[int]] = set()
-        if live:
-            for enumerator in self._enumerators:
-                fresh.update(enumerator.delta(database, live))
-        return self.topology.preview(gone, fresh)
+        for _, witnesses in self._delta(touched):
+            fresh |= witnesses
+        return self.topology.preview(touched, fresh)
 
     def _preview_values(
         self,

@@ -7,8 +7,8 @@ all restart from one identical base state, yet every fresh
 from-scratch witness enumeration, minimization and component split before
 the first delta arrives.  A :class:`SessionSnapshot` captures everything
 that cost produced — the per-constraint witness stores' sorted pair views,
-the :class:`~repro.violations.topology.ComponentTopology` (minimized MI
-family, fact → component map, dominator oracle, generation) and the
+the :class:`~repro.violations.topology.ComponentTopology` (witness tag
+table, minimized MI family, generation) and the
 content-addressed per-component measure values currently live — so a later
 session over the same pair restores in time linear in the *state*, not in
 the join work that derived it (the preprocess-once, maintain-under-updates
@@ -59,8 +59,9 @@ FAULT_WRITE = "snapshot.write"
 #: rejects other versions outright — a stale format must fall back to a
 #: cold build, never be reinterpreted.  (2 added the payload digest; 3
 #: nested one payload per relation shard; 4 holds the session's one
-#: maintained state directly.)
-SNAPSHOT_VERSION = 4
+#: maintained state directly; 5 reduces the topology to its tag table and
+#: its flat MI family.)
+SNAPSHOT_VERSION = 5
 
 _MAGIC = b"REPRO-SNAPSHOT\n"
 

@@ -8,39 +8,37 @@ itself to a first-class, incrementally maintained object (in the spirit of
 dynamic query evaluation, where the maintained artifact is the query answer
 rather than its inputs):
 
-* the ⊆-minimized family ``MI_Σ(D)``, partitioned into its connected
-  components;
-* a per-fact → component map over the problematic facts;
-* per-component raw-witness attachment — the closure structure retraction
-  needs, because a raw witness spanning several components can become
-  minimal (and merge them) the moment the minimal subset dominating it is
-  retracted.
+* the present witnesses with the DCs producing them, and a fact → witness
+  map — the session's one fact → witness registry;
+* the ⊆-minimized family ``MI_Σ(D)`` as a set, partitioned into its
+  connected components;
+* a per-fact → component map over the problematic facts.
+
+**Status rules.**  A witness is in ``MI_Σ(D)`` exactly when no proper
+non-empty subset of it is a witness, so a delta can change the status only
+of its own witnesses and of their strict supersets.  :meth:`apply` decides
+it from that definition, with three local rules:
+
+1. a witness that appears is minimal when none of its proper subsets is
+   present — at most ``2^k − 2`` lookups, ``k`` the widest DC;
+2. a fresh minimal witness demotes the minimal strict supersets it has;
+3. a retracted minimal witness may promote the present strict supersets it
+   had, each re-checked by rule 1.  A superset that becomes minimal has
+   lost every minimal proper subset, so it is always found from one.
+
+Strict supersets are read off the fact → witness map of the witness's
+least-bound fact; a witness as wide as the widest DC has none.
 
 **Maintenance contract.**  :meth:`apply` receives the witness delta of one
 session flush — ``(dc position, witness)`` retractions and insertions — and
-rebuilds only the *affected region*: the components whose content the delta
-actually touches (components of changed witnesses' facts), expanded only
-when a witness genuinely becomes minimal across a component boundary (a
-true merge).  The region's raw family is re-minimized and re-split; every
-component outside the region keeps its object identity, and with it its
-memoized content key and its own per-measure values.
-
-**Retraction strategy.**  Union-find does not support deletion directly;
-retraction is handled by regional re-split.  A deletion may split a
-component, an insertion may merge several — either way the affected region
-is re-partitioned from its raw witnesses while the rest of the topology is
-untouched.  Keeping the region tight requires knowing *why* each dominated
-witness is non-minimal: the topology records, per witness, one minimal set
-dominating it.  A dominated witness attached to a region component whose
-recorded dominator lives in an untouched component is status-frozen — it
-is excluded from the regional re-minimization and does not drag its other
-components in (this is what stops hub-shaped self-inconsistent facts, which
-dominate pairs into many components, from chaining every rebuild into a
-full one).  When all of a witness's dominators are retracted at once, the
-re-minimization sees it become minimal with facts outside the region; the
-region is then expanded by those components and re-run — the loop converges
-because the region grows monotonically, and in the common case it never
-fires.
+rebuilds only the *affected region*: the components owning a fact of a
+delta witness (their per-constraint views change) plus the owners of the
+MI sets the rules added (a promoted set can reach across components and
+merge them).  The region's MI sets minus the removed ones plus the added
+ones are re-split; every component outside the region keeps its object
+identity, and with it its memoized content key and its own per-measure
+values.  :meth:`preview` runs the same rules read-only over an overlay of
+the delta.
 
 The result is bit-identical to minimizing and splitting from scratch; the
 randomized equivalence tests in ``tests/violations/test_topology.py`` pin
@@ -63,7 +61,6 @@ from .minimal import (
 )
 
 _BY_MINIMUM = attrgetter("minimum")
-_NO_WITNESSES: frozenset[frozenset[int]] = frozenset()
 
 
 def split_minimized(
@@ -94,8 +91,17 @@ def mi_sort_key(witness: frozenset[int]) -> tuple[int, tuple[int, ...]]:
     return (len(witness), tuple(sorted(witness)))
 
 
+def _proper_subsets(witness: frozenset[int]) -> list[frozenset[int]]:
+    """The ``2^k − 2`` proper non-empty subsets of a k-fact witness (none
+    of a single fact)."""
+    subsets = [frozenset()]
+    for fact in witness:
+        subsets += [subset | {fact} for subset in subsets]
+    return subsets[1:-1]
+
+
 class TopologyComponent:
-    """One live conflict component: its minimized family plus closure data.
+    """One live conflict component: its minimized family and member facts.
 
     Instances are immutable once published: a delta that touches a
     component replaces it with freshly built objects, so object identity is
@@ -104,18 +110,13 @@ class TopologyComponent:
     by ``id()`` instead of re-hashing content keys.
     """
 
-    __slots__ = (
-        "index", "facts", "raw", "minimum", "mi_pairs", "_cache_key", "values"
-    )
+    __slots__ = ("index", "facts", "minimum", "mi_pairs", "_cache_key", "values")
 
     def __init__(self) -> None:
         #: The component as a ``ViolationIndex`` (what measures consume).
         self.index = ViolationIndex()
         #: Problematic member facts (``∪`` of the component's MI sets).
         self.facts: set[int] = set()
-        #: Raw witnesses attached to this component (a witness spanning
-        #: several components is attached to each; used by region closure).
-        self.raw: set[frozenset[int]] = set()
         #: Smallest member fact — the ``components()`` ordering key.
         self.minimum = 0
         #: ``(sort key, MI set)`` pairs, sorted — feeds global assembly.
@@ -137,31 +138,45 @@ class ComponentTopology:
     :meth:`component_indexes` (the memoized component split) — at a cost
     proportional to the affected region plus cache reassembly.
 
+    Construction takes the cold ``(dc position, witness)`` family and
+    minimizes it once with ``_minimize``, the one-shot path's own function;
+    :meth:`restore` loads a captured state through the same loader.
+
     ``generation`` advances exactly when a flush changed some witness (or a
     bound fact's value forced a retract/re-insert pair); flushes that
     produce no witness delta leave it — and every derived cache — alone.
+    A non-empty cold family counts as the first such change.
     """
 
-    def __init__(self, dcs: Sequence[DenialConstraint], database: Database) -> None:
+    def __init__(
+        self,
+        dcs: Sequence[DenialConstraint],
+        database: Database,
+        tagged_witnesses: Iterable[tuple[int, frozenset[int]]] = (),
+    ) -> None:
         self.dcs = list(dcs)
         self.database = database
+        #: The widest DC's arity: a witness this wide has no strict superset.
+        self._widest = max((dc.width for dc in self.dcs), default=0)
         self.generation = 0
         # witness → positions of the DCs currently producing it.
         self._tags: dict[frozenset[int], set[int]] = {}
-        # fact → present witnesses binding it (attachment ground truth: a
-        # component freshly created next to *existing* dominated witnesses
-        # must adopt them, even though no region rebuild touched them).
+        # fact → present witnesses binding it.
         self._binding: dict[int, set[frozenset[int]]] = {}
-        # witness → one minimal set dominating it (itself when minimal).
-        # The region-boundary oracle: a witness whose recorded dominator
-        # lives outside the region cannot change status there.
-        self._dominator: dict[frozenset[int], frozenset[int]] = {}
+        # MI_Σ(D): the present witnesses with no present proper subset.
+        self._minimal: set[frozenset[int]] = set()
         self._components: set[TopologyComponent] = set()
         self._component_of: dict[int, TopologyComponent] = {}
         self._ordered: list[TopologyComponent] | None = []
         self._mi_pairs: list[tuple[tuple, frozenset[int]]] | None = []
         self._mi_cache: list[frozenset[int]] | None = []
         self._indexes: list[ViolationIndex] | None = []
+        tags: dict[frozenset[int], set[int]] = {}
+        for position, witness in tagged_witnesses:
+            tags.setdefault(witness, set()).add(position)
+        if tags:
+            self._load(tags, _minimize(tags.keys()))
+            self.generation = 1
 
     # ------------------------------------------------------------------
     # Read views
@@ -190,12 +205,12 @@ class ComponentTopology:
     def assemble_mi_pairs(self) -> list[tuple[tuple, frozenset[int]]]:
         """The globally sorted ``(sort key, MI set)`` pairs, maintained.
 
-        Each component's ``mi_pairs`` list is already sorted (``_minimize``
-        emits the regional family in key order and the component split
-        preserves it), so the global view is a k-way merge of the cached
-        per-component views — O(n log k) against the O(n log n) re-sort
-        this replaces.  Keys are unique (a key reconstructs its set), so
-        the merge never falls through to comparing the frozensets.
+        Each component's ``mi_pairs`` list is already sorted (the loader
+        and the regional re-split both split a key-sorted family, and the
+        split preserves order), so the global view is a k-way merge of the
+        cached per-component views — O(n log k) against the O(n log n)
+        re-sort this replaces.  Keys are unique (a key reconstructs its
+        set), so the merge never falls through to comparing the frozensets.
         """
         if self._mi_pairs is None:
             self._mi_pairs = list(
@@ -220,6 +235,15 @@ class ComponentTopology:
     def component_of(self, fact_id: int) -> TopologyComponent | None:
         return self._component_of.get(fact_id)
 
+    def bound(self, fact_id: int) -> list[tuple[int, frozenset[int]]]:
+        """The present ``(dc position, witness)`` pairs binding a fact."""
+        tags = self._tags
+        return [
+            (position, witness)
+            for witness in self._binding.get(fact_id, ())
+            for position in tags[witness]
+        ]
+
     def is_consistent(self) -> bool:
         return not self._components
 
@@ -243,11 +267,9 @@ class ComponentTopology:
     def capture(self) -> dict:
         """The maintained state as plain data — the warm-start payload.
 
-        Witnesses become sorted id tuples, components keep their ``mi_pairs``
-        order (already globally consistent: ``_minimize`` emits key order and
-        the split preserves it), and the dominator oracle and tag table are
-        captured verbatim.  Entry lists are sorted so equal topologies
-        produce byte-equal payloads regardless of dict insertion history.
+        Witnesses become sorted id tuples: the tag table as sorted entries
+        (so equal topologies produce byte-equal payloads regardless of dict
+        insertion history) and ``MI_Σ(D)`` in its global order.
         """
         return {
             "generation": self.generation,
@@ -255,19 +277,7 @@ class ComponentTopology:
                 (tuple(sorted(witness)), tuple(sorted(positions)))
                 for witness, positions in self._tags.items()
             ),
-            "dominator": sorted(
-                (tuple(sorted(witness)), tuple(sorted(ruler)))
-                for witness, ruler in self._dominator.items()
-            ),
-            "components": [
-                {
-                    "mi": [tuple(sorted(w)) for _, w in component.mi_pairs],
-                    "raw": sorted(
-                        tuple(sorted(w)) for w in component.raw
-                    ),
-                }
-                for component in self.components()
-            ],
+            "mi": [key[1] for key, _ in self.assemble_mi_pairs()],
         }
 
     @classmethod
@@ -279,39 +289,33 @@ class ComponentTopology:
     ) -> "ComponentTopology":
         """Rebuild a topology from a :meth:`capture` payload.
 
-        O(state) — no minimization, no union-find, no witness enumeration.
-        The caller is responsible for having verified the database
-        fingerprint first; the rebuilt object is bit-identical (components,
-        orders, generation, oracle) to the captured one.
+        O(state) — no minimization and no witness enumeration.  The caller
+        is responsible for having verified the database fingerprint first;
+        the rebuilt object is bit-identical (components, orders,
+        generation) to the captured one.
         """
         topology = cls(dcs, database)
+        topology._load(
+            {frozenset(ids): set(positions) for ids, positions in payload["tags"]},
+            [frozenset(ids) for ids in payload["mi"]],
+        )
         topology.generation = payload["generation"]
-        for ids, positions in payload["tags"]:
-            witness = frozenset(ids)
-            topology._tags[witness] = set(positions)
-            for fact in witness:
-                topology._binding.setdefault(fact, set()).add(witness)
-        for ids, ruler in payload["dominator"]:
-            topology._dominator[frozenset(ids)] = frozenset(ruler)
-        for entry in payload["components"]:
-            component = TopologyComponent()
-            mi = [frozenset(ids) for ids in entry["mi"]]
-            component.index.mi_sets = mi
-            component.mi_pairs = [(mi_sort_key(w), w) for w in mi]
-            facts: set[int] = set()
-            for witness in mi:
-                facts |= witness
-            component.facts = facts
-            component.minimum = min(facts)
-            component.raw = {frozenset(ids) for ids in entry["raw"]}
-            for fact in facts:
-                topology._component_of[fact] = component
-            topology._components.add(component)
-        topology._ordered = None
-        topology._mi_pairs = None
-        topology._mi_cache = None
-        topology._indexes = None
         return topology
+
+    def _load(
+        self,
+        tags: dict[frozenset[int], set[int]],
+        minimized: list[frozenset[int]],
+    ) -> None:
+        """Adopt a tag table and its ``MI_Σ(D)`` in global order."""
+        self._tags = tags
+        binding = self._binding
+        for witness in tags:
+            for fact in witness:
+                binding.setdefault(fact, set()).add(witness)
+        self._minimal = set(minimized)
+        self._split([(mi_sort_key(witness), witness) for witness in minimized])
+        self._invalidate()
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -330,93 +334,82 @@ class ComponentTopology:
         inserted = list(inserted)
         if not retracted and not inserted:
             return False
-        seeds: set[TopologyComponent] = set()
-        fresh: list[frozenset[int]] = []
+        tags = self._tags
+        binding = self._binding
+        touched: set[int] = set()
+        lost: set[frozenset[int]] = set()
+        fresh: set[frozenset[int]] = set()
         for position, witness in retracted:
-            tags = self._tags.get(witness)
-            if tags is not None:
-                tags.discard(position)
-                if not tags:
-                    del self._tags[witness]
-                    self._dominator.pop(witness, None)
+            touched |= witness
+            positions = tags.get(witness)
+            if positions is not None:
+                positions.discard(position)
+                if not positions:
+                    del tags[witness]
+                    lost.add(witness)
                     for fact in witness:
-                        bound = self._binding.get(fact)
-                        if bound is not None:
-                            bound.discard(witness)
-                            if not bound:
-                                del self._binding[fact]
-            for fact in witness:
-                component = self._component_of.get(fact)
-                if component is not None:
-                    seeds.add(component)
+                        bound = binding[fact]
+                        bound.discard(witness)
+                        if not bound:
+                            del binding[fact]
         for position, witness in inserted:
-            tags = self._tags.get(witness)
-            if tags is None:
-                self._tags[witness] = {position}
-                fresh.append(witness)
-                for fact in witness:
-                    self._binding.setdefault(fact, set()).add(witness)
+            touched |= witness
+            positions = tags.get(witness)
+            if positions is not None:
+                positions.add(position)
+                continue
+            tags[witness] = {position}
+            if witness in lost:
+                lost.discard(witness)  # re-found: present all along
             else:
-                tags.add(position)
+                fresh.add(witness)
             for fact in witness:
-                component = self._component_of.get(fact)
-                if component is not None:
-                    seeds.add(component)
-        family, minimized, region = self._regionize(
-            seeds, set(fresh), _NO_WITNESSES
-        )
-        self._record_dominators(family, minimized)
+                binding.setdefault(fact, set()).add(witness)
+        removed, added = self._status(lost, fresh, False)
+        self._minimal -= removed
+        self._minimal |= added
+        region, pairs = self._regional(touched, removed, added)
         self._retire(region)
-        self._split(minimized)
+        self._split(pairs)
         self.generation += 1
-        self._ordered = None
-        self._mi_pairs = None
-        self._mi_cache = None
-        self._indexes = None
+        self._invalidate()
         return True
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def preview(
-        self, gone: set[frozenset[int]], fresh: set[frozenset[int]]
+        self, dirty_facts: set[int], fresh: set[frozenset[int]]
     ) -> tuple[list[frozenset[int]], set[TopologyComponent]]:
         """Region + minimization of a hypothetical delta — **no mutation**.
 
-        *gone* are the witnesses the delta would retract, *fresh* the ones
-        it would insert (a re-found witness may appear in both: it stays
-        present).  Returns the regional minimized family and the set of
-        live components it replaces — exactly what :meth:`apply` would
-        build for the same delta, but the topology, its caches and the
-        dominator oracle are left untouched.  This is the batched-
-        speculation primitive: score a candidate from the preview, roll the
-        database back, and the base topology was never dirtied.
+        *dirty_facts* are the facts the delta touched: every present
+        witness binding one is lost.  *fresh* are the witnesses
+        re-enumerated around them (a re-found witness stays present).
+        The status rules run over that overlay of the base tags.  Returns
+        the regional minimized family in ``mi_sort_key`` order and the set
+        of live components it replaces: the owners of the dirty facts and
+        of the added MI sets — no other component changes its MI family or
+        its facts' values.  The topology, its caches and its MI set are
+        left untouched; this is the batched-speculation primitive: score a
+        candidate from the preview, roll the database back, and the base
+        topology was never dirtied.
         """
-        seeds: set[TopologyComponent] = set()
-        for witness in gone:
-            for fact in witness:
-                component = self._component_of.get(fact)
-                if component is not None:
-                    seeds.add(component)
-        for witness in fresh:
-            for fact in witness:
-                component = self._component_of.get(fact)
-                if component is not None:
-                    seeds.add(component)
-        _, minimized, region = self._regionize(seeds, fresh, gone)
-        return minimized, region
+        binding = self._binding
+        gone = set().union(*(binding.get(fact, ()) for fact in dirty_facts))
+        # A fresh witness binds a dirty fact, so a present one is in gone.
+        removed, added = self._status(gone - fresh, fresh - gone, True)
+        region, pairs = self._regional(dirty_facts, removed, added)
+        return [witness for _, witness in pairs], region
 
     def preview_deletion(
         self, facts: Iterable[int]
     ) -> tuple[list[frozenset[int]], set[TopologyComponent]]:
         """:meth:`preview` of deleting *facts* — a filter, **no mutation**.
 
-        Same contract as :meth:`preview`: returns the regional minimized
-        family in ``mi_sort_key`` order and the live components it
-        replaces.  The region is the components owning a deleted fact; the
-        family is their MI sets disjoint from *facts*.  No witness is
-        re-minimized, no region is closed and no dominator is read,
-        because ``MI_Σ(D − F) = {S ∈ MI_Σ(D) : S ∩ F = ∅}``:
+        Same contract and same answer as ``preview(facts, set())``: returns
+        the regional minimized family in ``mi_sort_key`` order and the live
+        components it replaces.  The region is the components owning a
+        deleted fact; the family is their MI sets disjoint from *facts*.
+        No status rule runs, because
+        ``MI_Σ(D − F) = {S ∈ MI_Σ(D) : S ∩ F = ∅}``:
 
         1. DCs are anti-monotone, and a witness's violation reads only its
            own facts.  So the witnesses of ``D − F`` are exactly the
@@ -449,83 +442,90 @@ class ComponentTopology:
             minimized.sort(key=mi_sort_key)
         return minimized, region
 
-    def _regionize(
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _status(
         self,
-        seeds: set[TopologyComponent],
+        lost: set[frozenset[int]],
         fresh: set[frozenset[int]],
-        excluded: set[frozenset[int]],
-    ) -> tuple[set[frozenset[int]], list[frozenset[int]], set[TopologyComponent]]:
-        """The regional family, its minimization, and the final region.
+        overlay: bool,
+    ) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
+        """The MI sets a delta removes and adds — the three status rules.
 
-        Starts from the seed components (those whose content the delta
-        touches) and re-minimizes their live witnesses, *excluding* every
-        dominated witness whose recorded dominator lives in an untouched
-        component — its status cannot change here, and including it would
-        chain its other components into the region for nothing.  If the
-        re-minimization promotes a witness whose facts reach outside the
-        region (all its dominators vanished at once — a true cross-boundary
-        merge), the region expands by those components and the pass re-runs;
-        growth is monotone over finitely many components, and in the common
-        case the first pass is final.
-
-        *fresh* witnesses are unconditionally part of the family;
-        *excluded* ones are skipped when collecting from component
-        attachments (:meth:`apply` has already updated the tag table, so it
-        passes none; :meth:`preview` passes the hypothetical retractions).
+        *lost* witnesses are no longer present, *fresh* ones newly are.
+        Without *overlay* (:meth:`apply`) the tag table already holds the
+        delta; with it (:meth:`preview`) the base tags are read as if
+        *lost* were gone and *fresh* present.  Reads only.
         """
-        tags = self._tags
-        dominator = self._dominator
-        component_of = self._component_of
-        region = set(seeds)
-        while True:
-            family: set[frozenset[int]] = set(fresh)
-            for component in region:
-                for witness in component.raw:
-                    if witness not in tags or witness in excluded:
-                        continue
-                    ruler = dominator.get(witness)
-                    if ruler is not None and ruler != witness:
-                        ruled_by = component_of.get(next(iter(ruler)))
-                        if ruled_by is not None and ruled_by not in region:
-                            continue  # status frozen by an untouched dominator
-                    family.add(witness)
-            minimized = _minimize(family)
-            expand: set[TopologyComponent] = set()
-            for group in minimized:
-                for fact in group:
-                    component = component_of.get(fact)
-                    if component is not None and component not in region:
-                        expand.add(component)
-            if not expand:
-                return family, minimized, region
-            region |= expand
+        hidden, shown = (lost, fresh) if overlay else ((), ())
+        minimal = self._minimal
+        retired = minimal & lost
+        added: set[frozenset[int]] = set()
+        if not fresh and not retired:
+            return retired, added
+        for witness in fresh:
+            if self._is_minimal(witness, hidden, shown):
+                added.add(witness)
+        removed = set(retired)
+        for witness in added:
+            removed |= minimal.intersection(self._supersets(witness, hidden, shown))
+        for witness in retired:
+            for other in self._supersets(witness, hidden, shown):
+                if other not in added and self._is_minimal(other, hidden, shown):
+                    added.add(other)
+        return removed, added
 
-    def _record_dominators(
-        self, family: set[frozenset[int]], minimized: list[frozenset[int]]
-    ) -> None:
-        """Refresh the dominator oracle for every re-evaluated witness."""
-        dominator = self._dominator
-        minimal = set(minimized)
-        singles = {
-            next(iter(group)) for group in minimized if len(group) == 1
-        }
-        for witness in family:
-            if witness in minimal:
-                dominator[witness] = witness
-                continue
-            ruler = None
-            if singles:
-                for fact in witness:
-                    if fact in singles:
-                        ruler = frozenset((fact,))
-                        break
-            if ruler is None:
-                # minimized is sorted narrowest-first; the first subset wins.
-                for group in minimized:
-                    if group <= witness:
-                        ruler = group
-                        break
-            dominator[witness] = ruler
+    def _is_minimal(self, witness: frozenset[int], hidden, shown) -> bool:
+        """No proper non-empty subset of *witness* is present."""
+        tags = self._tags
+        for subset in _proper_subsets(witness):
+            if (subset in tags and subset not in hidden) or subset in shown:
+                return False
+        return True
+
+    def _supersets(self, witness: frozenset[int], hidden, shown) -> list:
+        """The present strict supersets of *witness*, read off the
+        fact → witness map of its least-bound fact."""
+        if len(witness) >= self._widest:
+            return []
+        binding = self._binding
+        least = min((binding.get(fact, ()) for fact in witness), key=len)
+        found = [other for other in least if witness < other and other not in hidden]
+        found.extend(other for other in shown if witness < other)
+        return found
+
+    def _regional(
+        self,
+        facts: set[int],
+        removed: set[frozenset[int]],
+        added: set[frozenset[int]],
+    ) -> tuple[set[TopologyComponent], list[tuple[tuple, frozenset[int]]]]:
+        """The region — the owners of *facts* and of the added sets — and
+        its new ``(sort key, MI set)`` pairs in key order."""
+        component_of = self._component_of
+        region: set[TopologyComponent] = set()
+        for fact in facts.union(*added):
+            component = component_of.get(fact)
+            if component is not None:
+                region.add(component)
+        pairs = [
+            pair
+            for component in region
+            for pair in component.mi_pairs
+            if pair[1] not in removed
+        ]
+        if added:
+            pairs.extend((mi_sort_key(witness), witness) for witness in added)
+        if added or len(region) > 1:
+            pairs.sort()
+        return region, pairs
+
+    def _invalidate(self) -> None:
+        self._ordered = None
+        self._mi_pairs = None
+        self._mi_cache = None
+        self._indexes = None
 
     def _retire(self, region: set[TopologyComponent]) -> None:
         for component in region:
@@ -534,42 +534,39 @@ class ComponentTopology:
                     del self._component_of[fact]
             self._components.discard(component)
 
-    def _split(self, minimized: list[frozenset[int]]) -> None:
-        """Register the connected components of a minimized regional family."""
-        binding = self._binding
-        for facts, grouped in _connected_groups(minimized):
+    def _split(self, pairs: list[tuple[tuple, frozenset[int]]]) -> None:
+        """Register the connected components of key-sorted MI pairs."""
+        if not pairs:
+            return
+        key_of = {witness: key for key, witness in pairs}
+        for facts, grouped in _connected_groups(list(key_of)):
             component = TopologyComponent()
             component.index.mi_sets = grouped
-            component.mi_pairs = [
-                (mi_sort_key(group), group) for group in grouped
-            ]
+            component.mi_pairs = [(key_of[group], group) for group in grouped]
             component.facts = facts
             component.minimum = min(facts)
             for fact in facts:
                 self._component_of[fact] = component
             self._components.add(component)
-            # Attach every *present* witness intersecting the component —
-            # from the binding map, not the regional family: a component
-            # born next to long-existing dominated witnesses (their own
-            # dominators live elsewhere) must adopt them too, or later
-            # region closures and per-constraint views would miss them.
-            raw = component.raw
-            for fact in facts:
-                raw.update(binding.get(fact, ()))
 
     def _filled_index(self, component: TopologyComponent) -> ViolationIndex:
         """The component's index with its per-constraint list populated.
 
-        Entry order is deterministic (DC-major, then witness fact order) and
-        set-equal to the from-scratch split; consumers treat the list as a
-        set, exactly as with the session-assembled full index.
+        The list holds every present witness binding a member fact: any
+        delta witness touching those facts replaces the component, so the
+        fact → witness map still describes it.  Entry order is
+        deterministic (DC-major, then witness fact order) and set-equal to
+        the from-scratch split; consumers treat the list as a set, exactly
+        as with the session-assembled full index.
         """
         index = component.index
-        if not index.per_constraint and component.raw:
+        if not index.per_constraint:
+            binding = self._binding
+            witnesses = set().union(*(binding[fact] for fact in component.facts))
             entries = sorted(
                 (position, tuple(sorted(witness)), witness)
-                for witness in component.raw
-                for position in self._tags.get(witness, ())
+                for witness in witnesses
+                for position in self._tags[witness]
             )
             index.per_constraint = [
                 MinimalViolation(witness, self.dcs[position])

@@ -90,6 +90,26 @@ class TestDirectWrites:
         )
         assert len(findings_of(rule(), module)) == 2
 
+    def test_item_stores_into_protected_attributes_fire(self):
+        module = make_module(
+            SESSION,
+            """
+            class MeasurementSession:
+                def speculate_batch(self, deltas):
+                    self._witnesses[0] = None
+                    self.topology._tags[deltas] = set()
+                    self._cached[0][1] += 1
+                    del self.topology._binding[deltas]
+                    self._scratch[0] = None  # unprotected: clean
+            """,
+        )
+        findings = findings_of(rule(), module)
+        assert len(findings) == 4
+        assert all("item store into" in f.message for f in findings)
+        assert {"_witnesses", "_tags", "_cached", "_binding"} == {
+            f.message.split("'")[1] for f in findings
+        }
+
 
 class TestCallResolution:
     def test_stop_edge_not_descended(self):

@@ -9,8 +9,8 @@ coalescing rules (insert→update→delete nets out, last-writer-wins
 images, identifier reuse), the bounded-buffer backpressure contract, the
 read-staleness/watermark contract with generation-tagged reads, the
 flush-residue audit (a coalesced insert+delete leaves nothing behind in
-``_touching``, the column store's key groups or the equality-index
-buckets) and generation stability (a
+the topology's fact → witness map, the column store's key groups or the
+equality-index buckets) and generation stability (a
 net-empty flush advances nothing and keeps the live components).
 """
 
@@ -376,7 +376,7 @@ class TestFlushResidue:
         assert pipe.submit("delete", identifier) is True
         pipe.flush()
         session.index()
-        assert identifier not in session._touching
+        assert identifier not in session.topology._binding
         _assert_unindexed(session, identifier)
         for store in session._witnesses:
             for violation in store.ordered():
@@ -395,7 +395,7 @@ class TestFlushResidue:
         database.delete(identifier)
         session.index()
         assert ("R", "A") in key_groups(session)  # the equality join's group
-        assert identifier not in session._touching
+        assert identifier not in session.topology._binding
         _assert_unindexed(session, identifier)
         assert session.topology.generation == generation
         assert_matches_reference(session)
@@ -407,13 +407,14 @@ class TestFlushResidue:
         a = database.insert(Fact("R", ("k", "v1")))
         b = database.insert(Fact("R", ("k", "v2")))  # conflicts with a
         session.index()
-        assert a in session._touching and b in session._touching
+        assert a in session.topology._binding
+        assert b in session.topology._binding
         assert pipe.submit("update", b, "B", "v3") is True
         assert pipe.submit("delete", b) is True
         pipe.flush()
         session.index()
-        assert b not in session._touching
-        assert a not in session._touching  # its only witness retracted
+        assert b not in session.topology._binding
+        assert a not in session.topology._binding  # its only witness retracted
         _assert_unindexed(session, b)
         with fresh_reference(session) as fresh:
             expected = fresh.index().mi_sets

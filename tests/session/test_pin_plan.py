@@ -22,7 +22,7 @@ from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.measures import make_measure
 from repro.relational import Database, Fact, Schema
 from repro.session import build_enumerators, make_session
-from repro.session.enumeration import plan_pin
+from repro.session.enumeration import group_by_relation, plan_pin
 from repro.testing.layout import column_backend
 from repro.violations import build_violation_index
 
@@ -177,7 +177,8 @@ def test_any_join_order_yields_the_same_witnesses(
         for witness in brute_force_witnesses(dc, database)
         if witness & set(identifiers[::2])
     }
-    assert enumerator.delta(database, identifiers[::2]) == expected
+    by_relation = group_by_relation(database, identifiers[::2])
+    assert enumerator.delta(by_relation) == expected
 
 
 def _id_attribute_instance():

@@ -371,28 +371,32 @@ class TestFallback:
     def test_v3_snapshot_rejected_and_cold_builds(
         self, tmp_path, simple_schema
     ):
-        """Format 3 (one payload per relation shard) is refused: a file
-        raises SnapshotError on load, and a snapshot value still tagged 3
-        cold-builds instead of restoring."""
+        """Formats 3 (one payload per relation shard) and 4 (a topology
+        with a dominator oracle and per-component raw sets) are refused: a
+        file raises SnapshotError on load, and a snapshot value still
+        tagged with the old version cold-builds instead of restoring."""
         import hashlib
         import pickle
 
         database, constraints = self._setup(simple_schema)
         with MeasurementSession(constraints, database) as session:
             current = session.snapshot()
-        assert current.version == SNAPSHOT_VERSION == 4
-        body = pickle.dumps((3, current))
-        path = tmp_path / "state.snap"
-        path.write_bytes(b"REPRO-SNAPSHOT\n" + hashlib.sha256(body).digest() + body)
-        with pytest.raises(SnapshotError, match="version 3"):
-            load_snapshot(path)
-        stale = dataclasses.replace(current, version=3)
-        with MeasurementSession(
-            constraints, database, warm_start=stale
-        ) as restored:
-            assert not restored.warm_started
-            full = build_violation_index(constraints, database)
-            assert restored.index().mi_sets == full.mi_sets
+        assert current.version == SNAPSHOT_VERSION == 5
+        for old_version in (3, 4):
+            body = pickle.dumps((old_version, current))
+            path = tmp_path / f"state{old_version}.snap"
+            path.write_bytes(
+                b"REPRO-SNAPSHOT\n" + hashlib.sha256(body).digest() + body
+            )
+            with pytest.raises(SnapshotError, match=f"version {old_version}"):
+                load_snapshot(path)
+            stale = dataclasses.replace(current, version=old_version)
+            with MeasurementSession(
+                constraints, database, warm_start=stale
+            ) as restored:
+                assert not restored.warm_started
+                full = build_violation_index(constraints, database)
+                assert restored.index().mi_sets == full.mi_sets
 
     def test_v2_snapshot_file_rejected_and_cold_builds(
         self, tmp_path, simple_schema

@@ -122,7 +122,10 @@ def key_groups(session: MeasurementSession) -> dict:
 def _witness_snapshot(session: MeasurementSession) -> tuple:
     return (
         [set(store) for store in session._witnesses],
-        {key: set(entries) for key, entries in session._touching.items()},
+        {
+            key: set(entries)
+            for key, entries in session.topology._binding.items()
+        },
     )
 
 
@@ -596,7 +599,10 @@ def _purity_state(session: MeasurementSession) -> tuple:
     return (
         [stats.as_dict() for stats in session._enum_stats],
         key_groups(session),
-        {key: set(entries) for key, entries in session._touching.items()},
+        {
+            key: set(entries)
+            for key, entries in session.topology._binding.items()
+        },
         [set(store) for store in session._witnesses],
         session.topology,
         session.topology.generation,

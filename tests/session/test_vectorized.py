@@ -31,6 +31,7 @@ from repro.session import (
     make_session,
 )
 from repro.session.columnar import ColumnStore, _detect_backend
+from repro.session.enumeration import group_by_relation
 from repro.testing.layout import column_backend
 
 from .test_setbased import (
@@ -558,7 +559,8 @@ class TestBulkLoad:
             assert _store_state(bulk) == _store_state(evented)
             for left, right in zip(bulk_enumerators, event_enumerators):
                 assert left.cold(database) == right.cold(database)
-                assert left.delta(database, dirty) == right.delta(database, dirty)
+                by_relation = group_by_relation(database, dirty)
+                assert left.delta(by_relation) == right.delta(by_relation)
             dirty.clear()
 
     @needs_numpy

@@ -25,6 +25,7 @@ from repro.constraints.base import ComparisonOp
 from repro.constraints.dc import DenialConstraint, Predicate, Term
 from repro.relational import Database, Fact, Schema
 from repro.session import WitnessEnumerator, build_enumerators
+from repro.session.enumeration import group_by_relation
 from repro.testing.layout import column_backend
 
 from ..oracle import (
@@ -325,7 +326,7 @@ class TestBatchConformance:
         expected = {witness for witness in everything if witness & dirty}
         # An identifier outside the database (a deleted fact) is skipped.
         found = _enumerator(dc, database, backend).delta(
-            database, dirty | {10_000}
+            group_by_relation(database, dirty | {10_000})
         )
         assert found == expected
 
@@ -344,7 +345,8 @@ class TestBatchConformance:
         enumerator = _enumerator(dc, database, backend)
         assert enumerator.cold(database) == expected
         everything = set(database.ids())
-        assert enumerator.delta(database, everything) == expected
+        by_relation = group_by_relation(database, everything)
+        assert enumerator.delta(by_relation) == expected
 
     def test_shared_nan_object_joins_nothing(self, backend):
         """One NaN object in two facts would share a dict bucket by
@@ -361,4 +363,5 @@ class TestBatchConformance:
         assert brute_force_witnesses(dc, database) == set()
         enumerator = _enumerator(dc, database, backend)
         assert enumerator.cold(database) == set()
-        assert enumerator.delta(database, {0, 1}) == set()
+        by_relation = group_by_relation(database, {0, 1})
+        assert enumerator.delta(by_relation) == set()

@@ -15,7 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.constraints import FunctionalDependency, parse_dc
+from repro.measures import make_measure
 from repro.relational import Database, Fact, Schema
+from repro.repairs.operations import UpdateOperation
 from repro.session import MeasurementSession
 from repro.violations import build_violation_index
 from repro.violations.topology import split_minimized
@@ -152,6 +154,117 @@ class TestStructuralDeltas:
             assert after[0] is not before[0]
             _assert_matches_scratch(session, constraints, database)
 
+    # ------------------------------------------------------------------
+    # The three status rules, each previewed and then committed.
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _status_constraints():
+        """A pair DC inside the width-3 ``wide3`` DC: a same-B pair
+        ``{x, y}`` dominates every wide3 witness holding both."""
+        return [
+            parse_dc(
+                "not(t.A = t2.A, t.B = t2.B, t.C > t2.C)", "R", name="same_b"
+            ),
+            _constraint_suites()["wide"][1],
+        ]
+
+    @staticmethod
+    def _update(session, constraints, database, identifier, attribute, value):
+        """Score the update through the read-only preview, commit it, and
+        check the preview, the live topology and the untouched last
+        component against the committed state and a scratch split."""
+        measures = [make_measure("I_MI"), make_measure("I_P")]
+        untouched = session.topology.components()[-1]
+        previewed = session.speculate(
+            [UpdateOperation(identifier, attribute, value)], measures
+        )
+        database.update(identifier, attribute, value)
+        assert previewed == {
+            measure.name: measure.value(constraints, database)
+            for measure in measures
+        }
+        _assert_matches_scratch(session, constraints, database)
+        assert session.topology.components()[-1] is untouched
+
+    def test_fresh_pair_demotes_minimal_wide_witness(self, schema):
+        database = Database.from_rows(
+            schema,
+            "R",
+            [
+                (1, "p", 3), (1, "q", 2), (1, "r", 1),  # wide3 {0, 1, 2}
+                (5, "s", 3), (5, "t", 2), (5, "u", 1),  # wide3 {3, 4, 5}
+            ],
+        )
+        constraints = self._status_constraints()
+        with MeasurementSession(constraints, database) as session:
+            assert session.index().mi_sets == [
+                frozenset({0, 1, 2}), frozenset({3, 4, 5})
+            ]
+            # f1 takes f0's B: the fresh pair {0, 1} demotes {0, 1, 2}.
+            self._update(session, constraints, database, 1, "B", "p")
+            assert [c.problematic for c in session.index().components()] == [
+                {0, 1},
+                {3, 4, 5},
+            ]
+
+    def test_broken_pair_promotes_wide_witness_across_components(self, schema):
+        database = Database.from_rows(
+            schema,
+            "R",
+            [
+                (1, "p", 3), (1, "p", 2),  # pair {0, 1}
+                (1, "r", 1), (1, "r", 0),  # pair {2, 3}
+                (7, "s", 3), (7, "s", 2),  # pair {4, 5}
+            ],
+        )
+        constraints = self._status_constraints()
+        with MeasurementSession(constraints, database) as session:
+            assert [c.problematic for c in session.index().components()] == [
+                {0, 1},
+                {2, 3},
+                {4, 5},
+            ]
+            # Breaking {0, 1} promotes the wide3 witnesses {0, 1, 2} and
+            # {0, 1, 3}, whose third fact lies in the {2, 3} component.
+            self._update(session, constraints, database, 1, "B", "q")
+            index = session.index()
+            assert frozenset({0, 1, 2}) in index.mi_sets
+            assert [c.problematic for c in index.components()] == [
+                {0, 1, 2, 3},
+                {4, 5},
+            ]
+
+    def test_fixed_hub_promotes_pairs_into_several_components(self, schema):
+        database = Database.from_rows(
+            schema,
+            "R",
+            [
+                (9, "bad", 0),  # f0: the self-inconsistent hub
+                (9, "a", 50), (2, "c", 50),  # {1, 2}; {0, 1} under A → B
+                (0, "b", 0), (0, "d", 7),  # {3, 4}; {0, 3} under C → B
+                (20, "u", 30), (20, "v", 31),  # {5, 6}
+            ],
+        )
+        constraints = [
+            FunctionalDependency("R", {"A"}, {"B"}),
+            FunctionalDependency("R", {"C"}, {"B"}),
+            parse_dc("not(t.B = 'bad')", "R", name="bad_b"),
+        ]
+        with MeasurementSession(constraints, database) as session:
+            assert [c.problematic for c in session.index().components()] == [
+                {0},
+                {1, 2},
+                {3, 4},
+                {5, 6},
+            ]
+            # Fixing the hub retires {0} and promotes the pairs it
+            # dominated, which merge its neighbours' components.
+            self._update(session, constraints, database, 0, "B", "ok")
+            assert [c.problematic for c in session.index().components()] == [
+                {0, 1, 2, 3, 4},
+                {5, 6},
+            ]
+
 
 class TestGenerationSemantics:
     def test_no_witness_delta_keeps_generation(self, schema):
@@ -196,7 +309,7 @@ def _previewed_components(topology, minimized, region) -> list[list]:
 
 
 class TestPreviewDeletion:
-    """``preview_deletion(F)`` is ``preview(gone_F, ∅)`` without the work."""
+    """``preview_deletion(F)`` is ``preview(F, ∅)`` without the work."""
 
     @staticmethod
     def _suites():
@@ -237,28 +350,14 @@ class TestPreviewDeletion:
                 topology = session.topology
                 ids = database.ids()
                 facts = set(rng.sample(ids, rng.randint(1, 3)))
-                gone = {
-                    witness
-                    for fact in facts
-                    for _, witness in session._touching.get(fact, ())
-                }
                 generation = topology.generation
                 minimized, region = topology.preview_deletion(facts)
-                full_minimized, full_region = topology.preview(gone, set())
+                # The filter is the full preview of the deletion exactly:
+                # same family, same order, same region.
+                assert topology.preview(facts, set()) == (minimized, region)
                 assert topology.generation == generation
-                # The full preview also seeds the components of non-minimal
-                # witnesses through F; those keep their content, so the
-                # fast region is a subset and the families agree on it.
-                assert region <= full_region
-                owned = set().union(*(c.facts for c in region))
-                assert minimized == [
-                    witness for witness in full_minimized if witness <= owned
-                ]
                 assert all(facts.isdisjoint(witness) for witness in minimized)
                 split = _previewed_components(topology, minimized, region)
-                assert split == _previewed_components(
-                    topology, full_minimized, full_region
-                )
                 scratch = build_violation_index(
                     constraints, database.subset(set(ids) - facts)
                 )
