@@ -16,7 +16,15 @@ importable the sweep runs the list leg alone, checks its delta against a
 fresh list cold build restricted to the dirty facts, and skips the speedup
 bars.  The acceptance bars — numpy ≥5× cold and ≥3× delta over
 the *list-backed batch* path — are enforced at ≥500k facts and full scale
-only.  Results land in ``BENCH_vectorized.json``.
+only.  The 1000-row dirty batch lies above ``SCALAR_DELTA_ROWS``, so that
+leg runs the numpy kernels.
+
+A second leg, the **crossover sweep**, measures the constant behind the
+numpy store's scalar delta path: on one numpy store per workload it
+re-enumerates k ∈ ``K_SWEEP`` dirty facts with the scalar kernels (the
+list kernels over the store's python mirrors) and with the batch (numpy)
+kernels, asserting both return the same witnesses at every k.  Results
+land in ``BENCH_vectorized.json`` (``sweep`` and ``k_sweep``).
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ from repro.testing.layout import column_backend
 from _common import RESULTS_DIR, banner, full_scale, save_artifact, scaled
 
 HAS_NUMPY = importlib.util.find_spec("numpy") is not None
+if HAS_NUMPY:
+    from repro.session import vectorized
 
 SIZES = (100_000, 500_000, 1_000_000)
 #: Facts updated per dirty batch before each delta re-enumeration.
@@ -54,6 +64,13 @@ NOISE = 0.05
 MIN_COLD_SPEEDUP = 5.0 if full_scale() else 0.0
 MIN_DELTA_SPEEDUP = 3.0 if full_scale() else 0.0
 ENFORCE_AT = 500_000
+#: Dirty facts per delta in the crossover sweep.
+K_SWEEP = (1, 4, 16, 64, 256, 1000)
+#: Facts in the crossover sweep's store.
+K_SWEEP_FACTS = 100_000
+#: The scalar path's bar (full scale only): faster than the batch kernels
+#: on a one-fact delta, the stream's common case.
+MIN_SCALAR_SPEEDUP_AT_1 = 1.0 if full_scale() else 0.0
 
 
 def _tax_workload(n: int, rng: random.Random):
@@ -270,6 +287,72 @@ def _run_case(workload: str, size: int, seed: int) -> dict:
     return row
 
 
+def _kernel_delta(enumerators, by_relation, scalar_rows: int):
+    """Best-of-``DELTA_ROUNDS`` delta witnesses and seconds, with the
+    scalar crossover set to *scalar_rows* (0: batch kernels only)."""
+    saved = vectorized.SCALAR_DELTA_ROWS
+    vectorized.SCALAR_DELTA_ROWS = scalar_rows
+    try:
+        rounds = []
+        for _ in range(DELTA_ROUNDS):
+            found, seconds = _timed(
+                lambda: [enumerator.delta(by_relation) for enumerator in enumerators]
+            )
+            rounds.append(seconds)
+    finally:
+        vectorized.SCALAR_DELTA_ROWS = saved
+    return found, min(rounds)
+
+
+def _run_k_sweep(workload: str, size: int, seed: int) -> dict:
+    """Scalar vs batch delta time at each k of ``K_SWEEP``, one numpy store.
+
+    Each k updates k fresh dirty facts on top of the earlier ones, as a
+    stream would, and re-enumerates exactly those.
+    """
+    rng = random.Random(seed)
+    database, dcs, (dirty_attr, dirty_value) = WORKLOADS[workload](size, rng)
+    with column_backend("numpy"):
+        enumerators, store = build_enumerators(dcs, database)
+    database.subscribe(store.apply)
+    identifiers = database.ids()
+    points = []
+    for k in K_SWEEP:
+        dirty = rng.sample(identifiers, min(k, len(identifiers)))
+        for identifier in dirty:
+            database.update(identifier, dirty_attr, dirty_value())
+        by_relation = group_by_relation(database, dirty)
+        scalar, scalar_seconds = _kernel_delta(enumerators, by_relation, 1 << 30)
+        batch, batch_seconds = _kernel_delta(enumerators, by_relation, 0)
+        assert scalar == batch, (
+            f"{workload}@{size}: scalar delta diverged from batch at k={k}"
+        )
+        points.append(
+            {
+                "k": len(dirty),
+                "delta_witnesses": sum(map(len, batch)),
+                "scalar_ms": 1e3 * scalar_seconds,
+                "batch_ms": 1e3 * batch_seconds,
+            }
+        )
+    database.unsubscribe(store.apply)
+    return {
+        "workload": workload,
+        "facts": size,
+        "scalar_delta_rows": vectorized.SCALAR_DELTA_ROWS,
+        "points": points,
+    }
+
+
+def run_k_sweep() -> list[dict]:
+    if not HAS_NUMPY:
+        return []
+    return [
+        _run_k_sweep(workload, scaled(K_SWEEP_FACTS), seed=K_SWEEP_FACTS + 29)
+        for workload in WORKLOADS
+    ]
+
+
 def run_sweep() -> list[dict]:
     for workload in WORKLOADS:
         _check_cold_load(workload, scaled(SIZES[0]), seed=SIZES[0] + 13)
@@ -281,7 +364,9 @@ def run_sweep() -> list[dict]:
 
 
 def test_bench_vectorized_columns(benchmark):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    rows, k_sweep = benchmark.pedantic(
+        lambda: (run_sweep(), run_k_sweep()), rounds=1, iterations=1
+    )
     lines = []
     for row in rows:
         build = row["build_seconds"]
@@ -314,10 +399,26 @@ def test_bench_vectorized_columns(benchmark):
                 f"cold list {cold['list']:.3f}s; delta list "
                 f"{delta['list']*1e3:.1f}ms == fresh cold build on the dirty facts"
             )
+    for leg in k_sweep:
+        first = leg["points"][0]
+        assert first["batch_ms"] >= MIN_SCALAR_SPEEDUP_AT_1 * first["scalar_ms"], (
+            f"{leg['workload']}@{leg['facts']}: scalar delta at k=1 "
+            f"{first['scalar_ms']:.3f} ms is not under batch {first['batch_ms']:.3f} ms"
+        )
+        lines.append(
+            f"{leg['workload']:>8} n={leg['facts']:>8} crossover sweep "
+            f"(scalar up to {leg['scalar_delta_rows']} rows), delta ms "
+            "scalar/batch: "
+            + ", ".join(
+                f"k={point['k']} {point['scalar_ms']:.3f}/{point['batch_ms']:.3f}"
+                for point in leg["points"]
+            )
+        )
     if full_scale():  # smoke runs must not clobber the committed trajectory
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / "BENCH_vectorized.json").write_text(
-            json.dumps(rows, indent=2) + "\n", encoding="utf-8"
+            json.dumps({"sweep": rows, "k_sweep": k_sweep}, indent=2) + "\n",
+            encoding="utf-8",
         )
     save_artifact(
         "vectorized_columns",

@@ -59,11 +59,45 @@ def deletion_costs(
 
     *identifiers* restricts the materialization (e.g. to one connected
     component's problematic facts) — the solvers only read weights of facts
-    appearing in some MI set.
+    appearing in some MI set.  Under :func:`subset_cost` the weights are
+    read straight off the facts, with one signature lookup per relation;
+    the floats are the ones ``subset_cost`` returns.
     """
     if identifiers is None:
         identifiers = database.ids()
+    if cost_function is subset_cost:
+        return _subset_deletion_costs(database, identifiers)
     return {
         identifier: cost_function(DeleteOperation(identifier), database)
         for identifier in identifiers
     }
+
+
+def _subset_deletion_costs(
+    database: Database, identifiers: Iterable[int]
+) -> dict[int, float]:
+    """``subset_cost`` of deleting each fact: its ``cost`` value as a float,
+    1.0 when its relation has no such attribute, 0.0 for a dead id."""
+    positions: dict[str, int | None] = {}
+    weights: dict[int, float] = {}
+    lookup = database.get
+    for identifier in identifiers:
+        fact = lookup(identifier)
+        if fact is None:
+            weights[identifier] = 0.0
+            continue
+        relation = fact.relation
+        if relation in positions:
+            position = positions[relation]
+        else:
+            signature = database.schema.signature(relation)
+            position = (
+                signature.index_of(COST_ATTRIBUTE)
+                if signature.has_attribute(COST_ATTRIBUTE)
+                else None
+            )
+            positions[relation] = position
+        weights[identifier] = (
+            1.0 if position is None else float(fact.values[position])
+        )
+    return weights

@@ -29,7 +29,11 @@ filter each block before keeping its survivors.
 The **cold** entry point runs the pin-0 plan over its relation (in seed
 chunks, see :meth:`WitnessEnumerator.cold_chunks`), and the **delta** entry
 point runs each pin's plan over the dirty ids of that pin's relation — one
-pass per pin instead of a recursion per dirty fact.  Both backends return
+pass per pin instead of a recursion per dirty fact.  On a numpy store, a
+delta seeding at most ``vectorized.SCALAR_DELTA_ROWS`` dirty rows runs the
+list kernels over the store's python mirrors instead, compiled from the
+same pin plans, because the numpy kernels' per-call floor outweighs their
+speed on a few rows.  Both backends return
 identical witness sets: ``tests/violations/test_enumeration_conformance.py``
 pins each to brute-force evaluation of the DC body, and the differential
 suites in ``tests/session`` pin the maintained families to fresh cold
@@ -40,8 +44,9 @@ the enumerators and the column store it returns to run deltas, and the
 one-shot detection in :mod:`repro.violations.minimal` drops them.
 
 Each enumerator carries an :class:`EnumerationStats` record (plans
-compiled, batches joined, candidate rows scanned, witnesses emitted),
-surfaced per DC through ``session.stats()``.
+compiled, batches joined, candidate rows scanned, witnesses emitted, delta
+runs and how many of them took the scalar path), surfaced per DC through
+``session.stats()``.
 """
 
 from __future__ import annotations
@@ -117,6 +122,7 @@ class EnumerationStats:
         "witnesses_emitted",
         "cold_runs",
         "delta_runs",
+        "scalar_delta_runs",
     )
 
     def __init__(self, backend: str) -> None:
@@ -128,6 +134,9 @@ class EnumerationStats:
         self.witnesses_emitted = 0
         self.cold_runs = 0
         self.delta_runs = 0
+        #: Delta runs a numpy store served with the list kernels (below
+        #: ``vectorized.SCALAR_DELTA_ROWS`` seed rows).
+        self.scalar_delta_runs = 0
 
     def as_dict(self) -> dict:
         return {
@@ -138,6 +147,7 @@ class EnumerationStats:
             "witnesses_emitted": self.witnesses_emitted,
             "cold_runs": self.cold_runs,
             "delta_runs": self.delta_runs,
+            "scalar_delta_runs": self.scalar_delta_runs,
         }
 
 
@@ -745,6 +755,12 @@ class WitnessEnumerator:
         relation's dirty rows.  A call that seeds no plan (no dirty fact in
         any relation the DC binds) runs nothing and is not counted in
         ``delta_runs``.
+
+        On a numpy store, a call seeding more than
+        ``vectorized.SCALAR_DELTA_ROWS`` dirty rows runs the numpy kernels
+        (:func:`~repro.session.vectorized.delta_union`); a smaller one runs
+        the list kernels over the store's python mirrors, compiled from
+        the same pin plans, and counts in ``scalar_delta_runs``.
         """
         store = self.store
         found: Witnesses = set()
@@ -766,15 +782,16 @@ class WitnessEnumerator:
         stats = self.stats
         stats.delta_runs += 1
         if store.backend == "numpy":
-            # Plans pinned on different variables of one DC re-find the
-            # same witnesses; dedup survivors across plans *before* the
-            # python-object emission instead of per-plan.
-            from .vectorized import delta_union
+            from .vectorized import SCALAR_DELTA_ROWS, delta_union
 
-            found = delta_union(seeded, stats)
-        else:
-            for plan, rows in seeded:
-                found |= plan.run(rows, stats)
+            if sum(map(len, rows_cache.values())) > SCALAR_DELTA_ROWS:
+                found = delta_union(seeded, stats)
+                stats.witnesses_emitted += len(found)
+                return found
+            stats.scalar_delta_runs += 1
+            seeded = [(plan.scalar, rows) for plan, rows in seeded]
+        for plan, rows in seeded:
+            found |= plan.run(rows, stats)
         stats.witnesses_emitted += len(found)
         return found
 

@@ -15,7 +15,11 @@ relation as contiguous numpy arrays:
   (in)equality carries a parallel ``int64`` code array, where one shared
   :class:`ColumnDictionary` per join equivalence class maps value → dense
   code (``-1`` = NULL, ``-2`` = float NaN).  Equal values get equal codes
-  across every column of the class, so EQ/NE evaluate on codes alone.
+  across every column of the class, so EQ/NE evaluate on codes alone;
+* **python mirrors** of the ids (``None`` in dead slots), of each
+  column's values and of each coded column's codes: plain lists written
+  next to the arrays on every event.  They hold references to values the
+  facts already own, about 8 bytes per stored cell.
 
 The cold :meth:`VectorColumnStore.build` loads by column in one pass: one
 ``grow`` per relation, each column's final kind from :func:`_climb` over
@@ -45,12 +49,22 @@ per-candidate python loop**; witnesses decode only the surviving rows.
 Python scalar kernels remain as a row-level fallback for the cases numpy
 semantics cannot mirror exactly (bools, mixed types, > 2**53 integers
 against floats), keeping results bit-identical to the list backend.
+
+Those kernels pay a fixed numpy floor per call, which a delta seeded by a
+few dirty rows never amortizes.  A delta seeding at most
+:data:`SCALAR_DELTA_ROWS` rows therefore takes the **scalar delta path**:
+the list backend's own kernels, compiled by the unchanged
+``enumeration._compile_list_plan`` from the same pin plan, read the
+mirrors through :class:`ScalarView` (``column``, ``ids``, ``group``,
+``relation``).  Its group probes read the CSR buckets (cached as python
+lists until the next rebuild) and the overlay's ``code → rows`` map, and
+validate rows against the mirrored ids and codes as the numpy probes do.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -164,18 +178,12 @@ class CodeGroup:
     ``starts is None`` means stale: the next :meth:`ensure` rebuilds from
     the column.  Probes validate every returned row against the live bitmap
     and the current code array, so CSR entries outdated by updates or
-    deletes are filtered, never wrong.
+    deletes are filtered, never wrong.  The overlay is a ``code → rows``
+    map: the scalar probes read it directly, the numpy probes through
+    :meth:`sorted_overlay`.
     """
 
-    __slots__ = (
-        "starts",
-        "rows",
-        "K",
-        "ov_codes",
-        "ov_rows",
-        "_ov_sorted",
-        "_ov_dirty",
-    )
+    __slots__ = ("starts", "rows", "K", "overlay", "ov_size", "_ov_sorted", "_buckets")
 
     #: Overlay floor below which a rebuild is never triggered.
     OVERLAY_MIN = 4096
@@ -184,31 +192,40 @@ class CodeGroup:
         self.starts: np.ndarray | None = None
         self.rows: np.ndarray | None = None
         self.K = 0
-        self.ov_codes: list[int] = []
-        self.ov_rows: list[int] = []
+        #: Rows coded since the last rebuild, by code, in coding order.
+        self.overlay: dict[int, list[int]] = {}
+        self.ov_size = 0
         self._ov_sorted: tuple[np.ndarray, np.ndarray] | None = None
-        self._ov_dirty = False
+        #: CSR buckets probed by the scalar path, as python lists.
+        self._buckets: dict[int, list[int]] = {}
 
     def invalidate(self) -> None:
         self.starts = None
         self.rows = None
         self.K = 0
-        self.ov_codes.clear()
-        self.ov_rows.clear()
+        self._clear_overlay()
+
+    def _clear_overlay(self) -> None:
+        self.overlay.clear()
+        self.ov_size = 0
         self._ov_sorted = None
-        self._ov_dirty = False
+        self._buckets.clear()
 
     def add(self, code: int, row: int) -> None:
         """Record a newly coded live row (only meaningful once built)."""
         if self.starts is None or code < 0:
             return
-        self.ov_codes.append(code)
-        self.ov_rows.append(row)
-        self._ov_dirty = True
+        rows = self.overlay.get(code)
+        if rows is None:
+            self.overlay[code] = [row]
+        else:
+            rows.append(row)
+        self.ov_size += 1
+        self._ov_sorted = None
 
     def ensure(self, relation: "VectorRelation", column: "VectorColumn") -> None:
         """(Re)build the CSR if stale or the overlay outgrew its budget."""
-        if self.starts is not None and len(self.ov_codes) <= max(
+        if self.starts is not None and self.ov_size <= max(
             self.OVERLAY_MIN, len(relation.row_of) // 8
         ):
             return
@@ -223,19 +240,32 @@ class CodeGroup:
         )
         self.rows = rows[np.argsort(coded, kind="stable")]
         self.K = K
-        self.ov_codes.clear()
-        self.ov_rows.clear()
-        self._ov_sorted = None
-        self._ov_dirty = False
+        self._clear_overlay()
+
+    def bucket(self, code: int) -> list[int]:
+        """The CSR rows of *code* (unvalidated) as a list, kept until the
+        next rebuild; a code assigned since the rebuild has none."""
+        rows = self._buckets.get(code)
+        if rows is None:
+            rows = []
+            if code < self.K:
+                rows = self.rows[self.starts[code] : self.starts[code + 1]].tolist()
+            self._buckets[code] = rows
+        return rows
 
     def sorted_overlay(self) -> tuple[np.ndarray, np.ndarray]:
         """The overlay as (codes, rows) arrays sorted by code."""
-        if self._ov_sorted is None or self._ov_dirty:
-            codes = np.asarray(self.ov_codes, dtype=np.int64)
-            rows = np.asarray(self.ov_rows, dtype=np.int64)
-            order = np.argsort(codes, kind="stable")
-            self._ov_sorted = (codes[order], rows[order])
-            self._ov_dirty = False
+        if self._ov_sorted is None:
+            overlay = self.overlay
+            order = sorted(overlay)
+            sizes = [len(overlay[code]) for code in order]
+            codes = np.repeat(np.asarray(order, dtype=np.int64), sizes)
+            rows = np.fromiter(
+                chain.from_iterable(map(overlay.__getitem__, order)),
+                dtype=np.int64,
+                count=self.ov_size,
+            )
+            self._ov_sorted = (codes, rows)
         return self._ov_sorted
 
 
@@ -248,11 +278,25 @@ class VectorColumn:
     flags an ``i8`` column holding some ``|int| > 2**53`` — ordered or
     equality comparisons of such a column against floats fall back to
     python scalars to keep exact-integer semantics.
+
+    ``py_values`` (and ``py_codes`` on a coded column) mirror the first
+    ``n`` rows as python lists for the scalar delta path; they are only
+    ever changed in place, because compiled list plans capture them.
     """
 
-    __slots__ = ("kind", "data", "valid", "huge", "dict_class", "codes", "group")
+    __slots__ = (
+        "kind",
+        "data",
+        "valid",
+        "huge",
+        "dict_class",
+        "codes",
+        "group",
+        "py_values",
+        "py_codes",
+    )
 
-    def __init__(self, capacity: int = 0) -> None:
+    def __init__(self, capacity: int = 0, rows: int = 0) -> None:
         self.kind = "i8"
         self.data: np.ndarray = np.zeros(capacity, dtype=np.int64)
         self.valid: np.ndarray = np.zeros(capacity, dtype=bool)
@@ -260,6 +304,8 @@ class VectorColumn:
         self.dict_class: ColumnDictionary | None = None
         self.codes: np.ndarray | None = None
         self.group: CodeGroup | None = None
+        self.py_values: list = [None] * rows
+        self.py_codes: list[int] | None = None
 
     def grow(self, capacity: int) -> None:
         self.data = _grow(self.data, capacity)
@@ -287,21 +333,33 @@ class VectorColumn:
         else:
             self.valid[row] = True
             self.data[row] = value
+        # Rows are allocated densely: a row past the mirror is the next one.
+        mirror = self.py_values
+        if row < len(mirror):
+            mirror[row] = value
+        else:
+            mirror.append(value)
         if self.dict_class is not None:
             code = self.dict_class.encode(value)
             if fresh or self.codes[row] != code:
                 self.codes[row] = code
+                mirror = self.py_codes
+                if row < len(mirror):
+                    mirror[row] = code
+                else:
+                    mirror.append(code)
                 if self.group is not None:
                     self.group.add(code, row)
 
-    def load(self, values: Sequence) -> None:
+    def load(self, values: list) -> None:
         """Fill rows ``0..len(values)-1`` of this empty, grown column at once.
 
         The final ``(kind, huge)`` is :func:`_climb` over the values in row
         order, exactly as one :meth:`set` per row would leave it; data and
-        validity are then written in one step each.  Codes are the store's
-        job: a join class spanning several columns encodes its cells in
-        fact order, not column by column.
+        validity are then written in one step each, and *values* itself
+        becomes the mirror.  Codes are the store's job: a join class
+        spanning several columns encodes its cells in fact order, not
+        column by column.
         """
         kind, huge = _climb("i8", False, values)
         count = len(values)
@@ -315,6 +373,7 @@ class VectorColumn:
         self.valid[:count] = [value is not None for value in values]
         self.kind = kind
         self.huge = huge
+        self.py_values = values
 
     def _promote(self, kind: str) -> None:
         old, valid = self.data, self.valid
@@ -354,9 +413,24 @@ def _grow(array: np.ndarray, capacity: int, fill=None) -> np.ndarray:
 
 
 class VectorRelation:
-    """One relation's numpy image: ids + live bitmap + typed columns."""
+    """One relation's numpy image: ids + live bitmap + typed columns.
 
-    __slots__ = ("relation", "attributes", "n", "cap", "ids", "live", "row_of", "free", "columns")
+    ``py_ids`` mirrors the first ``n`` ids as a python list with ``None``
+    in dead slots — the list store's id array — for the scalar delta path.
+    """
+
+    __slots__ = (
+        "relation",
+        "attributes",
+        "n",
+        "cap",
+        "ids",
+        "live",
+        "py_ids",
+        "row_of",
+        "free",
+        "columns",
+    )
 
     def __init__(self, relation: str, attributes: Sequence[str]) -> None:
         self.relation = relation
@@ -365,6 +439,7 @@ class VectorRelation:
         self.cap = 0
         self.ids = np.zeros(0, dtype=np.int64)
         self.live = np.zeros(0, dtype=bool)
+        self.py_ids: list[int | None] = []
         self.row_of: dict[int, int] = {}
         self.free: list[int] = []
         self.columns: dict[str, VectorColumn] = {
@@ -377,11 +452,10 @@ class VectorRelation:
     def live_rows(self) -> np.ndarray:
         return np.nonzero(self.live[: self.n])[0]
 
-    def rows_for_ids(self, identifiers: Iterable[int]) -> np.ndarray:
+    def rows_for_ids(self, identifiers: Iterable[int]) -> list[int]:
+        """Row indices of *identifiers*; absent identifiers are skipped."""
         row_of = self.row_of
-        return np.asarray(
-            [row_of[i] for i in identifiers if i in row_of], dtype=np.int64
-        )
+        return [row_of[i] for i in identifiers if i in row_of]
 
     def grow(self, need: int) -> None:
         capacity = max(64, 2 * self.cap)
@@ -438,7 +512,7 @@ class VectorColumnStore:
                 a for a in signature.attributes if a in wanted
             )
             for attribute in missing:
-                column = VectorColumn(existing.cap)
+                column = VectorColumn(existing.cap, existing.n)
                 existing.columns[attribute] = column
             self._positions.pop(relation, None)
 
@@ -484,10 +558,10 @@ class VectorColumnStore:
     ) -> None:
         if column.dict_class is not None:
             return
+        table = self._relations[relation]
         column.dict_class = ColumnDictionary()
-        column.codes = np.full(
-            self._relations[relation].cap, _NULL_CODE, dtype=np.int64
-        )
+        column.codes = np.full(table.cap, _NULL_CODE, dtype=np.int64)
+        column.py_codes = [_NULL_CODE] * table.n
         self._coded.append((relation, attribute))
 
     # ------------------------------------------------------------------
@@ -511,6 +585,7 @@ class VectorColumnStore:
                 relation.grow(count)
             relation.n = count
             relation.ids[:count] = ids
+            relation.py_ids = ids
             relation.live[:count] = True
             relation.row_of.update(zip(ids, range(count)))
             for attribute, position in self._positions_for(relation):
@@ -533,7 +608,8 @@ class VectorColumnStore:
                 )
                 dictionary.encode_all([value for _, _, value in cells])
             for _, _, column, values in members:
-                column.codes[: len(values)] = dictionary.encode_all(values)
+                column.py_codes = dictionary.encode_all(values)
+                column.codes[: len(values)] = column.py_codes
 
     def apply(self, event: ChangeEvent) -> None:
         old, new = event.old, event.new
@@ -590,11 +666,13 @@ class VectorColumnStore:
         values = fact.values
         if relation.free:
             row = relation.free.pop()
+            relation.py_ids[row] = identifier
         else:
             if relation.n == relation.cap:
                 relation.grow(relation.n + 1)
             row = relation.n
             relation.n += 1
+            relation.py_ids.append(identifier)
         relation.ids[row] = identifier
         relation.live[row] = True
         relation.row_of[identifier] = row
@@ -615,6 +693,7 @@ class VectorColumnStore:
         if row is None:
             return
         relation.live[row] = False
+        relation.py_ids[row] = None
         relation.free.append(row)
 
     def _maybe_compact(self, relation: VectorRelation) -> None:
@@ -629,19 +708,25 @@ class VectorColumnStore:
         """Drop dead slots, renumbering rows densely.
 
         Compiled vector plans capture relation/column **objects** and fetch
-        arrays per run, so reassigning the arrays is safe; the CSR group
-        indexes are invalidated and lazily rebuilt on the next probe.
+        arrays per run, so reassigning the arrays is safe; the mirrors are
+        rewritten in place, because compiled list plans capture them.  The
+        CSR group indexes are invalidated and lazily rebuilt on the next
+        probe.
         """
         live_idx = np.nonzero(relation.live[: relation.n])[0]
         count = len(live_idx)
+        keep = live_idx.tolist()
         relation.ids[:count] = relation.ids[live_idx]
+        relation.py_ids[:] = [relation.py_ids[row] for row in keep]
         relation.live[:count] = True
         relation.live[count : relation.n] = False
         for column in relation.columns.values():
             column.data[:count] = column.data[live_idx]
             column.valid[:count] = column.valid[live_idx]
+            column.py_values[:] = [column.py_values[row] for row in keep]
             if column.codes is not None:
                 column.codes[:count] = column.codes[live_idx]
+                column.py_codes[:] = [column.py_codes[row] for row in keep]
             if column.group is not None:
                 column.group.invalidate()
         relation.n = count
@@ -651,7 +736,14 @@ class VectorColumnStore:
 # Imported late on purpose: enumeration.py never imports this module at its
 # top level (the batch enumerator dispatches here lazily), so this is safe
 # and keeps the scalar kernels and the plan types in one place.
-from .enumeration import _COMPARE, EnumerationStats, PinPlan, Witnesses  # noqa: E402
+from .enumeration import (  # noqa: E402
+    _COMPARE,
+    BatchPlan,
+    EnumerationStats,
+    PinPlan,
+    Witnesses,
+    _compile_list_plan,
+)
 
 _NP_OP = {
     ComparisonOp.EQ: np.equal,
@@ -679,6 +771,14 @@ _EQ_NE = (ComparisonOp.EQ, ComparisonOp.NE)
 #: its candidates' bucket sizes, so a step's working set stays bounded
 #: whatever the relation sizes or key skew.
 CROSS_PAIR_BUDGET = 1 << 18
+
+#: Most dirty rows a delta call seeds on the scalar path (the list kernels
+#: over the store's mirrors); larger batches run the numpy kernels, whose
+#: per-call floor they amortize.  The crossover sweep of
+#: ``benchmarks/bench_vectorized_columns.py`` (``BENCH_vectorized.json``)
+#: measures it: on 100k-fact Tax and Hospital stores the scalar kernels
+#: win through k = 16 dirty rows and lose from k = 64 on.
+SCALAR_DELTA_ROWS = 16
 
 
 def _huge_mismatch(col_a, col_b) -> bool:
@@ -799,7 +899,7 @@ def _bucket_spans(
     else:
         lo = cnt = np.zeros(len(bc), dtype=np.int64)
     spans = [(group.rows, lo, cnt)]
-    if group.ov_codes:
+    if group.overlay:
         ov_codes, ov_rows = group.sorted_overlay()
         probe = np.maximum(bc, 0)
         left = np.searchsorted(ov_codes, probe, side="left")
@@ -898,6 +998,8 @@ class VectorBatchPlan:
         "final_filters",
         "slot_relations",
         "width",
+        "_source",
+        "_scalar",
     )
 
     def __init__(
@@ -907,6 +1009,7 @@ class VectorBatchPlan:
         joins: list,
         final_filters: list,
         slot_relations: list[VectorRelation],
+        source: tuple[DenialConstraint, PinPlan, "VectorColumnStore"],
     ) -> None:
         self.seed_relation = seed_relation
         self.seed_filters = seed_filters
@@ -914,6 +1017,17 @@ class VectorBatchPlan:
         self.final_filters = final_filters
         self.slot_relations = slot_relations
         self.width = len(slot_relations)
+        self._source = source
+        self._scalar: BatchPlan | None = None
+
+    @property
+    def scalar(self) -> BatchPlan:
+        """The same pin plan as list kernels over the store's mirrors
+        (:class:`ScalarView`), compiled on first use."""
+        if self._scalar is None:
+            dc, plan, store = self._source
+            self._scalar = _compile_list_plan(dc, plan, ScalarView(store))
+        return self._scalar
 
     @staticmethod
     def _apply(batch: list[np.ndarray], filters) -> list[np.ndarray]:
@@ -1007,6 +1121,80 @@ def delta_union(
     return found
 
 
+# ----------------------------------------------------------------------
+# The scalar delta path: list kernels over the mirrors
+# ----------------------------------------------------------------------
+class _MirrorTable:
+    """What the list cross step reads of a relation: its id array."""
+
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: list) -> None:
+        self.ids = ids
+
+
+class _ScalarGroup:
+    """A key column's CSR buckets and overlay as a ``value → rows`` map.
+
+    ``get`` returns nothing for a value whose code is below 0 (NULL, NaN
+    or never stored), the rule of ``columnar._joinable``, and keeps a
+    candidate row only while it is live and still carries the probe code,
+    as :func:`_probe_group` validates.  The result is a set, so a
+    multi-key join can intersect buckets.
+    """
+
+    __slots__ = ("relation", "column")
+
+    def __init__(self, relation: VectorRelation, column: VectorColumn) -> None:
+        self.relation = relation
+        self.column = column
+
+    def get(self, value) -> set[int]:
+        column = self.column
+        code = column.dict_class.probe(value)
+        if code < 0:
+            return set()
+        relation = self.relation
+        group = column.group
+        group.ensure(relation, column)
+        ids = relation.py_ids
+        codes = column.py_codes
+        found = {
+            row
+            for row in group.bucket(code)
+            if ids[row] is not None and codes[row] == code
+        }
+        extra = group.overlay.get(code)
+        if extra:
+            found.update(
+                row for row in extra if ids[row] is not None and codes[row] == code
+            )
+        return found
+
+
+class ScalarView:
+    """The store surface :func:`_compile_list_plan` reads, over the numpy
+    store's python mirrors: ``column``, ``ids``, ``group``, ``relation``."""
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: VectorColumnStore) -> None:
+        self.store = store
+
+    def column(self, relation: str, attribute: str) -> list:
+        return self.store.column(relation, attribute).py_values
+
+    def ids(self, relation: str) -> list[int | None]:
+        return self.store.relation(relation).py_ids
+
+    def group(self, relation: str, attribute: str) -> _ScalarGroup:
+        return _ScalarGroup(
+            self.store.relation(relation), self.store.column(relation, attribute)
+        )
+
+    def relation(self, relation: str) -> _MirrorTable:
+        return _MirrorTable(self.store.relation(relation).py_ids)
+
 
 def compile_vector_plan(
     dc: DenialConstraint, plan: PinPlan, store: VectorColumnStore
@@ -1066,6 +1254,7 @@ def compile_vector_plan(
         slot_relations=[
             store.relation(dc.relation_of(variable)) for variable in plan.order
         ],
+        source=(dc, plan, store),
     )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational import Database, Schema
+from repro.relational import Database, Fact, Schema
 from repro.repairs import (
     DeleteOperation,
     UpdateOperation,
@@ -57,3 +57,23 @@ class TestTableCost:
     def test_materialized_costs(self, costed_db):
         costs = deletion_costs(costed_db, subset_cost)
         assert costs == {0: 2.5, 1: 7.0}
+
+    def test_subset_weights_equal_per_operation_costs(self):
+        """The direct ``subset_cost`` weights equal one ``subset_cost`` call
+        per fact: costed and plain relations, int costs, dead and unknown
+        ids."""
+        schema = Schema.from_dict({"R": ["A", "cost"], "S": ["B"]})
+        database = Database.from_rows(schema, "R", [(1, 2.5), (2, 7), (3, 0)])
+        for values in [(4,), (5,)]:
+            database.insert(Fact("S", values))
+        database.delete(1)
+        identifiers = [0, 1, 2, 3, 4, 99, -1]
+        direct = deletion_costs(database, subset_cost, identifiers)
+        expected = deletion_costs(
+            database, lambda op, db: subset_cost(op, db), identifiers
+        )
+        assert direct == expected == {
+            0: 2.5, 1: 0.0, 2: 0.0, 3: 1.0, 4: 1.0, 99: 0.0, -1: 0.0
+        }
+        assert all(type(weight) is float for weight in direct.values())
+        assert list(direct) == identifiers

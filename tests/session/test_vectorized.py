@@ -9,9 +9,12 @@ warm starts.  On top of the parity sweeps, targeted suites pin
 the hazards the dtype ladder and dictionary encoding introduce: None/NaN
 cells, bool columns, > 2**53 integers against floats, mixed str/int
 columns, dictionary-code stability across savepoint rollback, and
-live-fraction compaction.  Everything runs on whatever backends the
-process has: the without-numpy CI leg skips the numpy half and still
-exercises the fallback path.
+live-fraction compaction.  The histories run on both sides of the numpy
+store's scalar crossover (``SCALAR_DELTA_ROWS`` patched to 0 and to a
+huge value, the ``crossover`` fixture), and after each one the store's
+python mirrors must equal its arrays (:func:`assert_mirrors_match`).
+Everything runs on whatever backends the process has: the without-numpy
+CI leg skips the numpy half and still exercises the fallback path.
 """
 
 from __future__ import annotations
@@ -50,6 +53,55 @@ BACKENDS = ["list"] + (["numpy"] if HAS_NUMPY else [])
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
+#: ``SCALAR_DELTA_ROWS`` on each side of the numpy store's crossover: 0
+#: sends every delta to the numpy kernels, a huge value every one to the
+#: list kernels over the store's mirrors.  Without numpy there is one side.
+CROSSOVER = (
+    {"numpy-kernels": 0, "scalar-kernels": 1 << 30}
+    if HAS_NUMPY
+    else {"list-store": None}
+)
+
+
+@pytest.fixture(params=sorted(CROSSOVER))
+def crossover(request, monkeypatch) -> str:
+    """Run the test on one side of the numpy store's scalar crossover."""
+    if HAS_NUMPY:
+        import repro.session.vectorized as vectorized
+
+        monkeypatch.setattr(
+            vectorized, "SCALAR_DELTA_ROWS", CROSSOVER[request.param]
+        )
+    return request.param
+
+
+def _nan_marked(value):
+    return "NaN" if isinstance(value, float) and value != value else value
+
+
+def assert_mirrors_match(store) -> None:
+    """A numpy store's python mirrors equal its arrays: the ids with
+    ``None`` exactly in the dead slots, and every column's values
+    (``values_at``) and codes, row for row.  Other stores pass."""
+    if store is None or store.backend != "numpy":
+        return
+    import numpy as np
+
+    for relation in store._relations.values():
+        n = relation.n
+        live = relation.live[:n].tolist()
+        ids = relation.ids[:n].tolist()
+        assert relation.py_ids == [
+            identifier if alive else None for identifier, alive in zip(ids, live)
+        ]
+        rows = np.arange(n, dtype=np.int64)
+        for column in relation.columns.values():
+            assert list(map(_nan_marked, column.py_values)) == list(
+                map(_nan_marked, column.values_at(rows))
+            )
+            if column.codes is not None:
+                assert column.py_codes == column.codes[:n].tolist()
+
 
 def _mirror(database: Database) -> Database:
     copy = Database(database.schema)
@@ -65,6 +117,7 @@ def _sessions(database: Database, dcs) -> Iterator[MeasurementSession]:
         with column_backend(backend):
             with MeasurementSession(dcs, _mirror(database)) as session:
                 yield session
+                assert_mirrors_match(session._columns)
 
 
 def _facts_parity(schema: Schema, rows: dict[str, list[tuple]], dcs) -> None:
@@ -77,6 +130,7 @@ def _facts_parity(schema: Schema, rows: dict[str, list[tuple]], dcs) -> None:
         assert_matches_reference(session)
 
 
+@pytest.mark.usefixtures("crossover")
 class TestBackendParity:
     @pytest.mark.parametrize("case", range(4))
     def test_cold(self, case, case_rng):
@@ -161,6 +215,7 @@ class TestBackendParity:
             for _ in range(15):
                 _mutate(rng, database, relations, 6)
             assert_matches_reference(session)
+            assert_mirrors_match(session._columns)
 
     @pytest.mark.parametrize("snap_backend", BACKENDS)
     def test_warm_start_across_backends(self, snap_backend, case_rng):
@@ -192,6 +247,7 @@ class TestBackendParity:
                     _mutate(rng, mirrored, relations, 5)
                 assert_matches_reference(session)
                 assert session.stats()["constraints"][0]["delta_runs"] >= 1
+                assert_mirrors_match(session._columns)
                 session.close()
 
 
@@ -271,6 +327,7 @@ PROMOTED_CONSTANT_ROWS = [
 LATE_VALUES = [2.5, "x", float("nan"), 2**60, None, True]
 
 
+@pytest.mark.usefixtures("crossover")
 class TestDtypeEdgeCases:
     """Explicit instances that walk the i8 → f8 → obj ladder."""
 
@@ -313,6 +370,7 @@ class TestDtypeEdgeCases:
             for session in batches:
                 assert_matches_reference(session)
         for session in batches:
+            assert_mirrors_match(session._columns)
             session.close()
 
 
@@ -345,11 +403,13 @@ def _vector_state(store) -> dict:
                     group.K,
                     group.starts.tolist(),
                     group.rows.tolist(),
-                    list(group.ov_codes),
-                    list(group.ov_rows),
+                    {code: list(rows) for code, rows in group.overlay.items()},
+                    group.ov_size,
                 )
             dictionary = column.dict_class
             columns[attribute] = (
+                [_cell(value) for value in column.py_values],
+                column.py_codes,
                 column.kind,
                 column.huge,
                 column.valid.tolist(),
@@ -367,6 +427,7 @@ def _vector_state(store) -> dict:
             relation.n,
             relation.cap,
             relation.ids.tolist(),
+            list(relation.py_ids),
             relation.live.tolist(),
             dict(relation.row_of),
             list(relation.free),
@@ -527,6 +588,7 @@ def _random_delta(rng, database) -> int:
     return database.insert(Fact(source.relation, source.values))
 
 
+@pytest.mark.usefixtures("crossover")
 class TestBulkLoad:
     """``build`` (one columnar load) == one ``apply(insert)`` per fact."""
 
@@ -557,6 +619,7 @@ class TestBulkLoad:
             if step % 15:
                 continue
             assert _store_state(bulk) == _store_state(evented)
+            assert_mirrors_match(bulk)
             for left, right in zip(bulk_enumerators, event_enumerators):
                 assert left.cold(database) == right.cold(database)
                 by_relation = group_by_relation(database, dirty)
@@ -580,6 +643,7 @@ class TestBulkLoad:
         assert (column.kind, column.huge) == ("obj", huge)
 
 
+@pytest.mark.usefixtures("crossover")
 class TestDictionaryAndCompaction:
     @needs_numpy
     def test_codes_stable_under_rollback(self, case_rng):
@@ -618,6 +682,7 @@ class TestDictionaryAndCompaction:
             # The rolled-back store still answers identically to a fresh
             # build.
             assert_matches_reference(session)
+            assert_mirrors_match(store)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_compaction_preserves_parity(self, backend, case_rng, monkeypatch):
@@ -654,6 +719,7 @@ class TestDictionaryAndCompaction:
                     for _ in range(25):
                         _mutate(rng, database, relations, 8)
                 assert_matches_reference(batch)
+                assert_mirrors_match(batch._columns)
             # At least one compaction actually fired on the batch store:
             # the initial 60 slots can only shrink through _compact (rows
             # are tombstoned in place otherwise).
@@ -662,6 +728,7 @@ class TestDictionaryAndCompaction:
             assert slots < 60
 
 
+@pytest.mark.usefixtures("crossover")
 class TestLoneVariableShapes:
     def _lone_dc(self):
         return DenialConstraint(
@@ -700,7 +767,119 @@ class TestLoneVariableShapes:
             for _ in range(4):
                 database.insert(Fact("R1", (2, 2, 1)))
                 assert_matches_reference(batch)
+            assert_mirrors_match(batch._columns)
             assert batch.stats()["constraints"][0]["delta_runs"] >= 1
+
+
+def _fd_dc(relation: str = "R0") -> DenialConstraint:
+    return DenialConstraint(
+        [("t", relation), ("t2", relation)],
+        [
+            Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("t2", "A")),
+            Predicate(Term.col("t", "B"), ComparisonOp.NE, Term.col("t2", "B")),
+        ],
+        name="fd",
+    )
+
+
+#: ``t.A = s.A ∧ t.B = s.B ∧ t.C ≠ s.C``: two keys, so a step intersects
+#: the buckets of both (the list backend's ``join_multi``).
+TWO_KEY_DC = DenialConstraint(
+    [("t", "R0"), ("s", "R0")],
+    [
+        Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("s", "A")),
+        Predicate(Term.col("t", "B"), ComparisonOp.EQ, Term.col("s", "B")),
+        Predicate(Term.col("t", "C"), ComparisonOp.NE, Term.col("s", "C")),
+    ],
+    name="two_keys",
+)
+
+#: No equality at all: every step is a cross step.
+DOMINANCE_DC = DenialConstraint(
+    [("t", "R0"), ("s", "R0")],
+    [
+        Predicate(Term.col("t", "A"), ComparisonOp.LT, Term.col("s", "A")),
+        Predicate(Term.col("t", "B"), ComparisonOp.GT, Term.col("s", "B")),
+    ],
+    name="dominance",
+)
+
+
+class TestScalarDeltaPath:
+    """The numpy store's small deltas run the list kernels over its
+    mirrors; both sides of the crossover stay equal to cold builds."""
+
+    @needs_numpy
+    def test_counters_name_the_kernels(self, case_rng):
+        """A one-fact drain is a scalar run; a batch above the constant is
+        a numpy run; the list store never counts one."""
+        from repro.session.vectorized import SCALAR_DELTA_ROWS
+
+        rng = case_rng
+        for backend in BACKENDS:
+            database = Database(_schema(["R0"]))
+            for _ in range(30):
+                database.insert(_random_fact(rng, "R0", 6))
+            with column_backend(backend), MeasurementSession(
+                [_fd_dc()], database
+            ) as session:
+                database.insert(_random_fact(rng, "R0", 6))
+                session.index()
+                stats = session.stats()["constraints"][0]
+                assert stats["delta_runs"] == 1
+                assert stats["scalar_delta_runs"] == (backend == "numpy")
+                for _ in range(SCALAR_DELTA_ROWS + 1):
+                    database.insert(_random_fact(rng, "R0", 6))
+                session.index()
+                stats = session.stats()["constraints"][0]
+                assert stats["delta_runs"] == 2
+                assert stats["scalar_delta_runs"] == (backend == "numpy")
+                assert_matches_reference(session)
+
+    @pytest.mark.parametrize("dc", [TWO_KEY_DC, DOMINANCE_DC], ids=lambda dc: dc.name)
+    def test_histories_by_step_shape(self, dc, crossover, case_rng):
+        """Multi-key hash steps and cross steps under random histories."""
+        rng = case_rng
+        database = Database(_schema(["R0"]))
+        for _ in range(30):
+            database.insert(_random_fact(rng, "R0", 4))
+        start = rng.getstate()
+        for session in _sessions(database, [dc]):
+            rng.setstate(start)
+            for step in range(40):
+                _mutate(rng, session.database, ["R0"], 4)
+                if step % 4 == 0:
+                    assert_matches_reference(session)
+            assert_matches_reference(session)
+
+    def test_revived_slots_and_overlay_rebuilds(
+        self, crossover, case_rng, monkeypatch
+    ):
+        """Deleted rows are revived by inserts and the overlay outgrows a
+        tiny floor, so the CSR rebuilds between deltas while revived rows
+        sit in both its buckets and the overlay."""
+        if HAS_NUMPY:
+            from repro.session.vectorized import CodeGroup
+
+            monkeypatch.setattr(CodeGroup, "OVERLAY_MIN", 2)
+        rng = case_rng
+        database = Database(_schema(["R0"]))
+        for _ in range(24):
+            database.insert(_random_fact(rng, "R0", 4))
+        start = rng.getstate()
+        for session in _sessions(database, [_fd_dc(), TWO_KEY_DC]):
+            rng.setstate(start)
+            db = session.database
+            for wave in range(6):
+                for identifier in rng.sample(db.ids(), 4):
+                    db.delete(identifier)
+                assert_matches_reference(session)
+                for _ in range(5):
+                    db.insert(_random_fact(rng, "R0", 4))
+                assert_matches_reference(session)
+                identifier = rng.choice(db.ids())
+                db.update(identifier, "A", rng.randint(0, 4))
+                assert_matches_reference(session)
 
 
 class TestBackendSelection:

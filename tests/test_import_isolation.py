@@ -91,3 +91,24 @@ def test_package_imports_without_optional_dependencies():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().endswith("OK")
+
+
+def test_measures_import_leaves_the_numpy_backend_unloaded():
+    """Importing the measures compiles no numpy column-store code: the
+    numpy backend loads only when a store is built on it.  A cold
+    ``-B`` import of this chain is what a one-shot measurement pays."""
+    probe = (
+        "import sys\n"
+        "from repro.measures import make_measures\n"
+        "assert 'repro.session.vectorized' not in sys.modules\n"
+        "print('OK')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", probe],
+        env={"PYTHONPATH": str(_SRC), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "OK"

@@ -8,7 +8,10 @@ satisfying every predicate" — as a brute-force evaluation of the DC body
 connected or not) over random databases, plus hand-written cases with
 their witnesses stated, run on both column backends: the enumerator's cold
 family, the union of its cold chunks and its delta over a random dirty
-subset all equal the oracle's fact-id sets.  A mixed-value variant (ints,
+subset all equal the oracle's fact-id sets.  The numpy store runs each
+delta on both sides of its scalar crossover (``SCALAR_DELTA_ROWS``
+patched to 0 and to a huge value), and its python mirrors must equal its
+arrays afterwards.  A mixed-value variant (ints,
 strs, floats with NaN, bools, NULL) checks the compiled comparison kernels
 against ``ComparisonOp.evaluate``.
 """
@@ -35,14 +38,22 @@ from ..oracle import (
     int_constant,
     random_instance,
 )
+from ..session.test_vectorized import assert_mirrors_match
 
 #: The numpy backend with a 64-pair expansion budget: most random
 #: instances then run their hash and cross steps in several blocks.
 NUMPY_BLOCKED = "numpy-64"
 
+#: The numpy store with every delta on the scalar path (the list kernels
+#: over its mirrors); "numpy" and NUMPY_BLOCKED send every delta to the
+#: numpy kernels.
+NUMPY_SCALAR = "numpy-scalar"
+
 #: Column backends available in this process ("list" always is).
 BACKENDS = ["list"] + (
-    ["numpy", NUMPY_BLOCKED] if importlib.util.find_spec("numpy") else []
+    ["numpy", NUMPY_BLOCKED, NUMPY_SCALAR]
+    if importlib.util.find_spec("numpy")
+    else []
 )
 
 _NAN = float("nan")
@@ -281,7 +292,7 @@ def _instance(values, case, rng: random.Random):
 def _enumerator(
     dc: DenialConstraint, database: Database, backend: str
 ) -> WitnessEnumerator:
-    with column_backend("numpy" if backend == NUMPY_BLOCKED else backend):
+    with column_backend("list" if backend == "list" else "numpy"):
         (enumerator,), _ = build_enumerators([dc], database)
     return enumerator
 
@@ -292,10 +303,14 @@ class TestBatchConformance:
 
     @pytest.fixture(autouse=True)
     def _pair_budget(self, backend, monkeypatch):
-        if backend == NUMPY_BLOCKED:
-            import repro.session.vectorized as vectorized
+        if backend == "list":
+            return
+        import repro.session.vectorized as vectorized
 
+        if backend == NUMPY_BLOCKED:
             monkeypatch.setattr(vectorized, "CROSS_PAIR_BUDGET", 64)
+        scalar = 1 << 30 if backend == NUMPY_SCALAR else 0
+        monkeypatch.setattr(vectorized, "SCALAR_DELTA_ROWS", scalar)
 
     @pytest.mark.parametrize("values, case", _INSTANCES)
     def test_cold_matches_brute_force(self, backend, values, case, case_rng):
@@ -325,10 +340,10 @@ class TestBatchConformance:
         dirty = set(rng.sample(identifiers, rng.randint(1, len(identifiers))))
         expected = {witness for witness in everything if witness & dirty}
         # An identifier outside the database (a deleted fact) is skipped.
-        found = _enumerator(dc, database, backend).delta(
-            group_by_relation(database, dirty | {10_000})
-        )
+        enumerator = _enumerator(dc, database, backend)
+        found = enumerator.delta(group_by_relation(database, dirty | {10_000}))
         assert found == expected
+        assert_mirrors_match(enumerator.store)
 
     @pytest.mark.parametrize("values, case", _INSTANCES)
     def test_blocks_split_mid_batch(
