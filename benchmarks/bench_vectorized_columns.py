@@ -22,7 +22,7 @@ leg runs the numpy kernels.
 A second leg, the **crossover sweep**, measures the constant behind the
 numpy store's scalar delta path: on one numpy store per workload it
 re-enumerates k ∈ ``K_SWEEP`` dirty facts with the scalar kernels (the
-list kernels over the store's python mirrors) and with the batch (numpy)
+list kernels over the list store it owns) and with the batch (numpy)
 kernels, asserting both return the same witnesses at every k.  Results
 land in ``BENCH_vectorized.json`` (``sweep`` and ``k_sweep``).
 """
@@ -65,7 +65,7 @@ MIN_COLD_SPEEDUP = 5.0 if full_scale() else 0.0
 MIN_DELTA_SPEEDUP = 3.0 if full_scale() else 0.0
 ENFORCE_AT = 500_000
 #: Dirty facts per delta in the crossover sweep.
-K_SWEEP = (1, 4, 16, 64, 256, 1000)
+K_SWEEP = (1, 4, 16, 32, 64, 256, 1000)
 #: Facts in the crossover sweep's store.
 K_SWEEP_FACTS = 100_000
 #: The scalar path's bar (full scale only): faster than the batch kernels
@@ -142,20 +142,25 @@ def _timed(fn):
 BACKENDS = ["list"] + (["numpy"] if HAS_NUMPY else [])
 
 
+def _list_state(store):
+    """A list store's every field (its tables and groups)."""
+    return (
+        {
+            name: (table.ids, table.columns, table.row_of, table.free)
+            for name, table in store._relations.items()
+        },
+        store._groups,
+    )
+
+
 def _store_state(store):
     """A column store's every field as plain python (NaN-free workloads).
 
     Grouped indexes are built first on the numpy backend, so their CSR
-    buckets compare too.
+    buckets compare too, and so does the list store it owns.
     """
     if store.backend == "list":
-        return (
-            {
-                name: (table.ids, table.columns, table.row_of, table.free)
-                for name, table in store._relations.items()
-            },
-            store._groups,
-        )
+        return _list_state(store)
     state = {}
     for name, relation in store._relations.items():
         columns = {}
@@ -178,11 +183,9 @@ def _store_state(store):
             relation.cap,
             relation.ids.tolist(),
             relation.live.tolist(),
-            relation.row_of,
-            relation.free,
             columns,
         )
-    return state
+    return state, _list_state(store.lists)
 
 
 def _check_cold_load(workload: str, size: int, seed: int) -> None:

@@ -165,21 +165,6 @@ class DenialConstraint(Constraint):
             predicate.evaluate(assignment, schema) for predicate in self.predicates
         )
 
-    def witness_facts(self, assignment: dict[str, Fact]) -> frozenset[Fact]:
-        """The distinct facts used by a witness assignment."""
-        return frozenset(assignment[variable] for variable, _ in self.variables)
-
-    # ------------------------------------------------------------------
-    # Structure probes used by the planner and the tractability analysis
-    # ------------------------------------------------------------------
-    def equality_join_predicates(self) -> list[Predicate]:
-        """Cross-variable equality predicates (hash-joinable)."""
-        return [p for p in self.predicates if p.is_equality_join()]
-
-    def relations_used(self) -> set[str]:
-        """Relation symbols this DC touches."""
-        return {relation for _, relation in self.variables}
-
     def __str__(self) -> str:
         binder = ", ".join(
             f"{variable}:{relation}" for variable, relation in self.variables

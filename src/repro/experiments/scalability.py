@@ -10,6 +10,7 @@ the bench can assert "quadratic-ish" without depending on absolute times.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,6 +18,10 @@ from typing import Sequence
 from ..datasets.registry import get_dataset
 from ..measures.base import InconsistencyMeasure
 from ..noise.conoise import CONoise
+
+#: Calls timed per (size, measure) pair; the pair's time is their median,
+#: so one slow call cannot bend the fitted growth exponent.
+TIMED_CALLS = 3
 
 
 @dataclass
@@ -58,7 +63,8 @@ def run_scalability_sweep(
     seed: int = 0,
 ) -> ScalabilityResult:
     """Generate samples of increasing size, noise them proportionally
-    (#tuples/1000 CONoise iterations, as in Table 3), and time the measures.
+    (#tuples/1000 CONoise iterations, as in Table 3), and time the measures
+    (the median of :data:`TIMED_CALLS` calls per size).
     """
     spec = get_dataset(dataset_name)
     constraints = spec.make_constraints()
@@ -70,7 +76,10 @@ def run_scalability_sweep(
         noise = CONoise(constraints, seed=seed + size)
         noise.run(database, max(1, noise_iterations_per_1000 * size // 1000))
         for measure in measures:
-            start = time.perf_counter()
-            measure.value(constraints, database)
-            result.seconds[measure.name].append(time.perf_counter() - start)
+            samples = []
+            for _ in range(TIMED_CALLS):
+                start = time.perf_counter()
+                measure.value(constraints, database)
+                samples.append(time.perf_counter() - start)
+            result.seconds[measure.name].append(statistics.median(samples))
     return result

@@ -425,13 +425,6 @@ class Database:
             result._domains[key] = domain.share()
         return result
 
-    def is_subset_of(self, other: "Database") -> bool:
-        """``D ⊆ D'`` as defined in the paper (id-wise fact equality)."""
-        for identifier, fact in self.items():
-            if identifier not in other or other[identifier] != fact:
-                return False
-        return True
-
     def active_domain(self, relation: str, attribute: str) -> ActiveDomain:
         """Active domain of one column (live view, kept up to date).
 

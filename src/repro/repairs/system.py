@@ -40,17 +40,6 @@ class RepairSystem:
         """All operations of this system applicable to *database*."""
         return self.operations(database)
 
-    def sequence_cost(
-        self, database: Database, operations: Sequence[Operation]
-    ) -> float:
-        """``κ*`` — cost of a sequence, applied left to right."""
-        total = 0.0
-        current = database.copy()
-        for operation in operations:
-            total += self.cost(operation, current)
-            operation.apply_in_place(current)
-        return total
-
     def apply(self, database: Database, operations: Sequence[Operation]) -> Database:
         """Apply a sequence functionally."""
         return apply_sequence(database, list(operations))

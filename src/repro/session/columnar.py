@@ -12,11 +12,15 @@ Two backends implement the same registration/maintenance surface:
 
 * :class:`ColumnStore` (this module) — pure-python lists and dict group
   indexes.  Always available; the reference fallback.
-* :class:`~repro.session.vectorized.VectorColumnStore` — numpy-backed
+* :class:`~repro.session.vectorized.VectorColumnStore` — a
+  :class:`ColumnStore` it owns (``store.lists``), plus numpy-backed
   contiguous columns with **dictionary-encoded join keys** (value → dense
-  int code per shared join-class), tombstone bitmaps and amortized
-  geometric growth.  Selected per process at import exactly when numpy
-  imports (the ``repro[vector]`` extra).
+  int code per shared join-class) and tombstone bitmaps that follow the
+  owned store's row numbers.  Selected per process at import exactly when
+  numpy imports (the ``repro[vector]`` extra).  Its owned store registers
+  no key groups with the columns: a key is indexed when the first plan
+  that probes it compiles (:meth:`ColumnStore.register_key` after
+  :meth:`~ColumnStore.build` fills the group from the live rows).
 
 The backend is derived, not chosen: witness sets are bit-identical on
 both, so the only observable difference is speed.
@@ -146,9 +150,9 @@ class ColumnStore:
 
     Only the relations and attributes some batch-compiled DC actually reads
     are registered (:meth:`register`); grouped hash indexes are kept for the
-    columns registered as join keys (:meth:`register_key` /
-    :meth:`register_coded`).  Registration happens before :meth:`build`;
-    afterwards :meth:`apply` maintains everything under the change feed.
+    columns registered as join keys (:meth:`register_key`).  Columns are
+    registered before :meth:`build`, keys before or after it; :meth:`apply`
+    maintains everything under the change feed.
     """
 
     #: Dispatch tag for the plan compilers (mirrored by VectorColumnStore).
@@ -186,7 +190,7 @@ class ColumnStore:
             ordered = [a for a in signature.attributes if a in wanted]
             self._relations[relation] = RelationColumns(relation, ordered)
             return
-        missing = set(attributes) - set(existing.attributes)
+        missing = set(attributes).difference(existing.columns)
         if missing:
             if len(existing) or existing.ids:
                 raise RuntimeError(
@@ -202,7 +206,11 @@ class ColumnStore:
                 existing.columns[attribute] = []
 
     def register_key(self, relation: str, attribute: str) -> None:
-        """Maintain a grouped hash index ``value → rows`` for the column."""
+        """Maintain a grouped hash index ``value → rows`` for the column.
+
+        Unlike a column, a key may be registered after :meth:`build`: its
+        index is then filled from the column's live rows in one pass.
+        """
         self.register(relation, (attribute,))
         key = (relation, attribute)
         if key in self._groups:
@@ -212,6 +220,7 @@ class ColumnStore:
         self._keys_by_relation.setdefault(relation, []).append(
             (attribute, signature.index_of(attribute))
         )
+        self._index(self._relations[relation], attribute)
 
     def register_coded(self, pairs: Iterable[tuple[str, str]]) -> None:
         """Register the columns of one coded comparison class.
@@ -398,8 +407,14 @@ class ColumnStore:
         table.row_of.update(zip(table.ids, range(len(table.ids))))
         table.free.clear()
         for attribute, _position in self._keys_by_relation.get(table.relation, ()):
-            buckets = self._groups[(table.relation, attribute)]
-            buckets.clear()
-            for row, value in enumerate(table.columns[attribute]):
-                if _joinable(value):
-                    buckets.setdefault(value, set()).add(row)
+            self._index(table, attribute)
+
+    def _index(self, table: RelationColumns, attribute: str) -> None:
+        """Refill the group of one key column from *table*'s live rows."""
+        buckets = self._groups[(table.relation, attribute)]
+        buckets.clear()
+        for row, (identifier, value) in enumerate(
+            zip(table.ids, table.columns[attribute])
+        ):
+            if identifier is not None and _joinable(value):
+                buckets.setdefault(value, set()).add(row)

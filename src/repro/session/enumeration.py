@@ -31,9 +31,9 @@ chunks, see :meth:`WitnessEnumerator.cold_chunks`), and the **delta** entry
 point runs each pin's plan over the dirty ids of that pin's relation — one
 pass per pin instead of a recursion per dirty fact.  On a numpy store, a
 delta seeding at most ``vectorized.SCALAR_DELTA_ROWS`` dirty rows runs the
-list kernels over the store's python mirrors instead, compiled from the
-same pin plans, because the numpy kernels' per-call floor outweighs their
-speed on a few rows.  Both backends return
+list kernels over the list store the numpy store owns instead, compiled
+from the same pin plans, because the numpy kernels' per-call floor
+outweighs their speed on a few rows.  Both backends return
 identical witness sets: ``tests/violations/test_enumeration_conformance.py``
 pins each to brute-force evaluation of the DC body, and the differential
 suites in ``tests/session`` pin the maintained families to fresh cold
@@ -756,13 +756,15 @@ class WitnessEnumerator:
         any relation the DC binds) runs nothing and is not counted in
         ``delta_runs``.
 
-        On a numpy store, a call seeding more than
+        On a numpy store, the owned list store (``store.lists``) maps the
+        identifiers to rows.  A call seeding more than
         ``vectorized.SCALAR_DELTA_ROWS`` dirty rows runs the numpy kernels
         (:func:`~repro.session.vectorized.delta_union`); a smaller one runs
-        the list kernels over the store's python mirrors, compiled from
-        the same pin plans, and counts in ``scalar_delta_runs``.
+        the list kernels over the owned list store, compiled from the same
+        pin plans, and counts in ``scalar_delta_runs``.
         """
         store = self.store
+        lists = store.lists if store.backend == "numpy" else store
         found: Witnesses = set()
         rows_cache: dict[str, list[int]] = {}
         seeded = []
@@ -772,9 +774,7 @@ class WitnessEnumerator:
                 continue
             rows = rows_cache.get(plan.seed_relation)
             if rows is None:
-                rows = store.relation(plan.seed_relation).rows_for_ids(
-                    identifiers
-                )
+                rows = lists.relation(plan.seed_relation).rows_for_ids(identifiers)
                 rows_cache[plan.seed_relation] = rows
             seeded.append((plan, rows))
         if not seeded:

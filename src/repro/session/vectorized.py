@@ -2,12 +2,15 @@
 
 This is the ``"numpy"`` backend behind
 :func:`repro.session.columnar.make_column_store` (the ``repro[vector]``
-extra).  It keeps the same registration/maintenance surface as the
-pure-python :class:`~repro.session.columnar.ColumnStore` but stores each
-relation as contiguous numpy arrays:
+extra).  :class:`VectorColumnStore` owns a plain
+:class:`~repro.session.columnar.ColumnStore` (``store.lists``), maintained
+by the list store's own ``build`` and ``apply``: it decides every row
+number (slot reuse, tombstones, live-fraction compaction) and holds the
+facts' own values.  Next to it, each relation is encoded as contiguous
+numpy arrays that follow those row numbers:
 
 * an ``int64`` identifier array plus a **tombstone bitmap** (``live``),
-  grown geometrically and recycled through a free list;
+  grown geometrically;
 * per-attribute typed arrays on a dtype ladder ``int64 → float64 →
   object`` with a parallel validity bitmap (``None`` = SQL NULL), promoted
   at runtime when a value does not fit the current kind;
@@ -15,19 +18,16 @@ relation as contiguous numpy arrays:
   (in)equality carries a parallel ``int64`` code array, where one shared
   :class:`ColumnDictionary` per join equivalence class maps value → dense
   code (``-1`` = NULL, ``-2`` = float NaN).  Equal values get equal codes
-  across every column of the class, so EQ/NE evaluate on codes alone;
-* **python mirrors** of the ids (``None`` in dead slots), of each
-  column's values and of each coded column's codes: plain lists written
-  next to the arrays on every event.  They hold references to values the
-  facts already own, about 8 bytes per stored cell.
+  across every column of the class, so EQ/NE evaluate on codes alone.
 
-The cold :meth:`VectorColumnStore.build` loads by column in one pass: one
-``grow`` per relation, each column's final kind from :func:`_climb` over
-its values, then one array write for its data and validity and one
-dictionary pass for its codes (a join class spanning several columns
-takes its first-seen codes in fact order, as per-event loading assigns
-them).  :meth:`VectorColumnStore.apply` then maintains the store per
-event through :meth:`VectorColumn.set`, on the same ladder.
+The cold :meth:`VectorColumnStore.build` loads the list store, then each
+relation's arrays in one pass: one ``grow`` per relation, each column's
+final kind from :func:`_climb` over its list, then one array write for its
+data and validity and one dictionary pass for its codes (a join class
+spanning several columns takes its first-seen codes in fact order, as
+per-event loading assigns them).  :meth:`VectorColumnStore.apply` lets the
+list store apply each event, then writes the rows it touched through
+:meth:`VectorColumn.set`, on the same ladder.
 
 Grouped join indexes are **CSR buckets over codes**: ``starts[c]:starts[c+1]``
 slices a row array sorted by code, so a probe is O(1) arithmetic plus a
@@ -48,33 +48,31 @@ predicates as EQ/NE code masks or typed-array comparisons — with **no
 per-candidate python loop**; witnesses decode only the surviving rows.
 Python scalar kernels remain as a row-level fallback for the cases numpy
 semantics cannot mirror exactly (bools, mixed types, > 2**53 integers
-against floats), keeping results bit-identical to the list backend.
+against floats); they read the list store's values, keeping results
+bit-identical to the list backend.
 
 Those kernels pay a fixed numpy floor per call, which a delta seeded by a
 few dirty rows never amortizes.  A delta seeding at most
 :data:`SCALAR_DELTA_ROWS` rows therefore takes the **scalar delta path**:
-the list backend's own kernels, compiled by the unchanged
-``enumeration._compile_list_plan`` from the same pin plan, read the
-mirrors through :class:`ScalarView` (``column``, ``ids``, ``group``,
-``relation``).  Its group probes read the CSR buckets (cached as python
-lists until the next rebuild) and the overlay's ``code → rows`` map, and
-validate rows against the mirrored ids and codes as the numpy probes do.
+the unchanged ``enumeration._compile_list_plan`` compiles the same pin
+plan over the owned list store.  Its ``value → rows`` groups are not built
+with the store: a key column is indexed, in one pass, when the first
+scalar plan that probes it compiles, so a one-shot detection builds none.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..constraints.base import ComparisonOp
 from ..constraints.dc import DenialConstraint, Predicate, Term
-from ..relational.database import ChangeEvent, Database, Fact
+from ..relational.database import ChangeEvent, Database
 from ..relational.schema import Schema
-from .columnar import gather_rows
+from .columnar import ColumnStore, RelationColumns
 
 #: Exact-in-float64 integer bound: |int| above this cannot ride float math.
 _EXACT_FLOAT_INT = 2**53
@@ -179,11 +177,10 @@ class CodeGroup:
     the column.  Probes validate every returned row against the live bitmap
     and the current code array, so CSR entries outdated by updates or
     deletes are filtered, never wrong.  The overlay is a ``code → rows``
-    map: the scalar probes read it directly, the numpy probes through
-    :meth:`sorted_overlay`.
+    map, probed through :meth:`sorted_overlay`.
     """
 
-    __slots__ = ("starts", "rows", "K", "overlay", "ov_size", "_ov_sorted", "_buckets")
+    __slots__ = ("starts", "rows", "K", "overlay", "ov_size", "_ov_sorted")
 
     #: Overlay floor below which a rebuild is never triggered.
     OVERLAY_MIN = 4096
@@ -196,8 +193,6 @@ class CodeGroup:
         self.overlay: dict[int, list[int]] = {}
         self.ov_size = 0
         self._ov_sorted: tuple[np.ndarray, np.ndarray] | None = None
-        #: CSR buckets probed by the scalar path, as python lists.
-        self._buckets: dict[int, list[int]] = {}
 
     def invalidate(self) -> None:
         self.starts = None
@@ -209,7 +204,6 @@ class CodeGroup:
         self.overlay.clear()
         self.ov_size = 0
         self._ov_sorted = None
-        self._buckets.clear()
 
     def add(self, code: int, row: int) -> None:
         """Record a newly coded live row (only meaningful once built)."""
@@ -226,7 +220,7 @@ class CodeGroup:
     def ensure(self, relation: "VectorRelation", column: "VectorColumn") -> None:
         """(Re)build the CSR if stale or the overlay outgrew its budget."""
         if self.starts is not None and self.ov_size <= max(
-            self.OVERLAY_MIN, len(relation.row_of) // 8
+            self.OVERLAY_MIN, len(relation) // 8
         ):
             return
         n = relation.n
@@ -241,17 +235,6 @@ class CodeGroup:
         self.rows = rows[np.argsort(coded, kind="stable")]
         self.K = K
         self._clear_overlay()
-
-    def bucket(self, code: int) -> list[int]:
-        """The CSR rows of *code* (unvalidated) as a list, kept until the
-        next rebuild; a code assigned since the rebuild has none."""
-        rows = self._buckets.get(code)
-        if rows is None:
-            rows = []
-            if code < self.K:
-                rows = self.rows[self.starts[code] : self.starts[code + 1]].tolist()
-            self._buckets[code] = rows
-        return rows
 
     def sorted_overlay(self) -> tuple[np.ndarray, np.ndarray]:
         """The overlay as (codes, rows) arrays sorted by code."""
@@ -279,9 +262,8 @@ class VectorColumn:
     equality comparisons of such a column against floats fall back to
     python scalars to keep exact-integer semantics.
 
-    ``py_values`` (and ``py_codes`` on a coded column) mirror the first
-    ``n`` rows as python lists for the scalar delta path; they are only
-    ever changed in place, because compiled list plans capture them.
+    ``values`` is the owned list store's column of the same attribute:
+    the facts' own values, row for row, which the arrays encode.
     """
 
     __slots__ = (
@@ -292,11 +274,10 @@ class VectorColumn:
         "dict_class",
         "codes",
         "group",
-        "py_values",
-        "py_codes",
+        "values",
     )
 
-    def __init__(self, capacity: int = 0, rows: int = 0) -> None:
+    def __init__(self, values: list, capacity: int = 0) -> None:
         self.kind = "i8"
         self.data: np.ndarray = np.zeros(capacity, dtype=np.int64)
         self.valid: np.ndarray = np.zeros(capacity, dtype=bool)
@@ -304,8 +285,7 @@ class VectorColumn:
         self.dict_class: ColumnDictionary | None = None
         self.codes: np.ndarray | None = None
         self.group: CodeGroup | None = None
-        self.py_values: list = [None] * rows
-        self.py_codes: list[int] | None = None
+        self.values = values
 
     def grow(self, capacity: int) -> None:
         self.data = _grow(self.data, capacity)
@@ -333,34 +313,23 @@ class VectorColumn:
         else:
             self.valid[row] = True
             self.data[row] = value
-        # Rows are allocated densely: a row past the mirror is the next one.
-        mirror = self.py_values
-        if row < len(mirror):
-            mirror[row] = value
-        else:
-            mirror.append(value)
         if self.dict_class is not None:
             code = self.dict_class.encode(value)
             if fresh or self.codes[row] != code:
                 self.codes[row] = code
-                mirror = self.py_codes
-                if row < len(mirror):
-                    mirror[row] = code
-                else:
-                    mirror.append(code)
                 if self.group is not None:
                     self.group.add(code, row)
 
-    def load(self, values: list) -> None:
-        """Fill rows ``0..len(values)-1`` of this empty, grown column at once.
+    def load(self) -> None:
+        """Fill this empty, grown column from all of :attr:`values` at once.
 
         The final ``(kind, huge)`` is :func:`_climb` over the values in row
         order, exactly as one :meth:`set` per row would leave it; data and
-        validity are then written in one step each, and *values* itself
-        becomes the mirror.  Codes are the store's job: a join class
-        spanning several columns encodes its cells in fact order, not
-        column by column.
+        validity are then written in one step each.  Codes are the store's
+        job: a join class spanning several columns encodes its cells in
+        fact order, not column by column.
         """
+        values = self.values
         kind, huge = _climb("i8", False, values)
         count = len(values)
         if kind == "obj":
@@ -373,7 +342,6 @@ class VectorColumn:
         self.valid[:count] = [value is not None for value in values]
         self.kind = kind
         self.huge = huge
-        self.py_values = values
 
     def _promote(self, kind: str) -> None:
         old, valid = self.data, self.valid
@@ -391,14 +359,10 @@ class VectorColumn:
         self.kind = kind
 
     def values_at(self, rows: np.ndarray) -> list:
-        """Python values of *rows* (exact types, for the scalar fallback)."""
-        if self.kind == "obj":
-            return list(self.data[rows])
-        data = self.data[rows]
-        valid = self.valid[rows]
-        if self.kind == "i8":
-            return [int(v) if ok else None for v, ok in zip(data, valid)]
-        return [float(v) if ok else None for v, ok in zip(data, valid)]
+        """Python values of *rows*, read from :attr:`values` (exact types,
+        for the scalar fallback)."""
+        values = self.values
+        return [values[row] for row in rows.tolist()]
 
 
 def _grow(array: np.ndarray, capacity: int, fill=None) -> np.ndarray:
@@ -415,47 +379,25 @@ def _grow(array: np.ndarray, capacity: int, fill=None) -> np.ndarray:
 class VectorRelation:
     """One relation's numpy image: ids + live bitmap + typed columns.
 
-    ``py_ids`` mirrors the first ``n`` ids as a python list with ``None``
-    in dead slots — the list store's id array — for the scalar delta path.
+    Row ``r`` of every array is row ``r`` of *table*, the owned list
+    store's image of the relation; ``n`` is the number of rows written.
     """
 
-    __slots__ = (
-        "relation",
-        "attributes",
-        "n",
-        "cap",
-        "ids",
-        "live",
-        "py_ids",
-        "row_of",
-        "free",
-        "columns",
-    )
+    __slots__ = ("table", "n", "cap", "ids", "live", "columns")
 
-    def __init__(self, relation: str, attributes: Sequence[str]) -> None:
-        self.relation = relation
-        self.attributes = tuple(attributes)
+    def __init__(self, table: RelationColumns) -> None:
+        self.table = table
         self.n = 0
         self.cap = 0
         self.ids = np.zeros(0, dtype=np.int64)
         self.live = np.zeros(0, dtype=bool)
-        self.py_ids: list[int | None] = []
-        self.row_of: dict[int, int] = {}
-        self.free: list[int] = []
-        self.columns: dict[str, VectorColumn] = {
-            attribute: VectorColumn() for attribute in attributes
-        }
+        self.columns: dict[str, VectorColumn] = {}
 
     def __len__(self) -> int:
-        return len(self.row_of)
+        return len(self.table)
 
     def live_rows(self) -> np.ndarray:
         return np.nonzero(self.live[: self.n])[0]
-
-    def rows_for_ids(self, identifiers: Iterable[int]) -> list[int]:
-        """Row indices of *identifiers*; absent identifiers are skipped."""
-        row_of = self.row_of
-        return [row_of[i] for i in identifiers if i in row_of]
 
     def grow(self, need: int) -> None:
         capacity = max(64, 2 * self.cap)
@@ -467,54 +409,45 @@ class VectorRelation:
             column.grow(capacity)
         self.cap = capacity
 
+
 class VectorColumnStore:
-    """Numpy column store: same maintenance contract as ``ColumnStore``.
+    """Numpy column store over an owned list store (:attr:`lists`).
 
     Registration (pre-build) declares plain columns, grouped join keys and
     shared-dictionary equivalence classes; :meth:`build` populates from the
-    database; :meth:`apply` maintains under the change feed with in-place
-    updates, tombstoned deletes and live-fraction compaction.
+    database; :meth:`apply` maintains under the change feed.  The list
+    store decides every row number — in-place updates, tombstoned deletes,
+    slot reuse and live-fraction compaction — and the arrays follow it.
+    Its key groups are not registered here: the scalar delta plans index
+    the columns they probe when they compile.
     """
 
     backend = "numpy"
 
-    COMPACT_MIN_SLOTS = 2048
-    COMPACT_LIVE_FRACTION = 0.5
-
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
+        #: The list store whose rows the arrays encode.
+        self.lists = ColumnStore(schema)
         self._relations: dict[str, VectorRelation] = {}
         #: Every coded (relation, attribute) pair, for class re-pointing.
         self._coded: list[tuple[str, str]] = []
-        self._positions: dict[str, list[tuple[str, int]]] = {}
 
     # ------------------------------------------------------------------
     # Registration (before build)
     # ------------------------------------------------------------------
     def register(self, relation: str, attributes: Iterable[str]) -> None:
-        existing = self._relations.get(relation)
-        if existing is None:
-            signature = self.schema.signature(relation)
-            wanted = set(attributes)
-            ordered = [a for a in signature.attributes if a in wanted]
-            self._relations[relation] = VectorRelation(relation, ordered)
-            return
-        missing = set(attributes) - set(existing.attributes)
-        if missing:
-            if len(existing):
-                raise RuntimeError(
-                    f"late column registration on non-empty relation "
-                    f"{relation!r}: {sorted(missing)}"
-                )
-            signature = self.schema.signature(relation)
-            wanted = set(existing.attributes) | missing
-            existing.attributes = tuple(
-                a for a in signature.attributes if a in wanted
-            )
-            for attribute in missing:
-                column = VectorColumn(existing.cap, existing.n)
-                existing.columns[attribute] = column
-            self._positions.pop(relation, None)
+        self.lists.register(relation, attributes)
+        table = self.lists.relation(relation)
+        vector = self._relations.get(relation)
+        if vector is None:
+            vector = self._relations[relation] = VectorRelation(table)
+        columns = vector.columns
+        if len(columns) < len(table.attributes):
+            for attribute in table.attributes:
+                if attribute not in columns:
+                    columns[attribute] = VectorColumn(
+                        table.columns[attribute], vector.cap
+                    )
 
     def register_key(self, relation: str, attribute: str) -> None:
         """Maintain a grouped CSR bucket index for the column's codes."""
@@ -558,10 +491,10 @@ class VectorColumnStore:
     ) -> None:
         if column.dict_class is not None:
             return
-        table = self._relations[relation]
         column.dict_class = ColumnDictionary()
-        column.codes = np.full(table.cap, _NULL_CODE, dtype=np.int64)
-        column.py_codes = [_NULL_CODE] * table.n
+        column.codes = np.full(
+            self._relations[relation].cap, _NULL_CODE, dtype=np.int64
+        )
         self._coded.append((relation, attribute))
 
     # ------------------------------------------------------------------
@@ -570,31 +503,30 @@ class VectorColumnStore:
     def build(self, database: Database) -> None:
         """Load the registered relations from *database* (cold start).
 
-        One pass gathers each relation's ids and value columns in fact-id
-        order; one ``grow`` sizes the relation as per-fact appends would;
-        each column loads whole (:meth:`VectorColumn.load`) and each join
-        class encodes in one dictionary pass, with the first-seen codes a
-        per-fact load would assign.  CSR groups stay stale until the first
-        probe builds them.
+        The list store loads first (one pass over the database, by
+        column); then one ``grow`` per relation sizes the arrays as
+        per-fact appends would, each column loads whole from its list
+        (:meth:`VectorColumn.load`) and each join class encodes in one
+        dictionary pass, with the first-seen codes a per-fact load would
+        assign.  CSR groups stay stale until the first probe builds them.
         """
+        self.lists.build(database)
         classes: dict[ColumnDictionary, list] = {}
-        for name, (ids, rows) in gather_rows(database, self._relations).items():
-            relation = self._relations[name]
+        for relation in self._relations.values():
+            table = relation.table
+            ids = table.ids
             count = len(ids)
             if count:
                 relation.grow(count)
             relation.n = count
             relation.ids[:count] = ids
-            relation.py_ids = ids
             relation.live[:count] = True
-            relation.row_of.update(zip(ids, range(count)))
-            for attribute, position in self._positions_for(relation):
+            for position, attribute in enumerate(table.attributes):
                 column = relation.columns[attribute]
-                values = list(map(itemgetter(position), rows))
-                column.load(values)
+                column.load()
                 if column.dict_class is not None:
                     classes.setdefault(column.dict_class, []).append(
-                        (ids, position, column, values)
+                        (ids, position, column)
                     )
         for dictionary, members in classes.items():
             if len(members) > 1:
@@ -602,33 +534,48 @@ class VectorColumnStore:
                 # (fact id, attribute position), as per-fact loading goes.
                 cells = heapq.merge(
                     *(
-                        zip(ids, repeat(position), values)
-                        for ids, position, _, values in members
+                        zip(ids, repeat(position), column.values)
+                        for ids, position, column in members
                     )
                 )
                 dictionary.encode_all([value for _, _, value in cells])
-            for _, _, column, values in members:
-                column.py_codes = dictionary.encode_all(values)
-                column.codes[: len(values)] = column.py_codes
+            for _, _, column in members:
+                column.codes[: len(column.values)] = dictionary.encode_all(
+                    column.values
+                )
 
     def apply(self, event: ChangeEvent) -> None:
+        """Maintain the store after one committed database mutation.
+
+        The list store applies the event first; the arrays then follow the
+        rows it touched: the updated row in place, or the removed row (and
+        a compaction, when the list store's row count shrank) and the added
+        row.
+        """
         old, new = event.old, event.new
-        if (
-            old is not None
-            and new is not None
-            and old.relation == new.relation
-            and old.relation in self._relations
-        ):
-            relation = self._relations[old.relation]
-            row = relation.row_of.get(event.identifier)
-            if row is not None:
-                self._update(relation, row, new)
-                return
+        lists = self.lists
+        gone = None
         if old is not None and old.relation in self._relations:
-            self._remove(event.identifier, old)
-            self._maybe_compact(self._relations[old.relation])
+            gone = lists.relation(old.relation).row_of.get(event.identifier)
+        lists.apply(event)
+        if gone is not None:
+            relation = self._relations[old.relation]
+            if new is not None and new.relation == old.relation:
+                self._write(relation, gone, fresh=False)
+                return
+            relation.live[gone] = False
+            if len(relation.table.ids) < relation.n:
+                self._compact(relation)
         if new is not None and new.relation in self._relations:
-            self._add(event.identifier, new)
+            relation = self._relations[new.relation]
+            row = relation.table.row_of[event.identifier]
+            if row == relation.n:
+                if relation.n == relation.cap:
+                    relation.grow(relation.n + 1)
+                relation.n += 1
+            relation.ids[row] = event.identifier
+            relation.live[row] = True
+            self._write(relation, row, fresh=True)
 
     # ------------------------------------------------------------------
     # Read surface
@@ -643,95 +590,41 @@ class VectorColumnStore:
         return self._relations[relation].ids
 
     def live_count(self, relation: str) -> int:
-        table = self._relations.get(relation)
-        return len(table) if table is not None else 0
+        return self.lists.live_count(relation)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _positions_for(self, relation: VectorRelation) -> list[tuple[str, int]]:
-        positions = self._positions.get(relation.relation)
-        if positions is None or len(positions) != len(relation.attributes):
-            signature = self.schema.signature(relation.relation)
-            positions = [
-                (attribute, signature.index_of(attribute))
-                for attribute in relation.attributes
-            ]
-            self._positions[relation.relation] = positions
-        return positions
-
-    def _add(self, identifier: int, fact: Fact) -> None:
-        relation = self._relations[fact.relation]
-        positions = self._positions_for(relation)
-        values = fact.values
-        if relation.free:
-            row = relation.free.pop()
-            relation.py_ids[row] = identifier
-        else:
-            if relation.n == relation.cap:
-                relation.grow(relation.n + 1)
-            row = relation.n
-            relation.n += 1
-            relation.py_ids.append(identifier)
-        relation.ids[row] = identifier
-        relation.live[row] = True
-        relation.row_of[identifier] = row
+    @staticmethod
+    def _write(relation: VectorRelation, row: int, fresh: bool) -> None:
+        """Encode *row* of the list store's columns into the arrays."""
         columns = relation.columns
-        for attribute, position in positions:
-            columns[attribute].set(row, values[position], fresh=True)
+        for attribute in relation.table.attributes:
+            column = columns[attribute]
+            column.set(row, column.values[row], fresh)
 
-    def _update(self, relation: VectorRelation, row: int, new: Fact) -> None:
-        positions = self._positions_for(relation)
-        values = new.values
-        columns = relation.columns
-        for attribute, position in positions:
-            columns[attribute].set(row, values[position], fresh=False)
-
-    def _remove(self, identifier: int, fact: Fact) -> None:
-        relation = self._relations[fact.relation]
-        row = relation.row_of.pop(identifier, None)
-        if row is None:
-            return
-        relation.live[row] = False
-        relation.py_ids[row] = None
-        relation.free.append(row)
-
-    def _maybe_compact(self, relation: VectorRelation) -> None:
-        total = relation.n
-        if total < self.COMPACT_MIN_SLOTS:
-            return
-        if len(relation.row_of) >= total * self.COMPACT_LIVE_FRACTION:
-            return
-        self._compact(relation)
-
-    def _compact(self, relation: VectorRelation) -> None:
-        """Drop dead slots, renumbering rows densely.
+    @staticmethod
+    def _compact(relation: VectorRelation) -> None:
+        """Drop dead slots, renumbering rows densely as the list store's
+        compaction just did (it keeps the live rows in order).
 
         Compiled vector plans capture relation/column **objects** and fetch
-        arrays per run, so reassigning the arrays is safe; the mirrors are
-        rewritten in place, because compiled list plans capture them.  The
-        CSR group indexes are invalidated and lazily rebuilt on the next
-        probe.
+        arrays per run, so reassigning the arrays is safe.  The CSR group
+        indexes are invalidated and lazily rebuilt on the next probe.
         """
         live_idx = np.nonzero(relation.live[: relation.n])[0]
         count = len(live_idx)
-        keep = live_idx.tolist()
         relation.ids[:count] = relation.ids[live_idx]
-        relation.py_ids[:] = [relation.py_ids[row] for row in keep]
         relation.live[:count] = True
         relation.live[count : relation.n] = False
         for column in relation.columns.values():
             column.data[:count] = column.data[live_idx]
             column.valid[:count] = column.valid[live_idx]
-            column.py_values[:] = [column.py_values[row] for row in keep]
             if column.codes is not None:
                 column.codes[:count] = column.codes[live_idx]
-                column.py_codes[:] = [column.py_codes[row] for row in keep]
             if column.group is not None:
                 column.group.invalidate()
         relation.n = count
-        relation.free.clear()
-        relation.row_of = dict(zip(relation.ids[:count].tolist(), range(count)))
 
 # Imported late on purpose: enumeration.py never imports this module at its
 # top level (the batch enumerator dispatches here lazily), so this is safe
@@ -773,12 +666,13 @@ _EQ_NE = (ComparisonOp.EQ, ComparisonOp.NE)
 CROSS_PAIR_BUDGET = 1 << 18
 
 #: Most dirty rows a delta call seeds on the scalar path (the list kernels
-#: over the store's mirrors); larger batches run the numpy kernels, whose
+#: over the owned list store); larger batches run the numpy kernels, whose
 #: per-call floor they amortize.  The crossover sweep of
 #: ``benchmarks/bench_vectorized_columns.py`` (``BENCH_vectorized.json``)
 #: measures it: on 100k-fact Tax and Hospital stores the scalar kernels
-#: win through k = 16 dirty rows and lose from k = 64 on.
-SCALAR_DELTA_ROWS = 16
+#: win through k = 32 dirty rows (Hospital about ties there) and lose from
+#: k = 64 on.
+SCALAR_DELTA_ROWS = 32
 
 
 def _huge_mismatch(col_a, col_b) -> bool:
@@ -1022,11 +916,16 @@ class VectorBatchPlan:
 
     @property
     def scalar(self) -> BatchPlan:
-        """The same pin plan as list kernels over the store's mirrors
-        (:class:`ScalarView`), compiled on first use."""
+        """The same pin plan as list kernels over the owned list store,
+        compiled on first use; the key columns its hash steps probe are
+        indexed then."""
         if self._scalar is None:
             dc, plan, store = self._source
-            self._scalar = _compile_list_plan(dc, plan, ScalarView(store))
+            lists = store.lists
+            for step in plan.steps:
+                for _, new in step.keys:
+                    lists.register_key(dc.relation_of(step.variable), new.attribute)
+            self._scalar = _compile_list_plan(dc, plan, lists)
         return self._scalar
 
     @staticmethod
@@ -1119,81 +1018,6 @@ def delta_union(
         high = (packed >> np.int64(32)).tolist()
         found |= set(map(frozenset, zip(high, low)))
     return found
-
-
-# ----------------------------------------------------------------------
-# The scalar delta path: list kernels over the mirrors
-# ----------------------------------------------------------------------
-class _MirrorTable:
-    """What the list cross step reads of a relation: its id array."""
-
-    __slots__ = ("ids",)
-
-    def __init__(self, ids: list) -> None:
-        self.ids = ids
-
-
-class _ScalarGroup:
-    """A key column's CSR buckets and overlay as a ``value → rows`` map.
-
-    ``get`` returns nothing for a value whose code is below 0 (NULL, NaN
-    or never stored), the rule of ``columnar._joinable``, and keeps a
-    candidate row only while it is live and still carries the probe code,
-    as :func:`_probe_group` validates.  The result is a set, so a
-    multi-key join can intersect buckets.
-    """
-
-    __slots__ = ("relation", "column")
-
-    def __init__(self, relation: VectorRelation, column: VectorColumn) -> None:
-        self.relation = relation
-        self.column = column
-
-    def get(self, value) -> set[int]:
-        column = self.column
-        code = column.dict_class.probe(value)
-        if code < 0:
-            return set()
-        relation = self.relation
-        group = column.group
-        group.ensure(relation, column)
-        ids = relation.py_ids
-        codes = column.py_codes
-        found = {
-            row
-            for row in group.bucket(code)
-            if ids[row] is not None and codes[row] == code
-        }
-        extra = group.overlay.get(code)
-        if extra:
-            found.update(
-                row for row in extra if ids[row] is not None and codes[row] == code
-            )
-        return found
-
-
-class ScalarView:
-    """The store surface :func:`_compile_list_plan` reads, over the numpy
-    store's python mirrors: ``column``, ``ids``, ``group``, ``relation``."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: VectorColumnStore) -> None:
-        self.store = store
-
-    def column(self, relation: str, attribute: str) -> list:
-        return self.store.column(relation, attribute).py_values
-
-    def ids(self, relation: str) -> list[int | None]:
-        return self.store.relation(relation).py_ids
-
-    def group(self, relation: str, attribute: str) -> _ScalarGroup:
-        return _ScalarGroup(
-            self.store.relation(relation), self.store.column(relation, attribute)
-        )
-
-    def relation(self, relation: str) -> _MirrorTable:
-        return _MirrorTable(self.store.relation(relation).py_ids)
 
 
 def compile_vector_plan(

@@ -55,21 +55,7 @@ class TestEvaluation:
         dc = unary_dc("R", [("A", "=", Term.const(1))])
         assert not dc.body_holds({"t": Fact("S", (1,))}, schema)
 
-    def test_witness_facts_dedupes(self, schema):
-        dc = binary_dc("R", [("A", "=", "A", "tt'")])
-        fact = Fact("R", (1, 2))
-        assert len(dc.witness_facts({"t": fact, "t2": fact})) == 1
-
-
 class TestStructure:
-    def test_equality_join_predicates(self):
-        dc = binary_dc(
-            "R", [("A", "=", "A", "tt'"), ("B", "<", "B", "tt'"), ("A", "=", "B", "tt")]
-        )
-        joins = dc.equality_join_predicates()
-        assert len(joins) == 1
-        assert str(joins[0]) == "t[A] = t2[A]"
-
     def test_attributes_involved(self):
         dc = binary_dc("R", [("A", "=", "B", "tt'")])
         assert dc.attributes_involved() == {("R", "A"), ("R", "B")}
@@ -77,13 +63,6 @@ class TestStructure:
     def test_width(self):
         assert unary_dc("R", [("A", ">", "B")]).width == 1
         assert binary_dc("R", [("A", "=", "A", "tt'")]).width == 2
-
-    def test_relations_used(self):
-        dc = DenialConstraint(
-            [("t", "R"), ("s", "S")],
-            [Predicate(Term.col("t", "A"), ComparisonOp.EQ, Term.col("s", "A"))],
-        )
-        assert dc.relations_used() == {"R", "S"}
 
     def test_to_dc_identity(self):
         dc = unary_dc("R", [("A", ">", "B")])

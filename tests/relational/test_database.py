@@ -79,16 +79,6 @@ class TestViews:
         db = Database.from_rows(schema, "R", [(1, 1), (2, 2)])
         assert db.without([0]).ids() == [1]
 
-    def test_is_subset_of(self, schema):
-        db = Database.from_rows(schema, "R", [(1, 1), (2, 2)])
-        assert db.subset([0]).is_subset_of(db)
-        assert not db.is_subset_of(db.subset([0]))
-
-    def test_is_subset_requires_same_fact_per_id(self, schema):
-        db1 = Database.from_rows(schema, "R", [(1, 1)])
-        db2 = Database.from_rows(schema, "R", [(2, 2)])
-        assert not db1.is_subset_of(db2)
-
     def test_copy_is_independent(self, schema):
         db = Database.from_rows(schema, "R", [(1, 1)])
         clone = db.copy()

@@ -25,16 +25,6 @@ class TestSubsetSystem:
         ops = list(subset_system().applicable_operations(db))
         assert ops == [DeleteOperation(0), DeleteOperation(1)]
 
-    def test_sequence_cost_sums(self, db):
-        system = subset_system()
-        ops = [DeleteOperation(0), DeleteOperation(1)]
-        assert system.sequence_cost(db, ops) == 2.0
-
-    def test_sequence_cost_skips_inapplicable(self, db):
-        system = subset_system()
-        ops = [DeleteOperation(0), DeleteOperation(0)]
-        assert system.sequence_cost(db, ops) == 1.0
-
     def test_apply(self, db):
         system = subset_system()
         result = system.apply(db, [DeleteOperation(0)])

@@ -11,8 +11,9 @@ cells, bool columns, > 2**53 integers against floats, mixed str/int
 columns, dictionary-code stability across savepoint rollback, and
 live-fraction compaction.  The histories run on both sides of the numpy
 store's scalar crossover (``SCALAR_DELTA_ROWS`` patched to 0 and to a
-huge value, the ``crossover`` fixture), and after each one the store's
-python mirrors must equal its arrays (:func:`assert_mirrors_match`).
+huge value, the ``crossover`` fixture), and after each one the numpy
+store's arrays must equal the list store it owns, row by row, and every
+indexed group a from-scratch reindex (:func:`assert_store_consistent`).
 Everything runs on whatever backends the process has: the without-numpy
 CI leg skips the numpy half and still exercises the fallback path.
 """
@@ -55,7 +56,8 @@ needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 #: ``SCALAR_DELTA_ROWS`` on each side of the numpy store's crossover: 0
 #: sends every delta to the numpy kernels, a huge value every one to the
-#: list kernels over the store's mirrors.  Without numpy there is one side.
+#: list kernels over the list store it owns.  Without numpy there is one
+#: side.
 CROSSOVER = (
     {"numpy-kernels": 0, "scalar-kernels": 1 << 30}
     if HAS_NUMPY
@@ -79,28 +81,63 @@ def _nan_marked(value):
     return "NaN" if isinstance(value, float) and value != value else value
 
 
-def assert_mirrors_match(store) -> None:
-    """A numpy store's python mirrors equal its arrays: the ids with
-    ``None`` exactly in the dead slots, and every column's values
-    (``values_at``) and codes, row for row.  Other stores pass."""
-    if store is None or store.backend != "numpy":
-        return
-    import numpy as np
+def _reindexed(table, attribute: str) -> dict:
+    """A key column's ``value → rows`` group, from scratch: the live rows
+    of *table* by joinable value (no NULL, no NaN)."""
+    buckets: dict = {}
+    for row, (identifier, value) in enumerate(
+        zip(table.ids, table.columns[attribute])
+    ):
+        if identifier is not None and value is not None and value == value:
+            buckets.setdefault(value, set()).add(row)
+    return buckets
 
-    for relation in store._relations.values():
+
+def _decoded(column, n: int) -> list:
+    """The first *n* cells of a numpy column as python values."""
+    if column.kind == "obj":
+        return list(column.data[:n])
+    cast = int if column.kind == "i8" else float
+    return [
+        cast(value) if valid else None
+        for value, valid in zip(column.data[:n].tolist(), column.valid[:n])
+    ]
+
+
+def assert_store_consistent(store) -> None:
+    """Every group a list store has indexed equals a from-scratch reindex
+    of its column; on a numpy store, that holds for the owned list store
+    and the arrays equal it row by row: ids with ``None`` exactly in the
+    dead slots, data and validity against the list values, codes against
+    the dictionary's ``probe`` of each value."""
+    if store is None:
+        return
+    lists = store.lists if store.backend == "numpy" else store
+    for (name, attribute), buckets in lists._groups.items():
+        assert buckets == _reindexed(lists.relation(name), attribute)
+    if store.backend != "numpy":
+        return
+    for name, relation in store._relations.items():
+        table = lists.relation(name)
         n = relation.n
-        live = relation.live[:n].tolist()
-        ids = relation.ids[:n].tolist()
-        assert relation.py_ids == [
-            identifier if alive else None for identifier, alive in zip(ids, live)
-        ]
-        rows = np.arange(n, dtype=np.int64)
-        for column in relation.columns.values():
-            assert list(map(_nan_marked, column.py_values)) == list(
-                map(_nan_marked, column.values_at(rows))
+        assert relation.table is table
+        assert [
+            identifier if alive else None
+            for identifier, alive in zip(
+                relation.ids[:n].tolist(), relation.live[:n].tolist()
+            )
+        ] == table.ids
+        for attribute, column in relation.columns.items():
+            values = table.columns[attribute]
+            assert column.values is values
+            assert column.valid[:n].tolist() == [value is not None for value in values]
+            assert list(map(_nan_marked, _decoded(column, n))) == list(
+                map(_nan_marked, values)
             )
             if column.codes is not None:
-                assert column.py_codes == column.codes[:n].tolist()
+                assert column.codes[:n].tolist() == [
+                    column.dict_class.probe(value) for value in values
+                ]
 
 
 def _mirror(database: Database) -> Database:
@@ -117,7 +154,7 @@ def _sessions(database: Database, dcs) -> Iterator[MeasurementSession]:
         with column_backend(backend):
             with MeasurementSession(dcs, _mirror(database)) as session:
                 yield session
-                assert_mirrors_match(session._columns)
+                assert_store_consistent(session._columns)
 
 
 def _facts_parity(schema: Schema, rows: dict[str, list[tuple]], dcs) -> None:
@@ -215,7 +252,7 @@ class TestBackendParity:
             for _ in range(15):
                 _mutate(rng, database, relations, 6)
             assert_matches_reference(session)
-            assert_mirrors_match(session._columns)
+            assert_store_consistent(session._columns)
 
     @pytest.mark.parametrize("snap_backend", BACKENDS)
     def test_warm_start_across_backends(self, snap_backend, case_rng):
@@ -247,7 +284,7 @@ class TestBackendParity:
                     _mutate(rng, mirrored, relations, 5)
                 assert_matches_reference(session)
                 assert session.stats()["constraints"][0]["delta_runs"] >= 1
-                assert_mirrors_match(session._columns)
+                assert_store_consistent(session._columns)
                 session.close()
 
 
@@ -370,7 +407,7 @@ class TestDtypeEdgeCases:
             for session in batches:
                 assert_matches_reference(session)
         for session in batches:
-            assert_mirrors_match(session._columns)
+            assert_store_consistent(session._columns)
             session.close()
 
 
@@ -386,7 +423,8 @@ def _cell(value):
 
 
 def _vector_state(store) -> dict:
-    """Every field of a numpy store as plain python, groups rebuilt first.
+    """Every field of a numpy store as plain python, groups rebuilt first,
+    with its owned list store's (:func:`_list_state`).
 
     ``i8``/``f8`` data compare bit for bit; ``obj`` data compare by ``==``,
     because ints that went through ``f8`` before an ``obj`` promotion are
@@ -408,8 +446,6 @@ def _vector_state(store) -> dict:
                 )
             dictionary = column.dict_class
             columns[attribute] = (
-                [_cell(value) for value in column.py_values],
-                column.py_codes,
                 column.kind,
                 column.huge,
                 column.valid.tolist(),
@@ -423,17 +459,13 @@ def _vector_state(store) -> dict:
                 group,
             )
         state[name] = (
-            relation.attributes,
             relation.n,
             relation.cap,
             relation.ids.tolist(),
-            list(relation.py_ids),
             relation.live.tolist(),
-            dict(relation.row_of),
-            list(relation.free),
             columns,
         )
-    return state
+    return state, _list_state(store.lists)
 
 
 def _list_state(store) -> tuple:
@@ -600,10 +632,6 @@ class TestBulkLoad:
         # Small compaction floors let the delete-heavy stream compact both
         # stores mid-stream, at the same events.
         monkeypatch.setattr(ColumnStore, "COMPACT_MIN_SLOTS", 8)
-        if HAS_NUMPY:
-            from repro.session.vectorized import VectorColumnStore
-
-            monkeypatch.setattr(VectorColumnStore, "COMPACT_MIN_SLOTS", 8)
         rng = case_rng
         database, dcs = BULK_CASES[case]()
         with column_backend(backend):
@@ -619,7 +647,7 @@ class TestBulkLoad:
             if step % 15:
                 continue
             assert _store_state(bulk) == _store_state(evented)
-            assert_mirrors_match(bulk)
+            assert_store_consistent(bulk)
             for left, right in zip(bulk_enumerators, event_enumerators):
                 assert left.cold(database) == right.cold(database)
                 by_relation = group_by_relation(database, dirty)
@@ -682,18 +710,12 @@ class TestDictionaryAndCompaction:
             # The rolled-back store still answers identically to a fresh
             # build.
             assert_matches_reference(session)
-            assert_mirrors_match(store)
+            assert_store_consistent(store)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_compaction_preserves_parity(self, backend, case_rng, monkeypatch):
         """Delete-heavy histories cross the live-fraction threshold."""
-        from repro.session.columnar import ColumnStore as ListStore
-
-        monkeypatch.setattr(ListStore, "COMPACT_MIN_SLOTS", 16)
-        if HAS_NUMPY:
-            from repro.session.vectorized import VectorColumnStore
-
-            monkeypatch.setattr(VectorColumnStore, "COMPACT_MIN_SLOTS", 16)
+        monkeypatch.setattr(ColumnStore, "COMPACT_MIN_SLOTS", 16)
         rng = case_rng
         relations = ["R0"]
         database = Database(_schema(relations))
@@ -719,7 +741,7 @@ class TestDictionaryAndCompaction:
                     for _ in range(25):
                         _mutate(rng, database, relations, 8)
                 assert_matches_reference(batch)
-                assert_mirrors_match(batch._columns)
+                assert_store_consistent(batch._columns)
             # At least one compaction actually fired on the batch store:
             # the initial 60 slots can only shrink through _compact (rows
             # are tombstoned in place otherwise).
@@ -767,7 +789,7 @@ class TestLoneVariableShapes:
             for _ in range(4):
                 database.insert(Fact("R1", (2, 2, 1)))
                 assert_matches_reference(batch)
-            assert_mirrors_match(batch._columns)
+            assert_store_consistent(batch._columns)
             assert batch.stats()["constraints"][0]["delta_runs"] >= 1
 
 
@@ -806,8 +828,8 @@ DOMINANCE_DC = DenialConstraint(
 
 
 class TestScalarDeltaPath:
-    """The numpy store's small deltas run the list kernels over its
-    mirrors; both sides of the crossover stay equal to cold builds."""
+    """The numpy store's small deltas run the list kernels over its owned
+    list store; both sides of the crossover stay equal to cold builds."""
 
     @needs_numpy
     def test_counters_name_the_kernels(self, case_rng):
@@ -880,6 +902,288 @@ class TestScalarDeltaPath:
                 identifier = rng.choice(db.ids())
                 db.update(identifier, "A", rng.randint(0, 4))
                 assert_matches_reference(session)
+
+
+class TestGroupContract:
+    def test_groups_are_indexed_on_demand(self, case_rng, monkeypatch):
+        """A one-shot detection on the numpy store leaves its list store
+        with no group indexed; a key registered after the build is indexed
+        from the live rows, as a from-scratch reindex of the column."""
+        from repro.datasets import generate_sample
+        from repro.measures import make_measure
+        from repro.noise import CONoise
+        from repro.violations import build_violation_index
+
+        if HAS_NUMPY:
+            from repro.session.vectorized import VectorColumnStore
+
+            built = []
+            build = VectorColumnStore.build
+
+            def recording_build(store, database):
+                built.append(store)
+                build(store, database)
+
+            monkeypatch.setattr(VectorColumnStore, "build", recording_build)
+            database, constraints = generate_sample("Tax", 120, seed=48)
+            CONoise(constraints, seed=7).run(database, 5)
+            with column_backend("numpy"):
+                assert build_violation_index(constraints, database).mi_sets
+                assert make_measure("I_MI").value(constraints, database) > 0
+            assert len(built) == 2
+            assert all(store.lists._groups == {} for store in built)
+
+        rng = case_rng
+        database = Database(_schema(["R0"]))
+        for _ in range(40):
+            database.insert(_random_fact(rng, "R0", 5))
+        late = ColumnStore(database.schema)
+        early = ColumnStore(database.schema)
+        late.register("R0", ("A", "B", "C"))
+        early.register("R0", ("A", "B", "C"))
+        early.register_key("R0", "B")
+        late.build(database)
+        early.build(database)
+        database.subscribe(late.apply)
+        database.subscribe(early.apply)
+        for identifier in database.ids()[::3]:
+            database.delete(identifier)
+        for _ in range(10):
+            _mutate(rng, database, ["R0"], 5)
+        # Dead slots hold stale values: the index must skip them.
+        assert None in late.ids("R0")
+        late.register_key("R0", "B")
+        assert late.group("R0", "B") == _reindexed(late.relation("R0"), "B")
+        assert late.group("R0", "B") == early.group("R0", "B")
+        # From then on the group is maintained like one registered early.
+        fact = Fact("R0", database[database.ids()[0]].values)
+        identifier = database.insert(fact)
+        database.update(identifier, "B", 99)
+        assert late.group("R0", "B") == early.group("R0", "B")
+        assert late.group("R0", "B") == _reindexed(late.relation("R0"), "B")
+
+
+def _subscribed_store(backend: str, database: Database, keys=()):
+    """A column store over *database*'s R0 (columns A, B, C and *keys*),
+    built and subscribed to its change feed."""
+    with column_backend(backend):
+        store = make_column_store(database.schema)
+    store.register("R0", ("A", "B", "C"))
+    for attribute in keys:
+        store.register_key("R0", attribute)
+    store.build(database)
+    database.subscribe(store.apply)
+    return store
+
+
+def _row_table(store):
+    """The list store that numbers *store*'s rows."""
+    return (store.lists if store.backend == "numpy" else store).relation("R0")
+
+
+def _covered(relation, column) -> dict[int, set[int]]:
+    """``code → rows`` as a numpy group answers it: CSR buckets plus the
+    overlay, each entry kept only when its row is live and still holds
+    that code."""
+    column.group.ensure(relation, column)
+    group = column.group
+    answered: dict[int, set[int]] = {}
+    entries = [
+        (code, int(row))
+        for code in range(group.K)
+        for row in group.rows[group.starts[code] : group.starts[code + 1]]
+    ]
+    entries += [(code, row) for code, rows in group.overlay.items() for row in rows]
+    for code, row in entries:
+        if relation.live[row] and column.codes[row] == code:
+            answered.setdefault(code, set()).add(row)
+    return answered
+
+
+def _coded_rows(relation, column) -> dict[int, set[int]]:
+    """``code → rows`` over the live, non-NULL rows, from scratch."""
+    rows: dict[int, set[int]] = {}
+    for row in range(relation.n):
+        code = int(column.codes[row])
+        if relation.live[row] and code >= 0:
+            rows.setdefault(code, set()).add(row)
+    return rows
+
+
+class TestOwnedRows:
+    """The list store numbers every row and the numpy arrays follow it:
+    updates stay in place, inserts take freed slots, and a compaction of
+    the list store renumbers the arrays the same way."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_update_rewrites_the_row_in_place(self, backend, case_rng):
+        database = Database(_schema(["R0"]))
+        for _ in range(12):
+            database.insert(_random_fact(case_rng, "R0", 4))
+        store = _subscribed_store(backend, database, keys=("A",))
+        table = _row_table(store)
+        identifier = database.ids()[5]
+        row = table.row_of[identifier]
+        slots = len(table.ids)
+        database.update(identifier, "A", 77)
+        database.update(identifier, "B", None)
+        assert table.row_of[identifier] == row
+        assert len(table.ids) == slots and not table.free
+        assert table.columns["A"][row] == 77
+        if backend == "list":
+            assert row in store.group("R0", "A")[77]
+        else:
+            assert store.relation("R0").n == slots
+            assert store.column("R0", "A").data[row] == 77
+            assert not store.column("R0", "B").valid[row]
+        assert_store_consistent(store)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_insert_takes_the_freed_row(self, backend, case_rng):
+        database = Database(_schema(["R0"]))
+        for _ in range(12):
+            database.insert(_random_fact(case_rng, "R0", 4))
+        store = _subscribed_store(backend, database, keys=("A",))
+        table = _row_table(store)
+        gone = database.ids()[3]
+        row = table.row_of[gone]
+        database.delete(gone)
+        assert table.ids[row] is None and table.free == [row]
+        if backend == "numpy":
+            assert not store.relation("R0").live[row]
+        assert_store_consistent(store)
+        identifier = database.insert(Fact("R0", (9, "x", 2.5)))
+        assert table.row_of[identifier] == row
+        assert len(table.ids) == 12 and not table.free
+        if backend == "numpy":
+            relation = store.relation("R0")
+            assert relation.n == 12
+            assert relation.live[row] and relation.ids[row] == identifier
+        assert_store_consistent(store)
+
+    @needs_numpy
+    def test_compaction_renumbers_the_arrays(self, case_rng, monkeypatch):
+        monkeypatch.setattr(ColumnStore, "COMPACT_MIN_SLOTS", 8)
+        database = Database(_schema(["R0"]))
+        for _ in range(20):
+            database.insert(_random_fact(case_rng, "R0", 4))
+        store = _subscribed_store("numpy", database, keys=("A",))
+        relation = store.relation("R0")
+        column = store.column("R0", "A")
+        assert _covered(relation, column) == _coded_rows(relation, column)
+        survivors = database.ids()[1::3]
+        for identifier in database.ids():
+            if identifier not in survivors:
+                database.delete(identifier)
+        table = store.lists.relation("R0")
+        # The list store compacted (20 slots shrank), keeping the live rows
+        # in id order, and the arrays carry the same rows.
+        assert relation.n == len(table.ids) < 20
+        assert [i for i in table.ids if i is not None] == survivors
+        assert [
+            identifier
+            for identifier, alive in zip(
+                relation.ids[: relation.n].tolist(), relation.live.tolist()
+            )
+            if alive
+        ] == survivors
+        assert_store_consistent(store)
+        assert _covered(relation, column) == _coded_rows(relation, column)
+        for _ in range(len(table.free) + 1):
+            database.insert(Fact("R0", (1, 1, 1)))
+        assert relation.n == len(table.ids) and not table.free
+        assert relation.live[: relation.n].all()
+        assert_store_consistent(store)
+        assert _covered(relation, column) == _coded_rows(relation, column)
+
+    @needs_numpy
+    def test_code_groups_answer_the_live_rows(self, case_rng, monkeypatch):
+        """Under a random history with slot reuse, in-place updates and
+        overlay-driven rebuilds, a CSR group answers exactly the live rows
+        holding each code."""
+        from repro.session.vectorized import CodeGroup
+
+        monkeypatch.setattr(CodeGroup, "OVERLAY_MIN", 2)
+        monkeypatch.setattr(ColumnStore, "COMPACT_MIN_SLOTS", 16)
+        database = Database(_schema(["R0"]))
+        for _ in range(30):
+            database.insert(_random_fact(case_rng, "R0", 4))
+        store = _subscribed_store("numpy", database, keys=("A", "B"))
+        relation = store.relation("R0")
+        for step in range(80):
+            _mutate(case_rng, database, ["R0"], 4)
+            if step % 8 == 0:
+                for attribute in ("A", "B"):
+                    column = store.column("R0", attribute)
+                    assert _covered(relation, column) == _coded_rows(
+                        relation, column
+                    )
+        assert_store_consistent(store)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unregistered_relations_are_ignored(self, backend, case_rng):
+        database = Database(_schema(["R0", "R1"]))
+        for _ in range(10):
+            database.insert(_random_fact(case_rng, "R0", 4))
+        store = _subscribed_store(backend, database, keys=("A",))
+        before = _store_state(store)
+        identifier = database.insert(_random_fact(case_rng, "R1", 4))
+        database.update(identifier, "A", 3)
+        database.delete(identifier)
+        assert _store_state(store) == before
+        assert store.live_count("R1") == 0
+        assert store.live_count("R0") == 10
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_late_column_registration_raises(self, backend, case_rng):
+        """Columns are fixed once a relation holds rows; keys are not."""
+        database = Database(_schema(["R0"]))
+        for _ in range(5):
+            database.insert(_random_fact(case_rng, "R0", 4))
+        with column_backend(backend):
+            store = make_column_store(database.schema)
+        store.register("R0", ("A",))
+        store.build(database)
+        with pytest.raises(RuntimeError, match="late column registration"):
+            store.register("R0", ("B",))
+        store.register("R0", ("A",))
+        assert_store_consistent(store)
+
+    def test_register_key_twice_indexes_once(self, case_rng):
+        database = Database(_schema(["R0"]))
+        for _ in range(10):
+            database.insert(_random_fact(case_rng, "R0", 4))
+        store = _subscribed_store("list", database, keys=("A",))
+        store.register_key("R0", "A")
+        assert store._keys_by_relation["R0"] == [("A", 0)]
+        identifier = database.insert(Fact("R0", (99, 1, 1)))
+        row = store.relation("R0").row_of[identifier]
+        assert store.group("R0", "A")[99] == {row}
+        database.delete(identifier)
+        assert 99 not in store.group("R0", "A")
+        assert_store_consistent(store)
+
+    @needs_numpy
+    def test_values_at_reads_the_facts_values(self):
+        """Row-level fallbacks read the facts' own values, which a float
+        array cannot hold exactly."""
+        import numpy as np
+
+        database = Database(_schema(["R0"]))
+        big = 2**60 + 1
+        for values in [(big, 0.5, "x"), (1, None, 2), (big + 2, 1, None)]:
+            database.insert(Fact("R0", values))
+        store = _subscribed_store("numpy", database)
+        rows = np.arange(3)
+        huge = store.column("R0", "A")
+        assert huge.kind == "i8" and huge.huge
+        assert huge.values_at(rows) == [big, 1, big + 2]
+        floats = store.column("R0", "B")
+        assert floats.kind == "f8" and floats.data[2] == 1.0
+        values = floats.values_at(rows)
+        assert values == [0.5, None, 1] and type(values[2]) is int
+        assert store.column("R0", "C").values_at(rows) == ["x", 2, None]
+        assert_store_consistent(store)
 
 
 class TestBackendSelection:

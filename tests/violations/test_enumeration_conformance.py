@@ -10,8 +10,8 @@ their witnesses stated, run on both column backends: the enumerator's cold
 family, the union of its cold chunks and its delta over a random dirty
 subset all equal the oracle's fact-id sets.  The numpy store runs each
 delta on both sides of its scalar crossover (``SCALAR_DELTA_ROWS``
-patched to 0 and to a huge value), and its python mirrors must equal its
-arrays afterwards.  A mixed-value variant (ints,
+patched to 0 and to a huge value), and its arrays must equal the list
+store it owns afterwards.  A mixed-value variant (ints,
 strs, floats with NaN, bools, NULL) checks the compiled comparison kernels
 against ``ComparisonOp.evaluate``.
 """
@@ -38,15 +38,15 @@ from ..oracle import (
     int_constant,
     random_instance,
 )
-from ..session.test_vectorized import assert_mirrors_match
+from ..session.test_vectorized import assert_store_consistent
 
 #: The numpy backend with a 64-pair expansion budget: most random
 #: instances then run their hash and cross steps in several blocks.
 NUMPY_BLOCKED = "numpy-64"
 
 #: The numpy store with every delta on the scalar path (the list kernels
-#: over its mirrors); "numpy" and NUMPY_BLOCKED send every delta to the
-#: numpy kernels.
+#: over its owned list store); "numpy" and NUMPY_BLOCKED send every delta
+#: to the numpy kernels.
 NUMPY_SCALAR = "numpy-scalar"
 
 #: Column backends available in this process ("list" always is).
@@ -343,7 +343,7 @@ class TestBatchConformance:
         enumerator = _enumerator(dc, database, backend)
         found = enumerator.delta(group_by_relation(database, dirty | {10_000}))
         assert found == expected
-        assert_mirrors_match(enumerator.store)
+        assert_store_consistent(enumerator.store)
 
     @pytest.mark.parametrize("values, case", _INSTANCES)
     def test_blocks_split_mid_batch(
